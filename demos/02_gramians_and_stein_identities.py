@@ -1,8 +1,8 @@
 """Observability gramians, Stein identities and the hereditary calculus.
 
 For an output pair (C, A) with spectral radius below 1 the shifted
-gramians G^(k) = sum_j A^{*j} C^* C A^j / beta_{j+k} are summed with a
-certified tail bound.  They tie together three ways:
+gramians G^(k) = sum_j A^{*j} C^* C A^j / beta_{j+k} are summed with a tail
+bound.  They tie together three ways:
 
   * the weighted Stein identity   A* G^(k+1) A + C*C / beta_k = G^(k),
   * the hereditary map of G^(0) reproduces C*C,
@@ -23,7 +23,7 @@ C = rng.standard_normal((p, n)) + 1j * rng.standard_normal((p, n))
 pair = hb.OutputPair(A=A, C=C)
 
 table = hb.gramian_table(w, pair, k_max=8, tol=1e-11)
-print("certified tail bounds:", max(table.tail_bounds.values()))
+print("tail bounds:          ", max(table.tail_bounds.values()))
 
 stein = max(hb.stein_residual(w, k, pair, table[k], table[k + 1])
             for k in range(8))

@@ -10,13 +10,11 @@ star-hypercontractions, and the associated time-varying linear system.
 from .colligation import (
     ColligationFamily,
     ColligationStep,
-    TransferFamily,
     build_family,
     build_step,
     defect_kernel,
     metric_residuals,
     transfer_eval,
-    transfer_family,
     transfer_taylor,
 )
 from .errors import (

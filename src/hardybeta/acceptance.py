@@ -25,7 +25,7 @@ from .colligation import build_family, transfer_eval
 from .hereditary import OutputPair
 from .weights import make_weight_beta_alpha, make_weight_hardy
 
-#: weight-table length used by the suite; the certified gramian tails at
+#: weight-table length used by the suite; the gramian tail bounds at
 #: spectral radius 0.9 and shift 11 need a deep table
 SUITE_TRUNC = 768
 
@@ -40,7 +40,6 @@ class RunConfig:
     trunc: int = 256
     seed: int = 7
     trials: int = 20
-    jobs: int = 1
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from . import syssim as sys_
 from .acceptance import SUITE_TRUNC, RunConfig, run_suite
 from .colligation import build_family
 from .errors import HardyBetaError, InvalidParameterError
-from .hereditary import classify
+from .hereditary import classify, gramian_table, hermitian_inverse
 from .weights import (
     DEFAULT_TRUNC,
     WienerReport,
@@ -79,8 +78,7 @@ def _config_from_args(args) -> RunConfig:
                      k_max=getattr(args, "k_max", 12),
                      trunc=getattr(args, "trunc", DEFAULT_TRUNC),
                      seed=getattr(args, "seed", 7),
-                     trials=getattr(args, "trials", 20),
-                     jobs=getattr(args, "jobs", 1))
+                     trials=getattr(args, "trials", 20))
 
 
 def _emit(args, payload: dict):
@@ -180,7 +178,6 @@ def cmd_kernels(args) -> int:
     pair = ser.pair_from_json(_load_json(args.operator))
     pts = ker.default_grid() if args.grid == "default" else \
         ker.default_grid(radii=tuple(float(r) for r in args.grid.split(",")))
-    from .hereditary import gramian_table, hermitian_inverse
     gramians = gramian_table(w, pair, args.k + 1, tol=1e-12)
     gram_inv = hermitian_inverse(gramians[0], args.rank_tol)
 
@@ -195,15 +192,9 @@ def cmd_kernels(args) -> int:
         return ker.kernel_gap(w, args.k, pair, gramians, z, zeta)
 
     pairs = [(z, zeta) for z in pts for zeta in pts]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            values = list(pool.map(eval_pair, pairs))
-    else:
-        values = [eval_pair(zz) for zz in pairs]
-    grid_data = ker.KernelGrid(points=pairs, values=values)
-    csv_text = ser.kernel_grid_csv(grid_data.points, grid_data.values)
+    values = [eval_pair(zz) for zz in pairs]
     with open(args.out_csv, "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
+        fh.write(ser.kernel_grid_csv(pairs, values))
     if args.out_json:
         payload = {
             "config": _config_from_args(args).to_json(),
@@ -233,9 +224,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig(tol=args.tol, rank_tol=args.rank_tol, k_max=args.k_max,
-                    trunc=args.trunc, seed=args.seed, trials=args.trials,
-                    jobs=args.jobs)
+    cfg = _config_from_args(args)
     results = run_suite(cfg, echo=print)
     payload = {
         "config": cfg.to_json(),
@@ -267,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k-max", dest="k_max", type=int,
                        default=k_max_default)
         p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("weights", help="weight tables and summability report")
@@ -318,14 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--suite", choices=["all"], default="all")
     p.add_argument("--tol", type=float, default=_default_tol())
     p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10)
     p.add_argument("--k-max", dest="k_max", type=int, default=12)
     p.add_argument("--trunc", type=int, default=SUITE_TRUNC)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_verify)
 

@@ -70,15 +70,19 @@ class ColligationFamily:
         return self.steps[k]
 
 
-@dataclass
-class TransferFamily:
-    """Taylor coefficients ``Theta_{k,0..J}`` of the transfer functions."""
-
-    taylor: dict  # k -> list of p x u_k arrays
-    J: int
-
-    def coeffs(self, k: int) -> list:
-        return self.taylor[k]
+def _phase_fixed(V: np.ndarray) -> np.ndarray:
+    """The columns of ``V``, each rotated so that its largest-magnitude
+    entry is real positive; makes eigenvector bases reproducible."""
+    cols = []
+    for i in range(V.shape[1]):
+        v = V[:, i]
+        pivot = int(np.argmax(np.abs(v)))
+        phase = v[pivot]
+        cols.append(v * (phase.conjugate() / abs(phase)) if abs(phase) > 0
+                    else v)
+    if cols:
+        return np.column_stack(cols)
+    return np.zeros((V.shape[0], 0), dtype=complex)
 
 
 def _psd_factor(R: np.ndarray, rank_tol: float):
@@ -99,19 +103,7 @@ def _psd_factor(R: np.ndarray, rank_tol: float):
             f"defect matrix has negative eigenvalue {lam[0]:.3e} "
             f"(floor {neg_floor:.3e}): gramians inconsistent")
     keep = lam >= rank_tol * max(lam_max, 1e-300)
-    lam_r = lam[keep][::-1]
-    V_r = V[:, keep][:, ::-1]
-    cols = []
-    for i in range(V_r.shape[1]):
-        v = V_r[:, i]
-        pivot = int(np.argmax(np.abs(v)))
-        phase = v[pivot]
-        if abs(phase) > 0:
-            v = v * (phase.conjugate() / abs(phase))
-        cols.append(v * np.sqrt(lam_r[i]))
-    if cols:
-        return np.column_stack(cols)
-    return np.zeros((R.shape[0], 0), dtype=complex)
+    return _phase_fixed(V[:, keep][:, ::-1]) * np.sqrt(lam[keep][::-1])
 
 
 def build_step(w: WeightSequence, k: int, pair: OutputPair,
@@ -123,7 +115,6 @@ def build_step(w: WeightSequence, k: int, pair: OutputPair,
     defect matrix with a genuinely negative eigenvalue raises
     NotCoisometrizableError.
     """
-    n, p = pair.n, pair.p
     try:
         Gk_inv = hermitian_inverse(gramians[k], rank_tol)
         Gk1_inv = hermitian_inverse(gramians[k + 1], rank_tol)
@@ -131,12 +122,9 @@ def build_step(w: WeightSequence, k: int, pair: OutputPair,
         raise ObservabilityError(
             f"step {k}: exact observability required ({exc})") from exc
     AC = np.vstack([pair.A, pair.C])
-    R = np.zeros((n + p, n + p), dtype=complex)
-    R[:n, :n] = Gk1_inv
-    R[n:, n:] = w.betas[k] * np.eye(p)
-    R -= AC @ Gk_inv @ AC.conj().T
+    R = _block_diag(Gk1_inv, w.betas[k], pair.p) - AC @ Gk_inv @ AC.conj().T
     F = _psd_factor(R, rank_tol)
-    return F[:n, :], F[n:, :]
+    return F[:pair.n, :], F[pair.n:, :]
 
 
 def build_family(w: WeightSequence, pair: OutputPair, k_max: int,
@@ -174,29 +162,35 @@ def colligation_block(family: ColligationFamily, k: int) -> np.ndarray:
     return np.vstack([top, bot])
 
 
+def _block_diag(M: np.ndarray, c: float, m: int) -> np.ndarray:
+    """The complex block-diagonal matrix ``diag(M, c I_m)``."""
+    n = M.shape[0]
+    out = np.zeros((n + m, n + m), dtype=complex)
+    out[:n, :n] = M
+    out[n:, n:] = c * np.eye(m)
+    return out
+
+
+def _coisometry_weights(family: ColligationFamily, k: int):
+    """Block weights ``V_in = diag(inv(G^(k)), I)`` and
+    ``V_out = diag(inv(G^(k+1)), beta_k I)`` of the coisometry identity."""
+    V_in = _block_diag(hermitian_inverse(family.gramians[k]), 1.0,
+                       family.step(k).u)
+    V_out = _block_diag(hermitian_inverse(family.gramians[k + 1]),
+                        family.weight.betas[k], family.pair.p)
+    return V_in, V_out
+
+
 def metric_residuals(family: ColligationFamily, k: int) -> dict:
     """Operator-norm residuals of the weighted isometry and coisometry
     identities at step ``k``."""
     w, pair, st = family.weight, family.pair, family.step(k)
-    n, p = pair.n, pair.p
-    G_k = family.gramians[k]
-    G_k1 = family.gramians[k + 1]
     U = colligation_block(family, k)
-
-    W_out = np.zeros((n + p, n + p), dtype=complex)
-    W_out[:n, :n] = G_k1
-    W_out[n:, n:] = w.inv_betas[k] * np.eye(p)
-    W_in = np.zeros((n + st.u, n + st.u), dtype=complex)
-    W_in[:n, :n] = G_k
-    W_in[n:, n:] = np.eye(st.u)
+    W_out = _block_diag(family.gramians[k + 1], w.inv_betas[k], pair.p)
+    W_in = _block_diag(family.gramians[k], 1.0, st.u)
     isom = opnorm(U.conj().T @ W_out @ U - W_in)
 
-    V_in = np.zeros((n + st.u, n + st.u), dtype=complex)
-    V_in[:n, :n] = hermitian_inverse(G_k)
-    V_in[n:, n:] = np.eye(st.u)
-    V_out = np.zeros((n + p, n + p), dtype=complex)
-    V_out[:n, :n] = hermitian_inverse(G_k1)
-    V_out[n:, n:] = w.betas[k] * np.eye(p)
+    V_in, V_out = _coisometry_weights(family, k)
     coisom = opnorm(U @ V_in @ U.conj().T - V_out)
     return {"isometry": isom, "coisometry": coisom}
 
@@ -223,15 +217,6 @@ def transfer_taylor(family: ColligationFamily, k: int, J: int) -> list:
     return coeffs
 
 
-def transfer_family(family: ColligationFamily, J: int) -> TransferFamily:
-    """Taylor data for every built step."""
-    return TransferFamily(
-        taylor={k: transfer_taylor(family, k, J)
-                for k in range(family.k_max + 1)},
-        J=J,
-    )
-
-
 def defect_kernel(family: ColligationFamily, k: int, z: complex, zeta: complex,
                   tol: float = 1e-12) -> np.ndarray:
     """Quadratic-form defect kernel of step ``k`` at the point pair.
@@ -239,15 +224,10 @@ def defect_kernel(family: ColligationFamily, k: int, z: complex, zeta: complex,
     Vanishes identically when the step satisfies the weighted coisometry
     identity; its size is proportional to the identity's violation.
     """
-    w, pair, st = family.weight, family.pair, family.step(k)
-    n, p = pair.n, pair.p
+    w, pair = family.weight, family.pair
+    p = pair.p
     U = colligation_block(family, k)
-    V_in = np.zeros((n + st.u, n + st.u), dtype=complex)
-    V_in[:n, :n] = hermitian_inverse(family.gramians[k])
-    V_in[n:, n:] = np.eye(st.u)
-    V_out = np.zeros((n + p, n + p), dtype=complex)
-    V_out[:n, :n] = hermitian_inverse(family.gramians[k + 1])
-    V_out[n:, n:] = w.betas[k] * np.eye(p)
+    V_in, V_out = _coisometry_weights(family, k)
     defect = V_out - U @ V_in @ U.conj().T
 
     Rz = resolvent_apply(w, k, pair.A, z, tol)

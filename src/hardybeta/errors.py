@@ -67,7 +67,8 @@ class ModelCoordinatesError(HardyBetaError):
 
 
 class ConvergenceError(HardyBetaError):
-    """Adaptive truncation exhausted the stored tables before certifying."""
+    """Adaptive truncation exhausted the stored tables before the tail bound
+    met the tolerance."""
 
     exit_code = 5
 

@@ -12,12 +12,12 @@ and an admissible weight sequence this module evaluates
   pair (contractive, isometric, hypercontractive, strongly stable, exactly
   observable).
 
-All series are truncated adaptively with a certified absolute tail bound:
-powers are dominated by ``K * q^j`` where ``q`` is built from the spectral
-radius via ``rho_tilde = (1 + rho)/2`` and ``K`` is a running burn-in
-estimate, while the scalar coefficient tail is bounded from the stored
-tables plus a trailing-ratio extrapolation.  Series-summed quantities are
-restricted to spectral radius at most 0.999.
+All series are cut adaptively by the engine in ``series.py``.  The tail
+bound it reports holds under the transient constant ``K`` observed on the
+terms summed so far (terms dominated by ``K * q^j`` for a decay rate ``q``
+chosen from the spectral radius); transient growth of a non-normal ``A``
+after the stop is not covered (see ROADMAP.md).  Series-summed quantities
+are restricted to spectral radius at most 0.999.
 
 Everything here is a pure function of immutable inputs; results are safe to
 share across threads.
@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import series
 from .errors import (
-    ConvergenceError,
     DivergenceError,
     HereditaryDomainError,
     InvalidParameterError,
@@ -43,9 +43,6 @@ from .weights import WeightSequence, gamma_k_coeffs
 
 #: series-summed quantities refuse spectral radius beyond this
 RHO_MAX = 0.999
-
-#: adaptive loops ignore decay-rate powers below this to avoid underflow noise
-_UNDERFLOW = 1e-280
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
@@ -122,7 +119,8 @@ class OutputPair:
 
 @dataclass
 class GramianTable:
-    """Shifted gramians ``G^(k)`` for ``k = 0..k_max`` with certified tails."""
+    """Shifted gramians ``G^(k)`` for ``k = 0..k_max`` with their tail
+    bounds and the truncation order of the shared series."""
 
     entries: dict
     tail_bounds: dict
@@ -140,7 +138,6 @@ class GramianTable:
 class ClassificationReport:
     """Tolerance-qualified classification flags with their justifying residuals."""
 
-    output_stable: bool
     contractive_pair: bool
     isometric_pair: bool
     hypercontraction: bool
@@ -153,7 +150,6 @@ class ClassificationReport:
     @property
     def flags(self) -> dict:
         return {
-            "output_stable": self.output_stable,
             "contractive_pair": self.contractive_pair,
             "isometric_pair": self.isometric_pair,
             "hypercontraction": self.hypercontraction,
@@ -173,157 +169,55 @@ class DeltaReport:
 
 
 # ---------------------------------------------------------------------------
-# certified adaptive summation
+# series: conjugation sums and resolvents
 # ---------------------------------------------------------------------------
 
-def _suffix_sums(wq: np.ndarray) -> np.ndarray:
-    """``S[J] = sum_{j > J} wq[j]`` for ``J = 0..len(wq)-1``."""
-    rev = np.cumsum(wq[::-1])[::-1]
-    out = np.empty_like(rev)
-    out[:-1] = rev[1:]
-    out[-1] = 0.0
-    return out
-
-
-def _beyond_table(row_abs: np.ndarray, powq: np.ndarray, q: float,
-                  window: int = 16) -> float:
-    """Bound on the sum of the (unstored) continuation of ``row_abs * powq``.
-
-    Decaying tails are extrapolated geometrically from the trailing growth
-    ratio of the damped sequence.  Trailing coefficients that sit at the
-    recursion noise floor (negligible against the row's scale) are assumed
-    to stay at that floor, so only the ``q`` damping continues.  A genuinely
-    non-decaying tail yields ``inf`` and the caller reports non-convergence.
-    """
-    m = min(window + 1, len(row_abs))
-    traw = row_abs[-m:]
-    if traw.max() == 0.0:
-        return 0.0
-    if traw.max() <= 1e-9 * row_abs.max() and q < 1.0:
-        return 10.0 * float(traw.max()) * float(powq[-1]) * q / (1.0 - q)
-    nz = np.nonzero(traw > 0)[0]
-    if len(nz) < 2:
-        return float("inf")
-    steps = np.diff(nz).astype(float)
-    ratios = (traw[nz[1:]] / traw[nz[:-1]]) ** (1.0 / steps)
-    r = float(ratios.max()) * q  # per-step growth of the damped sequence
-    if r >= 1.0:
-        return float("inf")
-    last = float(traw[nz[-1]]) * float(powq[len(row_abs) - m + nz[-1]])
-    gap = m - 1 - nz[-1]
-    return last * r ** gap * r / (1.0 - r)
-
-
-class _TailCertificate:
-    """Shared truncation certificate for sums ``sum_j row_i[j] * T_j`` where
-    the matrix terms obey ``||T_j|| <= K q^j`` with K estimated on the fly."""
-
-    def __init__(self, rows, q):
-        self.q = q
-        Jcap = min(len(r) for r in rows) - 1
-        self.Jcap = Jcap
-        powq = np.power(q, np.arange(Jcap + 1)) if q > 0 else \
-            np.concatenate([[1.0], np.zeros(Jcap)])
-        self.suffix = []
-        self.beyond = []
-        for r in rows:
-            row_abs = np.abs(np.asarray(r[:Jcap + 1], dtype=float))
-            wq = row_abs * powq
-            self.suffix.append(_suffix_sums(wq))
-            self.beyond.append(_beyond_table(row_abs, powq, q))
-        self.K = 0.0
-
-    def update_K(self, term_norm: float, j: int):
-        qj = self.q ** j if self.q > 0 else (1.0 if j == 0 else 0.0)
-        if qj > _UNDERFLOW:
-            self.K = max(self.K, term_norm / qj)
-
-    def bound(self, J: int) -> float:
-        """Certified bound on all rows' tails past index J."""
-        J = min(J, self.Jcap)
-        worst = max(s[J] + b for s, b in zip(self.suffix, self.beyond))
-        return self.K * worst
-
-
-def _conjugation_sums(A, X, rows, q, tol, context):
-    """Evaluate ``sum_j rows[i][j] A^{*j} X A^j`` for several coefficient rows
-    with one shared certified truncation.
-
-    Returns (list of sums, list of tail bounds, truncation order used).
-    """
+def _hereditary_sums(A, X, rows, q, tol, context):
+    """``sum_j rows[i][j] A^{*j} X A^j`` for every row, cut once for all
+    rows by the series engine.  Returns (list of sums, series record)."""
     A = np.asarray(A, dtype=complex)
-    X = np.asarray(X, dtype=complex)
-    cert = _TailCertificate(rows, q)
-    moments = []
-    M = X.copy()
-    J = 0
-    for j in range(cert.Jcap + 1):
-        moments.append(M)
-        nrm = float(np.linalg.norm(M))
-        cert.update_K(nrm, j)
-        J = j
-        if nrm == 0.0:
-            break
-        if j >= 4 and cert.bound(j) <= tol:
-            break
-        if j < cert.Jcap:
-            M = A.conj().T @ M @ A
-    else:
-        J = cert.Jcap
-    if cert.bound(J) > tol and float(np.linalg.norm(moments[-1])) != 0.0:
-        raise ConvergenceError(
-            f"{context}: tail bound {cert.bound(J):.3e} > tol {tol:.3e} "
-            f"after {J + 1} stored terms; increase the weight truncation")
-    stack = np.stack(moments)
-    sums, tails = [], []
-    for i, r in enumerate(rows):
-        coeff = np.asarray(r[:J + 1], dtype=float)
-        sums.append(hermitize(np.tensordot(coeff, stack, axes=(0, 0))))
-        tails.append(cert.K * (cert.suffix[i][min(J, cert.Jcap)] + cert.beyond[i]))
-    return sums, tails, J
+    Ah = A.conj().T
+    rec = series.adaptive_sum(np.asarray(X, dtype=complex),
+                              lambda M: Ah @ M @ A, rows, q, tol, context)
+    stack = np.stack(rec.terms)
+    sums = [hermitize(np.tensordot(np.asarray(r[:rec.J + 1], dtype=float),
+                                   stack, axes=(0, 0))) for r in rows]
+    return sums, rec
 
 
-# ---------------------------------------------------------------------------
-# resolvents
-# ---------------------------------------------------------------------------
-
-def resolvent_apply(w: WeightSequence, k: int, A, z: complex,
-                    tol: float = 1e-12) -> np.ndarray:
-    """Evaluate ``R_k(zA) = sum_j (1/beta_{k+j}) z^j A^j`` with tail <= tol.
-
-    Requires ``|z| * rho(A) < 1``.  Raises ConvergenceError when the stored
-    coefficient table is exhausted before the certified tail bound drops
-    below ``tol``.
-    """
+def _resolvent_series(w: WeightSequence, k: int, A, z: complex, tol: float):
+    """``R_k(zA)`` together with its series record (None when the sum is
+    exact because ``z = 0`` or ``A = 0``)."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     n = A.shape[0]
     rho = spectral_radius(A)
     if abs(z) * rho >= 1.0:
         raise DivergenceError(
             f"|z| * rho(A) = {abs(z) * rho:.6f} >= 1: series diverges")
-    Jcap = w.trunc_len - k
-    if Jcap < 0:
+    if w.trunc_len - k < 0:
         raise TruncationError(f"shift k={k} exceeds stored length")
     inv_b = w.inv_betas[k:]
     S = inv_b[0] * np.eye(n, dtype=complex)
     if z == 0 or not A.any():
-        return S
-    q = abs(z) * 0.5 * (1.0 + rho)
-    cert = _TailCertificate([inv_b], q)
-    cert.update_K(math.sqrt(n), 0)
+        return S, None
     zA = z * A
-    P = np.eye(n, dtype=complex)
-    for j in range(1, Jcap + 1):
-        P = P @ zA
-        S += inv_b[j] * P
-        cert.update_K(float(np.linalg.norm(P)), j)
-        if j >= 4 and cert.bound(j) <= tol:
-            return S
-    if cert.bound(Jcap) > tol:
-        raise ConvergenceError(
-            f"resolvent tail bound {cert.bound(Jcap):.3e} > tol {tol:.3e}; "
-            "increase the weight truncation")
-    return S
+    rec = series.adaptive_sum(np.eye(n, dtype=complex), lambda P: P @ zA,
+                              [inv_b], series.decay_rate(rho, abs(z)), tol,
+                              "resolvent_apply")
+    for c, P in zip(inv_b[1:], rec.terms[1:]):
+        S += c * P
+    return S, rec
+
+
+def resolvent_apply(w: WeightSequence, k: int, A, z: complex,
+                    tol: float = 1e-12) -> np.ndarray:
+    """Evaluate ``R_k(zA) = sum_j (1/beta_{k+j}) z^j A^j`` with tail <= tol.
+
+    Requires ``|z| * rho(A) < 1``.  Raises ConvergenceError when the stored
+    coefficient table is exhausted before the tail bound drops below
+    ``tol``.
+    """
+    return _resolvent_series(w, k, A, z, tol)[0]
 
 
 def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
@@ -336,24 +230,15 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     xs = np.atleast_1d(xs)
     if np.any(np.abs(xs) >= 1.0):
         raise DivergenceError("scalar resolvent needs |x| < 1")
-    Jcap = w.trunc_len - k
-    if Jcap < 0:
+    if w.trunc_len - k < 0:
         raise TruncationError(f"shift k={k} exceeds stored length")
     inv_b = w.inv_betas[k:]
     q = float(np.max(np.abs(xs))) if xs.size else 0.0
     if q == 0.0:
         vals = np.full(xs.shape, inv_b[0], dtype=complex)
         return vals[0] if scalar_in else vals
-    cert = _TailCertificate([inv_b], q)
-    cert.update_K(1.0, 0)
-    J = Jcap
-    for j in range(4, Jcap + 1):
-        if cert.bound(j) <= tol:
-            J = j
-            break
-    else:
-        if cert.bound(Jcap) > tol:
-            raise ConvergenceError("scalar resolvent table too short for tol")
+    # |x^j| <= q^j exactly, so the transient constant is 1
+    J = series.RowTails([inv_b], q).cut(1.0, tol, "resolvent_scalar")
     # Horner evaluation of the degree-J truncation
     vals = np.full(xs.shape, inv_b[J], dtype=complex)
     for j in range(J - 1, -1, -1):
@@ -365,41 +250,34 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
 # gramians and observability
 # ---------------------------------------------------------------------------
 
-def _gramian_rows(w, ks, rho, tol, CstarC, A, context):
-    q = (0.5 * (1.0 + rho)) ** 2
+def _gramian_rows(w, ks, pair, tol, context):
+    if pair.spectral_radius > RHO_MAX:
+        raise SpectralRadiusError(
+            f"rho(A) = {pair.spectral_radius:.4f} > {RHO_MAX}: gramian series "
+            "not summable at desk scale")
     kmax = max(ks)
     Jcap = w.trunc_len - kmax
     if Jcap < 4:
         raise TruncationError(
             f"stored weights too short for gramian shift k={kmax}")
     rows = [w.inv_betas[k:k + Jcap + 1] for k in ks]
-    sums, tails, J = _conjugation_sums(A, CstarC, rows, q, tol, context)
-    return dict(zip(ks, sums)), dict(zip(ks, tails)), J
+    sums, rec = _hereditary_sums(
+        pair.A, pair.C.conj().T @ pair.C, rows,
+        series.conjugation_rate(pair.spectral_radius), tol, context)
+    return dict(zip(ks, sums)), dict(zip(ks, rec.tails)), rec.J
 
 
 def gramian(w: WeightSequence, k: int, pair: OutputPair,
             tol: float = 1e-10) -> np.ndarray:
-    """Shifted observability gramian ``G^(k)`` with certified tail <= tol."""
-    if pair.spectral_radius > RHO_MAX:
-        raise SpectralRadiusError(
-            f"rho(A) = {pair.spectral_radius:.4f} > {RHO_MAX}: gramian series "
-            "not summable at desk scale")
-    CstarC = pair.C.conj().T @ pair.C
-    entries, _, _ = _gramian_rows(w, [k], pair.spectral_radius, tol,
-                                  CstarC, pair.A, "gramian")
-    return entries[k]
+    """Shifted observability gramian ``G^(k)`` with tail bound <= tol."""
+    return _gramian_rows(w, [k], pair, tol, "gramian")[0][k]
 
 
 def gramian_table(w: WeightSequence, pair: OutputPair, k_max: int,
                   tol: float = 1e-10) -> GramianTable:
     """All shifted gramians ``G^(k)``, ``k = 0..k_max``, from shared moments."""
-    if pair.spectral_radius > RHO_MAX:
-        raise SpectralRadiusError(
-            f"rho(A) = {pair.spectral_radius:.4f} > {RHO_MAX}")
-    CstarC = pair.C.conj().T @ pair.C
-    ks = list(range(k_max + 1))
-    entries, tails, J = _gramian_rows(w, ks, pair.spectral_radius, tol,
-                                      CstarC, pair.A, "gramian_table")
+    entries, tails, J = _gramian_rows(w, list(range(k_max + 1)), pair, tol,
+                                      "gramian_table")
     return GramianTable(entries=entries, tail_bounds=tails, trunc_order=J)
 
 
@@ -433,12 +311,6 @@ def _check_domain(A, X, tol):
         raise HereditaryDomainError("X - A* X A must be positive semidefinite")
 
 
-def _map_rate(A):
-    rho = spectral_radius(A)
-    # under the domain condition the moments are norm-bounded even at rho = 1
-    return (0.5 * (1.0 + min(rho, 1.0))) ** 2 if rho < 1.0 else 1.0
-
-
 def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
     """Hereditary map ``Gamma[X] = sum_j c_j A^{*j} X A^j``.
 
@@ -449,8 +321,9 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
     if w.wiener is not None and w.wiener.verdict == "diverging":
         raise HereditaryDomainError(
             "reciprocal coefficients diverge: hereditary map undefined")
-    sums, _, _ = _conjugation_sums(A, X, [w.c_coeffs], _map_rate(A), tol,
-                                   "gamma_map")
+    sums, _ = _hereditary_sums(A, X, [w.c_coeffs],
+                               series.conjugation_rate(spectral_radius(A)),
+                               tol, "gamma_map")
     return sums[0]
 
 
@@ -464,7 +337,9 @@ def gamma_k_map(w: WeightSequence, k: int, A, X,
     if k == 0:
         return hermitize(np.asarray(X, dtype=complex))
     d = gamma_k_coeffs(w, k, w.trunc_len - k)
-    sums, _, _ = _conjugation_sums(A, X, [d], _map_rate(A), tol, "gamma_k_map")
+    sums, _ = _hereditary_sums(A, X, [d],
+                               series.conjugation_rate(spectral_radius(A)),
+                               tol, "gamma_k_map")
     return sums[0]
 
 
@@ -523,11 +398,10 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
     opA = opnorm(A)
     contraction = opA <= 1.0 + tol
 
-    q = _map_rate(A)
-    rows = [w.c_coeffs]
-    for k in range(1, k_max + 1):
-        rows.append(gamma_k_coeffs(w, k, w.trunc_len - k))
-    sums, _, _ = _conjugation_sums(A, I, rows, q, tol * 0.1, "classify")
+    rows = [w.c_coeffs] + [gamma_k_coeffs(w, k, w.trunc_len - k)
+                           for k in range(1, k_max + 1)]
+    sums, _ = _hereditary_sums(A, I, rows, series.conjugation_rate(rho),
+                               tol * 0.1, "classify")
     gamma_I = sums[0]
     gamma_k_I = sums[1:]
 
@@ -575,7 +449,6 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
         residuals["integer_alpha_certificate_min_eig"] = betan_min
 
     return ClassificationReport(
-        output_stable=True,
         contractive_pair=contractive_pair,
         isometric_pair=isometric_pair,
         hypercontraction=hypercontraction,
@@ -602,11 +475,10 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     _check_domain(A, H, tol)
     scale = max(opnorm(H), 1.0)
 
-    q = _map_rate(A)
-    rows = [w.c_coeffs]
-    for k in range(1, k_max + 2):
-        rows.append(gamma_k_coeffs(w, k, w.trunc_len - k))
-    sums, _, _ = _conjugation_sums(A, H, rows, q, tol * 0.1, "delta_limit")
+    q = series.conjugation_rate(spectral_radius(A))
+    rows = [w.c_coeffs] + [gamma_k_coeffs(w, k, w.trunc_len - k)
+                           for k in range(1, k_max + 2)]
+    sums, _ = _hereditary_sums(A, H, rows, q, tol * 0.1, "delta_limit")
     gamma_H = sums[0]
     for k, G in enumerate(sums[1:], start=1):
         if _psd_defect(G) < -tol:
@@ -629,8 +501,8 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     residual = None
     if converged and _psd_defect(gamma_H) >= -tol:
         rows2 = [w.inv_betas]
-        sums2, _, _ = _conjugation_sums(A, gamma_H, rows2, q, tol * 0.1,
-                                        "delta_limit sum identity")
+        sums2, _ = _hereditary_sums(A, gamma_H, rows2, q, tol * 0.1,
+                                    "delta_limit sum identity")
         residual = opnorm(sums2[0] - (H - delta))
 
     return DeltaReport(delta=delta, converged=converged,

@@ -15,8 +15,6 @@ and runs two verification suites: the inner-function-family check
 (isometry, mutual orthogonality, shifted containment with an explicit
 truncation allowance) and the contractive-multiplier check (pointwise norm
 bound plus positivity of the associated block kernel).
-
-All evaluations are pure; grids may be processed pointwise in parallel.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import series
 from .colligation import ColligationFamily, transfer_taylor
 from .errors import InvalidParameterError, TruncationError
 from .hereditary import (
@@ -128,6 +127,14 @@ def space_kernel(w: WeightSequence, z: complex, zeta: complex,
     return complex(resolvent_scalar(w, 0, z * np.conj(zeta), tol))
 
 
+def _range_kernel(w: WeightSequence, k: int, pair: OutputPair, G_inv,
+                  z: complex, zeta: complex, tol: float) -> np.ndarray:
+    """``C R_k(zA) G_inv R_k(zeta A)* C*``."""
+    Rz = resolvent_apply(w, k, pair.A, z, tol)
+    Rzeta = resolvent_apply(w, k, pair.A, zeta, tol)
+    return pair.C @ Rz @ G_inv @ Rzeta.conj().T @ pair.C.conj().T
+
+
 def kernel_coinvariant(w: WeightSequence, pair: OutputPair, z: complex,
                        zeta: complex, gram_inv: np.ndarray | None = None,
                        tol: float = 1e-12) -> np.ndarray:
@@ -135,9 +142,7 @@ def kernel_coinvariant(w: WeightSequence, pair: OutputPair, z: complex,
     spanned by the observability range of an exactly observable pair."""
     if gram_inv is None:
         gram_inv = hermitian_inverse(gramian(w, 0, pair, tol))
-    Rz = resolvent_apply(w, 0, pair.A, z, tol)
-    Rzeta = resolvent_apply(w, 0, pair.A, zeta, tol)
-    return pair.C @ Rz @ gram_inv @ Rzeta.conj().T @ pair.C.conj().T
+    return _range_kernel(w, 0, pair, gram_inv, z, zeta, tol)
 
 
 def kernel_invariant(w: WeightSequence, pair: OutputPair, z: complex,
@@ -153,13 +158,9 @@ def kernel_shifted(w: WeightSequence, k: int, pair: OutputPair,
                    gramians, z: complex, zeta: complex,
                    tol: float = 1e-12) -> np.ndarray:
     """Kernel of the k-th shift image of the invariant subspace."""
-    Gk_inv = hermitian_inverse(gramians[k])
-    Rz = resolvent_apply(w, k, pair.A, z, tol)
-    Rzeta = resolvent_apply(w, k, pair.A, zeta, tol)
+    K = _range_kernel(w, k, pair, hermitian_inverse(gramians[k]), z, zeta, tol)
     scal = resolvent_scalar(w, k, z * np.conj(zeta), tol)
-    inner = scal * np.eye(pair.p) \
-        - pair.C @ Rz @ Gk_inv @ Rzeta.conj().T @ pair.C.conj().T
-    return (z * np.conj(zeta)) ** k * inner
+    return (z * np.conj(zeta)) ** k * (scal * np.eye(pair.p) - K)
 
 
 def kernel_gap(w: WeightSequence, k: int, pair: OutputPair, gramians,
@@ -167,14 +168,9 @@ def kernel_gap(w: WeightSequence, k: int, pair: OutputPair, gramians,
     """Kernel of the wandering gap between shift images k and k+1."""
     Gk_inv = hermitian_inverse(gramians[k])
     Gk1_inv = hermitian_inverse(gramians[k + 1])
-    Rz_k = resolvent_apply(w, k, pair.A, z, tol)
-    Rzeta_k = resolvent_apply(w, k, pair.A, zeta, tol)
-    Rz_k1 = resolvent_apply(w, k + 1, pair.A, z, tol)
-    Rzeta_k1 = resolvent_apply(w, k + 1, pair.A, zeta, tol)
-    C, Ch = pair.C, pair.C.conj().T
-    inner = w.inv_betas[k] * np.eye(pair.p) \
-        - C @ Rz_k @ Gk_inv @ Rzeta_k.conj().T @ Ch \
-        + (z * np.conj(zeta)) * (C @ Rz_k1 @ Gk1_inv @ Rzeta_k1.conj().T @ Ch)
+    K0 = _range_kernel(w, k, pair, Gk_inv, z, zeta, tol)
+    K1 = _range_kernel(w, k + 1, pair, Gk1_inv, z, zeta, tol)
+    inner = w.inv_betas[k] * np.eye(pair.p) - K0 + (z * np.conj(zeta)) * K1
     return (z * np.conj(zeta)) ** k * inner
 
 
@@ -275,16 +271,15 @@ def check_inner_family(w: WeightSequence, family: ColligationFamily,
     cols = {k: _element_columns(w, taylor[k], k, length, p)
             for k in range(k_max + 1)}
 
-    # truncation tail of each element family, from the last Taylor term and
-    # the geometric decay rate of the coefficient norms
-    q = (0.5 * (1.0 + rho)) ** 2
+    # truncation tail of each element family: the squared weighted
+    # coefficient norms continued geometrically past degree J
+    q = series.conjugation_rate(rho)
     tails = {}
     for k in range(k_max + 1):
         t = [w.betas[k + j] * np.linalg.norm(T, 2) ** 2
              for j, T in enumerate(taylor[k])]
-        K_t = max((val / q ** j if q > 0 else 0.0)
-                  for j, val in enumerate(t)) if t else 0.0
-        tails[k] = K_t * q ** (J + 1) / (1.0 - q) if q < 1 else float("inf")
+        tails[k] = series.geometric_tail(series.transient_constant(t, q), q,
+                                         J + 1)
 
     iso_res = 0.0
     for k in range(k_max + 1):
@@ -353,6 +348,26 @@ class MultiplierReport:
     details: dict = field(default_factory=dict)
 
 
+def _block_kernel(w: WeightSequence, theta_eval, grid, entry):
+    """Sup norm of ``Theta`` over the grid and the trace-scaled smallest
+    eigenvalue of the Hermitian block kernel whose ``(i, j)`` block is
+    ``entry(K(z_i, z_j), Theta(z_i), Theta(z_j), z_i conj(z_j))``."""
+    pts = list(grid)
+    vals = [np.atleast_2d(np.asarray(theta_eval(z), dtype=complex))
+            for z in pts]
+    sup = max(opnorm(V) for V in vals)
+    p = vals[0].shape[0]
+    N = len(pts)
+    block = np.zeros((N * p, N * p), dtype=complex)
+    for i, zi in enumerate(pts):
+        for j, zj in enumerate(pts):
+            block[i * p:(i + 1) * p, j * p:(j + 1) * p] = entry(
+                space_kernel(w, zi, zj), vals[i], vals[j], zi * np.conj(zj))
+    block = hermitize(block)
+    scale = max(abs(float(np.trace(block).real)) / (N * p), 1e-30)
+    return float(sup), float(min_eig(block) / scale), N
+
+
 def check_contractive_multiplier(w: WeightSequence, theta_eval, grid,
                                  tol: float = 1e-8) -> MultiplierReport:
     """Check the contractive-multiplier criterion on a grid.
@@ -363,26 +378,13 @@ def check_contractive_multiplier(w: WeightSequence, theta_eval, grid,
     the smallest eigenvalue is reported after scaling by the mean diagonal
     (trace scaling).
     """
-    pts = list(grid)
-    vals = [np.atleast_2d(np.asarray(theta_eval(z), dtype=complex))
-            for z in pts]
-    sup = max(opnorm(V) for V in vals)
-    p = vals[0].shape[0]
-    N = len(pts)
-    block = np.zeros((N * p, N * p), dtype=complex)
-    for i, zi in enumerate(pts):
-        for j, zj in enumerate(pts):
-            Kij = space_kernel(w, zi, zj)
-            L = (np.eye(p) - vals[i] @ vals[j].conj().T) * Kij
-            block[i * p:(i + 1) * p, j * p:(j + 1) * p] = L
-    block = hermitize(block)
-    scale = float(np.trace(block).real) / (N * p)
-    scale = max(abs(scale), 1e-30)
-    lam_min = min_eig(block) / scale
+    sup, lam_min, N = _block_kernel(
+        w, theta_eval, grid,
+        lambda K, Vi, Vj, x: (np.eye(Vi.shape[0]) - Vi @ Vj.conj().T) * K)
     ok = sup <= 1.0 + tol and lam_min >= -tol
-    return MultiplierReport(contractive=bool(ok), sup_norm=float(sup),
-                            block_kernel_min_eig=float(lam_min),
-                            details={"points": len(pts)})
+    return MultiplierReport(contractive=bool(ok), sup_norm=sup,
+                            block_kernel_min_eig=lam_min,
+                            details={"points": N})
 
 
 def check_hardy_to_weighted_multiplier(w: WeightSequence, theta_eval, grid,
@@ -395,23 +397,10 @@ def check_hardy_to_weighted_multiplier(w: WeightSequence, theta_eval, grid,
     is positive; this is the criterion met by wandering-gap transfer
     functions, whose pointwise norms may exceed 1.
     """
-    pts = list(grid)
-    vals = [np.atleast_2d(np.asarray(theta_eval(z), dtype=complex))
-            for z in pts]
-    sup = max(opnorm(V) for V in vals)
-    p = vals[0].shape[0]
-    N = len(pts)
-    block = np.zeros((N * p, N * p), dtype=complex)
-    for i, zi in enumerate(pts):
-        for j, zj in enumerate(pts):
-            x = zi * np.conj(zj)
-            L = space_kernel(w, zi, zj) * np.eye(p) \
-                - (vals[i] @ vals[j].conj().T) / (1.0 - x)
-            block[i * p:(i + 1) * p, j * p:(j + 1) * p] = L
-    block = hermitize(block)
-    scale = max(abs(float(np.trace(block).real)) / (N * p), 1e-30)
-    lam_min = min_eig(block) / scale
-    return MultiplierReport(contractive=bool(lam_min >= -tol),
-                            sup_norm=float(sup),
-                            block_kernel_min_eig=float(lam_min),
-                            details={"points": len(pts)})
+    sup, lam_min, N = _block_kernel(
+        w, theta_eval, grid,
+        lambda K, Vi, Vj, x: K * np.eye(Vi.shape[0])
+        - (Vi @ Vj.conj().T) / (1.0 - x))
+    return MultiplierReport(contractive=bool(lam_min >= -tol), sup_norm=sup,
+                            block_kernel_min_eig=lam_min,
+                            details={"points": N})

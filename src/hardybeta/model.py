@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import series
 from .colligation import (
     ColligationFamily,
     ColligationStep,
+    _phase_fixed,
     build_family,
     build_step,
     metric_residuals,
@@ -161,15 +163,8 @@ def defect_form_family(w: WeightSequence, T, k_max: int = 12,
         D_At_star = psd_sqrt(np.eye(n) - At @ At.conj().T)
         lam_d, V_d = np.linalg.eigh(hermitize(np.eye(n) - At @ At.conj().T))
         keep = lam_d >= rank_tol * max(float(lam_d[-1]), 1e-300)
-        basis = V_d[:, keep]
         # fix phases so the construction is reproducible
-        cols = []
-        for i in range(basis.shape[1]):
-            v = basis[:, i]
-            pivot = int(np.argmax(np.abs(v)))
-            ph = v[pivot]
-            cols.append(v * (ph.conjugate() / abs(ph)) if abs(ph) else v)
-        basis = np.column_stack(cols) if cols else np.zeros((n, 0))
+        basis = _phase_fixed(V_d[:, keep])
         Bt = D_At_star @ basis
         Dt = -(omega @ At.conj().T) @ basis
         B = Gk1_half_inv @ Bt
@@ -317,29 +312,6 @@ class RoundTripReport:
     k_max: int
 
 
-def _kernel_tail_allowance(w: WeightSequence, k_max: int, r: float) -> float:
-    """Certified bound on the cut k-tail of the gap-kernel sum.
-
-    Each step-k kernel is dominated on the diagonal by ``r^{2k} R_k(r^2)``,
-    so the tail past ``k_max`` is at most
-    ``sum_{m > k_max} (m - k_max) r^{2m} / beta_m`` (plus a trailing-ratio
-    extrapolation for the unstored part of the table).
-    """
-    if r >= 1.0:
-        return float("inf")
-    m = np.arange(k_max + 1, w.trunc_len + 1)
-    vals = (m - k_max) * w.inv_betas[k_max + 1:] * (r ** (2 * m))
-    stored = float(vals.sum())
-    beyond = 0.0
-    if len(vals) >= 2 and vals[-1] > 0:
-        ratio = float(vals[-1] / vals[-2])
-        if ratio < 1:
-            beyond = float(vals[-1]) * ratio / (1 - ratio)
-        else:
-            beyond = float("inf")
-    return stored + beyond
-
-
 def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
                              grid=None, tol: float = 1e-12) -> RoundTripReport:
     """Kernel identity tying the characteristic family to the model space.
@@ -348,8 +320,12 @@ def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
     ``R(z conj(zeta)) I - sum_k z^k conj(zeta)^k Theta_k(z) Theta_k(zeta)*``
     against the coinvariant kernel ``C R(zA) R(zeta A)* C*`` (the gramian is
     the identity here).  The k-sum is truncated at the family length; the
-    reported allowance is ``max_k sup_grid ||Theta_k||^2`` times the
-    geometric tail of ``r^{2k}`` at the grid radius.
+    reported allowance is the larger of ``max_k sup_grid ||Theta_k||^2``
+    times the geometric tail of ``r^{2k}`` at the grid radius ``r``, and the
+    kernel-domination bound: each step-k kernel is dominated on the diagonal
+    by ``r^{2k} R_k(r^2)``, so the cut tail is at most
+    ``sum_{m > k_max} (m - k_max) r^{2m} / beta_m``, the series engine's
+    tail of that row at ``q = r^2``.
 
     ``char`` may be a CharFamily or the matrix ``T`` itself, in which case
     the characteristic family is built with ``k_max`` steps first.
@@ -372,11 +348,12 @@ def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
                    for z in zs])
     r = float(np.max(np.abs(zs)))
     theta_sup = max(opnorm(T) for k in ks for T in evals[k])
-    heuristic = theta_sup ** 2 * r ** (2 * (k_max + 1)) / (1.0 - r * r) \
-        if r < 1 else float("inf")
+    heuristic = series.geometric_tail(theta_sup ** 2, r * r, k_max + 1)
     # the geometric heuristic can undershoot when the reciprocal weights
-    # grow; take the larger of it and the certified kernel-domination bound
-    allowance = max(heuristic, _kernel_tail_allowance(w, k_max, r))
+    # grow; take the larger of it and the kernel-domination bound
+    row = np.maximum(np.arange(w.trunc_len + 1) - k_max, 0) * w.inv_betas
+    domination = series.RowTails([row], r * r).at(k_max)[0]
+    allowance = max(heuristic, float(domination))
     x = zs[:, None] * np.conj(zs)[None, :]
     scal = resolvent_scalar(w, 0, x.ravel(), tol).reshape(N, N)
     lhs = scal[:, :, None, None] * np.eye(p, dtype=complex)[None, None]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import series
 from .colligation import ColligationFamily, transfer_taylor
 from .errors import InvalidParameterError, TruncationError
 from .weights import WeightSequence
@@ -203,8 +204,7 @@ def check_io_isometry(w: WeightSequence, family: ColligationFamily,
     rng = np.random.default_rng(seed)
     if horizon - 1 > family.k_max:
         raise InvalidParameterError("family too short for requested horizon")
-    rho = family.pair.spectral_radius
-    r = (0.5 * (1.0 + rho)) ** 2
+    r = series.conjugation_rate(family.pair.spectral_radius)
     worst = 0.0
     allow = 0.0
     support = max(1, min(horizon // 3, family.k_max + 1))
@@ -219,12 +219,8 @@ def check_io_isometry(w: WeightSequence, family: ColligationFamily,
                  for j, y in enumerate(traj.outputs)]
         energy_out = sum(terms)
         # geometric allowance for steps >= horizon
-        K = 0.0
-        for j in range(support, horizon):
-            if r > 0 and r ** j > 0:
-                K = max(K, terms[j] / r ** j)
-        tail = K * r ** horizon / (1.0 - r) if r < 1 else float("inf")
-        allow = max(allow, tail)
+        K = series.transient_constant(terms[support:horizon], r, support)
+        allow = max(allow, series.geometric_tail(K, r, horizon))
         worst = max(worst, abs(energy_out - energy_in))
     return IsometryReport(isometric=bool(worst <= tol + allow),
                           worst_defect=worst, allowance=allow, trials=trials)

@@ -154,7 +154,7 @@ class TestKernelsCommand:
         assert worst < 1e-10
 
 
-class TestEnvAndJobs:
+class TestEnvAndDeterminism:
     def test_tol_env_override(self, monkeypatch):
         from hardybeta.cli import _default_tol
         monkeypatch.setenv("HARDY_BETA_TOL", "1e-5")
@@ -162,7 +162,7 @@ class TestEnvAndJobs:
         monkeypatch.delenv("HARDY_BETA_TOL")
         assert _default_tol() == 1e-8
 
-    def test_kernels_parallel_matches_serial(self, tmp_path, capsys):
+    def test_kernels_repeat_byte_identical(self, tmp_path, capsys):
         rng = np.random.default_rng(90)
         A = cmat(rng, 2, 2)
         A *= 0.5 / hb.spectral_radius(A)
@@ -170,18 +170,22 @@ class TestEnvAndJobs:
         op.write_text(json.dumps({
             "A": ser.complex_matrix_to_json(A),
             "C": ser.complex_matrix_to_json(cmat(rng, 1, 2))}))
-        f1, f2 = tmp_path / "s.csv", tmp_path / "p.csv"
-        run(capsys, "kernels", str(op), "--alpha", "2", "--grid", "0.0,0.5",
-            "--out-csv", str(f1))
-        run(capsys, "kernels", str(op), "--alpha", "2", "--grid", "0.0,0.5",
-            "--out-csv", str(f2), "--jobs", "3")
-        assert f1.read_bytes() == f2.read_bytes()
+        outs = []
+        for tag in ("a", "b"):
+            csv, js = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+            code, _, _ = run(capsys, "kernels", str(op), "--alpha", "2",
+                             "--kind", "gap", "--k", "1", "--grid", "0.0,0.5",
+                             "--out-csv", str(csv), "--out-json", str(js))
+            assert code == 0
+            outs.append((csv.read_bytes(), js.read_bytes()))
+        assert outs[0] == outs[1]
+        assert "jobs" not in json.loads(outs[0][1])["config"]
 
 
 class TestVerifyCommand:
     def test_reduced_suite_passes(self, tmp_path, capsys):
         report = tmp_path / "report.json"
-        code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "7",
+        code, out, _ = run(capsys, "verify", "--seed", "7",
                            "--trials", "4", "--out", str(report))
         assert code == 0
         assert out.count("PASS") >= 12

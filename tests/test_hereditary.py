@@ -223,7 +223,6 @@ class TestClassify:
                           k_max=45)
         assert rep.hypercontraction
         assert rep.strongly_stable_beta
-        assert rep.output_stable
         assert rep.exactly_observable
 
     def test_defect_pair_isometric(self, w_beta2):
