@@ -53,7 +53,6 @@ from .hereditary import (
 from .kernels import (
     HardyElement,
     InnerFamilyReport,
-    KernelGrid,
     MultiplierReport,
     check_contractive_multiplier,
     check_hardy_to_weighted_multiplier,

@@ -190,9 +190,10 @@ def _kernel_identity_residuals(w, fam, k, grid):
     """Residuals of the two difference-kernel identities and the gap
     factorization at step k over all grid point pairs.
 
-    All pairwise combinations come from einsum contractions of per-point
-    resolvent data; residuals are measured in Frobenius norm, which
-    dominates the operator norm.
+    The two identities are einsum contractions of per-point resolvent data;
+    the factorization compares the library's gap kernel with
+    ``x^k Theta_k(z) Theta_k(zeta)*``.  Residuals are measured in Frobenius
+    norm, which dominates the operator norm.
     """
     pair = fam.pair
     st = fam.step(k)
@@ -206,8 +207,9 @@ def _kernel_identity_residuals(w, fam, k, grid):
     Rk = np.stack([her.resolvent_apply(w, k, pair.A, z, 1e-13) for z in zs])
     Rk1 = np.stack([her.resolvent_apply(w, k + 1, pair.A, z, 1e-13)
                     for z in zs])
-    th = np.stack([transfer_eval(fam, k, z, 1e-13) for z in zs])
+    th = transfer_eval(fam, k, zs, 1e-13)
     x = zs[:, None] * np.conj(zs)[None, :]  # z * conj(zeta) for all pairs
+    thth = np.einsum("ipu,jqu->ijpq", th, th.conj())
 
     def worst(diff):
         return float(np.linalg.norm(diff.reshape(N * N, -1), axis=1).max())
@@ -226,22 +228,15 @@ def _kernel_identity_residuals(w, fam, k, grid):
     # output-side identity (linear in the first argument)
     V = np.einsum("pq,zqn->zpn", C, Rk)      # C R_k(zA)
     V1 = np.einsum("pq,zqn->zpn", C, Rk1)
-    W = V @ Gk_inv
-    W1 = V1 @ Gk1_inv
-    core = np.einsum("ipn,jqn->ijpq", W, V.conj()) \
-        - x[:, :, None, None] * np.einsum("ipn,jqn->ijpq", W1, V1.conj())
-    lhs_out = w.inv_betas[k] * np.eye(pair.p)[None, None] \
-        - np.einsum("ipu,jqu->ijpq", th, th.conj())
+    core = np.einsum("ipn,jqn->ijpq", V @ Gk_inv, V.conj()) \
+        - x[:, :, None, None] * np.einsum("ipn,jqn->ijpq", V1 @ Gk1_inv,
+                                          V1.conj())
+    lhs_out = w.inv_betas[k] * np.eye(pair.p)[None, None] - thth
     r_output = worst(lhs_out - core)
 
-    # gap kernel factorization: x^k * (difference kernel) = x^k Theta Theta*
-    gap = (x ** k)[:, :, None, None] * (
-        w.inv_betas[k] * np.eye(pair.p)[None, None]
-        - np.einsum("ipn,jqn->ijpq", W, V.conj())
-        + x[:, :, None, None] * np.einsum("ipn,jqn->ijpq", W1, V1.conj()))
-    fac = (x ** k)[:, :, None, None] * np.einsum("ipu,jqu->ijpq", th,
-                                                 th.conj())
-    r_factor = worst(gap - fac)
+    # gap kernel factorization: gap kernel = x^k Theta Theta*
+    gap = ker.kernel_gap(w, k, pair, fam.gramians, zs, zs, 1e-13)
+    r_factor = worst(gap - (x ** k)[:, :, None, None] * thth)
     return r_input, r_output, r_factor
 
 

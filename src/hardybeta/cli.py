@@ -180,19 +180,17 @@ def cmd_kernels(args) -> int:
         ker.default_grid(radii=tuple(float(r) for r in args.grid.split(",")))
     gramians = gramian_table(w, pair, args.k + 1, tol=1e-12)
     gram_inv = hermitian_inverse(gramians[0], args.rank_tol)
-
-    def eval_pair(zz):
-        z, zeta = zz
-        if args.kind == "coinvariant":
-            return ker.kernel_coinvariant(w, pair, z, zeta, gram_inv)
-        if args.kind == "invariant":
-            return ker.kernel_invariant(w, pair, z, zeta, gram_inv)
-        if args.kind == "shifted":
-            return ker.kernel_shifted(w, args.k, pair, gramians, z, zeta)
-        return ker.kernel_gap(w, args.k, pair, gramians, z, zeta)
-
+    if args.kind == "coinvariant":
+        K = ker.kernel_coinvariant(w, pair, pts, pts, gram_inv)
+    elif args.kind == "invariant":
+        K = ker.kernel_invariant(w, pair, pts, pts, gram_inv)
+    elif args.kind == "shifted":
+        K = ker.kernel_shifted(w, args.k, pair, gramians, pts, pts)
+    else:
+        K = ker.kernel_gap(w, args.k, pair, gramians, pts, pts)
+    # z outer, zeta inner: the row-major order of the grid's two point axes
     pairs = [(z, zeta) for z in pts for zeta in pts]
-    values = [eval_pair(zz) for zz in pairs]
+    values = K.reshape(len(pairs), pair.p, pair.p)
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         fh.write(ser.kernel_grid_csv(pairs, values))
     if args.out_json:
@@ -249,18 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weighted Hardy space operator-model toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, k_max_default=12):
-        p.add_argument("--tol", type=float, default=_default_tol())
-        p.add_argument("--rank-tol", dest="rank_tol", type=float,
-                       default=1e-10)
-        p.add_argument("--k-max", dest="k_max", type=int,
-                       default=k_max_default)
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--out", type=str, default=None)
+    def options(p, *names, k_max=12):
+        """Add the named options shared by several subcommands."""
+        spec = {"tol": ("--tol", float, _default_tol()),
+                "rank_tol": ("--rank-tol", float, 1e-10),
+                "k_max": ("--k-max", int, k_max),
+                "out": ("--out", str, None)}
+        for name in names:
+            flag, typ, default = spec[name]
+            p.add_argument(flag, dest=name, type=typ, default=default)
 
     p = sub.add_parser("weights", help="weight tables and summability report")
     _add_weight_args(p)
-    common(p)
+    options(p, "out")
     p.add_argument("--head", action="store_true",
                    help="print only the first 65 table entries")
     p.set_defaults(func=cmd_weights)
@@ -268,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classification report for (C, A)")
     p.add_argument("operator", help="JSON file with keys A and C")
     _add_weight_args(p)
-    common(p, k_max_default=20)
+    options(p, "tol", "k_max", "out", k_max=20)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("colligate", help="build a colligation family")
     p.add_argument("operator")
     _add_weight_args(p)
-    common(p)
+    options(p, "rank_tol", "k_max", "out")
     p.set_defaults(func=cmd_colligate)
 
     p = sub.add_parser("charfn", help="characteristic function family")
@@ -283,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", type=str, default=None,
                    help="JSON file with key T")
     _add_weight_args(p)
-    common(p)
+    options(p, "rank_tol", "k_max", "out")
     p.set_defaults(func=cmd_charfn)
 
     p = sub.add_parser("kernels", help="kernel grid as CSV/JSON")
     p.add_argument("operator")
     _add_weight_args(p)
-    common(p)
+    options(p, "rank_tol")
     p.add_argument("--kind", choices=_KERNELS, default="coinvariant")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--grid", type=str, default="default")
@@ -306,13 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--tol", type=float, default=_default_tol())
-    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-10)
-    p.add_argument("--k-max", dest="k_max", type=int, default=12)
+    options(p, "rank_tol", "out")
     p.add_argument("--trunc", type=int, default=SUITE_TRUNC)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_verify)
 
     return ap

@@ -195,15 +195,17 @@ def metric_residuals(family: ColligationFamily, k: int) -> dict:
     return {"isometry": isom, "coisometry": coisom}
 
 
-def transfer_eval(family: ColligationFamily, k: int, z: complex,
+def transfer_eval(family: ColligationFamily, k: int, z,
                   tol: float = 1e-12) -> np.ndarray:
-    """Evaluate ``Theta_k(z) = (1/beta_k) D_k + z C R_{k+1}(zA) B_k``."""
+    """Evaluate ``Theta_k(z) = (1/beta_k) D_k + z C R_{k+1}(zA) B_k`` at a
+    point or a 1-d array of points; the value has shape
+    ``np.shape(z) + (p, u_k)``."""
     w, pair, st = family.weight, family.pair, family.step(k)
-    out = w.inv_betas[k] * st.D.astype(complex)
-    if z != 0 and st.u > 0:
-        Rk1 = resolvent_apply(w, k + 1, pair.A, z, tol)
-        out = out + z * (pair.C @ Rk1 @ st.B)
-    return out
+    const = w.inv_betas[k] * st.D.astype(complex)
+    vals = [const + x * (pair.C @ resolvent_apply(w, k + 1, pair.A, x, tol)
+                         @ st.B) if x != 0 and st.u > 0 else const
+            for x in np.atleast_1d(np.asarray(z, dtype=complex))]
+    return np.stack(vals).reshape(np.shape(z) + const.shape)
 
 
 def transfer_taylor(family: ColligationFamily, k: int, J: int) -> list:

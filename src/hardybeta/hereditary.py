@@ -311,6 +311,14 @@ def _check_domain(A, X, tol):
         raise HereditaryDomainError("X - A* X A must be positive semidefinite")
 
 
+def _check_summable(w: WeightSequence):
+    """The hereditary maps need a reciprocal coefficient table whose
+    summability check did not come back "diverging"."""
+    if w.wiener is not None and w.wiener.verdict == "diverging":
+        raise HereditaryDomainError(
+            "reciprocal coefficients diverge: hereditary map undefined")
+
+
 def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
     """Hereditary map ``Gamma[X] = sum_j c_j A^{*j} X A^j``.
 
@@ -318,9 +326,7 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
     coefficient table whose summability check did not come back "diverging".
     """
     _check_domain(A, X, tol)
-    if w.wiener is not None and w.wiener.verdict == "diverging":
-        raise HereditaryDomainError(
-            "reciprocal coefficients diverge: hereditary map undefined")
+    _check_summable(w)
     sums, _ = _hereditary_sums(A, X, [w.c_coeffs],
                                series.conjugation_rate(spectral_radius(A)),
                                tol, "gamma_map")
@@ -331,9 +337,7 @@ def gamma_k_map(w: WeightSequence, k: int, A, X,
                 tol: float = 1e-10) -> np.ndarray:
     """Shifted hereditary map built from the quotient-series coefficients."""
     _check_domain(A, X, tol)
-    if w.wiener is not None and w.wiener.verdict == "diverging":
-        raise HereditaryDomainError(
-            "reciprocal coefficients diverge: hereditary map undefined")
+    _check_summable(w)
     if k == 0:
         return hermitize(np.asarray(X, dtype=complex))
     d = gamma_k_coeffs(w, k, w.trunc_len - k)
@@ -465,7 +469,8 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     """Limit of the decreasing sequence ``D_k = A^{*k} Gamma^(k)[H] A^k``.
 
     Requires ``H`` to satisfy the domain and shifted-positivity conditions up
-    to ``tol``.  Returns ``D_{k_max}`` together with a monotone-decrease
+    to ``tol``, and a weight whose reciprocal series is not "diverging" (as
+    ``gamma_map`` does).  Returns ``D_{k_max}`` together with a monotone-decrease
     certificate (worst eigenvalue of the decrements, which must be PSD) and,
     when the sequence has numerically converged, the residual of the
     summation identity ``sum_j (1/beta_j) A^{*j} Gamma[H] A^j = H - Delta``.
@@ -473,6 +478,7 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     A = np.asarray(A, dtype=complex)
     H = hermitize(np.asarray(H, dtype=complex))
     _check_domain(A, H, tol)
+    _check_summable(w)
     scale = max(opnorm(H), 1.0)
 
     q = series.conjugation_rate(spectral_radius(A))

@@ -11,10 +11,16 @@ module evaluates the reproducing kernels of
   that subspace under powers of the shift,
 * the wandering gaps between consecutive shift images,
 
-and runs two verification suites: the inner-function-family check
-(isometry, mutual orthogonality, shifted containment with an explicit
+each on a whole grid in one call: ``z`` and ``zeta`` are scalars or 1-d
+point arrays, the value has shape ``np.shape(z) + np.shape(zeta) + (p, p)``
+and a scalar pair is the 1-by-1 grid.  Each ``R_k(zA)`` is computed once
+per point, and the scalar series once per grid, cut at its largest ``|x|``.
+
+The module also runs two verification suites: the inner-function-family
+check (isometry, mutual orthogonality, shifted containment with an explicit
 truncation allowance) and the contractive-multiplier check (pointwise norm
-bound plus positivity of the associated block kernel).
+bound plus positivity of the associated block kernel, built for the whole
+grid at once).
 """
 
 from __future__ import annotations
@@ -121,22 +127,45 @@ def observability_element(w: WeightSequence, pair: OutputPair, x,
 # reproducing kernels
 # ---------------------------------------------------------------------------
 
-def space_kernel(w: WeightSequence, z: complex, zeta: complex,
-                 tol: float = 1e-12) -> complex:
-    """Scalar reproducing kernel ``R(z * conj(zeta))`` of the full space."""
-    return complex(resolvent_scalar(w, 0, z * np.conj(zeta), tol))
+def _point_grid(z, zeta):
+    """``z`` and ``zeta`` as 1-d complex arrays (one array when ``zeta is
+    z``) and the products ``x = z conj(zeta)``, of the shape
+    ``np.shape(z) + np.shape(zeta)`` that every kernel value leads with."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    zetas = zs if zeta is z else np.atleast_1d(np.asarray(zeta, dtype=complex))
+    # in real arithmetic: numpy's complex product rounds differently on a
+    # grid than on a single pair, and a pair must be the 1-by-1 grid
+    a, b = zs.real[:, None], zs.imag[:, None]
+    x = np.empty((len(zs), len(zetas)), dtype=complex)
+    x.real = a * zetas.real + b * zetas.imag
+    x.imag = b * zetas.real - a * zetas.imag
+    return zs, zetas, x.reshape(np.shape(z) + np.shape(zeta))
+
+
+def space_kernel(w: WeightSequence, z, zeta, tol: float = 1e-12) -> np.ndarray:
+    """Scalar reproducing kernel ``R(z * conj(zeta))`` of the full space,
+    of shape ``np.shape(z) + np.shape(zeta)``."""
+    return resolvent_scalar(w, 0, _point_grid(z, zeta)[2], tol)
+
+
+def _resolvents(w: WeightSequence, k: int, A, zs, tol: float) -> np.ndarray:
+    """``R_k(z A)`` for every point of ``zs``, shape ``(N, n, n)``."""
+    return np.stack([resolvent_apply(w, k, A, z, tol) for z in zs])
 
 
 def _range_kernel(w: WeightSequence, k: int, pair: OutputPair, G_inv,
-                  z: complex, zeta: complex, tol: float) -> np.ndarray:
-    """``C R_k(zA) G_inv R_k(zeta A)* C*``."""
-    Rz = resolvent_apply(w, k, pair.A, z, tol)
-    Rzeta = resolvent_apply(w, k, pair.A, zeta, tol)
-    return pair.C @ Rz @ G_inv @ Rzeta.conj().T @ pair.C.conj().T
+                  z, zeta, tol: float) -> np.ndarray:
+    """``C R_k(zA) G_inv R_k(zeta A)* C*``; each resolvent is computed once
+    per point (once in all when ``zeta is z``)."""
+    zs, zetas, x = _point_grid(z, zeta)
+    Rz = _resolvents(w, k, pair.A, zs, tol)
+    Rzeta = Rz if zetas is zs else _resolvents(w, k, pair.A, zetas, tol)
+    K = (pair.C @ Rz @ G_inv)[:, None] @ Rzeta.conj().swapaxes(-1, -2)[None]
+    return (K @ pair.C.conj().T).reshape(x.shape + (pair.p, pair.p))
 
 
-def kernel_coinvariant(w: WeightSequence, pair: OutputPair, z: complex,
-                       zeta: complex, gram_inv: np.ndarray | None = None,
+def kernel_coinvariant(w: WeightSequence, pair: OutputPair, z, zeta,
+                       gram_inv: np.ndarray | None = None,
                        tol: float = 1e-12) -> np.ndarray:
     """Kernel ``C R(zA) inv(G) R(zeta A)* C*`` of the coinvariant subspace
     spanned by the observability range of an exactly observable pair."""
@@ -145,56 +174,35 @@ def kernel_coinvariant(w: WeightSequence, pair: OutputPair, z: complex,
     return _range_kernel(w, 0, pair, gram_inv, z, zeta, tol)
 
 
-def kernel_invariant(w: WeightSequence, pair: OutputPair, z: complex,
-                     zeta: complex, gram_inv: np.ndarray | None = None,
+def kernel_invariant(w: WeightSequence, pair: OutputPair, z, zeta,
+                     gram_inv: np.ndarray | None = None,
                      tol: float = 1e-12) -> np.ndarray:
     """Kernel of the complementary shift-invariant subspace:
     ``R(z conj(zeta)) I - C R(zA) inv(G) R(zeta A)* C*``."""
     K = kernel_coinvariant(w, pair, z, zeta, gram_inv, tol)
-    return space_kernel(w, z, zeta, tol) * np.eye(pair.p) - K
+    scal = space_kernel(w, z, zeta, tol)
+    return scal[..., None, None] * np.eye(pair.p) - K
 
 
 def kernel_shifted(w: WeightSequence, k: int, pair: OutputPair,
-                   gramians, z: complex, zeta: complex,
-                   tol: float = 1e-12) -> np.ndarray:
+                   gramians, z, zeta, tol: float = 1e-12) -> np.ndarray:
     """Kernel of the k-th shift image of the invariant subspace."""
-    K = _range_kernel(w, k, pair, hermitian_inverse(gramians[k]), z, zeta, tol)
-    scal = resolvent_scalar(w, k, z * np.conj(zeta), tol)
-    return (z * np.conj(zeta)) ** k * (scal * np.eye(pair.p) - K)
+    K = _range_kernel(w, k, pair, hermitian_inverse(gramians[k]), z, zeta,
+                      tol)
+    x = _point_grid(z, zeta)[2][..., None, None]
+    scal = resolvent_scalar(w, k, x, tol)
+    return x ** k * (scal * np.eye(pair.p) - K)
 
 
 def kernel_gap(w: WeightSequence, k: int, pair: OutputPair, gramians,
-               z: complex, zeta: complex, tol: float = 1e-12) -> np.ndarray:
+               z, zeta, tol: float = 1e-12) -> np.ndarray:
     """Kernel of the wandering gap between shift images k and k+1."""
-    Gk_inv = hermitian_inverse(gramians[k])
-    Gk1_inv = hermitian_inverse(gramians[k + 1])
-    K0 = _range_kernel(w, k, pair, Gk_inv, z, zeta, tol)
-    K1 = _range_kernel(w, k + 1, pair, Gk1_inv, z, zeta, tol)
-    inner = w.inv_betas[k] * np.eye(pair.p) - K0 + (z * np.conj(zeta)) * K1
-    return (z * np.conj(zeta)) ** k * inner
-
-
-@dataclass
-class KernelGrid:
-    """Kernel evaluations over a list of point pairs.
-
-    ``points`` holds ``(z, zeta)`` pairs and ``values`` the matching p-by-p
-    matrices.  When the grid contains both orders of a pair, the values must
-    be Hermitian transposes of each other.
-    """
-
-    points: list
-    values: list
-
-    def hermitian_symmetry_residual(self) -> float:
-        lookup = {pt: V for pt, V in zip(self.points, self.values)}
-        worst = 0.0
-        for (z, zeta), V in lookup.items():
-            mirror = lookup.get((zeta, z))
-            if mirror is not None:
-                worst = max(worst, opnorm(np.asarray(V)
-                                          - np.asarray(mirror).conj().T))
-        return worst
+    K0 = _range_kernel(w, k, pair, hermitian_inverse(gramians[k]), z, zeta,
+                       tol)
+    K1 = _range_kernel(w, k + 1, pair, hermitian_inverse(gramians[k + 1]),
+                       z, zeta, tol)
+    x = _point_grid(z, zeta)[2][..., None, None]
+    return x ** k * (w.inv_betas[k] * np.eye(pair.p) - K0 + x * K1)
 
 
 def default_grid(radii=(0.0, 0.2, 0.4, 0.6, 0.8), angles: int = 8):
@@ -350,20 +358,20 @@ class MultiplierReport:
 
 def _block_kernel(w: WeightSequence, theta_eval, grid, entry):
     """Sup norm of ``Theta`` over the grid and the trace-scaled smallest
-    eigenvalue of the Hermitian block kernel whose ``(i, j)`` block is
-    ``entry(K(z_i, z_j), Theta(z_i), Theta(z_j), z_i conj(z_j))``."""
+    eigenvalue of the Hermitian block kernel ``entry(K, P, x)``, whose
+    arguments hold every point pair at once: ``K = K(z_i, z_j)``,
+    ``P = Theta(z_i) Theta(z_j)*`` and ``x = z_i conj(z_j)``, each of
+    shape ``(N, N, ...)``, with ``K`` and ``x`` broadcast over the blocks."""
     pts = list(grid)
-    vals = [np.atleast_2d(np.asarray(theta_eval(z), dtype=complex))
-            for z in pts]
+    vals = np.stack([np.atleast_2d(np.asarray(theta_eval(z), dtype=complex))
+                     for z in pts])
     sup = max(opnorm(V) for V in vals)
-    p = vals[0].shape[0]
-    N = len(pts)
-    block = np.zeros((N * p, N * p), dtype=complex)
-    for i, zi in enumerate(pts):
-        for j, zj in enumerate(pts):
-            block[i * p:(i + 1) * p, j * p:(j + 1) * p] = entry(
-                space_kernel(w, zi, zj), vals[i], vals[j], zi * np.conj(zj))
-    block = hermitize(block)
+    N, p = vals.shape[:2]
+    x = _point_grid(pts, pts)[2]
+    P = vals[:, None] @ vals.conj().swapaxes(-1, -2)[None]
+    blocks = entry(space_kernel(w, pts, pts)[..., None, None], P,
+                   x[..., None, None])
+    block = hermitize(blocks.swapaxes(1, 2).reshape(N * p, N * p))
     scale = max(abs(float(np.trace(block).real)) / (N * p), 1e-30)
     return float(sup), float(min_eig(block) / scale), N
 
@@ -380,7 +388,7 @@ def check_contractive_multiplier(w: WeightSequence, theta_eval, grid,
     """
     sup, lam_min, N = _block_kernel(
         w, theta_eval, grid,
-        lambda K, Vi, Vj, x: (np.eye(Vi.shape[0]) - Vi @ Vj.conj().T) * K)
+        lambda K, P, x: (np.eye(P.shape[-1]) - P) * K)
     ok = sup <= 1.0 + tol and lam_min >= -tol
     return MultiplierReport(contractive=bool(ok), sup_norm=sup,
                             block_kernel_min_eig=lam_min,
@@ -399,8 +407,7 @@ def check_hardy_to_weighted_multiplier(w: WeightSequence, theta_eval, grid,
     """
     sup, lam_min, N = _block_kernel(
         w, theta_eval, grid,
-        lambda K, Vi, Vj, x: K * np.eye(Vi.shape[0])
-        - (Vi @ Vj.conj().T) / (1.0 - x))
+        lambda K, P, x: K * np.eye(P.shape[-1]) - P / (1.0 - x))
     return MultiplierReport(contractive=bool(lam_min >= -tol), sup_norm=sup,
                             block_kernel_min_eig=lam_min,
                             details={"points": N})

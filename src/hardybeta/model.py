@@ -46,8 +46,8 @@ from .hereditary import (
     opnorm,
     psd_sqrt,
     resolvent_apply,
-    resolvent_scalar,
 )
+from .kernels import default_grid, kernel_invariant
 from .weights import WeightSequence
 
 
@@ -198,10 +198,6 @@ def _polar_unitary(M: np.ndarray) -> np.ndarray:
     return U @ Vh
 
 
-def _family_evals(fam, ks, grid, tol):
-    return {k: [transfer_eval(fam, k, z, tol) for z in grid] for k in ks}
-
-
 def check_coincidence(famA, famB, grid=None, tol: float = 1e-8,
                       max_sweeps: int = 50, restarts: int = 8) -> CoincidenceResult:
     """Decide whether two transfer families coincide.
@@ -230,8 +226,8 @@ def check_coincidence(famA, famB, grid=None, tol: float = 1e-8,
             return CoincidenceResult(False, float("inf"), None, None,
                                      reason=f"input dimensions differ at k={k}")
     ks = list(range(k_max + 1))
-    evalA = _family_evals(A_col, ks, grid, tol=1e-12)
-    evalB = _family_evals(B_col, ks, grid, tol=1e-12)
+    evalA = {k: transfer_eval(A_col, k, grid, 1e-12) for k in ks}
+    evalB = {k: transfer_eval(B_col, k, grid, 1e-12) for k in ks}
     p = A_col.pair.p
 
     def residual(tau, sigmas):
@@ -316,10 +312,10 @@ def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
                              grid=None, tol: float = 1e-12) -> RoundTripReport:
     """Kernel identity tying the characteristic family to the model space.
 
-    Over all grid point pairs, compares
-    ``R(z conj(zeta)) I - sum_k z^k conj(zeta)^k Theta_k(z) Theta_k(zeta)*``
-    against the coinvariant kernel ``C R(zA) R(zeta A)* C*`` (the gramian is
-    the identity here).  The k-sum is truncated at the family length; the
+    Over all grid point pairs, compares the invariant-subspace kernel
+    ``R(z conj(zeta)) I - C R(zA) R(zeta A)* C*`` (the gramian is the
+    identity here) against ``sum_k z^k conj(zeta)^k Theta_k(z)
+    Theta_k(zeta)*``.  The k-sum is truncated at the family length; the
     reported allowance is the larger of ``max_k sup_grid ||Theta_k||^2``
     times the geometric tail of ``r^{2k}`` at the grid radius ``r``, and the
     kernel-domination bound: each step-k kernel is dominated on the diagonal
@@ -334,18 +330,13 @@ def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
         char = characteristic_family(w, char, k_max=k_max)
     fam = char.family
     if grid is None:
-        from .kernels import default_grid
         grid = default_grid(radii=(0.0, 0.15, 0.3, 0.45, 0.6))
     pair = fam.pair
     k_max = fam.k_max
     ks = list(range(k_max + 1))
     zs = np.asarray(grid, dtype=complex)
     N = len(zs)
-    p = pair.p
-    evals = {k: np.stack([transfer_eval(fam, k, z, tol) for z in zs])
-             for k in ks}
-    CR = np.stack([pair.C @ resolvent_apply(w, 0, pair.A, z, tol)
-                   for z in zs])
+    evals = {k: transfer_eval(fam, k, zs, tol) for k in ks}
     r = float(np.max(np.abs(zs)))
     theta_sup = max(opnorm(T) for k in ks for T in evals[k])
     heuristic = series.geometric_tail(theta_sup ** 2, r * r, k_max + 1)
@@ -355,14 +346,11 @@ def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
     domination = series.RowTails([row], r * r).at(k_max)[0]
     allowance = max(heuristic, float(domination))
     x = zs[:, None] * np.conj(zs)[None, :]
-    scal = resolvent_scalar(w, 0, x.ravel(), tol).reshape(N, N)
-    lhs = scal[:, :, None, None] * np.eye(p, dtype=complex)[None, None]
+    diff = kernel_invariant(w, pair, zs, zs, np.eye(pair.n), tol)
     for k in ks:
-        lhs = lhs - (x ** k)[:, :, None, None] \
+        diff = diff - (x ** k)[:, :, None, None] \
             * np.einsum("ipu,jqu->ijpq", evals[k], evals[k].conj())
-    rhs = np.einsum("ipn,jqn->ijpq", CR, CR.conj())
-    worst = float(np.linalg.norm((lhs - rhs).reshape(N * N, -1),
-                                 axis=1).max())
+    worst = float(np.linalg.norm(diff.reshape(N * N, -1), axis=1).max())
     return RoundTripReport(residual=worst, allowance=allowance, k_max=k_max)
 
 

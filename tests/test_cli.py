@@ -1,12 +1,17 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hardybeta as hb
 from conftest import cmat
+from hardybeta import kernels as ker
 from hardybeta import serialize as ser
-from hardybeta.cli import main
+from hardybeta.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -152,6 +157,69 @@ class TestKernelsCommand:
         for (a, b, c, d), v in table.items():
             worst = max(worst, abs(v - np.conj(table[(c, d, a, b)])))
         assert worst < 1e-10
+
+    def test_gap_resolvents_once_per_point_and_shift(self, tmp_path, capsys,
+                                                     monkeypatch):
+        rng = np.random.default_rng(91)
+        A = cmat(rng, 3, 3)
+        A *= 0.5 / hb.spectral_radius(A)
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({
+            "A": ser.complex_matrix_to_json(A),
+            "C": ser.complex_matrix_to_json(cmat(rng, 2, 3))}))
+        calls = []
+        original = ker.resolvent_apply
+
+        def counted(w, k, A, z, tol=1e-12):
+            calls.append((k, complex(z)))
+            return original(w, k, A, z, tol)
+
+        monkeypatch.setattr(ker, "resolvent_apply", counted)
+        code, _, _ = run(capsys, "kernels", str(op), "--alpha", "2",
+                         "--kind", "gap", "--k", "1", "--grid", "0.0,0.5",
+                         "--out-csv", str(tmp_path / "g.csv"))
+        assert code == 0
+        distinct = len(ker.default_grid(radii=(0.0, 0.5)))
+        assert distinct == 9
+        assert len(calls) <= 2 * distinct
+        assert len(set(calls)) == len(calls)
+
+
+class TestParser:
+    #: flags that were accepted and then ignored; each is now refused
+    REMOVED = [
+        ("weights", "--tol", "1e-6"), ("weights", "--rank-tol", "1e-8"),
+        ("weights", "--k-max", "4"), ("weights", "--seed", "1"),
+        ("analyze op.json", "--rank-tol", "1e-8"),
+        ("analyze op.json", "--seed", "1"),
+        ("colligate op.json", "--tol", "1e-6"),
+        ("colligate op.json", "--seed", "1"),
+        ("charfn --t 0.5", "--tol", "1e-6"), ("charfn --t 0.5", "--seed", "1"),
+        ("kernels op.json --out-csv g.csv", "--tol", "1e-6"),
+        ("kernels op.json --out-csv g.csv", "--k-max", "4"),
+        ("kernels op.json --out-csv g.csv", "--seed", "1"),
+        ("kernels op.json --out-csv g.csv", "--out", "g.json"),
+        ("verify", "--tol", "1e-6"), ("verify", "--k-max", "4"),
+    ]
+
+    @pytest.mark.parametrize("command,flag,value", REMOVED)
+    def test_removed_flag_exits_2(self, command, flag, value, capsys):
+        parser = build_parser()
+        parser.parse_args(command.split())  # the command alone parses
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(command.split() + [flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_readme_command_lines_parse(self):
+        lines = [ln.strip() for ln in README.read_text().splitlines()
+                 if ln.strip().startswith("hardy-beta ")]
+        assert len(lines) >= 8
+        parser = build_parser()
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            args = parser.parse_args(argv)
+            assert args.command == argv[0]
 
 
 class TestEnvAndDeterminism:

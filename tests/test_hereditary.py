@@ -290,3 +290,14 @@ class TestDeltaLimit:
         A *= 1.4 / np.linalg.norm(A, 2)
         with pytest.raises(hb.HereditaryDomainError):
             hb.delta_limit(w_beta2, A, np.eye(3))
+
+    def test_diverging_weight_refused(self):
+        # the reciprocal series of this weight diverges; delta_limit must
+        # refuse it as gamma_map and gamma_k_map do
+        w = hb.make_weight_custom([1.0] + [0.01] * 64)
+        A = 0.3 * np.eye(2)
+        for call in (lambda: hb.gamma_map(w, A, np.eye(2)),
+                     lambda: hb.gamma_k_map(w, 1, A, np.eye(2)),
+                     lambda: hb.delta_limit(w, A, np.eye(2))):
+            with pytest.raises(hb.HereditaryDomainError, match="diverge"):
+                call()

@@ -326,18 +326,83 @@ class TestContractiveMultiplier:
         assert rep.contractive
 
 
-class TestKernelGrid:
-    def test_symmetry_residual(self, w_beta2):
+class TestArrayEvaluators:
+    """Kernels and transfer functions evaluated on whole point arrays."""
+
+    PTS = [0.0, 0.2 + 0.1j, -0.3j, 0.5, -0.45 + 0.3j]
+
+    def pair_and_family(self, w):
         rng = np.random.default_rng(95)
-        pair = stable_pair(rng, 2, 2, rho=0.6)
-        pts = []
-        vals = []
-        for z in (0.2 + 0.1j, -0.3j):
-            for zt in (0.2 + 0.1j, -0.3j, 0.5):
-                pts.append((z, zt))
-                vals.append(hb.kernel_coinvariant(w_beta2, pair, z, zt))
-        grid = hb.KernelGrid(points=pts, values=vals)
-        assert grid.hermitian_symmetry_residual() < 1e-11
-        # break one off-diagonal pair; its mirror no longer matches
-        vals[1] = vals[1] + 0.1j
-        assert hb.KernelGrid(pts, vals).hermitian_symmetry_residual() > 0.05
+        pair = stable_pair(rng, 3, 2, rho=0.6)
+        return pair, hb.build_family(w, pair, k_max=3, tol=1e-13)
+
+    def kernels(self, w, pair, fam):
+        tab = fam.gramians
+        return {
+            "coinvariant": lambda z, zt: hb.kernel_coinvariant(w, pair, z, zt),
+            "invariant": lambda z, zt: hb.kernel_invariant(w, pair, z, zt),
+            "shifted": lambda z, zt: hb.kernel_shifted(w, 2, pair, tab, z, zt),
+            "gap": lambda z, zt: hb.kernel_gap(w, 1, pair, tab, z, zt),
+        }
+
+    def pointwise(self, f, zs, zts):
+        return np.array([[f(z, zt) for zt in zts] for z in zs])
+
+    def test_shapes(self, w_beta2):
+        pair, fam = self.pair_and_family(w_beta2)
+        pts = self.PTS
+        for f in self.kernels(w_beta2, pair, fam).values():
+            assert f(0.3, -0.2j).shape == (2, 2)
+            assert f(pts, -0.2j).shape == (5, 2, 2)
+            assert f(0.3, pts[:3]).shape == (3, 2, 2)
+            assert f(pts, pts[:3]).shape == (5, 3, 2, 2)
+        assert hb.space_kernel(w_beta2, pts, pts[:3]).shape == (5, 3)
+        assert hb.space_kernel(w_beta2, 0.3, 0.1).shape == ()
+        u = fam.step(1).u
+        assert hb.transfer_eval(fam, 1, 0.3).shape == (2, u)
+        assert hb.transfer_eval(fam, 1, pts).shape == (5, 2, u)
+
+    def test_transfer_eval_bitwise(self, w_beta25):
+        _, fam = self.pair_and_family(w_beta25)
+        for k in (0, 2):
+            got = hb.transfer_eval(fam, k, self.PTS, 1e-13)
+            ref = np.array([hb.transfer_eval(fam, k, z, 1e-13)
+                            for z in self.PTS])
+            np.testing.assert_array_equal(got, ref)
+
+    def test_coinvariant_and_gap_bitwise(self, w_beta3):
+        pair, fam = self.pair_and_family(w_beta3)
+        kern = self.kernels(w_beta3, pair, fam)
+        zts = self.PTS[1:4]
+        for kind in ("coinvariant", "gap"):
+            f = kern[kind]
+            ref = self.pointwise(f, self.PTS, zts)
+            np.testing.assert_array_equal(f(self.PTS, zts), ref)
+            np.testing.assert_array_equal(f(self.PTS, self.PTS),
+                                          self.pointwise(f, self.PTS,
+                                                         self.PTS))
+
+    def test_scalar_kernel_within_tol(self, w_beta2):
+        # the scalar series is cut once at the grid's largest |z conj(zeta)|;
+        # a pointwise cut is never later, and the terms between the two cuts
+        # are within the pointwise tail bound, itself below tol
+        pair, fam = self.pair_and_family(w_beta2)
+        kern = self.kernels(w_beta2, pair, fam)
+        tol = 1e-12
+        for f in (lambda z, zt: hb.space_kernel(w_beta2, z, zt, tol),
+                  kern["invariant"], kern["shifted"]):
+            ref = self.pointwise(f, self.PTS, self.PTS)
+            np.testing.assert_allclose(f(self.PTS, self.PTS), ref, rtol=0,
+                                       atol=tol)
+
+    def test_hermitian_symmetry_on_grid(self, w_beta2):
+        pair, fam = self.pair_and_family(w_beta2)
+        for kind, f in self.kernels(w_beta2, pair, fam).items():
+            V = f(self.PTS, self.PTS)
+            mirror = V.swapaxes(0, 1).conj().swapaxes(-1, -2)
+            np.testing.assert_allclose(V, mirror, rtol=0, atol=1e-12,
+                                       err_msg=kind)
+        # a perturbed off-diagonal entry breaks the symmetry
+        V[0, 1] += 0.1j
+        mirror = V.swapaxes(0, 1).conj().swapaxes(-1, -2)
+        assert np.max(np.abs(V - mirror)) > 0.05
