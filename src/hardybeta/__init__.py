@@ -47,6 +47,7 @@ from .hereditary import (
     observability_coeffs,
     resolvent_apply,
     resolvent_scalar,
+    resolvents,
     spectral_radius,
     stein_residual,
 )

@@ -190,7 +190,7 @@ def _kernel_identity_residuals(w, fam, k, grid):
     """Residuals of the two difference-kernel identities and the gap
     factorization at step k over all grid point pairs.
 
-    The two identities are einsum contractions of per-point resolvent data;
+    The two identities are einsum contractions of the grid's resolvents;
     the factorization compares the library's gap kernel with
     ``x^k Theta_k(z) Theta_k(zeta)*``.  Residuals are measured in Frobenius
     norm, which dominates the operator norm.
@@ -204,9 +204,8 @@ def _kernel_identity_residuals(w, fam, k, grid):
     C = pair.C
     zs = np.asarray(grid, dtype=complex)
     N = len(zs)
-    Rk = np.stack([her.resolvent_apply(w, k, pair.A, z, 1e-13) for z in zs])
-    Rk1 = np.stack([her.resolvent_apply(w, k + 1, pair.A, z, 1e-13)
-                    for z in zs])
+    Rk = her.resolvents(w, k, pair.A, zs, 1e-13)
+    Rk1 = her.resolvents(w, k + 1, pair.A, zs, 1e-13)
     th = transfer_eval(fam, k, zs, 1e-13)
     x = zs[:, None] * np.conj(zs)[None, :]  # z * conj(zeta) for all pairs
     thth = np.einsum("ipu,jqu->ijpq", th, th.conj())

@@ -38,6 +38,7 @@ from .hereditary import (
     hermitize,
     opnorm,
     resolvent_apply,
+    resolvents,
 )
 from .weights import WeightSequence
 
@@ -195,17 +196,25 @@ def metric_residuals(family: ColligationFamily, k: int) -> dict:
     return {"isometry": isom, "coisometry": coisom}
 
 
+def _transfer_values(w: WeightSequence, k: int, pair: OutputPair, B, D, z,
+                     tol: float) -> np.ndarray:
+    """``(1/beta_k) D + z C R_{k+1}(zA) B`` at a point or a 1-d array of
+    points, of shape ``np.shape(z) + D.shape``."""
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    R = resolvents(w, k + 1, pair.A, zs, tol)
+    vals = w.inv_betas[k] * D.astype(complex) \
+        + zs[:, None, None] * (pair.C @ R @ B)
+    return vals.reshape(np.shape(z) + D.shape)
+
+
 def transfer_eval(family: ColligationFamily, k: int, z,
                   tol: float = 1e-12) -> np.ndarray:
     """Evaluate ``Theta_k(z) = (1/beta_k) D_k + z C R_{k+1}(zA) B_k`` at a
     point or a 1-d array of points; the value has shape
     ``np.shape(z) + (p, u_k)``."""
-    w, pair, st = family.weight, family.pair, family.step(k)
-    const = w.inv_betas[k] * st.D.astype(complex)
-    vals = [const + x * (pair.C @ resolvent_apply(w, k + 1, pair.A, x, tol)
-                         @ st.B) if x != 0 and st.u > 0 else const
-            for x in np.atleast_1d(np.asarray(z, dtype=complex))]
-    return np.stack(vals).reshape(np.shape(z) + const.shape)
+    st = family.step(k)
+    return _transfer_values(family.weight, k, family.pair, st.B, st.D, z,
+                            tol)
 
 
 def transfer_taylor(family: ColligationFamily, k: int, J: int) -> list:

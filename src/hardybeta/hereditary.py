@@ -3,7 +3,9 @@
 For an output pair ``(C, A)`` (``A`` an n-by-n complex matrix, ``C`` p-by-n)
 and an admissible weight sequence this module evaluates
 
-* the weighted resolvents ``R_k(zA) = sum_j (1/beta_{k+j}) (zA)^j``,
+* the weighted resolvents ``R_k(zA) = sum_j (1/beta_{k+j}) (zA)^j``, on a
+  whole point array from one table of powers ``(rA)^j`` at the array's
+  largest radius ``r``,
 * the shifted observability gramians
   ``G^(k) = sum_j (1/beta_{j+k}) A^{*j} C^* C A^j``,
 * the hereditary maps ``Gamma[X] = sum_j c_j A^{*j} X A^j`` and their shifted
@@ -16,8 +18,10 @@ All series are cut adaptively by the engine in ``series.py``.  The tail
 bound it reports holds under the transient constant ``K`` observed on the
 terms summed so far (terms dominated by ``K * q^j`` for a decay rate ``q``
 chosen from the spectral radius); transient growth of a non-normal ``A``
-after the stop is not covered (see ROADMAP.md).  Series-summed quantities
-are restricted to spectral radius at most 0.999.
+after the stop is not covered (see ROADMAP.md).  A resolvent grid is cut
+once, at its largest radius ``r``: since ``|z_i / r|^j <= 1``, the tail
+bound of the powers ``(rA)^j`` holds at every point of the grid.
+Series-summed quantities are restricted to spectral radius at most 0.999.
 
 Everything here is a pure function of immutable inputs; results are safe to
 share across threads.
@@ -185,39 +189,61 @@ def _hereditary_sums(A, X, rows, q, tol, context):
     return sums, rec
 
 
-def _resolvent_series(w: WeightSequence, k: int, A, z: complex, tol: float):
-    """``R_k(zA)`` together with its series record (None when the sum is
-    exact because ``z = 0`` or ``A = 0``)."""
+def _resolvent_table(w: WeightSequence, k: int, A, z, tol: float):
+    """``R_k(z_i A)`` for a point or a 1-d array of points, of shape
+    ``np.shape(z) + (n, n)``, together with the series record of the powers
+    at the grid radius ``r = max |z_i|`` (None when the sum is exact because
+    ``r = 0`` or ``A = 0``)."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
     n = A.shape[0]
     rho = spectral_radius(A)
-    if abs(z) * rho >= 1.0:
+    r = float(np.max(np.abs(zs))) if zs.size else 0.0
+    if r * rho >= 1.0:
         raise DivergenceError(
-            f"|z| * rho(A) = {abs(z) * rho:.6f} >= 1: series diverges")
+            f"|z| * rho(A) = {r * rho:.6f} >= 1: series diverges")
     if w.trunc_len - k < 0:
         raise TruncationError(f"shift k={k} exceeds stored length")
     inv_b = w.inv_betas[k:]
-    S = inv_b[0] * np.eye(n, dtype=complex)
-    if z == 0 or not A.any():
-        return S, None
-    zA = z * A
-    rec = series.adaptive_sum(np.eye(n, dtype=complex), lambda P: P @ zA,
-                              [inv_b], series.decay_rate(rho, abs(z)), tol,
+    shape = np.shape(z) + (n, n)
+    if r == 0.0 or not A.any():
+        return np.broadcast_to(inv_b[0] * np.eye(n, dtype=complex),
+                               shape).copy(), None
+    # |z_i / r|^j <= 1, so the tail bound of the powers (rA)^j bounds the
+    # tail at every point of the grid
+    rA = r * A
+    rec = series.adaptive_sum(np.eye(n, dtype=complex), lambda P: P @ rA,
+                              [inv_b], series.decay_rate(rho, r), tol,
                               "resolvent_apply")
-    for c, P in zip(inv_b[1:], rec.terms[1:]):
-        S += c * P
-    return S, rec
+    coef = (zs[:, None] / r) ** np.arange(rec.J + 1) * inv_b[:rec.J + 1]
+    S = np.tensordot(coef, np.stack(rec.terms), axes=(1, 0))
+    return S.reshape(shape), rec
+
+
+def resolvents(w: WeightSequence, k: int, A, zs,
+               tol: float = 1e-12) -> np.ndarray:
+    """``R_k(z_i A)`` at a point or a 1-d array of points, of shape
+    ``np.shape(zs) + (n, n)``, from one table of powers ``(rA)^j`` at the
+    grid radius ``r = max |z_i|``, cut once for the whole grid with tail
+    <= tol at every point.
+
+    Requires ``r * rho(A) < 1``.  Raises ConvergenceError when the stored
+    coefficient table is exhausted before the tail bound drops below
+    ``tol``.
+    """
+    return _resolvent_table(w, k, A, zs, tol)[0]
 
 
 def resolvent_apply(w: WeightSequence, k: int, A, z: complex,
                     tol: float = 1e-12) -> np.ndarray:
-    """Evaluate ``R_k(zA) = sum_j (1/beta_{k+j}) z^j A^j`` with tail <= tol.
+    """Evaluate ``R_k(zA) = sum_j (1/beta_{k+j}) z^j A^j`` with tail <= tol
+    at one point: the one-point grid of ``resolvents``.
 
     Requires ``|z| * rho(A) < 1``.  Raises ConvergenceError when the stored
     coefficient table is exhausted before the tail bound drops below
     ``tol``.
     """
-    return _resolvent_series(w, k, A, z, tol)[0]
+    return resolvents(w, k, A, complex(z), tol)
 
 
 def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
@@ -389,7 +415,9 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
     contractive / isometric pair conditions, exact observability of the
     gramian, and strong stability in the weighted sense.
 
-    Series-summed quantities restrict the spectral radius to 0.999.
+    Series-summed quantities restrict the spectral radius to 0.999, and a
+    weight whose reciprocal series is "diverging" is refused (as
+    ``gamma_map`` does).
     """
     A = pair.A
     rho = pair.spectral_radius
@@ -397,6 +425,7 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
         raise SpectralRadiusError(
             f"rho(A) = {rho:.4f} > {RHO_MAX}: classification needs a "
             "series-summable gramian")
+    _check_summable(w)
     n = pair.n
     I = np.eye(n, dtype=complex)
     opA = opnorm(A)

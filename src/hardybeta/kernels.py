@@ -13,8 +13,9 @@ module evaluates the reproducing kernels of
 
 each on a whole grid in one call: ``z`` and ``zeta`` are scalars or 1-d
 point arrays, the value has shape ``np.shape(z) + np.shape(zeta) + (p, p)``
-and a scalar pair is the 1-by-1 grid.  Each ``R_k(zA)`` is computed once
-per point, and the scalar series once per grid, cut at its largest ``|x|``.
+and a scalar pair is the 1-by-1 grid.  The resolvents ``R_k(zA)`` of a
+point array come from one table of powers of ``A``, and the scalar series
+is summed once per grid; both are cut at the grid's largest radius.
 
 The module also runs two verification suites: the inner-function-family
 check (isometry, mutual orthogonality, shifted containment with an explicit
@@ -39,8 +40,12 @@ from .hereditary import (
     hermitize,
     min_eig,
     opnorm,
-    resolvent_apply,
+    # not called here: it stays importable from kernels because
+    # bench/selftest.py checks that the benchmark's tracer patches it in
+    # this namespace as well as in hereditary and colligation
+    resolvent_apply,  # noqa: F401
     resolvent_scalar,
+    resolvents,
 )
 from .weights import WeightSequence
 
@@ -148,18 +153,13 @@ def space_kernel(w: WeightSequence, z, zeta, tol: float = 1e-12) -> np.ndarray:
     return resolvent_scalar(w, 0, _point_grid(z, zeta)[2], tol)
 
 
-def _resolvents(w: WeightSequence, k: int, A, zs, tol: float) -> np.ndarray:
-    """``R_k(z A)`` for every point of ``zs``, shape ``(N, n, n)``."""
-    return np.stack([resolvent_apply(w, k, A, z, tol) for z in zs])
-
-
 def _range_kernel(w: WeightSequence, k: int, pair: OutputPair, G_inv,
                   z, zeta, tol: float) -> np.ndarray:
-    """``C R_k(zA) G_inv R_k(zeta A)* C*``; each resolvent is computed once
-    per point (once in all when ``zeta is z``)."""
+    """``C R_k(zA) G_inv R_k(zeta A)* C*``; the resolvents are one
+    ``resolvents`` call per point array (one in all when ``zeta is z``)."""
     zs, zetas, x = _point_grid(z, zeta)
-    Rz = _resolvents(w, k, pair.A, zs, tol)
-    Rzeta = Rz if zetas is zs else _resolvents(w, k, pair.A, zetas, tol)
+    Rz = resolvents(w, k, pair.A, zs, tol)
+    Rzeta = Rz if zetas is zs else resolvents(w, k, pair.A, zetas, tol)
     K = (pair.C @ Rz @ G_inv)[:, None] @ Rzeta.conj().swapaxes(-1, -2)[None]
     return (K @ pair.C.conj().T).reshape(x.shape + (pair.p, pair.p))
 

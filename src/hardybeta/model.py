@@ -29,6 +29,7 @@ from .colligation import (
     ColligationFamily,
     ColligationStep,
     _phase_fixed,
+    _transfer_values,
     build_family,
     build_step,
     metric_residuals,
@@ -45,7 +46,6 @@ from .hereditary import (
     hermitize,
     opnorm,
     psd_sqrt,
-    resolvent_apply,
 )
 from .kernels import default_grid, kernel_invariant
 from .weights import WeightSequence
@@ -226,17 +226,24 @@ def check_coincidence(famA, famB, grid=None, tol: float = 1e-8,
             return CoincidenceResult(False, float("inf"), None, None,
                                      reason=f"input dimensions differ at k={k}")
     ks = list(range(k_max + 1))
+    # (N, p, u_k) stacks of the values at the grid points
     evalA = {k: transfer_eval(A_col, k, grid, 1e-12) for k in ks}
     evalB = {k: transfer_eval(B_col, k, grid, 1e-12) for k in ks}
     p = A_col.pair.p
+    N = len(evalA[0])
+
+    def columns(vals):
+        """The (N, p, u) stack as the p-by-(N u) block row of its points."""
+        return vals.transpose(1, 0, 2).reshape(p, -1)
 
     def residual(tau, sigmas):
-        worst = 0.0
-        for k in ks:
-            for TA, TB in zip(evalA[k], evalB[k]):
-                worst = max(worst, float(np.linalg.norm(
-                    tau @ TA - TB @ sigmas[k])))
-        return worst
+        return max(float(np.linalg.norm(
+            (tau @ evalA[k] - evalB[k] @ sigmas[k]).reshape(N, -1),
+            axis=1).max()) for k in ks)
+
+    # the stacked points of Theta'_k, and the block row of every Theta_k
+    MB = {k: evalB[k].reshape(N * p, -1) for k in ks}
+    X = np.hstack([columns(evalA[k]) for k in ks])
 
     def sweep_from(tau):
         sigmas = [np.eye(A_col.step(k).u, dtype=complex) for k in ks]
@@ -244,13 +251,11 @@ def check_coincidence(famA, famB, grid=None, tol: float = 1e-8,
         n_sweeps = 0
         for n_sweeps in range(1, max_sweeps + 1):
             for k in ks:
-                MA = np.vstack([tau @ TA for TA in evalA[k]])
-                MB = np.vstack(evalB[k])
-                if MA.size == 0:
+                if MB[k].size == 0:
                     continue
-                sigmas[k] = _polar_unitary(MB.conj().T @ MA)
-            X = np.hstack([TA for k in ks for TA in evalA[k]])
-            Y = np.hstack([TB @ sigmas[k] for k in ks for TB in evalB[k]])
+                MA = (tau @ evalA[k]).reshape(MB[k].shape)
+                sigmas[k] = _polar_unitary(MB[k].conj().T @ MA)
+            Y = np.hstack([columns(evalB[k] @ sigmas[k]) for k in ks])
             if X.size:
                 tau = _polar_unitary(Y @ X.conj().T)
             cur = residual(tau, sigmas)
@@ -265,15 +270,19 @@ def check_coincidence(famA, famB, grid=None, tol: float = 1e-8,
     # tau P_A(z, zeta) = P_B(z, zeta) tau; its least-dominant singular vector
     # is an excellent starting point and avoids the stationary points that
     # plain alternation can stall in.
-    H = np.zeros((p * p, p * p), dtype=complex)
+    # For every point pair at once, M = kron(I, P_A^T) - kron(P_B, I) as
+    # M[..., a, b, c, d] = I[a, c] P_A[..., d, b] - P_B[..., a, c] I[b, d],
+    # and H = sum of M* M over the pairs and the first five steps.
     Ip = np.eye(p, dtype=complex)
+    Ms = []
     for k in ks[:min(len(ks), 5)]:
-        for i in range(len(grid)):
-            for j in range(len(grid)):
-                PA = evalA[k][i] @ evalA[k][j].conj().T
-                PB = evalB[k][i] @ evalB[k][j].conj().T
-                M = np.kron(Ip, PA.T) - np.kron(PB, Ip)
-                H += M.conj().T @ M
+        PA = evalA[k][:, None] @ evalA[k].conj().swapaxes(-1, -2)[None]
+        PB = evalB[k][:, None] @ evalB[k].conj().swapaxes(-1, -2)[None]
+        M = np.einsum("ac,ijdb->ijabcd", Ip, PA) \
+            - np.einsum("ijac,bd->ijabcd", PB, Ip)
+        Ms.append(M.reshape(-1, p * p))
+    M = np.vstack(Ms)
+    H = M.conj().T @ M
     lam, V = np.linalg.eigh(0.5 * (H + H.conj().T))
     tau_init = _polar_unitary(V[:, 0].reshape(p, p))
 
@@ -432,12 +441,12 @@ class WanderingTheta:
     pair: OutputPair
     weight: WeightSequence
 
-    def eval(self, z: complex, tol: float = 1e-12) -> np.ndarray:
-        out = self.D.astype(complex)
-        if z != 0 and self.B.shape[1]:
-            R1 = resolvent_apply(self.weight, 1, self.pair.A, z, tol)
-            out = out + z * (self.pair.C @ R1 @ self.B)
-        return out
+    def eval(self, z, tol: float = 1e-12) -> np.ndarray:
+        """``Theta(z) = D + z C R_1(zA) B`` at a point or a 1-d array of
+        points, of shape ``np.shape(z) + (p, u)`` (``transfer_eval`` at
+        step 0, where ``1/beta_0 = 1``)."""
+        return _transfer_values(self.weight, 0, self.pair, self.B, self.D,
+                                z, tol)
 
 
 def wandering_theta(w: WeightSequence, pair: OutputPair,

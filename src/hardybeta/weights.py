@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AdmissibilityError,
@@ -236,8 +237,5 @@ def gamma_k_coeffs(w: WeightSequence, k: int, n: int) -> np.ndarray:
         raise TruncationError(
             f"need c-table to index {n + k}, stored {w.trunc_len}")
     weights = w.inv_betas[k - 1::-1][:k]  # 1/beta_{k-1}, ..., 1/beta_0
-    c = w.c_coeffs
-    out = np.empty(n + 1)
-    for j in range(n + 1):
-        out[j] = -np.dot(c[j + 1:j + k + 1], weights)
-    return out
+    # row j of the window is c_{j+1}, ..., c_{j+k}
+    return -(sliding_window_view(w.c_coeffs[1:n + k + 1], k) @ weights)

@@ -77,6 +77,16 @@ class TestAnalyzeCommand:
         assert code == 0
         assert not json.loads(out)["flags"]["exactly_observable"]
 
+    def test_diverging_weight_exits_2(self, tmp_path, capsys):
+        # the reciprocal series of this weight diverges, so classify refuses
+        # it like the hereditary maps do (it was exit 5, "increase the
+        # weight truncation")
+        op = self.write_operator(tmp_path, 0.3 * np.eye(2), np.ones((1, 2)))
+        betas = ",".join(["1"] + ["0.01"] * 64)
+        code, _, err = run(capsys, "analyze", op, "--betas", betas)
+        assert code == 2
+        assert "diverge" in err
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -158,8 +168,8 @@ class TestKernelsCommand:
             worst = max(worst, abs(v - np.conj(table[(c, d, a, b)])))
         assert worst < 1e-10
 
-    def test_gap_resolvents_once_per_point_and_shift(self, tmp_path, capsys,
-                                                     monkeypatch):
+    def test_gap_resolvents_once_per_shift(self, tmp_path, capsys,
+                                           monkeypatch):
         rng = np.random.default_rng(91)
         A = cmat(rng, 3, 3)
         A *= 0.5 / hb.spectral_radius(A)
@@ -168,21 +178,25 @@ class TestKernelsCommand:
             "A": ser.complex_matrix_to_json(A),
             "C": ser.complex_matrix_to_json(cmat(rng, 2, 3))}))
         calls = []
-        original = ker.resolvent_apply
+        original = ker.resolvents
 
-        def counted(w, k, A, z, tol=1e-12):
-            calls.append((k, complex(z)))
-            return original(w, k, A, z, tol)
+        def counted(w, k, A, zs, tol=1e-12):
+            calls.append((k, len(zs)))
+            return original(w, k, A, zs, tol)
 
-        monkeypatch.setattr(ker, "resolvent_apply", counted)
-        code, _, _ = run(capsys, "kernels", str(op), "--alpha", "2",
-                         "--kind", "gap", "--k", "1", "--grid", "0.0,0.5",
-                         "--out-csv", str(tmp_path / "g.csv"))
-        assert code == 0
-        distinct = len(ker.default_grid(radii=(0.0, 0.5)))
-        assert distinct == 9
-        assert len(calls) <= 2 * distinct
-        assert len(set(calls)) == len(calls)
+        monkeypatch.setattr(ker, "resolvents", counted)
+        grid = len(ker.default_grid(radii=(0.0, 0.5)))
+        assert grid == 9
+        for kind, most in (("gap", 2), ("coinvariant", 1)):
+            calls.clear()
+            code, _, _ = run(capsys, "kernels", str(op), "--alpha", "2",
+                             "--kind", kind, "--k", "1", "--grid", "0.0,0.5",
+                             "--out-csv", str(tmp_path / f"{kind}.csv"))
+            assert code == 0
+            # one call per shift, each for the whole grid
+            assert 1 <= len(calls) <= most
+            assert all(n == grid for _, n in calls)
+            assert len(set(calls)) == len(calls)
 
 
 class TestParser:

@@ -362,25 +362,65 @@ class TestArrayEvaluators:
         assert hb.transfer_eval(fam, 1, 0.3).shape == (2, u)
         assert hb.transfer_eval(fam, 1, pts).shape == (5, 2, u)
 
-    def test_transfer_eval_bitwise(self, w_beta25):
+    def test_resolvents_one_point_and_closed_forms(self, w_hardy, w_beta2):
+        rng = np.random.default_rng(96)
+        A = stable_pair(rng, 3, 1, rho=0.6).A
+        zs = np.asarray(hb.default_grid(), dtype=complex)  # z = 0 included
+        tol = 1e-12
+        for w, power in ((w_hardy, 1), (w_beta2, 2)):
+            for k in (0, 3):
+                R = hb.resolvents(w, k, A, zs, tol)
+                assert R.shape == (33, 3, 3)
+                # the scalar call is the one-point grid, bit for bit
+                for z in zs[[0, 9, 32]]:
+                    np.testing.assert_array_equal(
+                        hb.resolvent_apply(w, k, A, z, tol),
+                        hb.resolvents(w, k, A, [z], tol)[0])
+                # one cut per grid against one cut per point
+                ref = np.array([hb.resolvent_apply(w, k, A, z, tol)
+                                for z in zs])
+                np.testing.assert_allclose(R, ref, rtol=0, atol=tol)
+                # closed forms: R_k = (I - zA)^-1 for hardy and
+                # (I - zA)^-2 + k (I - zA)^-1 for beta_2
+                inv = np.linalg.inv(np.eye(3) - zs[:, None, None] * A)
+                exact = inv if power == 1 else inv @ inv + k * inv
+                np.testing.assert_allclose(R, exact, rtol=0, atol=tol)
+
+    def test_transfer_eval_within_tol(self, w_beta25):
         _, fam = self.pair_and_family(w_beta25)
         for k in (0, 2):
             got = hb.transfer_eval(fam, k, self.PTS, 1e-13)
             ref = np.array([hb.transfer_eval(fam, k, z, 1e-13)
                             for z in self.PTS])
-            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
 
-    def test_coinvariant_and_gap_bitwise(self, w_beta3):
+    def test_coinvariant_and_gap_within_tol(self, w_beta3):
         pair, fam = self.pair_and_family(w_beta3)
         kern = self.kernels(w_beta3, pair, fam)
         zts = self.PTS[1:4]
         for kind in ("coinvariant", "gap"):
             f = kern[kind]
             ref = self.pointwise(f, self.PTS, zts)
-            np.testing.assert_array_equal(f(self.PTS, zts), ref)
-            np.testing.assert_array_equal(f(self.PTS, self.PTS),
-                                          self.pointwise(f, self.PTS,
-                                                         self.PTS))
+            np.testing.assert_allclose(f(self.PTS, zts), ref, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(f(self.PTS, self.PTS),
+                                       self.pointwise(f, self.PTS, self.PTS),
+                                       rtol=0, atol=1e-12)
+
+    def test_transfer_eval_one_spectral_radius(self, w_beta2, monkeypatch):
+        _, fam = self.pair_and_family(w_beta2)
+        her = hb.hereditary
+        calls = []
+        original = her.spectral_radius
+
+        def counted(A):
+            calls.append(1)
+            return original(A)
+
+        monkeypatch.setattr(her, "spectral_radius", counted)
+        vals = hb.transfer_eval(fam, 1, hb.default_grid(), 1e-13)
+        assert vals.shape[0] == 33
+        assert len(calls) == 1
 
     def test_scalar_kernel_within_tol(self, w_beta2):
         # the scalar series is cut once at the grid's largest |z conj(zeta)|;

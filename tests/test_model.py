@@ -81,6 +81,7 @@ class TestCoincidence:
             res = hb.check_coincidence(famA, famB, tol=1e-7)
             assert res.coincide
             assert res.residual < 1e-10
+            assert res.sweeps == 2  # the intertwiner start converges at once
             # returned unitaries actually align the families
             z = 0.3 - 0.2j
             TA = hb.transfer_eval(famA.family, 2, z, 1e-13)
@@ -95,6 +96,7 @@ class TestCoincidence:
         famB = hb.characteristic_family(w_beta2, 0.5 * T, k_max=4)
         res = hb.check_coincidence(famA, famB, tol=1e-7)
         assert not res.coincide
+        assert res.sweeps == 364  # every start runs until it stalls
 
     def test_dimension_mismatch_is_structural(self, w_beta2):
         rng = np.random.default_rng(59)
@@ -209,6 +211,20 @@ class TestWanderingTheta:
                 KE = hb.kernel_gap(w_beta2, 0, pair, tab, z, zt, 1e-13)
                 ref = wt.eval(z) @ wt.eval(zt).conj().T
                 np.testing.assert_allclose(KE, ref, atol=1e-10)
+
+
+    def test_eval_on_point_array(self, w_beta2):
+        rng = np.random.default_rng(68)
+        pair = stable_pair(rng, 3, 2, rho=0.65)
+        wt = hb.wandering_theta(w_beta2, pair)
+        pts = [0.0, 0.3 + 0.2j, -0.5, 0.45j]
+        vals = wt.eval(pts, 1e-13)
+        assert vals.shape == (4,) + wt.D.shape
+        assert wt.eval(0.3, 1e-13).shape == wt.D.shape
+        np.testing.assert_array_equal(vals[0], wt.D)
+        for z, V in zip(pts, vals):
+            np.testing.assert_allclose(V, wt.eval(z, 1e-13), rtol=0,
+                                       atol=1e-13)
 
 
 class TestIntertwining:

@@ -42,11 +42,24 @@ class TestTailCoversRemainder:
         w, power = _weight(kind)
         tol = 1e-2
         for z in (0.8, 0.6 - 0.5j, -0.7j):
-            S, rec = her._resolvent_series(w, 0, DIAG, z, tol)
+            S, rec = her._resolvent_table(w, 0, DIAG, z, tol)
             exact = np.linalg.matrix_power(
                 np.linalg.inv(np.eye(3) - z * DIAG), power)
             remainder = np.linalg.norm(exact - S)
             assert 1e-10 < remainder <= rec.tails[0] <= tol
+
+    def test_resolvent_grid(self, kind):
+        # one cut for the whole grid, made at its largest radius 0.8: the
+        # bound covers the remainder at every point, not only at that radius
+        w, power = _weight(kind)
+        tol = 1e-2
+        zs = np.array([0.8, 0.6 - 0.5j, -0.7j, 0.5, -0.2 + 0.1j, 0.0])
+        S, rec = her._resolvent_table(w, 0, DIAG, zs, tol)
+        for z, Sz in zip(zs, S):
+            exact = np.linalg.matrix_power(
+                np.linalg.inv(np.eye(3) - z * DIAG), power)
+            assert np.linalg.norm(exact - Sz) <= rec.tails[0] <= tol
+        assert np.linalg.norm(exact - Sz) == 0.0  # z = 0 is exact
 
     def test_gramian(self, kind):
         w, power = _weight(kind)
