@@ -176,8 +176,14 @@ _KERNELS = ("coinvariant", "invariant", "shifted", "gap")
 def cmd_kernels(args) -> int:
     w = _weight_from_args(args)
     pair = ser.pair_from_json(_load_json(args.operator))
-    pts = ker.default_grid() if args.grid == "default" else \
-        ker.default_grid(radii=tuple(float(r) for r in args.grid.split(",")))
+    if args.grid == "default":
+        pts = ker.default_grid()
+    else:
+        radii = tuple(float(r) for r in args.grid.split(","))
+        if not all(0.0 <= r < 1.0 for r in radii):
+            raise InvalidParameterError(
+                f"--grid radii must lie in [0, 1): {args.grid}")
+        pts = ker.default_grid(radii=radii)
     gramians = gramian_table(w, pair, args.k + 1, tol=1e-12)
     gram_inv = hermitian_inverse(gramians[0], args.rank_tol)
     if args.kind == "coinvariant":

@@ -39,7 +39,6 @@ from .hereditary import (
     hermitian_inverse,
     hermitize,
     min_eig,
-    opnorm,
     # not called here: it stays importable from kernels because
     # bench/selftest.py checks that the benchmark's tracer patches it in
     # this namespace as well as in hereditary and colligation
@@ -365,7 +364,7 @@ def _block_kernel(w: WeightSequence, theta_eval, grid, entry):
     pts = list(grid)
     vals = np.stack([np.atleast_2d(np.asarray(theta_eval(z), dtype=complex))
                      for z in pts])
-    sup = max(opnorm(V) for V in vals)
+    sup = np.linalg.norm(vals, 2, axis=(1, 2)).max()
     N, p = vals.shape[:2]
     x = _point_grid(pts, pts)[2]
     P = vals[:, None] @ vals.conj().swapaxes(-1, -2)[None]

@@ -193,24 +193,34 @@ class CoincidenceResult:
     reason: str = ""
 
 
+# at most this many Procrustes sweeps per coincidence check
+_MAX_SWEEPS = 50
+
+
 def _polar_unitary(M: np.ndarray) -> np.ndarray:
     U, _, Vh = np.linalg.svd(M)
     return U @ Vh
 
 
-def check_coincidence(famA, famB, grid=None, tol: float = 1e-8,
-                      max_sweeps: int = 50, restarts: int = 8) -> CoincidenceResult:
+def check_coincidence(famA, famB, grid=None,
+                      tol: float = 1e-8) -> CoincidenceResult:
     """Decide whether two transfer families coincide.
 
     Searches for a unitary ``tau`` on the output space and per-step unitaries
     ``sigma_k`` on the input spaces minimizing
     ``sum ||tau Theta_k(z_i) - Theta'_k(z_i) sigma_k||^2`` by alternating
-    orthogonal Procrustes sweeps; the alternation is restarted from several
-    seeded random output unitaries because block-coordinate descent on the
-    unitary group can stall in non-global stationary points.  Structural
-    dimension mismatches yield a negative verdict rather than an exception.
-    The minimizing unitaries are one representative; they are not claimed
-    unique.
+    orthogonal Procrustes sweeps from one start.  A coinciding ``tau`` solves
+    ``tau P_A(z, zeta) = P_B(z, zeta) tau`` with ``P = Theta(z) Theta(zeta)*``
+    (the input unitaries drop out).  The solutions are ``X tau_0`` with ``X``
+    in the commutant of the ``P_B``, a *-algebra, so the polar factor of an
+    invertible solution is a unitary one, also for repeated spectra: one
+    start is enough.  It is the polar factor of the system's right singular
+    vector for its smallest singular value (of a weighted sum of the vectors
+    whose singular values are below ``tol`` times the largest), from the SVD
+    of the stacked system rather than its normal equations, which square the
+    condition number.  Structural dimension mismatches yield a negative
+    verdict rather than an exception.  The minimizing unitaries are one
+    representative; they are not claimed unique.
     """
     A_col = famA.family if isinstance(famA, CharFamily) else famA
     B_col = famB.family if isinstance(famB, CharFamily) else famB
@@ -245,34 +255,10 @@ def check_coincidence(famA, famB, grid=None, tol: float = 1e-8,
     MB = {k: evalB[k].reshape(N * p, -1) for k in ks}
     X = np.hstack([columns(evalA[k]) for k in ks])
 
-    def sweep_from(tau):
-        sigmas = [np.eye(A_col.step(k).u, dtype=complex) for k in ks]
-        prev = residual(tau, sigmas)
-        n_sweeps = 0
-        for n_sweeps in range(1, max_sweeps + 1):
-            for k in ks:
-                if MB[k].size == 0:
-                    continue
-                MA = (tau @ evalA[k]).reshape(MB[k].shape)
-                sigmas[k] = _polar_unitary(MB[k].conj().T @ MA)
-            Y = np.hstack([columns(evalB[k] @ sigmas[k]) for k in ks])
-            if X.size:
-                tau = _polar_unitary(Y @ X.conj().T)
-            cur = residual(tau, sigmas)
-            if abs(prev - cur) < tol / 10:
-                prev = cur
-                break
-            prev = cur
-        return prev, tau, sigmas, n_sweeps
-
-    # The input unitaries drop out of the products Theta(z) Theta(zeta)*, so
-    # a coinciding tau solves the linear intertwining system
-    # tau P_A(z, zeta) = P_B(z, zeta) tau; its least-dominant singular vector
-    # is an excellent starting point and avoids the stationary points that
-    # plain alternation can stall in.
-    # For every point pair at once, M = kron(I, P_A^T) - kron(P_B, I) as
+    # For every point pair at once, tau P_A(z, zeta) = P_B(z, zeta) tau is
+    # M vec(tau) = 0 with M = kron(I, P_A^T) - kron(P_B, I), stored as
     # M[..., a, b, c, d] = I[a, c] P_A[..., d, b] - P_B[..., a, c] I[b, d],
-    # and H = sum of M* M over the pairs and the first five steps.
+    # stacked over the pairs and the first five steps.
     Ip = np.eye(p, dtype=complex)
     Ms = []
     for k in ks[:min(len(ks), 5)]:
@@ -281,29 +267,31 @@ def check_coincidence(famA, famB, grid=None, tol: float = 1e-8,
         M = np.einsum("ac,ijdb->ijabcd", Ip, PA) \
             - np.einsum("ijac,bd->ijabcd", PB, Ip)
         Ms.append(M.reshape(-1, p * p))
-    M = np.vstack(Ms)
-    H = M.conj().T @ M
-    lam, V = np.linalg.eigh(0.5 * (H + H.conj().T))
-    tau_init = _polar_unitary(V[:, 0].reshape(p, p))
+    # Distinct weights: for a repeated singular value the SVD may return
+    # singular matrices (matrix units of the commutant) whose plain sum is
+    # singular too.
+    _, S, Vh = np.linalg.svd(np.vstack(Ms), full_matrices=False)
+    null = Vh[S <= max(S[-1], tol * S[0])][::-1].conj()
+    weights = 1.0 / np.arange(1, len(null) + 1)
+    tau = _polar_unitary((weights @ null).reshape(p, p))
 
-    rng = np.random.default_rng(0)
-    starts = [tau_init, np.eye(p, dtype=complex)]
-    for _ in range(max(0, restarts - 2)):
-        Q, _ = np.linalg.qr(rng.standard_normal((p, p))
-                            + 1j * rng.standard_normal((p, p)))
-        starts.append(Q)
-    best = None
-    total_sweeps = 0
-    for tau0 in starts:
-        res, tau, sigmas, n_sweeps = sweep_from(tau0)
-        total_sweeps += n_sweeps
-        if best is None or res < best[0]:
-            best = (res, tau, sigmas)
-        if best[0] <= tol * 0.1:
+    sigmas = [np.eye(A_col.step(k).u, dtype=complex) for k in ks]
+    res = residual(tau, sigmas)
+    sweeps = 0
+    for sweeps in range(1, _MAX_SWEEPS + 1):
+        for k in ks:
+            if MB[k].size == 0:
+                continue
+            MA = (tau @ evalA[k]).reshape(MB[k].shape)
+            sigmas[k] = _polar_unitary(MB[k].conj().T @ MA)
+        Y = np.hstack([columns(evalB[k] @ sigmas[k]) for k in ks])
+        if X.size:
+            tau = _polar_unitary(Y @ X.conj().T)
+        prev, res = res, residual(tau, sigmas)
+        if abs(prev - res) < tol / 10:
             break
-    res, tau, sigmas = best
     return CoincidenceResult(coincide=bool(res <= tol), residual=res,
-                             tau=tau, sigmas=sigmas, sweeps=total_sweeps)
+                             tau=tau, sigmas=sigmas, sweeps=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +335,8 @@ def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
     N = len(zs)
     evals = {k: transfer_eval(fam, k, zs, tol) for k in ks}
     r = float(np.max(np.abs(zs)))
-    theta_sup = max(opnorm(T) for k in ks for T in evals[k])
+    theta_sup = max(float(np.linalg.norm(evals[k], 2, axis=(1, 2)).max())
+                    for k in ks)
     heuristic = series.geometric_tail(theta_sup ** 2, r * r, k_max + 1)
     # the geometric heuristic can undershoot when the reciprocal weights
     # grow; take the larger of it and the kernel-domination bound

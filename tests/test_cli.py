@@ -168,6 +168,20 @@ class TestKernelsCommand:
             worst = max(worst, abs(v - np.conj(table[(c, d, a, b)])))
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("grid", ["0.5,1.2", "1.0", "-0.5", "nan"])
+    @pytest.mark.parametrize("kind", ["coinvariant", "gap"])
+    def test_radius_outside_disk_exits_2(self, tmp_path, capsys, grid, kind):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"A": ser.complex_matrix_to_json(
+            0.5 * np.eye(2)), "C": ser.complex_matrix_to_json(np.eye(2))}))
+        csv_file = tmp_path / "grid.csv"
+        code, _, err = run(capsys, "kernels", str(op), "--alpha", "2",
+                           "--kind", kind, "--grid", grid,
+                           "--out-csv", str(csv_file))
+        assert code == 2
+        assert "[0, 1)" in err
+        assert not csv_file.exists()
+
     def test_gap_resolvents_once_per_shift(self, tmp_path, capsys,
                                            monkeypatch):
         rng = np.random.default_rng(91)

@@ -96,7 +96,26 @@ class TestCoincidence:
         famB = hb.characteristic_family(w_beta2, 0.5 * T, k_max=4)
         res = hb.check_coincidence(famA, famB, tol=1e-7)
         assert not res.coincide
-        assert res.sweeps == 364  # every start runs until it stalls
+        assert res.sweeps == 45  # the one start runs until it stalls
+
+    def test_repeated_eigenvalue_self_coincides(self, all_weights):
+        # the family's self-intertwiners form a commutant of more than one
+        # dimension; a start from the normal equations misses it
+        T = np.diag([0.3, 0.3, 0.2]).astype(complex)
+        for w in all_weights:
+            char = hb.characteristic_family(w, T, k_max=4)
+            assert hb.check_coincidence(char, char, tol=1e-10).coincide
+
+    def test_equal_blocks_defect_form(self, all_weights):
+        # the SVD spans this commutant with singular matrices; the last one
+        # alone is no start
+        X = np.array([[0.3, 0.1], [0.0, -0.2]], dtype=complex)
+        X *= 0.35 / np.linalg.norm(X, 2)
+        T = np.kron(np.eye(2), X)
+        for w in all_weights:
+            char = hb.characteristic_family(w, T, k_max=4)
+            alt = defect_form_family(w, T, k_max=4)
+            assert hb.check_coincidence(char.family, alt, tol=1e-8).coincide
 
     def test_dimension_mismatch_is_structural(self, w_beta2):
         rng = np.random.default_rng(59)
