@@ -117,8 +117,8 @@ def cmd_weights(args) -> int:
         "kind": w.kind,
         "alpha": w.alpha,
         "ratio_bound": w.ratio_bound,
-        "betas": [float(b) for b in w.betas[:n + 1]],
-        "c": [float(c) for c in reciprocal_coeffs(w, n)],
+        "betas": w.betas[:n + 1],
+        "c": reciprocal_coeffs(w, n),
         "wiener": {"partial_sum": rep.partial_sum,
                    "tail_estimate": rep.tail_estimate,
                    "verdict": rep.verdict},
@@ -195,18 +195,18 @@ def cmd_kernels(args) -> int:
     else:
         K = ker.kernel_gap(w, args.k, pair, gramians, pts, pts)
     # z outer, zeta inner: the row-major order of the grid's two point axes
-    pairs = [(z, zeta) for z in pts for zeta in pts]
-    values = K.reshape(len(pairs), pair.p, pair.p)
+    zs = np.asarray(pts, dtype=complex)
+    points = np.stack((np.repeat(zs, len(zs)), np.tile(zs, len(zs))), axis=-1)
+    values = K.reshape(len(points), pair.p, pair.p)
     with open(args.out_csv, "w", encoding="utf-8") as fh:
-        fh.write(ser.kernel_grid_csv(pairs, values))
+        fh.write(ser.kernel_grid_csv(points, values))
     if args.out_json:
         payload = {
             "config": _config_from_args(args).to_json(),
             "kind": args.kind,
             "k": args.k,
-            "points": [[ [z.real, z.imag], [zt.real, zt.imag] ]
-                       for z, zt in pairs],
-            "values": [ser.complex_matrix_to_json(V) for V in values],
+            "points": points,
+            "values": values,
         }
         with open(args.out_json, "w", encoding="utf-8") as fh:
             fh.write(ser.dumps(payload) + "\n")

@@ -197,6 +197,8 @@ def _resolvent_table(w: WeightSequence, k: int, A, z, tol: float):
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     n = A.shape[0]
+    if not np.isfinite(zs).all():
+        raise InvalidParameterError("resolvent points must be finite")
     rho = spectral_radius(A)
     r = float(np.max(np.abs(zs))) if zs.size else 0.0
     if r * rho >= 1.0:
@@ -227,9 +229,9 @@ def resolvents(w: WeightSequence, k: int, A, zs,
     grid radius ``r = max |z_i|``, cut once for the whole grid with tail
     <= tol at every point.
 
-    Requires ``r * rho(A) < 1``.  Raises ConvergenceError when the stored
-    coefficient table is exhausted before the tail bound drops below
-    ``tol``.
+    Requires finite points and ``r * rho(A) < 1``.  Raises ConvergenceError
+    when the stored coefficient table is exhausted before the tail bound
+    drops below ``tol``.
     """
     return _resolvent_table(w, k, A, zs, tol)[0]
 

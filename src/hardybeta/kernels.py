@@ -13,7 +13,9 @@ module evaluates the reproducing kernels of
 
 each on a whole grid in one call: ``z`` and ``zeta`` are scalars or 1-d
 point arrays, the value has shape ``np.shape(z) + np.shape(zeta) + (p, p)``
-and a scalar pair is the 1-by-1 grid.  The resolvents ``R_k(zA)`` of a
+and a scalar pair is the 1-by-1 grid.  Every point must lie in the open
+unit disk; a point with ``|z| >= 1`` or a NaN or infinite part raises
+InvalidParameterError.  The resolvents ``R_k(zA)`` of a
 point array come from one table of powers of ``A``, and the scalar series
 is summed once per grid; both are cut at the grid's largest radius.
 
@@ -134,9 +136,14 @@ def observability_element(w: WeightSequence, pair: OutputPair, x,
 def _point_grid(z, zeta):
     """``z`` and ``zeta`` as 1-d complex arrays (one array when ``zeta is
     z``) and the products ``x = z conj(zeta)``, of the shape
-    ``np.shape(z) + np.shape(zeta)`` that every kernel value leads with."""
+    ``np.shape(z) + np.shape(zeta)`` that every kernel value leads with.
+    Every point must lie in the open unit disk, where the kernels live."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     zetas = zs if zeta is z else np.atleast_1d(np.asarray(zeta, dtype=complex))
+    for pts in (zs, zetas):
+        if not np.all(np.abs(pts) < 1.0):  # also refuses NaN
+            raise InvalidParameterError(
+                "kernel points must be finite and lie in |z| < 1")
     # in real arithmetic: numpy's complex product rounds differently on a
     # grid than on a single pair, and a pair must be the 1-by-1 grid
     a, b = zs.real[:, None], zs.imag[:, None]

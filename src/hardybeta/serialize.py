@@ -4,9 +4,18 @@ Complex scalars are encoded as ``[re, im]`` pairs and complex matrices as
 row-major nested lists of such pairs, so operator data looks like
 ``{"A": [[[re, im], ...], ...], "C": [[...], ...]}``.  Weights serialize as
 ``{"kind": "beta_alpha", "alpha": 2.0, "n": 256}`` or
-``{"kind": "custom", "betas": [...]}``.  Floats are emitted with Python's
-shortest round-trip repr, so dump/load cycles are bit-stable; ``dumps``
-sorts keys so identical data yields identical bytes.
+``{"kind": "custom", "betas": [...]}``.
+
+``dumps`` writes the bytes that the stdlib ``json`` encoder writes with
+``sort_keys=True`` and ``indent=1``: a one-space indent, sorted keys,
+floats in their shortest round-trip form (``float.__repr__``, so dump/load
+cycles are bit-stable), the tokens ``NaN``, ``Infinity`` and ``-Infinity``
+for non-finite floats, and strings with ASCII escapes.  It also takes numpy
+arrays as leaves (a real array as nested float lists, a complex one with a
+trailing ``[re, im]`` axis) and writes each from one ``tolist`` and one
+``map`` of ``float.__repr__``, where the stdlib encoder visits every float
+in Python.  The CSV writers use the same float form, one row per point or
+step.
 """
 
 from __future__ import annotations
@@ -38,9 +47,97 @@ def _json_default(o):
     raise TypeError(f"not JSON-serializable: {type(o)}")
 
 
+_escape = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(k) -> str:
+    """A dict key as the stdlib encoder writes it, always as a string."""
+    if isinstance(k, (int, float)) or k is None:
+        k = _write(k, 0)
+    elif not isinstance(k, str):
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(k).__name__}")
+    return _escape(k)
+
+
+def _re_im(a) -> np.ndarray:
+    """``a`` as floats, with a trailing ``[re, im]`` axis when complex."""
+    if np.iscomplexobj(a):
+        a = np.stack((a.real, a.imag), axis=-1)
+    return np.asarray(a, dtype=float)
+
+
+def _array_text(a: np.ndarray, level: int) -> str:
+    """Nested float lists of ``a`` (a trailing ``[re, im]`` axis when
+    complex), the outermost list at indent ``level``: one ``tolist``, one
+    ``map`` of ``float.__repr__`` and one ``str.join`` per row."""
+    a = _re_im(a)
+    flat = a.reshape(-1).tolist()
+    items = list(map(float.__repr__ if np.isfinite(a).all() else _float_text,
+                     flat))
+    for depth in range(a.ndim - 1, -1, -1):
+        n = a.shape[depth]
+        if n == 0:
+            items = ["[]"] * int(np.prod(a.shape[:depth]))
+            continue
+        inner = "\n" + " " * (level + depth + 1)
+        head, sep = "[" + inner, "," + inner
+        tail = "\n" + " " * (level + depth) + "]"
+        items = [head + sep.join(items[i:i + n]) + tail
+                 for i in range(0, len(items), n)]
+    return items[0]
+
+
+def _write(o, level: int) -> str:
+    if isinstance(o, str):
+        return _escape(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    if isinstance(o, np.ndarray):
+        return _array_text(o, level)
+    inner = "\n" + " " * (level + 1)
+    tail = "\n" + " " * level
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return ("[" + inner + ("," + inner).join(
+            [_write(v, level + 1) for v in o]) + tail + "]")
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return ("{" + inner + ("," + inner).join(
+            [_key_text(k) + ": " + _write(v, level + 1)
+             for k, v in sorted(o.items())]) + tail + "}")
+    return _write(_json_default(o), level)
+
+
 def dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, round-trip floats."""
-    return json.dumps(obj, sort_keys=True, indent=1, default=_json_default)
+    """Deterministic JSON text, byte for byte the stdlib encoder's output
+    with ``sort_keys=True``, ``indent=1`` and ``default=_json_default``.
+
+    numpy arrays are accepted as leaves: a real array is written as nested
+    float lists, a complex one with a trailing ``[re, im]`` axis.
+    """
+    return _write(obj, 0)
 
 
 def complex_matrix_to_json(M) -> list:
@@ -170,45 +267,44 @@ def inputs_to_json(inputs) -> list:
     return [complex_vector_to_json(u) for u in inputs]
 
 
+def _csv_rows(*blocks) -> list:
+    """One comma-joined row of ``repr`` strings per leading index of the
+    blocks, side by side, every entry as ``re, im``."""
+    table = np.concatenate(
+        [_re_im(np.asarray(b, dtype=complex)).reshape(len(b), -1)
+         for b in blocks], axis=1)
+    m = table.shape[1]
+    items = list(map(float.__repr__, table.reshape(-1).tolist()))
+    return [",".join(items[i:i + m]) for i in range(0, len(items), m)]
+
+
 def kernel_grid_csv(points, values) -> str:
     """CSV rows ``z_re, z_im, zeta_re, zeta_im, K_00_re, K_00_im, ...``.
 
-    ``points`` is a list of ``(z, zeta)`` pairs and ``values`` the matching
-    list of p-by-p kernel matrices, flattened row-major.
+    ``points`` holds the ``(z, zeta)`` pairs (shape ``(N, 2)``) and
+    ``values`` the matching p-by-p kernel matrices (shape ``(N, p, p)``),
+    flattened row-major.
     """
-    if not points:
+    if len(points) == 0:
         return ""
-    p = np.atleast_2d(values[0]).shape[0]
+    p = np.shape(values)[-1]
     header = ["z_re", "z_im", "zeta_re", "zeta_im"]
     for i in range(p):
         for j in range(p):
             header += [f"K_{i}{j}_re", f"K_{i}{j}_im"]
-    lines = [",".join(header)]
-    for (z, zeta), V in zip(points, values):
-        V = np.atleast_2d(np.asarray(V, dtype=complex))
-        row = [repr(float(z.real)), repr(float(z.imag)),
-               repr(float(zeta.real)), repr(float(zeta.imag))]
-        for i in range(p):
-            for j in range(p):
-                row += [repr(float(V[i, j].real)), repr(float(V[i, j].imag))]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(header)] + _csv_rows(points, values)) + "\n"
 
 
 def trajectory_csv(traj) -> str:
     """CSV rows ``step, x_0_re, x_0_im, ..., y_0_re, y_0_im, ...``."""
     n = len(traj.states[0])
-    p = len(traj.outputs[0]) if traj.outputs else 0
+    m = len(traj.outputs)
+    p = len(traj.outputs[0]) if m else 0
     header = ["step"]
     header += [f"x_{i}_{part}" for i in range(n) for part in ("re", "im")]
     header += [f"y_{i}_{part}" for i in range(p) for part in ("re", "im")]
-    lines = [",".join(header)]
-    for j, y in enumerate(traj.outputs):
-        x = traj.states[j]
-        row = [str(j)]
-        for i in range(n):
-            row += [repr(float(x[i].real)), repr(float(x[i].imag))]
-        for i in range(p):
-            row += [repr(float(y[i].real)), repr(float(y[i].imag))]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = []
+    if m:
+        rows = [f"{j},{row}" for j, row in
+                enumerate(_csv_rows(traj.states[:m], traj.outputs))]
+    return "\n".join([",".join(header)] + rows) + "\n"

@@ -277,6 +277,45 @@ class TestEnvAndDeterminism:
         assert outs[0] == outs[1]
         assert "jobs" not in json.loads(outs[0][1])["config"]
 
+    def test_json_files_stdlib_canonical(self, tmp_path, capsys):
+        # floats round-trip exactly through repr, so re-encoding the parsed
+        # text with the stdlib encoder must give the same bytes
+        rng = np.random.default_rng(92)
+        A = cmat(rng, 2, 2)
+        A *= 0.5 / hb.spectral_radius(A)
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({
+            "A": ser.complex_matrix_to_json(A),
+            "C": ser.complex_matrix_to_json(cmat(rng, 2, 2))}))
+        csv = tmp_path / "grid.csv"
+        commands = {
+            "weights": ["weights", "--alpha", "2.5", "-n", "32"],
+            "analyze": ["analyze", str(op), "--alpha", "2"],
+            "colligate": ["colligate", str(op), "--hardy", "--k-max", "3"],
+            "charfn": ["charfn", "--t", "0.3", "--alpha", "2",
+                       "--k-max", "3"],
+        }
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}.json"
+            assert run(capsys, *argv, "--out", str(out))[0] == 0
+        kern = tmp_path / "kernels.json"
+        assert run(capsys, "kernels", str(op), "--alpha", "2", "--kind",
+                   "gap", "--k", "1", "--grid", "0.0,0.3,0.6",
+                   "--out-csv", str(csv), "--out-json", str(kern))[0] == 0
+        for name in [*commands, "kernels"]:
+            text = (tmp_path / f"{name}.json").read_text()
+            canon = json.dumps(json.loads(text), sort_keys=True, indent=1)
+            assert canon + "\n" == text, name
+        # the CSV rows carry the JSON's points and values bit for bit
+        obj = json.loads(kern.read_text())
+        rows = csv.read_text().strip().split("\n")[1:]
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        points = np.array(obj["points"]).reshape(len(rows), -1)
+        values = np.array(obj["values"]).reshape(len(rows), -1)
+        assert table.shape == (17 * 17, 4 + 8)
+        np.testing.assert_array_equal(
+            table.view(np.int64), np.hstack((points, values)).view(np.int64))
+
 
 class TestVerifyCommand:
     def test_reduced_suite_passes(self, tmp_path, capsys):

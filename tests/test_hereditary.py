@@ -24,6 +24,13 @@ class TestResolvent:
         with pytest.raises(hb.DivergenceError):
             hb.resolvent_apply(w_hardy, 0, [[0.9]], 1.2)
 
+    @pytest.mark.parametrize("A", [[[0.5]], [[0.0]]])
+    def test_non_finite_points_refused(self, w_hardy, A):
+        # a NaN radius used to pass the |z| rho(A) < 1 test
+        for zs in (np.nan, [0.1, np.nan], [0.2, complex(0.0, np.inf)]):
+            with pytest.raises(hb.InvalidParameterError, match="finite"):
+                hb.resolvents(w_hardy, 0, A, zs)
+
     def test_scalar_matches_matrix(self, w_beta25):
         xs = np.array([0.3 + 0.2j, -0.66, 0.1j])
         vals = hb.resolvent_scalar(w_beta25, 2, xs, 1e-13)

@@ -446,3 +446,15 @@ class TestArrayEvaluators:
         V[0, 1] += 0.1j
         mirror = V.swapaxes(0, 1).conj().swapaxes(-1, -2)
         assert np.max(np.abs(V - mirror)) > 0.05
+
+    @pytest.mark.parametrize("bad", [1.0, -0.6 - 0.8j, 1.5j, np.nan,
+                                     complex(0.2, np.inf)])
+    def test_points_outside_disk_refused(self, w_beta2, bad):
+        # A = 0.5 I converges at |z| = 1, so only the domain check refuses
+        pair = hb.OutputPair(A=0.5 * np.eye(2), C=np.eye(2))
+        tab = hb.gramian_table(w_beta2, pair, 3)
+        for f in (lambda z, zt: hb.kernel_coinvariant(w_beta2, pair, z, zt),
+                  lambda z, zt: hb.kernel_gap(w_beta2, 1, pair, tab, z, zt)):
+            for z, zt in ((bad, 0.3), (0.3, bad), ([0.0, bad], [0.0, 0.2])):
+                with pytest.raises(hb.InvalidParameterError, match="|z| < 1"):
+                    f(z, zt)

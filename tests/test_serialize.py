@@ -79,6 +79,69 @@ class TestDeterminism:
         assert json.loads(a)["b"] == 1.0 / 3.0
 
 
+def _as_lists(obj):
+    """``obj`` with every array replaced by nested lists, complex entries
+    split into ``[re, im]``: the input the stdlib encoder understands."""
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            obj = np.stack((obj.real, obj.imag), axis=-1)
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+_RNG = np.random.default_rng(80)
+DUMPS_CORPUS = {
+    "empty": [{}, [], (), {"a": {}, "b": [[], {}]}],
+    "nested": {"z": {"y": [1, (2.5, (3,)), {"x": None}]}, "a": ()},
+    "int_keys": {10: "ten", 2: "two", -1: "minus one"},
+    "other_keys": [{True: 1, False: 0}, {None: "null"}, {2.5: "x", -0.0: "y"}],
+    "literals": [None, True, False, 0, -7, 2 ** 70],
+    "numpy_scalars": {"f64": np.float64(0.1), "f32": np.float32(0.1),
+                      "i64": np.int64(-3), "b": np.bool_(True),
+                      "c": complex(0.5, -0.25)},
+    "floats": [-0.0, 5e-324, 1e-17, 1.0 / 3.0, 1e300, float("nan"),
+               float("inf"), float("-inf")],
+    "strings": {"\u00e9t\u00e9": "\u2603 \"q\" \\ \n\t\x01", "": ""},
+    "arrays_0d": [np.array(0.25), np.array(1.0 - 2.0j)],
+    "arrays_1d": {"re": np.linspace(-1.0, 1.0, 7),
+                  "c": np.array([1j, -0.0 + 0j, 3.5])},
+    "arrays_4d": {"re": _RNG.normal(size=(2, 3, 2, 2)),
+                  "c": _RNG.normal(size=(3, 1, 2, 2))
+                  + 1j * _RNG.normal(size=(3, 1, 2, 2))},
+    "arrays_empty": [np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3)),
+                     np.zeros((2, 0), dtype=complex)],
+    "arrays_nonfinite": {"v": [np.array([np.nan, np.inf, -np.inf, -0.0]),
+                               np.array([complex(np.nan, np.inf)])]},
+    "array_float32": np.arange(6, dtype=np.float32).reshape(2, 3) / 3,
+}
+
+
+class TestDumpsReference:
+    """``dumps`` is byte for byte the stdlib encoder at indent 1."""
+
+    @pytest.mark.parametrize("name", sorted(DUMPS_CORPUS))
+    def test_matches_stdlib(self, name):
+        obj = DUMPS_CORPUS[name]
+        ref = json.dumps(_as_lists(obj), sort_keys=True, indent=1,
+                         default=ser._json_default)
+        assert ser.dumps(obj) == ref
+
+    def test_whole_corpus_nested(self):
+        ref = json.dumps(_as_lists(DUMPS_CORPUS), sort_keys=True, indent=1,
+                         default=ser._json_default)
+        assert ser.dumps(DUMPS_CORPUS) == ref
+
+    def test_unserializable_refused(self):
+        with pytest.raises(TypeError):
+            ser.dumps({"a": object()})
+        with pytest.raises(TypeError):
+            ser.dumps({(1, 2): 0.0})
+
+
 class TestCsv:
     def test_kernel_grid_csv_shape(self, w_beta2):
         rng = np.random.default_rng(85)
