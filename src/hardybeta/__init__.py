@@ -97,6 +97,7 @@ from .weights import (
     make_weight_beta_alpha,
     make_weight_custom,
     make_weight_hardy,
+    quotient_rows,
     reciprocal_coeffs,
     shifted_resolvent_coeffs,
     wiener_report,

@@ -43,15 +43,16 @@ from .errors import (
     SpectralRadiusError,
     TruncationError,
 )
-from .weights import WeightSequence, gamma_k_coeffs
+from .weights import WeightSequence, gamma_k_coeffs, quotient_rows
 
 #: series-summed quantities refuse spectral radius beyond this
 RHO_MAX = 0.999
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
-    """Symmetrize roundoff: (M + M*) / 2."""
-    return 0.5 * (M + M.conj().T)
+    """Symmetrize roundoff: (M + M*) / 2, of one matrix or of each matrix
+    of a stack."""
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
 def opnorm(M: np.ndarray) -> float:
@@ -177,16 +178,18 @@ class DeltaReport:
 # ---------------------------------------------------------------------------
 
 def _hereditary_sums(A, X, rows, q, tol, context):
-    """``sum_j rows[i][j] A^{*j} X A^j`` for every row, cut once for all
-    rows by the series engine.  Returns (list of sums, series record)."""
+    """``sum_j rows[i, j] A^{*j} X A^j`` for every row of the 2-d array
+    ``rows``, cut once for all rows by the series engine and contracted in
+    one product.  Returns (stack of sums, series record)."""
     A = np.asarray(A, dtype=complex)
-    Ah = A.conj().T
-    rec = series.adaptive_sum(np.asarray(X, dtype=complex),
-                              lambda M: Ah @ M @ A, rows, q, tol, context)
-    stack = np.stack(rec.terms)
-    sums = [hermitize(np.tensordot(np.asarray(r[:rec.J + 1], dtype=float),
-                                   stack, axes=(0, 0))) for r in rows]
-    return sums, rec
+    n = A.shape[0]
+    rec = series.adaptive_sum(np.asarray(X, dtype=complex), A, rows, q, tol,
+                              context, left=A.conj().T)
+    J1 = rec.J + 1
+    # real coefficients against the real view of the complex terms
+    flat = rec.terms.reshape(J1, n * n).view(float)
+    sums = (np.asarray(rows, dtype=float)[:, :J1] @ flat).view(complex)
+    return hermitize(sums.reshape(-1, n, n)), rec
 
 
 def _resolvent_table(w: WeightSequence, k: int, A, z, tol: float):
@@ -213,12 +216,11 @@ def _resolvent_table(w: WeightSequence, k: int, A, z, tol: float):
                                shape).copy(), None
     # |z_i / r|^j <= 1, so the tail bound of the powers (rA)^j bounds the
     # tail at every point of the grid
-    rA = r * A
-    rec = series.adaptive_sum(np.eye(n, dtype=complex), lambda P: P @ rA,
-                              [inv_b], series.decay_rate(rho, r), tol,
+    rec = series.adaptive_sum(np.eye(n, dtype=complex), r * A, [inv_b],
+                              series.decay_rate(rho, r), tol,
                               "resolvent_apply")
     coef = (zs[:, None] / r) ** np.arange(rec.J + 1) * inv_b[:rec.J + 1]
-    S = np.tensordot(coef, np.stack(rec.terms), axes=(1, 0))
+    S = np.tensordot(coef, rec.terms, axes=(1, 0))
     return S.reshape(shape), rec
 
 
@@ -251,11 +253,14 @@ def resolvent_apply(w: WeightSequence, k: int, A, z: complex,
 def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     """Scalar series ``sum_j x^j / beta_{k+j}`` vectorized over ``x``.
 
-    Used for the space kernel ``K(z, zeta) = R(z * conj(zeta))``.
+    Used for the space kernel ``K(z, zeta) = R(z * conj(zeta))``.  Requires
+    finite points with ``|x| < 1``.
     """
     xs = np.asarray(x, dtype=complex)
     scalar_in = xs.ndim == 0
     xs = np.atleast_1d(xs)
+    if not np.isfinite(xs).all():
+        raise InvalidParameterError("scalar resolvent points must be finite")
     if np.any(np.abs(xs) >= 1.0):
         raise DivergenceError("scalar resolvent needs |x| < 1")
     if w.trunc_len - k < 0:
@@ -288,7 +293,7 @@ def _gramian_rows(w, ks, pair, tol, context):
     if Jcap < 4:
         raise TruncationError(
             f"stored weights too short for gramian shift k={kmax}")
-    rows = [w.inv_betas[k:k + Jcap + 1] for k in ks]
+    rows = np.array([w.inv_betas[k:k + Jcap + 1] for k in ks])
     sums, rec = _hereditary_sums(
         pair.A, pair.C.conj().T @ pair.C, rows,
         series.conjugation_rate(pair.spectral_radius), tol, context)
@@ -355,9 +360,9 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
     """
     _check_domain(A, X, tol)
     _check_summable(w)
-    sums, _ = _hereditary_sums(A, X, [w.c_coeffs],
-                               series.conjugation_rate(spectral_radius(A)),
-                               tol, "gamma_map")
+    sums = _hereditary_sums(A, X, w.c_coeffs[None],
+                            series.conjugation_rate(spectral_radius(A)),
+                            tol, "gamma_map")[0]
     return sums[0]
 
 
@@ -369,9 +374,9 @@ def gamma_k_map(w: WeightSequence, k: int, A, X,
     if k == 0:
         return hermitize(np.asarray(X, dtype=complex))
     d = gamma_k_coeffs(w, k, w.trunc_len - k)
-    sums, _ = _hereditary_sums(A, X, [d],
-                               series.conjugation_rate(spectral_radius(A)),
-                               tol, "gamma_k_map")
+    sums = _hereditary_sums(A, X, d[None],
+                            series.conjugation_rate(spectral_radius(A)),
+                            tol, "gamma_k_map")[0]
     return sums[0]
 
 
@@ -400,10 +405,26 @@ def stein_residual(w: WeightSequence, k: int, pair: OutputPair,
 # classification
 # ---------------------------------------------------------------------------
 
+def _psd_defects(Ms) -> np.ndarray:
+    """Most negative scaled eigenvalue of the Hermitian part of each matrix
+    of a stack; >= 0 means PSD to working precision.  The scale is
+    ``max(|lambda_min|, |lambda_max|, 1)``, the operator norm floored at 1."""
+    lam = np.linalg.eigvalsh(hermitize(Ms))
+    lo, hi = lam[..., 0], lam[..., -1]
+    return lo / np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
+
+
 def _psd_defect(M) -> float:
-    """Most negative scaled eigenvalue; >= 0 means PSD to working precision."""
-    scale = max(opnorm(M), 1.0)
-    return min_eig(M) / scale
+    """``_psd_defects`` of one matrix."""
+    return float(_psd_defects(M))
+
+
+def _hereditary_rows(w: WeightSequence, k_max: int) -> np.ndarray:
+    """The reciprocal-series row and the quotient rows ``d^(1..k_max)``,
+    cut at their common length."""
+    cap = w.trunc_len - k_max
+    return np.vstack([w.c_coeffs[:cap + 1],
+                      quotient_rows(w, range(1, k_max + 1), cap)])
 
 
 def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
@@ -433,15 +454,15 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
     opA = opnorm(A)
     contraction = opA <= 1.0 + tol
 
-    rows = [w.c_coeffs] + [gamma_k_coeffs(w, k, w.trunc_len - k)
-                           for k in range(1, k_max + 1)]
-    sums, _ = _hereditary_sums(A, I, rows, series.conjugation_rate(rho),
-                               tol * 0.1, "classify")
+    sums = _hereditary_sums(A, I, _hereditary_rows(w, k_max),
+                            series.conjugation_rate(rho), tol * 0.1,
+                            "classify")[0]
     gamma_I = sums[0]
     gamma_k_I = sums[1:]
 
-    gamma_min = _psd_defect(gamma_I)
-    gamma_k_min = min(_psd_defect(G) for G in gamma_k_I)
+    defects = _psd_defects(sums)
+    gamma_min = float(defects[0])
+    gamma_k_min = float(defects[1:].min())
     hyper_truncated = contraction and gamma_min >= -tol and gamma_k_min >= -tol
 
     certified = False
@@ -513,14 +534,13 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     scale = max(opnorm(H), 1.0)
 
     q = series.conjugation_rate(spectral_radius(A))
-    rows = [w.c_coeffs] + [gamma_k_coeffs(w, k, w.trunc_len - k)
-                           for k in range(1, k_max + 2)]
-    sums, _ = _hereditary_sums(A, H, rows, q, tol * 0.1, "delta_limit")
+    sums = _hereditary_sums(A, H, _hereditary_rows(w, k_max + 1), q,
+                            tol * 0.1, "delta_limit")[0]
     gamma_H = sums[0]
-    for k, G in enumerate(sums[1:], start=1):
-        if _psd_defect(G) < -tol:
-            raise HereditaryDomainError(
-                f"shifted hereditary map of H not PSD at k={k}")
+    bad = np.flatnonzero(_psd_defects(sums[1:]) < -tol)
+    if bad.size:
+        raise HereditaryDomainError(
+            f"shifted hereditary map of H not PSD at k={bad[0] + 1}")
 
     D = [H]  # D_0 = Gamma^(0)[H] = H
     P = np.eye(A.shape[0], dtype=complex)
@@ -537,9 +557,8 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
 
     residual = None
     if converged and _psd_defect(gamma_H) >= -tol:
-        rows2 = [w.inv_betas]
-        sums2, _ = _hereditary_sums(A, gamma_H, rows2, q, tol * 0.1,
-                                    "delta_limit sum identity")
+        sums2 = _hereditary_sums(A, gamma_H, w.inv_betas[None], q,
+                                 tol * 0.1, "delta_limit sum identity")[0]
         residual = opnorm(sums2[0] - (H - delta))
 
     return DeltaReport(delta=delta, converged=converged,

@@ -2,16 +2,23 @@
 
 Every series summed here is ``sum_j row_i[j] T_j``: scalar coefficient rows
 (reciprocal weights, reciprocal-series or quotient-series coefficients)
-against matrix terms from a linear recurrence ``T_{j+1} = L(T_j)``, the
-powers ``(zA)^j`` of the resolvents or the conjugations ``A^{*j} X A^j`` of
-the gramians and hereditary maps.  This module alone chooses the decay rate
-``q`` (``|z| (1 + rho)/2`` for powers, its square for conjugations),
-estimates the transient constant ``K`` (the running maximum of
-``||T_j|| / q^j``), bounds each row's coefficient tail (the stored suffix
-sum plus an extrapolation past the table) and runs the adaptive loop: stop
-at the first ``j >= 4`` with ``K * max_i tail_i(j) <= tol``, or raise
-ConvergenceError.  A term that is exactly zero ends the series, and its
-tail is zero.
+against matrix terms ``T_{j+1} = L T_j R``, the powers ``(zA)^j`` of the
+resolvents (``T_0 = I``, ``R = zA``, no ``L``) or the conjugations
+``A^{*j} X A^j`` of the gramians and hereditary maps (``T_0 = X``,
+``L = A^*``, ``R = A``).  This module alone chooses the decay rate ``q``
+(``|z| (1 + rho)/2`` for powers, its square for conjugations), estimates the
+transient constant ``K`` (the running maximum of ``||T_j|| / q^j``), bounds
+each row's coefficient tail (the stored suffix sum plus an extrapolation
+past the table) and runs the adaptive loop: stop at the first ``j >= 4``
+with ``K * max_i tail_i(j) <= tol``, or raise ConvergenceError.  A term that
+is exactly zero ends the series, and its tail is zero.
+
+Terms are made in doubling blocks: with ``s`` terms stored the next
+``min(s, cap + 1 - s)`` are ``L^s T_i R^s``, one product over the stacked
+block, with ``L^s`` and ``R^s`` kept by squaring.  Norms, the running ``K``
+and the stop test are taken once per block, so the cut ``J`` is the one a
+term-by-term loop finds; the terms of the last block past ``J`` are
+dropped.
 
 ``K`` is an estimate, not a bound: transient growth of a non-normal ``A``
 after the stop is not covered (see ROADMAP.md).  Callers sum the returned
@@ -21,7 +28,6 @@ terms in their own order.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,26 +53,20 @@ def conjugation_rate(rho: float) -> float:
     return decay_rate(rho) ** 2 if rho < 1.0 else 1.0
 
 
-def _frobenius(T: np.ndarray) -> float:
-    """``np.linalg.norm(T)`` of a complex array by the same arithmetic (so
-    the same bits), without its per-call argument handling."""
-    x = T.ravel(order="K")
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
-def _update_K(K: float, norm: float, q: float, j: int) -> float:
-    qj = q ** j
-    return max(K, norm / qj) if qj > _UNDERFLOW else K
+def _scaled(norms: np.ndarray, powq: np.ndarray) -> np.ndarray:
+    """``norms / powq`` term by term, with 0 where ``powq`` is at or below
+    the underflow guard."""
+    out = np.zeros(len(norms))
+    np.divide(norms, powq, out=out, where=powq > _UNDERFLOW)
+    return out
 
 
 def transient_constant(norms, q: float, start: int = 0) -> float:
     """Estimate ``K = max_j norms[j] / q^(start + j)`` of the constant in
     ``norm_j <= K q^j``, from the terms seen (not a bound on later ones)."""
-    K = 0.0
-    for j, v in enumerate(norms, start):
-        K = _update_K(K, v, q, j)
-    return K
+    norms = np.asarray(norms, dtype=float)
+    powq = np.power(q, np.arange(start, start + len(norms), dtype=float))
+    return float(np.fmax.reduce(_scaled(norms, powq), initial=0.0))
 
 
 def geometric_tail(K: float, q: float, m: int) -> float:
@@ -114,7 +114,7 @@ class RowTails:
 
     def __init__(self, rows, q: float):
         self.cap = min(len(r) for r in rows) - 1
-        powq = np.power(q, np.arange(self.cap + 1))
+        self.powq = powq = np.power(q, np.arange(self.cap + 1))
         self.suffix, self.beyond = [], []
         for r in rows:
             row_abs = np.abs(np.asarray(r[:self.cap + 1], dtype=float))
@@ -149,38 +149,60 @@ class RowTails:
 
 @dataclass
 class SeriesRecord:
-    """One truncated series: the stored terms ``T_0..T_J``, the cut ``J``,
-    the transient estimate ``K`` and, per row, the tail bound
-    ``K * (suffix + beyond)`` past ``J``."""
+    """One truncated series: the stored terms ``T_0..T_J`` as one
+    ``(J + 1, n, n)`` array, the cut ``J``, the transient estimate ``K`` and,
+    per row, the tail bound ``K * (suffix + beyond)`` past ``J``."""
 
-    terms: list
+    terms: np.ndarray
     J: int
     K: float
     tails: list
 
 
-def adaptive_sum(first: np.ndarray, step, rows, q: float, tol: float,
-                 context: str) -> SeriesRecord:
-    """Generate ``T_0 = first``, ``T_{j+1} = step(T_j)`` until every row's
-    tail bound is at most ``tol``.
+def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
+                 tol: float, context: str,
+                 left: np.ndarray | None = None) -> SeriesRecord:
+    """Generate ``T_0 = first``, ``T_{j+1} = left @ T_j @ right`` (no left
+    factor when ``left`` is None) until every row's tail bound is at most
+    ``tol``.
 
-    The terms must be complex arrays; ``K`` is updated from the Frobenius
-    norm of each.  Raises ConvergenceError, naming ``context``, when the
-    shortest row runs out before the bound holds.
+    The matrices must be complex.  Terms are made in doubling blocks, and
+    ``K`` is updated from the Frobenius norm of each term.  Raises
+    ConvergenceError, naming ``context``, when the shortest row runs out
+    before the bound holds.
     """
     tails = RowTails(rows, q)
-    terms, K, T = [], 0.0, first
-    for j in range(tails.cap + 1):
-        if j:
-            T = step(T)
-        terms.append(T)
-        nrm = _frobenius(T)
-        if nrm == 0.0:
-            return SeriesRecord(terms, j, K, [0.0] * len(rows))
-        K = _update_K(K, nrm, q, j)
-        if j >= _MIN_J and K * tails.worst[j] <= tol:
-            break
-    else:
-        tails.check(K, tails.cap, tol, context)
-    J = len(terms) - 1
-    return SeriesRecord(terms, J, K, [K * t for t in tails.at(J)])
+    cap, n = tails.cap, first.shape[0]
+    terms = np.empty((cap + 1, n, n), dtype=complex)
+    terms[0] = first
+    L, R = left, right  # L^s and R^s for the block made from s terms
+    K, lo, hi = 0.0, 0, 1
+    while True:
+        flat = terms[lo:hi].reshape(hi - lo, -1).view(float)
+        norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        Ks = np.fmax(np.fmax.accumulate(_scaled(norms, tails.powq[lo:hi])), K)
+        stop = (norms == 0.0) | ((np.arange(lo, hi) >= _MIN_J)
+                                 & (Ks * tails.worst[lo:hi] <= tol))
+        hit = np.flatnonzero(stop)
+        if hit.size:
+            i = int(hit[0])
+            J, K = lo + i, float(Ks[i])  # a zero term leaves K as it was
+            bounds = ([0.0] * len(rows) if norms[i] == 0.0
+                      else [K * t for t in tails.at(J)])
+            return SeriesRecord(terms[:J + 1], J, K, bounds)
+        K = float(Ks[-1])
+        if hi > cap:
+            tails.check(K, cap, tol, context)
+            return SeriesRecord(terms, cap, K, [K * t for t in tails.at(cap)])
+        s = hi
+        m = min(s, cap + 1 - s)
+        if s > 1:
+            R = R @ R
+            L = None if L is None else L @ L
+        # the block T_s..T_{s+m-1} = L^s T_i R^s, i < m, as 2-d products
+        Y = terms[s:s + m]
+        np.matmul(terms[:m].reshape(m * n, n), R, out=Y.reshape(m * n, n))
+        if L is not None:
+            Y[...] = (L @ Y.transpose(1, 0, 2).reshape(n, m * n)).reshape(
+                n, m, n).transpose(1, 0, 2)
+        lo, hi = s, s + m

@@ -220,12 +220,33 @@ def shifted_resolvent_coeffs(w: WeightSequence, k: int, n: int) -> np.ndarray:
     return w.inv_betas[k:k + n + 1].copy()
 
 
+def quotient_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
+    """Taylor coefficients ``d^(k)_0 .. d^(k)_n`` of the quotient series
+    ``R_k / R``, one row per ``k >= 1`` in ``ks``, from one product.
+
+    ``d^(k)_j = -sum_{l=1}^{k_max} c_{j+l} B[l-1, k]`` with
+    ``B[l-1, k] = 1/beta_{k-l}`` for ``l <= k`` and 0 beyond, where
+    ``k_max = max(ks)``.
+    """
+    ks = np.asarray(ks)
+    if n < 0 or ks.size == 0 or ks.min() < 1:
+        raise InvalidParameterError("need n >= 0 and shifts k >= 1")
+    k_max = int(ks.max())
+    if n + k_max > w.trunc_len:
+        raise TruncationError(
+            f"need c-table to index {n + k_max}, stored {w.trunc_len}")
+    gap = ks - np.arange(1, k_max + 1)[:, None]  # k - l
+    B = np.where(gap >= 0, w.inv_betas[np.maximum(gap, 0)], 0.0)
+    # row j of the window is c_{j+1}, ..., c_{j+k_max}
+    return -(sliding_window_view(w.c_coeffs[1:n + k_max + 1], k_max) @ B).T
+
+
 def gamma_k_coeffs(w: WeightSequence, k: int, n: int) -> np.ndarray:
     """Taylor coefficients ``d^(k)_j`` of the quotient series ``R_k / R``.
 
-    ``d^(k)_j = -sum_{l=1}^{k} c_{j+l} / beta_{k-l}`` for ``j = 0..n``; the
-    degenerate index ``k = 0`` returns ``(1, 0, 0, ...)`` since the quotient
-    is then identically 1.
+    ``d^(k)_j = -sum_{l=1}^{k} c_{j+l} / beta_{k-l}`` for ``j = 0..n``: the
+    one-row case of ``quotient_rows``.  The degenerate index ``k = 0``
+    returns ``(1, 0, 0, ...)`` since the quotient is then identically 1.
     """
     if k < 0 or n < 0:
         raise InvalidParameterError("k and n must be nonnegative")
@@ -233,9 +254,4 @@ def gamma_k_coeffs(w: WeightSequence, k: int, n: int) -> np.ndarray:
         out = np.zeros(n + 1)
         out[0] = 1.0
         return out
-    if n + k > w.trunc_len:
-        raise TruncationError(
-            f"need c-table to index {n + k}, stored {w.trunc_len}")
-    weights = w.inv_betas[k - 1::-1][:k]  # 1/beta_{k-1}, ..., 1/beta_0
-    # row j of the window is c_{j+1}, ..., c_{j+k}
-    return -(sliding_window_view(w.c_coeffs[1:n + k + 1], k) @ weights)
+    return quotient_rows(w, [k], n)[0]

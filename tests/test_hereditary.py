@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hardybeta as hb
+from hardybeta import hereditary as her
 from conftest import cmat, stable_pair
 
 
@@ -30,6 +31,12 @@ class TestResolvent:
         for zs in (np.nan, [0.1, np.nan], [0.2, complex(0.0, np.inf)]):
             with pytest.raises(hb.InvalidParameterError, match="finite"):
                 hb.resolvents(w_hardy, 0, A, zs)
+
+    def test_scalar_non_finite_refused(self, w_hardy):
+        # |nan| >= 1 is false, so NaN used to come back as nan+nanj
+        for xs in (np.nan, [0.1, np.nan], [0.2, complex(np.inf, 0.0)]):
+            with pytest.raises(hb.InvalidParameterError, match="finite"):
+                hb.resolvent_scalar(w_hardy, 0, xs)
 
     def test_scalar_matches_matrix(self, w_beta25):
         xs = np.array([0.3 + 0.2j, -0.66, 0.1j])
@@ -222,6 +229,18 @@ class TestStein:
 
 
 class TestClassify:
+    def test_psd_defects_of_a_stack(self):
+        # the eigenvalue scale max(|lam_min|, |lam_max|, 1) is the operator
+        # norm of a Hermitian matrix floored at 1
+        rng = np.random.default_rng(3)
+        Ms = [her.hermitize(s * cmat(rng, 4, 4)) for s in (0.1, 1.0, 30.0)]
+        Ms.append(np.diag([5.0, 2.0, 1.0, 0.5]))
+        got = her._psd_defects(np.stack(Ms))
+        for M, d in zip(Ms, got):
+            ref = her.min_eig(M) / max(np.linalg.norm(M, 2), 1.0)
+            assert d == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert got[-1] == 0.1
+
     def test_classical_contraction(self, w_hardy):
         rng = np.random.default_rng(14)
         A = cmat(rng, 3, 3)

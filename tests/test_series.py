@@ -6,6 +6,7 @@ import pytest
 
 import hardybeta as hb
 from hardybeta import hereditary as her
+from hardybeta import series
 
 #: diagonal (normal) operator: ||A^j|| = rho^j, so the observed transient
 #: constant is a true bound and the closed forms below are exact
@@ -16,6 +17,107 @@ def _weight(kind):
     if kind == "hardy":
         return hb.make_weight_hardy(256), 1
     return hb.make_weight_beta_alpha(2.0, 256), 2  # R(x) = (1 - x)^-2
+
+
+def _reference(first, right, rows, q, tol, left=None):
+    """The stop rule as a plain per-term loop: ``T_{j+1} = left T_j right``,
+    ``K`` the running maximum of ``||T_j|| / q^j`` over ``q^j > 1e-280``,
+    stop at the first ``j >= 4`` with ``K * worst[j] <= tol``; a zero term
+    ends the series.  Returns (terms, K, ended by a zero term), or
+    (terms, K, None) when the table runs out."""
+    worst = series.RowTails(rows, q).worst
+    terms, K, T = [], 0.0, first
+    for j in range(len(worst)):
+        if j:
+            T = (T if left is None else left @ T) @ right
+        terms.append(T)
+        nrm = np.linalg.norm(T)
+        if nrm == 0.0:
+            return terms, K, True
+        if q ** j > 1e-280:
+            K = max(K, nrm / q ** j)
+        if j >= 4 and K * worst[j] <= tol:
+            return terms, K, False
+    return terms, K, None
+
+
+def _normal(rng, n, rho):
+    U = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    lam = rho * np.exp(2j * np.pi * rng.uniform(size=n))
+    lam[0] = rho
+    return (U * lam) @ U.conj().T
+
+
+def _nonnormal(rng, n, rho):
+    lam = rng.uniform(0.3, rho, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    lam[0] = rho
+    return np.diag(lam) + 2.0 * np.triu(rng.standard_normal((n, n)), 1)
+
+
+_JORDAN = 0.9 * np.eye(8) + np.diag(np.ones(7), 1)
+
+
+class TestBlocksMatchTermByTerm:
+    """The doubling blocks cut where a term-by-term loop cuts."""
+
+    @pytest.mark.parametrize("make", ["normal", "nonnormal", "jordan"])
+    @pytest.mark.parametrize("form", ["powers", "conjugations"])
+    def test_same_cut_and_constant(self, make, form):
+        rng = np.random.default_rng(7)
+        w = hb.make_weight_beta_alpha(2.5, 2048)
+        for trial in range(3):
+            n = 8 if make == "jordan" else int(rng.integers(2, 7))
+            A = {"normal": lambda: _normal(rng, n, 0.95),
+                 "nonnormal": lambda: _nonnormal(rng, n, 0.9),
+                 "jordan": lambda: _JORDAN}[make]().astype(complex)
+            rho = hb.spectral_radius(A)
+            if form == "powers":
+                args = (np.eye(n, dtype=complex), A, [w.inv_betas],
+                        series.decay_rate(rho))
+                left = None
+            else:
+                C = rng.standard_normal((2, n)) + 0j
+                rows = [w.inv_betas[k:k + 2000] for k in range(3)]
+                args = (C.conj().T @ C, A, rows, series.conjugation_rate(rho))
+                left = A.conj().T
+            for tol in (1e-4, 1e-10):
+                ref, K, zero = _reference(*args, tol, left=left)
+                assert zero is False
+                rec = series.adaptive_sum(*args, tol, "test", left=left)
+                assert rec.J == len(ref) - 1
+                assert rec.K == pytest.approx(K, rel=1e-13)
+                scale = max(np.linalg.norm(T) for T in ref)
+                np.testing.assert_allclose(rec.terms, np.stack(ref),
+                                           rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("index", [3, 5])
+    def test_zero_term_inside_block_ends_series(self, w_hardy, index):
+        # A^index = 0 exactly; the zero term sits inside the block of
+        # terms 2..3 (index 3) or 4..7 (index 5)
+        A = np.diag(np.ones(index - 1), 1).astype(complex)
+        args = (np.eye(index, dtype=complex), A, [w_hardy.c_coeffs,
+                                                  w_hardy.inv_betas],
+                series.conjugation_rate(0.0))
+        ref, K, zero = _reference(*args, 1e-10, left=A.conj().T)
+        assert zero is True and len(ref) == index + 1
+        rec = series.adaptive_sum(*args, 1e-10, "test", left=A.conj().T)
+        assert rec.J == index
+        assert rec.K == K
+        assert rec.tails == [0.0, 0.0]
+        assert rec.terms.shape == (index + 1, index, index)
+        assert not rec.terms[-1].any()
+
+    def test_record_holds_exactly_the_cut(self, w_hardy):
+        A = np.diag([0.7, 0.5j]).astype(complex)
+        args = (np.eye(2, dtype=complex), A, [w_hardy.inv_betas],
+                series.decay_rate(0.7))
+        rec = series.adaptive_sum(*args, 1e-6, "test")
+        ref = _reference(*args, 1e-6)[0]
+        J = rec.J
+        assert J & (J + 1) and J & (J - 1)  # neither J nor J + 1 a power of 2
+        assert isinstance(rec.terms, np.ndarray)
+        assert rec.terms.shape == (J + 1, 2, 2) == (len(ref), 2, 2)
 
 
 class TestTooShortTable:
@@ -34,6 +136,29 @@ class TestTooShortTable:
         pair = hb.OutputPair(A=0.95 * np.eye(2), C=np.ones((1, 2)))
         with pytest.raises(hb.ConvergenceError, match="^gramian_table: "):
             hb.gramian_table(w, pair, 2)
+
+    def test_message_text(self):
+        # the whole message of a 16-term table, as the term-by-term engine
+        # wrote it
+        w = hb.make_weight_hardy(16)
+        A = 0.95 * np.eye(2)
+        cases = [
+            (lambda: hb.gramian_table(w, hb.OutputPair(A=A, C=np.ones((1, 2))),
+                                      2),
+             "gramian_table: tail bound 1.895e+01 > tol 1.000e-10 after 15 "
+             "stored terms; increase the weight truncation"),
+            (lambda: hb.resolvent_apply(w, 0, A, 1.0),
+             "resolvent_apply: tail bound 3.678e+01 > tol 1.000e-12 after 17 "
+             "stored terms; increase the weight truncation"),
+            (lambda: hb.gamma_map(hb.make_weight_beta_alpha(1.5, 16),
+                                  np.diag([0.95, 0.5]), np.eye(2)),
+             "gamma_map: tail bound inf > tol 1.000e-10 after 17 stored "
+             "terms; increase the weight truncation"),
+        ]
+        for call, text in cases:
+            with pytest.raises(hb.ConvergenceError) as info:
+                call()
+            assert str(info.value) == text
 
 
 @pytest.mark.parametrize("kind", ["hardy", "beta2"])

@@ -198,3 +198,21 @@ class TestGammaKCoeffs:
     def test_table_guard(self, w_beta2):
         with pytest.raises(hb.TruncationError):
             hb.gamma_k_coeffs(w_beta2, 3, w_beta2.trunc_len)
+
+    def test_quotient_rows_are_the_single_rows(self, all_weights):
+        # one product for all shifts gives each shift's own row
+        for w in all_weights:
+            n = w.trunc_len - 20
+            rows = hb.quotient_rows(w, range(1, 21), n)
+            assert rows.shape == (20, n + 1)
+            for k in (1, 2, 9, 20):
+                np.testing.assert_allclose(rows[k - 1],
+                                           hb.gamma_k_coeffs(w, k, n),
+                                           rtol=1e-13, atol=1e-15)
+
+    def test_quotient_rows_guards(self, w_beta2):
+        with pytest.raises(hb.TruncationError):
+            hb.quotient_rows(w_beta2, [1, 4], w_beta2.trunc_len - 3)
+        for ks, n in (([0, 1], 5), ([1, 2], -1)):
+            with pytest.raises(hb.InvalidParameterError):
+                hb.quotient_rows(w_beta2, ks, n)
