@@ -360,10 +360,9 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
     """
     _check_domain(A, X, tol)
     _check_summable(w)
-    sums = _hereditary_sums(A, X, w.c_coeffs[None],
+    return _hereditary_sums(A, X, w.c_coeffs[None],
                             series.conjugation_rate(spectral_radius(A)),
-                            tol, "gamma_map")[0]
-    return sums[0]
+                            tol, "gamma_map")[0][0]
 
 
 def gamma_k_map(w: WeightSequence, k: int, A, X,
@@ -374,10 +373,9 @@ def gamma_k_map(w: WeightSequence, k: int, A, X,
     if k == 0:
         return hermitize(np.asarray(X, dtype=complex))
     d = gamma_k_coeffs(w, k, w.trunc_len - k)
-    sums = _hereditary_sums(A, X, d[None],
+    return _hereditary_sums(A, X, d[None],
                             series.conjugation_rate(spectral_radius(A)),
-                            tol, "gamma_k_map")[0]
-    return sums[0]
+                            tol, "gamma_k_map")[0][0]
 
 
 def gamma_binomial(m: int, A, X) -> np.ndarray:
