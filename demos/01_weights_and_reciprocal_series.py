@@ -24,13 +24,15 @@ print("c for constant weight:  ", hardy.c_coeffs[:5])
 print("c for alpha = 2:        ", beta2.c_coeffs[:5])
 print("c for alpha = 2.5:      ", np.round(beta25.c_coeffs[:5], 4))
 
-# The defining recursion makes the convolution of the two tables a delta.
+# c is the reciprocal series of R, so the convolution of the two tables is
+# a delta.
 conv = [np.dot(beta25.c_coeffs[:m + 1], beta25.inv_betas[:m + 1][::-1])
         for m in range(8)]
 print("conv(c, 1/beta):        ", np.round(conv, 14))
 
-# Summability of c is what makes the hereditary calculus converge.  The
-# report is a heuristic: geometric extrapolation of the trailing quarter.
+# Summability of c is what makes the hereditary calculus converge.  For the
+# closed-form families the report is exact: past alpha the c_j share one
+# sign and sum to (1 - 1)^alpha = 0, so the tail is known in closed form.
 print("alpha = 2.5 summability:", beta25.wiener)
 
 # A weight whose generating function vanishes inside the disk has

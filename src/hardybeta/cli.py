@@ -32,7 +32,6 @@ from .errors import HardyBetaError, InvalidParameterError
 from .hereditary import classify, gramian_table, hermitian_inverse
 from .weights import (
     DEFAULT_TRUNC,
-    WienerReport,
     make_weight_beta_alpha,
     make_weight_custom,
     make_weight_hardy,
@@ -106,12 +105,6 @@ def _load_json(path: str) -> dict:
 def cmd_weights(args) -> int:
     w = _weight_from_args(args)
     n = min(w.trunc_len, 64) if args.head else w.trunc_len
-    if w.wiener is not None:
-        rep = w.wiener
-    else:
-        # too few stored coefficients for the tail extrapolation
-        mags = [abs(c) for c in w.c_coeffs]
-        rep = WienerReport(float(sum(mags)), float(mags[-1]), "inconclusive")
     payload = {
         "config": _config_from_args(args).to_json(),
         "kind": w.kind,
@@ -119,9 +112,7 @@ def cmd_weights(args) -> int:
         "ratio_bound": w.ratio_bound,
         "betas": w.betas[:n + 1],
         "c": reciprocal_coeffs(w, n),
-        "wiener": {"partial_sum": rep.partial_sum,
-                   "tail_estimate": rep.tail_estimate,
-                   "verdict": rep.verdict},
+        "wiener": vars(w.wiener),
     }
     _emit(args, payload)
     return 0

@@ -14,12 +14,13 @@ and an admissible weight sequence this module evaluates
   pair (contractive, isometric, hypercontractive, strongly stable, exactly
   observable).
 
-All series are cut adaptively by the engine in ``series.py``.  The tail
-bound it reports holds under the transient constant ``K`` observed on the
-terms summed so far (terms dominated by ``K * q^j`` for a decay rate ``q``
-chosen from the spectral radius); transient growth of a non-normal ``A``
-after the stop is not covered (see ROADMAP.md).  A resolvent grid is cut
-once, at its largest radius ``r``: since ``|z_i / r|^j <= 1``, the tail
+All series are cut adaptively by the engine in ``series.py``, with each
+coefficient row's step bound past the table taken from the weight.  The
+tail bound it reports holds under the transient constant ``K`` observed on
+the terms summed so far (terms dominated by ``K * q^j`` for a decay rate
+``q`` chosen from the spectral radius); transient growth of a non-normal
+``A`` after the stop is not covered (see ROADMAP.md).  A resolvent grid is
+cut once, at its largest radius ``r``: since ``|z_i / r|^j <= 1``, the tail
 bound of the powers ``(rA)^j`` holds at every point of the grid.
 Series-summed quantities are restricted to spectral radius at most 0.999.
 
@@ -177,14 +178,14 @@ class DeltaReport:
 # series: conjugation sums and resolvents
 # ---------------------------------------------------------------------------
 
-def _hereditary_sums(A, X, rows, q, tol, context):
+def _hereditary_sums(A, X, rows, steps, q, tol, context):
     """``sum_j rows[i, j] A^{*j} X A^j`` for every row of the 2-d array
-    ``rows``, cut once for all rows by the series engine and contracted in
-    one product.  Returns (stack of sums, series record)."""
+    ``rows`` (step bounds ``steps``), cut once for all rows by the series
+    engine and contracted in one product.  Returns (sums, series record)."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
-    rec = series.adaptive_sum(np.asarray(X, dtype=complex), A, rows, q, tol,
-                              context, left=A.conj().T)
+    rec = series.adaptive_sum(np.asarray(X, dtype=complex), A, rows, q,
+                              steps, tol, context, left=A.conj().T)
     J1 = rec.J + 1
     # real coefficients against the real view of the complex terms
     flat = rec.terms.reshape(J1, n * n).view(float)
@@ -217,8 +218,8 @@ def _resolvent_table(w: WeightSequence, k: int, A, z, tol: float):
     # |z_i / r|^j <= 1, so the tail bound of the powers (rA)^j bounds the
     # tail at every point of the grid
     rec = series.adaptive_sum(np.eye(n, dtype=complex), r * A, [inv_b],
-                              series.decay_rate(rho, r), tol,
-                              "resolvent_apply")
+                              series.decay_rate(rho, r),
+                              w.inv_step(w.trunc_len), tol, "resolvent_apply")
     coef = (zs[:, None] / r) ** np.arange(rec.J + 1) * inv_b[:rec.J + 1]
     S = np.tensordot(coef, rec.terms, axes=(1, 0))
     return S.reshape(shape), rec
@@ -257,8 +258,6 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     finite points with ``|x| < 1``.
     """
     xs = np.asarray(x, dtype=complex)
-    scalar_in = xs.ndim == 0
-    xs = np.atleast_1d(xs)
     if not np.isfinite(xs).all():
         raise InvalidParameterError("scalar resolvent points must be finite")
     if np.any(np.abs(xs) >= 1.0):
@@ -266,17 +265,12 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     if w.trunc_len - k < 0:
         raise TruncationError(f"shift k={k} exceeds stored length")
     inv_b = w.inv_betas[k:]
-    q = float(np.max(np.abs(xs))) if xs.size else 0.0
-    if q == 0.0:
-        vals = np.full(xs.shape, inv_b[0], dtype=complex)
-        return vals[0] if scalar_in else vals
+    q = float(np.max(np.abs(xs), initial=0.0))
     # |x^j| <= q^j exactly, so the transient constant is 1
-    J = series.RowTails([inv_b], q).cut(1.0, tol, "resolvent_scalar")
+    J = 0 if q == 0.0 else series.RowTails(
+        [inv_b], q, w.inv_step(w.trunc_len)).cut(1.0, tol, "resolvent_scalar")
     # Horner evaluation of the degree-J truncation
-    vals = np.full(xs.shape, inv_b[J], dtype=complex)
-    for j in range(J - 1, -1, -1):
-        vals = vals * xs + inv_b[j]
-    return vals[0] if scalar_in else vals
+    return np.polyval(inv_b[J::-1], xs)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +288,9 @@ def _gramian_rows(w, ks, pair, tol, context):
         raise TruncationError(
             f"stored weights too short for gramian shift k={kmax}")
     rows = np.array([w.inv_betas[k:k + Jcap + 1] for k in ks])
+    steps = [w.inv_step(k + Jcap) for k in ks]
     sums, rec = _hereditary_sums(
-        pair.A, pair.C.conj().T @ pair.C, rows,
+        pair.A, pair.C.conj().T @ pair.C, rows, steps,
         series.conjugation_rate(pair.spectral_radius), tol, context)
     return dict(zip(ks, sums)), dict(zip(ks, rec.tails)), rec.J
 
@@ -347,7 +342,7 @@ def _check_domain(A, X, tol):
 def _check_summable(w: WeightSequence):
     """The hereditary maps need a reciprocal coefficient table whose
     summability check did not come back "diverging"."""
-    if w.wiener is not None and w.wiener.verdict == "diverging":
+    if w.wiener.verdict == "diverging":
         raise HereditaryDomainError(
             "reciprocal coefficients diverge: hereditary map undefined")
 
@@ -360,7 +355,7 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
     """
     _check_domain(A, X, tol)
     _check_summable(w)
-    return _hereditary_sums(A, X, w.c_coeffs[None],
+    return _hereditary_sums(A, X, w.c_coeffs[None], w.c_step(w.trunc_len),
                             series.conjugation_rate(spectral_radius(A)),
                             tol, "gamma_map")[0][0]
 
@@ -373,7 +368,7 @@ def gamma_k_map(w: WeightSequence, k: int, A, X,
     if k == 0:
         return hermitize(np.asarray(X, dtype=complex))
     d = gamma_k_coeffs(w, k, w.trunc_len - k)
-    return _hereditary_sums(A, X, d[None],
+    return _hereditary_sums(A, X, d[None], w.c_step(w.trunc_len - k),
                             series.conjugation_rate(spectral_radius(A)),
                             tol, "gamma_k_map")[0][0]
 
@@ -417,12 +412,13 @@ def _psd_defect(M) -> float:
     return float(_psd_defects(M))
 
 
-def _hereditary_rows(w: WeightSequence, k_max: int) -> np.ndarray:
+def _hereditary_rows(w: WeightSequence, k_max: int):
     """The reciprocal-series row and the quotient rows ``d^(1..k_max)``,
-    cut at their common length."""
+    cut at their common length, with their common step bound."""
     cap = w.trunc_len - k_max
-    return np.vstack([w.c_coeffs[:cap + 1],
+    rows = np.vstack([w.c_coeffs[:cap + 1],
                       quotient_rows(w, range(1, k_max + 1), cap)])
+    return rows, w.c_step(cap)
 
 
 def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
@@ -452,7 +448,7 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
     opA = opnorm(A)
     contraction = opA <= 1.0 + tol
 
-    sums = _hereditary_sums(A, I, _hereditary_rows(w, k_max),
+    sums = _hereditary_sums(A, I, *_hereditary_rows(w, k_max),
                             series.conjugation_rate(rho), tol * 0.1,
                             "classify")[0]
     gamma_I = sums[0]
@@ -532,7 +528,7 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     scale = max(opnorm(H), 1.0)
 
     q = series.conjugation_rate(spectral_radius(A))
-    sums = _hereditary_sums(A, H, _hereditary_rows(w, k_max + 1), q,
+    sums = _hereditary_sums(A, H, *_hereditary_rows(w, k_max + 1), q,
                             tol * 0.1, "delta_limit")[0]
     gamma_H = sums[0]
     bad = np.flatnonzero(_psd_defects(sums[1:]) < -tol)
@@ -555,8 +551,9 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
 
     residual = None
     if converged and _psd_defect(gamma_H) >= -tol:
-        sums2 = _hereditary_sums(A, gamma_H, w.inv_betas[None], q,
-                                 tol * 0.1, "delta_limit sum identity")[0]
+        sums2 = _hereditary_sums(A, gamma_H, w.inv_betas[None],
+                                 w.inv_step(w.trunc_len), q, tol * 0.1,
+                                 "delta_limit sum identity")[0]
         residual = opnorm(sums2[0] - (H - delta))
 
     return DeltaReport(delta=delta, converged=converged,

@@ -340,8 +340,12 @@ def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
     heuristic = series.geometric_tail(theta_sup ** 2, r * r, k_max + 1)
     # the geometric heuristic can undershoot when the reciprocal weights
     # grow; take the larger of it and the kernel-domination bound
-    row = np.maximum(np.arange(w.trunc_len + 1) - k_max, 0) * w.inv_betas
-    domination = series.RowTails([row], r * r).at(k_max)[0]
+    cap = w.trunc_len
+    row = np.maximum(np.arange(cap + 1) - k_max, 0) * w.inv_betas
+    # past cap the factor (m - k_max) multiplies the step of 1/beta_m by at
+    # most (cap + 1 - k_max)/(cap - k_max); the row is 0 if cap <= k_max
+    step = w.inv_step(cap) * (cap + 1 - k_max) / max(cap - k_max, 1)
+    domination = series.RowTails([row], r * r, step).tails[0, k_max]
     allowance = max(heuristic, float(domination))
     x = zs[:, None] * np.conj(zs)[None, :]
     diff = kernel_invariant(w, pair, zs, zs, np.eye(pair.n), tol)

@@ -8,10 +8,11 @@ resolvents (``T_0 = I``, ``R = zA``, no ``L``) or the conjugations
 ``L = A^*``, ``R = A``).  This module alone chooses the decay rate ``q``
 (``|z| (1 + rho)/2`` for powers, its square for conjugations), estimates the
 transient constant ``K`` (the running maximum of ``||T_j|| / q^j``), bounds
-each row's coefficient tail (the stored suffix sum plus an extrapolation
-past the table) and runs the adaptive loop: stop at the first ``j >= 4``
-with ``K * max_i tail_i(j) <= tol``, or raise ConvergenceError.  A term that
-is exactly zero ends the series, and its tail is zero.
+each row's coefficient tail and runs the adaptive loop: stop at the first
+``j >= 4`` with ``K * max_i tail_i(j) <= tol``, or raise ConvergenceError.
+A term that is exactly zero ends the series, and its tail is zero.  Past
+the stored table a row's tail is geometric in the step bound the weight
+gives for it (``RowTails``); nothing is extrapolated here.
 
 Terms are made in doubling blocks: with ``s`` terms stored the next
 ``min(s, cap + 1 - s)`` are ``L^s T_i R^s``, one product over the stacked
@@ -27,7 +28,6 @@ terms in their own order.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,60 +74,32 @@ def geometric_tail(K: float, q: float, m: int) -> float:
     return K * q ** m / (1.0 - q) if q < 1.0 else float("inf")
 
 
-def _beyond(row_abs: np.ndarray, powq: np.ndarray, q: float,
-            window: int = 16) -> float:
-    """Bound on the sum of the (unstored) continuation of ``row_abs * powq``.
-
-    Decaying tails are extrapolated geometrically from the trailing growth
-    ratio of the damped sequence.  Trailing coefficients that sit at the
-    recursion noise floor (negligible against the row's scale) are assumed
-    to stay at that floor, so only the ``q`` damping continues.  A genuinely
-    non-decaying tail yields ``inf`` and the caller reports non-convergence.
-    """
-    m = min(window + 1, len(row_abs))
-    traw = row_abs[-m:]
-    if traw.max() == 0.0:
-        return 0.0
-    if traw.max() <= 1e-9 * row_abs.max() and q < 1.0:
-        return geometric_tail(10.0 * float(traw.max()) * float(powq[-1]), q, 1)
-    nz = np.nonzero(traw > 0)[0]
-    if len(nz) < 2:
-        return float("inf")
-    steps = np.diff(nz).astype(float)
-    ratios = (traw[nz[1:]] / traw[nz[:-1]]) ** (1.0 / steps)
-    r = float(ratios.max()) * q  # per-step growth of the damped sequence
-    if r >= 1.0:
-        return float("inf")
-    last = float(traw[nz[-1]]) * float(powq[len(row_abs) - m + nz[-1]])
-    gap = m - 1 - nz[-1]
-    return last * r ** gap * r / (1.0 - r)
-
-
 class RowTails:
     """Coefficient tails of several rows at one decay rate ``q``.
 
-    ``cap`` is the last index stored in every row.  For a cut ``J <= cap``,
-    ``at(J)[i]`` bounds ``sum_{j > J} |row_i[j]| q^j``: the stored suffix sum
-    plus the extrapolation past the table.  ``worst[J]`` is the largest of
-    them, so ``K * worst[J]`` bounds every row's tail at once.
+    ``cap`` is the last index stored in every row, and ``steps`` bounds
+    ``|row_i[j+1] / row_i[j]|`` for ``j >= cap`` (one per row, or one for
+    all).  For a cut ``J <= cap``, ``tails[i, J]`` bounds
+    ``sum_{j > J} |row_i[j]| q^j``: the stored suffix sum plus
+    ``|row_i[cap]| q^cap s q / (1 - s q)`` (``inf`` when ``s q >= 1``).
+    ``K * worst[J]`` bounds every row's tail at once.
     """
 
-    def __init__(self, rows, q: float):
-        self.cap = min(len(r) for r in rows) - 1
-        self.powq = powq = np.power(q, np.arange(self.cap + 1))
-        self.suffix, self.beyond = [], []
-        for r in rows:
-            row_abs = np.abs(np.asarray(r[:self.cap + 1], dtype=float))
-            rev = np.cumsum((row_abs * powq)[::-1])[::-1]
-            suffix = np.zeros_like(rev)
-            suffix[:-1] = rev[1:]
-            self.suffix.append(suffix)
-            self.beyond.append(_beyond(row_abs, powq, q))
-        self.worst = functools.reduce(
-            np.maximum, [s + b for s, b in zip(self.suffix, self.beyond)])
-
-    def at(self, J: int) -> list:
-        return [s[J] + b for s, b in zip(self.suffix, self.beyond)]
+    def __init__(self, rows, q: float, steps):
+        self.cap = cap = min(len(r) for r in rows) - 1
+        self.powq = powq = np.power(q, np.arange(cap + 1))
+        damped = np.array([r[:cap + 1] for r in rows], dtype=float)
+        # in place: a fresh temporary this size costs more in page faults
+        np.multiply(np.abs(damped, out=damped), powq, out=damped)
+        sq = np.broadcast_to(np.asarray(steps, dtype=float) * q, len(damped))
+        last, ok = damped[:, -1], sq < 1.0
+        beyond = np.full(len(damped), np.inf)
+        beyond[ok] = last[ok] * sq[ok] / (1.0 - sq[ok])
+        beyond[last == 0.0] = 0.0
+        self.tails = np.zeros_like(damped)  # stored suffix sums past J
+        np.cumsum(damped[:, :0:-1], axis=1, out=self.tails[:, -2::-1])
+        self.tails += beyond[:, None]
+        self.worst = self.tails.max(axis=0)
 
     def check(self, K: float, J: int, tol: float, context: str):
         """Raise ConvergenceError, naming ``context``, when ``K * worst[J]``
@@ -151,7 +123,7 @@ class RowTails:
 class SeriesRecord:
     """One truncated series: the stored terms ``T_0..T_J`` as one
     ``(J + 1, n, n)`` array, the cut ``J``, the transient estimate ``K`` and,
-    per row, the tail bound ``K * (suffix + beyond)`` past ``J``."""
+    per row, the tail bound ``K * RowTails.tails[i, J]`` past ``J``."""
 
     terms: np.ndarray
     J: int
@@ -160,18 +132,18 @@ class SeriesRecord:
 
 
 def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
-                 tol: float, context: str,
+                 steps, tol: float, context: str,
                  left: np.ndarray | None = None) -> SeriesRecord:
     """Generate ``T_0 = first``, ``T_{j+1} = left @ T_j @ right`` (no left
     factor when ``left`` is None) until every row's tail bound is at most
-    ``tol``.
+    ``tol``; ``steps`` are the rows' step bounds past the table (RowTails).
 
     The matrices must be complex.  Terms are made in doubling blocks, and
     ``K`` is updated from the Frobenius norm of each term.  Raises
     ConvergenceError, naming ``context``, when the shortest row runs out
     before the bound holds.
     """
-    tails = RowTails(rows, q)
+    tails = RowTails(rows, q, steps)
     cap, n = tails.cap, first.shape[0]
     terms = np.empty((cap + 1, n, n), dtype=complex)
     terms[0] = first
@@ -188,12 +160,12 @@ def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
             i = int(hit[0])
             J, K = lo + i, float(Ks[i])  # a zero term leaves K as it was
             bounds = ([0.0] * len(rows) if norms[i] == 0.0
-                      else [K * t for t in tails.at(J)])
+                      else list(K * tails.tails[:, J]))
             return SeriesRecord(terms[:J + 1], J, K, bounds)
         K = float(Ks[-1])
         if hi > cap:
             tails.check(K, cap, tol, context)
-            return SeriesRecord(terms, cap, K, [K * t for t in tails.at(cap)])
+            return SeriesRecord(terms, cap, K, list(K * tails.tails[:, cap]))
         s = hi
         m = min(s, cap + 1 - s)
         if s > 1:

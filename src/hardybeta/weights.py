@@ -8,17 +8,23 @@ truncation length (default 256):
 
 * ``inv_betas``     reciprocals ``1 / beta_j``, the Taylor coefficients of
   the generating function ``R(z) = sum 1/beta_j z^j``,
-* ``c_coeffs``      coefficients of ``1 / R(z)``, obtained from the exact
-  recursion ``c_0 = 1``, ``c_n = -sum_{j<n} c_j / beta_{n-j}``,
+* ``c_coeffs``      coefficients of ``1 / R(z)``: ``(-1)^j C(alpha, j)`` for
+  the constant weight (``alpha = 1``) and ``beta_alpha``, the recursion
+  ``c_0 = 1``, ``c_n = -sum_{j<n} c_j / beta_{n-j}`` for custom weights,
 * shifted tables ``1 / beta_{k+j}`` and the quotient-series coefficients
   ``d^(k)_j = -sum_{l=1..k} c_{j+l} / beta_{k-l}`` used by the hereditary
   calculus.
+
+Each weight knows its tails: step bounds on ``|row[j+1] / row[j]|`` past a
+cut (``inv_step``, ``c_step``) and the Wiener report of ``c``, all proved
+except the ``c`` step of a custom weight, the one estimate left.
 
 Instances are immutable after construction and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,30 +45,22 @@ _ONE_TOL = 1e-12
 
 @dataclass
 class WienerReport:
-    """Heuristic summability report for the reciprocal coefficients."""
+    """Summability of the reciprocal coefficients: ``sum_{j<=n} |c_j|``, the
+    tail ``sum_{j>n} |c_j|`` and the verdict."""
 
     partial_sum: float
     tail_estimate: float
-    verdict: str  # "summable" | "inconclusive" | "diverging"
+    verdict: str  # "summable" | "diverging"
 
 
 @dataclass
 class WeightSequence:
-    """An admissible weight sequence with its cached coefficient tables.
-
-    Attributes
-    ----------
-    betas : ndarray
-        ``beta_0 .. beta_N`` with ``beta_0 = 1``, positive, non-increasing.
-    ratio_bound : float
-        ``M = max_j beta_j / beta_{j+1}`` over the stored range.
-    kind : str
-        ``"hardy"`` (constant weight), ``"beta_alpha"`` or ``"custom"``.
-    c_coeffs : ndarray
-        Reciprocal-series coefficients ``c_0 .. c_N``.
-    alpha : float or None
-        Parameter of the ``beta_alpha`` family, if applicable.
-    """
+    """An admissible weight sequence with its cached coefficient tables:
+    ``betas`` (``beta_0 .. beta_N``, ``beta_0 = 1``, positive,
+    non-increasing), the stored ratio bound ``M = max_j beta_j /
+    beta_{j+1}``, the ``kind`` (``"hardy"`` for the constant weight,
+    ``"beta_alpha"`` or ``"custom"``), the reciprocal-series coefficients
+    ``c_coeffs`` (``c_0 .. c_N``) and the family parameter ``alpha``."""
 
     betas: np.ndarray
     ratio_bound: float
@@ -70,31 +68,59 @@ class WeightSequence:
     c_coeffs: np.ndarray
     alpha: float | None = None
     inv_betas: np.ndarray = field(init=False)
-    wiener: WienerReport | None = field(init=False, default=None)
+    wiener: WienerReport = field(init=False)
 
     def __post_init__(self):
         self.betas = np.asarray(self.betas, dtype=float)
         self.inv_betas = 1.0 / self.betas
-        if self.trunc_len >= 8:
-            self.wiener = wiener_report(self, self.trunc_len)
+        r = self.betas[:-1] / self.betas[1:] if self.trunc_len else np.ones(1)
+        self.inv_steps = np.maximum.accumulate(r[::-1])[::-1]
+        self._c_step = (_trailing_step(self.c_coeffs)
+                        if self.kind == "custom" else None)
+        self.wiener = wiener_report(self, self.trunc_len)
 
     @property
     def trunc_len(self) -> int:
         return len(self.betas) - 1
+
+    def inv_step(self, m: int) -> float:
+        """A bound on ``beta_i / beta_{i+1}`` for every ``i >= m``: the step
+        of the rows ``1/beta_{k+j}`` cut at ``k + j = m``.  The ratio is 1
+        for hardy, decreasing for ``beta_alpha``, and a custom weight
+        continues at its last ratio by definition."""
+        return float(self.inv_steps[min(m, len(self.inv_steps) - 1)])
+
+    def c_step(self, m: int) -> float:
+        """A bound on ``|row[j+1] / row[j]|`` for every ``j >= m`` of the
+        ``c`` row and the quotient rows.  Closed-form kinds (hardy:
+        ``alpha = 1``): 1 once ``m >= floor(alpha)``, since
+        ``|c_{j+1}/c_j| = |j - alpha|/(j + 1) <= 1`` there and the
+        ``c_{j+l}`` in each ``d^(k)_j`` share one sign; ``inf`` before.
+        Custom weights: the estimate of ``_trailing_step``."""
+        if self._c_step is not None:
+            return self._c_step
+        return 1.0 if m >= math.floor(self.alpha or 1.0) else math.inf
 
     def __repr__(self):
         tag = f", alpha={self.alpha}" if self.alpha is not None else ""
         return f"WeightSequence(kind={self.kind!r}, n={self.trunc_len}{tag})"
 
 
-def _reciprocal_series(inv_betas: np.ndarray) -> np.ndarray:
-    """Exact recursion for the coefficients of 1 / sum(inv_betas[j] z^j).
+def _binomial_series(alpha: float, n: int) -> np.ndarray:
+    """``c_j = (-1)^j C(alpha, j)`` for ``j = 0..n``, the coefficients of
+    ``(1 - z)^alpha``, from ``c_{j+1} = c_j (j - alpha)/(j + 1)``: exact
+    zeros past an integer alpha."""
+    c = np.ones(n + 1)
+    # + 0.0 turns the -0.0 past an odd integer alpha into 0.0
+    c[1:] = np.cumprod((np.arange(n) - alpha) / np.arange(1, n + 1)) + 0.0
+    return c
 
-    Entries smaller than the rounding scale of their own defining sum are
-    snapped to exact zero, so weights whose reciprocal series is a
-    polynomial (integer-alpha families) get exactly polynomial tables
-    instead of roundoff dust.
-    """
+
+def _reciprocal_series(inv_betas: np.ndarray) -> np.ndarray:
+    """Recursion for the coefficients of 1 / sum(inv_betas[j] z^j), used for
+    custom weights.  Entries below the rounding scale of their own defining
+    sum are snapped to exact zero, so polynomial reciprocal series get
+    exactly polynomial tables instead of roundoff dust."""
     n = len(inv_betas)
     c = np.zeros(n)
     c[0] = 1.0
@@ -109,20 +135,36 @@ def _reciprocal_series(inv_betas: np.ndarray) -> np.ndarray:
     return c
 
 
+def _trailing_step(c: np.ndarray, window: int = 16) -> float:
+    """The one tail estimate left, not a bound: the step of a custom
+    weight's ``c`` past its table, as the largest per-step ratio of the
+    nonzero entries among the last ``window + 1``.  Entries all zero or at
+    the recursion's noise floor (at most 1e-9 of the largest) end the table
+    (0); fewer than two nonzero entries give ``inf``."""
+    mags = np.abs(c[-window - 1:])
+    if mags.max() <= 1e-9 * np.abs(c).max():
+        return 0.0
+    nz = np.flatnonzero(mags)
+    if len(nz) < 2:
+        return math.inf
+    ratios = (mags[nz[1:]] / mags[nz[:-1]]) ** (1.0 / np.diff(nz))
+    return float(ratios.max())
+
+
 def make_weight_hardy(n: int = DEFAULT_TRUNC) -> WeightSequence:
     """Constant weight sequence beta_j = 1 (the classical Hardy space)."""
     if n < 1:
         raise InvalidParameterError("need at least two stored weights")
-    betas = np.ones(n + 1)
-    return WeightSequence(betas, 1.0, "hardy", _reciprocal_series(1.0 / betas))
+    return WeightSequence(np.ones(n + 1), 1.0, "hardy",
+                          _binomial_series(1.0, n))
 
 
 def make_weight_beta_alpha(alpha: float, n: int = DEFAULT_TRUNC) -> WeightSequence:
     """Weight sequence ``beta_k = k! Gamma(alpha) / Gamma(alpha + k)``.
 
     Computed by the stable recurrence ``beta_{k+1} = beta_k (k+1)/(alpha+k)``.
-    For integer ``alpha = n`` the reciprocal series ``1/R`` is the polynomial
-    ``(1 - z)^n``.  Requires ``alpha > 1``; the step-down ratio
+    The reciprocal series ``1/R`` is ``(1 - z)^alpha``, a polynomial for
+    integer alpha.  Requires ``alpha > 1``; the step-down ratio
     ``beta_k / beta_{k+1} = (alpha+k)/(k+1)`` is maximal at ``k = 0`` so the
     ratio bound is ``alpha`` itself.
     """
@@ -135,16 +177,18 @@ def make_weight_beta_alpha(alpha: float, n: int = DEFAULT_TRUNC) -> WeightSequen
     for k in range(n):
         betas[k + 1] = betas[k] * (k + 1) / (alpha + k)
     return WeightSequence(betas, float(alpha), "beta_alpha",
-                          _reciprocal_series(1.0 / betas), alpha=float(alpha))
+                          _binomial_series(alpha, n), alpha=float(alpha))
 
 
 def make_weight_custom(betas) -> WeightSequence:
-    """Validate an explicitly supplied weight sequence.
+    """Validate an explicitly supplied weight sequence ``beta_0 .. beta_N``.
 
     Checks ``beta_0 = 1`` (NormalizationError otherwise), positivity and the
     non-increase condition ``beta_j >= beta_{j+1}`` (AdmissibilityError
     otherwise), and records the observed ratio bound.  An all-ones sequence
-    is tagged as the constant Hardy weight.
+    is tagged as the constant Hardy weight.  Past its table a custom weight
+    is defined by its last ratio: ``beta_{m+1} = beta_m beta_N / beta_{N-1}``
+    for ``m >= N``.
     """
     arr = np.asarray(betas, dtype=float)
     if arr.ndim != 1 or len(arr) < 1:
@@ -153,17 +197,17 @@ def make_weight_custom(betas) -> WeightSequence:
         raise AdmissibilityError("weights must be strictly positive")
     if abs(arr[0] - 1.0) > _ONE_TOL:
         raise NormalizationError(f"beta_0 must equal 1, got {arr[0]}")
-    if len(arr) == 1:
-        return WeightSequence(arr, 1.0, "custom", np.array([1.0]))
     ratios = arr[:-1] / arr[1:]
     bad = np.nonzero(ratios < 1.0 - _ONE_TOL)[0]
     if bad.size:
         j = int(bad[0])
         raise AdmissibilityError(
             f"weights must be non-increasing; beta_{j} < beta_{j + 1}")
-    kind = "hardy" if np.all(np.abs(arr - 1.0) <= _ONE_TOL) else "custom"
-    return WeightSequence(arr, float(ratios.max()), kind,
-                          _reciprocal_series(1.0 / arr))
+    bound = float(ratios.max()) if ratios.size else 1.0
+    if np.all(np.abs(arr - 1.0) <= _ONE_TOL):
+        c = _binomial_series(1.0, len(arr) - 1)
+        return WeightSequence(arr, bound, "hardy", c)
+    return WeightSequence(arr, bound, "custom", _reciprocal_series(1.0 / arr))
 
 
 def reciprocal_coeffs(w: WeightSequence, n: int) -> np.ndarray:
@@ -175,39 +219,32 @@ def reciprocal_coeffs(w: WeightSequence, n: int) -> np.ndarray:
 
 
 def wiener_report(w: WeightSequence, n: int) -> WienerReport:
-    """Heuristic check that the reciprocal coefficients are summable.
+    """Summability of the reciprocal coefficients: the partial sum
+    ``sum_{j<=n} |c_j|``, the tail ``sum_{j>n} |c_j|`` and a verdict.
 
-    Returns the partial sum ``sum_{j<=n} |c_j|``, a geometric-ratio tail
-    extrapolation fitted on the trailing quarter of the coefficients, and a
-    verdict.  The verdict is advisory: "inconclusive" warns but never aborts
-    downstream computations, only "diverging" does.
+    Exact for the closed-form kinds, always summable: past
+    ``m = max(n, floor(alpha))`` the ``c_j`` share one sign and all of them
+    sum to ``(1 - 1)^alpha = 0``, so the tail is ``sum_{n<j<=m} |c_j|`` plus
+    ``|sum_{j<=m} c_j| = |C(alpha - 1, m)|`` (0 for integer alpha), taken
+    without cancellation.  A custom weight continues from ``c_N`` at its
+    estimated step ``s``, "diverging" when ``s >= 1``.
     """
-    if n < 8:
-        raise InvalidParameterError("wiener_report needs n >= 8")
-    if n > w.trunc_len:
-        raise TruncationError("not enough stored coefficients")
-    mags = np.abs(w.c_coeffs[:n + 1])
-    partial = float(mags.sum())
-    q = max(2, n // 4)
-    window = mags[n - q:n + 1]
-    if window.max() == 0.0:
-        return WienerReport(partial, 0.0, "summable")
-    if window.max() <= 1e-9 * max(partial, 1.0):
-        # trailing coefficients at the recursion noise floor: negligible tail
-        return WienerReport(partial, float(window.sum()), "summable")
-    # log-linear fit of the nonzero trailing magnitudes gives the decay ratio
-    idx = np.nonzero(window > 0)[0]
-    if len(idx) < 2:
-        return WienerReport(partial, float(window.max()), "inconclusive")
-    slope = np.polyfit(idx.astype(float), np.log(window[idx]), 1)[0]
-    ratio = float(np.exp(slope))
-    if ratio >= 1.0:
-        return WienerReport(partial, float("inf"), "diverging")
-    last = float(window[idx[-1]])
-    gap = len(window) - 1 - idx[-1]
-    tail = last * ratio ** gap * ratio / (1.0 - ratio)
-    verdict = "summable" if tail <= max(0.01 * partial, 1e-6) else "inconclusive"
-    return WienerReport(partial, tail, verdict)
+    if n < 0 or n > w.trunc_len:
+        raise TruncationError(
+            f"need 0 <= n <= {w.trunc_len} stored coefficients, got {n}")
+    mags = np.abs(w.c_coeffs)
+    partial = float(mags[:n + 1].sum())
+    if w.kind == "custom":
+        s = w.c_step(n)
+        if s >= 1.0:
+            return WienerReport(partial, math.inf, "diverging")
+        tail = float(mags[n + 1:].sum()) + float(mags[-1]) * s / (1.0 - s)
+        return WienerReport(partial, tail, "summable")
+    alpha = w.alpha or 1.0
+    m = max(n, math.floor(alpha))
+    tail = (np.abs(_binomial_series(alpha, m)[n + 1:]).sum()
+            + abs(_binomial_series(alpha - 1.0, m)[m]))
+    return WienerReport(partial, float(tail), "summable")
 
 
 def shifted_resolvent_coeffs(w: WeightSequence, k: int, n: int) -> np.ndarray:
@@ -251,7 +288,5 @@ def gamma_k_coeffs(w: WeightSequence, k: int, n: int) -> np.ndarray:
     if k < 0 or n < 0:
         raise InvalidParameterError("k and n must be nonnegative")
     if k == 0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
+        return np.eye(1, n + 1)[0]
     return quotient_rows(w, [k], n)[0]

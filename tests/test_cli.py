@@ -30,6 +30,14 @@ class TestWeightsCommand:
         assert payload["ratio_bound"] == 2.0
         assert payload["wiener"]["verdict"] == "summable"
 
+    def test_short_table_summable(self, capsys):
+        # the closed-form report needs no minimum table length
+        code, out, _ = run(capsys, "weights", "--alpha", "2", "-n", "4")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["wiener"]["verdict"] == "summable"
+        assert payload["wiener"]["tail_estimate"] == 0.0
+
     def test_constant_weight_report(self, capsys):
         code, out, _ = run(capsys, "weights", "--betas", "1,1,1,1,1,1,1,1,1")
         assert code == 0

@@ -154,6 +154,16 @@ class TestGammaMaps:
         np.testing.assert_allclose(hb.gamma_map(w_beta25, np.zeros((2, 2)), X),
                                    X, atol=0)
 
+    def test_noninteger_alpha_near_the_circle(self):
+        # Gamma[X]_ij = X_ij (1 - conj(l_i) l_j)^alpha for A = diag(l); with
+        # c from the recursion this raised ConvergenceError (tail 1.816e-10)
+        w = hb.make_weight_beta_alpha(2.5, 2048)
+        lam = 0.995 * np.exp(1j * np.array([0.0, 0.7, 2.0, -2.9]))
+        X = np.eye(4)
+        exact = X * (1.0 - np.conj(lam)[:, None] * lam) ** 2.5
+        got = hb.gamma_map(w, np.diag(lam), X)
+        assert np.max(np.abs(got - exact)) <= 1e-10
+
     def test_domain_guard(self, w_beta2):
         # operator norm above 1 violates X >= A* X A for X = I
         rng = np.random.default_rng(7)

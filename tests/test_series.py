@@ -19,13 +19,13 @@ def _weight(kind):
     return hb.make_weight_beta_alpha(2.0, 256), 2  # R(x) = (1 - x)^-2
 
 
-def _reference(first, right, rows, q, tol, left=None):
+def _reference(first, right, rows, q, steps, tol, left=None):
     """The stop rule as a plain per-term loop: ``T_{j+1} = left T_j right``,
     ``K`` the running maximum of ``||T_j|| / q^j`` over ``q^j > 1e-280``,
     stop at the first ``j >= 4`` with ``K * worst[j] <= tol``; a zero term
     ends the series.  Returns (terms, K, ended by a zero term), or
     (terms, K, None) when the table runs out."""
-    worst = series.RowTails(rows, q).worst
+    worst = series.RowTails(rows, q, steps).worst
     terms, K, T = [], 0.0, first
     for j in range(len(worst)):
         if j:
@@ -74,12 +74,13 @@ class TestBlocksMatchTermByTerm:
             rho = hb.spectral_radius(A)
             if form == "powers":
                 args = (np.eye(n, dtype=complex), A, [w.inv_betas],
-                        series.decay_rate(rho))
+                        series.decay_rate(rho), w.inv_step(w.trunc_len))
                 left = None
             else:
                 C = rng.standard_normal((2, n)) + 0j
                 rows = [w.inv_betas[k:k + 2000] for k in range(3)]
-                args = (C.conj().T @ C, A, rows, series.conjugation_rate(rho))
+                args = (C.conj().T @ C, A, rows, series.conjugation_rate(rho),
+                        [w.inv_step(k + 1999) for k in range(3)])
                 left = A.conj().T
             for tol in (1e-4, 1e-10):
                 ref, K, zero = _reference(*args, tol, left=left)
@@ -98,7 +99,8 @@ class TestBlocksMatchTermByTerm:
         A = np.diag(np.ones(index - 1), 1).astype(complex)
         args = (np.eye(index, dtype=complex), A, [w_hardy.c_coeffs,
                                                   w_hardy.inv_betas],
-                series.conjugation_rate(0.0))
+                series.conjugation_rate(0.0),
+                [w_hardy.c_step(256), w_hardy.inv_step(256)])
         ref, K, zero = _reference(*args, 1e-10, left=A.conj().T)
         assert zero is True and len(ref) == index + 1
         rec = series.adaptive_sum(*args, 1e-10, "test", left=A.conj().T)
@@ -111,7 +113,7 @@ class TestBlocksMatchTermByTerm:
     def test_record_holds_exactly_the_cut(self, w_hardy):
         A = np.diag([0.7, 0.5j]).astype(complex)
         args = (np.eye(2, dtype=complex), A, [w_hardy.inv_betas],
-                series.decay_rate(0.7))
+                series.decay_rate(0.7), w_hardy.inv_step(256))
         rec = series.adaptive_sum(*args, 1e-6, "test")
         ref = _reference(*args, 1e-6)[0]
         J = rec.J
@@ -139,7 +141,8 @@ class TestTooShortTable:
 
     def test_message_text(self):
         # the whole message of a 16-term table, as the term-by-term engine
-        # wrote it
+        # wrote it; the gamma_map bound is the closed-form c step's (the
+        # trailing-ratio extrapolation it replaced gave inf here)
         w = hb.make_weight_hardy(16)
         A = 0.95 * np.eye(2)
         cases = [
@@ -152,7 +155,7 @@ class TestTooShortTable:
              "stored terms; increase the weight truncation"),
             (lambda: hb.gamma_map(hb.make_weight_beta_alpha(1.5, 16),
                                   np.diag([0.95, 0.5]), np.eye(2)),
-             "gamma_map: tail bound inf > tol 1.000e-10 after 17 stored "
+             "gamma_map: tail bound 5.656e-03 > tol 1.000e-10 after 17 stored "
              "terms; increase the weight truncation"),
         ]
         for call, text in cases:
@@ -208,3 +211,38 @@ def test_nilpotent_gramian_has_zero_tail(w_beta2):
                     * (np.linalg.matrix_power(A, j).T @ C.T @ C
                        @ np.linalg.matrix_power(A, j)) for j in range(3))
         np.testing.assert_allclose(tab[k], exact, atol=1e-15)
+
+
+def _closed_form(alpha, n):
+    return (hb.make_weight_hardy(n) if alpha == 1.0
+            else hb.make_weight_beta_alpha(alpha, n))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 2.5])
+def test_row_tails_cover_remainder(alpha):
+    """Each row's tail bound, at cuts near the table end, covers the true
+    remainder taken from a 64 times longer closed-form table."""
+    N, K = 256, 6
+    w, ref = _closed_form(alpha, N), _closed_form(alpha, 64 * N)
+    cap = N - K
+    quot, quot_ref = (hb.quotient_rows(v, range(1, K + 1), v.trunc_len - K)
+                      for v in (w, ref))
+    cases = [(w.c_coeffs, ref.c_coeffs, w.c_step(N)),
+             (w.c_coeffs[:cap + 1], ref.c_coeffs, w.c_step(cap))]
+    cases += [(d, d_ref, w.c_step(cap)) for d, d_ref in zip(quot, quot_ref)]
+    cases += [(w.inv_betas[k:k + cap + 1], ref.inv_betas[k:],
+               w.inv_step(k + cap)) for k in (0, 1, K)]
+    for q in (0.81, 0.99, 0.999):
+        for row, long, step in cases:
+            tails = series.RowTails([row], q, step)
+            damped = np.abs(long) * q ** np.arange(len(long))
+            for J in (tails.cap - 3, tails.cap):
+                # the hardy bound is the exact geometric sum: allow rounding
+                assert tails.tails[0, J] >= damped[J + 1:].sum() * (1 - 1e-12)
+    if alpha == 2.5:
+        # the trailing-ratio extrapolation claimed 2.601e-7 here
+        true = np.sum(np.abs(ref.c_coeffs[N + 1:])
+                      * 0.999 ** np.arange(N + 1, 64 * N + 1))
+        assert true == pytest.approx(2.733e-7, rel=1e-3)
+        assert series.RowTails([w.c_coeffs], 0.999,
+                               w.c_step(N)).tails[0, N] >= true

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
 import hardybeta as hb
+from hardybeta import weights
 
 
 def binomial_reciprocal(n_int, length):
@@ -76,6 +78,27 @@ class TestReciprocalCoeffs:
         ref = binomial_reciprocal(n_int, 33)
         np.testing.assert_allclose(w.c_coeffs, ref, atol=1e-13)
 
+    @pytest.mark.parametrize("alpha", [2.5, 7.25])
+    def test_closed_form(self, alpha):
+        # (-1)^j C(alpha, j) to 40 digits; scipy.special.binom is itself off
+        # by 4.6e-12 relative at these j
+        w = hb.make_weight_beta_alpha(alpha, 2048)
+        ref = np.array([float((-1) ** j * mpmath.binomial(alpha, j))
+                        for j in range(2049)])
+        np.testing.assert_allclose(w.c_coeffs, ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("make", [
+        hb.make_weight_hardy,
+        lambda n: hb.make_weight_beta_alpha(2.0, n),
+        lambda n: hb.make_weight_beta_alpha(3.0, n)])
+    def test_integer_tables_unchanged(self, make):
+        # bit for bit the tables of the recursion the closed form replaced,
+        # exact zeros (no -0.0) past alpha included
+        w = make(2048)
+        old = weights._reciprocal_series(w.inv_betas)
+        assert np.array_equal(w.c_coeffs, old)
+        assert np.array_equal(np.signbit(w.c_coeffs), np.signbit(old))
+
     def test_truncation_guard(self, w_beta2):
         with pytest.raises(hb.TruncationError):
             hb.reciprocal_coeffs(w_beta2, w_beta2.trunc_len + 1)
@@ -124,9 +147,22 @@ class TestWiener:
         mags = np.abs(w.c_coeffs)
         assert mags[40] > mags[20] > mags[10]
 
-    def test_small_n_rejected(self, w_beta2):
-        with pytest.raises(hb.InvalidParameterError):
-            hb.wiener_report(w_beta2, 4)
+    @pytest.mark.parametrize("alpha", [2.5, 7.25])
+    def test_noninteger_tail_is_exact(self, alpha):
+        w = hb.make_weight_beta_alpha(alpha, 64)
+        # the direct sum of |c_j| up to j = 40000 (closed-form table checked
+        # against mpmath above), against the report's cancellation-free form
+        long = np.abs(weights._binomial_series(alpha, 40000))
+        for n in (3, 64):
+            rep = hb.wiener_report(w, n)
+            true = long[n + 1:].sum()
+            assert rep.verdict == "summable"
+            assert rep.tail_estimate >= true
+            assert rep.tail_estimate == pytest.approx(true, rel=1e-3)
+
+    def test_short_integer_table(self):
+        rep = hb.make_weight_beta_alpha(3.0, 2).wiener
+        assert rep.partial_sum == 7.0 and rep.tail_estimate == 1.0
 
 
 class TestShiftedTables:
