@@ -178,14 +178,16 @@ class DeltaReport:
 # series: conjugation sums and resolvents
 # ---------------------------------------------------------------------------
 
-def _hereditary_sums(A, X, rows, steps, q, tol, context):
+def _hereditary_sums(A, X, rows, steps, q, tol, context, floors=0.0):
     """``sum_j rows[i, j] A^{*j} X A^j`` for every row of the 2-d array
-    ``rows`` (step bounds ``steps``), cut once for all rows by the series
-    engine and contracted in one product.  Returns (sums, series record)."""
+    ``rows`` (step bounds ``steps`` and ``floors`` past the table), cut once
+    for all rows by the series engine and contracted in one product.
+    Returns (sums, series record)."""
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     rec = series.adaptive_sum(np.asarray(X, dtype=complex), A, rows, q,
-                              steps, tol, context, left=A.conj().T)
+                              steps, tol, context, left=A.conj().T,
+                              floors=floors)
     J1 = rec.J + 1
     # real coefficients against the real view of the complex terms
     flat = rec.terms.reshape(J1, n * n).view(float)
@@ -357,7 +359,7 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
     _check_summable(w)
     return _hereditary_sums(A, X, w.c_coeffs[None], w.c_step(w.trunc_len),
                             series.conjugation_rate(spectral_radius(A)),
-                            tol, "gamma_map")[0][0]
+                            tol, "gamma_map", w.c_floor)[0][0]
 
 
 def gamma_k_map(w: WeightSequence, k: int, A, X,
@@ -370,7 +372,7 @@ def gamma_k_map(w: WeightSequence, k: int, A, X,
     d = gamma_k_coeffs(w, k, w.trunc_len - k)
     return _hereditary_sums(A, X, d[None], w.c_step(w.trunc_len - k),
                             series.conjugation_rate(spectral_radius(A)),
-                            tol, "gamma_k_map")[0][0]
+                            tol, "gamma_k_map", w.c_floors([k]))[0][0]
 
 
 def gamma_binomial(m: int, A, X) -> np.ndarray:
@@ -414,11 +416,11 @@ def _psd_defect(M) -> float:
 
 def _hereditary_rows(w: WeightSequence, k_max: int):
     """The reciprocal-series row and the quotient rows ``d^(1..k_max)``,
-    cut at their common length, with their common step bound."""
+    cut at their common length, with their common step bound and floors."""
     cap = w.trunc_len - k_max
     rows = np.vstack([w.c_coeffs[:cap + 1],
                       quotient_rows(w, range(1, k_max + 1), cap)])
-    return rows, w.c_step(cap)
+    return rows, w.c_step(cap), w.c_floors(range(k_max + 1))
 
 
 def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
@@ -448,9 +450,9 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
     opA = opnorm(A)
     contraction = opA <= 1.0 + tol
 
-    sums = _hereditary_sums(A, I, *_hereditary_rows(w, k_max),
-                            series.conjugation_rate(rho), tol * 0.1,
-                            "classify")[0]
+    rows, step, floors = _hereditary_rows(w, k_max)
+    sums = _hereditary_sums(A, I, rows, step, series.conjugation_rate(rho),
+                            tol * 0.1, "classify", floors)[0]
     gamma_I = sums[0]
     gamma_k_I = sums[1:]
 
@@ -528,8 +530,9 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     scale = max(opnorm(H), 1.0)
 
     q = series.conjugation_rate(spectral_radius(A))
-    sums = _hereditary_sums(A, H, *_hereditary_rows(w, k_max + 1), q,
-                            tol * 0.1, "delta_limit")[0]
+    rows, step, floors = _hereditary_rows(w, k_max + 1)
+    sums = _hereditary_sums(A, H, rows, step, q, tol * 0.1, "delta_limit",
+                            floors)[0]
     gamma_H = sums[0]
     bad = np.flatnonzero(_psd_defects(sums[1:]) < -tol)
     if bad.size:

@@ -78,21 +78,23 @@ class RowTails:
     """Coefficient tails of several rows at one decay rate ``q``.
 
     ``cap`` is the last index stored in every row, and ``steps`` bounds
-    ``|row_i[j+1] / row_i[j]|`` for ``j >= cap`` (one per row, or one for
-    all).  For a cut ``J <= cap``, ``tails[i, J]`` bounds
-    ``sum_{j > J} |row_i[j]| q^j``: the stored suffix sum plus
-    ``|row_i[cap]| q^cap s q / (1 - s q)`` (``inf`` when ``s q >= 1``).
-    ``K * worst[J]`` bounds every row's tail at once.
+    ``|row_i[j+1] / row_i[j]|`` for ``j >= cap`` from the level
+    ``max(|row_i[cap]|, floors_i)`` (each one per row, or one for all).  For
+    a cut ``J <= cap``, ``tails[i, J]`` bounds ``sum_{j > J} |row_i[j]| q^j``:
+    the stored suffix sum plus that level times ``q^cap s q / (1 - s q)``
+    (``inf`` when ``s q >= 1``).  ``K * worst[J]`` bounds every row's tail
+    at once.
     """
 
-    def __init__(self, rows, q: float, steps):
+    def __init__(self, rows, q: float, steps, floors=0.0):
         self.cap = cap = min(len(r) for r in rows) - 1
         self.powq = powq = np.power(q, np.arange(cap + 1))
         damped = np.array([r[:cap + 1] for r in rows], dtype=float)
         # in place: a fresh temporary this size costs more in page faults
         np.multiply(np.abs(damped, out=damped), powq, out=damped)
         sq = np.broadcast_to(np.asarray(steps, dtype=float) * q, len(damped))
-        last, ok = damped[:, -1], sq < 1.0
+        last = np.maximum(damped[:, -1], np.multiply(floors, powq[-1]))
+        ok = sq < 1.0
         beyond = np.full(len(damped), np.inf)
         beyond[ok] = last[ok] * sq[ok] / (1.0 - sq[ok])
         beyond[last == 0.0] = 0.0
@@ -133,17 +135,19 @@ class SeriesRecord:
 
 def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
                  steps, tol: float, context: str,
-                 left: np.ndarray | None = None) -> SeriesRecord:
+                 left: np.ndarray | None = None,
+                 floors=0.0) -> SeriesRecord:
     """Generate ``T_0 = first``, ``T_{j+1} = left @ T_j @ right`` (no left
     factor when ``left`` is None) until every row's tail bound is at most
-    ``tol``; ``steps`` are the rows' step bounds past the table (RowTails).
+    ``tol``; ``steps`` and ``floors`` describe the rows past the table
+    (RowTails).
 
     The matrices must be complex.  Terms are made in doubling blocks, and
     ``K`` is updated from the Frobenius norm of each term.  Raises
     ConvergenceError, naming ``context``, when the shortest row runs out
     before the bound holds.
     """
-    tails = RowTails(rows, q, steps)
+    tails = RowTails(rows, q, steps, floors)
     cap, n = tails.cap, first.shape[0]
     terms = np.empty((cap + 1, n, n), dtype=complex)
     terms[0] = first

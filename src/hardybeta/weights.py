@@ -17,7 +17,7 @@ truncation length (default 256):
 
 Each weight knows its tails: step bounds on ``|row[j+1] / row[j]|`` past a
 cut (``inv_step``, ``c_step``) and the Wiener report of ``c``, all proved
-except the ``c`` step of a custom weight, the one estimate left.
+except the ``c`` step and floor of a custom weight, the one estimate left.
 
 Instances are immutable after construction and safe for concurrent reads.
 """
@@ -55,12 +55,21 @@ class WienerReport:
 
 @dataclass
 class WeightSequence:
-    """An admissible weight sequence with its cached coefficient tables:
-    ``betas`` (``beta_0 .. beta_N``, ``beta_0 = 1``, positive,
-    non-increasing), the stored ratio bound ``M = max_j beta_j /
-    beta_{j+1}``, the ``kind`` (``"hardy"`` for the constant weight,
-    ``"beta_alpha"`` or ``"custom"``), the reciprocal-series coefficients
-    ``c_coeffs`` (``c_0 .. c_N``) and the family parameter ``alpha``."""
+    """An admissible weight sequence with its cached coefficient tables.
+
+    Attributes
+    ----------
+    betas : ndarray
+        ``beta_0 .. beta_N`` with ``beta_0 = 1``, positive, non-increasing.
+    ratio_bound : float
+        ``M = max_j beta_j / beta_{j+1}`` over the stored range.
+    kind : str
+        ``"hardy"`` (constant weight), ``"beta_alpha"`` or ``"custom"``.
+    c_coeffs : ndarray
+        Reciprocal-series coefficients ``c_0 .. c_N``.
+    alpha : float or None
+        Parameter of the ``beta_alpha`` family, if applicable.
+    """
 
     betas: np.ndarray
     ratio_bound: float
@@ -75,8 +84,8 @@ class WeightSequence:
         self.inv_betas = 1.0 / self.betas
         r = self.betas[:-1] / self.betas[1:] if self.trunc_len else np.ones(1)
         self.inv_steps = np.maximum.accumulate(r[::-1])[::-1]
-        self._c_step = (_trailing_step(self.c_coeffs)
-                        if self.kind == "custom" else None)
+        self._c_step, self.c_floor = (_trailing_step(self.c_coeffs)
+                                      if self.kind == "custom" else (None, 0.0))
         self.wiener = wiener_report(self, self.trunc_len)
 
     @property
@@ -96,10 +105,21 @@ class WeightSequence:
         ``alpha = 1``): 1 once ``m >= floor(alpha)``, since
         ``|c_{j+1}/c_j| = |j - alpha|/(j + 1) <= 1`` there and the
         ``c_{j+l}`` in each ``d^(k)_j`` share one sign; ``inf`` before.
-        Custom weights: the estimate of ``_trailing_step``."""
+        Custom weights: the estimate of ``_trailing_step``, from the level
+        ``max(|row[m]|, c_floors)``."""
         if self._c_step is not None:
             return self._c_step
         return 1.0 if m >= math.floor(self.alpha or 1.0) else math.inf
+
+    def c_floors(self, ks) -> np.ndarray:
+        """The level at which the quotient rows ``d^(k)`` (``k = 0``: the
+        ``c`` row) may persist past the table: ``c_floor``, nonzero only for
+        a custom ``c`` ending at its noise floor, times
+        ``sum_{i<k} 1/beta_i`` (1 for ``k = 0``), as
+        ``|d^(k)_j| <= sum_{l=1..k} |c_{j+l}| / beta_{k-l}``."""
+        ks = np.asarray(ks)
+        sums = np.cumsum(self.inv_betas)[np.maximum(ks - 1, 0)]
+        return self.c_floor * np.where(ks > 0, sums, 1.0)
 
     def __repr__(self):
         tag = f", alpha={self.alpha}" if self.alpha is not None else ""
@@ -135,20 +155,31 @@ def _reciprocal_series(inv_betas: np.ndarray) -> np.ndarray:
     return c
 
 
-def _trailing_step(c: np.ndarray, window: int = 16) -> float:
-    """The one tail estimate left, not a bound: the step of a custom
-    weight's ``c`` past its table, as the largest per-step ratio of the
-    nonzero entries among the last ``window + 1``.  Entries all zero or at
-    the recursion's noise floor (at most 1e-9 of the largest) end the table
-    (0); fewer than two nonzero entries give ``inf``."""
-    mags = np.abs(c[-window - 1:])
-    if mags.max() <= 1e-9 * np.abs(c).max():
-        return 0.0
+def _trailing_step(c: np.ndarray, window: int = 16) -> tuple:
+    """The one tail estimate left, not a bound: the step and floor of a
+    custom weight's ``c`` past its table ``c_0 .. c_N``, read from its last
+    ``window + 1`` entries past ``c_0`` (``|c_1 / c_0| = 1/beta_1`` is no
+    step of the tail).
+
+    Past the table the weight continues at its last ratio, so ``1/R`` is
+    ``(1 - rz) / Q(z)`` with ``Q`` of degree ``N - 1`` and the ``c_j``,
+    ``j >= 2``, obey a recurrence of that order: ``N - 1`` trailing zeros
+    end the table, and so do ``window`` of them in a longer one (step 0).
+    Entries at the recursion's noise floor (at most 1e-9 of the largest)
+    persist at ten times their level, damped only by ``q`` (step 1, that
+    floor).  Otherwise the step is the largest per-step ratio of the
+    nonzero entries; fewer than two give ``inf``."""
+    n = len(c) - 1
+    mags = np.abs(c[max(n - window, 1):])
+    if n and not mags[1:].any():
+        return 0.0, 0.0
+    if n and mags.max() <= 1e-9 * np.abs(c).max():
+        return 1.0, 10.0 * float(mags.max())
     nz = np.flatnonzero(mags)
     if len(nz) < 2:
-        return math.inf
+        return math.inf, 0.0
     ratios = (mags[nz[1:]] / mags[nz[:-1]]) ** (1.0 / np.diff(nz))
-    return float(ratios.max())
+    return float(ratios.max()), 0.0
 
 
 def make_weight_hardy(n: int = DEFAULT_TRUNC) -> WeightSequence:
@@ -204,7 +235,7 @@ def make_weight_custom(betas) -> WeightSequence:
         raise AdmissibilityError(
             f"weights must be non-increasing; beta_{j} < beta_{j + 1}")
     bound = float(ratios.max()) if ratios.size else 1.0
-    if np.all(np.abs(arr - 1.0) <= _ONE_TOL):
+    if len(arr) > 1 and np.all(np.abs(arr - 1.0) <= _ONE_TOL):
         c = _binomial_series(1.0, len(arr) - 1)
         return WeightSequence(arr, bound, "hardy", c)
     return WeightSequence(arr, bound, "custom", _reciprocal_series(1.0 / arr))
@@ -225,9 +256,11 @@ def wiener_report(w: WeightSequence, n: int) -> WienerReport:
     Exact for the closed-form kinds, always summable: past
     ``m = max(n, floor(alpha))`` the ``c_j`` share one sign and all of them
     sum to ``(1 - 1)^alpha = 0``, so the tail is ``sum_{n<j<=m} |c_j|`` plus
-    ``|sum_{j<=m} c_j| = |C(alpha - 1, m)|`` (0 for integer alpha), taken
-    without cancellation.  A custom weight continues from ``c_N`` at its
-    estimated step ``s``, "diverging" when ``s >= 1``.
+    ``|sum_{j<=m} c_j| = |C(alpha - 1, m)| = |c_m| |alpha - m| / alpha``
+    (0 for integer alpha), taken without cancellation.  A custom weight
+    continues from ``c_N`` at its estimated step ``s``, "diverging" when
+    ``s >= 1``, except that a table ending at its noise floor is summable
+    to that resolution, with the floor as its tail past the table.
     """
     if n < 0 or n > w.trunc_len:
         raise TruncationError(
@@ -235,15 +268,18 @@ def wiener_report(w: WeightSequence, n: int) -> WienerReport:
     mags = np.abs(w.c_coeffs)
     partial = float(mags[:n + 1].sum())
     if w.kind == "custom":
-        s = w.c_step(n)
+        s, stored = w.c_step(n), float(mags[n + 1:].sum())
+        if w.c_floor:
+            return WienerReport(partial, stored + w.c_floor, "summable")
         if s >= 1.0:
             return WienerReport(partial, math.inf, "diverging")
-        tail = float(mags[n + 1:].sum()) + float(mags[-1]) * s / (1.0 - s)
+        tail = stored + float(mags[-1]) * s / (1.0 - s)
         return WienerReport(partial, tail, "summable")
     alpha = w.alpha or 1.0
     m = max(n, math.floor(alpha))
-    tail = (np.abs(_binomial_series(alpha, m)[n + 1:]).sum()
-            + abs(_binomial_series(alpha - 1.0, m)[m]))
+    if m > w.trunc_len:
+        mags = np.abs(_binomial_series(alpha, m))
+    tail = mags[n + 1:m + 1].sum() + mags[m] * abs(alpha - m) / alpha
     return WienerReport(partial, float(tail), "summable")
 
 
@@ -288,5 +324,7 @@ def gamma_k_coeffs(w: WeightSequence, k: int, n: int) -> np.ndarray:
     if k < 0 or n < 0:
         raise InvalidParameterError("k and n must be nonnegative")
     if k == 0:
-        return np.eye(1, n + 1)[0]
+        out = np.zeros(n + 1)
+        out[0] = 1.0
+        return out
     return quotient_rows(w, [k], n)[0]

@@ -177,6 +177,29 @@ class TestGammaMaps:
         with pytest.raises(hb.HereditaryDomainError):
             hb.gamma_map(w, 0.3 * np.eye(2), np.eye(2))
 
+    def test_short_custom_table_is_summable(self):
+        # 2^-j continued at its last ratio has 1/R = 1 - 2z exactly, so
+        # Gamma[X] = X - 2 A* X A
+        w = hb.make_weight_custom([2.0 ** -j for j in range(11)])
+        assert w.wiener.verdict == "summable"
+        got = hb.gamma_map(w, 0.3 * np.eye(2), np.eye(2))
+        np.testing.assert_allclose(got, 0.82 * np.eye(2), atol=1e-15)
+
+    def test_custom_noise_floor_keeps_its_tail(self):
+        # the c of a custom beta_2.5 table ends below 1e-9 of its largest
+        # entry but still decays slowly: that floor persists past the table,
+        # so near the circle the tail bound exceeds tol
+        w = hb.make_weight_custom(hb.make_weight_beta_alpha(2.5, 512).betas)
+        assert w.wiener.verdict == "summable" and w.c_floor > 0.0
+        ref = hb.make_weight_beta_alpha(2.5, 512)
+        A = 0.3 * np.eye(2)
+        np.testing.assert_allclose(hb.gamma_map(w, A, np.eye(2)),
+                                   hb.gamma_map(ref, A, np.eye(2)), atol=1e-13)
+        for run in (lambda: hb.gamma_map(w, 0.99 * np.eye(2), np.eye(2)),
+                    lambda: hb.gamma_k_map(w, 3, 0.99 * np.eye(2), np.eye(2))):
+            with pytest.raises(hb.ConvergenceError):
+                run()
+
     def test_shifted_identity_map(self, w_hardy, w_beta2):
         rng = np.random.default_rng(8)
         A = cmat(rng, 3, 3)

@@ -52,6 +52,12 @@ class TestWeightJson:
         w2 = ser.weight_from_json(blob)
         np.testing.assert_array_equal(w.betas, w2.betas)
 
+    def test_single_weight_stays_custom(self):
+        w = hb.make_weight_custom([1.0])
+        blob = ser.weight_to_json(w)
+        assert blob["kind"] == "custom"
+        assert ser.weight_from_json(blob).trunc_len == 0
+
     def test_unknown_kind(self):
         with pytest.raises(hb.InvalidParameterError):
             ser.weight_from_json({"kind": "fancy"})

@@ -147,6 +147,17 @@ class TestWiener:
         mags = np.abs(w.c_coeffs)
         assert mags[40] > mags[20] > mags[10]
 
+    def test_short_custom_tables(self):
+        # past the table the c_j obey a recurrence of order N - 1; the step
+        # is read past c_0, whose ratio |c_1 / c_0| = 1/beta_1 is no step
+        w = hb.make_weight_custom([1.0, 0.5])  # 1/R = 1 - 2z
+        assert (w.c_step(1), w.wiener.tail_estimate) == (0.0, 0.0)
+        w = hb.make_weight_custom([1.0, 0.5, 0.2])  # c_{j+1} = c_j / 2, j >= 1
+        assert w.c_step(2) == 0.5
+        assert w.wiener.verdict == "summable"
+        w = hb.make_weight_custom([2.0 ** -j for j in range(11)])
+        assert (w.c_step(10), w.wiener.tail_estimate) == (0.0, 0.0)
+
     @pytest.mark.parametrize("alpha", [2.5, 7.25])
     def test_noninteger_tail_is_exact(self, alpha):
         w = hb.make_weight_beta_alpha(alpha, 64)
