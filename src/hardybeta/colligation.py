@@ -19,8 +19,15 @@ and carry the transfer-function family
 coefficients are ``Theta_{k,0} = (1/beta_k) D_k`` and
 ``Theta_{k,j+1} = (1/beta_{j+k+1}) C A^j B_k``.
 
-Steps are independent given the gramian table and may be built in parallel;
-built families are immutable.
+The whole family is built as one stack over the step index: one stacked
+eigen-solve inverts ``G^(0..k_max+1)``, the defects of every step are
+factored with one more, and each metric identity's residual is one stacked
+operator norm.  A step whose input dimension ``u_k`` is below the widest is
+zero-padded in the stacks, since zero columns of ``U_k`` change neither
+identity; ``build_step`` and ``metric_residuals`` are the one-step calls of
+the same code.  The Taylor coefficients of one step are one array, and
+``transfer_eval`` evaluates a sequence of steps from one ``resolvents``
+table.  Built families are immutable.
 """
 
 from __future__ import annotations
@@ -29,14 +36,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotCoisometrizableError, ObservabilityError
+from .errors import NotCoisometrizableError
 from .hereditary import (
     GramianTable,
     OutputPair,
+    _right_powers,
     gramian_table,
-    hermitian_inverse,
     hermitize,
-    opnorm,
     resolvent_apply,
     resolvents,
 )
@@ -72,39 +78,66 @@ class ColligationFamily:
 
 
 def _phase_fixed(V: np.ndarray) -> np.ndarray:
-    """The columns of ``V``, each rotated so that its largest-magnitude
-    entry is real positive; makes eigenvector bases reproducible."""
-    cols = []
-    for i in range(V.shape[1]):
-        v = V[:, i]
-        pivot = int(np.argmax(np.abs(v)))
-        phase = v[pivot]
-        cols.append(v * (phase.conjugate() / abs(phase)) if abs(phase) > 0
-                    else v)
-    if cols:
-        return np.column_stack(cols)
-    return np.zeros((V.shape[0], 0), dtype=complex)
+    """The columns of ``V`` (of each matrix of a stack), each rotated so that
+    its largest-magnitude entry is real positive; makes eigenvector bases
+    reproducible."""
+    pivot = np.argmax(np.abs(V), axis=-2)[..., None, :]
+    phase = np.take_along_axis(V, pivot, axis=-2)
+    # conj(phase) / |phase| rounded as numpy's scalar abs (hypot) and
+    # complex division (Smith's, by the reciprocal) round it, zero signs too
+    mag = np.hypot(phase.real, phase.imag)
+    scale = 1.0 / np.where(mag > 0, mag, 1.0)
+    a, b = phase.real, -phase.imag
+    unit = np.empty_like(phase)
+    unit.real, unit.imag = (a + b * 0.0) * scale, (b - a * 0.0) * scale
+    return np.where(mag > 0, V * unit, V)
 
 
-def _psd_factor(R: np.ndarray, rank_tol: float):
-    """Rank-revealing PSD square-root factor ``F`` with ``F F* = R``.
+def _psd_factor(R: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Rank-revealing PSD square-root factor ``F`` with ``F F* = R``, of one
+    matrix or of each matrix of a stack, from one eigen-solve.
 
     Eigenpairs with eigenvalue below ``rank_tol`` times the largest are
     dropped (that is the injectivity constraint); a genuinely negative
     eigenvalue signals inconsistent input.  The phase of each retained
     eigenvector is fixed by making its largest-magnitude entry real positive
-    so the factor is reproducible.
+    so the factor is reproducible.  A stack's factors have as many columns
+    as the largest rank, those past each matrix's own rank zero.
     """
-    R = hermitize(R)
-    lam, V = np.linalg.eigh(R)
-    lam_max = max(float(lam[-1]), 0.0)
-    neg_floor = -10.0 * rank_tol * max(lam_max, 1.0)
-    if float(lam[0]) < neg_floor:
+    lam, V = np.linalg.eigh(hermitize(R))
+    lam_max = np.maximum(lam[..., -1:], 0.0)
+    neg_floor = -10.0 * rank_tol * np.maximum(lam_max, 1.0)
+    bad = np.flatnonzero(lam[..., :1] < neg_floor)
+    if bad.size:
+        i = int(bad[0])
         raise NotCoisometrizableError(
-            f"defect matrix has negative eigenvalue {lam[0]:.3e} "
-            f"(floor {neg_floor:.3e}): gramians inconsistent")
-    keep = lam >= rank_tol * max(lam_max, 1e-300)
-    return _phase_fixed(V[:, keep][:, ::-1]) * np.sqrt(lam[keep][::-1])
+            f"defect matrix{f' {i}' if lam.ndim > 1 else ''} has negative "
+            f"eigenvalue {lam[..., 0].flat[i]:.3e} (floor "
+            f"{neg_floor.flat[i]:.3e}): gramians inconsistent")
+    # descending: the kept eigenpairs come first
+    lam, V = lam[..., ::-1], V[..., ::-1]
+    keep = lam >= rank_tol * np.maximum(lam_max, 1e-300)
+    rank = int(keep.sum(axis=-1).max(initial=0))
+    root = np.sqrt(np.where(keep, lam, 0.0))[..., :rank]
+    return _phase_fixed(V[..., :rank]) * root[..., None, :]
+
+
+def _factor_steps(w: WeightSequence, pair: OutputPair,
+                  gramians: GramianTable, k0: int, k1: int,
+                  rank_tol: float):
+    """Steps ``k0..k1`` of the Cholesky factorization problem as zero-padded
+    stacks ``B`` and ``D`` with the input dimensions ``u``, together with
+    ``inv(G^(k0..k1+1))``: one stacked inversion, one stacked defect
+    ``R_k`` and one stacked factorization."""
+    ks = np.arange(k0, k1 + 1)
+    G_inv = gramians.inverses(k0, k1 + 1, rank_tol)
+    AC = np.vstack([pair.A, pair.C])
+    ones = np.ones(pair.p)
+    R = _block_diag(G_inv[1:], w.betas[ks, None] * ones) \
+        - AC @ G_inv[:-1] @ AC.conj().T
+    F = _psd_factor(R, rank_tol)
+    u = np.count_nonzero(F.any(axis=-2), axis=-1)
+    return F[:, :pair.n], F[:, pair.n:], u, G_inv
 
 
 def build_step(w: WeightSequence, k: int, pair: OutputPair,
@@ -116,16 +149,8 @@ def build_step(w: WeightSequence, k: int, pair: OutputPair,
     defect matrix with a genuinely negative eigenvalue raises
     NotCoisometrizableError.
     """
-    try:
-        Gk_inv = hermitian_inverse(gramians[k], rank_tol)
-        Gk1_inv = hermitian_inverse(gramians[k + 1], rank_tol)
-    except ObservabilityError as exc:
-        raise ObservabilityError(
-            f"step {k}: exact observability required ({exc})") from exc
-    AC = np.vstack([pair.A, pair.C])
-    R = _block_diag(Gk1_inv, w.betas[k], pair.p) - AC @ Gk_inv @ AC.conj().T
-    F = _psd_factor(R, rank_tol)
-    return F[:pair.n, :], F[pair.n:, :]
+    B, D, u, _ = _factor_steps(w, pair, gramians, k, k, rank_tol)
+    return B[0], D[0]
 
 
 def build_family(w: WeightSequence, pair: OutputPair, k_max: int,
@@ -134,98 +159,144 @@ def build_family(w: WeightSequence, pair: OutputPair, k_max: int,
 
     The pair must be exactly observable; strict positivity of the base
     gramian propagates to every shifted gramian, so all inversions in the
-    step factorizations are genuine.
+    step factorizations are genuine.  A singular gramian raises
+    ObservabilityError naming its shift.
     """
     gramians = gramian_table(w, pair, k_max + 1, tol=tol)
-    lam = np.linalg.eigvalsh(hermitize(gramians[0]))
-    if lam[0] <= rank_tol * max(lam[-1], 0.0):
-        raise ObservabilityError(
-            f"pair not exactly observable: gramian eigenvalues in "
-            f"[{lam[0]:.3e}, {lam[-1]:.3e}]")
-    steps = []
-    for k in range(k_max + 1):
-        B, D = build_step(w, k, pair, gramians, rank_tol)
-        steps.append(ColligationStep(B=B, D=D, u=B.shape[1]))
+    B, D, u, G_inv = _factor_steps(w, pair, gramians, 0, k_max, rank_tol)
+    steps = [ColligationStep(B=B[k, :, :u[k]], D=D[k, :, :u[k]], u=int(u[k]))
+             for k in range(k_max + 1)]
     fam = ColligationFamily(weight=w, pair=pair, steps=steps,
                             gramians=gramians)
-    for k in range(k_max + 1):
-        res = metric_residuals(fam, k)
-        fam.isometry_residuals.append(res["isometry"])
-        fam.coisometry_residuals.append(res["coisometry"])
+    fam.isometry_residuals, fam.coisometry_residuals = \
+        _metric_residuals(fam, 0, k_max, G_inv)
     return fam
+
+
+def _blocks(family: ColligationFamily, k0: int, k1: int):
+    """The blocks ``U_k``, ``k = k0..k1``, as one stack with the input
+    columns zero-padded to the widest step, and the mask of each step's own
+    input columns."""
+    n = family.pair.n
+    B, D, inputs = _padded(family, range(k0, k1 + 1))
+    U = np.zeros((len(B), n + family.pair.p, n + B.shape[-1]), dtype=complex)
+    U[:, :n, :n] = family.pair.A
+    U[:, n:, :n] = family.pair.C
+    U[:, :n, n:] = B
+    U[:, n:, n:] = D
+    return U, inputs
 
 
 def colligation_block(family: ColligationFamily, k: int) -> np.ndarray:
     """The block operator ``U_k = [[A, B_k], [C, D_k]]``."""
-    pair, st = family.pair, family.step(k)
-    top = np.hstack([pair.A, st.B])
-    bot = np.hstack([pair.C, st.D])
-    return np.vstack([top, bot])
+    return _blocks(family, k, k)[0][0]
 
 
-def _block_diag(M: np.ndarray, c: float, m: int) -> np.ndarray:
-    """The complex block-diagonal matrix ``diag(M, c I_m)``."""
-    n = M.shape[0]
-    out = np.zeros((n + m, n + m), dtype=complex)
-    out[:n, :n] = M
-    out[n:, n:] = c * np.eye(m)
+def _block_diag(M: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The complex block-diagonal matrices ``diag(M_i, diag(d_i))`` for a
+    stack ``M`` and the rows ``d_i`` of diagonal entries."""
+    K, n, _ = M.shape
+    m = d.shape[-1]
+    out = np.zeros((K, n + m, n + m), dtype=complex)
+    out[:, :n, :n] = M
+    i = np.arange(n, n + m)
+    out[:, i, i] = d
     return out
 
 
-def _coisometry_weights(family: ColligationFamily, k: int):
-    """Block weights ``V_in = diag(inv(G^(k)), I)`` and
-    ``V_out = diag(inv(G^(k+1)), beta_k I)`` of the coisometry identity."""
-    V_in = _block_diag(hermitian_inverse(family.gramians[k]), 1.0,
-                       family.step(k).u)
-    V_out = _block_diag(hermitian_inverse(family.gramians[k + 1]),
-                        family.weight.betas[k], family.pair.p)
-    return V_in, V_out
+def _metric_defects(family: ColligationFamily, k0: int, k1: int, G_inv):
+    """Stacks of the defects of the weighted isometry and coisometry
+    identities of steps ``k0..k1``, given ``G_inv = inv(G^(k0..k1+1))``:
+    ``U* diag(G^(k+1), (1/beta_k) I) U - diag(G^(k), I)`` and
+    ``U diag(inv(G^(k)), I) U* - diag(inv(G^(k+1)), beta_k I)``."""
+    w, p = family.weight, family.pair.p
+    ks = np.arange(k0, k1 + 1)
+    G = family.gramians.stack(k0, k1 + 1)
+    U, inputs = _blocks(family, k0, k1)
+    Uh = U.conj().swapaxes(-1, -2)
+    ones = np.ones(p)
+    W_out = _block_diag(G[1:], w.inv_betas[ks, None] * ones)
+    isom = Uh @ W_out @ U - _block_diag(G[:-1], inputs)
+    V_out = _block_diag(G_inv[1:], w.betas[ks, None] * ones)
+    coisom = U @ _block_diag(G_inv[:-1], inputs) @ Uh - V_out
+    return isom, coisom
+
+
+def _metric_residuals(family: ColligationFamily, k0: int, k1: int, G_inv):
+    """Operator-norm residuals of both identities for steps ``k0..k1``, as
+    two lists."""
+    return [np.linalg.norm(X, 2, axis=(1, 2)).tolist()
+            for X in _metric_defects(family, k0, k1, G_inv)]
 
 
 def metric_residuals(family: ColligationFamily, k: int) -> dict:
     """Operator-norm residuals of the weighted isometry and coisometry
     identities at step ``k``."""
-    w, pair, st = family.weight, family.pair, family.step(k)
-    U = colligation_block(family, k)
-    W_out = _block_diag(family.gramians[k + 1], w.inv_betas[k], pair.p)
-    W_in = _block_diag(family.gramians[k], 1.0, st.u)
-    isom = opnorm(U.conj().T @ W_out @ U - W_in)
-
-    V_in, V_out = _coisometry_weights(family, k)
-    coisom = opnorm(U @ V_in @ U.conj().T - V_out)
+    G_inv = family.gramians.inverses(k, k + 1)
+    (isom,), (coisom,) = _metric_residuals(family, k, k, G_inv)
     return {"isometry": isom, "coisometry": coisom}
 
 
-def _transfer_values(w: WeightSequence, k: int, pair: OutputPair, B, D, z,
+def _padded(family: ColligationFamily, ks):
+    """``B_k`` and ``D_k`` for the steps ``ks`` as stacks zero-padded to the
+    widest step, and the mask of each step's own input columns."""
+    steps = [family.step(k) for k in ks]
+    u = np.array([st.u for st in steps])
+    B = np.zeros((len(steps), family.pair.n, u.max()), dtype=complex)
+    D = np.zeros((len(steps), family.pair.p, u.max()), dtype=complex)
+    for Bi, Di, st in zip(B, D, steps):
+        Bi[:, :st.u] = st.B
+        Di[:, :st.u] = st.D
+    return B, D, np.arange(u.max()) < u[:, None]
+
+
+def _transfer_values(w: WeightSequence, ks, pair: OutputPair, B, D, z,
                      tol: float) -> np.ndarray:
-    """``(1/beta_k) D + z C R_{k+1}(zA) B`` at a point or a 1-d array of
-    points, of shape ``np.shape(z) + D.shape``."""
+    """``(1/beta_k) D_k + z C R_{k+1}(zA) B_k`` for the steps ``ks``
+    (``B`` and ``D`` the matching stacks) at a point or a 1-d array of
+    points, of shape ``(len(ks),) + np.shape(z) + D.shape[-2:]``, from one
+    ``resolvents`` table."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    R = resolvents(w, k + 1, pair.A, zs, tol)
-    vals = w.inv_betas[k] * D.astype(complex) \
-        + zs[:, None, None] * (pair.C @ R @ B)
-    return vals.reshape(np.shape(z) + D.shape)
+    ks = np.asarray(ks)
+    R = resolvents(w, ks + 1, pair.A, zs, tol)
+    vals = w.inv_betas[ks, None, None, None] * D[:, None] \
+        + zs[None, :, None, None] * (pair.C @ R @ B[:, None])
+    return vals.reshape((len(ks),) + np.shape(z) + D.shape[-2:])
 
 
-def transfer_eval(family: ColligationFamily, k: int, z,
+def transfer_eval(family: ColligationFamily, k, z,
                   tol: float = 1e-12) -> np.ndarray:
     """Evaluate ``Theta_k(z) = (1/beta_k) D_k + z C R_{k+1}(zA) B_k`` at a
     point or a 1-d array of points; the value has shape
-    ``np.shape(z) + (p, u_k)``."""
-    st = family.step(k)
-    return _transfer_values(family.weight, k, family.pair, st.B, st.D, z,
-                            tol)
+    ``np.shape(z) + (p, u_k)``.  For a sequence of steps ``k`` it has shape
+    ``(len(k),) + np.shape(z) + (p, max u_k)``, each step's columns past
+    its ``u_k`` zero, from one ``resolvents`` table."""
+    ks = np.atleast_1d(k)
+    B, D, _ = _padded(family, ks)
+    vals = _transfer_values(family.weight, ks, family.pair, B, D, z, tol)
+    return vals if np.ndim(k) else vals[0]
 
 
-def transfer_taylor(family: ColligationFamily, k: int, J: int) -> list:
-    """Taylor coefficients ``Theta_{k,0..J}`` of the step-k transfer function."""
-    w, pair, st = family.weight, family.pair, family.step(k)
-    coeffs = [w.inv_betas[k] * st.D.astype(complex)]
-    CAj = pair.C.copy()
-    for j in range(J):
-        coeffs.append(w.inv_betas[j + k + 1] * (CAj @ st.B))
-        CAj = CAj @ pair.A
-    return coeffs
+def _taylor_stack(family: ColligationFamily, ks, J: int):
+    """Taylor coefficients ``Theta_{k,0..J}`` for the steps ``ks`` as one
+    ``(len(ks), J + 1, p, max u_k)`` array, zero-padded past each ``u_k``,
+    and the mask of each step's own input columns; the products ``C A^j``
+    are formed once for all steps."""
+    w, pair = family.weight, family.pair
+    ks = np.asarray(ks)
+    B, D, inputs = _padded(family, ks)
+    out = np.empty((len(ks), J + 1) + D.shape[1:], dtype=complex)
+    out[:, 0] = w.inv_betas[ks, None, None] * D
+    CA = _right_powers(pair.C, pair.A, J)
+    out[:, 1:] = w.inv_betas[ks[:, None] + np.arange(1, J + 1), None, None] \
+        * (CA[None] @ B[:, None])
+    return out, inputs
+
+
+def transfer_taylor(family: ColligationFamily, k: int, J: int) -> np.ndarray:
+    """Taylor coefficients ``Theta_{k,0..J}`` of the step-k transfer
+    function as one ``(J + 1, p, u_k)`` array."""
+    return _taylor_stack(family, [k], J)[0][0]
 
 
 def defect_kernel(family: ColligationFamily, k: int, z: complex, zeta: complex,
@@ -237,9 +308,8 @@ def defect_kernel(family: ColligationFamily, k: int, z: complex, zeta: complex,
     """
     w, pair = family.weight, family.pair
     p = pair.p
-    U = colligation_block(family, k)
-    V_in, V_out = _coisometry_weights(family, k)
-    defect = V_out - U @ V_in @ U.conj().T
+    G_inv = family.gramians.inverses(k, k + 1)
+    defect = -_metric_defects(family, k, k, G_inv)[1][0]
 
     Rz = resolvent_apply(w, k, pair.A, z, tol)
     Rzeta = resolvent_apply(w, k, pair.A, zeta, tol)

@@ -49,9 +49,14 @@ class DivergenceError(SpectralRadiusError):
 
 
 class ObservabilityError(HardyBetaError):
-    """An operation required a strictly positive definite gramian."""
+    """An operation required a strictly positive definite gramian;
+    ``index`` names the first singular matrix of a stack (None for one)."""
 
     exit_code = 4
+
+    def __init__(self, message: str = "", index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class ModelHypothesisError(HardyBetaError):

@@ -3,9 +3,10 @@
 For an output pair ``(C, A)`` (``A`` an n-by-n complex matrix, ``C`` p-by-n)
 and an admissible weight sequence this module evaluates
 
-* the weighted resolvents ``R_k(zA) = sum_j (1/beta_{k+j}) (zA)^j``, on a
-  whole point array from one table of powers ``(rA)^j`` at the array's
-  largest radius ``r``,
+* the weighted resolvents ``R_k(zA) = sum_j (1/beta_{k+j}) (zA)^j``, for
+  one shift ``k`` or a sequence of shifts (the steps of a colligation
+  family) on a whole point array, from one table of powers ``(rA)^j`` at
+  the array's largest radius ``r``,
 * the shifted observability gramians
   ``G^(k) = sum_j (1/beta_{j+k}) A^{*j} C^* C A^j``,
 * the hereditary maps ``Gamma[X] = sum_j c_j A^{*j} X A^j`` and their shifted
@@ -21,7 +22,12 @@ the terms summed so far (terms dominated by ``K * q^j`` for a decay rate
 ``q`` chosen from the spectral radius); transient growth of a non-normal
 ``A`` after the stop is not covered (see ROADMAP.md).  A resolvent grid is
 cut once, at its largest radius ``r``: since ``|z_i / r|^j <= 1``, the tail
-bound of the powers ``(rA)^j`` holds at every point of the grid.
+bound of the powers ``(rA)^j`` holds at every point of the grid.  A
+sequence of shifts adds one coefficient row ``1/beta_{k+j}`` per shift to
+the same table, every row cut at the length left to the largest shift and
+bounded past it by the weight's step; the one cut is the first index where
+every row's bound holds, so the tail is <= tol at every shift and point.
+Gramian tables are inverted as one stack.
 Series-summed quantities are restricted to spectral radius at most 0.999.
 
 Everything here is a pure function of immutable inputs; results are safe to
@@ -83,16 +89,24 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
 
 
 def hermitian_inverse(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix via eigen-solve.
+    """Inverse of a Hermitian positive definite matrix, or of each matrix of
+    a stack, from one eigen-solve.
 
-    Refuses (rather than pseudo-inverts) matrices whose smallest eigenvalue
-    falls below ``rank_tol`` times the largest.
+    Refuses (rather than pseudo-inverts) a matrix whose smallest eigenvalue
+    falls below ``rank_tol`` times the largest; for a stack the
+    ObservabilityError names, as ``index``, the first such matrix.
     """
     lam, V = np.linalg.eigh(hermitize(M))
-    if lam[0] <= rank_tol * max(lam[-1], 0.0) or lam[0] <= 0.0:
+    lo, hi = lam[..., 0], lam[..., -1]
+    bad = np.flatnonzero((lo <= rank_tol * np.maximum(hi, 0.0)) | (lo <= 0.0))
+    if bad.size:
+        i = int(bad[0])
+        where = f" {i} of the stack" if lam.ndim > 1 else ""
         raise ObservabilityError(
-            f"matrix numerically singular: eig range [{lam[0]:.3e}, {lam[-1]:.3e}]")
-    return hermitize((V / lam) @ V.conj().T)
+            f"matrix{where} numerically singular: eig range "
+            f"[{lo.flat[i]:.3e}, {hi.flat[i]:.3e}]",
+            index=i if lam.ndim > 1 else None)
+    return hermitize((V / lam[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
 
 @dataclass
@@ -138,6 +152,22 @@ class GramianTable:
     @property
     def k_max(self) -> int:
         return max(self.entries)
+
+    def stack(self, k0: int, k1: int) -> np.ndarray:
+        """``G^(k0..k1)`` as one ``(k1 - k0 + 1, n, n)`` array."""
+        return np.stack([self.entries[k] for k in range(k0, k1 + 1)])
+
+    def inverses(self, k0: int, k1: int, rank_tol: float = 1e-10):
+        """``inv(G^(k))`` for ``k = k0..k1`` as one stack, from one stacked
+        eigen-solve; a numerically singular ``G^(k)`` raises
+        ObservabilityError naming that ``k``."""
+        try:
+            return hermitian_inverse(self.stack(k0, k1), rank_tol)
+        except ObservabilityError as exc:
+            k = k0 + exc.index
+            raise ObservabilityError(
+                f"exact observability required at G^({k}) ({exc})",
+                index=k) from exc
 
 
 @dataclass
@@ -195,13 +225,16 @@ def _hereditary_sums(A, X, rows, steps, q, tol, context, floors=0.0):
     return hermitize(sums.reshape(-1, n, n)), rec
 
 
-def _resolvent_table(w: WeightSequence, k: int, A, z, tol: float):
-    """``R_k(z_i A)`` for a point or a 1-d array of points, of shape
-    ``np.shape(z) + (n, n)``, together with the series record of the powers
-    at the grid radius ``r = max |z_i|`` (None when the sum is exact because
-    ``r = 0`` or ``A = 0``)."""
+def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
+    """``R_k(z_i A)`` for a shift or a sequence of shifts and a point or a
+    1-d array of points, of shape ``np.shape(k) + np.shape(z) + (n, n)``,
+    together with the series record of the powers at the grid radius
+    ``r = max |z_i|`` (None when the sum is exact because ``r = 0`` or
+    ``A = 0``).  Every shift's row ``1/beta_{k+j}`` is cut at the table
+    length of the largest shift, past which the weight bounds its step."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    ks = np.atleast_1d(np.asarray(k, dtype=int))
     n = A.shape[0]
     if not np.isfinite(zs).all():
         raise InvalidParameterError("resolvent points must be finite")
@@ -210,29 +243,33 @@ def _resolvent_table(w: WeightSequence, k: int, A, z, tol: float):
     if r * rho >= 1.0:
         raise DivergenceError(
             f"|z| * rho(A) = {r * rho:.6f} >= 1: series diverges")
-    if w.trunc_len - k < 0:
-        raise TruncationError(f"shift k={k} exceeds stored length")
-    inv_b = w.inv_betas[k:]
-    shape = np.shape(z) + (n, n)
+    cap = w.trunc_len - int(ks.max())
+    if cap < 0:
+        raise TruncationError(f"shift k={ks.max()} exceeds stored length")
+    rows = w.inv_betas[ks[:, None] + np.arange(cap + 1)]
+    shape = np.shape(k) + np.shape(z) + (n, n)
     if r == 0.0 or not A.any():
-        return np.broadcast_to(inv_b[0] * np.eye(n, dtype=complex),
-                               shape).copy(), None
+        return (rows[:, 0, None, None, None] * np.eye(n, dtype=complex)
+                * np.ones((len(zs), 1, 1))).reshape(shape), None
     # |z_i / r|^j <= 1, so the tail bound of the powers (rA)^j bounds the
     # tail at every point of the grid
-    rec = series.adaptive_sum(np.eye(n, dtype=complex), r * A, [inv_b],
+    rec = series.adaptive_sum(np.eye(n, dtype=complex), r * A, rows,
                               series.decay_rate(rho, r),
-                              w.inv_step(w.trunc_len), tol, "resolvent_apply")
-    coef = (zs[:, None] / r) ** np.arange(rec.J + 1) * inv_b[:rec.J + 1]
-    S = np.tensordot(coef, rec.terms, axes=(1, 0))
+                              [w.inv_step(k + cap) for k in ks], tol,
+                              "resolvent_apply")
+    coef = (zs[:, None] / r) ** np.arange(rec.J + 1) \
+        * rows[:, None, :rec.J + 1]
+    S = np.tensordot(coef, rec.terms, axes=(2, 0))
     return S.reshape(shape), rec
 
 
-def resolvents(w: WeightSequence, k: int, A, zs,
+def resolvents(w: WeightSequence, k, A, zs,
                tol: float = 1e-12) -> np.ndarray:
     """``R_k(z_i A)`` at a point or a 1-d array of points, of shape
-    ``np.shape(zs) + (n, n)``, from one table of powers ``(rA)^j`` at the
-    grid radius ``r = max |z_i|``, cut once for the whole grid with tail
-    <= tol at every point.
+    ``np.shape(k) + np.shape(zs) + (n, n)``: ``k`` is one shift or a
+    sequence of shifts.  One table of powers ``(rA)^j`` at the grid radius
+    ``r = max |z_i|`` serves every shift and point; it is cut once, with
+    tail <= tol at every shift and every point.
 
     Requires finite points and ``r * rho(A) < 1``.  Raises ConvergenceError
     when the stored coefficient table is exhausted before the tail bound
@@ -311,19 +348,25 @@ def gramian_table(w: WeightSequence, pair: OutputPair, k_max: int,
     return GramianTable(entries=entries, tail_bounds=tails, trunc_order=J)
 
 
+def _right_powers(X: np.ndarray, A: np.ndarray, m: int) -> np.ndarray:
+    """``X A^j`` for ``j = 0..m-1`` as one ``(m,) + X.shape`` array, by
+    repeated right multiplication."""
+    out = np.empty((max(m, 0),) + X.shape, dtype=complex)
+    if m > 0:
+        out[0] = X
+    for j in range(1, m):
+        np.matmul(out[j - 1], A, out=out[j])
+    return out
+
+
 def observability_coeffs(w: WeightSequence, k: int, pair: OutputPair,
-                         J: int) -> list:
+                         J: int) -> np.ndarray:
     """Taylor coefficients ``(1/beta_{j+k}) C A^j`` of the shifted
-    observability map, for ``j = 0..J``."""
+    observability map, for ``j = 0..J``, as one ``(J + 1, p, n)`` array."""
     if k + J > w.trunc_len:
         raise TruncationError("stored weights too short")
-    out = []
-    Q = pair.C.copy()
-    for j in range(J + 1):
-        out.append(w.inv_betas[k + j] * Q)
-        if j < J:
-            Q = Q @ pair.A
-    return out
+    return w.inv_betas[k:k + J + 1, None, None] \
+        * _right_powers(pair.C, pair.A, J + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import series
-from .colligation import ColligationFamily, transfer_taylor
+from .colligation import ColligationFamily, _taylor_stack
 from .errors import InvalidParameterError, TruncationError
 from .hereditary import (
     OutputPair,
@@ -41,6 +41,7 @@ from .hereditary import (
     hermitian_inverse,
     hermitize,
     min_eig,
+    observability_coeffs,
     # not called here: it stays importable from kernels because
     # bench/selftest.py checks that the benchmark's tracer patches it in
     # this namespace as well as in hereditary and colligation
@@ -120,13 +121,8 @@ def shift_adjoint_apply(f: HardyElement) -> HardyElement:
 def observability_element(w: WeightSequence, pair: OutputPair, x,
                           J: int) -> HardyElement:
     """The element ``sum_j (1/beta_j) (C A^j x) z^j`` truncated at degree J."""
-    x = np.asarray(x, dtype=complex).reshape(-1)
-    rows = []
-    v = x
-    for j in range(J + 1):
-        rows.append(w.inv_betas[j] * (pair.C @ v))
-        v = pair.A @ v
-    return HardyElement(w, np.array(rows))
+    return HardyElement(w, observability_coeffs(w, 0, pair, J)
+                        @ np.asarray(x, dtype=complex).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +155,21 @@ def space_kernel(w: WeightSequence, z, zeta, tol: float = 1e-12) -> np.ndarray:
     return resolvent_scalar(w, 0, _point_grid(z, zeta)[2], tol)
 
 
-def _range_kernel(w: WeightSequence, k: int, pair: OutputPair, G_inv,
+def _range_kernel(w: WeightSequence, k, pair: OutputPair, G_inv,
                   z, zeta, tol: float) -> np.ndarray:
-    """``C R_k(zA) G_inv R_k(zeta A)* C*``; the resolvents are one
-    ``resolvents`` call per point array (one in all when ``zeta is z``)."""
+    """``C R_k(zA) G_inv R_k(zeta A)* C*`` for a shift ``k`` or a sequence
+    of shifts (``G_inv`` then the matching stack), of shape
+    ``np.shape(k) + np.shape(z) + np.shape(zeta) + (p, p)``; the resolvents
+    are one ``resolvents`` call per point array (one in all when
+    ``zeta is z``)."""
     zs, zetas, x = _point_grid(z, zeta)
     Rz = resolvents(w, k, pair.A, zs, tol)
     Rzeta = Rz if zetas is zs else resolvents(w, k, pair.A, zetas, tol)
-    K = (pair.C @ Rz @ G_inv)[:, None] @ Rzeta.conj().swapaxes(-1, -2)[None]
-    return (K @ pair.C.conj().T).reshape(x.shape + (pair.p, pair.p))
+    lead = np.shape(k)
+    G = np.reshape(G_inv, lead + (1, pair.n, pair.n))
+    K = (pair.C @ Rz @ G)[..., :, None, :, :] \
+        @ Rzeta.conj().swapaxes(-1, -2)[..., None, :, :, :]
+    return (K @ pair.C.conj().T).reshape(lead + x.shape + (pair.p, pair.p))
 
 
 def kernel_coinvariant(w: WeightSequence, pair: OutputPair, z, zeta,
@@ -202,11 +204,10 @@ def kernel_shifted(w: WeightSequence, k: int, pair: OutputPair,
 
 def kernel_gap(w: WeightSequence, k: int, pair: OutputPair, gramians,
                z, zeta, tol: float = 1e-12) -> np.ndarray:
-    """Kernel of the wandering gap between shift images k and k+1."""
-    K0 = _range_kernel(w, k, pair, hermitian_inverse(gramians[k]), z, zeta,
-                       tol)
-    K1 = _range_kernel(w, k + 1, pair, hermitian_inverse(gramians[k + 1]),
-                       z, zeta, tol)
+    """Kernel of the wandering gap between shift images k and k+1; both
+    range kernels come from one ``resolvents`` table."""
+    K0, K1 = _range_kernel(w, (k, k + 1), pair, gramians.inverses(k, k + 1),
+                           z, zeta, tol)
     x = _point_grid(z, zeta)[2][..., None, None]
     return x ** k * (w.inv_betas[k] * np.eye(pair.p) - K0 + x * K1)
 
@@ -248,20 +249,23 @@ class InnerFamilyReport:
     details: dict = field(default_factory=dict)
 
 
-def _element_columns(w, taylor_k, k, length, p):
-    """Weighted coefficient vectors of ``S^k Theta_k e_i`` up to ``length``.
+def _element_columns(w, taylor, shift, length):
+    """Weighted coefficient vectors of ``S^(k + shift) Theta_k e_i`` up to
+    degree ``length - 1`` for the stack ``taylor`` of every step
+    ``k = 0..K-1``.
 
-    Returns an array of shape ``(length * p, u_k)`` whose columns are the
+    Returns an array of shape ``(K, length * p, u)`` whose columns are the
     elements scaled by ``sqrt(beta_m)`` per degree, so Euclidean inner
     products of columns equal the weighted space inner products.
     """
-    u = taylor_k[0].shape[1]
-    E = np.zeros((length, p, u), dtype=complex)
-    for j, T in enumerate(taylor_k):
-        if k + j < length:
-            E[k + j] = T
+    K, J1, p, u = taylor.shape
+    E = np.zeros((K, length, p, u), dtype=complex)
+    ks = np.arange(K)[:, None]
+    deg = ks + shift + np.arange(J1)
+    fits = deg < length
+    E[np.broadcast_to(ks, deg.shape)[fits], deg[fits]] = taylor[fits]
     wgt = np.sqrt(w.betas[:length])[:, None, None]
-    return (wgt * E).reshape(length * p, u)
+    return (wgt * E).reshape(K, length * p, u)
 
 
 def check_inner_family(w: WeightSequence, family: ColligationFamily,
@@ -273,6 +277,8 @@ def check_inner_family(w: WeightSequence, family: ColligationFamily,
     contained in the span of steps ``k+1..k_max``.  Property (3) is verified
     by projection residuals against the truncated span, with the reported
     allowance bounding what the cut tail of the span could still absorb.
+    The Taylor data of all steps are one array, zero-padded past each
+    step's input dimension; zero columns change none of the residuals.
     """
     k_max = min(k_max, family.k_max)
     p = family.pair.p
@@ -281,56 +287,44 @@ def check_inner_family(w: WeightSequence, family: ColligationFamily,
     if length - 1 > w.trunc_len:
         raise TruncationError("weight table too short for requested J")
 
-    taylor = {k: transfer_taylor(family, k, J) for k in range(k_max + 1)}
-    cols = {k: _element_columns(w, taylor[k], k, length, p)
-            for k in range(k_max + 1)}
+    ks = np.arange(k_max + 1)
+    taylor, inputs = _taylor_stack(family, ks, J)
+    cols = _element_columns(w, taylor, 0, length)
 
     # truncation tail of each element family: the squared weighted
     # coefficient norms continued geometrically past degree J
     q = series.conjugation_rate(rho)
-    tails = {}
-    for k in range(k_max + 1):
-        t = [w.betas[k + j] * np.linalg.norm(T, 2) ** 2
-             for j, T in enumerate(taylor[k])]
-        tails[k] = series.geometric_tail(series.transient_constant(t, q), q,
-                                         J + 1)
+    t = w.betas[ks[:, None] + np.arange(J + 1)] \
+        * np.linalg.norm(taylor, 2, axis=(-2, -1)) ** 2
+    tails = {int(k): series.geometric_tail(
+        series.transient_constant(t[k], q), q, J + 1) for k in ks}
 
-    iso_res = 0.0
-    for k in range(k_max + 1):
-        W = cols[k]
-        G = W.conj().T @ W
-        if G.size:
-            iso_res = max(iso_res, float(np.max(np.abs(
-                G - np.eye(G.shape[0])))))
-
-    orth_res = 0.0
-    for k in range(k_max + 1):
-        for l in range(k + 1, k_max + 1):
-            X = cols[k].conj().T @ cols[l]
-            if X.size:
-                orth_res = max(orth_res, float(np.max(np.abs(X))))
+    G = cols.conj().swapaxes(-1, -2) @ cols
+    iso_res = float(np.abs(G - inputs[:, None, :] * np.eye(G.shape[-1]))
+                    .max(initial=0.0))
+    X = cols.conj().swapaxes(-1, -2)[:, None] @ cols[None]
+    upper = ks[:, None] < ks[None, :]
+    orth_res = float(np.abs(X[upper]).max(initial=0.0))
 
     # containment: project S^{k+1} Theta_k u onto span of steps k+1..k_max
-    cont_res = 0.0
-    allow = 0.0
+    gcols = _element_columns(w, taylor, 1, length)
+    # part of g supported beyond degree k_max, reachable only by cut steps
+    g_far = np.linalg.norm(gcols[:, (k_max + 1) * p:], axis=1).max(
+        axis=-1, initial=0.0)
+    root_tails = np.sqrt(np.maximum([tails[k] for k in ks], 0.0))
     per_k = []
     for k in range(k_max):
-        gcols = _element_columns(w, taylor[k], k + 1, length, p)
-        span = np.hstack([cols[l] for l in range(k + 1, k_max + 1)])
-        if span.shape[1] == 0:
+        if not inputs[k + 1:].any():
             continue
-        sol, *_ = np.linalg.lstsq(span, gcols, rcond=None)
-        resid = gcols - span @ sol
-        res_k = float(np.linalg.norm(resid, axis=0).max())
-        # part of g supported beyond degree k_max, reachable only by cut steps
-        g_far = gcols[(k_max + 1) * p:, :]
-        allow_k = (float(np.linalg.norm(g_far, axis=0).max())
-                   + np.sqrt(max(tails[k], 0.0))
-                   + max(np.sqrt(max(tails[l], 0.0))
-                         for l in range(k + 1, k_max + 1)))
+        span = np.concatenate(cols[k + 1:], axis=-1)
+        sol, *_ = np.linalg.lstsq(span, gcols[k], rcond=None)
+        resid = gcols[k] - span @ sol
+        res_k = float(np.linalg.norm(resid, axis=0).max(initial=0.0))
+        allow_k = (float(g_far[k]) + root_tails[k]
+                   + root_tails[k + 1:].max())
         per_k.append({"k": k, "residual": res_k, "allowance": allow_k})
-        cont_res = max(cont_res, res_k)
-        allow = max(allow, allow_k)
+    cont_res = max([0.0] + [d["residual"] for d in per_k])
+    allow = max([0.0] + [d["allowance"] for d in per_k])
 
     cont_ok_per_k = all(d["residual"] <= tol + d["allowance"] for d in per_k)
     if iso_res <= tol and orth_res <= tol and cont_res <= tol:

@@ -28,11 +28,11 @@ from . import series
 from .colligation import (
     ColligationFamily,
     ColligationStep,
+    _metric_residuals,
     _phase_fixed,
     _transfer_values,
     build_family,
     build_step,
-    metric_residuals,
     transfer_eval,
     transfer_taylor,
 )
@@ -40,6 +40,7 @@ from .errors import ModelCoordinatesError, ModelHypothesisError
 from .hereditary import (
     ClassificationReport,
     OutputPair,
+    _right_powers,
     classify,
     gamma_map,
     gramian_table,
@@ -144,38 +145,35 @@ def defect_form_family(w: WeightSequence, T, k_max: int = 12,
     C = defect_operator(w, T, tol)
     pair = OutputPair(A=A, C=C)
     gramians = gramian_table(w, pair, k_max + 1, tol=min(tol, 1e-12))
-    steps = []
     n = pair.n
+    lam, V = np.linalg.eigh(hermitize(gramians.stack(0, k_max + 1)))
+    if np.any(lam[:, 0] <= rank_tol * lam[:, -1]):
+        raise ModelHypothesisError("gramian numerically singular")
+    root = np.sqrt(lam)[:, None, :]
+    G_half = (V * root) @ V.conj().swapaxes(-1, -2)
+    G_half_inv = (V / root) @ V.conj().swapaxes(-1, -2)
+    steps = []
     for k in range(k_max + 1):
-        lam_k, V_k = np.linalg.eigh(hermitize(gramians[k]))
-        lam_k1, V_k1 = np.linalg.eigh(hermitize(gramians[k + 1]))
-        if lam_k[0] <= rank_tol * lam_k[-1] or lam_k1[0] <= rank_tol * lam_k1[-1]:
-            raise ModelHypothesisError("gramian numerically singular")
-        Gk_half_inv = (V_k / np.sqrt(lam_k)) @ V_k.conj().T
-        Gk1_half = (V_k1 * np.sqrt(lam_k1)) @ V_k1.conj().T
-        Gk1_half_inv = (V_k1 / np.sqrt(lam_k1)) @ V_k1.conj().T
-        At = Gk1_half @ A @ Gk_half_inv
-        Ct = (w.betas[k] ** -0.5) * (C @ Gk_half_inv)
+        At = G_half[k + 1] @ A @ G_half_inv[k]
+        Ct = (w.betas[k] ** -0.5) * (C @ G_half_inv[k])
         # polar factor of Ct: Ct = omega * (Ct* Ct)^(1/2), and the positive
         # factor equals the defect of At by the isometry identity
         U_svd, _, Vh_svd = np.linalg.svd(Ct)
         omega = U_svd @ Vh_svd
-        D_At_star = psd_sqrt(np.eye(n) - At @ At.conj().T)
         lam_d, V_d = np.linalg.eigh(hermitize(np.eye(n) - At @ At.conj().T))
         keep = lam_d >= rank_tol * max(float(lam_d[-1]), 1e-300)
-        # fix phases so the construction is reproducible
+        # fix phases so the construction is reproducible; the adjoint
+        # defect (I - At At*)^(1/2) scales its eigenvectors by sqrt(lam)
         basis = _phase_fixed(V_d[:, keep])
-        Bt = D_At_star @ basis
+        Bt = basis * np.sqrt(lam_d[keep])
         Dt = -(omega @ At.conj().T) @ basis
-        B = Gk1_half_inv @ Bt
+        B = G_half_inv[k + 1] @ Bt
         D = (w.betas[k] ** 0.5) * Dt
         steps.append(ColligationStep(B=B, D=D, u=B.shape[1]))
     fam = ColligationFamily(weight=w, pair=pair, steps=steps,
                             gramians=gramians)
-    for k in range(k_max + 1):
-        res = metric_residuals(fam, k)
-        fam.isometry_residuals.append(res["isometry"])
-        fam.coisometry_residuals.append(res["coisometry"])
+    fam.isometry_residuals, fam.coisometry_residuals = _metric_residuals(
+        fam, 0, k_max, gramians.inverses(0, k_max + 1, rank_tol))
     return fam
 
 
@@ -236,60 +234,59 @@ def check_coincidence(famA, famB, grid=None,
             return CoincidenceResult(False, float("inf"), None, None,
                                      reason=f"input dimensions differ at k={k}")
     ks = list(range(k_max + 1))
-    # (N, p, u_k) stacks of the values at the grid points
-    evalA = {k: transfer_eval(A_col, k, grid, 1e-12) for k in ks}
-    evalB = {k: transfer_eval(B_col, k, grid, 1e-12) for k in ks}
-    p = A_col.pair.p
-    N = len(evalA[0])
+    u = np.array([A_col.step(k).u for k in ks])
+    # (K, N, p, u) stacks of the values at the grid points, every step of a
+    # family from one resolvents table, zero columns past each u_k
+    EA = transfer_eval(A_col, ks, grid, 1e-12)
+    EB = transfer_eval(B_col, ks, grid, 1e-12)
+    K, N, p, width = EA.shape
+    # the identity on the padding, so that every sigma_k is unitary there
+    pad = (np.arange(width) >= u[:, None])[:, None, :] * np.eye(width)
 
     def columns(vals):
-        """The (N, p, u) stack as the p-by-(N u) block row of its points."""
-        return vals.transpose(1, 0, 2).reshape(p, -1)
+        """The (K, N, p, u) stack as the p-by-(K N u) block row of every
+        step's points."""
+        return vals.transpose(2, 0, 1, 3).reshape(p, -1)
 
     def residual(tau, sigmas):
-        return max(float(np.linalg.norm(
-            (tau @ evalA[k] - evalB[k] @ sigmas[k]).reshape(N, -1),
-            axis=1).max()) for k in ks)
+        return float(np.linalg.norm(
+            (tau @ EA - EB @ sigmas[:, None]).reshape(K, N, -1),
+            axis=-1).max())
 
     # the stacked points of Theta'_k, and the block row of every Theta_k
-    MB = {k: evalB[k].reshape(N * p, -1) for k in ks}
-    X = np.hstack([columns(evalA[k]) for k in ks])
+    MB = EB.reshape(K, N * p, width)
+    X = columns(EA)
 
     # For every point pair at once, tau P_A(z, zeta) = P_B(z, zeta) tau is
     # M vec(tau) = 0 with M = kron(I, P_A^T) - kron(P_B, I), stored as
     # M[..., a, b, c, d] = I[a, c] P_A[..., d, b] - P_B[..., a, c] I[b, d],
-    # stacked over the pairs and the first five steps.
+    # stacked over the first five steps and the pairs.
     Ip = np.eye(p, dtype=complex)
-    Ms = []
-    for k in ks[:min(len(ks), 5)]:
-        PA = evalA[k][:, None] @ evalA[k].conj().swapaxes(-1, -2)[None]
-        PB = evalB[k][:, None] @ evalB[k].conj().swapaxes(-1, -2)[None]
-        M = np.einsum("ac,ijdb->ijabcd", Ip, PA) \
-            - np.einsum("ijac,bd->ijabcd", PB, Ip)
-        Ms.append(M.reshape(-1, p * p))
+    first = slice(0, min(K, 5))
+    PA = EA[first, :, None] @ EA[first, None].conj().swapaxes(-1, -2)
+    PB = EB[first, :, None] @ EB[first, None].conj().swapaxes(-1, -2)
+    M = np.einsum("ac,kijdb->kijabcd", Ip, PA) \
+        - np.einsum("kijac,bd->kijabcd", PB, Ip)
     # Distinct weights: for a repeated singular value the SVD may return
     # singular matrices (matrix units of the commutant) whose plain sum is
     # singular too.
-    _, S, Vh = np.linalg.svd(np.vstack(Ms), full_matrices=False)
+    _, S, Vh = np.linalg.svd(M.reshape(-1, p * p), full_matrices=False)
     null = Vh[S <= max(S[-1], tol * S[0])][::-1].conj()
     weights = 1.0 / np.arange(1, len(null) + 1)
     tau = _polar_unitary((weights @ null).reshape(p, p))
 
-    sigmas = [np.eye(A_col.step(k).u, dtype=complex) for k in ks]
+    sigmas = np.broadcast_to(np.eye(width, dtype=complex), (K, width, width))
     res = residual(tau, sigmas)
     sweeps = 0
     for sweeps in range(1, _MAX_SWEEPS + 1):
-        for k in ks:
-            if MB[k].size == 0:
-                continue
-            MA = (tau @ evalA[k]).reshape(MB[k].shape)
-            sigmas[k] = _polar_unitary(MB[k].conj().T @ MA)
-        Y = np.hstack([columns(evalB[k] @ sigmas[k]) for k in ks])
+        MA = (tau @ EA).reshape(MB.shape)
+        sigmas = _polar_unitary(MB.conj().swapaxes(-1, -2) @ MA + pad)
         if X.size:
-            tau = _polar_unitary(Y @ X.conj().T)
+            tau = _polar_unitary(columns(EB @ sigmas[:, None]) @ X.conj().T)
         prev, res = res, residual(tau, sigmas)
         if abs(prev - res) < tol / 10:
             break
+    sigmas = [sigma[:uk, :uk] for sigma, uk in zip(sigmas, u)]
     return CoincidenceResult(coincide=bool(res <= tol), residual=res,
                              tau=tau, sigmas=sigmas, sweeps=sweeps)
 
@@ -333,10 +330,11 @@ def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
     ks = list(range(k_max + 1))
     zs = np.asarray(grid, dtype=complex)
     N = len(zs)
-    evals = {k: transfer_eval(fam, k, zs, tol) for k in ks}
+    # (K, N, p, u) values of every step from one resolvents table, zero
+    # columns past each u_k
+    evals = transfer_eval(fam, ks, zs, tol)
     r = float(np.max(np.abs(zs)))
-    theta_sup = max(float(np.linalg.norm(evals[k], 2, axis=(1, 2)).max())
-                    for k in ks)
+    theta_sup = float(np.linalg.norm(evals, 2, axis=(-2, -1)).max())
     heuristic = series.geometric_tail(theta_sup ** 2, r * r, k_max + 1)
     # the geometric heuristic can undershoot when the reciprocal weights
     # grow; take the larger of it and the kernel-domination bound
@@ -347,11 +345,13 @@ def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
     step = w.inv_step(cap) * (cap + 1 - k_max) / max(cap - k_max, 1)
     domination = series.RowTails([row], r * r, step).tails[0, k_max]
     allowance = max(heuristic, float(domination))
-    x = zs[:, None] * np.conj(zs)[None, :]
-    diff = kernel_invariant(w, pair, zs, zs, np.eye(pair.n), tol)
-    for k in ks:
-        diff = diff - (x ** k)[:, :, None, None] \
-            * np.einsum("ipu,jqu->ijpq", evals[k], evals[k].conj())
+    # sum_k (z conj(zeta))^k Theta_k(z) Theta_k(zeta)* is Phi(z) Phi(zeta)*
+    # for the block row Phi(z) = [z^k Theta_k(z)]_k: one product
+    Phi = (zs[:, None] ** ks).T[..., None, None] * evals
+    Phi = Phi.transpose(1, 2, 0, 3).reshape(N * pair.p, -1)
+    sums = (Phi @ Phi.conj().T).reshape(N, pair.p, N, pair.p)
+    diff = kernel_invariant(w, pair, zs, zs, np.eye(pair.n), tol) \
+        - sums.transpose(0, 2, 1, 3)
     worst = float(np.linalg.norm(diff.reshape(N * N, -1), axis=1).max())
     return RoundTripReport(residual=worst, allowance=allowance, k_max=k_max)
 
@@ -397,16 +397,12 @@ def functional_model_colligation(w: WeightSequence, fam: ColligationFamily,
                 + w.inv_betas[k] * (st.D.conj().T @ st.D) - np.eye(st.u))
 
     taylor = transfer_taylor(fam, k, J + 1)
-    xB = np.zeros((pair.n, st.u), dtype=complex)
-    Gpart = np.zeros((pair.n, pair.n), dtype=complex)
-    Astar_j = np.eye(pair.n, dtype=complex)
-    CAj = C.copy()
-    for j in range(J + 1):
-        ratio = w.betas[j + k + 1] / w.betas[j]
-        xB = xB + ratio * (Astar_j @ C.conj().T @ taylor[j + 1])
-        Gpart = Gpart + w.inv_betas[j] * (CAj.conj().T @ CAj)
-        Astar_j = Astar_j @ A.conj().T
-        CAj = CAj @ A
+    Astar = _right_powers(np.eye(pair.n, dtype=complex), A.conj().T, J + 1)
+    ratio = w.betas[k + 1:k + J + 2] / w.betas[:J + 1]
+    xB = (ratio[:, None, None] * (Astar @ C.conj().T @ taylor[1:])).sum(0)
+    CA = _right_powers(C, A, J + 1)
+    Gpart = (w.inv_betas[:J + 1, None, None]
+             * (CA.conj().swapaxes(-1, -2) @ CA)).sum(0)
     if st.u:
         sigma = _polar_unitary(st.B.conj().T @ xB)
         align = opnorm(xB - st.B @ sigma)
@@ -438,8 +434,8 @@ class WanderingTheta:
         """``Theta(z) = D + z C R_1(zA) B`` at a point or a 1-d array of
         points, of shape ``np.shape(z) + (p, u)`` (``transfer_eval`` at
         step 0, where ``1/beta_0 = 1``)."""
-        return _transfer_values(self.weight, 0, self.pair, self.B, self.D,
-                                z, tol)
+        return _transfer_values(self.weight, [0], self.pair, self.B[None],
+                                self.D[None], z, tol)[0]
 
 
 def wandering_theta(w: WeightSequence, pair: OutputPair,

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .colligation import ColligationFamily, transfer_taylor
+from .colligation import ColligationFamily, _taylor_stack
 from .errors import InvalidParameterError, TruncationError
+from .hereditary import _right_powers
 from .weights import WeightSequence
 
 
@@ -87,9 +88,7 @@ def closed_form_trajectory(w: WeightSequence, family: ColligationFamily,
     T = len(us)
     A, C = family.pair.A, family.pair.C
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
-    powers = [np.eye(family.pair.n, dtype=complex)]
-    for _ in range(T):
-        powers.append(A @ powers[-1])
+    powers = _right_powers(np.eye(family.pair.n), A, T + 1)
     states, outputs = [], []
     for j in range(T + 1):
         acc = powers[j] @ x0
@@ -134,9 +133,7 @@ def io_matrix(w: WeightSequence, family: ColligationFamily,
     col_off = list(np.concatenate([[0], np.cumsum(us)]))
     row_off = [p * i for i in range(T_steps + 1)]
     M = np.zeros((p * T_steps, col_off[-1]), dtype=complex)
-    powers = [np.eye(family.pair.n, dtype=complex)]
-    for _ in range(T_steps):
-        powers.append(A @ powers[-1])
+    powers = _right_powers(np.eye(family.pair.n), A, T_steps + 1)
     for i in range(T_steps):
         for j in range(i + 1):
             if j == i:
@@ -170,16 +167,24 @@ def check_ztransform(w: WeightSequence, family: ColligationFamily, x0,
     traj = simulate(w, family, x0, us)
     A, C = family.pair.A, family.pair.C
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
-    taylor = {k: transfer_taylor(family, k, J) for k in range(len(us))}
-    worst = 0.0
+    # Theta_{k,i} u(k) for every step k <= J and degree i, from one Taylor
+    # stack (zero-padded inputs meet its zero-padded columns)
+    ks = np.arange(J + 1)
+    taylor = _taylor_stack(family, ks, J)[0]
+    U = np.zeros((J + 1, taylor.shape[-1], 1), dtype=complex)
+    for k in ks:
+        U[k, :len(us[k]), 0] = us[k]
+    terms = (taylor @ U[:, None])[..., 0]
     v = x0.copy()
+    rhs = np.empty((J + 1, len(C)), dtype=complex)
     for j in range(J + 1):
-        rhs = w.inv_betas[j] * (C @ v)
-        for k in range(j + 1):
-            rhs = rhs + taylor[k][j - k] @ us[k]
-        worst = max(worst, float(np.linalg.norm(traj.outputs[j] - rhs)))
+        rhs[j] = w.inv_betas[j] * (C @ v)
         v = A @ v
-    return worst
+    # degree j collects Theta_{k, j-k} u(k), k = 0..j, in that order
+    for k in ks:
+        rhs[k:] += terms[k, :J + 1 - k]
+    return float(np.linalg.norm(np.array(traj.outputs[:J + 1]) - rhs,
+                                axis=1).max())
 
 
 @dataclass

@@ -168,8 +168,11 @@ def _trailing_step(c: np.ndarray, window: int = 16) -> tuple:
     Entries at the recursion's noise floor (at most 1e-9 of the largest)
     persist at ten times their level, damped only by ``q`` (step 1, that
     floor).  Otherwise the step is the largest per-step ratio of the
-    nonzero entries; fewer than two give ``inf``."""
+    nonzero entries; fewer than two give ``inf``.  A one-entry table is
+    the Hardy weight, ``1/R = 1 - z``: step 1, then 0."""
     n = len(c) - 1
+    if not n:
+        return 1.0, 0.0
     mags = np.abs(c[max(n - window, 1):])
     if n and not mags[1:].any():
         return 0.0, 0.0
@@ -260,7 +263,8 @@ def wiener_report(w: WeightSequence, n: int) -> WienerReport:
     (0 for integer alpha), taken without cancellation.  A custom weight
     continues from ``c_N`` at its estimated step ``s``, "diverging" when
     ``s >= 1``, except that a table ending at its noise floor is summable
-    to that resolution, with the floor as its tail past the table.
+    to that resolution, with the floor as its tail past the table, and
+    that a one-entry table is the Hardy weight, whose tail is ``|c_1| = 1``.
     """
     if n < 0 or n > w.trunc_len:
         raise TruncationError(
@@ -268,6 +272,8 @@ def wiener_report(w: WeightSequence, n: int) -> WienerReport:
     mags = np.abs(w.c_coeffs)
     partial = float(mags[:n + 1].sum())
     if w.kind == "custom":
+        if not w.trunc_len:
+            return WienerReport(partial, 1.0, "summable")
         s, stored = w.c_step(n), float(mags[n + 1:].sum())
         if w.c_floor:
             return WienerReport(partial, stored + w.c_floor, "summable")

@@ -38,6 +38,14 @@ class TestWeightsCommand:
         assert payload["wiener"]["verdict"] == "summable"
         assert payload["wiener"]["tail_estimate"] == 0.0
 
+    def test_one_entry_weight_report(self, capsys):
+        code, out, _ = run(capsys, "weights", "--betas", "1")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kind"] == "custom"
+        assert payload["wiener"] == {"partial_sum": 1.0, "tail_estimate": 1.0,
+                                     "verdict": "summable"}
+
     def test_constant_weight_report(self, capsys):
         code, out, _ = run(capsys, "weights", "--betas", "1,1,1,1,1,1,1,1,1")
         assert code == 0

@@ -3,7 +3,13 @@ import pytest
 
 import hardybeta as hb
 from conftest import cmat, stable_pair
-from hardybeta.colligation import _psd_factor, colligation_block
+from hardybeta.acceptance import suite_weights
+from hardybeta.colligation import (
+    _metric_residuals,
+    _psd_factor,
+    colligation_block,
+)
+from hardybeta.hereditary import hermitian_inverse
 
 
 def scalar_hardy_family(w_hardy, a=0.5, k_max=4):
@@ -31,6 +37,108 @@ class TestPsdFactor:
         R = np.diag([1.0, -0.5])
         with pytest.raises(hb.NotCoisometrizableError):
             _psd_factor(R.astype(complex), 1e-10)
+
+
+    def test_stack_with_ragged_ranks(self):
+        rng = np.random.default_rng(34)
+        v = cmat(rng, 3, 2)
+        R = np.stack([np.outer(v[:, 0], v[:, 0].conj()), v @ v.conj().T])
+        F = _psd_factor(R, 1e-12)
+        assert F.shape == (2, 3, 2)
+        assert not F[0, :, 1].any()  # rank 1, zero-padded
+        for Fi, Ri in zip(F, R):
+            np.testing.assert_allclose(Fi @ Fi.conj().T, Ri, atol=1e-12)
+            np.testing.assert_array_equal(Fi[:, :np.linalg.matrix_rank(Ri)],
+                                          _psd_factor(Ri, 1e-12))
+
+
+def _reference_factor(R, rank_tol):
+    """One defect matrix factored column by column."""
+    lam, V = np.linalg.eigh(0.5 * (R + R.conj().T))
+    keep = lam >= rank_tol * max(max(float(lam[-1]), 0.0), 1e-300)
+    cols = []
+    for v in V[:, keep][:, ::-1].T:
+        phase = v[int(np.argmax(np.abs(v)))]
+        cols.append(v * (phase.conjugate() / abs(phase)))
+    F = np.column_stack(cols) if cols else np.zeros((len(R), 0), complex)
+    return F * np.sqrt(lam[keep][::-1])
+
+
+def _reference_block_diag(M, c, m):
+    out = np.zeros((len(M) + m, len(M) + m), dtype=complex)
+    out[:len(M), :len(M)] = M
+    out[len(M):, len(M):] = c * np.eye(m)
+    return out
+
+
+def _reference_family(w, pair, gramians, k_max, rank_tol=1e-10):
+    """A plain loop over the steps: per step two inversions, one defect,
+    one factorization and the two identities' residuals."""
+    n, p = pair.n, pair.p
+    AC = np.vstack([pair.A, pair.C])
+    out = []
+    for k in range(k_max + 1):
+        Gk_inv = hermitian_inverse(gramians[k])
+        Gk1_inv = hermitian_inverse(gramians[k + 1])
+        R = _reference_block_diag(Gk1_inv, w.betas[k], p) \
+            - AC @ Gk_inv @ AC.conj().T
+        F = _reference_factor(R, rank_tol)
+        B, D = F[:n], F[n:]
+        U = np.vstack([np.hstack([pair.A, B]), np.hstack([pair.C, D])])
+        W_out = _reference_block_diag(gramians[k + 1], w.inv_betas[k], p)
+        W_in = _reference_block_diag(gramians[k], 1.0, B.shape[1])
+        isom = np.linalg.norm(U.conj().T @ W_out @ U - W_in, 2)
+        V_in = _reference_block_diag(Gk_inv, 1.0, B.shape[1])
+        V_out = _reference_block_diag(Gk1_inv, w.betas[k], p)
+        coisom = np.linalg.norm(U @ V_in @ U.conj().T - V_out, 2)
+        out.append((B, D, isom, coisom))
+    return out
+
+
+class TestStackedBuild:
+    """The family is built as one stack; a plain step loop is the
+    reference, bit for bit."""
+
+    @pytest.mark.parametrize("k_max", [8, 25])
+    @pytest.mark.parametrize("index", range(4))
+    def test_matches_step_loop(self, index, k_max):
+        name, w = suite_weights()[index]
+        rng = np.random.default_rng([35, index, k_max])
+        for n, p in ((2, 1), (4, 3), (5, 2)):
+            pair = stable_pair(rng, n, p, rho=0.7)
+            fam = hb.build_family(w, pair, k_max, tol=1e-13)
+            ref = _reference_family(w, pair, fam.gramians, k_max)
+            for k, (B, D, isom, coisom) in enumerate(ref):
+                np.testing.assert_array_equal(fam.step(k).B, B)
+                np.testing.assert_array_equal(fam.step(k).D, D)
+                assert fam.isometry_residuals[k] == isom
+                assert fam.coisometry_residuals[k] == coisom
+                assert hb.metric_residuals(fam, k) == {
+                    "isometry": isom, "coisometry": coisom}
+                step = hb.build_step(w, k, pair, fam.gramians)
+                np.testing.assert_array_equal(step[0], B)
+            assert max(fam.isometry_residuals) < 1e-9
+
+    def test_ragged_inputs_give_the_step_residuals(self, w_beta2):
+        # zero-padding a step with u = 0 changes neither identity
+        rng = np.random.default_rng(36)
+        pair = stable_pair(rng, 3, 2, rho=0.6)
+        fam = hb.build_family(w_beta2, pair, k_max=3, tol=1e-13)
+        fam.steps[1] = hb.ColligationStep(B=np.zeros((3, 0), dtype=complex),
+                                          D=np.zeros((2, 0), dtype=complex),
+                                          u=0)
+        isom, coisom = _metric_residuals(fam, 0, 3,
+                                         fam.gramians.inverses(0, 4))
+        for k in range(4):
+            single = hb.metric_residuals(fam, k)
+            assert isom[k] == pytest.approx(single["isometry"], abs=1e-14)
+            assert coisom[k] == pytest.approx(single["coisometry"], abs=1e-14)
+        assert coisom[1] > 1e-3  # the emptied step misses its defect
+
+    def test_singular_gramian_named(self, w_beta2):
+        pair = hb.OutputPair(A=0.5 * np.eye(2), C=np.zeros((1, 2)))
+        with pytest.raises(hb.ObservabilityError, match=r"G\^\(0\)"):
+            hb.build_family(w_beta2, pair, k_max=2)
 
 
 class TestBuildStep:
@@ -111,6 +219,22 @@ class TestTransfer:
         series = sum(c * z ** j for j, c in enumerate(coeffs))
         np.testing.assert_allclose(hb.transfer_eval(fam, 1, z, 1e-13), series,
                                    atol=1e-11)
+
+    def test_step_sequence_is_one_stack(self, w_beta2):
+        rng = np.random.default_rng(37)
+        pair = stable_pair(rng, 3, 2, rho=0.6)
+        fam = hb.build_family(w_beta2, pair, k_max=4, tol=1e-13)
+        st = fam.step(2)
+        fam.steps[2] = hb.ColligationStep(B=st.B[:, :1], D=st.D[:, :1], u=1)
+        zs = np.array([0.0, 0.3 - 0.2j, -0.5j])
+        vals = hb.transfer_eval(fam, [0, 2, 4], zs, 1e-13)
+        assert vals.shape == (3, 3, 2, 2)
+        for got, k in zip(vals, (0, 2, 4)):
+            u = fam.step(k).u
+            np.testing.assert_allclose(got[..., :u],
+                                       hb.transfer_eval(fam, k, zs, 1e-13),
+                                       rtol=0, atol=1e-13)
+            assert not got[..., u:].any()
 
     def test_taylor_structure(self, w_beta3):
         rng = np.random.default_rng(26)

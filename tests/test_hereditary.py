@@ -52,6 +52,83 @@ class TestResolvent:
         np.testing.assert_allclose(R, ref, atol=1e-13)
 
 
+class TestShiftLists:
+    """``resolvents`` with a sequence of shifts: one table for all."""
+
+    def test_matches_per_shift_calls(self, w_beta25):
+        rng = np.random.default_rng(60)
+        A = stable_pair(rng, 3, 1, rho=0.6).A
+        zs = np.asarray(hb.default_grid(), dtype=complex)
+        tol = 1e-12
+        shifts = (0, 1, 4, 9)
+        R = hb.resolvents(w_beta25, shifts, A, zs, tol)
+        assert R.shape == (4, 33, 3, 3)
+        for Rk, k in zip(R, shifts):
+            np.testing.assert_allclose(Rk, hb.resolvents(w_beta25, k, A, zs,
+                                                         tol),
+                                       rtol=0, atol=tol)
+        # a single point keeps its shape after the shift axis
+        assert hb.resolvents(w_beta25, [2, 3], A, 0.3j, tol).shape == (2, 3, 3)
+        # exact sums (A = 0) too
+        R0 = hb.resolvents(w_beta25, [0, 2], np.zeros((2, 2)), zs[:3], tol)
+        np.testing.assert_array_equal(
+            R0[1], np.broadcast_to(w_beta25.inv_betas[2] * np.eye(2),
+                                   (3, 2, 2)))
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_tail_bound_covers_every_shift_and_point(self, w_hardy, w_beta2,
+                                                     power):
+        # R_k = (I - zA)^-1 for hardy and (I - zA)^-2 + k (I - zA)^-1 for
+        # beta_2; a loose tol leaves a remainder well above roundoff
+        w = w_hardy if power == 1 else w_beta2
+        rng = np.random.default_rng(61)
+        A = stable_pair(rng, 4, 1, rho=0.8).A
+        zs = np.asarray(hb.default_grid(), dtype=complex)
+        shifts = (0, 2, 5)
+        tol = 1e-6
+        S, rec = her._resolvent_table(w, shifts, A, zs, tol)
+        inv = np.linalg.inv(np.eye(4) - zs[:, None, None] * A)
+        worst = 0.0
+        for Sk, k, bound in zip(S, shifts, rec.tails):
+            exact = inv if power == 1 else inv @ inv + k * inv
+            err = np.linalg.norm(Sk - exact, axis=(1, 2))
+            assert bound <= tol
+            assert np.all(err <= bound + 1e-13)
+            worst = max(worst, err.max())
+        assert worst > 1e-10  # the remainder is real, not roundoff
+
+
+class TestHermitianInverse:
+    def test_stack_is_the_single_inverses(self):
+        rng = np.random.default_rng(62)
+        Ms = [M @ M.conj().T + np.eye(3) for M in (cmat(rng, 3, 3)
+                                                   for _ in range(4))]
+        inv = her.hermitian_inverse(np.stack(Ms))
+        for got, M in zip(inv, Ms):
+            np.testing.assert_array_equal(got, her.hermitian_inverse(M))
+
+    def test_stack_names_the_singular_member(self):
+        Ms = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        with pytest.raises(hb.ObservabilityError, match="1 of the stack") \
+                as exc:
+            her.hermitian_inverse(Ms)
+        assert exc.value.index == 1
+        with pytest.raises(hb.ObservabilityError) as exc:
+            her.hermitian_inverse(Ms[1])
+        assert exc.value.index is None
+
+    def test_gramian_table_names_the_shift(self, w_beta2):
+        rng = np.random.default_rng(63)
+        pair = stable_pair(rng, 3, 2, rho=0.6)
+        tab = hb.gramian_table(w_beta2, pair, 4, tol=1e-12)
+        tab.entries[3] = np.zeros((3, 3), dtype=complex)
+        np.testing.assert_array_equal(tab.inverses(0, 2)[1],
+                                      her.hermitian_inverse(tab[1]))
+        with pytest.raises(hb.ObservabilityError, match=r"G\^\(3\)") as exc:
+            tab.inverses(1, 4)
+        assert exc.value.index == 3
+
+
 class TestGramian:
     def test_scalar_oracle(self, w_hardy):
         pair = hb.OutputPair(A=[[0.5]], C=[[1.0]])
@@ -184,6 +261,13 @@ class TestGammaMaps:
         assert w.wiener.verdict == "summable"
         got = hb.gamma_map(w, 0.3 * np.eye(2), np.eye(2))
         np.testing.assert_allclose(got, 0.82 * np.eye(2), atol=1e-15)
+
+    def test_one_entry_table_needs_more_terms(self):
+        # a one-entry table is the Hardy weight (1/R = 1 - z): summable, but
+        # one stored coefficient cannot carry the map, and the error says so
+        w = hb.make_weight_custom([1.0])
+        with pytest.raises(hb.ConvergenceError, match="after 1 stored terms"):
+            hb.gamma_map(w, 0.3 * np.eye(2), np.eye(2))
 
     def test_custom_noise_floor_keeps_its_tail(self):
         # the c of a custom beta_2.5 table ends below 1e-9 of its largest

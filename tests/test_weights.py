@@ -158,6 +158,14 @@ class TestWiener:
         w = hb.make_weight_custom([2.0 ** -j for j in range(11)])
         assert (w.c_step(10), w.wiener.tail_estimate) == (0.0, 0.0)
 
+    def test_one_entry_table_is_hardy(self):
+        # the last-ratio rule continues beta_0 = 1 at ratio 1: 1/R = 1 - z,
+        # so the tail past c_0 is |c_1| = 1 exactly
+        w = hb.make_weight_custom([1.0])
+        assert w.kind == "custom"
+        assert (w.wiener.verdict, w.wiener.partial_sum,
+                w.wiener.tail_estimate) == ("summable", 1.0, 1.0)
+
     @pytest.mark.parametrize("alpha", [2.5, 7.25])
     def test_noninteger_tail_is_exact(self, alpha):
         w = hb.make_weight_beta_alpha(alpha, 64)
