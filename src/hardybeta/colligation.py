@@ -149,7 +149,7 @@ def build_step(w: WeightSequence, k: int, pair: OutputPair,
     defect matrix with a genuinely negative eigenvalue raises
     NotCoisometrizableError.
     """
-    B, D, u, _ = _factor_steps(w, pair, gramians, k, k, rank_tol)
+    B, D, _, _ = _factor_steps(w, pair, gramians, k, k, rank_tol)
     return B[0], D[0]
 
 
