@@ -174,9 +174,9 @@ def _trailing_step(c: np.ndarray, window: int = 16) -> tuple:
     if not n:
         return 1.0, 0.0
     mags = np.abs(c[max(n - window, 1):])
-    if n and not mags[1:].any():
+    if not mags[1:].any():
         return 0.0, 0.0
-    if n and mags.max() <= 1e-9 * np.abs(c).max():
+    if mags.max() <= 1e-9 * np.abs(c).max():
         return 1.0, 10.0 * float(mags.max())
     nz = np.flatnonzero(mags)
     if len(nz) < 2:
