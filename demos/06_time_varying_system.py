@@ -42,7 +42,9 @@ print("z-transform residual:     ",
       hb.check_ztransform(w, family, x0, inputs, J=steps - 1))
 
 # Energy identity of the input-output map (weighted output norm against
-# plain input norm), with the decay allowance for the cut horizon reported.
+# plain input norm).  Past the horizon the input is zero, and the output
+# energy there is beta_h^2 x(h)* G^(h) x(h) in closed form; the allowance is
+# only that gramian's tail bound.
 rep = hb.check_io_isometry(w, family, trials=5, horizon=24, seed=9)
 print("energy identity:", rep.isometric, " defect", rep.worst_defect,
       " allowance", rep.allowance)

@@ -2,9 +2,13 @@
 
 Each criterion draws seeded random instances at desk scale (matrices up to
 8-by-8, the constant weight plus the alpha = 2, 3 and 2.5 families), runs
-one identity or construction, and asserts a residual bound.  Where a check
-is truncated (k-sums, Taylor tails) an explicit allowance is computed and
-added to the bound, never silently absorbed.
+one identity or construction, and asserts a residual bound.  Truncated
+identities are closed by their exact remainders where the shift images give
+them: the model round trip adds the kernel of the shift image past the
+family, the energy identity the output energy past the horizon, and
+containment is the orthogonality condition to the observability functions.
+What is left is an explicit allowance from the gramian tail bounds, added
+to the bound, never silently absorbed.
 
 ``run_suite`` returns one result per criterion and is consumed both by the
 test suite and by the ``verify`` subcommand of the CLI.
@@ -170,9 +174,9 @@ def criterion_2_gamma_gramian(cfg: RunConfig) -> CriterionResult:
             worst = max(worst, her.opnorm(
                 her.gamma_map(w, pair.A, G, 1e-10)
                 - pair.C.conj().T @ pair.C))
-            for k in range(1, 7):
-                worst = max(worst, her.opnorm(
-                    her.gamma_k_map(w, k, pair.A, G, 1e-10) - table[k]))
+            maps = her.gamma_k_map(w, range(1, 7), pair.A, G, 1e-10)
+            for k, M in enumerate(maps, 1):
+                worst = max(worst, her.opnorm(M - table[k]))
     dt = time.perf_counter() - t0
     return CriterionResult(2, "gamma-gramian-duality", worst <= 1e-7,
                            {"max_residual": worst}, "residual <= 1e-7", dt)
@@ -350,8 +354,8 @@ def criterion_7_integer_alpha_identity(cfg: RunConfig) -> CriterionResult:
             G = _cmat(rng, n, n)
             A = G * (rng.uniform(0.3, 0.95) / np.linalg.norm(G, 2))
             I = np.eye(n)
-            for k in range(1, 6):
-                lhs = her.gamma_k_map(w, k, A, I, 1e-12)
+            maps = her.gamma_k_map(w, range(1, 6), A, I, 1e-12)
+            for k, lhs in enumerate(maps, 1):
                 rhs = np.zeros_like(lhs)
                 for l in range(nn):
                     rhs = rhs + math.comb(l + k - 1, l) \
@@ -367,8 +371,7 @@ def criterion_8_model_roundtrip(cfg: RunConfig) -> CriterionResult:
     t0 = time.perf_counter()
     rng = _rng(cfg, 8)
     grid = ker.default_grid(radii=(0.0, 0.15, 0.3, 0.45, 0.6))
-    ok = True
-    worst_excess = -np.inf
+    worst = 0.0
     trials = max(1, cfg.trials // 4)
     for _, w in suite_weights(max(cfg.trunc, SUITE_TRUNC)):
         for _ in range(trials):
@@ -377,13 +380,11 @@ def criterion_8_model_roundtrip(cfg: RunConfig) -> CriterionResult:
             char = mod.characteristic_family(w, T, k_max=16,
                                              rank_tol=cfg.rank_tol)
             rep = mod.model_roundtrip_residual(w, char, grid=grid)
-            excess = rep.residual - rep.allowance
-            worst_excess = max(worst_excess, excess)
-            ok = ok and rep.residual <= 1e-5 + rep.allowance
+            worst = max(worst, rep.residual)
     dt = time.perf_counter() - t0
-    return CriterionResult(8, "model-roundtrip", ok,
-                           {"max_residual_minus_allowance": worst_excess},
-                           "residual <= 1e-5 + allowance, k_max 16", dt)
+    return CriterionResult(8, "model-roundtrip", worst <= 1e-5,
+                           {"max_roundtrip_residual": worst},
+                           "residual <= 1e-5, k_max 16", dt)
 
 
 def criterion_9_coincidence(cfg: RunConfig) -> CriterionResult:

@@ -280,17 +280,17 @@ def transfer_eval(family: ColligationFamily, k, z,
 def _taylor_stack(family: ColligationFamily, ks, J: int):
     """Taylor coefficients ``Theta_{k,0..J}`` for the steps ``ks`` as one
     ``(len(ks), J + 1, p, max u_k)`` array, zero-padded past each ``u_k``,
-    and the mask of each step's own input columns; the products ``C A^j``
-    are formed once for all steps."""
+    the mask of each step's own input columns and the products
+    ``C A^j``, ``j = 0..J``, formed once for all steps."""
     w, pair = family.weight, family.pair
     ks = np.asarray(ks)
     B, D, inputs = _padded(family, ks)
     out = np.empty((len(ks), J + 1) + D.shape[1:], dtype=complex)
     out[:, 0] = w.inv_betas[ks, None, None] * D
-    CA = _right_powers(pair.C, pair.A, J)
+    CA = _right_powers(pair.C, pair.A, J + 1)
     out[:, 1:] = w.inv_betas[ks[:, None] + np.arange(1, J + 1), None, None] \
-        * (CA[None] @ B[:, None])
-    return out, inputs
+        * (CA[None, :J] @ B[:, None])
+    return out, inputs, CA
 
 
 def transfer_taylor(family: ColligationFamily, k: int, J: int) -> np.ndarray:

@@ -50,7 +50,7 @@ from .errors import (
     SpectralRadiusError,
     TruncationError,
 )
-from .weights import WeightSequence, gamma_k_coeffs, quotient_rows
+from .weights import WeightSequence, quotient_rows
 
 #: series-summed quantities refuse spectral radius beyond this
 RHO_MAX = 0.999
@@ -405,17 +405,23 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
                             tol, "gamma_map", w.c_floor)[0][0]
 
 
-def gamma_k_map(w: WeightSequence, k: int, A, X,
+def gamma_k_map(w: WeightSequence, k, A, X,
                 tol: float = 1e-10) -> np.ndarray:
-    """Shifted hereditary map built from the quotient-series coefficients."""
+    """Shifted hereditary map built from the quotient-series coefficients,
+    for one shift ``k`` or a sequence of shifts ``k >= 1``: then a
+    ``(len(k), n, n)`` stack, every shift's row cut at the length left to
+    the largest and all of them summed by one series, as ``classify``
+    does."""
     _check_domain(A, X, tol)
     _check_summable(w)
-    if k == 0:
+    if np.ndim(k) == 0 and k == 0:
         return hermitize(np.asarray(X, dtype=complex))
-    d = gamma_k_coeffs(w, k, w.trunc_len - k)
-    return _hereditary_sums(A, X, d[None], w.c_step(w.trunc_len - k),
+    ks = np.atleast_1d(k)
+    cap = w.trunc_len - int(ks.max())
+    sums = _hereditary_sums(A, X, quotient_rows(w, ks, cap), w.c_step(cap),
                             series.conjugation_rate(spectral_radius(A)),
-                            tol, "gamma_k_map", w.c_floors([k]))[0][0]
+                            tol, "gamma_k_map", w.c_floors(ks))[0]
+    return sums if np.ndim(k) else sums[0]
 
 
 def gamma_binomial(m: int, A, X) -> np.ndarray:

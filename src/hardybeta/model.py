@@ -11,8 +11,9 @@ to a constant unitary on each input space.  This module provides
 * an independent defect-form construction that works in gramian-weighted
   square-root coordinates and produces a coinciding family,
 * a coincidence decision procedure (alternating unitary Procrustes),
-* the kernel round-trip residual tying the family back to the coinvariant
-  subspace kernel,
+* the kernel round trip tying the family back to the model space, exact
+  because the kernel of the shift image past the last step closes the
+  k-sum,
 * the functional-model colligation checks and the coordinate form of its
   input operator, and
 * the wandering-subspace transfer function (step 0 of the construction).
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import series
 from .colligation import (
     ColligationFamily,
     ColligationStep,
@@ -48,7 +48,7 @@ from .hereditary import (
     opnorm,
     psd_sqrt,
 )
-from .kernels import default_grid, kernel_invariant
+from .kernels import _point_grid, _range_kernel, default_grid
 from .weights import WeightSequence
 
 
@@ -298,7 +298,6 @@ def check_coincidence(famA, famB, grid=None,
 @dataclass
 class RoundTripReport:
     residual: float
-    allowance: float
     k_max: int
 
 
@@ -308,14 +307,15 @@ def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
 
     Over all grid point pairs, compares the invariant-subspace kernel
     ``R(z conj(zeta)) I - C R(zA) R(zeta A)* C*`` (the gramian is the
-    identity here) against ``sum_k z^k conj(zeta)^k Theta_k(z)
-    Theta_k(zeta)*``.  The k-sum is truncated at the family length; the
-    reported allowance is the larger of ``max_k sup_grid ||Theta_k||^2``
-    times the geometric tail of ``r^{2k}`` at the grid radius ``r``, and the
-    kernel-domination bound: each step-k kernel is dominated on the diagonal
-    by ``r^{2k} R_k(r^2)``, so the cut tail is at most
-    ``sum_{m > k_max} (m - k_max) r^{2m} / beta_m``, the series engine's
-    tail of that row at ``q = r^2``.
+    identity here) against ``sum_{k <= K} x^k Theta_k(z) Theta_k(zeta)*``
+    (``x = z conj(zeta)``, ``K`` the family length) plus the kernel of the
+    shift image ``M_{K+1}``, ``kernel_shifted(K + 1)``.  By the
+    wandering-subspace decomposition the identity is exact: each gap
+    kernel ``kernel_shifted(k) - kernel_shifted(k + 1)`` is
+    ``x^k Theta_k(z) Theta_k(zeta)*``, so no allowance enters.  Both range
+    kernels (shift 0 with ``G = I`` and shift ``K + 1``) come from one
+    ``resolvents`` table, and their scalar parts combine into the
+    polynomial ``sum_{j <= K} x^j / beta_j``.
 
     ``char`` may be a CharFamily or the matrix ``T`` itself, in which case
     the characteristic family is built with ``k_max`` steps first.
@@ -333,27 +333,21 @@ def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
     # (K, N, p, u) values of every step from one resolvents table, zero
     # columns past each u_k
     evals = transfer_eval(fam, ks, zs, tol)
-    r = float(np.max(np.abs(zs)))
-    theta_sup = float(np.linalg.norm(evals, 2, axis=(-2, -1)).max())
-    heuristic = series.geometric_tail(theta_sup ** 2, r * r, k_max + 1)
-    # the geometric heuristic can undershoot when the reciprocal weights
-    # grow; take the larger of it and the kernel-domination bound
-    cap = w.trunc_len
-    row = np.maximum(np.arange(cap + 1) - k_max, 0) * w.inv_betas
-    # past cap the factor (m - k_max) multiplies the step of 1/beta_m by at
-    # most (cap + 1 - k_max)/(cap - k_max); the row is 0 if cap <= k_max
-    step = w.inv_step(cap) * (cap + 1 - k_max) / max(cap - k_max, 1)
-    domination = series.RowTails([row], r * r, step).tails[0, k_max]
-    allowance = max(heuristic, float(domination))
     # sum_k (z conj(zeta))^k Theta_k(z) Theta_k(zeta)* is Phi(z) Phi(zeta)*
     # for the block row Phi(z) = [z^k Theta_k(z)]_k: one product
     Phi = (zs[:, None] ** ks).T[..., None, None] * evals
     Phi = Phi.transpose(1, 2, 0, 3).reshape(N * pair.p, -1)
     sums = (Phi @ Phi.conj().T).reshape(N, pair.p, N, pair.p)
-    diff = kernel_invariant(w, pair, zs, zs, np.eye(pair.n), tol) \
-        - sums.transpose(0, 2, 1, 3)
+    # kernel_invariant - kernel_shifted(K + 1), from one resolvents table
+    G_inv = np.stack([np.eye(pair.n, dtype=complex),
+                      fam.gramians.inverses(k_max + 1, k_max + 1)[0]])
+    K0, K1 = _range_kernel(w, (0, k_max + 1), pair, G_inv, zs, zs, tol)
+    x = _point_grid(zs, zs)[2][..., None, None]
+    head = np.polyval(w.inv_betas[k_max::-1], x) * np.eye(pair.p) - K0 \
+        + x ** (k_max + 1) * K1
+    diff = head - sums.transpose(0, 2, 1, 3)
     worst = float(np.linalg.norm(diff.reshape(N * N, -1), axis=1).max())
-    return RoundTripReport(residual=worst, allowance=allowance, k_max=k_max)
+    return RoundTripReport(residual=worst, k_max=k_max)
 
 
 # ---------------------------------------------------------------------------

@@ -61,19 +61,6 @@ def _scaled(norms: np.ndarray, powq: np.ndarray) -> np.ndarray:
     return out
 
 
-def transient_constant(norms, q: float, start: int = 0) -> float:
-    """Estimate ``K = max_j norms[j] / q^(start + j)`` of the constant in
-    ``norm_j <= K q^j``, from the terms seen (not a bound on later ones)."""
-    norms = np.asarray(norms, dtype=float)
-    powq = np.power(q, np.arange(start, start + len(norms), dtype=float))
-    return float(np.fmax.reduce(_scaled(norms, powq), initial=0.0))
-
-
-def geometric_tail(K: float, q: float, m: int) -> float:
-    """``sum_{j >= m} K q^j``, or ``inf`` when ``q >= 1``."""
-    return K * q ** m / (1.0 - q) if q < 1.0 else float("inf")
-
-
 class RowTails:
     """Coefficient tails of several rows at one decay rate ``q``.
 
@@ -88,6 +75,7 @@ class RowTails:
 
     def __init__(self, rows, q: float, steps, floors=0.0):
         self.cap = cap = min(len(r) for r in rows) - 1
+        self.q = q
         self.powq = powq = np.power(q, np.arange(cap + 1))
         damped = np.array([r[:cap + 1] for r in rows], dtype=float)
         # in place: a fresh temporary this size costs more in page faults
@@ -105,10 +93,17 @@ class RowTails:
 
     def check(self, K: float, J: int, tol: float, context: str):
         """Raise ConvergenceError, naming ``context``, when ``K * worst[J]``
-        exceeds ``tol``."""
-        if K * self.worst[J] > tol:
+        exceeds ``tol``.  An infinite bound at ``q >= 1`` names ``q``: no
+        table length makes that bound finite."""
+        bound = K * self.worst[J]
+        if bound == np.inf and self.q >= 1.0:
             raise ConvergenceError(
-                f"{context}: tail bound {K * self.worst[J]:.3e} > tol "
+                f"{context}: tail bound inf > tol {tol:.3e}: the decay rate "
+                f"q = {self.q:.6g} >= 1 bounds no tail, whatever the weight "
+                "truncation")
+        if bound > tol:
+            raise ConvergenceError(
+                f"{context}: tail bound {bound:.3e} > tol "
                 f"{tol:.3e} after {J + 1} stored terms; increase the weight "
                 "truncation")
 

@@ -10,7 +10,8 @@ with inputs ``u(j)`` living in per-step spaces of possibly varying
 dimension.  The module cross-validates the recursion against its closed
 forms, materializes the block lower-triangular input-output matrix, checks
 consistency with the frequency-domain transfer family, and verifies the
-input-output energy identity for weighted-isometric families.
+input-output energy identity for weighted-isometric families, exactly: the
+output energy past the horizon is a closed form in the shifted gramian.
 
 Simulation is inherently sequential in the step index; independent trials
 parallelize freely.
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import series
 from .colligation import ColligationFamily, _taylor_stack
 from .errors import InvalidParameterError, TruncationError
 from .hereditary import _right_powers
@@ -187,6 +187,15 @@ def check_ztransform(w: WeightSequence, family: ColligationFamily, x0,
                                 axis=1).max())
 
 
+def zero_input_tail_energy(w: WeightSequence, family: ColligationFamily,
+                           h: int, x) -> float:
+    """``sum_{j >= h} beta_j ||y(j)||^2`` from ``x = x(h)`` with zero input
+    from step ``h <= k_max + 1`` on: ``beta_j x(j) = A^{j-h} beta_h x(h)``
+    and ``y(j) = C x(j)``, so it is ``beta_h^2 x^* G^(h) x``."""
+    x = np.asarray(x, dtype=complex).reshape(-1)
+    return float(w.betas[h] ** 2 * np.vdot(x, family.gramians[h] @ x).real)
+
+
 @dataclass
 class IsometryReport:
     isometric: bool
@@ -202,14 +211,15 @@ def check_io_isometry(w: WeightSequence, family: ColligationFamily,
 
     For random finitely supported inputs the weighted output energy
     ``sum_j beta_j ||y(j)||^2`` must match the input energy
-    ``sum_k ||u(k)||^2`` up to ``tol`` plus a reported decay allowance for
-    the part of the output beyond the horizon (bounded geometrically from
-    the trailing computed outputs).
+    ``sum_k ||u(k)||^2`` up to ``tol`` plus the reported allowance.  The
+    outputs before the horizon ``h`` are simulated; the energy of those
+    from ``h`` on, where the input is zero, is ``zero_input_tail_energy``
+    of the state ``x(h)``.  The allowance is that closed form's truncation,
+    ``beta_h^2 ||x(h)||^2`` times the tail bound of ``G^(h)``.
     """
     rng = np.random.default_rng(seed)
     if horizon - 1 > family.k_max:
         raise InvalidParameterError("family too short for requested horizon")
-    r = series.conjugation_rate(family.pair.spectral_radius)
     worst = 0.0
     allow = 0.0
     support = max(1, min(horizon // 3, family.k_max + 1))
@@ -220,12 +230,12 @@ def check_io_isometry(w: WeightSequence, family: ColligationFamily,
         us += [np.zeros(family.step(k).u) for k in range(support, horizon)]
         traj = simulate(w, family, np.zeros(family.pair.n), us)
         energy_in = sum(float(np.vdot(u, u).real) for u in us)
-        terms = [w.betas[j] * float(np.vdot(y, y).real)
-                 for j, y in enumerate(traj.outputs)]
-        energy_out = sum(terms)
-        # geometric allowance for steps >= horizon
-        K = series.transient_constant(terms[support:horizon], r, support)
-        allow = max(allow, series.geometric_tail(K, r, horizon))
+        energy_out = sum(w.betas[j] * float(np.vdot(y, y).real)
+                         for j, y in enumerate(traj.outputs))
+        x = traj.states[horizon]
+        energy_out += zero_input_tail_energy(w, family, horizon, x)
+        allow = max(allow, float(w.betas[horizon] ** 2 * np.vdot(x, x).real
+                                 * family.gramians.tail_bounds[horizon]))
         worst = max(worst, abs(energy_out - energy_in))
     return IsometryReport(isometric=bool(worst <= tol + allow),
                           worst_defect=worst, allowance=allow, trials=trials)

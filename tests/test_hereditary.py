@@ -317,6 +317,23 @@ class TestGammaMaps:
                       for l in range(3))
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
+    def test_shift_sequence_is_one_stack(self, all_weights):
+        rng = np.random.default_rng(11)
+        A = cmat(rng, 4, 4)
+        A *= 0.8 / np.linalg.norm(A, 2)
+        X = np.eye(4)
+        ks = [1, 6, 2, 3]
+        for w in all_weights:
+            stack = hb.gamma_k_map(w, ks, A, X, 1e-12)
+            assert stack.shape == (len(ks), 4, 4)
+            for k, got in zip(ks, stack):
+                np.testing.assert_allclose(
+                    got, hb.gamma_k_map(w, k, A, X, 1e-12), rtol=0,
+                    atol=1e-12)
+            for bad in ([0, 2], [1, w.trunc_len + 1]):
+                with pytest.raises(hb.InvalidParameterError):
+                    hb.gamma_k_map(w, bad, A, X)
+
 
 class TestStein:
     def test_identity_on_computed_gramians(self, all_weights):

@@ -271,11 +271,30 @@ class TestInnerFamilyCheck:
         pair = stable_pair(rng, 3, 2, rho=0.6)
         fam = hb.build_family(w_beta2, pair, k_max=6, tol=1e-13)
         rep = hb.check_inner_family(w_beta2, fam, k_max=6, J=100, tol=1e-8)
-        assert rep.verdict in ("pass", "inconclusive")
+        assert rep.verdict == "pass"
         assert rep.isometry_residual < 1e-9
         assert rep.orthogonality_residual < 1e-9
+        assert [d["k"] for d in rep.details["containment"]] == list(range(7))
         for d in rep.details["containment"]:
-            assert d["residual"] <= 1e-8 + d["allowance"]
+            assert d["residual"] <= 1e-10
+            assert d["allowance"] <= 1e-10
+
+    def test_scaled_feedthrough_fails_containment(self, w_beta2):
+        # S^3 Theta_2 u leaves M_3 when D_2 alone is scaled by 1 + 1e-3;
+        # no other step's containment moves
+        rng = np.random.default_rng(50)
+        pair = stable_pair(rng, 3, 2, rho=0.6)
+        fam = hb.build_family(w_beta2, pair, k_max=6, tol=1e-13)
+        st = fam.step(2)
+        fam.steps[2] = hb.ColligationStep(B=st.B, D=(1 + 1e-3) * st.D,
+                                          u=st.u)
+        rep = hb.check_inner_family(w_beta2, fam, k_max=6, J=100, tol=1e-8)
+        assert rep.verdict == "fail"
+        for d in rep.details["containment"]:
+            if d["k"] == 2:
+                assert d["residual"] > 1e-6 + d["allowance"]
+            else:
+                assert d["residual"] <= 1e-10
 
     def test_hardy_family_containment_exact(self, w_hardy):
         # constant weight: all steps share one transfer function, so the

@@ -136,13 +136,13 @@ class TestModelRoundTrip:
         char = hb.characteristic_family(w_hardy, [[0.5]], k_max=12)
         grid = hb.default_grid(radii=(0.0, 0.2, 0.4, 0.6))
         rep = hb.model_roundtrip_residual(w_hardy, char, grid=grid)
-        assert rep.residual <= 1e-6 + rep.allowance
+        assert rep.residual <= 1e-10
 
     def test_zero_operator(self, w_hardy):
         char = hb.characteristic_family(w_hardy, np.zeros((1, 1)), k_max=16)
         grid = hb.default_grid(radii=(0.0, 0.3, 0.6))
         rep = hb.model_roundtrip_residual(w_hardy, char, grid=grid)
-        assert rep.residual <= 1e-8 + rep.allowance
+        assert rep.residual <= 1e-10
 
     def test_perturbation_breaks_identity(self, w_beta2):
         rng = np.random.default_rng(60)
@@ -154,7 +154,23 @@ class TestModelRoundTrip:
         char.family.steps[0] = hb.ColligationStep(B=st.B, D=1.3 * st.D,
                                                   u=st.u)
         broken = hb.model_roundtrip_residual(w_beta2, char, grid=grid)
-        assert broken.residual > 100 * (base.residual + base.allowance)
+        assert base.residual <= 1e-10
+        assert broken.residual > 100 * base.residual
+
+    def test_scaled_feedthrough_fails(self, w_beta2):
+        # the identity is exact, so scaling D_2 by 1 + 1e-3 shows far above
+        # the acceptance bound 1e-5
+        rng = np.random.default_rng(60)
+        T = hypercontraction_T(w_beta2, rng, 2)
+        char = hb.characteristic_family(w_beta2, T, k_max=12)
+        grid = hb.default_grid(radii=(0.0, 0.3, 0.6))
+        base = hb.model_roundtrip_residual(w_beta2, char, grid=grid)
+        st = char.family.step(2)
+        char.family.steps[2] = hb.ColligationStep(B=st.B, D=(1 + 1e-3) * st.D,
+                                                  u=st.u)
+        broken = hb.model_roundtrip_residual(w_beta2, char, grid=grid)
+        assert base.residual <= 1e-10
+        assert broken.residual > 1e-4
 
 
 class TestFunctionalModel:

@@ -163,6 +163,18 @@ class TestTooShortTable:
                 call()
             assert str(info.value) == text
 
+    def test_unbounded_tail_names_the_rate(self):
+        # |z| rho(A) = 0.75 < 1, but the powers (zA)^j are bounded at the
+        # rate q = |z| (1 + rho)/2 = 1.125: no table length gives a bound
+        for n in (16, 256):
+            with pytest.raises(hb.ConvergenceError) as info:
+                hb.resolvents(hb.make_weight_hardy(n), 0, 0.5 * np.eye(2),
+                              1.5)
+            assert str(info.value) == (
+                "resolvent_apply: tail bound inf > tol 1.000e-12: the decay "
+                "rate q = 1.125 >= 1 bounds no tail, whatever the weight "
+                "truncation")
+
 
 @pytest.mark.parametrize("kind", ["hardy", "beta2"])
 class TestTailCoversRemainder:

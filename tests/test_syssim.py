@@ -3,6 +3,7 @@ import pytest
 
 import hardybeta as hb
 from conftest import cmat, stable_pair
+from hardybeta.syssim import zero_input_tail_energy
 
 
 @pytest.fixture()
@@ -165,6 +166,34 @@ class TestIOIsometry:
         rep = hb.check_io_isometry(w_beta2, fam_beta2, trials=4, horizon=13,
                                    tol=1e-6, seed=5)
         assert rep.isometric
+        assert rep.worst_defect <= 1e-10
+        assert rep.allowance <= 1e-10
+
+    def test_scaled_feedthrough_violates(self, fam_beta2, w_beta2):
+        # the inputs reach step 2 (support 4 of horizon 13)
+        st = fam_beta2.step(2)
+        fam_beta2.steps[2] = hb.ColligationStep(B=st.B, D=(1 + 1e-3) * st.D,
+                                                u=st.u)
+        rep = hb.check_io_isometry(w_beta2, fam_beta2, trials=4, horizon=13,
+                                   tol=1e-6, seed=5)
+        assert not rep.isometric
+        assert rep.worst_defect > 1e-4
+
+    def test_tail_energy_matches_continuation(self):
+        # beta_h^2 x^* G^(h) x against the zero-input recursion run on to
+        # step 400, where the remaining energy is below roundoff
+        w = hb.make_weight_beta_alpha(2.0, 512)
+        rng = np.random.default_rng(82)
+        pair = stable_pair(rng, 3, 2, rho=0.6)
+        fam = hb.build_family(w, pair, k_max=12, tol=1e-13)
+        for h in (0, 5, 13):
+            x = cmat(rng, 3, 1).ravel()
+            v, energy = x, 0.0
+            for j in range(h, 401):
+                energy += w.betas[j] * np.linalg.norm(pair.C @ v) ** 2
+                v = (w.betas[j] / w.betas[j + 1]) * (pair.A @ v)
+            assert zero_input_tail_energy(w, fam, h, x) == pytest.approx(
+                energy, rel=1e-12)
 
     def test_zero_input(self, fam_beta2, w_beta2):
         traj = hb.simulate(w_beta2, fam_beta2, np.zeros(3),
