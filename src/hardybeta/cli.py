@@ -185,10 +185,12 @@ def cmd_kernels(args) -> int:
         K = ker.kernel_shifted(w, args.k, pair, gramians, pts, pts)
     else:
         K = ker.kernel_gap(w, args.k, pair, gramians, pts, pts)
-    # z outer, zeta inner: the row-major order of the grid's two point axes
-    zs = np.asarray(pts, dtype=complex)
-    points = np.stack((np.repeat(zs, len(zs)), np.tile(zs, len(zs))), axis=-1)
-    values = K.reshape(len(points), pair.p, pair.p)
+    # every float formatted once, the same text for CSV and JSON; z outer,
+    # zeta inner: the row-major order of the grid's two point axes
+    zs = ser.text_array(np.asarray(pts, dtype=complex))
+    m = len(zs)
+    points = np.stack((np.repeat(zs, m, axis=0), np.tile(zs, (m, 1))), axis=1)
+    values = ser.text_array(K.reshape(m * m, pair.p, pair.p))
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         fh.write(ser.kernel_grid_csv(points, values))
     if args.out_json:

@@ -288,7 +288,7 @@ def check_inner_family(w: WeightSequence, family: ColligationFamily,
     each step's input dimension; zero columns change none of the residuals.
     """
     k_max = min(k_max, family.k_max)
-    length = k_max + J + 2
+    length = k_max + J + 1
     if length - 1 > w.trunc_len:
         raise TruncationError("weight table too short for requested J")
 

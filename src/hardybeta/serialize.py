@@ -10,12 +10,16 @@ row-major nested lists of such pairs, so operator data looks like
 ``sort_keys=True`` and ``indent=1``: a one-space indent, sorted keys,
 floats in their shortest round-trip form (``float.__repr__``, so dump/load
 cycles are bit-stable), the tokens ``NaN``, ``Infinity`` and ``-Infinity``
-for non-finite floats, and strings with ASCII escapes.  It also takes numpy
-arrays as leaves (a real array as nested float lists, a complex one with a
-trailing ``[re, im]`` axis) and writes each from one ``tolist`` and one
-``map`` of ``float.__repr__``, where the stdlib encoder visits every float
-in Python.  The CSV writers use the same float form, one row per point or
-step.
+for non-finite floats, and strings with ASCII escapes.
+
+Arrays are written from text: ``text_array`` formats each float once (a
+complex array gains a trailing ``[re, im]`` axis), and the JSON and CSV
+writers take such a table as well as numbers.  A writer joins the leaves
+in one ``str.join``, interleaved with separators that depend only on the
+shape: where ``r`` axes roll over, JSON closes ``r`` lists, writes ``","``
+and reopens them; CSV writes ``","`` in a row and a newline after it.  The
+CSV spells non-finite leaves ``float.__repr__``'s way (``nan``, ``inf``),
+the JSON as ``NaN`` and ``Infinity``.
 """
 
 from __future__ import annotations
@@ -48,17 +52,12 @@ def _json_default(o):
 
 
 _escape = json.encoder.encode_basestring_ascii
-_INF = float("inf")
+_JSON_TOKEN = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
+    t = float.__repr__(x)
+    return _JSON_TOKEN.get(t, t)
 
 
 def _key_text(k) -> str:
@@ -78,25 +77,47 @@ def _re_im(a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
+def text_array(a) -> np.ndarray:
+    """``float.__repr__`` of every entry of ``a`` (with a trailing
+    ``[re, im]`` axis when complex) as an object array of the same shape:
+    the text both the JSON and the CSV writers take as leaves."""
+    a = _re_im(a)
+    return np.fromiter(map(float.__repr__, a.reshape(-1).tolist()),
+                       dtype=object, count=a.size).reshape(a.shape)
+
+
+def _interleave(items: list, shape, seps) -> str:
+    """The leaves ``items`` of an array of ``shape`` (row-major) joined
+    with ``seps[r]`` after each leaf where its ``r`` innermost axes roll
+    over (``r = len(shape)`` after the last leaf)."""
+    between = []
+    for r, n in enumerate(reversed(shape)):
+        between = (between + [seps[r]]) * (n - 1) + between
+    parts = [None] * (2 * len(items))
+    parts[::2] = items
+    parts[1::2] = between + [seps[len(shape)]]
+    return "".join(parts)
+
+
 def _array_text(a: np.ndarray, level: int) -> str:
     """Nested float lists of ``a`` (a trailing ``[re, im]`` axis when
-    complex), the outermost list at indent ``level``: one ``tolist``, one
-    ``map`` of ``float.__repr__`` and one ``str.join`` per row."""
-    a = _re_im(a)
-    flat = a.reshape(-1).tolist()
-    items = list(map(float.__repr__ if np.isfinite(a).all() else _float_text,
-                     flat))
-    for depth in range(a.ndim - 1, -1, -1):
-        n = a.shape[depth]
-        if n == 0:
-            items = ["[]"] * int(np.prod(a.shape[:depth]))
-            continue
-        inner = "\n" + " " * (level + depth + 1)
-        head, sep = "[" + inner, "," + inner
-        tail = "\n" + " " * (level + depth) + "]"
-        items = [head + sep.join(items[i:i + n]) + tail
-                 for i in range(0, len(items), n)]
-    return items[0]
+    complex; an object array is text from ``text_array``), the outermost
+    list at indent ``level``.  The separator after a leaf closes the ``r``
+    axes that roll over there, then writes ``","`` and reopens them."""
+    if a.size == 0:
+        return _write(a.tolist(), level)
+    t = a if a.dtype == object else text_array(a)
+    d = t.ndim
+    opens = ["[\n" + " " * (level + i + 1) for i in range(d)]
+    closes = ["\n" + " " * (level + i) + "]" for i in range(d)]
+    seps = ["".join(closes[d - r:][::-1]) + ",\n" + " " * (level + d - r)
+            + "".join(opens[d - r:]) for r in range(d)]
+    text = "".join(opens) + _interleave(t.reshape(-1).tolist(), t.shape,
+                                        seps + ["".join(closes[::-1])])
+    # non-finite reprs (nan, inf, -inf) are the only leaves with an "n"
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
 
 
 def _write(o, level: int) -> str:
@@ -267,15 +288,16 @@ def inputs_to_json(inputs) -> list:
     return [complex_vector_to_json(u) for u in inputs]
 
 
-def _csv_rows(*blocks) -> list:
-    """One comma-joined row of ``repr`` strings per leading index of the
-    blocks, side by side, every entry as ``re, im``."""
+def _csv_text(header: list, *blocks) -> str:
+    """The header line, then one row per leading index of the blocks side
+    by side: every number as ``re, im`` in ``float.__repr__`` form, an
+    object array as the text it holds."""
     table = np.concatenate(
-        [_re_im(np.asarray(b, dtype=complex)).reshape(len(b), -1)
+        [(b if getattr(b, "dtype", None) == object
+          else text_array(np.asarray(b, dtype=complex))).reshape(len(b), -1)
          for b in blocks], axis=1)
-    m = table.shape[1]
-    items = list(map(float.__repr__, table.reshape(-1).tolist()))
-    return [",".join(items[i:i + m]) for i in range(0, len(items), m)]
+    return ",".join(header) + "\n" + _interleave(
+        table.reshape(-1).tolist(), table.shape, (",", "\n", "\n"))
 
 
 def kernel_grid_csv(points, values) -> str:
@@ -283,16 +305,16 @@ def kernel_grid_csv(points, values) -> str:
 
     ``points`` holds the ``(z, zeta)`` pairs (shape ``(N, 2)``) and
     ``values`` the matching p-by-p kernel matrices (shape ``(N, p, p)``),
-    flattened row-major.
+    flattened row-major.  Either may also be its ``text_array``.
     """
     if len(points) == 0:
         return ""
-    p = np.shape(values)[-1]
+    p = np.shape(values)[2]
     header = ["z_re", "z_im", "zeta_re", "zeta_im"]
     for i in range(p):
         for j in range(p):
             header += [f"K_{i}{j}_re", f"K_{i}{j}_im"]
-    return "\n".join([",".join(header)] + _csv_rows(points, values)) + "\n"
+    return _csv_text(header, points, values)
 
 
 def trajectory_csv(traj) -> str:
@@ -303,8 +325,7 @@ def trajectory_csv(traj) -> str:
     header = ["step"]
     header += [f"x_{i}_{part}" for i in range(n) for part in ("re", "im")]
     header += [f"y_{i}_{part}" for i in range(p) for part in ("re", "im")]
-    rows = []
-    if m:
-        rows = [f"{j},{row}" for j, row in
-                enumerate(_csv_rows(traj.states[:m], traj.outputs))]
-    return "\n".join([",".join(header)] + rows) + "\n"
+    if not m:
+        return ",".join(header) + "\n"
+    steps = np.array([str(j) for j in range(m)], dtype=object)
+    return _csv_text(header, steps, traj.states[:m], traj.outputs)

@@ -332,6 +332,34 @@ class TestEnvAndDeterminism:
         np.testing.assert_array_equal(
             table.view(np.int64), np.hstack((points, values)).view(np.int64))
 
+    @pytest.mark.parametrize("k", ["0", "2"])
+    @pytest.mark.parametrize("kind", ["coinvariant", "invariant", "shifted",
+                                      "gap"])
+    def test_kernels_files_match_naive_writers(self, tmp_path, capsys, kind,
+                                               k):
+        # the JSON is the stdlib's text of its content, and the CSV is the
+        # naive row-by-row text of the JSON's floats
+        rng = np.random.default_rng(93)
+        A = cmat(rng, 3, 3)
+        A *= 0.6 / hb.spectral_radius(A)
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({
+            "A": ser.complex_matrix_to_json(A),
+            "C": ser.complex_matrix_to_json(cmat(rng, 2, 3))}))
+        csv, kern = tmp_path / "grid.csv", tmp_path / "grid.json"
+        assert run(capsys, "kernels", str(op), "--alpha", "2", "--kind",
+                   kind, "--k", k, "--grid", "0.0,0.5", "--out-csv",
+                   str(csv), "--out-json", str(kern))[0] == 0
+        text = kern.read_text()
+        obj = json.loads(text)
+        assert text == json.dumps(obj, sort_keys=True, indent=1) + "\n"
+        header = csv.read_text().split("\n", 1)[0]
+        rows = [",".join(map(float.__repr__, np.ravel(z).tolist()
+                                + np.ravel(v).tolist()))
+                for z, v in zip(obj["points"], obj["values"])]
+        assert len(rows) == 9 * 9
+        assert csv.read_text() == "\n".join([header] + rows) + "\n"
+
 
 class TestVerifyCommand:
     def test_reduced_suite_passes(self, tmp_path, capsys):

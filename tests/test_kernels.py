@@ -3,6 +3,7 @@ import pytest
 
 import hardybeta as hb
 from conftest import cmat, stable_pair
+from hardybeta import kernels as ker
 from hardybeta.kernels import check_hardy_to_weighted_multiplier
 
 GRID_Z = [0.2 + 0.3j, -0.5j, 0.62, -0.35 + 0.2j]
@@ -278,6 +279,38 @@ class TestInnerFamilyCheck:
         for d in rep.details["containment"]:
             assert d["residual"] <= 1e-10
             assert d["allowance"] <= 1e-10
+
+    def test_longest_J_the_table_allows(self, w_beta2):
+        # the columns reach degree k_max + J, so J = trunc_len - k_max
+        # fits the table and one more does not
+        rng = np.random.default_rng(50)
+        pair = stable_pair(rng, 3, 2, rho=0.6)
+        fam = hb.build_family(w_beta2, pair, k_max=6, tol=1e-13)
+        J = w_beta2.trunc_len - 6
+        rep = hb.check_inner_family(w_beta2, fam, k_max=6, J=J, tol=1e-8)
+        assert rep.verdict == "pass"
+        assert rep.details["J"] == J
+        with pytest.raises(hb.TruncationError):
+            hb.check_inner_family(w_beta2, fam, k_max=6, J=J + 1, tol=1e-8)
+
+    def test_extra_zero_degree_changes_nothing(self, w_beta2, monkeypatch):
+        # columns one degree longer (all zero there) give the same
+        # residuals at criterion 5's k_max and J, up to roundoff
+        rng = np.random.default_rng(53)
+        pair = stable_pair(rng, 4, 2, rho=0.6)
+        fam = hb.build_family(w_beta2, pair, k_max=8, tol=1e-13)
+        rep = hb.check_inner_family(w_beta2, fam, k_max=8, J=110, tol=1e-7)
+        columns = ker._element_columns
+        monkeypatch.setattr(ker, "_element_columns",
+                            lambda w, taylor, length:
+                            columns(w, taylor, length + 1))
+        longer = hb.check_inner_family(w_beta2, fam, k_max=8, J=110,
+                                       tol=1e-7)
+        for name in ("isometry_residual", "orthogonality_residual",
+                     "containment_residual", "containment_allowance"):
+            assert getattr(rep, name) == pytest.approx(
+                getattr(longer, name), rel=1e-9, abs=1e-15), name
+        assert rep.verdict == longer.verdict == "pass"
 
     def test_scaled_feedthrough_fails_containment(self, w_beta2):
         # S^3 Theta_2 u leaves M_3 when D_2 alone is scaled by 1 + 1e-3;

@@ -89,6 +89,8 @@ def _as_lists(obj):
     """``obj`` with every array replaced by nested lists, complex entries
     split into ``[re, im]``: the input the stdlib encoder understands."""
     if isinstance(obj, np.ndarray):
+        if obj.dtype == object:  # text from ser.text_array
+            obj = obj.astype(float)
         if np.iscomplexobj(obj):
             obj = np.stack((obj.real, obj.imag), axis=-1)
         return obj.tolist()
@@ -123,7 +125,15 @@ DUMPS_CORPUS = {
     "arrays_nonfinite": {"v": [np.array([np.nan, np.inf, -np.inf, -0.0]),
                                np.array([complex(np.nan, np.inf)])]},
     "array_float32": np.arange(6, dtype=np.float32).reshape(2, 3) / 3,
+    "array_unit_3d": np.full((1, 1, 1), 0.75),
+    "array_text": {"t": ser.text_array(np.array(
+        [[1.0 / 3.0, -0.0 + 1e300j], [5e-324j, complex(np.inf, np.nan)]])),
+        "t1": ser.text_array(np.array([[-np.inf]]))},
 }
+
+#: floats whose shortest repr is easy to get wrong, non-finite ones last
+CSV_FLOATS = [-0.0, 5e-324, 1e300, 1.0 / 3.0, float("nan"), float("inf"),
+              float("-inf")]
 
 
 class TestDumpsReference:
@@ -182,3 +192,90 @@ class TestCsv:
             json.loads(json.dumps(ser.inputs_to_json(us))))
         for a, b in zip(us, back):
             np.testing.assert_array_equal(a, b)
+
+
+def _reference_row(*blocks) -> str:
+    """One CSV row written naively: every entry as ``re, im`` through
+    ``float.__repr__``."""
+    floats = []
+    for b in blocks:
+        for v in np.asarray(b, dtype=complex).reshape(-1):
+            floats += [v.real, v.imag]
+    return ",".join(map(float.__repr__, floats))
+
+
+def _csv_corpus(rng, rows, p):
+    """Complex points and p-by-p values drawing entries from CSV_FLOATS
+    and random normals."""
+    pool = np.array(CSV_FLOATS + list(rng.normal(size=9)))
+    return _pick(rng, pool, rows, 2), _pick(rng, pool, rows, p, p)
+
+
+def _pick(rng, pool, *shape):
+    """Complex entries with real and imaginary parts drawn from ``pool``
+    (set apart, since ``1j * inf`` has a NaN real part)."""
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = rng.choice(pool, shape), rng.choice(pool, shape)
+    return z
+
+
+class TestCsvReference:
+    """The CSV writers equal a naive per-row ``float.__repr__`` join."""
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("form", ["array", "pairs", "text"])
+    def test_kernel_grid_csv(self, p, form):
+        rng = np.random.default_rng(88 + p)
+        points, values = _csv_corpus(rng, 12, p)
+        header = "z_re,z_im,zeta_re,zeta_im," + ",".join(
+            f"K_{i}{j}_{part}" for i in range(p) for j in range(p)
+            for part in ("re", "im"))
+        ref = header + "\n" + "".join(
+            _reference_row(z, v) + "\n" for z, v in zip(points, values))
+        if form == "pairs":
+            points = [tuple(z) for z in points]
+            values = [v.tolist() for v in values]
+        elif form == "text":
+            points, values = ser.text_array(points), ser.text_array(values)
+        assert ser.kernel_grid_csv(points, values) == ref
+
+    def test_real_values_get_zero_imaginary_parts(self):
+        points = np.array([[0.5, -0.25j]])
+        values = np.array([[[1.0 / 3.0]]])
+        assert ser.kernel_grid_csv(points, values).split("\n")[1] == \
+            "0.5,0.0,-0.0,-0.25,0.3333333333333333,0.0"
+
+    @pytest.mark.parametrize("n,p", [(1, 1), (3, 2)])
+    def test_trajectory_csv(self, n, p):
+        rng = np.random.default_rng(90 + n)
+        pool = np.array(CSV_FLOATS + [0.1, 2.5])
+        states = list(_pick(rng, pool, 12, n))
+        outputs = list(_pick(rng, pool, 11, p))
+        traj = hb.Trajectory(states=states, outputs=outputs, inputs=[])
+        header = ",".join(["step"] + [f"{c}_{i}_{part}"
+                                      for c, m in (("x", n), ("y", p))
+                                      for i in range(m)
+                                      for part in ("re", "im")])
+        ref = header + "\n" + "".join(
+            f"{j},{_reference_row(x, y)}\n"
+            for j, (x, y) in enumerate(zip(states, outputs)))
+        assert ser.trajectory_csv(traj) == ref
+
+    def test_empty_trajectory_is_header_only(self):
+        traj = hb.Trajectory(states=[np.zeros(2)], outputs=[], inputs=[])
+        assert ser.trajectory_csv(traj) == "step,x_0_re,x_0_im,x_1_re,x_1_im\n"
+
+    def test_non_finite_spelling_per_format(self):
+        # one text table, two spellings: float repr in the CSV, the
+        # stdlib's tokens in the JSON
+        values = np.array([[[complex(np.nan, np.inf)]], [[-np.inf]]])
+        points = ser.text_array(np.zeros((2, 2), dtype=complex))
+        text = ser.text_array(values)
+        rows = ser.kernel_grid_csv(points, text).split("\n")[1:3]
+        assert [r.split(",")[4:] for r in rows] == [["nan", "inf"],
+                                                   ["-inf", "0.0"]]
+        blob = ser.dumps({"values": text})
+        assert blob == ser.dumps({"values": values}) == json.dumps(
+            {"values": [[[[np.nan, np.inf]]], [[[-np.inf, 0.0]]]]},
+            indent=1)
+        assert "nan" not in blob and "inf" not in blob
