@@ -10,12 +10,19 @@ containment is the orthogonality condition to the observability functions.
 What is left is an explicit allowance from the gramian tail bounds, added
 to the bound, never silently absorbed.
 
-``run_suite`` returns one result per criterion and is consumed both by the
-test suite and by the ``verify`` subcommand of the CLI.
+``run_suite`` is the one harness, for the test suite and the ``verify``
+subcommand of the CLI: it builds the four suite weights once, calls each
+criterion as ``criterion(cfg, weights)`` and times the call.  Two draw
+generators yield each random instance already built, together with the
+criterion's seeded generator for any further draws: ``_families`` the
+colligation family of a well-conditioned observable pair (criteria 3, 4, 5
+and 11), ``_char_families`` the characteristic family of a
+star-hypercontraction (criteria 8, 9 and 10).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -26,6 +33,7 @@ from . import kernels as ker
 from . import model as mod
 from . import syssim as sys_
 from .colligation import build_family, transfer_eval
+from .errors import InvalidParameterError, ModelHypothesisError
 from .hereditary import OutputPair
 from .weights import make_weight_beta_alpha, make_weight_hardy
 
@@ -41,7 +49,7 @@ class RunConfig:
     tol: float = 1e-8
     rank_tol: float = 1e-10
     k_max: int = 12
-    trunc: int = 256
+    trunc: int = SUITE_TRUNC
     seed: int = 7
     trials: int = 20
 
@@ -67,12 +75,8 @@ class CriterionResult:
 
 
 def suite_weights(trunc: int = SUITE_TRUNC):
-    return [
-        ("hardy", make_weight_hardy(trunc)),
-        ("beta2", make_weight_beta_alpha(2.0, trunc)),
-        ("beta3", make_weight_beta_alpha(3.0, trunc)),
-        ("beta2.5", make_weight_beta_alpha(2.5, trunc)),
-    ]
+    return [("hardy", make_weight_hardy(trunc))] + [
+        (f"beta{a:g}", make_weight_beta_alpha(a, trunc)) for a in (2.0, 3.0, 2.5)]
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +92,10 @@ def _cmat(rng, rows, cols):
             + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
-def random_stable_A(rng, n, rho_max=0.9, rho_min=0.3):
-    G = _cmat(rng, n, n)
-    target = rng.uniform(rho_min, rho_max)
-    return G * (target / her.spectral_radius(G))
-
-
 def random_pair(rng, n, p, rho_max=0.9, rho_min=0.3):
-    return OutputPair(A=random_stable_A(rng, n, rho_max, rho_min),
-                      C=_cmat(rng, p, n))
+    G = _cmat(rng, n, n)
+    A = G * (rng.uniform(rho_min, rho_max) / her.spectral_radius(G))
+    return OutputPair(A=A, C=_cmat(rng, p, n))
 
 
 def random_conditioned_pair(w, rng, n, p, rho_max=0.8, cond_max=1e3,
@@ -111,35 +110,66 @@ def random_conditioned_pair(w, rng, n, p, rho_max=0.8, cond_max=1e3,
     raise RuntimeError("could not draw a well-conditioned observable pair")
 
 
-def random_star_hypercontraction(w, rng, n, norm_max=0.45, tries=60):
-    """Matrix T whose adjoint classifies as a strongly stable
-    hypercontraction for the given weight."""
+def random_star_hypercontraction(w, rng, n, k_max, rank_tol, norm_max=0.45,
+                                 tries=60):
+    """Characteristic family of a random n-by-n matrix T whose adjoint is a
+    strongly stable hypercontraction for the given weight.
+
+    ``characteristic_family`` classifies ``T*`` itself and refuses any other
+    T, so a refused draw is simply replaced by the next."""
     for _ in range(tries):
         G = _cmat(rng, n, n)
         T = G * (rng.uniform(0.25, norm_max) / np.linalg.norm(G, 2))
-        rep = her.classify(w, OutputPair(A=T.conj().T, C=np.eye(n)), k_max=24,
-                           tol=1e-9)
-        if rep.hypercontraction and rep.strongly_stable_beta:
-            return T
+        try:
+            return mod.characteristic_family(w, T, k_max=k_max,
+                                             rank_tol=rank_tol)
+        except ModelHypothesisError:
+            pass
     raise RuntimeError("could not draw a star-hypercontraction")
+
+
+def _families(cfg, weights, tag, trials, n_hi, p_hi, k_max):
+    """Yield ``(w, rng, family)``, ``trials`` per weight: the colligation
+    family of a well-conditioned observable pair with ``2 <= n < n_hi``
+    states and ``1 <= p < p_hi`` outputs."""
+    rng = _rng(cfg, tag)
+    for _, w in weights:
+        for _ in range(trials):
+            n = int(rng.integers(2, n_hi))
+            p = int(rng.integers(1, p_hi))
+            pair = random_conditioned_pair(w, rng, n, p)
+            yield w, rng, build_family(w, pair, k_max=k_max,
+                                       rank_tol=cfg.rank_tol, tol=1e-13)
+
+
+def _char_families(cfg, weights, tag, k_max):
+    """Yield ``(w, rng, char)``, a quarter of ``cfg.trials`` per weight: the
+    characteristic family of a star-hypercontraction on 1 to 3 states."""
+    rng = _rng(cfg, tag)
+    for _, w in weights:
+        for _ in range(max(1, cfg.trials // 4)):
+            n = int(rng.integers(1, 4))
+            yield w, rng, random_star_hypercontraction(w, rng, n, k_max,
+                                                       cfg.rank_tol)
 
 
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
-def criterion_1_stein(cfg: RunConfig) -> CriterionResult:
+def criterion_1_stein(cfg: RunConfig, weights) -> CriterionResult:
     """Weighted Stein identity on series-computed gramians, k <= 10.
 
     Both sides are sums of the same stored conjugation terms
     ``T_j = A^{*j} C^* C A^j`` of one ``gramian_table``, so the residual
     measures how consistently the terms follow the recurrence
     ``T_{j+1} = A^* T_j A``, not how accurate the gramians are (their
-    truncation is bounded by the table's tail bounds)."""
+    truncation is bounded by the table's tail bounds).  The verdict bounds
+    the runtime too, so the criterion keeps its own timer."""
     t0 = time.perf_counter()
     rng = _rng(cfg, 1)
     worst = 0.0
-    for _, w in suite_weights(max(cfg.trunc, SUITE_TRUNC)):
+    for _, w in weights:
         for _ in range(cfg.trials):
             n = int(rng.integers(2, 9))
             p = int(rng.integers(1, 4))
@@ -151,20 +181,19 @@ def criterion_1_stein(cfg: RunConfig) -> CriterionResult:
     dt = time.perf_counter() - t0
     return CriterionResult(1, "stein-identity", worst <= 1e-7 and dt < 5.0,
                            {"max_residual": worst, "seconds": dt},
-                           "residual <= 1e-7, runtime < 5 s", dt)
+                           "residual <= 1e-7, runtime < 5 s")
 
 
-def criterion_2_gamma_gramian(cfg: RunConfig) -> CriterionResult:
+def criterion_2_gamma_gramian(cfg: RunConfig, weights) -> CriterionResult:
     """Hereditary maps of the gramian reproduce C*C and the shifted gramians.
 
     The maps conjugate the gramian by the same powers of ``A`` from which
     the gramian table was summed, so, as in criterion 1, the residual
     measures how consistently the stored terms follow the recurrence
     ``T_{j+1} = A^* T_j A``, not how accurate the gramians are."""
-    t0 = time.perf_counter()
     rng = _rng(cfg, 2)
     worst = 0.0
-    for _, w in suite_weights(max(cfg.trunc, SUITE_TRUNC)):
+    for _, w in weights:
         for _ in range(cfg.trials):
             n = int(rng.integers(2, 9))
             p = int(rng.integers(1, 4))
@@ -177,28 +206,18 @@ def criterion_2_gamma_gramian(cfg: RunConfig) -> CriterionResult:
             maps = her.gamma_k_map(w, range(1, 7), pair.A, G, 1e-10)
             for k, M in enumerate(maps, 1):
                 worst = max(worst, her.opnorm(M - table[k]))
-    dt = time.perf_counter() - t0
     return CriterionResult(2, "gamma-gramian-duality", worst <= 1e-7,
-                           {"max_residual": worst}, "residual <= 1e-7", dt)
+                           {"max_residual": worst}, "residual <= 1e-7")
 
 
-def criterion_3_cholesky(cfg: RunConfig) -> CriterionResult:
+def criterion_3_cholesky(cfg: RunConfig, weights) -> CriterionResult:
     """Every built colligation step meets both weighted metric identities."""
-    t0 = time.perf_counter()
-    rng = _rng(cfg, 3)
     worst = 0.0
-    for _, w in suite_weights(max(cfg.trunc, SUITE_TRUNC)):
-        for _ in range(cfg.trials):
-            n = int(rng.integers(2, 6))
-            p = int(rng.integers(1, 4))
-            pair = random_conditioned_pair(w, rng, n, p)
-            fam = build_family(w, pair, k_max=8, rank_tol=cfg.rank_tol,
-                               tol=1e-13)
-            worst = max(worst, max(fam.isometry_residuals),
-                        max(fam.coisometry_residuals))
-    dt = time.perf_counter() - t0
+    for _, _, fam in _families(cfg, weights, 3, cfg.trials, 6, 4, 8):
+        worst = max(worst, max(fam.isometry_residuals),
+                    max(fam.coisometry_residuals))
     return CriterionResult(3, "cholesky-colligation", worst <= 1e-9,
-                           {"max_residual": worst}, "residual <= 1e-9", dt)
+                           {"max_residual": worst}, "residual <= 1e-9")
 
 
 def _kernel_identity_residuals(w, fam, ks, grid):
@@ -258,63 +277,43 @@ def _kernel_identity_residuals(w, fam, ks, grid):
     return out
 
 
-def criterion_4_kernel_identities(cfg: RunConfig) -> CriterionResult:
-    t0 = time.perf_counter()
-    rng = _rng(cfg, 4)
+def criterion_4_kernel_identities(cfg: RunConfig, weights) -> CriterionResult:
     grid = ker.default_grid()
     worst = 0.0
-    trials = max(1, cfg.trials // 4)
-    for _, w in suite_weights(max(cfg.trunc, SUITE_TRUNC)):
-        for _ in range(trials):
-            n = int(rng.integers(2, 5))
-            p = int(rng.integers(1, 3))
-            pair = random_conditioned_pair(w, rng, n, p)
-            fam = build_family(w, pair, k_max=3, rank_tol=cfg.rank_tol,
-                               tol=1e-13)
-            worst = max(worst, *_kernel_identity_residuals(w, fam, (0, 2),
-                                                           grid))
-    dt = time.perf_counter() - t0
+    for w, _, fam in _families(cfg, weights, 4, max(1, cfg.trials // 4),
+                               5, 3, 3):
+        worst = max(worst, *_kernel_identity_residuals(w, fam, (0, 2), grid))
     return CriterionResult(4, "kernel-identities", worst <= 1e-7,
                            {"max_residual": worst},
-                           "residual <= 1e-7 on default grid", dt)
+                           "residual <= 1e-7 on default grid")
 
 
-def criterion_5_inner_family(cfg: RunConfig) -> CriterionResult:
-    t0 = time.perf_counter()
-    rng = _rng(cfg, 5)
-    worst12 = 0.0
-    worst3 = 0.0
+def criterion_5_inner_family(cfg: RunConfig, weights) -> CriterionResult:
+    worst12 = worst3 = 0.0
     ok = True
-    trials = max(1, cfg.trials // 4)
-    for _, w in suite_weights(max(cfg.trunc, SUITE_TRUNC)):
-        for _ in range(trials):
-            n = int(rng.integers(2, 5))
-            p = int(rng.integers(1, 3))
-            pair = random_conditioned_pair(w, rng, n, p)
-            fam = build_family(w, pair, k_max=8, rank_tol=cfg.rank_tol,
-                               tol=1e-13)
-            rep = ker.check_inner_family(w, fam, k_max=8, J=110, tol=1e-7)
-            worst12 = max(worst12, rep.isometry_residual,
-                          rep.orthogonality_residual)
-            cont = rep.details["containment"]
-            worst3 = max([worst3] + [d["residual"] - d["allowance"]
-                                     for d in cont])
-            ok = ok and rep.isometry_residual <= 1e-7 \
-                and rep.orthogonality_residual <= 1e-7 \
-                and all(d["residual"] <= 1e-6 + d["allowance"] for d in cont)
-    dt = time.perf_counter() - t0
+    for w, _, fam in _families(cfg, weights, 5, max(1, cfg.trials // 4),
+                               5, 3, 8):
+        rep = ker.check_inner_family(w, fam, k_max=8, J=110, tol=1e-7)
+        worst12 = max(worst12, rep.isometry_residual,
+                      rep.orthogonality_residual)
+        cont = rep.details["containment"]
+        worst3 = max([worst3] + [d["residual"] - d["allowance"]
+                                 for d in cont])
+        ok = ok and rep.isometry_residual <= 1e-7 \
+            and rep.orthogonality_residual <= 1e-7 \
+            and all(d["residual"] <= 1e-6 + d["allowance"] for d in cont)
     return CriterionResult(5, "inner-family", ok,
                            {"max_isometry_orthogonality": worst12,
                             "max_containment_minus_allowance": worst3},
-                           "props 1,2 <= 1e-7; prop 3 <= 1e-6 + allowance", dt)
+                           "props 1,2 <= 1e-7; prop 3 <= 1e-6 + allowance")
 
 
-def criterion_6_scalar_golden(cfg: RunConfig) -> CriterionResult:
+def criterion_6_scalar_golden(cfg: RunConfig, weights) -> CriterionResult:
     """Constant weight, T = 0.5: the characteristic function is the
     classical single-zero inner factor (z - 0.5)/(1 - 0.5 z)."""
-    t0 = time.perf_counter()
-    w = make_weight_hardy(max(cfg.trunc, SUITE_TRUNC))
-    char = mod.characteristic_family(w, np.array([[0.5]]), k_max=2)
+    char = mod.characteristic_family(dict(weights)["hardy"],
+                                     np.array([[0.5]]), k_max=2,
+                                     rank_tol=cfg.rank_tol)
     rng = _rng(cfg, 6)
     worst_in = 0.0
     for _ in range(20):
@@ -323,32 +322,29 @@ def criterion_6_scalar_golden(cfg: RunConfig) -> CriterionResult:
         ref = (z - 0.5) / (1.0 - 0.5 * z)
         worst_in = max(worst_in, abs(got - ref))
     # boundary check by the closed rational form of the realization
-    B = complex(char.family.step(0).B[0, 0])
-    D = complex(char.family.step(0).D[0, 0])
-    a = complex(char.family.pair.A[0, 0])
-    c = complex(char.family.pair.C[0, 0])
+    st, pair = char.family.step(0), char.family.pair
+    B, D = complex(st.B[0, 0]), complex(st.D[0, 0])
+    a, c = complex(pair.A[0, 0]), complex(pair.C[0, 0])
     worst_bd = 0.0
     for m in range(16):
         zb = np.exp(2j * np.pi * m / 16)
         val = D + zb * c * B / (1.0 - zb * a)
         worst_bd = max(worst_bd, abs(abs(val) - 1.0))
-    dt = time.perf_counter() - t0
     passed = worst_in <= 1e-11 and worst_bd <= 1e-10
     return CriterionResult(6, "scalar-golden-blaschke", passed,
                            {"interior_residual": worst_in,
                             "boundary_residual": worst_bd},
-                           "interior <= 1e-11, boundary <= 1e-10", dt)
+                           "interior <= 1e-11, boundary <= 1e-10")
 
 
-def criterion_7_integer_alpha_identity(cfg: RunConfig) -> CriterionResult:
+def criterion_7_integer_alpha_identity(cfg: RunConfig,
+                                       weights) -> CriterionResult:
     """For alpha = n in {2, 3} the shifted hereditary maps expand as
     binomial combinations of the classical defect maps."""
-    import math
-    t0 = time.perf_counter()
     rng = _rng(cfg, 7)
     worst = 0.0
     for nn in (2, 3):
-        w = make_weight_beta_alpha(float(nn), max(cfg.trunc, SUITE_TRUNC))
+        w = dict(weights)[f"beta{nn}"]
         for _ in range(cfg.trials):
             n = int(rng.integers(2, 9))
             G = _cmat(rng, n, n)
@@ -356,135 +352,96 @@ def criterion_7_integer_alpha_identity(cfg: RunConfig) -> CriterionResult:
             I = np.eye(n)
             maps = her.gamma_k_map(w, range(1, 6), A, I, 1e-12)
             for k, lhs in enumerate(maps, 1):
-                rhs = np.zeros_like(lhs)
-                for l in range(nn):
-                    rhs = rhs + math.comb(l + k - 1, l) \
-                        * her.gamma_binomial(l, A, I)
+                rhs = sum(math.comb(l + k - 1, l) * her.gamma_binomial(l, A, I)
+                          for l in range(nn))
                 worst = max(worst, her.opnorm(lhs - rhs))
-    dt = time.perf_counter() - t0
     return CriterionResult(7, "integer-alpha-identity", worst <= 1e-7,
                            {"max_residual": worst},
-                           "residual <= 1e-7 for k <= 5", dt)
+                           "residual <= 1e-7 for k <= 5")
 
 
-def criterion_8_model_roundtrip(cfg: RunConfig) -> CriterionResult:
-    t0 = time.perf_counter()
-    rng = _rng(cfg, 8)
-    grid = ker.default_grid(radii=(0.0, 0.15, 0.3, 0.45, 0.6))
+def criterion_8_model_roundtrip(cfg: RunConfig, weights) -> CriterionResult:
     worst = 0.0
-    trials = max(1, cfg.trials // 4)
-    for _, w in suite_weights(max(cfg.trunc, SUITE_TRUNC)):
-        for _ in range(trials):
-            n = int(rng.integers(1, 4))
-            T = random_star_hypercontraction(w, rng, n)
-            char = mod.characteristic_family(w, T, k_max=16,
-                                             rank_tol=cfg.rank_tol)
-            rep = mod.model_roundtrip_residual(w, char, grid=grid)
-            worst = max(worst, rep.residual)
-    dt = time.perf_counter() - t0
+    for w, _, char in _char_families(cfg, weights, 8, 16):
+        worst = max(worst, mod.model_roundtrip_residual(w, char).residual)
     return CriterionResult(8, "model-roundtrip", worst <= 1e-5,
                            {"max_roundtrip_residual": worst},
-                           "residual <= 1e-5, k_max 16", dt)
+                           "residual <= 1e-5, k_max 16")
 
 
-def criterion_9_coincidence(cfg: RunConfig) -> CriterionResult:
-    t0 = time.perf_counter()
-    rng = _rng(cfg, 9)
+def criterion_9_coincidence(cfg: RunConfig, weights) -> CriterionResult:
     ok = True
     worst = 0.0
-    trials = max(1, cfg.trials // 4)
-    for _, w in suite_weights(max(cfg.trunc, SUITE_TRUNC)):
-        for _ in range(trials):
-            n = int(rng.integers(1, 4))
-            T = random_star_hypercontraction(w, rng, n)
-            Q, _ = np.linalg.qr(_cmat(rng, n, n))
-            T2 = Q @ T @ Q.conj().T
-            famA = mod.characteristic_family(w, T, k_max=6)
-            famB = mod.characteristic_family(w, T2, k_max=6)
-            res = mod.check_coincidence(famA, famB, tol=1e-7)
-            ok = ok and res.coincide
-            worst = max(worst, res.residual)
-            # a spectrally distinct operator must not coincide
-            T3 = T * 0.5 if n == 1 else T + 0.3 * np.eye(n)
-            if her.spectral_radius(T3.conj().T) < 0.98:
-                rep3 = her.classify(w, OutputPair(A=T3.conj().T, C=np.eye(n)),
-                                    k_max=24, tol=1e-9)
-                if rep3.hypercontraction and rep3.strongly_stable_beta:
-                    famC = mod.characteristic_family(w, T3, k_max=6)
-                    res3 = mod.check_coincidence(famA, famC, tol=1e-7)
-                    ok = ok and not res3.coincide
-    dt = time.perf_counter() - t0
+    for w, rng, famA in _char_families(cfg, weights, 9, 6):
+        T = famA.T
+        n = T.shape[0]
+        Q, _ = np.linalg.qr(_cmat(rng, n, n))
+        famB = mod.characteristic_family(w, Q @ T @ Q.conj().T, k_max=6,
+                                         rank_tol=cfg.rank_tol)
+        res = mod.check_coincidence(famA, famB, tol=1e-7)
+        ok = ok and res.coincide
+        worst = max(worst, res.residual)
+        # a spectrally distinct operator must not coincide
+        T3 = T * 0.5 if n == 1 else T + 0.3 * np.eye(n)
+        if her.spectral_radius(T3.conj().T) < 0.98:
+            rep3 = her.classify(w, OutputPair(A=T3.conj().T, C=np.eye(n)),
+                                k_max=24, tol=1e-9)
+            if rep3.hypercontraction and rep3.strongly_stable_beta:
+                famC = mod.characteristic_family(w, T3, k_max=6,
+                                                 rank_tol=cfg.rank_tol)
+                res3 = mod.check_coincidence(famA, famC, tol=1e-7)
+                ok = ok and not res3.coincide
     return CriterionResult(9, "coincidence", ok,
                            {"max_conjugation_residual": worst},
-                           "conjugated: residual <= 1e-7; distinct: no", dt)
+                           "conjugated: residual <= 1e-7; distinct: no")
 
 
-def criterion_10_functional_model(cfg: RunConfig) -> CriterionResult:
-    t0 = time.perf_counter()
-    rng = _rng(cfg, 10)
+def criterion_10_functional_model(cfg: RunConfig, weights) -> CriterionResult:
     ok = True
     worst_checks = 0.0
     worst_align = -np.inf
-    trials = max(1, cfg.trials // 4)
-    for _, w in suite_weights(max(cfg.trunc, SUITE_TRUNC)):
-        for _ in range(trials):
-            n = int(rng.integers(1, 4))
-            T = random_star_hypercontraction(w, rng, n)
-            char = mod.characteristic_family(w, T, k_max=6)
-            for k in (0, 3):
-                rep = mod.functional_model_colligation(w, char.family, k,
-                                                       J=110)
-                worst_checks = max(worst_checks, rep.check_state,
-                                   rep.check_cross, rep.check_input)
-                worst_align = max(worst_align, rep.alignment_residual
-                                  - rep.alignment_allowance)
-                ok = ok and max(rep.check_state, rep.check_cross,
-                                rep.check_input) <= 1e-7 \
-                    and rep.alignment_residual <= 1e-5 + rep.alignment_allowance
-    dt = time.perf_counter() - t0
+    for w, _, char in _char_families(cfg, weights, 10, 6):
+        for k in (0, 3):
+            rep = mod.functional_model_colligation(w, char.family, k, J=110)
+            checks = max(rep.check_state, rep.check_cross, rep.check_input)
+            worst_checks = max(worst_checks, checks)
+            worst_align = max(worst_align, rep.alignment_residual
+                              - rep.alignment_allowance)
+            ok = ok and checks <= 1e-7 \
+                and rep.alignment_residual <= 1e-5 + rep.alignment_allowance
     return CriterionResult(10, "functional-model-checks", ok,
                            {"max_block_residual": worst_checks,
                             "max_align_minus_allowance": worst_align},
-                           "blocks <= 1e-7; alignment <= 1e-5 + allowance", dt)
+                           "blocks <= 1e-7; alignment <= 1e-5 + allowance")
 
 
-def criterion_11_system_transfer(cfg: RunConfig) -> CriterionResult:
-    t0 = time.perf_counter()
-    rng = _rng(cfg, 11)
+def criterion_11_system_transfer(cfg: RunConfig, weights) -> CriterionResult:
     worst_zt = 0.0
     iso_ok = True
     worst_iso = -np.inf
-    trials = max(1, cfg.trials // 4)
-    for _, w in suite_weights(max(cfg.trunc, SUITE_TRUNC)):
-        for _ in range(trials):
-            n = int(rng.integers(2, 5))
-            p = int(rng.integers(1, 3))
-            pair = random_conditioned_pair(w, rng, n, p)
-            fam = build_family(w, pair, k_max=25, rank_tol=cfg.rank_tol,
-                               tol=1e-13)
-            x0 = _cmat(rng, n, 1).ravel()
-            us = [_cmat(rng, fam.step(k).u, 1).ravel() for k in range(25)]
-            worst_zt = max(worst_zt, sys_.check_ztransform(
-                w, fam, x0, us, J=24, tol=1e-12))
-            rep = sys_.check_io_isometry(w, fam, trials=3, horizon=24,
-                                         tol=1e-6, seed=int(rng.integers(1 << 30)))
-            iso_ok = iso_ok and rep.isometric
-            worst_iso = max(worst_iso, rep.worst_defect - rep.allowance)
-    dt = time.perf_counter() - t0
+    for w, rng, fam in _families(cfg, weights, 11, max(1, cfg.trials // 4),
+                                 5, 3, 25):
+        x0 = _cmat(rng, fam.pair.n, 1).ravel()
+        us = [_cmat(rng, fam.step(k).u, 1).ravel() for k in range(25)]
+        worst_zt = max(worst_zt, sys_.check_ztransform(
+            w, fam, x0, us, J=24, tol=1e-12))
+        rep = sys_.check_io_isometry(w, fam, trials=3, horizon=24,
+                                     tol=1e-6, seed=int(rng.integers(1 << 30)))
+        iso_ok = iso_ok and rep.isometric
+        worst_iso = max(worst_iso, rep.worst_defect - rep.allowance)
     ok = worst_zt <= 1e-9 and iso_ok
     return CriterionResult(11, "system-transfer-consistency", ok,
                            {"max_ztransform_residual": worst_zt,
                             "max_isometry_defect_minus_allowance": worst_iso},
-                           "z-transform <= 1e-9; energy <= 1e-6 + allowance",
-                           dt)
+                           "z-transform <= 1e-9; energy <= 1e-6 + allowance")
 
 
-def criterion_12_contractive_multiplier(cfg: RunConfig) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_12_contractive_multiplier(cfg: RunConfig,
+                                        weights) -> CriterionResult:
     grid = ker.default_grid()
     ok = True
     worst_eig = 0.0
-    for _, w in suite_weights(max(cfg.trunc, SUITE_TRUNC)):
+    for _, w in weights:
         blaschke = lambda z: np.array([[(z - 0.5) / (1.0 - 0.5 * z)]])
         rep = ker.check_contractive_multiplier(w, blaschke, grid, tol=1e-8)
         ok = ok and rep.contractive and rep.block_kernel_min_eig >= -1e-8
@@ -492,10 +449,9 @@ def criterion_12_contractive_multiplier(cfg: RunConfig) -> CriterionResult:
         bad = ker.check_contractive_multiplier(
             w, lambda z: 1.1 * np.eye(2), grid, tol=1e-8)
         ok = ok and not bad.contractive
-    dt = time.perf_counter() - t0
     return CriterionResult(12, "contractive-multiplier", ok,
                            {"min_block_eig": worst_eig},
-                           "inner factor passes, 1.1 I fails", dt)
+                           "inner factor passes, 1.1 I fails")
 
 
 CRITERIA = [
@@ -515,11 +471,20 @@ CRITERIA = [
 
 
 def run_suite(cfg: RunConfig | None = None, echo=None) -> list:
-    """Run every acceptance criterion; returns the list of results."""
+    """Run every acceptance criterion on one set of suite weights and
+    return the results, each timed; ``cfg.trunc`` below ``SUITE_TRUNC`` is
+    refused, since the criteria's tail bounds need the deep table."""
     cfg = cfg or RunConfig()
+    if cfg.trunc < SUITE_TRUNC:
+        raise InvalidParameterError(
+            f"the acceptance suite needs trunc >= {SUITE_TRUNC}, "
+            f"got {cfg.trunc}")
+    weights = suite_weights(cfg.trunc)
     results = []
     for crit in CRITERIA:
-        res = crit(cfg)
+        t0 = time.perf_counter()
+        res = crit(cfg, weights)
+        res.seconds = time.perf_counter() - t0
         results.append(res)
         if echo is not None:
             echo(res.line())

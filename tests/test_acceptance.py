@@ -1,13 +1,23 @@
 """Acceptance gate: every structural identity at its stated tolerance.
 
-Runs the full randomized residual suite (fixed seed, 20 trials per
-criterion, matrices up to 8-by-8, all four reference weights) and asserts
-each criterion individually, printing one pass/fail line per criterion.
-Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
+Runs the full randomized residual suite (fixed seed, ``trials=20``,
+matrices up to 8-by-8, all four reference weights) and asserts each
+criterion individually, printing one pass/fail line per criterion.
+Criteria 1, 2, 3 and 7 draw 20 instances per weight, criteria 4, 5 and
+8-11 a quarter of that, and criteria 6 and 12 are fixed cases.  Run with
+``pytest -s tests/test_acceptance.py`` to see the lines.
+
+A reduced run with counted calls pins the harness: the suite weights are
+built once per run and each characteristic family is classified once.
 """
+
+from collections import Counter
 
 import pytest
 
+import hardybeta.acceptance as acc
+import hardybeta.hereditary as her
+import hardybeta.model as mod
 from hardybeta.acceptance import CRITERIA, RunConfig, run_suite
 
 
@@ -43,3 +53,60 @@ def test_criterion(suite_results, number, name):
 def test_every_criterion_covered(suite_results):
     assert len(CRITERIA) == 12
     assert sorted(suite_results) == list(range(1, 13))
+
+
+@pytest.fixture(scope="module")
+def call_counts():
+    """Calls of the shared work in one ``trials=4`` run, keyed by
+    ``(criterion number, function)``; number 0 is the harness itself."""
+    counts = Counter()
+    current = [0]
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            counts[current[0], name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def numbered(fn, number):
+        def wrapper(*args):
+            current[0] = number
+            return fn(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((acc, "suite_weights"),
+                             (acc, "make_weight_hardy"),
+                             (acc, "make_weight_beta_alpha"),
+                             (her, "classify"), (mod, "classify"),
+                             (mod, "characteristic_family")):
+            label = f"{module.__name__.split('.')[-1]}.{name}"
+            mp.setattr(module, name, counted(getattr(module, name), label))
+        mp.setattr(acc, "CRITERIA", [numbered(fn, n)
+                                     for n, fn in enumerate(CRITERIA, 1)])
+        results = run_suite(RunConfig(seed=7, trials=4))
+    assert all(r.passed for r in results), [r.line() for r in results
+                                            if not r.passed]
+    return counts
+
+
+def test_suite_weights_built_once_per_run(call_counts):
+    built = {key: n for key, n in call_counts.items()
+             if key[1].startswith("acceptance.")}
+    assert built == {(0, "acceptance.suite_weights"): 1,
+                     (0, "acceptance.make_weight_hardy"): 1,
+                     (0, "acceptance.make_weight_beta_alpha"): 3}
+
+
+@pytest.mark.parametrize("number", [8, 10])
+def test_model_criteria_leave_classification_to_the_family(call_counts,
+                                                           number):
+    assert call_counts[number, "hereditary.classify"] == 0
+    assert call_counts[number, "model.characteristic_family"] >= 4
+
+
+@pytest.mark.parametrize("number", [6, 8, 9, 10])
+def test_each_characteristic_family_classified_once(call_counts, number):
+    assert call_counts[number, "model.classify"] \
+        == call_counts[number, "model.characteristic_family"] > 0
+

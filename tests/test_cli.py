@@ -58,6 +58,18 @@ class TestWeightsCommand:
         assert code == 2
         assert "non-increasing" in err
 
+    def test_beta_float_is_alpha(self, capsys):
+        code, out, _ = run(capsys, "weights", "--beta", "2.5", "-n", "16")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["kind"], payload["alpha"]) == ("beta_alpha", 2.5)
+        assert len(payload["betas"]) == 17
+
+    def test_unparsable_betas_exits_2(self, capsys):
+        code, _, err = run(capsys, "weights", "--betas", "1,x")
+        assert code == 2
+        assert err.startswith("input error:")
+
     def test_determinism(self, tmp_path, capsys):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "weights", "--alpha", "2.5", "-n", "32", "--out", str(f1))
@@ -124,6 +136,26 @@ class TestCharfnCommand:
         assert D[0, 0].real == pytest.approx(-0.5, abs=1e-10)
         assert payload["gramian_identity_residual"] < 1e-10
 
+    def test_operator_file_matches_scalar_flag(self, tmp_path, capsys):
+        # a {"T": ...} file and a bare matrix file give the --t report
+        T = ser.complex_matrix_to_json(np.array([[0.5]]))
+        keyed, bare = tmp_path / "keyed.json", tmp_path / "bare.json"
+        keyed.write_text(json.dumps({"T": T}))
+        bare.write_text(json.dumps(T))
+        outs = []
+        for source in (["--t", "0.5"], ["--operator", str(keyed)],
+                       ["--operator", str(bare)]):
+            code, out, _ = run(capsys, "charfn", *source, "--beta", "1",
+                               "--k-max", "3")
+            assert code == 0
+            outs.append(out)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_no_operator_exits_2(self, capsys):
+        code, _, err = run(capsys, "charfn", "--beta", "1")
+        assert code == 2
+        assert "--t or --operator" in err
+
     def test_expansion_exits_4(self, capsys):
         code, _, _ = run(capsys, "charfn", "--t", "1.5", "--beta", "1")
         assert code in (2, 4)
@@ -158,6 +190,16 @@ class TestColligateSimulate:
         assert len(lines) == 3
         assert lines[0].startswith("step,")
 
+        x0 = np.array([1.0 - 2.0j, 0.5j])
+        x0_file = tmp_path / "x0.json"
+        x0_file.write_text(json.dumps(ser.complex_vector_to_json(x0)))
+        code, _, _ = run(capsys, "simulate", str(fam_file), "--inputs",
+                         str(inputs), "--x0", str(x0_file), "--out",
+                         str(traj_file))
+        assert code == 0
+        row = traj_file.read_text().split("\n")[1].split(",")
+        assert row[:5] == ["0", "1.0", "-2.0", "0.0", "0.5"]
+
 
 class TestKernelsCommand:
     def test_csv_hermitian_grid(self, tmp_path, capsys):
@@ -183,6 +225,18 @@ class TestKernelsCommand:
         for (a, b, c, d), v in table.items():
             worst = max(worst, abs(v - np.conj(table[(c, d, a, b)])))
         assert worst < 1e-10
+
+    def test_default_grid(self, tmp_path, capsys):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"A": ser.complex_matrix_to_json(
+            0.5 * np.eye(2)), "C": ser.complex_matrix_to_json(np.eye(2))}))
+        csv_file = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, "kernels", str(op), "--alpha", "2",
+                         "--out-csv", str(csv_file))
+        assert code == 0
+        points = len(ker.default_grid())
+        rows = csv_file.read_text().strip().split("\n")
+        assert len(rows) == 1 + points * points
 
     @pytest.mark.parametrize("grid", ["0.5,1.2", "1.0", "-0.5", "nan"])
     @pytest.mark.parametrize("kind", ["coinvariant", "gap"])
@@ -371,6 +425,17 @@ class TestVerifyCommand:
         payload = json.loads(report.read_text())
         assert payload["all_passed"]
         assert len(payload["criteria"]) == 12
+
+    def test_short_table_exits_2(self, tmp_path, capsys):
+        # the criteria's tail bounds need the 768-term table; a shorter one
+        # is refused rather than recorded and replaced
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, "verify", "--trunc", "256", "--trials",
+                             "1", "--out", str(report))
+        assert code == 2
+        assert "768" in err and "256" in err
+        assert "PASS" not in out
+        assert not report.exists()
 
 
 class TestShortCustomWeights:
