@@ -157,15 +157,24 @@ def _char_families(cfg, weights, tag, k_max):
 # criteria
 # ---------------------------------------------------------------------------
 
-def criterion_1_stein(cfg: RunConfig, weights) -> CriterionResult:
-    """Weighted Stein identity on series-computed gramians, k <= 10.
+def _worst(*values) -> float:
+    """The largest of ``values``, NaN when any of them is NaN, so that a
+    verdict ``worst <= bound`` fails on NaN (Python's ``max(0.0, nan)`` is
+    0.0)."""
+    return float(np.max(values))
 
-    Both sides are sums of the same stored conjugation terms
-    ``T_j = A^{*j} C^* C A^j`` of one ``gramian_table``, so the residual
-    measures how consistently the terms follow the recurrence
-    ``T_{j+1} = A^* T_j A``, not how accurate the gramians are (their
-    truncation is bounded by the table's tail bounds).  The verdict bounds
-    the runtime too, so the criterion keeps its own timer."""
+
+def criterion_1_stein(cfg: RunConfig, weights) -> CriterionResult:
+    """Weighted Stein identity on the gramians of one ``gramian_table``,
+    k <= 10.
+
+    For beta_2.5 both sides are sums of the same stored conjugation terms
+    ``T_j = A^{*j} C^* C A^j``, so the residual measures how consistently
+    the terms follow the recurrence ``T_{j+1} = A^* T_j A``, not how
+    accurate the gramians are (their truncation is bounded by the table's
+    tail bounds).  For hardy and integer alpha the table is a Stein solve
+    and the residual is that solve's own.  The verdict bounds the runtime
+    too, so the criterion keeps its own timer."""
     t0 = time.perf_counter()
     rng = _rng(cfg, 1)
     worst = 0.0
@@ -187,10 +196,12 @@ def criterion_1_stein(cfg: RunConfig, weights) -> CriterionResult:
 def criterion_2_gamma_gramian(cfg: RunConfig, weights) -> CriterionResult:
     """Hereditary maps of the gramian reproduce C*C and the shifted gramians.
 
-    The maps conjugate the gramian by the same powers of ``A`` from which
-    the gramian table was summed, so, as in criterion 1, the residual
-    measures how consistently the stored terms follow the recurrence
-    ``T_{j+1} = A^* T_j A``, not how accurate the gramians are."""
+    For beta_2.5 the maps conjugate the gramian by the same powers of ``A``
+    from which the gramian table was summed, so, as in criterion 1, the
+    residual measures how consistently the stored terms follow the
+    recurrence ``T_{j+1} = A^* T_j A``, not how accurate the gramians are.
+    For hardy and integer alpha it compares two different computations: a
+    Stein solve for the gramians, finite binomial sums for the maps."""
     rng = _rng(cfg, 2)
     worst = 0.0
     for _, w in weights:
@@ -282,7 +293,8 @@ def criterion_4_kernel_identities(cfg: RunConfig, weights) -> CriterionResult:
     worst = 0.0
     for w, _, fam in _families(cfg, weights, 4, max(1, cfg.trials // 4),
                                5, 3, 3):
-        worst = max(worst, *_kernel_identity_residuals(w, fam, (0, 2), grid))
+        worst = _worst(worst, *_kernel_identity_residuals(w, fam, (0, 2),
+                                                          grid))
     return CriterionResult(4, "kernel-identities", worst <= 1e-7,
                            {"max_residual": worst},
                            "residual <= 1e-7 on default grid")
@@ -320,7 +332,7 @@ def criterion_6_scalar_golden(cfg: RunConfig, weights) -> CriterionResult:
         z = 0.85 * rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
         got = complex(transfer_eval(char.family, 0, z, 1e-13)[0, 0])
         ref = (z - 0.5) / (1.0 - 0.5 * z)
-        worst_in = max(worst_in, abs(got - ref))
+        worst_in = _worst(worst_in, abs(got - ref))
     # boundary check by the closed rational form of the realization
     st, pair = char.family.step(0), char.family.pair
     B, D = complex(st.B[0, 0]), complex(st.D[0, 0])
@@ -329,7 +341,7 @@ def criterion_6_scalar_golden(cfg: RunConfig, weights) -> CriterionResult:
     for m in range(16):
         zb = np.exp(2j * np.pi * m / 16)
         val = D + zb * c * B / (1.0 - zb * a)
-        worst_bd = max(worst_bd, abs(abs(val) - 1.0))
+        worst_bd = _worst(worst_bd, abs(abs(val) - 1.0))
     passed = worst_in <= 1e-11 and worst_bd <= 1e-10
     return CriterionResult(6, "scalar-golden-blaschke", passed,
                            {"interior_residual": worst_in,

@@ -39,7 +39,8 @@ class HereditaryDomainError(HardyBetaError):
 
 
 class SpectralRadiusError(HardyBetaError):
-    """Spectral radius too large for series-summed quantities."""
+    """Spectral radius beyond 0.999, where gramians and classification are
+    refused."""
 
     exit_code = 3
 

@@ -15,20 +15,30 @@ and an admissible weight sequence this module evaluates
   pair (contractive, isometric, hypercontractive, strongly stable, exactly
   observable).
 
-All series are cut adaptively by the engine in ``series.py``, with each
-coefficient row's step bound past the table taken from the weight.  The
-tail bound it reports holds under the transient constant ``K`` observed on
-the terms summed so far (terms dominated by ``K * q^j`` for a decay rate
-``q`` chosen from the spectral radius); transient growth of a non-normal
-``A`` after the stop is not covered (see ROADMAP.md).  A resolvent grid is
-cut once, at its largest radius ``r``: since ``|z_i / r|^j <= 1``, the tail
+Hardy and integer alpha (``R(x) = (1 - x)^-alpha``) leave the series for
+the conjugation sums: a gramian table takes alpha chained applications of
+one inverse of the Kronecker matrix of ``I - L``, ``L: X -> A* X A``, each
+refined once, and the hereditary maps are finite sums over the moments
+``X, L X, .., L^alpha X``, since their rows vanish past index alpha.  The
+choice is made from the weight's kind, never from trailing zeros in its
+table; the closed forms report tail 0.
+
+Every other sum (non-integer alpha and custom weights, and every resolvent)
+is cut adaptively by the engine in ``series.py``, with each coefficient
+row's step bound past the table taken from the weight.  The tail bound it
+reports holds under the transient constant ``K`` observed on the terms
+summed so far (terms dominated by ``K * q^j`` for a decay rate ``q``
+chosen from the spectral radius); transient growth of a non-normal ``A``
+after the stop is not covered (see ROADMAP.md).  A resolvent grid is cut
+once, at its largest radius ``r``: since ``|z_i / r|^j <= 1``, the tail
 bound of the powers ``(rA)^j`` holds at every point of the grid.  A
 sequence of shifts adds one coefficient row ``1/beta_{k+j}`` per shift to
 the same table, every row cut at the length left to the largest shift and
 bounded past it by the weight's step; the one cut is the first index where
 every row's bound holds, so the tail is <= tol at every shift and point.
 Gramian tables are inverted as one stack.
-Series-summed quantities are restricted to spectral radius at most 0.999.
+Gramians and classification are restricted to spectral radius at most
+0.999, on either route.
 
 Everything here is a pure function of immutable inputs; results are safe to
 share across threads.
@@ -52,7 +62,7 @@ from .errors import (
 )
 from .weights import WeightSequence, quotient_rows
 
-#: series-summed quantities refuse spectral radius beyond this
+#: gramians and classification refuse spectral radius beyond this
 RHO_MAX = 0.999
 
 
@@ -140,7 +150,10 @@ class OutputPair:
 @dataclass
 class GramianTable:
     """Shifted gramians ``G^(k)`` for ``k = 0..k_max`` with their tail
-    bounds and the truncation order of the shared series."""
+    bounds and the truncation order of the shared series: the index of its
+    last term.  Hardy and integer alpha are closed form, a Stein solve with
+    tail bounds 0 and truncation order -1, since no term is summed;
+    non-integer alpha and custom weights sum the series."""
 
     entries: dict
     tail_bounds: dict
@@ -205,24 +218,122 @@ class DeltaReport:
 
 
 # ---------------------------------------------------------------------------
-# series: conjugation sums and resolvents
+# conjugation sums: closed forms and the series
 # ---------------------------------------------------------------------------
 
-def _hereditary_sums(A, X, rows, steps, q, tol, context, floors=0.0):
+def _integer_alpha(w: WeightSequence) -> int | None:
+    """``alpha`` of a weight with ``R(x) = (1 - x)^-alpha`` for an integer
+    ``alpha``: 1 for hardy, ``alpha`` for a beta_alpha family with integer
+    ``alpha``; None for every other weight, whose sums stay on the series."""
+    if w.kind == "hardy":
+        return 1
+    if w.kind == "beta_alpha" and float(w.alpha).is_integer():
+        return int(w.alpha)
+    return None
+
+
+def _contract(rows, terms) -> np.ndarray:
+    """``sum_j rows[i, j] terms[j]`` over the ``len(terms)`` leading columns,
+    for every row, as one stack of Hermitian parts."""
+    J1, n = terms.shape[:2]
+    # real coefficients against the real view of the complex terms
+    flat = terms.reshape(J1, n * n).view(float)
+    sums = (np.asarray(rows, dtype=float)[:, :J1] @ flat).view(complex)
+    return hermitize(sums.reshape(-1, n, n))
+
+
+def _series_sums(A, X, rows, steps, q, tol, context, floors=0.0):
     """``sum_j rows[i, j] A^{*j} X A^j`` for every row of the 2-d array
     ``rows`` (step bounds ``steps`` and ``floors`` past the table), cut once
     for all rows by the series engine and contracted in one product.
     Returns (sums, series record)."""
     A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
     rec = series.adaptive_sum(np.asarray(X, dtype=complex), A, rows, q,
                               steps, tol, context, left=A.conj().T,
                               floors=floors)
-    J1 = rec.J + 1
-    # real coefficients against the real view of the complex terms
-    flat = rec.terms.reshape(J1, n * n).view(float)
-    sums = (np.asarray(rows, dtype=float)[:, :J1] @ flat).view(complex)
-    return hermitize(sums.reshape(-1, n, n)), rec
+    return _contract(rows, rec.terms), rec
+
+
+def _closed_gramians(A, X, ks, a: int) -> np.ndarray:
+    """``sum_j (1/beta_{j+k}) A^{*j} X A^j`` for every shift of ``ks`` when
+    ``1/beta_m = C(a + m - 1, m)``, as one stack:
+    ``sum_{r<a} C(k + r - 1, r) S_{a-1-r}`` with ``S_m = (I - L)^-(m+1) X``.
+
+    ``I - L`` is the Kronecker matrix ``I - kron(A^*, A^T)`` of the row-major
+    vectorization, inverted once; each of the ``a`` chained applications of
+    the inverse is followed by one step of iterative refinement, which a
+    strongly non-normal ``A`` needs for full accuracy."""
+    A = np.asarray(A, dtype=complex)
+    n = A.shape[0]
+    M = np.eye(n * n) - np.kron(A.conj().T, A.T)
+    inv = np.linalg.inv(M)
+    v = np.asarray(X, dtype=complex).reshape(-1)
+    S = []
+    for _ in range(a):
+        x = inv @ v
+        x += inv @ (v - M @ x)
+        S.append(x)
+        v = x
+    coef = [[math.comb(k + r - 1, r) if r else 1 for r in range(a)]
+            for k in ks]
+    sums = np.array(coef, dtype=float) @ np.array(S[::-1])
+    return hermitize(sums.reshape(-1, n, n))
+
+
+def _stein_sums(w: WeightSequence, A, X, ks, rho: float, tol, context):
+    """``sum_j (1/beta_{j+k}) A^{*j} X A^j`` for every shift of ``ks``, with
+    the tail bound of each and the index of the last term summed.
+
+    Closed form (tails 0, index -1: no term is summed) for hardy and integer
+    alpha when ``rho = rho(A) < 1``; otherwise the series, every shift's
+    row cut at the table length left to the largest shift."""
+    a = _integer_alpha(w)
+    if a is not None and rho < 1.0:
+        return _closed_gramians(A, X, ks, a), [0.0] * len(ks), -1
+    Jcap = w.trunc_len - max(ks)
+    rows = np.array([w.inv_betas[k:k + Jcap + 1] for k in ks])
+    steps = [w.inv_step(k + Jcap) for k in ks]
+    sums, rec = _series_sums(A, X, rows, steps, series.conjugation_rate(rho),
+                             tol, context)
+    return sums, rec.tails, rec.J
+
+
+def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context,
+                     gamma=False, rho=None) -> np.ndarray:
+    """``Gamma[X]`` (when ``gamma``) followed by ``Gamma^(k)[X]`` for every
+    shift ``k >= 1`` of ``ks``, as one stack, from the ``c`` row and the
+    quotient rows ``d^(k)`` of ``quotient_rows``.
+
+    For hardy and integer alpha these rows vanish past index alpha: the
+    sums are finite, over the moments ``X, L X, .., L^alpha X``, once the
+    table holds the rows to that index.  Every other weight takes the
+    series, every row cut at the table length left to the largest shift;
+    ``rho`` is ``rho(A)`` when the caller has it."""
+    ks = np.asarray(ks)
+    cap = w.trunc_len - int(ks.max(initial=0))
+    a = _integer_alpha(w)
+    finite = a is not None and a <= cap
+    n = a if finite else cap
+    rows = np.vstack(([w.c_coeffs[None, :n + 1]] if gamma else [])
+                     + ([quotient_rows(w, ks, n)] if ks.size else []))
+    if finite:
+        A = np.asarray(A, dtype=complex)
+        terms = np.empty((a + 1,) + np.shape(X), dtype=complex)
+        terms[0] = X
+        for j in range(a):
+            terms[j + 1] = A.conj().T @ terms[j] @ A
+        return _contract(rows, terms)
+    if rho is None:
+        rho = spectral_radius(A)
+    floors = w.c_floors(np.concatenate([[0], ks]) if gamma else ks)
+    return _series_sums(A, X, rows, w.c_step(cap),
+                        series.conjugation_rate(rho), tol, context,
+                        floors)[0]
+
+
+# ---------------------------------------------------------------------------
+# resolvents
+# ---------------------------------------------------------------------------
 
 
 def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
@@ -322,27 +433,25 @@ def _gramian_rows(w, ks, pair, tol, context):
             f"rho(A) = {pair.spectral_radius:.4f} > {RHO_MAX}: gramian series "
             "not summable at desk scale")
     kmax = max(ks)
-    Jcap = w.trunc_len - kmax
-    if Jcap < 4:
+    if w.trunc_len - kmax < 4:
         raise TruncationError(
             f"stored weights too short for gramian shift k={kmax}")
-    rows = np.array([w.inv_betas[k:k + Jcap + 1] for k in ks])
-    steps = [w.inv_step(k + Jcap) for k in ks]
-    sums, rec = _hereditary_sums(
-        pair.A, pair.C.conj().T @ pair.C, rows, steps,
-        series.conjugation_rate(pair.spectral_radius), tol, context)
-    return dict(zip(ks, sums)), dict(zip(ks, rec.tails)), rec.J
+    sums, tails, J = _stein_sums(w, pair.A, pair.C.conj().T @ pair.C, ks,
+                                 pair.spectral_radius, tol, context)
+    return dict(zip(ks, sums)), dict(zip(ks, tails)), J
 
 
 def gramian(w: WeightSequence, k: int, pair: OutputPair,
             tol: float = 1e-10) -> np.ndarray:
-    """Shifted observability gramian ``G^(k)`` with tail bound <= tol."""
+    """Shifted observability gramian ``G^(k)``: a Stein solve for hardy and
+    integer alpha, otherwise a series with tail bound <= tol."""
     return _gramian_rows(w, [k], pair, tol, "gramian")[0][k]
 
 
 def gramian_table(w: WeightSequence, pair: OutputPair, k_max: int,
                   tol: float = 1e-10) -> GramianTable:
-    """All shifted gramians ``G^(k)``, ``k = 0..k_max``, from shared moments."""
+    """All shifted gramians ``G^(k)``, ``k = 0..k_max``, from one Stein
+    inverse (hardy and integer alpha) or one shared series."""
     entries, tails, J = _gramian_rows(w, list(range(k_max + 1)), pair, tol,
                                       "gramian_table")
     return GramianTable(entries=entries, tail_bounds=tails, trunc_order=J)
@@ -400,9 +509,8 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
     """
     _check_domain(A, X, tol)
     _check_summable(w)
-    return _hereditary_sums(A, X, w.c_coeffs[None], w.c_step(w.trunc_len),
-                            series.conjugation_rate(spectral_radius(A)),
-                            tol, "gamma_map", w.c_floor)[0][0]
+    return _hereditary_sums(w, A, X, np.arange(0), tol, "gamma_map",
+                            gamma=True)[0]
 
 
 def gamma_k_map(w: WeightSequence, k, A, X,
@@ -416,11 +524,7 @@ def gamma_k_map(w: WeightSequence, k, A, X,
     _check_summable(w)
     if np.ndim(k) == 0 and k == 0:
         return hermitize(np.asarray(X, dtype=complex))
-    ks = np.atleast_1d(k)
-    cap = w.trunc_len - int(ks.max())
-    sums = _hereditary_sums(A, X, quotient_rows(w, ks, cap), w.c_step(cap),
-                            series.conjugation_rate(spectral_radius(A)),
-                            tol, "gamma_k_map", w.c_floors(ks))[0]
+    sums = _hereditary_sums(w, A, X, np.atleast_1d(k), tol, "gamma_k_map")
     return sums if np.ndim(k) else sums[0]
 
 
@@ -463,15 +567,6 @@ def _psd_defect(M) -> float:
     return float(_psd_defects(M))
 
 
-def _hereditary_rows(w: WeightSequence, k_max: int):
-    """The reciprocal-series row and the quotient rows ``d^(1..k_max)``,
-    cut at their common length, with their common step bound and floors."""
-    cap = w.trunc_len - k_max
-    rows = np.vstack([w.c_coeffs[:cap + 1],
-                      quotient_rows(w, range(1, k_max + 1), cap)])
-    return rows, w.c_step(cap), w.c_floors(range(k_max + 1))
-
-
 def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
              tol: float = 1e-8) -> ClassificationReport:
     """Tolerance-qualified classification of an output pair.
@@ -483,9 +578,8 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
     contractive / isometric pair conditions, exact observability of the
     gramian, and strong stability in the weighted sense.
 
-    Series-summed quantities restrict the spectral radius to 0.999, and a
-    weight whose reciprocal series is "diverging" is refused (as
-    ``gamma_map`` does).
+    The spectral radius is restricted to 0.999, and a weight whose
+    reciprocal series is "diverging" is refused (as ``gamma_map`` does).
     """
     A = pair.A
     rho = pair.spectral_radius
@@ -499,9 +593,8 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
     opA = opnorm(A)
     contraction = opA <= 1.0 + tol
 
-    rows, step, floors = _hereditary_rows(w, k_max)
-    sums = _hereditary_sums(A, I, rows, step, series.conjugation_rate(rho),
-                            tol * 0.1, "classify", floors)[0]
+    sums = _hereditary_sums(w, A, I, range(1, k_max + 1), tol * 0.1,
+                            "classify", gamma=True, rho=rho)
     gamma_I = sums[0]
     gamma_k_I = sums[1:]
 
@@ -578,10 +671,9 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     _check_summable(w)
     scale = max(opnorm(H), 1.0)
 
-    q = series.conjugation_rate(spectral_radius(A))
-    rows, step, floors = _hereditary_rows(w, k_max + 1)
-    sums = _hereditary_sums(A, H, rows, step, q, tol * 0.1, "delta_limit",
-                            floors)[0]
+    rho = spectral_radius(A)
+    sums = _hereditary_sums(w, A, H, range(1, k_max + 2), tol * 0.1,
+                            "delta_limit", gamma=True, rho=rho)
     gamma_H = sums[0]
     bad = np.flatnonzero(_psd_defects(sums[1:]) < -tol)
     if bad.size:
@@ -603,10 +695,9 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
 
     residual = None
     if converged and _psd_defect(gamma_H) >= -tol:
-        sums2 = _hereditary_sums(A, gamma_H, w.inv_betas[None],
-                                 w.inv_step(w.trunc_len), q, tol * 0.1,
-                                 "delta_limit sum identity")[0]
-        residual = opnorm(sums2[0] - (H - delta))
+        total = _stein_sums(w, A, gamma_H, [0], rho, tol * 0.1,
+                            "delta_limit sum identity")[0][0]
+        residual = opnorm(total - (H - delta))
 
     return DeltaReport(delta=delta, converged=converged,
                        monotone_min_eig=mono,

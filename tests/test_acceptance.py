@@ -13,6 +13,7 @@ built once per run and each characteristic family is classified once.
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import hardybeta.acceptance as acc
@@ -110,3 +111,20 @@ def test_each_characteristic_family_classified_once(call_counts, number):
     assert call_counts[number, "model.classify"] \
         == call_counts[number, "model.characteristic_family"] > 0
 
+
+
+def test_nan_kernel_residual_fails_criterion_4(monkeypatch):
+    # Python's max(0.0, nan, 0.0) is 0.0: a fold with it passed this NaN
+    monkeypatch.setattr(acc, "_kernel_identity_residuals",
+                        lambda *args: [0.0, float("nan"), 0.0])
+    res = acc.criterion_4_kernel_identities(RunConfig(trials=4),
+                                            acc.suite_weights())
+    assert not res.passed, res.line()
+
+
+def test_nan_transfer_value_fails_criterion_6(monkeypatch):
+    real = acc.transfer_eval
+    monkeypatch.setattr(acc, "transfer_eval",
+                        lambda *args: real(*args) * np.nan)
+    res = acc.criterion_6_scalar_golden(RunConfig(), acc.suite_weights())
+    assert not res.passed, res.line()

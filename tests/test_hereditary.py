@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import hardybeta as hb
 from hardybeta import hereditary as her
+from hardybeta.weights import WeightSequence
 from conftest import cmat, stable_pair
 
 
@@ -171,6 +174,115 @@ class TestGramian:
             G = tab[k]
             np.testing.assert_allclose(G, G.conj().T, atol=1e-14)
             assert 0.0 <= tab.tail_bounds[k] <= 1e-10
+
+
+def _brute_force(A, X, coef, block=64, max_terms=1 << 17, rel=1e-17):
+    """``sum_j coef(j)[i] A^{*j} X A^j`` for each row i of ``coef``, the
+    reference method of the benchmark oracles: moments are advanced a block
+    at a time, and the sum stops once a whole block adds less than ``rel``
+    of it while the moment norms fall across the block, that is, after any
+    transient growth has passed."""
+    A = np.asarray(A, dtype=complex)
+    M = [np.asarray(X, dtype=complex)]
+    for _ in range(block - 1):
+        M.append(A.conj().T @ M[-1] @ A)
+    M = np.stack(M)
+    P = np.linalg.matrix_power(A, block)
+    S = 0.0
+    for j0 in range(0, max_terms, block):
+        c = np.atleast_2d(coef(np.arange(j0, j0 + block)))
+        S = S + np.einsum("rb,bij->rij", c, M)
+        norms = np.linalg.norm(M, axis=(1, 2))
+        scale = np.max(np.linalg.norm(S, axis=(1, 2)))
+        if j0 and norms[-1] <= norms[0] \
+                and np.max(np.abs(c) @ norms) <= rel * scale:
+            return S
+        M = P.conj().T @ M @ P
+    raise AssertionError("reference sum did not settle")
+
+
+def _inv_betas(alpha, ks):
+    """``1/beta_{j+k} = C(alpha + j + k - 1, j + k)`` for integer alpha, one
+    row per shift ``k``."""
+    return lambda j: np.array([[math.comb(alpha + m + k - 1, m + k)
+                                for m in j] for k in ks], dtype=float)
+
+
+def _series_copy(w):
+    """The same table as a custom weight, which sums the series.
+    ``make_weight_custom`` tags an all-ones table hardy, so the hardy copy
+    is built directly."""
+    if w.kind == "hardy":
+        return WeightSequence(w.betas, w.ratio_bound, "custom", w.c_coeffs)
+    return hb.make_weight_custom(w.betas)
+
+
+class TestClosedForms:
+    """Hardy and integer alpha: gramians by one Stein solve, hereditary maps
+    by finite sums."""
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_jordan_probe(self, alpha):
+        # ||A^j|| grows to about 1e6 before it decays; the series route
+        # once stopped at J = 4 here and returned ||G|| = 6.3e-13
+        A = 0.9 * np.eye(8) + np.diag(np.ones(7), 1)
+        C = np.zeros((1, 8))
+        C[0, 0] = 1e-7
+        w = (hb.make_weight_hardy() if alpha == 1
+             else hb.make_weight_beta_alpha(float(alpha)))
+        tab = hb.gramian_table(w, hb.OutputPair(A=A, C=C), 11)
+        ref = _brute_force(A, C.T @ C, _inv_betas(alpha, range(12)))
+        got = tab.stack(0, 11)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        if alpha == 1:
+            assert np.linalg.norm(got[0], 2) == pytest.approx(1.115, abs=1e-3)
+        assert tab.trunc_order == -1
+        assert set(tab.tail_bounds.values()) == {0.0}
+
+    def test_normal_rho_09_default_table(self, w_beta2):
+        # the series refused this with a tail of 1.9e-8 against tol 1e-10
+        rng = np.random.default_rng(21)
+        U = np.linalg.qr(cmat(rng, 4, 4))[0]
+        lam = 0.9 * np.exp(2j * np.pi * rng.uniform(size=4))
+        A = (U * lam) @ U.conj().T
+        pair = hb.OutputPair(A=A, C=np.eye(4))
+        G = hb.gramian(w_beta2, 0, pair)
+        Q = U.conj().T @ U  # C*C = I in the eigenbasis
+        exact = U @ (Q / (1.0 - np.conj(lam)[:, None] * lam) ** 2) \
+            @ U.conj().T
+        np.testing.assert_allclose(G, exact, rtol=0,
+                                   atol=1e-12 * np.linalg.norm(exact))
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_agrees_with_series_route(self, alpha):
+        w = (hb.make_weight_hardy(1024) if alpha == 1
+             else hb.make_weight_beta_alpha(float(alpha), 1024))
+        copy = _series_copy(w)
+        assert copy.kind == "custom"
+        rng = np.random.default_rng(30 + alpha)
+        for trial, rho in enumerate((0.5, 0.8, 0.9, 0.5, 0.8, 0.9)):
+            n = int(rng.integers(2, 7))
+            if trial < 3:
+                pair = stable_pair(rng, n, 2, rho=rho)
+            else:
+                lam = rng.uniform(0.3, rho, n) \
+                    * np.exp(2j * np.pi * rng.uniform(size=n))
+                lam[0] = rho
+                pair = hb.OutputPair(A=np.diag(lam) + np.triu(cmat(rng, n, n),
+                                                              1),
+                                     C=cmat(rng, 2, n))
+            closed = hb.gramian_table(w, pair, 6)
+            summed = hb.gramian_table(copy, pair, 6)
+            assert closed.trunc_order == -1 and summed.trunc_order >= 4
+            for k in range(7):
+                assert np.linalg.norm(closed[k] - summed[k]) \
+                    <= summed.tail_bounds[k] + 1e-13
+            X = hb.gramian(hb.make_weight_hardy(), 0, pair)  # X >= A* X A
+            for run in (lambda v: hb.gamma_map(v, pair.A, X),
+                        lambda v: hb.gamma_k_map(v, range(1, 7), pair.A, X)):
+                got, ref = run(w), run(copy)
+                assert np.linalg.norm(got - ref) \
+                    <= 1e-13 * max(1.0, np.linalg.norm(ref))
 
 
 class TestObservabilityCoeffs:
@@ -450,6 +562,25 @@ class TestDeltaLimit:
         A *= 1.4 / np.linalg.norm(A, 2)
         with pytest.raises(hb.HereditaryDomainError):
             hb.delta_limit(w_beta2, A, np.eye(3))
+
+    def test_shifted_map_not_psd_refused(self, w_beta3):
+        # A = 0.9 N with N nilpotent, H = I: H >= A* H A >= 0, but for
+        # beta_3 Gamma^(k)[H] = H + k (I - L) H + C(k + 1, 2) (I - L)^2 H
+        # and (I - L)^2 H = diag(1, 1 - 2 * 0.81) is not PSD
+        A = 0.9 * np.diag([1.0], 1)
+        with pytest.raises(hb.HereditaryDomainError,
+                           match="^shifted hereditary map of H not PSD at "
+                                 "k=2$"):
+            hb.delta_limit(w_beta3, A, np.eye(2))
+
+    def test_monotone_decrease_refused(self, w_beta2):
+        # for beta_2 every Gamma^(k)[H] = H + k (H - A* H A) is PSD, but the
+        # first decrement D_0 - D_1 = Gamma[H] = diag(1, 1 - 2 * 0.81) is not
+        A = 0.9 * np.diag([1.0], 1)
+        with pytest.raises(hb.HereditaryDomainError,
+                           match="^monotone decrease violated: worst "
+                                 "decrement eigenvalue -6.200e-01$"):
+            hb.delta_limit(w_beta2, A, np.eye(2))
 
     def test_diverging_weight_refused(self):
         # the reciprocal series of this weight diverges; delta_limit must

@@ -56,6 +56,25 @@ class TestCharacteristicFamily:
             assert char.gramian_identity_residual < 1e-9
             assert char.classification.isometric_pair
 
+    def test_not_hypercontraction_refused(self, w_beta2):
+        # T* = s N^T with s^2 = 0.503: Gamma[I] = (I - L)^2 I has eigenvalue
+        # 1 - 2 s^2 = -6e-3, inside the defect operator's 10 tol allowance
+        # but outside the tol at which classify certifies
+        T = np.sqrt(0.503) * np.diag([1.0], 1)
+        with pytest.raises(hb.ModelHypothesisError,
+                           match="^adjoint is not a hypercontraction: "):
+            hb.characteristic_family(w_beta2, T, tol=1e-3)
+
+    @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2"])
+    def test_not_strongly_stable_refused(self, weight, request):
+        # rho = 0.99: the stability depth is capped by the 256-term table,
+        # and 0.99^(2 * 248) is far above tol
+        w = request.getfixturevalue(weight)
+        with pytest.raises(hb.ModelHypothesisError,
+                           match="^adjoint is not strongly stable in the "
+                                 "weighted sense: residual "):
+            hb.characteristic_family(w, [[0.99]])
+
     def test_non_stable_rejected(self, w_beta2):
         # operator norm above 1 fails the hypercontraction hypothesis
         with pytest.raises((hb.ModelHypothesisError, hb.HereditaryDomainError)):

@@ -134,7 +134,8 @@ class TestTooShortTable:
             hb.resolvent_scalar(w, 0, 0.95)
 
     def test_gramian_table_names_caller(self):
-        w = hb.make_weight_hardy(16)
+        # hardy and integer alpha take the Stein solve; beta_1.5 sums a series
+        w = hb.make_weight_beta_alpha(1.5, 16)
         pair = hb.OutputPair(A=0.95 * np.eye(2), C=np.ones((1, 2)))
         with pytest.raises(hb.ConvergenceError, match="^gramian_table: "):
             hb.gramian_table(w, pair, 2)
@@ -142,13 +143,15 @@ class TestTooShortTable:
     def test_message_text(self):
         # the whole message of a 16-term table, as the term-by-term engine
         # wrote it; the gamma_map bound is the closed-form c step's (the
-        # trailing-ratio extrapolation it replaced gave inf here)
+        # trailing-ratio extrapolation it replaced gave inf here).  The
+        # gramian case is beta_1.5's, since hardy takes the Stein solve
         w = hb.make_weight_hardy(16)
         A = 0.95 * np.eye(2)
         cases = [
-            (lambda: hb.gramian_table(w, hb.OutputPair(A=A, C=np.ones((1, 2))),
+            (lambda: hb.gramian_table(hb.make_weight_beta_alpha(1.5, 16),
+                                      hb.OutputPair(A=A, C=np.ones((1, 2))),
                                       2),
-             "gramian_table: tail bound 1.895e+01 > tol 1.000e-10 after 15 "
+             "gramian_table: tail bound 2.369e+02 > tol 1.000e-10 after 15 "
              "stored terms; increase the weight truncation"),
             (lambda: hb.resolvent_apply(w, 0, A, 1.0),
              "resolvent_apply: tail bound 3.678e+01 > tol 1.000e-12 after 17 "
@@ -176,8 +179,8 @@ class TestTooShortTable:
                 "truncation")
 
 
-@pytest.mark.parametrize("kind", ["hardy", "beta2"])
 class TestTailCoversRemainder:
+    @pytest.mark.parametrize("kind", ["hardy", "beta2"])
     def test_resolvent(self, kind):
         w, power = _weight(kind)
         tol = 1e-2
@@ -188,6 +191,7 @@ class TestTailCoversRemainder:
             remainder = np.linalg.norm(exact - S)
             assert 1e-10 < remainder <= rec.tails[0] <= tol
 
+    @pytest.mark.parametrize("kind", ["hardy", "beta2"])
     def test_resolvent_grid(self, kind):
         # one cut for the whole grid, made at its largest radius 0.8: the
         # bound covers the remainder at every point, not only at that radius
@@ -201,8 +205,14 @@ class TestTailCoversRemainder:
             assert np.linalg.norm(exact - Sz) <= rec.tails[0] <= tol
         assert np.linalg.norm(exact - Sz) == 0.0  # z = 0 is exact
 
+    @pytest.mark.parametrize("kind", ["beta1.5", "custom_beta2"])
     def test_gramian(self, kind):
-        w, power = _weight(kind)
+        # hardy and integer alpha take the Stein solve, with no tail; these
+        # two weights sum the series (the custom beta_2 table continues at
+        # its last ratio, which moves the exact value by far less than tol)
+        w, power = ((hb.make_weight_beta_alpha(1.5, 256), 1.5)
+                    if kind == "beta1.5" else
+                    (hb.make_weight_custom(_weight("beta2")[0].betas), 2))
         tol = 1e-2
         C = np.array([[1.0, 0.5j, -0.25]])
         tab = hb.gramian_table(w, hb.OutputPair(A=DIAG, C=C), 0, tol=tol)
@@ -213,13 +223,16 @@ class TestTailCoversRemainder:
 
 
 def test_nilpotent_gramian_has_zero_tail(w_beta2):
+    # the custom copy of the beta_2 table takes the series, whose zero
+    # term A^3 X A^3 ends it
+    w = hb.make_weight_custom(w_beta2.betas)
     A = np.diag([1.0, 1.0], 1)  # A^3 = 0
     C = np.array([[1.0, 0.5, 0.25]])
-    tab = hb.gramian_table(w_beta2, hb.OutputPair(A=A, C=C), 2)
+    tab = hb.gramian_table(w, hb.OutputPair(A=A, C=C), 2)
     assert tab.trunc_order == 3
     for k in range(3):
         assert tab.tail_bounds[k] == 0.0
-        exact = sum(w_beta2.inv_betas[k + j]
+        exact = sum(w.inv_betas[k + j]
                     * (np.linalg.matrix_power(A, j).T @ C.T @ C
                        @ np.linalg.matrix_power(A, j)) for j in range(3))
         np.testing.assert_allclose(tab[k], exact, atol=1e-15)
