@@ -44,4 +44,4 @@ print("adversarial verdict:    ", adversarial.wiener.verdict)
 # Shifted tables: coefficients of the k-shifted generating function, and
 # the quotient-series coefficients that define the shifted hereditary maps.
 print("shifted table (k=1):    ", hb.shifted_resolvent_coeffs(beta2, 1, 4))
-print("quotient table (k=1):   ", hb.gamma_k_coeffs(beta2, 1, 4))
+print("quotient table (k=1):   ", hb.quotient_rows(beta2, [1], 4)[0])

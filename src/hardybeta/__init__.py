@@ -93,7 +93,6 @@ from .syssim import (
 from .weights import (
     WeightSequence,
     WienerReport,
-    gamma_k_coeffs,
     make_weight_beta_alpha,
     make_weight_custom,
     make_weight_hardy,

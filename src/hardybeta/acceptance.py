@@ -395,14 +395,12 @@ def criterion_9_coincidence(cfg: RunConfig, weights) -> CriterionResult:
         worst = max(worst, res.residual)
         # a spectrally distinct operator must not coincide
         T3 = T * 0.5 if n == 1 else T + 0.3 * np.eye(n)
-        if her.spectral_radius(T3.conj().T) < 0.98:
-            rep3 = her.classify(w, OutputPair(A=T3.conj().T, C=np.eye(n)),
-                                k_max=24, tol=1e-9)
-            if rep3.hypercontraction and rep3.strongly_stable_beta:
-                famC = mod.characteristic_family(w, T3, k_max=6,
-                                                 rank_tol=cfg.rank_tol)
-                res3 = mod.check_coincidence(famA, famC, tol=1e-7)
-                ok = ok and not res3.coincide
+        try:
+            famC = mod.characteristic_family(w, T3, k_max=6,
+                                             rank_tol=cfg.rank_tol)
+        except ModelHypothesisError:
+            continue
+        ok = ok and not mod.check_coincidence(famA, famC, tol=1e-7).coincide
     return CriterionResult(9, "coincidence", ok,
                            {"max_conjugation_residual": worst},
                            "conjugated: residual <= 1e-7; distinct: no")

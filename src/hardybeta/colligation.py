@@ -162,7 +162,14 @@ def build_family(w: WeightSequence, pair: OutputPair, k_max: int,
     step factorizations are genuine.  A singular gramian raises
     ObservabilityError naming its shift.
     """
-    gramians = gramian_table(w, pair, k_max + 1, tol=tol)
+    return _family_from_table(w, pair, gramian_table(w, pair, k_max + 1,
+                                                     tol=tol), rank_tol)
+
+
+def _family_from_table(w: WeightSequence, pair: OutputPair,
+                       gramians: GramianTable, rank_tol: float):
+    """``build_family``'s steps ``0..k_max`` from ``G^(0..k_max+1)``."""
+    k_max = gramians.k_max - 1
     B, D, u, G_inv = _factor_steps(w, pair, gramians, 0, k_max, rank_tol)
     steps = [ColligationStep(B=B[k, :, :u[k]], D=D[k, :, :u[k]], u=int(u[k]))
              for k in range(k_max + 1)]

@@ -482,8 +482,9 @@ def observability_coeffs(w: WeightSequence, k: int, pair: OutputPair,
 # hereditary maps
 # ---------------------------------------------------------------------------
 
-def _check_domain(A, X, tol):
-    """Domain condition for the hereditary calculus: X >= A* X A >= 0."""
+def _check_domain(w: WeightSequence, A, X, tol):
+    """Domain of the hereditary calculus: ``X >= A* X A >= 0``, and a
+    summable reciprocal series (``_check_summable``)."""
     X = hermitize(np.asarray(X, dtype=complex))
     A = np.asarray(A, dtype=complex)
     scale = max(opnorm(X), 1.0)
@@ -491,6 +492,7 @@ def _check_domain(A, X, tol):
         raise HereditaryDomainError("X must be positive semidefinite")
     if min_eig(X - A.conj().T @ X @ A) < -tol * scale:
         raise HereditaryDomainError("X - A* X A must be positive semidefinite")
+    _check_summable(w)
 
 
 def _check_summable(w: WeightSequence):
@@ -507,8 +509,7 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
     Requires the domain condition ``X >= A* X A >= 0`` and a reciprocal
     coefficient table whose summability check did not come back "diverging".
     """
-    _check_domain(A, X, tol)
-    _check_summable(w)
+    _check_domain(w, A, X, tol)
     return _hereditary_sums(w, A, X, np.arange(0), tol, "gamma_map",
                             gamma=True)[0]
 
@@ -520,8 +521,7 @@ def gamma_k_map(w: WeightSequence, k, A, X,
     ``(len(k), n, n)`` stack, every shift's row cut at the length left to
     the largest and all of them summed by one series, as ``classify``
     does."""
-    _check_domain(A, X, tol)
-    _check_summable(w)
+    _check_domain(w, A, X, tol)
     if np.ndim(k) == 0 and k == 0:
         return hermitize(np.asarray(X, dtype=complex))
     sums = _hereditary_sums(w, A, X, np.atleast_1d(k), tol, "gamma_k_map")
@@ -562,78 +562,73 @@ def _psd_defects(Ms) -> np.ndarray:
     return lo / np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
 
 
-def _psd_defect(M) -> float:
-    """``_psd_defects`` of one matrix."""
-    return float(_psd_defects(M))
-
-
 def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
              tol: float = 1e-8) -> ClassificationReport:
     """Tolerance-qualified classification of an output pair.
 
     Checks, with every verdict accompanied by its numeric residual: operator
     contractivity, positivity of the hereditary maps of the identity up to
-    ``k_max`` (certified for all k at once when the weight is a beta_alpha
-    family with integer alpha, via the binomial defect maps), the
-    contractive / isometric pair conditions, exact observability of the
-    gramian, and strong stability in the weighted sense.
+    ``k_max`` (for a beta_alpha family with integer alpha, certified for
+    all k by the binomial defect maps ``I - A* A`` and ``Gamma[I]``, read
+    from row 0 of the hereditary stack), the contractive / isometric pair
+    conditions, exact observability of the gramian, and weighted strong
+    stability.
 
     The spectral radius is restricted to 0.999, and a weight whose
     reciprocal series is "diverging" is refused (as ``gamma_map`` does).
     """
-    A = pair.A
     rho = pair.spectral_radius
     if rho > RHO_MAX:
         raise SpectralRadiusError(
             f"rho(A) = {rho:.4f} > {RHO_MAX}: classification needs a "
             "series-summable gramian")
     _check_summable(w)
-    n = pair.n
-    I = np.eye(n, dtype=complex)
+    sums = _hereditary_sums(w, pair.A, np.eye(pair.n), range(1, k_max + 1),
+                            tol * 0.1, "classify", gamma=True, rho=rho)
+    return _classification(w, pair, sums,
+                            gramian_table(w, pair, 0, tol=tol * 0.1), tol)
+
+
+def _classification(w: WeightSequence, pair: OutputPair, sums,
+                    table: GramianTable, tol: float) -> ClassificationReport:
+    """``classify``'s report from the stack ``Gamma[I], Gamma^(1..k)[I]``
+    of ``pair.A`` and a gramian table of ``pair`` holding ``G^(0)``."""
+    A = pair.A
     opA = opnorm(A)
     contraction = opA <= 1.0 + tol
 
-    sums = _hereditary_sums(w, A, I, range(1, k_max + 1), tol * 0.1,
-                            "classify", gamma=True, rho=rho)
     gamma_I = sums[0]
-    gamma_k_I = sums[1:]
-
     defects = _psd_defects(sums)
     gamma_min = float(defects[0])
     gamma_k_min = float(defects[1:].min())
     hyper_truncated = contraction and gamma_min >= -tol and gamma_k_min >= -tol
 
-    certified = False
     betan_min = None
-    if w.kind == "beta_alpha" and w.alpha is not None \
-            and abs(w.alpha - round(w.alpha)) < 1e-12:
-        nn = int(round(w.alpha))
-        betan_min = min(_psd_defect(gamma_binomial(1, A, I)),
-                        _psd_defect(gamma_binomial(nn, A, I)))
-        certified = contraction and betan_min >= -tol
+    if w.kind == "beta_alpha" and _integer_alpha(w) is not None:
+        I_AA = np.eye(pair.n) - A.conj().T @ A
+        betan_min = min(float(_psd_defects(I_AA)), gamma_min)
+    certified = betan_min is not None and contraction and betan_min >= -tol
     hypercontraction = hyper_truncated or certified
 
-    CstarC = pair.C.conj().T @ pair.C
-    pair_defect = gamma_I - CstarC
-    contractive_pair = hypercontraction and _psd_defect(pair_defect) >= -tol
+    pair_defect = gamma_I - pair.C.conj().T @ pair.C
+    pair_min = float(_psd_defects(pair_defect))
+    contractive_pair = hypercontraction and pair_min >= -tol
     isom_res = opnorm(pair_defect)
     isometric_pair = hypercontraction and isom_res <= tol * max(opnorm(gamma_I), 1.0)
 
-    table = gramian_table(w, pair, 0, tol=tol * 0.1)
-    G = table[0]
-    gram_eigs = np.linalg.eigvalsh(hermitize(G))
+    gram_eigs = np.linalg.eigvalsh(hermitize(table[0]))
     exactly_observable = bool(gram_eigs[0] > tol * max(gram_eigs[-1], 1.0))
 
+    k_max = len(sums) - 1
     Ak = np.linalg.matrix_power(A, k_max)
-    stab = Ak.conj().T @ gamma_k_I[-1] @ Ak
-    stab_res = opnorm(stab)
+    stab_res = opnorm(Ak.conj().T @ sums[-1] @ Ak)
     strongly_stable_beta = stab_res <= tol
 
     residuals = {
         "operator_norm_excess": opA - 1.0,
         "gamma_identity_min_eig": gamma_min,
         "gamma_shifted_min_eig": gamma_k_min,
-        "pair_defect_min_eig": _psd_defect(pair_defect),
+        "pair_defect_min_eig": pair_min,
         "isometry_residual": isom_res,
         "gramian_min_eig": float(gram_eigs[0]),
         "gramian_tail_bound": table.tail_bounds[0],
@@ -667,8 +662,7 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     """
     A = np.asarray(A, dtype=complex)
     H = hermitize(np.asarray(H, dtype=complex))
-    _check_domain(A, H, tol)
-    _check_summable(w)
+    _check_domain(w, A, H, tol)
     scale = max(opnorm(H), 1.0)
 
     rho = spectral_radius(A)
@@ -694,7 +688,7 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     converged = opnorm(D[k_max] - D[k_max - 1]) <= tol * scale
 
     residual = None
-    if converged and _psd_defect(gamma_H) >= -tol:
+    if converged and _psd_defects(gamma_H) >= -tol:
         total = _stein_sums(w, A, gamma_H, [0], rho, tol * 0.1,
                             "delta_limit sum identity")[0][0]
         residual = opnorm(total - (H - delta))

@@ -28,10 +28,10 @@ import numpy as np
 from .colligation import (
     ColligationFamily,
     ColligationStep,
+    _family_from_table,
     _metric_residuals,
     _phase_fixed,
     _transfer_values,
-    build_family,
     build_step,
     transfer_eval,
     transfer_taylor,
@@ -40,13 +40,16 @@ from .errors import ModelCoordinatesError, ModelHypothesisError
 from .hereditary import (
     ClassificationReport,
     OutputPair,
+    _check_domain,
+    _classification,
+    _hereditary_sums,
     _right_powers,
-    classify,
     gamma_map,
     gramian_table,
     hermitize,
     opnorm,
     psd_sqrt,
+    spectral_radius,
 )
 from .kernels import _point_grid, _range_kernel, default_grid
 from .weights import WeightSequence
@@ -69,6 +72,15 @@ class CharFamily:
         return self.family.k_max
 
 
+def _defect_root(G: np.ndarray, tol: float) -> np.ndarray:
+    """PSD square root of ``G = Gamma[I]``, refused below ``-10 tol``."""
+    lam = np.linalg.eigvalsh(G)
+    if lam[0] < -10 * tol * max(lam[-1], 1.0):
+        raise ModelHypothesisError(
+            f"Gamma[I] has eigenvalue {lam[0]:.3e}: not a star-hypercontraction")
+    return psd_sqrt(G)
+
+
 def defect_operator(w: WeightSequence, T, tol: float = 1e-10) -> np.ndarray:
     """PSD square root of ``Gamma[I]`` evaluated at ``A = T*``.
 
@@ -78,12 +90,7 @@ def defect_operator(w: WeightSequence, T, tol: float = 1e-10) -> np.ndarray:
     """
     T = np.atleast_2d(np.asarray(T, dtype=complex))
     A = T.conj().T
-    G = gamma_map(w, A, np.eye(A.shape[0]), tol)
-    lam = np.linalg.eigvalsh(G)
-    if lam[0] < -10 * tol * max(lam[-1], 1.0):
-        raise ModelHypothesisError(
-            f"Gamma[I] has eigenvalue {lam[0]:.3e}: not a star-hypercontraction")
-    return psd_sqrt(G)
+    return _defect_root(gamma_map(w, A, np.eye(A.shape[0]), tol), tol)
 
 
 def characteristic_family(w: WeightSequence, T, k_max: int = 12,
@@ -91,23 +98,34 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
                           tol: float = 1e-10) -> CharFamily:
     """Characteristic transfer family of ``T`` via the Cholesky construction.
 
-    Sets ``A = T*`` and ``C = Gamma[I]^(1/2)``, requires the classification
-    to report a strongly stable hypercontraction, and delegates to the
-    colligation builder.  The base gramian of ``(C, A)`` is the identity;
-    its deviation is recorded on the returned bundle.
+    Sets ``A = T*``.  One hereditary stack ``Gamma[I], Gamma^(1..k)[I]``
+    gives ``C = Gamma[I]^(1/2)`` (refused as by ``defect_operator``), and
+    with one gramian table ``G^(0..k_max+1)`` of ``(C, A)`` (refused past
+    ``rho(A) = 0.999``) the classification, which must report a strongly
+    stable hypercontraction; the table is then factored into the family.
+    The base gramian of ``(C, A)`` is the identity; its deviation is
+    recorded on the bundle.
     """
     T = np.atleast_2d(np.asarray(T, dtype=complex))
-    D = defect_operator(w, T, tol)
-    pair = OutputPair(A=T.conj().T, C=D)
+    A = T.conj().T
+    I = np.eye(A.shape[0])
+    _check_domain(w, A, I, tol)
     ctol = max(tol, 1e-8)
+    rho = spectral_radius(A)
     # pick the stability-check depth so a geometric decay at the spectral
     # radius has room to reach the tolerance
-    rho = max(pair.spectral_radius, 1e-3)
+    r = max(rho, 1e-3)
     k_stab = max(20, k_max)
-    if rho < 1.0:
-        k_stab = max(k_stab, int(np.ceil(np.log(ctol) / (2 * np.log(rho)))) + 5)
+    if r < 1.0:
+        k_stab = max(k_stab, int(np.ceil(np.log(ctol) / (2 * np.log(r)))) + 5)
     k_stab = min(k_stab, w.trunc_len - 8)
-    report = classify(w, pair, k_max=k_stab, tol=ctol)
+    sums = _hereditary_sums(w, A, I, range(1, k_stab + 1),
+                            min(tol, 0.1 * ctol), "characteristic_family",
+                            gamma=True, rho=rho)
+    D = _defect_root(sums[0], tol)
+    pair = OutputPair(A=A, C=D)
+    table = gramian_table(w, pair, k_max + 1, tol=min(tol, 1e-12))
+    report = _classification(w, pair, sums, table, ctol)
     if not report.hypercontraction:
         raise ModelHypothesisError(
             f"adjoint is not a hypercontraction: residuals {report.residuals}")
@@ -115,11 +133,10 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
         raise ModelHypothesisError(
             "adjoint is not strongly stable in the weighted sense: "
             f"residual {report.residuals['beta_strong_stability']:.3e}")
-    fam = build_family(w, pair, k_max, rank_tol, tol=min(tol, 1e-12))
-    gram_res = opnorm(fam.gramians[0] - np.eye(pair.n))
-    return CharFamily(T=T, weight=w, defect=D, family=fam,
+    return CharFamily(T=T, weight=w, defect=D,
+                      family=_family_from_table(w, pair, table, rank_tol),
                       classification=report,
-                      gramian_identity_residual=gram_res)
+                      gramian_identity_residual=opnorm(table[0] - I))
 
 
 def defect_form_family(w: WeightSequence, T, k_max: int = 12,
@@ -158,8 +175,7 @@ def defect_form_family(w: WeightSequence, T, k_max: int = 12,
         Ct = (w.betas[k] ** -0.5) * (C @ G_half_inv[k])
         # polar factor of Ct: Ct = omega * (Ct* Ct)^(1/2), and the positive
         # factor equals the defect of At by the isometry identity
-        U_svd, _, Vh_svd = np.linalg.svd(Ct)
-        omega = U_svd @ Vh_svd
+        omega = _polar_unitary(Ct)
         lam_d, V_d = np.linalg.eigh(hermitize(np.eye(n) - At @ At.conj().T))
         keep = lam_d >= rank_tol * max(float(lam_d[-1]), 1e-300)
         # fix phases so the construction is reproducible; the adjoint

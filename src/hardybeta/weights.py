@@ -319,18 +319,3 @@ def quotient_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
     # row j of the window is c_{j+1}, ..., c_{j+k_max}
     return -(sliding_window_view(w.c_coeffs[1:n + k_max + 1], k_max) @ B).T
 
-
-def gamma_k_coeffs(w: WeightSequence, k: int, n: int) -> np.ndarray:
-    """Taylor coefficients ``d^(k)_j`` of the quotient series ``R_k / R``.
-
-    ``d^(k)_j = -sum_{l=1}^{k} c_{j+l} / beta_{k-l}`` for ``j = 0..n``: the
-    one-row case of ``quotient_rows``.  The degenerate index ``k = 0``
-    returns ``(1, 0, 0, ...)`` since the quotient is then identically 1.
-    """
-    if k < 0 or n < 0:
-        raise InvalidParameterError("k and n must be nonnegative")
-    if k == 0:
-        out = np.zeros(n + 1)
-        out[0] = 1.0
-        return out
-    return quotient_rows(w, [k], n)[0]

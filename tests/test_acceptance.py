@@ -8,7 +8,8 @@ Criteria 1, 2, 3 and 7 draw 20 instances per weight, criteria 4, 5 and
 ``pytest -s tests/test_acceptance.py`` to see the lines.
 
 A reduced run with counted calls pins the harness: the suite weights are
-built once per run and each characteristic family is classified once.
+built once per run, and each characteristic family evaluates one
+hereditary stack and one gramian table.
 """
 
 from collections import Counter
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import hardybeta.acceptance as acc
+import hardybeta.colligation as col
 import hardybeta.hereditary as her
 import hardybeta.model as mod
 from hardybeta.acceptance import CRITERIA, RunConfig, run_suite
@@ -59,14 +61,38 @@ def test_every_criterion_covered(suite_results):
 @pytest.fixture(scope="module")
 def call_counts():
     """Calls of the shared work in one ``trials=4`` run, keyed by
-    ``(criterion number, function)``; number 0 is the harness itself."""
+    ``(criterion number, function)``; number 0 is the harness itself.
+    Each ``characteristic_family`` call is also counted under
+    ``(number, "family", stacks, tables, returned)``: the hereditary stacks
+    and gramian tables it evaluated, and whether it returned a family."""
     counts = Counter()
     current = [0]
+    open_families = []  # [stacks, tables] of each family call in progress
 
     def counted(fn, name):
         def wrapper(*args, **kwargs):
             counts[current[0], name] += 1
             return fn(*args, **kwargs)
+        return wrapper
+
+    def in_family(fn, slot):
+        def wrapper(*args, **kwargs):
+            if open_families:
+                open_families[-1][slot] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def family(fn):
+        def wrapper(*args, **kwargs):
+            open_families.append([0, 0])
+            returned = False
+            try:
+                out = fn(*args, **kwargs)
+                returned = True
+                return out
+            finally:
+                stacks, tables = open_families.pop()
+                counts[current[0], "family", stacks, tables, returned] += 1
         return wrapper
 
     def numbered(fn, number):
@@ -79,10 +105,18 @@ def call_counts():
         for module, name in ((acc, "suite_weights"),
                              (acc, "make_weight_hardy"),
                              (acc, "make_weight_beta_alpha"),
-                             (her, "classify"), (mod, "classify"),
-                             (mod, "characteristic_family")):
+                             (her, "classify")):
             label = f"{module.__name__.split('.')[-1]}.{name}"
             mp.setattr(module, name, counted(getattr(module, name), label))
+        for module in (her, mod):
+            mp.setattr(module, "_hereditary_sums",
+                       in_family(module._hereditary_sums, 0))
+        for module in (her, col, mod):
+            mp.setattr(module, "gramian_table",
+                       in_family(module.gramian_table, 1))
+        mp.setattr(mod, "characteristic_family",
+                   counted(family(mod.characteristic_family),
+                           "model.characteristic_family"))
         mp.setattr(acc, "CRITERIA", [numbered(fn, n)
                                      for n, fn in enumerate(CRITERIA, 1)])
         results = run_suite(RunConfig(seed=7, trials=4))
@@ -99,7 +133,7 @@ def test_suite_weights_built_once_per_run(call_counts):
                      (0, "acceptance.make_weight_beta_alpha"): 3}
 
 
-@pytest.mark.parametrize("number", [8, 10])
+@pytest.mark.parametrize("number", [8, 9, 10])
 def test_model_criteria_leave_classification_to_the_family(call_counts,
                                                            number):
     assert call_counts[number, "hereditary.classify"] == 0
@@ -108,9 +142,16 @@ def test_model_criteria_leave_classification_to_the_family(call_counts,
 
 @pytest.mark.parametrize("number", [6, 8, 9, 10])
 def test_each_characteristic_family_classified_once(call_counts, number):
-    assert call_counts[number, "model.classify"] \
+    # every call evaluates one hereditary stack; every family it returns
+    # was classified and factored from one gramian table, and a call
+    # refused at its defect stops before the table
+    calls = {key[2:]: m for key, m in call_counts.items()
+             if key[:2] == (number, "family")}
+    assert sum(calls.values()) \
         == call_counts[number, "model.characteristic_family"] > 0
-
+    assert {stacks for stacks, _, _ in calls} == {1}
+    assert {tables for _, tables, returned in calls if returned} == {1}
+    assert all(tables <= 1 for _, tables, _ in calls)
 
 
 def test_nan_kernel_residual_fails_criterion_4(monkeypatch):

@@ -523,6 +523,23 @@ class TestClassify:
         rep = hb.classify(w_beta3, hb.OutputPair(A=A, C=np.eye(3)), k_max=10)
         assert rep.certified_all_k
 
+    @pytest.mark.parametrize("weight", ["w_beta2", "w_beta3"])
+    def test_integer_alpha_certificate_is_the_binomial_maps(self, weight,
+                                                          request):
+        # the certificate reads Gamma[I] from the hereditary stack; it is
+        # the binomial defect map of order alpha
+        w = request.getfixturevalue(weight)
+        m = int(w.alpha)
+        rng = np.random.default_rng(19)
+        for norm in (0.4, 0.8, 0.95):
+            A = cmat(rng, 3, 3)
+            A *= norm / np.linalg.norm(A, 2)
+            rep = hb.classify(w, hb.OutputPair(A=A, C=np.eye(3)), k_max=10)
+            ref = min(her._psd_defects(hb.gamma_binomial(1, A, np.eye(3))),
+                      her._psd_defects(hb.gamma_binomial(m, A, np.eye(3))))
+            assert rep.residuals["integer_alpha_certificate_min_eig"] \
+                == pytest.approx(ref, abs=1e-13)
+
     def test_minimality_of_gramian(self, w_beta2):
         # any PSD solution of the inequalities dominates the gramian
         rng = np.random.default_rng(17)

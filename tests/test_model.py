@@ -56,6 +56,28 @@ class TestCharacteristicFamily:
             assert char.gramian_identity_residual < 1e-9
             assert char.classification.isometric_pair
 
+    def test_defect_is_the_defect_operator(self, all_weights):
+        # the family takes D from row 0 of its hereditary stack; for
+        # beta_2.5 both sums are series, each with tail <= tol
+        rng = np.random.default_rng(59)
+        for w in all_weights:
+            T = hypercontraction_T(w, rng, 3)
+            D = hb.characteristic_family(w, T, k_max=4, tol=1e-10).defect
+            ref = hb.defect_operator(w, T, tol=1e-10)
+            if w.alpha is None or float(w.alpha).is_integer():
+                np.testing.assert_allclose(D, ref, rtol=0, atol=1e-13)
+            else:
+                np.testing.assert_allclose(D @ D, ref @ ref, rtol=0,
+                                           atol=2e-10)
+
+    def test_gramian_tail_bound_is_the_family_table(self, all_weights):
+        rng = np.random.default_rng(60)
+        for w in all_weights:
+            char = hb.characteristic_family(w, hypercontraction_T(w, rng, 2),
+                                            k_max=4)
+            assert char.classification.residuals["gramian_tail_bound"] \
+                == char.family.gramians.tail_bounds[0]
+
     def test_not_hypercontraction_refused(self, w_beta2):
         # T* = s N^T with s^2 = 0.503: Gamma[I] = (I - L)^2 I has eigenvalue
         # 1 - 2 s^2 = -6e-3, inside the defect operator's 10 tol allowance

@@ -212,18 +212,16 @@ class TestShiftedTables:
 
 
 class TestGammaKCoeffs:
-    def test_hardy_identity(self, w_hardy):
-        for k in (1, 3, 7):
-            d = hb.gamma_k_coeffs(w_hardy, k, 6)
-            np.testing.assert_allclose(d, [1, 0, 0, 0, 0, 0, 0], atol=0)
+    """The quotient-series rows ``d^(k)`` of ``quotient_rows``, the
+    coefficients of the shifted hereditary maps."""
 
-    def test_k_zero_identity(self, w_beta2):
-        np.testing.assert_allclose(hb.gamma_k_coeffs(w_beta2, 0, 4),
-                                   [1, 0, 0, 0, 0], atol=0)
+    def test_hardy_identity(self, w_hardy):
+        d = hb.quotient_rows(w_hardy, [1, 3, 7], 6)
+        np.testing.assert_allclose(d, [[1, 0, 0, 0, 0, 0, 0]] * 3, atol=0)
 
     def test_beta2_k1_polynomial_product(self, w_beta2):
         # oracle: multiply the shifted table by (1 - z)^2
-        d = hb.gamma_k_coeffs(w_beta2, 1, 5)
+        d = hb.quotient_rows(w_beta2, [1], 5)[0]
         shifted = hb.shifted_resolvent_coeffs(w_beta2, 1, 7)
         ref = np.convolve(shifted, [1, -2, 1])[:6]
         np.testing.assert_allclose(d, ref, atol=1e-12)
@@ -233,8 +231,7 @@ class TestGammaKCoeffs:
         # conv(1/beta, d^(k))_j = 1/beta_{k+j}: the quotient-series table
         # really is the Taylor data of R_k / R
         for w in all_weights:
-            for k in (1, 2, 5):
-                d = hb.gamma_k_coeffs(w, k, 30)
+            for k, d in zip((1, 2, 5), hb.quotient_rows(w, [1, 2, 5], 30)):
                 for j in (0, 1, 7, 22):
                     got = np.dot(w.inv_betas[:j + 1][::-1], d[:j + 1])
                     assert got == pytest.approx(w.inv_betas[k + j], rel=1e-11)
@@ -243,15 +240,14 @@ class TestGammaKCoeffs:
         # d^(j)_m = d^(j+1)_{m-1} + c_m / beta_j
         for w in all_weights:
             for j in (1, 3):
-                dj = hb.gamma_k_coeffs(w, j, 12)
-                dj1 = hb.gamma_k_coeffs(w, j + 1, 12)
+                dj, dj1 = hb.quotient_rows(w, [j, j + 1], 12)
                 for m in range(1, 12):
                     ref = dj1[m - 1] + w.inv_betas[j] * w.c_coeffs[m]
                     assert dj[m] == pytest.approx(ref, abs=1e-12)
 
     def test_table_guard(self, w_beta2):
         with pytest.raises(hb.TruncationError):
-            hb.gamma_k_coeffs(w_beta2, 3, w_beta2.trunc_len)
+            hb.quotient_rows(w_beta2, [3], w_beta2.trunc_len)
 
     def test_quotient_rows_are_the_single_rows(self, all_weights):
         # one product for all shifts gives each shift's own row
@@ -261,7 +257,7 @@ class TestGammaKCoeffs:
             assert rows.shape == (20, n + 1)
             for k in (1, 2, 9, 20):
                 np.testing.assert_allclose(rows[k - 1],
-                                           hb.gamma_k_coeffs(w, k, n),
+                                           hb.quotient_rows(w, [k], n)[0],
                                            rtol=1e-13, atol=1e-15)
 
     def test_quotient_rows_guards(self, w_beta2):
