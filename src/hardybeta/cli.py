@@ -185,12 +185,13 @@ def cmd_kernels(args) -> int:
         K = ker.kernel_shifted(w, args.k, pair, gramians, pts, pts)
     else:
         K = ker.kernel_gap(w, args.k, pair, gramians, pts, pts)
-    # every float formatted once, the same text for CSV and JSON; z outer,
-    # zeta inner: the row-major order of the grid's two point axes
+    # the same text for CSV and JSON, every float formatted once on and
+    # above the diagonal (the grid is Hermitian off it); z outer, zeta
+    # inner: the row-major order of the grid's two point axes
     zs = ser.text_array(np.asarray(pts, dtype=complex))
     m = len(zs)
     points = np.stack((np.repeat(zs, m, axis=0), np.tile(zs, (m, 1))), axis=1)
-    values = ser.text_array(K.reshape(m * m, pair.p, pair.p))
+    values = ser.hermitian_text(K).reshape(m * m, pair.p, pair.p, 2)
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         fh.write(ser.kernel_grid_csv(points, values))
     if args.out_json:

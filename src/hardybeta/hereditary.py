@@ -5,8 +5,7 @@ and an admissible weight sequence this module evaluates
 
 * the weighted resolvents ``R_k(zA) = sum_j (1/beta_{k+j}) (zA)^j``, for
   one shift ``k`` or a sequence of shifts (the steps of a colligation
-  family) on a whole point array, from one table of powers ``(rA)^j`` at
-  the array's largest radius ``r``,
+  family) on a whole point array, and the scalar ``R_k(x)``,
 * the shifted observability gramians
   ``G^(k) = sum_j (1/beta_{j+k}) A^{*j} C^* C A^j``,
 * the hereditary maps ``Gamma[X] = sum_j c_j A^{*j} X A^j`` and their shifted
@@ -15,30 +14,38 @@ and an admissible weight sequence this module evaluates
   pair (contractive, isometric, hypercontractive, strongly stable, exactly
   observable).
 
-Hardy and integer alpha (``R(x) = (1 - x)^-alpha``) leave the series for
-the conjugation sums: a gramian table takes alpha chained applications of
-one inverse of the Kronecker matrix of ``I - L``, ``L: X -> A* X A``, each
-refined once, and the hereditary maps are finite sums over the moments
-``X, L X, .., L^alpha X``, since their rows vanish past index alpha.  The
-choice is made from the weight's kind, never from trailing zeros in its
-table; the closed forms report tail 0.
+Hardy and integer alpha (``R(x) = (1 - x)^-alpha``) leave the series: a
+gramian table takes alpha chained applications of one inverse of the
+Kronecker matrix of ``I - L``, ``L: X -> A* X A``, each refined once; the
+hereditary maps are finite sums over the moments ``X, L X, .., L^alpha X``,
+since their rows vanish past index alpha; and a resolvent grid is
+``R_k(zA) = sum_{r<alpha} C(k + r - 1, r) (I - zA)^(r - alpha)`` for every
+shift, from one batched inverse of ``I - z_i A`` over the points and its
+powers (the scalar ``R_k(x)`` likewise from ``1 / (1 - x)``).  The choice
+is made from the weight's kind, never from trailing zeros in its table.
+A closed form reports tail 0 (a resolvent no record) and cannot raise
+ConvergenceError; these weights take the series only for a conjugation sum
+at ``rho(A) >= 1`` or a hereditary map whose table is shorter than alpha
+past the largest shift.
 
-Every other sum (non-integer alpha and custom weights, and every resolvent)
-is cut adaptively by the engine in ``series.py``, with each coefficient
-row's step bound past the table taken from the weight.  The tail bound it
-reports holds under the transient constant ``K`` observed on the terms
-summed so far (terms dominated by ``K * q^j`` for a decay rate ``q``
-chosen from the spectral radius); transient growth of a non-normal ``A``
-after the stop is not covered (see ROADMAP.md).  A resolvent grid is cut
-once, at its largest radius ``r``: since ``|z_i / r|^j <= 1``, the tail
-bound of the powers ``(rA)^j`` holds at every point of the grid.  A
-sequence of shifts adds one coefficient row ``1/beta_{k+j}`` per shift to
-the same table, every row cut at the length left to the largest shift and
-bounded past it by the weight's step; the one cut is the first index where
-every row's bound holds, so the tail is <= tol at every shift and point.
+Every other sum (non-integer alpha and custom weights) is cut adaptively
+by the engine in ``series.py``, with each coefficient row's step bound
+past the table taken from the weight, and raises ConvergenceError when the
+stored table is too short for ``tol``.  The tail bound it reports holds
+under the transient constant ``K`` observed on the terms summed so far
+(terms dominated by ``K * q^j`` for a decay rate ``q`` chosen from the
+spectral radius); transient growth of a non-normal ``A`` after the stop is
+not covered (see ROADMAP.md).  A resolvent grid on the series is one table
+of powers ``(rA)^j``, cut once at its largest radius ``r``: since
+``|z_i / r|^j <= 1``, the tail bound of the powers holds at every point of
+the grid.  A sequence of shifts adds one coefficient row ``1/beta_{k+j}``
+per shift to the same table, every row cut at the length left to the
+largest shift and bounded past it by the weight's step; the one cut is the
+first index where every row's bound holds, so the tail is <= tol at every
+shift and point.
 Gramian tables are inverted as one stack.
 Gramians and classification are restricted to spectral radius at most
-0.999, on either route.
+0.999, on either route; resolvents need ``|z| rho(A) < 1``.
 
 Everything here is a pure function of immutable inputs; results are safe to
 share across threads.
@@ -254,6 +261,15 @@ def _series_sums(A, X, rows, steps, q, tol, context, floors=0.0):
     return _contract(rows, rec.terms), rec
 
 
+def _shift_coefs(ks, a: int) -> np.ndarray:
+    """``C(k + r - 1, r)`` for ``r < a``, one row per shift of ``ks``: the
+    coefficient of ``(1 - x)^(r - a)`` in the shifted generating function
+    ``R_k(x) = sum_j (1/beta_{k+j}) x^j`` when
+    ``1/beta_m = C(a + m - 1, m)``."""
+    return np.array([[math.comb(k + r - 1, r) if r else 1 for r in range(a)]
+                     for k in ks], dtype=float)
+
+
 def _closed_gramians(A, X, ks, a: int) -> np.ndarray:
     """``sum_j (1/beta_{j+k}) A^{*j} X A^j`` for every shift of ``ks`` when
     ``1/beta_m = C(a + m - 1, m)``, as one stack:
@@ -274,9 +290,7 @@ def _closed_gramians(A, X, ks, a: int) -> np.ndarray:
         x += inv @ (v - M @ x)
         S.append(x)
         v = x
-    coef = [[math.comb(k + r - 1, r) if r else 1 for r in range(a)]
-            for k in ks]
-    sums = np.array(coef, dtype=float) @ np.array(S[::-1])
+    sums = _shift_coefs(ks, a) @ np.array(S[::-1])
     return hermitize(sums.reshape(-1, n, n))
 
 
@@ -336,13 +350,28 @@ def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context,
 # ---------------------------------------------------------------------------
 
 
+def _closed_resolvents(ks, a: int, inv, mul) -> np.ndarray:
+    """``R_k`` for every shift of ``ks`` when ``1/beta_m = C(a + m - 1, m)``:
+    ``sum_{r<a} C(k + r - 1, r) inv^(a - r)``, one row per shift, from the
+    powers of ``inv = (I - zA)^-1`` (a stack of matrices, ``mul`` the
+    matrix product) or of ``inv = (1 - x)^-1`` (``mul`` the elementwise
+    one)."""
+    powers = [inv]
+    for _ in range(a - 1):
+        powers.append(mul(powers[-1], inv))
+    return np.tensordot(_shift_coefs(ks, a), np.stack(powers[::-1]),
+                        axes=(1, 0))
+
+
 def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
     """``R_k(z_i A)`` for a shift or a sequence of shifts and a point or a
     1-d array of points, of shape ``np.shape(k) + np.shape(z) + (n, n)``,
     together with the series record of the powers at the grid radius
-    ``r = max |z_i|`` (None when the sum is exact because ``r = 0`` or
-    ``A = 0``).  Every shift's row ``1/beta_{k+j}`` is cut at the table
-    length of the largest shift, past which the weight bounds its step."""
+    ``r = max |z_i|``, or None when the sum is exact: a closed form (hardy
+    and integer alpha, from one batched inverse of ``I - z_i A``), ``r = 0``
+    or ``A = 0``.  On the series every shift's row ``1/beta_{k+j}`` is cut
+    at the table length of the largest shift, past which the weight bounds
+    its step."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     ks = np.atleast_1d(np.asarray(k, dtype=int))
@@ -357,8 +386,12 @@ def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
     cap = w.trunc_len - int(ks.max())
     if cap < 0:
         raise TruncationError(f"shift k={ks.max()} exceeds stored length")
-    rows = w.inv_betas[ks[:, None] + np.arange(cap + 1)]
     shape = np.shape(k) + np.shape(z) + (n, n)
+    a = _integer_alpha(w)
+    if a is not None:
+        inv = np.linalg.inv(np.eye(n) - zs[:, None, None] * A)
+        return _closed_resolvents(ks, a, inv, np.matmul).reshape(shape), None
+    rows = w.inv_betas[ks[:, None] + np.arange(cap + 1)]
     if r == 0.0 or not A.any():
         return (rows[:, 0, None, None, None] * np.eye(n, dtype=complex)
                 * np.ones((len(zs), 1, 1))).reshape(shape), None
@@ -378,34 +411,44 @@ def resolvents(w: WeightSequence, k, A, zs,
                tol: float = 1e-12) -> np.ndarray:
     """``R_k(z_i A)`` at a point or a 1-d array of points, of shape
     ``np.shape(k) + np.shape(zs) + (n, n)``: ``k`` is one shift or a
-    sequence of shifts.  One table of powers ``(rA)^j`` at the grid radius
-    ``r = max |z_i|`` serves every shift and point; it is cut once, with
+    sequence of shifts.
+
+    Hardy and integer alpha are closed form,
+    ``R_k(zA) = sum_{r<alpha} C(k + r - 1, r) (I - zA)^(r - alpha)``, from
+    one batched inverse of ``I - z_i A`` and its powers; ``tol`` is not
+    used.  Every other weight sums one table of powers ``(rA)^j`` at the
+    grid radius ``r = max |z_i|`` for every shift and point, cut once with
     tail <= tol at every shift and every point.
 
-    Requires finite points and ``r * rho(A) < 1``.  Raises ConvergenceError
-    when the stored coefficient table is exhausted before the tail bound
-    drops below ``tol``.
+    Requires finite points, ``r * rho(A) < 1`` and shifts within the
+    stored table.  On the series, raises ConvergenceError when the stored
+    coefficient table is exhausted before the tail bound drops below
+    ``tol``.
     """
     return _resolvent_table(w, k, A, zs, tol)[0]
 
 
 def resolvent_apply(w: WeightSequence, k: int, A, z: complex,
                     tol: float = 1e-12) -> np.ndarray:
-    """Evaluate ``R_k(zA) = sum_j (1/beta_{k+j}) z^j A^j`` with tail <= tol
-    at one point: the one-point grid of ``resolvents``.
+    """Evaluate ``R_k(zA) = sum_j (1/beta_{k+j}) z^j A^j`` at one point: the
+    one-point grid of ``resolvents``, so closed form for hardy and integer
+    alpha and otherwise a series with tail <= tol.
 
-    Requires ``|z| * rho(A) < 1``.  Raises ConvergenceError when the stored
-    coefficient table is exhausted before the tail bound drops below
-    ``tol``.
+    Requires ``|z| * rho(A) < 1``.  On the series, raises ConvergenceError
+    when the stored coefficient table is exhausted before the tail bound
+    drops below ``tol``.
     """
     return resolvents(w, k, A, complex(z), tol)
 
 
 def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
-    """Scalar series ``sum_j x^j / beta_{k+j}`` vectorized over ``x``.
+    """Scalar ``R_k(x) = sum_j x^j / beta_{k+j}`` vectorized over ``x``.
 
     Used for the space kernel ``K(z, zeta) = R(z * conj(zeta))``.  Requires
-    finite points with ``|x| < 1``.
+    finite points with ``|x| < 1``.  Hardy and integer alpha are closed
+    form, ``sum_{r<alpha} C(k + r - 1, r) (1 - x)^(r - alpha)``; every other
+    weight sums the series with tail <= tol, and raises ConvergenceError
+    when the stored table is too short for that.
     """
     xs = np.asarray(x, dtype=complex)
     if not np.isfinite(xs).all():
@@ -414,6 +457,9 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
         raise DivergenceError("scalar resolvent needs |x| < 1")
     if w.trunc_len - k < 0:
         raise TruncationError(f"shift k={k} exceeds stored length")
+    a = _integer_alpha(w)
+    if a is not None:
+        return _closed_resolvents([k], a, 1.0 / (1.0 - xs), np.multiply)[0]
     inv_b = w.inv_betas[k:]
     q = float(np.max(np.abs(xs), initial=0.0))
     # |x^j| <= q^j exactly, so the transient constant is 1

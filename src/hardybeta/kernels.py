@@ -15,9 +15,13 @@ each on a whole grid in one call: ``z`` and ``zeta`` are scalars or 1-d
 point arrays, the value has shape ``np.shape(z) + np.shape(zeta) + (p, p)``
 and a scalar pair is the 1-by-1 grid.  Every point must lie in the open
 unit disk; a point with ``|z| >= 1`` or a NaN or infinite part raises
-InvalidParameterError.  The resolvents ``R_k(zA)`` of a
-point array come from one table of powers of ``A``, and the scalar series
-is summed once per grid; both are cut at the grid's largest radius.
+InvalidParameterError.  The resolvents ``R_k(zA)`` of a point array are
+one ``resolvents`` call (closed form for hardy and integer alpha, from one
+batched inverse; otherwise one table of powers of ``A`` cut at the grid's
+largest radius), and each shift's range kernel is one matrix product over
+the whole grid.  With ``zeta is z`` every kernel grid is Hermitian off its
+diagonal bit for bit: ``K[j, i]`` is the conjugate transpose of
+``K[i, j]`` for ``i != j``, signed zeros included.
 
 The module also runs two verification suites: the inner-function-family
 check (isometry, mutual orthogonality, and containment of each
@@ -157,21 +161,37 @@ def space_kernel(w: WeightSequence, z, zeta, tol: float = 1e-12) -> np.ndarray:
     return resolvent_scalar(w, 0, _point_grid(z, zeta)[2], tol)
 
 
+def _mirrored(K: np.ndarray, same: bool) -> np.ndarray:
+    """A kernel value ``K`` with, when ``same`` (``zeta is z``) and ``K``
+    is a grid of shape ``(m, m, p, p)``, every block below the diagonal
+    copied in place from the conjugate transpose of its mirror.
+
+    Every public matrix kernel ends here: the arithmetic is symmetric under
+    conjugation, so each copy equals the value computed, up to roundoff
+    and to the signs of exact zeros (``x^k`` at a point 0)."""
+    if same and K.ndim == 4:
+        low = np.tri(len(K), k=-1, dtype=bool)
+        K[low] = K.swapaxes(0, 1).swapaxes(2, 3)[low].conj()
+    return K
+
+
 def _range_kernel(w: WeightSequence, k, pair: OutputPair, G_inv,
                   z, zeta, tol: float) -> np.ndarray:
     """``C R_k(zA) G_inv R_k(zeta A)* C*`` for a shift ``k`` or a sequence
     of shifts (``G_inv`` then the matching stack), of shape
     ``np.shape(k) + np.shape(z) + np.shape(zeta) + (p, p)``; the resolvents
     are one ``resolvents`` call per point array (one in all when
-    ``zeta is z``)."""
+    ``zeta is z``), and each shift's grid is one product of the stacked
+    ``C R_k(z_i A) G_inv`` with the stacked ``(C R_k(zeta_j A))*``."""
     zs, zetas, x = _point_grid(z, zeta)
-    Rz = resolvents(w, k, pair.A, zs, tol)
-    Rzeta = Rz if zetas is zs else resolvents(w, k, pair.A, zetas, tol)
-    lead = np.shape(k)
-    G = np.reshape(G_inv, lead + (1, pair.n, pair.n))
-    K = (pair.C @ Rz @ G)[..., :, None, :, :] \
-        @ Rzeta.conj().swapaxes(-1, -2)[..., None, :, :, :]
-    return (K @ pair.C.conj().T).reshape(lead + x.shape + (pair.p, pair.p))
+    lead, n, p = np.shape(k), pair.n, pair.p
+    CRz = pair.C @ resolvents(w, k, pair.A, zs, tol)
+    CRzeta = CRz if zetas is zs \
+        else pair.C @ resolvents(w, k, pair.A, zetas, tol)
+    left = (CRz @ np.reshape(G_inv, lead + (1, n, n))).reshape(lead + (-1, n))
+    right = CRzeta.reshape(lead + (-1, n)).conj().swapaxes(-1, -2)
+    K = (left @ right).reshape(lead + (len(zs), p, len(zetas), p))
+    return K.swapaxes(-3, -2).reshape(lead + x.shape + (p, p))
 
 
 def kernel_coinvariant(w: WeightSequence, pair: OutputPair, z, zeta,
@@ -181,7 +201,8 @@ def kernel_coinvariant(w: WeightSequence, pair: OutputPair, z, zeta,
     spanned by the observability range of an exactly observable pair."""
     if gram_inv is None:
         gram_inv = hermitian_inverse(gramian(w, 0, pair, tol))
-    return _range_kernel(w, 0, pair, gram_inv, z, zeta, tol)
+    return _mirrored(_range_kernel(w, 0, pair, gram_inv, z, zeta, tol),
+                     zeta is z)
 
 
 def kernel_invariant(w: WeightSequence, pair: OutputPair, z, zeta,
@@ -191,7 +212,7 @@ def kernel_invariant(w: WeightSequence, pair: OutputPair, z, zeta,
     ``R(z conj(zeta)) I - C R(zA) inv(G) R(zeta A)* C*``."""
     K = kernel_coinvariant(w, pair, z, zeta, gram_inv, tol)
     scal = space_kernel(w, z, zeta, tol)
-    return scal[..., None, None] * np.eye(pair.p) - K
+    return _mirrored(scal[..., None, None] * np.eye(pair.p) - K, zeta is z)
 
 
 def kernel_shifted(w: WeightSequence, k: int, pair: OutputPair,
@@ -201,7 +222,7 @@ def kernel_shifted(w: WeightSequence, k: int, pair: OutputPair,
                       tol)
     x = _point_grid(z, zeta)[2][..., None, None]
     scal = resolvent_scalar(w, k, x, tol)
-    return x ** k * (scal * np.eye(pair.p) - K)
+    return _mirrored(x ** k * (scal * np.eye(pair.p) - K), zeta is z)
 
 
 def kernel_gap(w: WeightSequence, k: int, pair: OutputPair, gramians,
@@ -211,7 +232,8 @@ def kernel_gap(w: WeightSequence, k: int, pair: OutputPair, gramians,
     K0, K1 = _range_kernel(w, (k, k + 1), pair, gramians.inverses(k, k + 1),
                            z, zeta, tol)
     x = _point_grid(z, zeta)[2][..., None, None]
-    return x ** k * (w.inv_betas[k] * np.eye(pair.p) - K0 + x * K1)
+    return _mirrored(x ** k * (w.inv_betas[k] * np.eye(pair.p) - K0 + x * K1),
+                     zeta is z)
 
 
 def default_grid(radii=(0.0, 0.2, 0.4, 0.6, 0.8), angles: int = 8):

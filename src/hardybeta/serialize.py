@@ -13,8 +13,10 @@ cycles are bit-stable), the tokens ``NaN``, ``Infinity`` and ``-Infinity``
 for non-finite floats, and strings with ASCII escapes.
 
 Arrays are written from text: ``text_array`` formats each float once (a
-complex array gains a trailing ``[re, im]`` axis), and the JSON and CSV
-writers take such a table as well as numbers.  A writer joins the leaves
+complex array gains a trailing ``[re, im]`` axis), ``hermitian_text`` does
+so for a grid that is Hermitian off its diagonal from the blocks on and
+above it, and the JSON and CSV writers take such a table as well as
+numbers.  A writer joins the leaves
 in one ``str.join``, interleaved with separators that depend only on the
 shape: where ``r`` axes roll over, JSON closes ``r`` lists, writes ``","``
 and reopens them; CSV writes ``","`` in a row and a newline after it.  The
@@ -84,6 +86,28 @@ def text_array(a) -> np.ndarray:
     a = _re_im(a)
     return np.fromiter(map(float.__repr__, a.reshape(-1).tolist()),
                        dtype=object, count=a.size).reshape(a.shape)
+
+
+def hermitian_text(K) -> np.ndarray:
+    """``text_array`` of a complex grid ``K`` of shape ``(m, m, p, p)``
+    whose blocks below the diagonal are, bit for bit, the conjugate
+    transposes of their mirrors (a kernel grid with ``zeta is z``).
+
+    Only the blocks ``i <= j`` are formatted; each block below takes its
+    mirror's transposed text, real parts unchanged and imaginary parts
+    negated by their sign character, which is the text of the negated
+    float (``nan`` is its own negation)."""
+    i, j = np.triu_indices(len(K))
+    out = np.empty(K.shape + (2,), dtype=object)
+    out[i, j] = upper = text_array(K[i, j])
+    off = i < j
+    mirror = upper[off].swapaxes(1, 2)
+    im = mirror[..., 1]
+    mirror[..., 1] = np.array(
+        [t[1:] if t[0] == "-" else t if t == "nan" else "-" + t
+         for t in im.reshape(-1).tolist()], dtype=object).reshape(im.shape)
+    out[j[off], i[off]] = mirror
+    return out
 
 
 def _interleave(items: list, shape, seps) -> str:

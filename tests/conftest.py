@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hardybeta as hb
+from hardybeta.weights import WeightSequence
 
 TRUNC = 256
 
@@ -29,6 +30,15 @@ def w_beta25():
 @pytest.fixture(scope="session")
 def all_weights(w_hardy, w_beta2, w_beta3, w_beta25):
     return [w_hardy, w_beta2, w_beta3, w_beta25]
+
+
+def series_copy(w):
+    """The same table as a custom weight, which sums the series (hardy and
+    integer alpha are closed form).  ``make_weight_custom`` tags an
+    all-ones table hardy, so the hardy copy is built directly."""
+    if w.kind == "hardy":
+        return WeightSequence(w.betas, w.ratio_bound, "custom", w.c_coeffs)
+    return hb.make_weight_custom(w.betas)
 
 
 def cmat(rng, rows, cols):

@@ -10,6 +10,7 @@ from conftest import cmat
 from hardybeta import kernels as ker
 from hardybeta import serialize as ser
 from hardybeta.cli import build_parser, main
+from hardybeta.hereditary import hermitian_inverse
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -413,6 +414,47 @@ class TestEnvAndDeterminism:
                 for z, v in zip(obj["points"], obj["values"])]
         assert len(rows) == 9 * 9
         assert csv.read_text() == "\n".join([header] + rows) + "\n"
+
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("kind", ["coinvariant", "invariant", "shifted",
+                                      "gap"])
+    @pytest.mark.parametrize("weight", [["--hardy"], ["--alpha", "2"],
+                                        ["--alpha", "2.5"]])
+    def test_kernels_leaves_are_the_library_grid_text(self, tmp_path, capsys,
+                                                      kind, k, weight):
+        # only the blocks on and above the diagonal are formatted; every
+        # leaf is still float.__repr__ of the library's grid, signed zeros
+        # (the point 0 at k = 2) included
+        rng = np.random.default_rng(98)
+        A = cmat(rng, 3, 3)
+        A *= 0.6 / hb.spectral_radius(A)
+        pair = hb.OutputPair(A=A, C=cmat(rng, 2, 3))
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps(ser.pair_to_json(pair)))
+        csv, kern = tmp_path / "grid.csv", tmp_path / "grid.json"
+        assert run(capsys, "kernels", str(op), *weight, "--kind", kind,
+                   "--k", str(k), "--grid", "0.0,0.5", "--out-csv", str(csv),
+                   "--out-json", str(kern))[0] == 0
+        w = (hb.make_weight_hardy() if weight == ["--hardy"]
+             else hb.make_weight_beta_alpha(float(weight[1])))
+        pts = ker.default_grid(radii=(0.0, 0.5))
+        tab = hb.gramian_table(w, pair, k + 1, tol=1e-12)
+        G_inv = hermitian_inverse(tab[0])
+        K = {"coinvariant": lambda: hb.kernel_coinvariant(w, pair, pts, pts,
+                                                          G_inv),
+             "invariant": lambda: hb.kernel_invariant(w, pair, pts, pts,
+                                                      G_inv),
+             "shifted": lambda: hb.kernel_shifted(w, k, pair, tab, pts, pts),
+             "gap": lambda: hb.kernel_gap(w, k, pair, tab, pts, pts),
+             }[kind]()
+        ref = ser.text_array(K).reshape(81, -1).tolist()
+        json_leaves = [list(map(float.__repr__, np.ravel(v).tolist()))
+                       for v in json.loads(kern.read_text())["values"]]
+        csv_leaves = [row.split(",")[4:]
+                      for row in csv.read_text().split("\n")[1:-1]]
+        assert json_leaves == ref
+        assert csv_leaves == ref
 
 
 class TestVerifyCommand:

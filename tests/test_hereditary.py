@@ -5,8 +5,7 @@ import pytest
 
 import hardybeta as hb
 from hardybeta import hereditary as her
-from hardybeta.weights import WeightSequence
-from conftest import cmat, stable_pair
+from conftest import cmat, series_copy, stable_pair
 
 
 class TestResolvent:
@@ -82,8 +81,9 @@ class TestShiftLists:
     def test_tail_bound_covers_every_shift_and_point(self, w_hardy, w_beta2,
                                                      power):
         # R_k = (I - zA)^-1 for hardy and (I - zA)^-2 + k (I - zA)^-1 for
-        # beta_2; a loose tol leaves a remainder well above roundoff
-        w = w_hardy if power == 1 else w_beta2
+        # beta_2, summed as a series by custom copies of their tables; a
+        # loose tol leaves a remainder well above roundoff
+        w = series_copy(w_hardy if power == 1 else w_beta2)
         rng = np.random.default_rng(61)
         A = stable_pair(rng, 4, 1, rho=0.8).A
         zs = np.asarray(hb.default_grid(), dtype=complex)
@@ -208,15 +208,6 @@ def _inv_betas(alpha, ks):
                                 for m in j] for k in ks], dtype=float)
 
 
-def _series_copy(w):
-    """The same table as a custom weight, which sums the series.
-    ``make_weight_custom`` tags an all-ones table hardy, so the hardy copy
-    is built directly."""
-    if w.kind == "hardy":
-        return WeightSequence(w.betas, w.ratio_bound, "custom", w.c_coeffs)
-    return hb.make_weight_custom(w.betas)
-
-
 class TestClosedForms:
     """Hardy and integer alpha: gramians by one Stein solve, hereditary maps
     by finite sums."""
@@ -257,7 +248,7 @@ class TestClosedForms:
     def test_agrees_with_series_route(self, alpha):
         w = (hb.make_weight_hardy(1024) if alpha == 1
              else hb.make_weight_beta_alpha(float(alpha), 1024))
-        copy = _series_copy(w)
+        copy = series_copy(w)
         assert copy.kind == "custom"
         rng = np.random.default_rng(30 + alpha)
         for trial, rho in enumerate((0.5, 0.8, 0.9, 0.5, 0.8, 0.9)):
@@ -283,6 +274,76 @@ class TestClosedForms:
                 got, ref = run(w), run(copy)
                 assert np.linalg.norm(got - ref) \
                     <= 1e-13 * max(1.0, np.linalg.norm(ref))
+
+
+def _jordan_inverse(z, lam, n):
+    """``(I - zA)^-1`` for ``A = lam I_n + N`` (N ones on the
+    superdiagonal) by the nilpotent expansion
+    ``sum_{m<n} z^m N^m (1 - z lam)^-(m+1)``."""
+    out = np.zeros((n, n), dtype=complex)
+    for m in range(n):
+        out += np.diag(np.full(n - m, z ** m / (1 - z * lam) ** (m + 1)), m)
+    return out
+
+
+class TestClosedResolvents:
+    """Hardy and integer alpha: resolvents from one batched inverse of
+    ``I - zA`` and its powers, with no series record."""
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_jordan_probe(self, alpha):
+        # |z| lam up to 0.999, where I - zA is within 1e-3 of singular
+        lam, n = 0.9, 8
+        A = lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
+        w = (hb.make_weight_hardy() if alpha == 1
+             else hb.make_weight_beta_alpha(float(alpha)))
+        zs = np.concatenate([
+            (0.999 / lam) * np.exp(2j * np.pi * np.array([0.0, 0.3, 0.55])),
+            [0.0, 0.5j, -0.8, 0.7 + 0.6j]])
+        shifts = (0, 2, 5)
+        R, rec = her._resolvent_table(w, shifts, A, zs, 1e-12)
+        assert rec is None
+        for Rk, k in zip(R, shifts):
+            for Rz, z in zip(Rk, zs):
+                inv = _jordan_inverse(z, lam, n)
+                ref = sum((math.comb(k + r - 1, r) if r else 1)
+                          * np.linalg.matrix_power(inv, alpha - r)
+                          for r in range(alpha))
+                assert np.linalg.norm(Rz - ref) \
+                    <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_scalar_closed_form_and_shifted_sums(self, alpha):
+        w = (hb.make_weight_hardy() if alpha == 1
+             else hb.make_weight_beta_alpha(float(alpha)))
+        xs = np.array([0.0, 0.5, -0.3 + 0.4j, 0.9j, 0.999, -0.999,
+                       0.7 - 0.7j])
+        R = (1.0 - xs) ** -alpha
+        np.testing.assert_allclose(hb.resolvent_scalar(w, 0, xs), R,
+                                   rtol=1e-14, atol=0)
+        # x^k R_k(x) = R(x) - sum_{j<k} x^j / beta_j
+        for k in (1, 2, 5):
+            head = sum(math.comb(alpha + j - 1, j) * xs ** j
+                       for j in range(k))
+            got = xs ** k * hb.resolvent_scalar(w, k, xs)
+            assert np.all(np.abs(got - (R - head)) <= 1e-13 * np.abs(R))
+
+    def test_custom_copy_takes_the_series(self, w_hardy, w_beta2):
+        rng = np.random.default_rng(64)
+        A = stable_pair(rng, 4, 1, rho=0.8).A
+        zs = np.asarray(hb.default_grid(), dtype=complex)
+        xs = 0.9 * zs
+        for w in (w_hardy, w_beta2):
+            copy = series_copy(w)
+            closed, none = her._resolvent_table(w, (0, 3), A, zs, 1e-12)
+            summed, rec = her._resolvent_table(copy, (0, 3), A, zs, 1e-12)
+            assert none is None and rec.J >= 4
+            for Ck, Sk, tail in zip(closed, summed, rec.tails):
+                assert np.linalg.norm(Ck - Sk, axis=(1, 2)).max() \
+                    <= tail + 1e-12 * np.linalg.norm(Ck, axis=(1, 2)).max()
+            np.testing.assert_allclose(hb.resolvent_scalar(copy, 3, xs),
+                                       hb.resolvent_scalar(w, 3, xs),
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestObservabilityCoeffs:

@@ -510,3 +510,31 @@ class TestArrayEvaluators:
             for z, zt in ((bad, 0.3), (0.3, bad), ([0.0, bad], [0.0, 0.2])):
                 with pytest.raises(hb.InvalidParameterError, match="|z| < 1"):
                     f(z, zt)
+
+
+def _bits(a):
+    """The bit patterns of a complex array's parts: equal patterns are
+    equal floats with equal signs, zeros included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("kind", ["coinvariant", "invariant", "shifted",
+                                  "gap"])
+def test_grid_hermitian_off_the_diagonal(all_weights, kind, k):
+    # with zeta is z, every block below the diagonal is the conjugate
+    # transpose of its mirror bit for bit; at k = 2 the point 0 makes
+    # zeros, whose signs are mirrored too
+    rng = np.random.default_rng(97)
+    pair = stable_pair(rng, 4, 2, rho=0.6)
+    pts = ker.default_grid()
+    i, j = np.tril_indices(len(pts), -1)
+    for w in all_weights:
+        tab = hb.gramian_table(w, pair, k + 1, tol=1e-12)
+        K = {"coinvariant": lambda: hb.kernel_coinvariant(w, pair, pts, pts),
+             "invariant": lambda: hb.kernel_invariant(w, pair, pts, pts),
+             "shifted": lambda: hb.kernel_shifted(w, k, pair, tab, pts, pts),
+             "gap": lambda: hb.kernel_gap(w, k, pair, tab, pts, pts),
+             }[kind]()
+        np.testing.assert_array_equal(
+            _bits(K[i, j]), _bits(K[j, i].conj().swapaxes(-1, -2)))

@@ -279,3 +279,22 @@ class TestCsvReference:
             {"values": [[[[np.nan, np.inf]]], [[[-np.inf, 0.0]]]]},
             indent=1)
         assert "nan" not in blob and "inf" not in blob
+
+
+@pytest.mark.parametrize("im", [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300,
+                                -2.5e-07])
+def test_hermitian_text_is_the_whole_grid_text(im):
+    # the blocks below the diagonal take their mirror's text, imaginary
+    # parts negated by their sign character: the text of the conjugate
+    rng = np.random.default_rng(99)
+    m, p = 4, 2
+    K = cmat(rng, m * m * p, p).reshape(m, m, p, p)
+    K[0, 1, 1, 0] = complex(0.25, im)
+    K[1, 3, 0, 0] = complex(-0.0, im)
+    K[2, 2, 1, 0] = complex(im, im)  # a diagonal block is formatted as is
+    i, j = np.tril_indices(m, -1)
+    K[i, j] = K[j, i].conj().swapaxes(-1, -2)
+    text = ser.hermitian_text(K)
+    assert text.shape == (m, m, p, p, 2)
+    assert text.tolist() == ser.text_array(K).tolist()
+    assert text[1, 0, 0, 1, 1] == float.__repr__(-im)

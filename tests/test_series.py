@@ -7,6 +7,7 @@ import pytest
 import hardybeta as hb
 from hardybeta import hereditary as her
 from hardybeta import series
+from conftest import series_copy
 
 #: diagonal (normal) operator: ||A^j|| = rho^j, so the observed transient
 #: constant is a true bound and the closed forms below are exact
@@ -14,9 +15,12 @@ DIAG = np.diag([0.9, -0.5 + 0.3j, 0.2j])
 
 
 def _weight(kind):
+    """The hardy or beta_2 table of 256 entries as a custom weight, which
+    sums the series (hardy and integer alpha are closed form), and the
+    power alpha of ``R(x) = (1 - x)^-alpha``."""
     if kind == "hardy":
-        return hb.make_weight_hardy(256), 1
-    return hb.make_weight_beta_alpha(2.0, 256), 2  # R(x) = (1 - x)^-2
+        return series_copy(hb.make_weight_hardy(256)), 1
+    return series_copy(hb.make_weight_beta_alpha(2.0, 256)), 2
 
 
 def _reference(first, right, rows, q, steps, tol, left=None):
@@ -123,13 +127,14 @@ class TestBlocksMatchTermByTerm:
 
 
 class TestTooShortTable:
+    # hardy and integer alpha are closed form; beta_1.5 sums the series
     def test_resolvent_apply_names_caller(self):
-        w = hb.make_weight_hardy(16)
+        w = hb.make_weight_beta_alpha(1.5, 16)
         with pytest.raises(hb.ConvergenceError, match="^resolvent_apply: "):
             hb.resolvent_apply(w, 0, 0.95 * np.eye(2), 1.0)
 
     def test_resolvent_scalar_names_caller(self):
-        w = hb.make_weight_hardy(16)
+        w = hb.make_weight_beta_alpha(1.5, 16)
         with pytest.raises(hb.ConvergenceError, match="^resolvent_scalar: "):
             hb.resolvent_scalar(w, 0, 0.95)
 
@@ -143,9 +148,11 @@ class TestTooShortTable:
     def test_message_text(self):
         # the whole message of a 16-term table, as the term-by-term engine
         # wrote it; the gamma_map bound is the closed-form c step's (the
-        # trailing-ratio extrapolation it replaced gave inf here).  The
-        # gramian case is beta_1.5's, since hardy takes the Stein solve
-        w = hb.make_weight_hardy(16)
+        # trailing-ratio extrapolation it replaced gave inf here).  Every
+        # case is beta_1.5's, since hardy is closed form; its resolvent row
+        # steps by 17.5/17 past the table, and at q = 0.975 that bounds no
+        # tail
+        w = hb.make_weight_beta_alpha(1.5, 16)
         A = 0.95 * np.eye(2)
         cases = [
             (lambda: hb.gramian_table(hb.make_weight_beta_alpha(1.5, 16),
@@ -154,7 +161,7 @@ class TestTooShortTable:
              "gramian_table: tail bound 2.369e+02 > tol 1.000e-10 after 15 "
              "stored terms; increase the weight truncation"),
             (lambda: hb.resolvent_apply(w, 0, A, 1.0),
-             "resolvent_apply: tail bound 3.678e+01 > tol 1.000e-12 after 17 "
+             "resolvent_apply: tail bound inf > tol 1.000e-12 after 17 "
              "stored terms; increase the weight truncation"),
             (lambda: hb.gamma_map(hb.make_weight_beta_alpha(1.5, 16),
                                   np.diag([0.95, 0.5]), np.eye(2)),
@@ -169,10 +176,11 @@ class TestTooShortTable:
     def test_unbounded_tail_names_the_rate(self):
         # |z| rho(A) = 0.75 < 1, but the powers (zA)^j are bounded at the
         # rate q = |z| (1 + rho)/2 = 1.125: no table length gives a bound
+        # (q depends on |z| and rho alone; beta_1.5 takes the series)
         for n in (16, 256):
             with pytest.raises(hb.ConvergenceError) as info:
-                hb.resolvents(hb.make_weight_hardy(n), 0, 0.5 * np.eye(2),
-                              1.5)
+                hb.resolvents(hb.make_weight_beta_alpha(1.5, n), 0,
+                              0.5 * np.eye(2), 1.5)
             assert str(info.value) == (
                 "resolvent_apply: tail bound inf > tol 1.000e-12: the decay "
                 "rate q = 1.125 >= 1 bounds no tail, whatever the weight "
