@@ -176,15 +176,16 @@ def cmd_kernels(args) -> int:
                 f"--grid radii must lie in [0, 1): {args.grid}")
         pts = ker.default_grid(radii=radii)
     gramians = gramian_table(w, pair, args.k + 1, tol=1e-12)
-    gram_inv = hermitian_inverse(gramians[0], args.rank_tol)
-    if args.kind == "coinvariant":
-        K = ker.kernel_coinvariant(w, pair, pts, pts, gram_inv)
-    elif args.kind == "invariant":
-        K = ker.kernel_invariant(w, pair, pts, pts, gram_inv)
-    elif args.kind == "shifted":
-        K = ker.kernel_shifted(w, args.k, pair, gramians, pts, pts)
+    if args.kind in ("coinvariant", "invariant"):
+        kernel = (ker.kernel_coinvariant if args.kind == "coinvariant"
+                  else ker.kernel_invariant)
+        K = kernel(w, pair, pts, pts,
+                   hermitian_inverse(gramians[0], args.rank_tol))
     else:
-        K = ker.kernel_gap(w, args.k, pair, gramians, pts, pts)
+        kernel = (ker.kernel_shifted if args.kind == "shifted"
+                  else ker.kernel_gap)
+        K = kernel(w, args.k, pair, gramians, pts, pts,
+                   rank_tol=args.rank_tol)
     # the same text for CSV and JSON, every float formatted once on and
     # above the diagonal (the grid is Hermitian off it); z outer, zeta
     # inner: the row-major order of the grid's two point axes

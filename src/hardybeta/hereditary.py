@@ -67,7 +67,7 @@ from .errors import (
     SpectralRadiusError,
     TruncationError,
 )
-from .weights import WeightSequence, quotient_rows
+from .weights import WeightSequence, hereditary_rows
 
 #: gramians and classification refuse spectral radius beyond this
 RHO_MAX = 0.999
@@ -80,10 +80,11 @@ def hermitize(M: np.ndarray) -> np.ndarray:
 
 
 def opnorm(M: np.ndarray) -> float:
-    """Operator (spectral) norm."""
+    """Operator (spectral) norm: the largest singular value, the LAPACK
+    call ``np.linalg.norm(M, 2)`` makes, without its wrapping."""
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def spectral_radius(A: np.ndarray) -> float:
@@ -316,7 +317,7 @@ def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context,
                      gamma=False, rho=None) -> np.ndarray:
     """``Gamma[X]`` (when ``gamma``) followed by ``Gamma^(k)[X]`` for every
     shift ``k >= 1`` of ``ks``, as one stack, from the ``c`` row and the
-    quotient rows ``d^(k)`` of ``quotient_rows``.
+    quotient rows ``d^(k)``, kept on the weight (``hereditary_rows``).
 
     For hardy and integer alpha these rows vanish past index alpha: the
     sums are finite, over the moments ``X, L X, .., L^alpha X``, once the
@@ -328,8 +329,7 @@ def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context,
     a = _integer_alpha(w)
     finite = a is not None and a <= cap
     n = a if finite else cap
-    rows = np.vstack(([w.c_coeffs[None, :n + 1]] if gamma else [])
-                     + ([quotient_rows(w, ks, n)] if ks.size else []))
+    rows = hereditary_rows(w, ks, n, gamma)
     if finite:
         A = np.asarray(A, dtype=complex)
         terms = np.empty((a + 1,) + np.shape(X), dtype=complex)

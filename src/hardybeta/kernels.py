@@ -216,21 +216,26 @@ def kernel_invariant(w: WeightSequence, pair: OutputPair, z, zeta,
 
 
 def kernel_shifted(w: WeightSequence, k: int, pair: OutputPair,
-                   gramians, z, zeta, tol: float = 1e-12) -> np.ndarray:
-    """Kernel of the k-th shift image of the invariant subspace."""
-    K = _range_kernel(w, k, pair, hermitian_inverse(gramians[k]), z, zeta,
-                      tol)
+                   gramians, z, zeta, tol: float = 1e-12,
+                   rank_tol: float = 1e-10) -> np.ndarray:
+    """Kernel of the k-th shift image of the invariant subspace; ``G^(k)``
+    is inverted under ``rank_tol`` (``hermitian_inverse``)."""
+    K = _range_kernel(w, k, pair, hermitian_inverse(gramians[k], rank_tol),
+                      z, zeta, tol)
     x = _point_grid(z, zeta)[2][..., None, None]
     scal = resolvent_scalar(w, k, x, tol)
     return _mirrored(x ** k * (scal * np.eye(pair.p) - K), zeta is z)
 
 
 def kernel_gap(w: WeightSequence, k: int, pair: OutputPair, gramians,
-               z, zeta, tol: float = 1e-12) -> np.ndarray:
+               z, zeta, tol: float = 1e-12,
+               rank_tol: float = 1e-10) -> np.ndarray:
     """Kernel of the wandering gap between shift images k and k+1; both
-    range kernels come from one ``resolvents`` table."""
-    K0, K1 = _range_kernel(w, (k, k + 1), pair, gramians.inverses(k, k + 1),
-                           z, zeta, tol)
+    range kernels come from one ``resolvents`` table, and ``G^(k)``,
+    ``G^(k+1)`` are inverted under ``rank_tol``."""
+    K0, K1 = _range_kernel(w, (k, k + 1), pair,
+                           gramians.inverses(k, k + 1, rank_tol), z, zeta,
+                           tol)
     x = _point_grid(z, zeta)[2][..., None, None]
     return _mirrored(x ** k * (w.inv_betas[k] * np.eye(pair.p) - K0 + x * K1),
                      zeta is z)

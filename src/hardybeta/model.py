@@ -199,6 +199,10 @@ def defect_form_family(w: WeightSequence, T, k_max: int = 12,
 
 @dataclass
 class CoincidenceResult:
+    """The verdict, the residual of the unitaries found (for a "no" decided
+    before any sweep, the floor every unitary pair's residual is above),
+    the unitaries and the number of Procrustes sweeps run."""
+
     coincide: bool
     residual: float
     tau: np.ndarray | None
@@ -214,6 +218,22 @@ _MAX_SWEEPS = 50
 def _polar_unitary(M: np.ndarray) -> np.ndarray:
     U, _, Vh = np.linalg.svd(M)
     return U @ Vh
+
+
+def _residual_floor(S, values, p: int) -> float:
+    """A lower bound on ``max ||tau Theta_k(z_i) - Theta'_k(z_i) sigma_k||``
+    over unitary ``tau``, ``sigma_k`` from the singular values ``S`` of the
+    stacked intertwining system (``check_coincidence``) and the
+    ``Theta'_k(z_i)`` it was built from, ``values`` of shape
+    ``(K, N, p, u)``, less a rounding allowance: ``S_min`` is lowered by
+    ``16 p^2 eps S_max`` for the rounding of the system and its SVD, and
+    the floor by ``64 eps (1 + beta)`` for that of a computed residual."""
+    eps = np.finfo(float).eps
+    rows = len(values) * values.shape[1] ** 2  # blocks of p^2 rows
+    beta = float(np.linalg.svd(values, compute_uv=False)[..., 0].max())
+    c = max(S[-1] - 16 * p * p * eps * S[0], 0.0) * np.sqrt(p / rows)
+    return float(c / (beta + np.sqrt(beta * beta + c))
+                 - 64 * eps * (1.0 + beta))
 
 
 def check_coincidence(famA, famB, grid=None,
@@ -235,6 +255,16 @@ def check_coincidence(famA, famB, grid=None,
     condition number.  Structural dimension mismatches yield a negative
     verdict rather than an exception.  The minimizing unitaries are one
     representative; they are not claimed unique.
+
+    The system also bounds every residual from below, so a "no" may need
+    no sweep: with ``P`` built from ``Theta'`` values of norm at most
+    ``beta``, a unitary pair of residual ``res`` leaves each of the
+    system's ``R`` blocks of rows a defect of at most ``res (2 beta + res)``,
+    while the whole defect is at least ``S_min sqrt(p)`` for the smallest
+    singular value ``S_min``.  So ``res`` is at least
+    ``c / (beta + sqrt(beta^2 + c))``, ``c = S_min sqrt(p / R)``; when that
+    floor, less an allowance for rounding, exceeds ``tol`` the check
+    returns "no" with no unitaries and 0 sweeps.
     """
     A_col = famA.family if isinstance(famA, CharFamily) else famA
     B_col = famB.family if isinstance(famB, CharFamily) else famB
@@ -287,6 +317,11 @@ def check_coincidence(famA, famB, grid=None,
     # singular matrices (matrix units of the commutant) whose plain sum is
     # singular too.
     _, S, Vh = np.linalg.svd(M.reshape(-1, p * p), full_matrices=False)
+    floor = _residual_floor(S, EB[first], p)
+    if floor > tol:
+        return CoincidenceResult(
+            False, floor, None, None,
+            reason=f"every unitary pair leaves a residual above {floor:.3e}")
     null = Vh[S <= max(S[-1], tol * S[0])][::-1].conj()
     weights = 1.0 / np.arange(1, len(null) + 1)
     tau = _polar_unitary((weights @ null).reshape(p, p))

@@ -19,7 +19,9 @@ Each weight knows its tails: step bounds on ``|row[j+1] / row[j]|`` past a
 cut (``inv_step``, ``c_step``) and the Wiener report of ``c``, all proved
 except the ``c`` step and floor of a custom weight, the one estimate left.
 
-Instances are immutable after construction and safe for concurrent reads.
+Instances are immutable after construction and safe for concurrent reads;
+the stacked rows of the hereditary maps (``hereditary_rows``) are built on
+first use and kept, read-only, on the weight.
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ class WeightSequence:
     alpha: float | None = None
     inv_betas: np.ndarray = field(init=False)
     wiener: WienerReport = field(init=False)
+    _rows: dict = field(init=False, default_factory=dict, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         self.betas = np.asarray(self.betas, dtype=float)
@@ -319,3 +323,22 @@ def quotient_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
     # row j of the window is c_{j+1}, ..., c_{j+k_max}
     return -(sliding_window_view(w.c_coeffs[1:n + k_max + 1], k_max) @ B).T
 
+
+def hereditary_rows(w: WeightSequence, ks, n: int,
+                    gamma: bool) -> np.ndarray:
+    """The ``c`` row ``c_0 .. c_n`` (when ``gamma``) stacked over
+    ``quotient_rows(w, ks, n)`` (when ``ks`` is not empty): the coefficient
+    rows of ``Gamma`` and ``Gamma^(k)``.  Built once per weight, shifts and
+    length, and returned read-only."""
+    key = (gamma, tuple(int(k) for k in ks), n)
+    rows = w._rows.get(key)
+    if rows is None:
+        parts = [w.c_coeffs[None, :n + 1]] if gamma else []
+        if key[1]:
+            parts.append(quotient_rows(w, key[1], n))
+        # kept in this layout: the contraction with the terms, and so
+        # every hereditary sum, rounds by it
+        rows = np.vstack(parts)
+        rows.flags.writeable = False
+        w._rows[key] = rows
+    return rows

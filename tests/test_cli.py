@@ -239,6 +239,25 @@ class TestKernelsCommand:
         rows = csv_file.read_text().strip().split("\n")
         assert len(rows) == 1 + points * points
 
+    @pytest.mark.parametrize("kind", ["shifted", "gap"])
+    def test_rank_tol_reaches_shifted_and_gap(self, tmp_path, capsys, kind):
+        # these kinds invert G^(k) (and G^(k+1)) alone; --rank-tol is
+        # applied there, and a ratio no gramian meets refuses the grid
+        rng = np.random.default_rng(92)
+        A = cmat(rng, 2, 2)
+        A *= 0.5 / hb.spectral_radius(A)
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"A": ser.complex_matrix_to_json(A),
+                                  "C": ser.complex_matrix_to_json(
+                                      cmat(rng, 1, 2))}))
+        csv_file = tmp_path / "grid.csv"
+        argv = ["kernels", str(op), "--alpha", "2", "--kind", kind, "--k",
+                "1", "--grid", "0.0,0.4", "--out-csv", str(csv_file)]
+        assert run(capsys, *argv)[0] == 0
+        code, _, err = run(capsys, *argv, "--rank-tol", "0.999")
+        assert code == hb.ObservabilityError.exit_code
+        assert ("at G^(1)" if kind == "gap" else "singular") in err
+
     @pytest.mark.parametrize("grid", ["0.5,1.2", "1.0", "-0.5", "nan"])
     @pytest.mark.parametrize("kind", ["coinvariant", "gap"])
     def test_radius_outside_disk_exits_2(self, tmp_path, capsys, grid, kind):

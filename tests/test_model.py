@@ -137,7 +137,29 @@ class TestCoincidence:
         famB = hb.characteristic_family(w_beta2, 0.5 * T, k_max=4)
         res = hb.check_coincidence(famA, famB, tol=1e-7)
         assert not res.coincide
-        assert res.sweeps == 45  # the one start runs until it stalls
+        # the system's smallest singular value rules out every unitary pair
+        # before a sweep (the one start ran 45 sweeps to stall at 0.695)
+        assert res.sweeps == 0 and res.tau is None
+        assert res.residual == pytest.approx(0.17578, rel=1e-4)
+
+    def test_residual_floor_holds(self, all_weights):
+        # with tol above the floor the sweeps run, and every residual they
+        # reach stays above it; a conjugated family has floor <= 0
+        rng = np.random.default_rng(60)
+        for w in all_weights:
+            T = hypercontraction_T(w, rng, 3)
+            famA = hb.characteristic_family(w, T, k_max=4)
+            for S in (0.6 * T, T + 0.3 * np.eye(3),
+                      hypercontraction_T(w, rng, 3)):
+                famB = hb.characteristic_family(w, S, k_max=4)
+                floor = hb.check_coincidence(famA, famB, tol=1e-7).residual
+                assert floor > 1e-7
+                res = hb.check_coincidence(famA, famB, tol=2 * floor)
+                assert res.sweeps > 0 and res.residual >= floor
+            Q, _ = np.linalg.qr(cmat(rng, 3, 3))
+            famB = hb.characteristic_family(w, Q @ T @ Q.conj().T, k_max=4)
+            res = hb.check_coincidence(famA, famB, tol=1e-7)
+            assert res.coincide and res.sweeps > 0
 
     def test_repeated_eigenvalue_self_coincides(self, all_weights):
         # the family's self-intertwiners form a commutant of more than one

@@ -279,3 +279,83 @@ def test_row_tails_cover_remainder(alpha):
         assert true == pytest.approx(2.733e-7, rel=1e-3)
         assert series.RowTails([w.c_coeffs], 0.999,
                                w.c_step(N)).tails[0, N] >= true
+
+
+def _full_table_tails(rows, q, steps, floors=0.0):
+    """``RowTails.tails`` formed over the whole stored table, every
+    ``q^j`` included: the reference for the tails cut at the underflow
+    guard."""
+    cap = min(len(r) for r in rows) - 1
+    powq = np.power(q, np.arange(cap + 1))
+    damped = np.abs(np.array([r[:cap + 1] for r in rows], dtype=float)) * powq
+    sq = np.broadcast_to(np.asarray(steps, dtype=float) * q, len(damped))
+    last = np.maximum(damped[:, -1], np.multiply(floors, powq[-1]))
+    beyond = np.full(len(damped), np.inf)
+    beyond[sq < 1.0] = last[sq < 1.0] * sq[sq < 1.0] / (1.0 - sq[sq < 1.0])
+    beyond[last == 0.0] = 0.0
+    tails = np.zeros_like(damped)
+    tails[:, :-1] = np.cumsum(damped[:, :0:-1], axis=1)[:, ::-1]
+    return tails + beyond[:, None]
+
+
+def test_row_tails_equal_full_table_above_underflow():
+    # past q^j = 1e-280 the entries are left out; wherever the worst tail
+    # is above 1e-250 every row's tail is the full-table one, bit for bit
+    rng = np.random.default_rng(11)
+    w = hb.make_weight_beta_alpha(2.5, 2048)
+    quot = hb.quotient_rows(w, range(1, 20), w.trunc_len - 19)
+    cases = 0
+    for q in np.concatenate([rng.uniform(0.01, 0.999, 60), [0.3, 0.7, 0.73]]):
+        for rows, steps in (([w.inv_betas], w.inv_step(w.trunc_len)),
+                            (np.vstack([w.c_coeffs[None, :quot.shape[1]],
+                                        quot]), w.c_step(quot.shape[1] - 1))):
+            tails = series.RowTails(rows, q, steps)
+            ref = _full_table_tails(rows, q, steps)
+            worst = ref.max(axis=0)
+            assert tails.tails.shape == ref.shape
+            assert np.array_equal(tails.worst, tails.tails.max(axis=0))
+            keep = worst > 1e-250
+            assert np.array_equal(tails.tails[:, keep], ref[:, keep])
+            assert np.array_equal(tails.worst[keep], worst[keep])
+            assert np.all(tails.worst[~keep] <= 1e-250)
+            cases += keep.size > keep.sum()
+    assert cases > 20  # most of the sets reach the guard
+
+
+class TestUnderflow:
+    """Terms that fall below about 1.5e-162 have a computed norm of 0 and
+    end the series; no refusal is made before the loop sees them."""
+
+    A = np.diag([0.999, 1e-3])
+
+    @pytest.mark.parametrize("small", [0.0, 1e-200])
+    def test_vanishing_term_ends_the_series(self, small):
+        # at q = 0.999 no table length holds a cut for 1/beta_{k+j}, but
+        # the term A^{*27} X A^27 has entries of 1e-162 and below
+        w = hb.make_weight_beta_alpha(2.5, 2048)
+        X = np.diag([small, 1.0])
+        assert np.all(np.isfinite(hb.gamma_map(w, self.A, X)))
+        tab = hb.gramian_table(w, hb.OutputPair(A=self.A, C=np.sqrt(X)), 3)
+        assert tab.trunc_order == 27
+        assert tab.tail_bounds == {k: 0.0 for k in range(4)}
+
+    def test_refusal_before_the_loop_matches_the_loop(self):
+        # neither table holds a cut for K = ||T_0|| = 1, which is also the
+        # loop's K.  The first series keeps T_2048 near 1e-141 and is
+        # refused before any block is made; the second (near 1e-156, below
+        # the guard) makes every term and raises at the end, with the same
+        # type and the same text
+        w = hb.make_weight_beta_alpha(2.5, 2048)
+        A = np.diag([0.999, 0.5]).astype(complex)
+        rows, q = [w.c_coeffs], series.conjugation_rate(0.999)
+        texts = []
+        for small, up_front in ((1e-140, True), (1e-155, False)):
+            X = np.diag([small, 1.0]).astype(complex)
+            assert series._cannot_vanish(X, A, A.conj().T, 2048) is up_front
+            with pytest.raises(hb.ConvergenceError) as info:
+                series.adaptive_sum(X, A, rows, q, w.c_step(2048), 1e-10,
+                                    "gamma_map", left=A.conj().T)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1] == (
+            "gamma_map: tail bound 3.513e-10 > tol 1.000e-10 after 2049 "
+            "stored terms; increase the weight truncation")

@@ -266,3 +266,20 @@ class TestGammaKCoeffs:
         for ks, n in (([0, 1], 5), ([1, 2], -1)):
             with pytest.raises(hb.InvalidParameterError):
                 hb.quotient_rows(w_beta2, ks, n)
+
+    def test_hereditary_rows_kept_read_only(self, all_weights):
+        # built once per weight, shifts and length: the same read-only
+        # array on every call, equal to a fresh build
+        for w in all_weights:
+            n = w.trunc_len - 6
+            for ks, gamma in ((range(1, 7), True), ([3], False), ([], True)):
+                rows = weights.hereditary_rows(w, ks, n, gamma)
+                fresh = np.vstack(([w.c_coeffs[None, :n + 1]] if gamma
+                                   else [])
+                                  + ([hb.quotient_rows(w, ks, n)] if ks
+                                     else []))
+                assert np.array_equal(rows, fresh)
+                assert not rows.flags.writeable
+                with pytest.raises(ValueError):
+                    rows[0, 0] = 1.0
+                assert weights.hereditary_rows(w, list(ks), n, gamma) is rows
