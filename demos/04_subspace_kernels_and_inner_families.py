@@ -47,8 +47,9 @@ for k in (0, 2):
 # The family is inner: shifted multiplication maps are isometric and
 # mutually orthogonal, and the once-more-shifted image of step k lies in
 # the shift image M_(k+1): P_k = sum_i A*^i C* Theta_(k,i) vanishes, with
-# the gramian remainder past degree J as the allowance.
-report = hb.check_inner_family(w, family, k_max=6, J=110)
+# the gramian remainder past degree J as the allowance.  The family
+# carries its weight, so the check takes no weight of its own.
+report = hb.check_inner_family(family, k_max=6, J=110)
 print("inner family verdict:", report.verdict)
 print("  isometry      ", report.isometry_residual)
 print("  orthogonality ", report.orthogonality_residual)

@@ -45,13 +45,14 @@ print("defect-form route coincides:",
 # Round trip: the kernel sum over the family, plus the kernel of the shift
 # image past its last step, reproduces the kernel of the model subspace
 # exactly (the wandering-subspace decomposition), so no allowance enters.
-trip = hb.model_roundtrip_residual(w, char)
+# It reads the weight from the characteristic family (char.weight).
+trip = hb.model_roundtrip_residual(char)
 print("round-trip residual:", trip.residual)
 
 # The functional-model colligation checks: the three block identities of
 # the weighted isometry, plus the input operator recovered from Taylor
 # data alone.
-rep = hb.functional_model_colligation(w, char.family, k=2, J=110)
+rep = hb.functional_model_colligation(char.family, k=2, J=110)
 print("functional-model blocks:", rep.check_state, rep.check_cross,
       rep.check_input)
 print("input operator alignment:", rep.alignment_residual,

@@ -24,14 +24,15 @@ steps = 16
 x0 = rng.standard_normal(n)
 inputs = [rng.standard_normal(family.step(k).u) for k in range(steps)]
 
-traj = hb.simulate(w, family, x0, inputs)
-oracle = hb.closed_form_trajectory(w, family, x0, inputs)
+# Every system function reads the weight from the family (family.weight).
+traj = hb.simulate(family, x0, inputs)
+oracle = hb.closed_form_trajectory(family, x0, inputs)
 print("recursion vs closed forms:",
       max(np.linalg.norm(a - b) for a, b in zip(traj.outputs, oracle.outputs)))
 
 # The stacked input-output matrix reproduces the zero-state response.
-io = hb.io_matrix(w, family, steps)
-zero_state = hb.simulate(w, family, np.zeros(n), inputs)
+io = hb.io_matrix(family, steps)
+zero_state = hb.simulate(family, np.zeros(n), inputs)
 print("io-matrix consistency:    ",
       np.linalg.norm(io.matrix @ hb.stack_inputs(inputs)
                      - np.concatenate(zero_state.outputs)))
@@ -39,12 +40,12 @@ print("io-matrix consistency:    ",
 # Output coefficients match the frequency-domain data coefficient by
 # coefficient: observability series plus the shifted transfer functions.
 print("z-transform residual:     ",
-      hb.check_ztransform(w, family, x0, inputs, J=steps - 1))
+      hb.check_ztransform(family, x0, inputs, J=steps - 1))
 
 # Energy identity of the input-output map (weighted output norm against
 # plain input norm).  Past the horizon the input is zero, and the output
 # energy there is beta_h^2 x(h)* G^(h) x(h) in closed form; the allowance is
 # only that gramian's tail bound.
-rep = hb.check_io_isometry(w, family, trials=5, horizon=24, seed=9)
+rep = hb.check_io_isometry(family, trials=5, horizon=24, seed=9)
 print("energy identity:", rep.isometric, " defect", rep.worst_defect,
       " allowance", rep.allowance)

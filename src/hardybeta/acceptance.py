@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,20 +41,22 @@ from .weights import make_weight_beta_alpha, make_weight_hardy
 #: spectral radius 0.9 and shift 11 need a deep table
 SUITE_TRUNC = 768
 
+#: draws per random instance before a helper gives up
+DRAW_TRIES = 60
+#: spectral radius and gramian condition number of a conditioned pair
+PAIR_RHO_MAX, PAIR_COND_MAX = 0.8, 1e3
+#: largest operator norm of a drawn star-hypercontraction ``T``
+T_NORM_MAX = 0.45
+
 
 @dataclass
 class RunConfig:
-    """Reproducibility envelope serialized alongside every report."""
+    """The settings ``run_suite`` reads."""
 
-    tol: float = 1e-8
     rank_tol: float = 1e-10
-    k_max: int = 12
     trunc: int = SUITE_TRUNC
     seed: int = 7
     trials: int = 20
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -98,28 +100,26 @@ def random_pair(rng, n, p, rho_max=0.9, rho_min=0.3):
     return OutputPair(A=A, C=_cmat(rng, p, n))
 
 
-def random_conditioned_pair(w, rng, n, p, rho_max=0.8, cond_max=1e3,
-                            tries=60):
+def random_conditioned_pair(w, rng, n, p):
     """Exactly observable pair whose gramian is well conditioned, so that
     inverse-based identities can be checked near machine precision."""
-    for _ in range(tries):
-        pair = random_pair(rng, n, p, rho_max=rho_max, rho_min=0.4)
+    for _ in range(DRAW_TRIES):
+        pair = random_pair(rng, n, p, rho_max=PAIR_RHO_MAX, rho_min=0.4)
         lam = np.linalg.eigvalsh(her.hermitize(her.gramian(w, 0, pair, 1e-12)))
-        if lam[0] > 0 and lam[-1] / lam[0] <= cond_max:
+        if lam[0] > 0 and lam[-1] / lam[0] <= PAIR_COND_MAX:
             return pair
     raise RuntimeError("could not draw a well-conditioned observable pair")
 
 
-def random_star_hypercontraction(w, rng, n, k_max, rank_tol, norm_max=0.45,
-                                 tries=60):
+def random_star_hypercontraction(w, rng, n, k_max, rank_tol):
     """Characteristic family of a random n-by-n matrix T whose adjoint is a
     strongly stable hypercontraction for the given weight.
 
     ``characteristic_family`` classifies ``T*`` itself and refuses any other
     T, so a refused draw is simply replaced by the next."""
-    for _ in range(tries):
+    for _ in range(DRAW_TRIES):
         G = _cmat(rng, n, n)
-        T = G * (rng.uniform(0.25, norm_max) / np.linalg.norm(G, 2))
+        T = G * (rng.uniform(0.25, T_NORM_MAX) / np.linalg.norm(G, 2))
         try:
             return mod.characteristic_family(w, T, k_max=k_max,
                                              rank_tol=rank_tol)
@@ -129,7 +129,7 @@ def random_star_hypercontraction(w, rng, n, k_max, rank_tol, norm_max=0.45,
 
 
 def _families(cfg, weights, tag, trials, n_hi, p_hi, k_max):
-    """Yield ``(w, rng, family)``, ``trials`` per weight: the colligation
+    """Yield ``(rng, family)``, ``trials`` per weight: the colligation
     family of a well-conditioned observable pair with ``2 <= n < n_hi``
     states and ``1 <= p < p_hi`` outputs."""
     rng = _rng(cfg, tag)
@@ -138,19 +138,19 @@ def _families(cfg, weights, tag, trials, n_hi, p_hi, k_max):
             n = int(rng.integers(2, n_hi))
             p = int(rng.integers(1, p_hi))
             pair = random_conditioned_pair(w, rng, n, p)
-            yield w, rng, build_family(w, pair, k_max=k_max,
-                                       rank_tol=cfg.rank_tol, tol=1e-13)
+            yield rng, build_family(w, pair, k_max=k_max,
+                                    rank_tol=cfg.rank_tol, tol=1e-13)
 
 
 def _char_families(cfg, weights, tag, k_max):
-    """Yield ``(w, rng, char)``, a quarter of ``cfg.trials`` per weight: the
+    """Yield ``(rng, char)``, a quarter of ``cfg.trials`` per weight: the
     characteristic family of a star-hypercontraction on 1 to 3 states."""
     rng = _rng(cfg, tag)
     for _, w in weights:
         for _ in range(max(1, cfg.trials // 4)):
             n = int(rng.integers(1, 4))
-            yield w, rng, random_star_hypercontraction(w, rng, n, k_max,
-                                                       cfg.rank_tol)
+            yield rng, random_star_hypercontraction(w, rng, n, k_max,
+                                                    cfg.rank_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def criterion_1_stein(cfg: RunConfig, weights) -> CriterionResult:
             pair = random_pair(rng, n, p, rho_max=0.9)
             table = her.gramian_table(w, pair, 11, tol=1e-9)
             for k in range(11):
-                worst = max(worst, her.stein_residual(
+                worst = _worst(worst, her.stein_residual(
                     w, k, pair, table[k], table[k + 1]))
     dt = time.perf_counter() - t0
     return CriterionResult(1, "stein-identity", worst <= 1e-7 and dt < 5.0,
@@ -211,12 +211,12 @@ def criterion_2_gamma_gramian(cfg: RunConfig, weights) -> CriterionResult:
             pair = random_pair(rng, n, p, rho_max=0.9)
             table = her.gramian_table(w, pair, 6, tol=1e-10)
             G = table[0]
-            worst = max(worst, her.opnorm(
+            worst = _worst(worst, her.opnorm(
                 her.gamma_map(w, pair.A, G, 1e-10)
                 - pair.C.conj().T @ pair.C))
             maps = her.gamma_k_map(w, range(1, 7), pair.A, G, 1e-10)
             for k, M in enumerate(maps, 1):
-                worst = max(worst, her.opnorm(M - table[k]))
+                worst = _worst(worst, her.opnorm(M - table[k]))
     return CriterionResult(2, "gamma-gramian-duality", worst <= 1e-7,
                            {"max_residual": worst}, "residual <= 1e-7")
 
@@ -224,14 +224,14 @@ def criterion_2_gamma_gramian(cfg: RunConfig, weights) -> CriterionResult:
 def criterion_3_cholesky(cfg: RunConfig, weights) -> CriterionResult:
     """Every built colligation step meets both weighted metric identities."""
     worst = 0.0
-    for _, _, fam in _families(cfg, weights, 3, cfg.trials, 6, 4, 8):
-        worst = max(worst, max(fam.isometry_residuals),
-                    max(fam.coisometry_residuals))
+    for _, fam in _families(cfg, weights, 3, cfg.trials, 6, 4, 8):
+        worst = _worst(worst, *fam.isometry_residuals,
+                       *fam.coisometry_residuals)
     return CriterionResult(3, "cholesky-colligation", worst <= 1e-9,
                            {"max_residual": worst}, "residual <= 1e-9")
 
 
-def _kernel_identity_residuals(w, fam, ks, grid):
+def _kernel_identity_residuals(fam, ks, grid):
     """Residuals of the two difference-kernel identities and the gap
     factorization at each step of ``ks`` over all grid point pairs.
 
@@ -241,7 +241,7 @@ def _kernel_identity_residuals(w, fam, ks, grid):
     ``x^k Theta_k(z) Theta_k(zeta)*``.  Residuals are measured in Frobenius
     norm, which dominates the operator norm.
     """
-    pair = fam.pair
+    w, pair = fam.weight, fam.pair
     C = pair.C
     zs = np.asarray(grid, dtype=complex)
     N = len(zs)
@@ -291,10 +291,9 @@ def _kernel_identity_residuals(w, fam, ks, grid):
 def criterion_4_kernel_identities(cfg: RunConfig, weights) -> CriterionResult:
     grid = ker.default_grid()
     worst = 0.0
-    for w, _, fam in _families(cfg, weights, 4, max(1, cfg.trials // 4),
-                               5, 3, 3):
-        worst = _worst(worst, *_kernel_identity_residuals(w, fam, (0, 2),
-                                                          grid))
+    for _, fam in _families(cfg, weights, 4, max(1, cfg.trials // 4),
+                            5, 3, 3):
+        worst = _worst(worst, *_kernel_identity_residuals(fam, (0, 2), grid))
     return CriterionResult(4, "kernel-identities", worst <= 1e-7,
                            {"max_residual": worst},
                            "residual <= 1e-7 on default grid")
@@ -303,14 +302,14 @@ def criterion_4_kernel_identities(cfg: RunConfig, weights) -> CriterionResult:
 def criterion_5_inner_family(cfg: RunConfig, weights) -> CriterionResult:
     worst12 = worst3 = 0.0
     ok = True
-    for w, _, fam in _families(cfg, weights, 5, max(1, cfg.trials // 4),
-                               5, 3, 8):
-        rep = ker.check_inner_family(w, fam, k_max=8, J=110, tol=1e-7)
-        worst12 = max(worst12, rep.isometry_residual,
-                      rep.orthogonality_residual)
+    for _, fam in _families(cfg, weights, 5, max(1, cfg.trials // 4),
+                            5, 3, 8):
+        rep = ker.check_inner_family(fam, k_max=8, J=110, tol=1e-7)
+        worst12 = _worst(worst12, rep.isometry_residual,
+                         rep.orthogonality_residual)
         cont = rep.details["containment"]
-        worst3 = max([worst3] + [d["residual"] - d["allowance"]
-                                 for d in cont])
+        worst3 = _worst(worst3, *[d["residual"] - d["allowance"]
+                                  for d in cont])
         ok = ok and rep.isometry_residual <= 1e-7 \
             and rep.orthogonality_residual <= 1e-7 \
             and all(d["residual"] <= 1e-6 + d["allowance"] for d in cont)
@@ -366,7 +365,7 @@ def criterion_7_integer_alpha_identity(cfg: RunConfig,
             for k, lhs in enumerate(maps, 1):
                 rhs = sum(math.comb(l + k - 1, l) * her.gamma_binomial(l, A, I)
                           for l in range(nn))
-                worst = max(worst, her.opnorm(lhs - rhs))
+                worst = _worst(worst, her.opnorm(lhs - rhs))
     return CriterionResult(7, "integer-alpha-identity", worst <= 1e-7,
                            {"max_residual": worst},
                            "residual <= 1e-7 for k <= 5")
@@ -374,8 +373,8 @@ def criterion_7_integer_alpha_identity(cfg: RunConfig,
 
 def criterion_8_model_roundtrip(cfg: RunConfig, weights) -> CriterionResult:
     worst = 0.0
-    for w, _, char in _char_families(cfg, weights, 8, 16):
-        worst = max(worst, mod.model_roundtrip_residual(w, char).residual)
+    for _, char in _char_families(cfg, weights, 8, 16):
+        worst = _worst(worst, mod.model_roundtrip_residual(char).residual)
     return CriterionResult(8, "model-roundtrip", worst <= 1e-5,
                            {"max_roundtrip_residual": worst},
                            "residual <= 1e-5, k_max 16")
@@ -384,15 +383,15 @@ def criterion_8_model_roundtrip(cfg: RunConfig, weights) -> CriterionResult:
 def criterion_9_coincidence(cfg: RunConfig, weights) -> CriterionResult:
     ok = True
     worst = 0.0
-    for w, rng, famA in _char_families(cfg, weights, 9, 6):
-        T = famA.T
+    for rng, famA in _char_families(cfg, weights, 9, 6):
+        w, T = famA.weight, famA.T
         n = T.shape[0]
         Q, _ = np.linalg.qr(_cmat(rng, n, n))
         famB = mod.characteristic_family(w, Q @ T @ Q.conj().T, k_max=6,
                                          rank_tol=cfg.rank_tol)
         res = mod.check_coincidence(famA, famB, tol=1e-7)
         ok = ok and res.coincide
-        worst = max(worst, res.residual)
+        worst = _worst(worst, res.residual)
         # a spectrally distinct operator must not coincide
         T3 = T * 0.5 if n == 1 else T + 0.3 * np.eye(n)
         try:
@@ -410,13 +409,13 @@ def criterion_10_functional_model(cfg: RunConfig, weights) -> CriterionResult:
     ok = True
     worst_checks = 0.0
     worst_align = -np.inf
-    for w, _, char in _char_families(cfg, weights, 10, 6):
+    for _, char in _char_families(cfg, weights, 10, 6):
         for k in (0, 3):
-            rep = mod.functional_model_colligation(w, char.family, k, J=110)
-            checks = max(rep.check_state, rep.check_cross, rep.check_input)
-            worst_checks = max(worst_checks, checks)
-            worst_align = max(worst_align, rep.alignment_residual
-                              - rep.alignment_allowance)
+            rep = mod.functional_model_colligation(char.family, k, J=110)
+            checks = _worst(rep.check_state, rep.check_cross, rep.check_input)
+            worst_checks = _worst(worst_checks, checks)
+            worst_align = _worst(worst_align, rep.alignment_residual
+                                 - rep.alignment_allowance)
             ok = ok and checks <= 1e-7 \
                 and rep.alignment_residual <= 1e-5 + rep.alignment_allowance
     return CriterionResult(10, "functional-model-checks", ok,
@@ -429,16 +428,15 @@ def criterion_11_system_transfer(cfg: RunConfig, weights) -> CriterionResult:
     worst_zt = 0.0
     iso_ok = True
     worst_iso = -np.inf
-    for w, rng, fam in _families(cfg, weights, 11, max(1, cfg.trials // 4),
-                                 5, 3, 25):
+    for rng, fam in _families(cfg, weights, 11, max(1, cfg.trials // 4),
+                              5, 3, 25):
         x0 = _cmat(rng, fam.pair.n, 1).ravel()
         us = [_cmat(rng, fam.step(k).u, 1).ravel() for k in range(25)]
-        worst_zt = max(worst_zt, sys_.check_ztransform(
-            w, fam, x0, us, J=24, tol=1e-12))
-        rep = sys_.check_io_isometry(w, fam, trials=3, horizon=24,
+        worst_zt = _worst(worst_zt, sys_.check_ztransform(fam, x0, us, J=24))
+        rep = sys_.check_io_isometry(fam, trials=3, horizon=24,
                                      tol=1e-6, seed=int(rng.integers(1 << 30)))
         iso_ok = iso_ok and rep.isometric
-        worst_iso = max(worst_iso, rep.worst_defect - rep.allowance)
+        worst_iso = _worst(worst_iso, rep.worst_defect - rep.allowance)
     ok = worst_zt <= 1e-9 and iso_ok
     return CriterionResult(11, "system-transfer-consistency", ok,
                            {"max_ztransform_residual": worst_zt,
@@ -455,7 +453,8 @@ def criterion_12_contractive_multiplier(cfg: RunConfig,
         blaschke = lambda z: np.array([[(z - 0.5) / (1.0 - 0.5 * z)]])
         rep = ker.check_contractive_multiplier(w, blaschke, grid, tol=1e-8)
         ok = ok and rep.contractive and rep.block_kernel_min_eig >= -1e-8
-        worst_eig = min(worst_eig, rep.block_kernel_min_eig)
+        # np.min, not min, so that a NaN is kept (as by _worst)
+        worst_eig = float(np.min((worst_eig, rep.block_kernel_min_eig)))
         bad = ker.check_contractive_multiplier(
             w, lambda z: 1.1 * np.eye(2), grid, tol=1e-8)
         ok = ok and not bad.contractive

@@ -71,13 +71,12 @@ def _weight_from_args(args):
     return make_weight_hardy(args.trunc)
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(tol=getattr(args, "tol", _default_tol()),
-                     rank_tol=getattr(args, "rank_tol", 1e-10),
-                     k_max=getattr(args, "k_max", 12),
-                     trunc=getattr(args, "trunc", DEFAULT_TRUNC),
-                     seed=getattr(args, "seed", 7),
-                     trials=getattr(args, "trials", 20))
+def _config_from_args(args) -> dict:
+    """The run configuration a report embeds: the subcommand's own value
+    of each key, and for a key it has no flag for, the default tolerance,
+    ``k_max`` 12 or the suite's default (``RunConfig``)."""
+    defaults = {"tol": _default_tol(), "k_max": 12, **vars(RunConfig())}
+    return {key: getattr(args, key, value) for key, value in defaults.items()}
 
 
 def _emit(args, payload: dict):
@@ -106,7 +105,7 @@ def cmd_weights(args) -> int:
     w = _weight_from_args(args)
     n = min(w.trunc_len, 64) if args.head else w.trunc_len
     payload = {
-        "config": _config_from_args(args).to_json(),
+        "config": _config_from_args(args),
         "kind": w.kind,
         "alpha": w.alpha,
         "ratio_bound": w.ratio_bound,
@@ -123,7 +122,7 @@ def cmd_analyze(args) -> int:
     pair = ser.pair_from_json(_load_json(args.operator))
     report = classify(w, pair, k_max=args.k_max, tol=args.tol)
     payload = {
-        "config": _config_from_args(args).to_json(),
+        "config": _config_from_args(args),
         "weight": ser.weight_to_json(w),
         "flags": report.flags,
         "residuals": report.residuals,
@@ -139,7 +138,7 @@ def cmd_colligate(args) -> int:
     pair = ser.pair_from_json(_load_json(args.operator))
     fam = build_family(w, pair, k_max=args.k_max, rank_tol=args.rank_tol)
     payload = ser.family_to_json(fam)
-    payload["config"] = _config_from_args(args).to_json()
+    payload["config"] = _config_from_args(args)
     _emit(args, payload)
     return 0
 
@@ -156,7 +155,7 @@ def cmd_charfn(args) -> int:
     char = mod.characteristic_family(w, T, k_max=args.k_max,
                                      rank_tol=args.rank_tol)
     payload = ser.char_family_to_json(char)
-    payload["config"] = _config_from_args(args).to_json()
+    payload["config"] = _config_from_args(args)
     _emit(args, payload)
     return 0
 
@@ -197,7 +196,7 @@ def cmd_kernels(args) -> int:
         fh.write(ser.kernel_grid_csv(points, values))
     if args.out_json:
         payload = {
-            "config": _config_from_args(args).to_json(),
+            "config": _config_from_args(args),
             "kind": args.kind,
             "k": args.k,
             "points": points,
@@ -210,23 +209,23 @@ def cmd_kernels(args) -> int:
 
 def cmd_simulate(args) -> int:
     fam = ser.family_from_json(_load_json(args.family))
-    w = fam.weight
     inputs = ser.inputs_from_json(_load_json(args.inputs))
     if args.x0:
         x0 = ser.complex_vector_from_json(_load_json(args.x0))
     else:
         x0 = np.zeros(fam.pair.n)
-    traj = sys_.simulate(w, fam, x0, inputs)
+    traj = sys_.simulate(fam, x0, inputs)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(ser.trajectory_csv(traj))
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
-    results = run_suite(cfg, echo=print)
+    results = run_suite(RunConfig(rank_tol=args.rank_tol, trunc=args.trunc,
+                                  seed=args.seed, trials=args.trials),
+                        echo=print)
     payload = {
-        "config": cfg.to_json(),
+        "config": _config_from_args(args),
         "criteria": [{"number": r.number, "name": r.name,
                       "passed": r.passed, "measured": r.measured,
                       "bound": r.bound} for r in results],

@@ -375,6 +375,8 @@ def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     ks = np.atleast_1d(np.asarray(k, dtype=int))
+    if ks.min(initial=0) < 0:
+        raise InvalidParameterError(f"shift k={ks.min()} must be >= 0")
     n = A.shape[0]
     if not np.isfinite(zs).all():
         raise InvalidParameterError("resolvent points must be finite")
@@ -420,10 +422,10 @@ def resolvents(w: WeightSequence, k, A, zs,
     grid radius ``r = max |z_i|`` for every shift and point, cut once with
     tail <= tol at every shift and every point.
 
-    Requires finite points, ``r * rho(A) < 1`` and shifts within the
-    stored table.  On the series, raises ConvergenceError when the stored
-    coefficient table is exhausted before the tail bound drops below
-    ``tol``.
+    Requires finite points, ``r * rho(A) < 1`` and shifts ``k >= 0``
+    within the stored table.  On the series, raises ConvergenceError when
+    the stored coefficient table is exhausted before the tail bound drops
+    below ``tol``.
     """
     return _resolvent_table(w, k, A, zs, tol)[0]
 
@@ -445,11 +447,13 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     """Scalar ``R_k(x) = sum_j x^j / beta_{k+j}`` vectorized over ``x``.
 
     Used for the space kernel ``K(z, zeta) = R(z * conj(zeta))``.  Requires
-    finite points with ``|x| < 1``.  Hardy and integer alpha are closed
-    form, ``sum_{r<alpha} C(k + r - 1, r) (1 - x)^(r - alpha)``; every other
-    weight sums the series with tail <= tol, and raises ConvergenceError
-    when the stored table is too short for that.
+    ``k >= 0`` and finite points with ``|x| < 1``.  Hardy and integer alpha
+    are closed form, ``sum_{r<alpha} C(k + r - 1, r) (1 - x)^(r - alpha)``;
+    every other weight sums the series with tail <= tol, and raises
+    ConvergenceError when the stored table is too short for that.
     """
+    if k < 0:
+        raise InvalidParameterError(f"shift k={k} must be >= 0")
     xs = np.asarray(x, dtype=complex)
     if not np.isfinite(xs).all():
         raise InvalidParameterError("scalar resolvent points must be finite")
@@ -474,6 +478,9 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
 # ---------------------------------------------------------------------------
 
 def _gramian_rows(w, ks, pair, tol, context):
+    if min(ks, default=-1) < 0:
+        raise InvalidParameterError(f"{context} needs shifts >= 0, got "
+                                    + (f"k={min(ks)}" if ks else "k_max < 0"))
     if pair.spectral_radius > RHO_MAX:
         raise SpectralRadiusError(
             f"rho(A) = {pair.spectral_radius:.4f} > {RHO_MAX}: gramian series "
@@ -518,6 +525,9 @@ def observability_coeffs(w: WeightSequence, k: int, pair: OutputPair,
                          J: int) -> np.ndarray:
     """Taylor coefficients ``(1/beta_{j+k}) C A^j`` of the shifted
     observability map, for ``j = 0..J``, as one ``(J + 1, p, n)`` array."""
+    if k < 0 or J < 0:
+        raise InvalidParameterError(
+            f"shift k={k} and length J={J} must be >= 0")
     if k + J > w.trunc_len:
         raise TruncationError("stored weights too short")
     return w.inv_betas[k:k + J + 1, None, None] \

@@ -297,8 +297,8 @@ def _element_columns(w, taylor, length):
     return (wgt * E).reshape(K, length * p, u)
 
 
-def check_inner_family(w: WeightSequence, family: ColligationFamily,
-                       k_max: int, J: int, tol: float = 1e-8) -> InnerFamilyReport:
+def check_inner_family(family: ColligationFamily, k_max: int, J: int,
+                       tol: float = 1e-8) -> InnerFamilyReport:
     """Verify the inner-function-family properties from Taylor data.
 
     (1) each map ``u -> S^k Theta_k u`` is isometric, (2) distinct steps are
@@ -314,7 +314,7 @@ def check_inner_family(w: WeightSequence, family: ColligationFamily,
     bound).  The Taylor data of all steps are one array, zero-padded past
     each step's input dimension; zero columns change none of the residuals.
     """
-    k_max = min(k_max, family.k_max)
+    w, k_max = family.weight, min(k_max, family.k_max)
     length = k_max + J + 1
     if length - 1 > w.trunc_len:
         raise TruncationError("weight table too short for requested J")

@@ -61,11 +61,14 @@ class CharFamily:
     family with output matrix equal to the defect, and classification."""
 
     T: np.ndarray
-    weight: WeightSequence
     defect: np.ndarray
     family: ColligationFamily
     classification: ClassificationReport
     gramian_identity_residual: float = field(default=0.0)
+
+    @property
+    def weight(self) -> WeightSequence:
+        return self.family.weight
 
     @property
     def k_max(self) -> int:
@@ -133,7 +136,7 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
         raise ModelHypothesisError(
             "adjoint is not strongly stable in the weighted sense: "
             f"residual {report.residuals['beta_strong_stability']:.3e}")
-    return CharFamily(T=T, weight=w, defect=D,
+    return CharFamily(T=T, defect=D,
                       family=_family_from_table(w, pair, table, rank_tol),
                       classification=report,
                       gramian_identity_residual=opnorm(table[0] - I))
@@ -352,8 +355,8 @@ class RoundTripReport:
     k_max: int
 
 
-def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
-                             grid=None, tol: float = 1e-12) -> RoundTripReport:
+def model_roundtrip_residual(char: CharFamily, grid=None,
+                             tol: float = 1e-12) -> RoundTripReport:
     """Kernel identity tying the characteristic family to the model space.
 
     Over all grid point pairs, compares the invariant-subspace kernel
@@ -367,13 +370,8 @@ def model_roundtrip_residual(w: WeightSequence, char, k_max: int = 16,
     kernels (shift 0 with ``G = I`` and shift ``K + 1``) come from one
     ``resolvents`` table, and their scalar parts combine into the
     polynomial ``sum_{j <= K} x^j / beta_j``.
-
-    ``char`` may be a CharFamily or the matrix ``T`` itself, in which case
-    the characteristic family is built with ``k_max`` steps first.
     """
-    if not isinstance(char, CharFamily):
-        char = characteristic_family(w, char, k_max=k_max)
-    fam = char.family
+    fam, w = char.family, char.weight
     if grid is None:
         grid = default_grid(radii=(0.0, 0.15, 0.3, 0.45, 0.6))
     pair = fam.pair
@@ -415,8 +413,7 @@ class FunctionalModelReport:
     alignment_allowance: float
 
 
-def functional_model_colligation(w: WeightSequence, fam: ColligationFamily,
-                                 k: int, J: int,
+def functional_model_colligation(fam: ColligationFamily, k: int, J: int,
                                  tol: float = 1e-8) -> FunctionalModelReport:
     """Verify the functional-model form of the step-k colligation.
 
@@ -429,7 +426,7 @@ def functional_model_colligation(w: WeightSequence, fam: ColligationFamily,
     unitary, together with the three block identities of the weighted
     isometry property.
     """
-    pair = fam.pair
+    w, pair = fam.weight, fam.pair
     if opnorm(fam.gramians[0] - np.eye(pair.n)) > max(tol, 1e-8):
         raise ModelCoordinatesError(
             "functional-model coordinates need an identity base gramian")

@@ -1,7 +1,7 @@
 """Time-domain simulation of the weighted time-varying linear system.
 
-A colligation family ``{A, B_k, C, D_k}`` together with a weight sequence
-drives the discrete-time recursion
+A colligation family ``{A, B_k, C, D_k}`` over its weight sequence drives
+the discrete-time recursion
 
     x(j+1) = (beta_j / beta_{j+1}) A x(j) + (1 / beta_{j+1}) B_j u(j)
     y(j)   = C x(j) + (1 / beta_j) D_j u(j)
@@ -26,7 +26,6 @@ import numpy as np
 from .colligation import ColligationFamily, _taylor_stack
 from .errors import InvalidParameterError, TruncationError
 from .hereditary import _right_powers
-from .weights import WeightSequence
 
 
 @dataclass
@@ -53,14 +52,13 @@ def _conform_inputs(family: ColligationFamily, inputs) -> list:
     return out
 
 
-def simulate(w: WeightSequence, family: ColligationFamily, x0,
-             inputs) -> Trajectory:
+def simulate(family: ColligationFamily, x0, inputs) -> Trajectory:
     """Run the recursion for ``len(inputs)`` steps from initial state x0."""
+    w, A, C = family.weight, family.pair.A, family.pair.C
     us = _conform_inputs(family, inputs)
     T = len(us)
     if T > w.trunc_len:
         raise TruncationError("horizon exceeds stored weights")
-    A, C = family.pair.A, family.pair.C
     x = np.asarray(x0, dtype=complex).reshape(-1)
     if len(x) != family.pair.n:
         raise InvalidParameterError("x0 has wrong dimension")
@@ -75,8 +73,8 @@ def simulate(w: WeightSequence, family: ColligationFamily, x0,
     return Trajectory(states=states, outputs=outputs, inputs=us)
 
 
-def closed_form_trajectory(w: WeightSequence, family: ColligationFamily,
-                           x0, inputs) -> Trajectory:
+def closed_form_trajectory(family: ColligationFamily, x0,
+                           inputs) -> Trajectory:
     """Independent evaluation of the summed closed forms
 
         x(j) = (1/beta_j) (A^j x0 + sum_{l<j} A^{j-l-1} B_l u(l))
@@ -84,9 +82,9 @@ def closed_form_trajectory(w: WeightSequence, family: ColligationFamily,
 
     used as a cross-check oracle for the recursion in ``simulate``.
     """
+    w, A, C = family.weight, family.pair.A, family.pair.C
     us = _conform_inputs(family, inputs)
     T = len(us)
-    A, C = family.pair.A, family.pair.C
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     powers = _right_powers(np.eye(family.pair.n), A, T + 1)
     states, outputs = [], []
@@ -118,8 +116,7 @@ class IOMatrix:
     col_offsets: list
 
 
-def io_matrix(w: WeightSequence, family: ColligationFamily,
-              T_steps: int) -> IOMatrix:
+def io_matrix(family: ColligationFamily, T_steps: int) -> IOMatrix:
     """Materialize the input-output map over ``T_steps`` steps.
 
     Block ``(i, j)`` is zero above the diagonal, ``(1/beta_i) D_i`` on it,
@@ -128,7 +125,7 @@ def io_matrix(w: WeightSequence, family: ColligationFamily,
     if T_steps - 1 > family.k_max:
         raise InvalidParameterError("family too short for requested horizon")
     p = family.pair.p
-    A, C = family.pair.A, family.pair.C
+    w, A, C = family.weight, family.pair.A, family.pair.C
     us = [family.step(j).u for j in range(T_steps)]
     col_off = list(np.concatenate([[0], np.cumsum(us)]))
     row_off = [p * i for i in range(T_steps + 1)]
@@ -152,8 +149,7 @@ def stack_inputs(inputs) -> np.ndarray:
                            for u in inputs])
 
 
-def check_ztransform(w: WeightSequence, family: ColligationFamily, x0,
-                     inputs, J: int, tol: float = 1e-12) -> float:
+def check_ztransform(family: ColligationFamily, x0, inputs, J: int) -> float:
     """Residual between time-domain outputs and frequency-domain data.
 
     Output coefficient ``j`` must equal the degree-j Taylor coefficient of
@@ -164,8 +160,8 @@ def check_ztransform(w: WeightSequence, family: ColligationFamily, x0,
     us = _conform_inputs(family, inputs)
     if J >= len(us):
         raise InvalidParameterError("J must not exceed the simulated horizon")
-    traj = simulate(w, family, x0, us)
-    A, C = family.pair.A, family.pair.C
+    traj = simulate(family, x0, us)
+    w, A, C = family.weight, family.pair.A, family.pair.C
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     # Theta_{k,i} u(k) for every step k <= J and degree i, from one Taylor
     # stack (zero-padded inputs meet its zero-padded columns)
@@ -187,13 +183,13 @@ def check_ztransform(w: WeightSequence, family: ColligationFamily, x0,
                                 axis=1).max())
 
 
-def zero_input_tail_energy(w: WeightSequence, family: ColligationFamily,
-                           h: int, x) -> float:
+def zero_input_tail_energy(family: ColligationFamily, h: int, x) -> float:
     """``sum_{j >= h} beta_j ||y(j)||^2`` from ``x = x(h)`` with zero input
     from step ``h <= k_max + 1`` on: ``beta_j x(j) = A^{j-h} beta_h x(h)``
     and ``y(j) = C x(j)``, so it is ``beta_h^2 x^* G^(h) x``."""
     x = np.asarray(x, dtype=complex).reshape(-1)
-    return float(w.betas[h] ** 2 * np.vdot(x, family.gramians[h] @ x).real)
+    return float(family.weight.betas[h] ** 2
+                 * np.vdot(x, family.gramians[h] @ x).real)
 
 
 @dataclass
@@ -204,9 +200,8 @@ class IsometryReport:
     trials: int
 
 
-def check_io_isometry(w: WeightSequence, family: ColligationFamily,
-                      trials: int, horizon: int, tol: float = 1e-8,
-                      seed: int = 0) -> IsometryReport:
+def check_io_isometry(family: ColligationFamily, trials: int, horizon: int,
+                      tol: float = 1e-8, seed: int = 0) -> IsometryReport:
     """Energy identity for the input-output map of a weighted-isometric family.
 
     For random finitely supported inputs the weighted output energy
@@ -217,6 +212,7 @@ def check_io_isometry(w: WeightSequence, family: ColligationFamily,
     of the state ``x(h)``.  The allowance is that closed form's truncation,
     ``beta_h^2 ||x(h)||^2`` times the tail bound of ``G^(h)``.
     """
+    w = family.weight
     rng = np.random.default_rng(seed)
     if horizon - 1 > family.k_max:
         raise InvalidParameterError("family too short for requested horizon")
@@ -228,14 +224,16 @@ def check_io_isometry(w: WeightSequence, family: ColligationFamily,
               + 1j * rng.standard_normal(family.step(k).u)
               for k in range(support)]
         us += [np.zeros(family.step(k).u) for k in range(support, horizon)]
-        traj = simulate(w, family, np.zeros(family.pair.n), us)
+        traj = simulate(family, np.zeros(family.pair.n), us)
         energy_in = sum(float(np.vdot(u, u).real) for u in us)
         energy_out = sum(w.betas[j] * float(np.vdot(y, y).real)
                          for j, y in enumerate(traj.outputs))
         x = traj.states[horizon]
-        energy_out += zero_input_tail_energy(w, family, horizon, x)
-        allow = max(allow, float(w.betas[horizon] ** 2 * np.vdot(x, x).real
-                                 * family.gramians.tail_bounds[horizon]))
-        worst = max(worst, abs(energy_out - energy_in))
+        energy_out += zero_input_tail_energy(family, horizon, x)
+        # np.maximum, not max: max(0.0, nan) is 0.0, and a NaN energy must
+        # fail the verdict
+        allow = np.maximum(allow, w.betas[horizon] ** 2 * np.vdot(x, x).real
+                           * family.gramians.tail_bounds[horizon])
+        worst = np.maximum(worst, abs(energy_out - energy_in))
     return IsometryReport(isometric=bool(worst <= tol + allow),
                           worst_defect=worst, allowance=allow, trials=trials)

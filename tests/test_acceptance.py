@@ -8,10 +8,12 @@ Criteria 1, 2, 3 and 7 draw 20 instances per weight, criteria 4, 5 and
 ``pytest -s tests/test_acceptance.py`` to see the lines.
 
 A reduced run with counted calls pins the harness: the suite weights are
-built once per run, and each characteristic family evaluates one
-hereditary stack and one gramian table.
+built once per run, each characteristic family evaluates one hereditary
+stack and one gramian table, and every ``RunConfig`` field is read.  A NaN
+injected into any criterion's residual source fails that criterion.
 """
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -20,7 +22,9 @@ import pytest
 import hardybeta.acceptance as acc
 import hardybeta.colligation as col
 import hardybeta.hereditary as her
+import hardybeta.kernels as ker
 import hardybeta.model as mod
+import hardybeta.syssim as sys_
 from hardybeta.acceptance import CRITERIA, RunConfig, run_suite
 
 
@@ -64,7 +68,8 @@ def call_counts():
     ``(criterion number, function)``; number 0 is the harness itself.
     Each ``characteristic_family`` call is also counted under
     ``(number, "family", stacks, tables, returned)``: the hereditary stacks
-    and gramian tables it evaluated, and whether it returned a family."""
+    and gramian tables it evaluated, and whether it returned a family; and
+    each read of a config field under ``(number, "config", field)``."""
     counts = Counter()
     current = [0]
     open_families = []  # [stacks, tables] of each family call in progress
@@ -101,6 +106,16 @@ def call_counts():
             return fn(*args)
         return wrapper
 
+    class Recorded:
+        """The config, with every field read counted."""
+
+        def __init__(self, cfg):
+            self.cfg = cfg
+
+        def __getattr__(self, name):
+            counts[current[0], "config", name] += 1
+            return getattr(self.cfg, name)
+
     with pytest.MonkeyPatch.context() as mp:
         for module, name in ((acc, "suite_weights"),
                              (acc, "make_weight_hardy"),
@@ -119,10 +134,15 @@ def call_counts():
                            "model.characteristic_family"))
         mp.setattr(acc, "CRITERIA", [numbered(fn, n)
                                      for n, fn in enumerate(CRITERIA, 1)])
-        results = run_suite(RunConfig(seed=7, trials=4))
+        results = run_suite(Recorded(RunConfig(seed=7, trials=4)))
     assert all(r.passed for r in results), [r.line() for r in results
                                             if not r.passed]
     return counts
+
+
+def test_every_config_field_is_read(call_counts):
+    read = {key[2] for key in call_counts if key[1] == "config"}
+    assert read == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_suite_weights_built_once_per_run(call_counts):
@@ -154,18 +174,52 @@ def test_each_characteristic_family_classified_once(call_counts, number):
     assert all(tables <= 1 for _, tables, _ in calls)
 
 
-def test_nan_kernel_residual_fails_criterion_4(monkeypatch):
-    # Python's max(0.0, nan, 0.0) is 0.0: a fold with it passed this NaN
-    monkeypatch.setattr(acc, "_kernel_identity_residuals",
-                        lambda *args: [0.0, float("nan"), 0.0])
-    res = acc.criterion_4_kernel_identities(RunConfig(trials=4),
-                                            acc.suite_weights())
-    assert not res.passed, res.line()
+NAN = float("nan")
 
 
-def test_nan_transfer_value_fails_criterion_6(monkeypatch):
-    real = acc.transfer_eval
-    monkeypatch.setattr(acc, "transfer_eval",
-                        lambda *args: real(*args) * np.nan)
-    res = acc.criterion_6_scalar_golden(RunConfig(), acc.suite_weights())
+def _nan(real):
+    return lambda *args, **kwargs: NAN
+
+
+def _nan_field(**fields):
+    """Poison a function whose result is a report: NaN in ``fields``."""
+    def poison(real):
+        return lambda *args, **kwargs: dataclasses.replace(
+            real(*args, **kwargs), **fields)
+    return poison
+
+
+def _nan_last_isometry_residual(real):
+    # Python's max([1e-12, nan]) is 1e-12: the last place hides a NaN
+    def wrapper(*args, **kwargs):
+        fam = real(*args, **kwargs)
+        fam.isometry_residuals[-1] = NAN
+        return fam
+    return wrapper
+
+
+@pytest.mark.parametrize("number,module,name,poison", [
+    (1, her, "stein_residual", _nan),
+    # opnorm's SVD raises on a NaN matrix, so the norm itself is poisoned
+    (2, her, "opnorm", _nan),
+    (3, acc, "build_family", _nan_last_isometry_residual),
+    (4, acc, "_kernel_identity_residuals",
+     lambda real: lambda *args: [0.0, NAN, 0.0]),
+    (5, ker, "check_inner_family", _nan_field(isometry_residual=NAN)),
+    (6, acc, "transfer_eval", lambda real: lambda *args: real(*args) * NAN),
+    (7, her, "opnorm", _nan),
+    (8, mod, "model_roundtrip_residual", _nan_field(residual=NAN)),
+    # check_coincidence decides coincide = residual <= tol, false on NaN
+    (9, mod, "check_coincidence", _nan_field(residual=NAN, coincide=False)),
+    (10, mod, "functional_model_colligation", _nan_field(check_input=NAN)),
+    (11, sys_, "check_ztransform", _nan),
+    (12, ker, "check_contractive_multiplier",
+     _nan_field(block_kernel_min_eig=NAN)),
+], ids=[f"criterion_{n}" for n in range(1, 13)])
+def test_nan_fails_criterion(monkeypatch, number, module, name, poison):
+    # Python's max(0.0, nan) is 0.0: a fold with it passed a NaN residual
+    monkeypatch.setattr(module, name, poison(getattr(module, name)))
+    res = CRITERIA[number - 1](RunConfig(trials=4), acc.suite_weights())
+    assert res.number == number
     assert not res.passed, res.line()
+    assert any(np.isnan(v) for v in res.measured.values()), res.line()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -670,3 +671,75 @@ class TestDeltaLimit:
                      lambda: hb.delta_limit(w, A, np.eye(2))):
             with pytest.raises(hb.HereditaryDomainError, match="diverge"):
                 call()
+
+
+class TestRefusals:
+    """Every refusal of a shape, a shift or a length names what it refuses."""
+
+    A2 = np.array([[0.3, 0.1], [0.0, 0.2]])
+
+    @pytest.mark.parametrize("weight,call,match", [
+        ("w_hardy", lambda w, A, pair: hb.resolvents(w, -1, A, 0.5),
+         "shift k=-1 must be >= 0"),
+        ("w_beta25", lambda w, A, pair: hb.resolvents(w, -1, A, 0.5),
+         "shift k=-1 must be >= 0"),
+        ("w_hardy", lambda w, A, pair: hb.resolvent_scalar(w, -1, 0.5),
+         "shift k=-1 must be >= 0"),
+        ("w_hardy", lambda w, A, pair: hb.gramian(w, -1, pair),
+         "gramian needs shifts >= 0, got k=-1"),
+        ("w_beta2", lambda w, A, pair: hb.gramian(w, -1, pair),
+         "gramian needs shifts >= 0, got k=-1"),
+        ("w_hardy", lambda w, A, pair: hb.gramian_table(w, pair, -1),
+         "gramian_table needs shifts >= 0, got k_max < 0"),
+        ("w_hardy", lambda w, A, pair: hb.observability_coeffs(w, -1, pair, 3),
+         "shift k=-1 and length J=3 must be >= 0"),
+        ("w_hardy", lambda w, A, pair: hb.observability_coeffs(w, 0, pair, -1),
+         "shift k=0 and length J=-1 must be >= 0"),
+    ], ids=["resolvents-hardy", "resolvents-beta2.5", "scalar-hardy",
+            "gramian-hardy", "gramian-beta2", "gramian-table",
+            "observability-k", "observability-J"])
+    def test_negative_shift_or_length(self, request, weight, call, match):
+        # before the refusal some of these returned values: a hardy
+        # resolvent at k = -1, beta_2.5 reading inv_betas[-1] (the end of
+        # the table), R_{-1}(0.5) = 2 and a hardy gramian
+        w = request.getfixturevalue(weight)
+        pair = hb.OutputPair(A=self.A2, C=np.eye(2))
+        with pytest.raises(hb.InvalidParameterError, match=re.escape(match)):
+            call(w, self.A2, pair)
+
+    def test_output_pair_shapes(self):
+        with pytest.raises(hb.InvalidParameterError, match="A must be square"):
+            hb.OutputPair(A=np.ones((2, 3)), C=np.ones((1, 3)))
+        with pytest.raises(hb.InvalidParameterError,
+                           match="C has 3 columns, expected 2"):
+            hb.OutputPair(A=np.eye(2), C=np.ones((1, 3)))
+
+    def test_resolvent_shift_past_table(self, w_hardy):
+        with pytest.raises(hb.TruncationError,
+                           match="shift k=257 exceeds stored length"):
+            hb.resolvents(w_hardy, [0, 257], self.A2, 0.5)
+
+    def test_scalar_resolvent_refusals(self, w_beta25):
+        with pytest.raises(hb.DivergenceError,
+                           match=re.escape("scalar resolvent needs |x| < 1")):
+            hb.resolvent_scalar(w_beta25, 0, [0.5, 1.0])
+        with pytest.raises(hb.TruncationError,
+                           match="shift k=257 exceeds stored length"):
+            hb.resolvent_scalar(w_beta25, 257, 0.5)
+
+    def test_gramian_shift_needs_four_terms(self, w_beta2):
+        pair = hb.OutputPair(A=self.A2, C=np.eye(2))
+        with pytest.raises(hb.TruncationError, match=(
+                "stored weights too short for gramian shift k=253")):
+            hb.gramian(w_beta2, 253, pair)
+
+    def test_observability_past_table(self, w_beta2):
+        pair = hb.OutputPair(A=self.A2, C=np.eye(2))
+        with pytest.raises(hb.TruncationError,
+                           match="stored weights too short"):
+            hb.observability_coeffs(w_beta2, 200, pair, 57)
+
+    def test_domain_needs_psd_argument(self, w_beta2):
+        with pytest.raises(hb.HereditaryDomainError,
+                           match="X must be positive semidefinite"):
+            hb.gamma_map(w_beta2, self.A2, -np.eye(2))

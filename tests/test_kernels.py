@@ -271,7 +271,7 @@ class TestInnerFamilyCheck:
         rng = np.random.default_rng(50)
         pair = stable_pair(rng, 3, 2, rho=0.6)
         fam = hb.build_family(w_beta2, pair, k_max=6, tol=1e-13)
-        rep = hb.check_inner_family(w_beta2, fam, k_max=6, J=100, tol=1e-8)
+        rep = hb.check_inner_family(fam, k_max=6, J=100, tol=1e-8)
         assert rep.verdict == "pass"
         assert rep.isometry_residual < 1e-9
         assert rep.orthogonality_residual < 1e-9
@@ -287,11 +287,11 @@ class TestInnerFamilyCheck:
         pair = stable_pair(rng, 3, 2, rho=0.6)
         fam = hb.build_family(w_beta2, pair, k_max=6, tol=1e-13)
         J = w_beta2.trunc_len - 6
-        rep = hb.check_inner_family(w_beta2, fam, k_max=6, J=J, tol=1e-8)
+        rep = hb.check_inner_family(fam, k_max=6, J=J, tol=1e-8)
         assert rep.verdict == "pass"
         assert rep.details["J"] == J
         with pytest.raises(hb.TruncationError):
-            hb.check_inner_family(w_beta2, fam, k_max=6, J=J + 1, tol=1e-8)
+            hb.check_inner_family(fam, k_max=6, J=J + 1, tol=1e-8)
 
     def test_extra_zero_degree_changes_nothing(self, w_beta2, monkeypatch):
         # columns one degree longer (all zero there) give the same
@@ -299,12 +299,12 @@ class TestInnerFamilyCheck:
         rng = np.random.default_rng(53)
         pair = stable_pair(rng, 4, 2, rho=0.6)
         fam = hb.build_family(w_beta2, pair, k_max=8, tol=1e-13)
-        rep = hb.check_inner_family(w_beta2, fam, k_max=8, J=110, tol=1e-7)
+        rep = hb.check_inner_family(fam, k_max=8, J=110, tol=1e-7)
         columns = ker._element_columns
         monkeypatch.setattr(ker, "_element_columns",
                             lambda w, taylor, length:
                             columns(w, taylor, length + 1))
-        longer = hb.check_inner_family(w_beta2, fam, k_max=8, J=110,
+        longer = hb.check_inner_family(fam, k_max=8, J=110,
                                        tol=1e-7)
         for name in ("isometry_residual", "orthogonality_residual",
                      "containment_residual", "containment_allowance"):
@@ -321,7 +321,7 @@ class TestInnerFamilyCheck:
         st = fam.step(2)
         fam.steps[2] = hb.ColligationStep(B=st.B, D=(1 + 1e-3) * st.D,
                                           u=st.u)
-        rep = hb.check_inner_family(w_beta2, fam, k_max=6, J=100, tol=1e-8)
+        rep = hb.check_inner_family(fam, k_max=6, J=100, tol=1e-8)
         assert rep.verdict == "fail"
         for d in rep.details["containment"]:
             if d["k"] == 2:
@@ -335,7 +335,7 @@ class TestInnerFamilyCheck:
         rng = np.random.default_rng(51)
         pair = stable_pair(rng, 3, 2, rho=0.6)
         fam = hb.build_family(w_hardy, pair, k_max=6, tol=1e-13)
-        rep = hb.check_inner_family(w_hardy, fam, k_max=6, J=100, tol=1e-8)
+        rep = hb.check_inner_family(fam, k_max=6, J=100, tol=1e-8)
         assert rep.verdict == "pass"
         assert rep.containment_residual < 1e-9
 
@@ -345,7 +345,7 @@ class TestInnerFamilyCheck:
         fam = hb.build_family(w_beta2, pair, k_max=3, tol=1e-13)
         st = fam.step(0)
         fam.steps[0] = hb.ColligationStep(B=2 * st.B, D=2 * st.D, u=st.u)
-        rep = hb.check_inner_family(w_beta2, fam, k_max=3, J=100, tol=1e-8)
+        rep = hb.check_inner_family(fam, k_max=3, J=100, tol=1e-8)
         assert rep.verdict == "fail"
         assert rep.isometry_residual == pytest.approx(3.0, rel=0.05)
 

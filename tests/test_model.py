@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,20 @@ class TestDefectOperator:
         with pytest.raises((hb.ModelHypothesisError, hb.HereditaryDomainError)):
             hb.defect_operator(w_hardy, 1.3 * np.eye(2))
 
+    def test_negative_defect_refused(self, w_beta2):
+        # A = T* = N, the 2 x 2 shift: I - A* A = diag(1, 0) is in the
+        # domain, but Gamma[I] = I - 2 A* A + A*^2 A^2 = diag(1, -1)
+        with pytest.raises(hb.ModelHypothesisError, match=(
+                r"^Gamma\[I\] has eigenvalue -1\.000e\+00: "
+                "not a star-hypercontraction$")):
+            hb.defect_operator(w_beta2, np.diag([1.0], -1))
+
 
 class TestCharacteristicFamily:
+    def test_weight_is_the_family_weight(self, w_beta3):
+        char = hb.characteristic_family(w_beta3, [[0.4]], k_max=2)
+        assert char.weight is char.family.weight is w_beta3
+
     def test_scalar_golden_blaschke(self, w_hardy):
         char = hb.characteristic_family(w_hardy, [[0.5]], k_max=3)
         for z in (0.2, 0.4 - 0.3j, 0.7j):
@@ -193,18 +207,31 @@ class TestCoincidence:
         assert res.tau is None
         assert "dimensions" in res.reason
 
+    def test_input_dimension_mismatch_names_the_step(self, w_beta2):
+        char = hb.characteristic_family(w_beta2, [[0.4]], k_max=3)
+        other = copy.copy(char.family)
+        other.steps = list(other.steps)
+        st = other.steps[2]
+        other.steps[2] = hb.ColligationStep(
+            B=np.hstack([st.B, np.zeros((1, 1))]),
+            D=np.hstack([st.D, np.zeros((1, 1))]), u=st.u + 1)
+        res = hb.check_coincidence(char, other, tol=1e-7)
+        assert (res.coincide, res.residual, res.tau, res.sweeps) \
+            == (False, float("inf"), None, 0)
+        assert res.reason == "input dimensions differ at k=2"
+
 
 class TestModelRoundTrip:
     def test_scalar_hardy(self, w_hardy):
         char = hb.characteristic_family(w_hardy, [[0.5]], k_max=12)
         grid = hb.default_grid(radii=(0.0, 0.2, 0.4, 0.6))
-        rep = hb.model_roundtrip_residual(w_hardy, char, grid=grid)
+        rep = hb.model_roundtrip_residual(char, grid=grid)
         assert rep.residual <= 1e-10
 
     def test_zero_operator(self, w_hardy):
         char = hb.characteristic_family(w_hardy, np.zeros((1, 1)), k_max=16)
         grid = hb.default_grid(radii=(0.0, 0.3, 0.6))
-        rep = hb.model_roundtrip_residual(w_hardy, char, grid=grid)
+        rep = hb.model_roundtrip_residual(char, grid=grid)
         assert rep.residual <= 1e-10
 
     def test_perturbation_breaks_identity(self, w_beta2):
@@ -212,11 +239,11 @@ class TestModelRoundTrip:
         T = hypercontraction_T(w_beta2, rng, 2)
         char = hb.characteristic_family(w_beta2, T, k_max=12)
         grid = hb.default_grid(radii=(0.0, 0.3, 0.6))
-        base = hb.model_roundtrip_residual(w_beta2, char, grid=grid)
+        base = hb.model_roundtrip_residual(char, grid=grid)
         st = char.family.step(0)
         char.family.steps[0] = hb.ColligationStep(B=st.B, D=1.3 * st.D,
                                                   u=st.u)
-        broken = hb.model_roundtrip_residual(w_beta2, char, grid=grid)
+        broken = hb.model_roundtrip_residual(char, grid=grid)
         assert base.residual <= 1e-10
         assert broken.residual > 100 * base.residual
 
@@ -227,11 +254,11 @@ class TestModelRoundTrip:
         T = hypercontraction_T(w_beta2, rng, 2)
         char = hb.characteristic_family(w_beta2, T, k_max=12)
         grid = hb.default_grid(radii=(0.0, 0.3, 0.6))
-        base = hb.model_roundtrip_residual(w_beta2, char, grid=grid)
+        base = hb.model_roundtrip_residual(char, grid=grid)
         st = char.family.step(2)
         char.family.steps[2] = hb.ColligationStep(B=st.B, D=(1 + 1e-3) * st.D,
                                                   u=st.u)
-        broken = hb.model_roundtrip_residual(w_beta2, char, grid=grid)
+        broken = hb.model_roundtrip_residual(char, grid=grid)
         assert base.residual <= 1e-10
         assert broken.residual > 1e-4
 
@@ -242,7 +269,7 @@ class TestFunctionalModel:
         T = hypercontraction_T(w_beta25, rng, 2)
         char = hb.characteristic_family(w_beta25, T, k_max=5)
         for k in (0, 2, 4):
-            rep = hb.functional_model_colligation(w_beta25, char.family, k,
+            rep = hb.functional_model_colligation(char.family, k,
                                                   J=110)
             assert rep.check_state < 1e-10
             assert rep.check_cross < 1e-10
@@ -253,7 +280,7 @@ class TestFunctionalModel:
         rng = np.random.default_rng(62)
         T = hypercontraction_T(w_beta2, rng, 2)
         char = hb.characteristic_family(w_beta2, T, k_max=3)
-        rep = hb.functional_model_colligation(w_beta2, char.family, 1, J=60)
+        rep = hb.functional_model_colligation(char.family, 1, J=60)
         ref = hb.stein_residual(w_beta2, 1, char.family.pair,
                                 char.family.gramians[1],
                                 char.family.gramians[2])
@@ -263,9 +290,9 @@ class TestFunctionalModel:
         rng = np.random.default_rng(63)
         T = hypercontraction_T(w_beta2, rng, 2)
         char = hb.characteristic_family(w_beta2, T, k_max=3)
-        short = hb.functional_model_colligation(w_beta2, char.family, 0, J=8)
+        short = hb.functional_model_colligation(char.family, 0, J=8)
         assert short.alignment_residual <= 1e-10 + short.alignment_allowance
-        long = hb.functional_model_colligation(w_beta2, char.family, 0, J=110)
+        long = hb.functional_model_colligation(char.family, 0, J=110)
         assert long.alignment_allowance < short.alignment_allowance
 
     def test_requires_identity_gramian(self, w_beta2):
@@ -273,7 +300,7 @@ class TestFunctionalModel:
         pair = stable_pair(rng, 3, 2, rho=0.6)
         fam = hb.build_family(w_beta2, pair, k_max=2, tol=1e-13)
         with pytest.raises(hb.ModelCoordinatesError):
-            hb.functional_model_colligation(w_beta2, fam, 0, J=40)
+            hb.functional_model_colligation(fam, 0, J=40)
 
 
 class TestDefectFormRoute:
@@ -287,6 +314,13 @@ class TestDefectFormRoute:
             assert max(alt.coisometry_residuals) < 1e-9
             res = hb.check_coincidence(char.family, alt, tol=1e-8)
             assert res.coincide
+
+    def test_singular_gramian_refused(self, w_hardy):
+        # G^(k) = I / beta_k for T = 0.5 on the constant weight; a rank
+        # tolerance of 1 declares every gramian singular
+        with pytest.raises(hb.ModelHypothesisError,
+                           match="^gramian numerically singular$"):
+            defect_form_family(w_hardy, [[0.5]], k_max=2, rank_tol=1.0)
 
 
 class TestWanderingTheta:

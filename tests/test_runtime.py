@@ -16,7 +16,7 @@ from hardybeta import colligation, kernels
 w = hb.make_weight_beta_alpha(2.0, 256)
 T = np.array([[0.3, 0.1], [0.0, -0.2]])
 char = hb.characteristic_family(w, T, k_max=4)
-rep = hb.check_inner_family(w, char.family, k_max=4, J=60)
+rep = hb.check_inner_family(char.family, k_max=4, J=60)
 res = hb.check_coincidence(char, char)
 assert rep.isometry_residual < 1e-8 and res.coincide
 # the benchmark's tracer patches these names

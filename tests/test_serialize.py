@@ -179,7 +179,7 @@ class TestCsv:
         pair = stable_pair(rng, 2, 1, rho=0.5)
         fam = hb.build_family(w_beta2, pair, k_max=3, tol=1e-13)
         us = [cmat(rng, fam.step(k).u, 1).ravel() for k in range(3)]
-        traj = hb.simulate(w_beta2, fam, np.zeros(2), us)
+        traj = hb.simulate(fam, np.zeros(2), us)
         text = ser.trajectory_csv(traj)
         lines = text.strip().split("\n")
         assert lines[0].startswith("step,x_0_re,x_0_im")

@@ -24,7 +24,7 @@ class TestSimulate:
         fam = hb.build_family(w_hardy, pair, k_max=6, tol=1e-13)
         x0 = cmat(rng, 3, 1).ravel()
         us = [np.zeros(fam.step(k).u) for k in range(6)]
-        traj = hb.simulate(w_hardy, fam, x0, us)
+        traj = hb.simulate(fam, x0, us)
         for j in range(6):
             ref = pair.C @ np.linalg.matrix_power(pair.A, j) @ x0
             np.testing.assert_allclose(traj.outputs[j], ref, atol=1e-12)
@@ -33,7 +33,7 @@ class TestSimulate:
         rng = np.random.default_rng(72)
         u = cmat(rng, fam_beta2.step(0).u, 1).ravel()
         us = [u] + [np.zeros(fam_beta2.step(k).u) for k in range(1, 8)]
-        traj = hb.simulate(w_beta2, fam_beta2, np.zeros(3), us)
+        traj = hb.simulate(fam_beta2, np.zeros(3), us)
         pair = fam_beta2.pair
         np.testing.assert_allclose(traj.outputs[0], fam_beta2.step(0).D @ u,
                                    atol=1e-13)
@@ -43,70 +43,70 @@ class TestSimulate:
                 @ fam_beta2.step(0).B @ u)
             np.testing.assert_allclose(traj.outputs[j], ref, atol=1e-12)
 
-    def test_matches_closed_forms(self, fam_beta2, w_beta2):
+    def test_matches_closed_forms(self, fam_beta2):
         rng = np.random.default_rng(73)
         x0 = cmat(rng, 3, 1).ravel()
         us = random_inputs(rng, fam_beta2, 10)
-        traj = hb.simulate(w_beta2, fam_beta2, x0, us)
-        ref = hb.closed_form_trajectory(w_beta2, fam_beta2, x0, us)
+        traj = hb.simulate(fam_beta2, x0, us)
+        ref = hb.closed_form_trajectory(fam_beta2, x0, us)
         for a, b in zip(traj.states, ref.states):
             np.testing.assert_allclose(a, b, atol=1e-10)
         for a, b in zip(traj.outputs, ref.outputs):
             np.testing.assert_allclose(a, b, atol=1e-10)
 
-    def test_wrong_dimension_rejected(self, fam_beta2, w_beta2):
+    def test_wrong_dimension_rejected(self, fam_beta2):
         with pytest.raises(hb.InvalidParameterError):
-            hb.simulate(w_beta2, fam_beta2, np.zeros(3),
+            hb.simulate(fam_beta2, np.zeros(3),
                         [np.zeros(fam_beta2.step(0).u + 1)])
 
-    def test_missing_steps_rejected(self, fam_beta2, w_beta2):
+    def test_missing_steps_rejected(self, fam_beta2):
         us = [np.zeros(2)] * (fam_beta2.k_max + 2)
         with pytest.raises(hb.InvalidParameterError):
-            hb.simulate(w_beta2, fam_beta2, np.zeros(3), us)
+            hb.simulate(fam_beta2, np.zeros(3), us)
 
-    def test_causality(self, fam_beta2, w_beta2):
+    def test_causality(self, fam_beta2):
         rng = np.random.default_rng(74)
         x0 = cmat(rng, 3, 1).ravel()
         us = random_inputs(rng, fam_beta2, 10)
-        traj1 = hb.simulate(w_beta2, fam_beta2, x0, us)
+        traj1 = hb.simulate(fam_beta2, x0, us)
         us2 = [u.copy() for u in us]
         us2[7] = us2[7] + 10.0
-        traj2 = hb.simulate(w_beta2, fam_beta2, x0, us2)
+        traj2 = hb.simulate(fam_beta2, x0, us2)
         for j in range(7):
             np.testing.assert_array_equal(traj1.outputs[j], traj2.outputs[j])
 
 
 class TestIOMatrix:
-    def test_diagonal_block(self, fam_beta2, w_beta2):
-        io = hb.io_matrix(w_beta2, fam_beta2, 5)
+    def test_diagonal_block(self, fam_beta2):
+        io = hb.io_matrix(fam_beta2, 5)
         np.testing.assert_allclose(io.matrix[:2, :fam_beta2.step(0).u],
                                    fam_beta2.step(0).D, atol=0)
 
-    def test_strict_upper_zero(self, fam_beta2, w_beta2):
-        io = hb.io_matrix(w_beta2, fam_beta2, 5)
+    def test_strict_upper_zero(self, fam_beta2):
+        io = hb.io_matrix(fam_beta2, 5)
         for i in range(5):
             np.testing.assert_array_equal(
                 io.matrix[io.row_offsets[i]:io.row_offsets[i + 1],
                           io.col_offsets[i + 1]:], 0)
 
-    def test_matches_simulation(self, fam_beta2, w_beta2):
+    def test_matches_simulation(self, fam_beta2):
         rng = np.random.default_rng(75)
         us = random_inputs(rng, fam_beta2, 8)
-        io = hb.io_matrix(w_beta2, fam_beta2, 8)
+        io = hb.io_matrix(fam_beta2, 8)
         y = io.matrix @ hb.stack_inputs(us)
-        traj = hb.simulate(w_beta2, fam_beta2, np.zeros(3), us)
+        traj = hb.simulate(fam_beta2, np.zeros(3), us)
         np.testing.assert_allclose(y, np.concatenate(traj.outputs),
                                    atol=1e-11)
 
-    def test_column_reproduces_impulse(self, fam_beta2, w_beta2):
+    def test_column_reproduces_impulse(self, fam_beta2):
         j = 2
         u = np.zeros(fam_beta2.step(j).u)
         u[0] = 1.0
         us = [np.zeros(fam_beta2.step(k).u) for k in range(8)]
         us[j] = u
-        io = hb.io_matrix(w_beta2, fam_beta2, 8)
+        io = hb.io_matrix(fam_beta2, 8)
         col = io.matrix[:, io.col_offsets[j]]
-        traj = hb.simulate(w_beta2, fam_beta2, np.zeros(3), us)
+        traj = hb.simulate(fam_beta2, np.zeros(3), us)
         np.testing.assert_allclose(col, np.concatenate(traj.outputs),
                                    atol=1e-11)
 
@@ -115,7 +115,7 @@ class TestIOMatrix:
         rng = np.random.default_rng(76)
         pair = stable_pair(rng, 3, 2, rho=0.6)
         fam = hb.build_family(w_hardy, pair, k_max=6, tol=1e-13)
-        io = hb.io_matrix(w_hardy, fam, 6)
+        io = hb.io_matrix(fam, 6)
         u = fam.step(0).u
         for i in range(1, 5):
             for j in range(i + 1):
@@ -126,17 +126,17 @@ class TestIOMatrix:
 
 
 class TestZTransform:
-    def test_identity_residual(self, fam_beta2, w_beta2):
+    def test_identity_residual(self, fam_beta2):
         rng = np.random.default_rng(77)
         x0 = cmat(rng, 3, 1).ravel()
         us = random_inputs(rng, fam_beta2, 12)
-        assert hb.check_ztransform(w_beta2, fam_beta2, x0, us, J=11) < 1e-10
+        assert hb.check_ztransform(fam_beta2, x0, us, J=11) < 1e-10
 
-    def test_zero_state_single_channel(self, fam_beta2, w_beta2):
+    def test_zero_state_single_channel(self, fam_beta2):
         rng = np.random.default_rng(78)
         us = [np.zeros(fam_beta2.step(k).u) for k in range(9)]
         us[3] = cmat(rng, fam_beta2.step(3).u, 1).ravel()
-        traj = hb.simulate(w_beta2, fam_beta2, np.zeros(3), us)
+        traj = hb.simulate(fam_beta2, np.zeros(3), us)
         taylor = hb.transfer_taylor(fam_beta2, 3, 5)
         for j in range(3, 9):
             np.testing.assert_allclose(traj.outputs[j],
@@ -149,35 +149,44 @@ class TestZTransform:
         pair = stable_pair(rng, 3, 2, rho=0.6)
         fam = hb.build_family(w_hardy, pair, k_max=8, tol=1e-13)
         us = random_inputs(rng, fam, 8)
-        traj = hb.simulate(w_hardy, fam, np.zeros(3), us)
+        traj = hb.simulate(fam, np.zeros(3), us)
         taylor = hb.transfer_taylor(fam, 0, 8)
         for j in range(8):
             ref = sum(taylor[j - k] @ us[k] for k in range(j + 1))
             np.testing.assert_allclose(traj.outputs[j], ref, atol=1e-11)
 
-    def test_horizon_guard(self, fam_beta2, w_beta2):
+    def test_horizon_guard(self, fam_beta2):
         us = random_inputs(np.random.default_rng(80), fam_beta2, 5)
         with pytest.raises(hb.InvalidParameterError):
-            hb.check_ztransform(w_beta2, fam_beta2, np.zeros(3), us, J=5)
+            hb.check_ztransform(fam_beta2, np.zeros(3), us, J=5)
 
 
 class TestIOIsometry:
-    def test_built_family_isometric(self, fam_beta2, w_beta2):
-        rep = hb.check_io_isometry(w_beta2, fam_beta2, trials=4, horizon=13,
+    def test_built_family_isometric(self, fam_beta2):
+        rep = hb.check_io_isometry(fam_beta2, trials=4, horizon=13,
                                    tol=1e-6, seed=5)
         assert rep.isometric
         assert rep.worst_defect <= 1e-10
         assert rep.allowance <= 1e-10
 
-    def test_scaled_feedthrough_violates(self, fam_beta2, w_beta2):
+    def test_scaled_feedthrough_violates(self, fam_beta2):
         # the inputs reach step 2 (support 4 of horizon 13)
         st = fam_beta2.step(2)
         fam_beta2.steps[2] = hb.ColligationStep(B=st.B, D=(1 + 1e-3) * st.D,
                                                 u=st.u)
-        rep = hb.check_io_isometry(w_beta2, fam_beta2, trials=4, horizon=13,
+        rep = hb.check_io_isometry(fam_beta2, trials=4, horizon=13,
                                    tol=1e-6, seed=5)
         assert not rep.isometric
         assert rep.worst_defect > 1e-4
+
+    def test_nan_output_is_not_isometric(self, fam_beta2):
+        # max(0.0, nan) is 0.0: a NaN feedthrough used to pass, defect 0
+        st = fam_beta2.step(0)
+        fam_beta2.steps[0] = hb.ColligationStep(B=st.B, D=np.nan * st.D,
+                                                u=st.u)
+        rep = hb.check_io_isometry(fam_beta2, trials=2, horizon=13)
+        assert not rep.isometric
+        assert np.isnan(rep.worst_defect)
 
     def test_tail_energy_matches_continuation(self):
         # beta_h^2 x^* G^(h) x against the zero-input recursion run on to
@@ -192,11 +201,11 @@ class TestIOIsometry:
             for j in range(h, 401):
                 energy += w.betas[j] * np.linalg.norm(pair.C @ v) ** 2
                 v = (w.betas[j] / w.betas[j + 1]) * (pair.A @ v)
-            assert zero_input_tail_energy(w, fam, h, x) == pytest.approx(
+            assert zero_input_tail_energy(fam, h, x) == pytest.approx(
                 energy, rel=1e-12)
 
-    def test_zero_input(self, fam_beta2, w_beta2):
-        traj = hb.simulate(w_beta2, fam_beta2, np.zeros(3),
+    def test_zero_input(self, fam_beta2):
+        traj = hb.simulate(fam_beta2, np.zeros(3),
                            [np.zeros(fam_beta2.step(k).u) for k in range(5)])
         assert sum(np.linalg.norm(y) for y in traj.outputs) == 0.0
 
@@ -206,7 +215,7 @@ class TestIOIsometry:
         fam = hb.build_family(w_beta2, pair, k_max=12, tol=1e-13)
         st = fam.step(0)
         fam.steps[0] = hb.ColligationStep(B=st.B, D=2 * st.D, u=st.u)
-        rep = hb.check_io_isometry(w_beta2, fam, trials=4, horizon=13,
+        rep = hb.check_io_isometry(fam, trials=4, horizon=13,
                                    tol=1e-6, seed=6)
         assert not rep.isometric
         assert rep.worst_defect > 0.01
