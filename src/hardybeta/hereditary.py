@@ -31,11 +31,11 @@ past the largest shift.
 Every other sum (non-integer alpha and custom weights) is cut adaptively
 by the engine in ``series.py``, with each coefficient row's step bound
 past the table taken from the weight, and raises ConvergenceError when the
-stored table is too short for ``tol``.  The tail bound it reports holds
-under the transient constant ``K`` observed on the terms summed so far
-(terms dominated by ``K * q^j`` for a decay rate ``q`` chosen from the
-spectral radius); transient growth of a non-normal ``A`` after the stop is
-not covered (see ROADMAP.md).  A resolvent grid on the series is one table
+stored table is too short for ``tol``.  The decay rate ``q`` is chosen
+from the spectral radius, and the engine certifies it on powers of ``A``
+before it sums: every term is at most ``K q^j`` for the certified
+transient constant ``K``, so the tail bound holds for a non-normal ``A``
+too.  A resolvent grid on the series is one table
 of powers ``(rA)^j``, cut once at its largest radius ``r``: since
 ``|z_i / r|^j <= 1``, the tail bound of the powers holds at every point of
 the grid.  A sequence of shifts adds one coefficient row ``1/beta_{k+j}``
@@ -81,10 +81,15 @@ def hermitize(M: np.ndarray) -> np.ndarray:
 
 def opnorm(M: np.ndarray) -> float:
     """Operator (spectral) norm: the largest singular value, the LAPACK
-    call ``np.linalg.norm(M, 2)`` makes, without its wrapping."""
+    call ``np.linalg.norm(M, 2)`` makes, without its wrapping.  NaN for a
+    matrix with a non-finite entry: the SVD gives NaN on an infinite entry
+    and does not converge on a NaN one."""
     if M.size == 0:
         return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    try:
+        return float(np.linalg.svd(M, compute_uv=False)[0])
+    except np.linalg.LinAlgError:
+        return math.nan
 
 
 def spectral_radius(A: np.ndarray) -> float:
@@ -375,7 +380,9 @@ def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     ks = np.atleast_1d(np.asarray(k, dtype=int))
-    if ks.min(initial=0) < 0:
+    if not ks.size:
+        raise InvalidParameterError("resolvents need at least one shift k")
+    if ks.min() < 0:
         raise InvalidParameterError(f"shift k={ks.min()} must be >= 0")
     n = A.shape[0]
     if not np.isfinite(zs).all():
@@ -577,6 +584,8 @@ def gamma_k_map(w: WeightSequence, k, A, X,
     ``(len(k), n, n)`` stack, every shift's row cut at the length left to
     the largest and all of them summed by one series, as ``classify``
     does."""
+    if not np.size(k):
+        raise InvalidParameterError("gamma_k_map needs at least one shift k")
     _check_domain(w, A, X, tol)
     if np.ndim(k) == 0 and k == 0:
         return hermitize(np.asarray(X, dtype=complex))

@@ -5,45 +5,29 @@ Every series summed here is ``sum_j row_i[j] T_j``: scalar coefficient rows
 against matrix terms ``T_{j+1} = L T_j R``, the powers ``(zA)^j`` of the
 resolvents (``T_0 = I``, ``R = zA``, no ``L``) or the conjugations
 ``A^{*j} X A^j`` of the gramians and hereditary maps (``T_0 = X``,
-``L = A^*``, ``R = A``).  This module alone chooses the decay rate ``q``
-(``|z| (1 + rho)/2`` for powers, its square for conjugations), estimates the
-transient constant ``K`` (the running maximum of ``||T_j|| / q^j``), bounds
-each row's coefficient tail and runs the adaptive loop: stop at the first
-``j >= 4`` with ``K * max_i tail_i(j) <= tol``, or raise ConvergenceError.
-A term whose computed Frobenius norm is 0 ends the series, and its tail is
-zero: an exact zero, or a term whose entries all lie below about 1.5e-162,
-where their squares underflow.  Past
-the stored table a row's tail is geometric in the step bound the weight
-gives for it (``RowTails``); nothing is extrapolated here.
+``L = A^*``, ``R = A``).  The caller's decay rate ``q`` (``decay_rate``,
+``conjugation_rate``) is certified before anything is summed: ``L`` and
+``R`` are squared until ``||L^m||_F ||R^m||_F <= q^m`` for some
+``m = 2^i`` (no ``L`` counts 1), and since ``T_{tm+s} = L^{tm} T_s R^{tm}``
+every term then obeys ``||T_j||_F <= K q^j`` with the transient constant
+``K = max_{s<m} ||T_s||_F / q^s``.  Conjugations at ``q >= 1`` take
+``m = 1``: their callers' hereditary domain ``X >= A^* X A >= 0`` makes
+the terms decrease.  The cut ``J`` is fixed once, the first ``j >= 4``
+with ``K * max_i tail_i(j) <= tol``; ConvergenceError is raised when the
+stored table holds none (before any term is made when it holds none even
+for ``||T_0|| <= K``) or when ``m`` would pass ``2^16``.  A term with every
+entry 0 among the first ``m`` ends a finite sum, with tail 0.  Past the
+stored table a row's tail is geometric in the step bound the weight gives
+for it (``RowTails``); nothing is extrapolated here.
 
-Work is sized by the cut, not by the stored table:
-
-* A row's damped entries ``|row[j]| q^j``, their suffix sums and ``q^j``
-  are formed only while ``q^j`` is above the underflow guard 1e-280; past
-  it they are 0 (below a tail of 1e-250 the sums then differ from the
-  full-table ones in rounding only).
-* ``K >= ||T_0||``, so the first ``j >= 4`` with ``||T_0|| worst[j] <= tol``
-  is a lower bound ``J0`` on the cut.  Terms are made in doubling blocks:
-  with ``s`` terms stored the next ``min(s, cap + 1 - s)`` are
-  ``L^s T_i R^s``, one product over the stacked block, with ``L^s`` and
-  ``R^s`` kept by squaring.  Blocks below ``J0`` are made without norms or
-  tests; the first tested block covers every term made so far, and each
-  later block is tested once, so the zero-term rule and the running ``K``
-  see every term and the cut ``J`` is the one a term-by-term loop finds.
-  The terms of the last block past ``J`` are dropped.
-* With no ``J0`` in the table the loop can only raise at ``cap``, unless a
-  term is zero.  It is refused before any block is made when no term up
-  to ``cap`` can vanish: ``T_cap`` is formed through the squares
-  ``L^(2^b)``, ``R^(2^b)``, ``b <= log2(cap)``, and with ``P`` the product
-  of their Frobenius norms floored at 1, ``||T_j|| >= ||T_cap|| / P`` for
-  every ``j <= cap``; ``||T_cap|| >= 1e-150 P`` keeps every term clear of
-  the squares' underflow that makes a computed norm 0.  The error then
-  quotes ``||T_0|| worst[cap]``, which is at most the loop's
-  ``K worst[cap]``.
-
-``K`` is an estimate, not a bound: transient growth of a non-normal ``A``
-after the stop is not covered (see ROADMAP.md).  Callers sum the returned
-terms in their own order.
+Terms are made in doubling blocks: with ``s`` terms stored the next ``s``
+are ``L^s T_i R^s``, one product over the stacked block, with ``L^s`` and
+``R^s`` the squares the certificate forms.  Past the first ``m`` terms only
+the blocks up to ``J`` are made, with no norms.  A row's damped entries
+``|row[j]| q^j``, their suffix sums and ``q^j`` are formed only while
+``q^j`` is above the underflow guard 1e-280; past it they are 0 (below a
+tail of 1e-250 the sums then differ from the full-table ones in rounding
+only).  Callers sum the returned terms in their own order.
 """
 
 from __future__ import annotations
@@ -55,15 +39,14 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-#: the estimate of K ignores decay-rate powers below this (underflow noise);
-#: past it a row's damped entries and their suffix sums are not formed
+#: past this decay-rate power a row's damped entries and their suffix sums
+#: are not formed
 _UNDERFLOW = 1e-280
 
-#: a term whose Frobenius norm is at least this has an entry whose square
-#: does not underflow, for any n below 1e11, so its computed norm is not 0
-_NONZERO = 1e-150
+#: the certificate refuses a decay rate that needs a longer span ``m``
+_MAX_SPAN = 2 ** 16
 
-#: the adaptive loop never stops before this term index
+#: no cut comes before this term index
 _MIN_J = 4
 
 
@@ -79,12 +62,6 @@ def conjugation_rate(rho: float) -> float:
     return decay_rate(rho) ** 2 if rho < 1.0 else 1.0
 
 
-def _frobenius(T: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a complex ``(m, n, n)`` stack."""
-    flat = T.reshape(len(T), -1).view(float)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
-
-
 class RowTails:
     """Coefficient tails of several rows at one decay rate ``q``.
 
@@ -96,9 +73,8 @@ class RowTails:
     (``inf`` when ``s q >= 1``).  ``K * worst[J]`` bounds every row's tail
     at once.
 
-    ``powq`` holds ``q^j`` only while it is above the underflow guard; the
-    suffix sums leave out the entries past it, each below
-    ``1e-280 |row_i[j]|``.
+    The suffix sums leave out the entries past the underflow guard, each
+    below ``1e-280 |row_i[j]|``.
     """
 
     def __init__(self, rows, q: float, steps, floors=0.0):
@@ -108,7 +84,7 @@ class RowTails:
         if 0.0 < q < 1.0:  # q^j <= _UNDERFLOW from about this index on
             m = min(m, int(math.log(_UNDERFLOW) / math.log(q)) + 2)
         powq = np.power(q, np.arange(m))
-        self.powq = powq = powq[:np.count_nonzero(powq > _UNDERFLOW)]
+        powq = powq[:np.count_nonzero(powq > _UNDERFLOW)]
         m = len(powq)
         damped = np.array([r[:m] for r in rows], dtype=float)
         # in place: a fresh temporary this size costs more in page faults
@@ -131,39 +107,28 @@ class RowTails:
             tails[:, :m - 1] += beyond[:, None]
             self.worst[:m - 1] = tails[:, :m - 1].max(axis=0)
 
-    def scaled(self, norms: np.ndarray, lo: int) -> np.ndarray:
-        """``norms[i] / q^(lo + i)``, with 0 past the underflow guard."""
-        out = np.zeros(len(norms))
-        k = min(len(norms), max(len(self.powq) - lo, 0))
-        np.divide(norms[:k], self.powq[lo:lo + k], out=out[:k])
-        return out
-
     def check(self, K: float, J: int, tol: float, context: str):
-        """Raise ConvergenceError, naming ``context``, when ``K * worst[J]``
-        exceeds ``tol``.  An infinite bound at ``q >= 1`` names ``q``: no
-        table length makes that bound finite."""
-        bound = K * self.worst[J]
+        """Raise ConvergenceError, naming ``context``, unless
+        ``K * worst[J] <= tol``, with the bound 0 at ``K = 0`` (no term).
+        An infinite bound at ``q >= 1`` names ``q``: no table length makes
+        that bound finite."""
+        bound = K * self.worst[J] if K else 0.0
         if bound == np.inf and self.q >= 1.0:
             raise ConvergenceError(
                 f"{context}: tail bound inf > tol {tol:.3e}: the decay rate "
                 f"q = {self.q:.6g} >= 1 bounds no tail, whatever the weight "
                 "truncation")
-        if bound > tol:
+        if not bound <= tol:
             raise ConvergenceError(
                 f"{context}: tail bound {bound:.3e} > tol "
                 f"{tol:.3e} after {J + 1} stored terms; increase the weight "
                 "truncation")
 
-    def first_cut(self, K: float, tol: float) -> int | None:
-        """The first ``J >= 4`` with ``K * worst[J] <= tol``, or None."""
-        hit = np.flatnonzero(K * self.worst[_MIN_J:] <= tol)
-        return _MIN_J + int(hit[0]) if hit.size else None
-
     def cut(self, K: float, tol: float, context: str) -> int:
-        """The first ``J >= 4`` with ``K * worst[J] <= tol`` for a known
+        """The first ``J >= 4`` with ``K * worst[J] <= tol`` for a certified
         constant ``K``; ``cap`` when none is and the bound there holds."""
-        J = self.first_cut(K, tol)
-        J = self.cap if J is None else J
+        hit = np.flatnonzero(K * self.worst[_MIN_J:] <= tol)
+        J = _MIN_J + int(hit[0]) if hit.size else self.cap
         self.check(K, J, tol, context)
         return J
 
@@ -171,8 +136,9 @@ class RowTails:
 @dataclass
 class SeriesRecord:
     """One truncated series: the stored terms ``T_0..T_J`` as one
-    ``(J + 1, n, n)`` array, the cut ``J``, the transient estimate ``K`` and,
-    per row, the tail bound ``K * RowTails.tails[i, J]`` past ``J``."""
+    ``(J + 1, n, n)`` array, the cut ``J``, the certified transient
+    constant ``K`` and, per row, the tail bound ``K * RowTails.tails[i, J]``
+    past ``J``."""
 
     terms: np.ndarray
     J: int
@@ -180,27 +146,19 @@ class SeriesRecord:
     tails: list
 
 
-def _cannot_vanish(first, right, left, cap: int) -> bool:
-    """Whether every term ``T_j = L^j T_0 R^j``, ``j <= cap``, has a
-    Frobenius norm of at least ``_NONZERO``.
+def _fro(M: np.ndarray) -> float:
+    return math.sqrt(np.vdot(M, M).real)
 
-    ``T_cap`` is formed through the squares ``L^(2^b)`` and ``R^(2^b)``,
-    ``2^b <= cap``.  Every ``d <= cap`` is a sum of distinct such powers,
-    so with ``P`` the product of ``max(1, ||L^(2^b)||_F)`` and
-    ``max(1, ||R^(2^b)||_F)`` over every such ``b``,
-    ``||T_cap|| = ||L^d T_j R^d|| <= P ||T_j||`` for ``d = cap - j``."""
-    def fro(M):
-        return math.sqrt(np.vdot(M, M).real)
 
-    T, L, R, P = first, left, right, 1.0
-    for b in range(cap.bit_length()):
-        if b:
-            R = R @ R
-            L = None if L is None else L @ L
-        P *= max(1.0, fro(R)) * (1.0 if L is None else max(1.0, fro(L)))
-        if cap >> b & 1:
-            T = T @ R if L is None else L @ T @ R
-    return fro(T) >= _NONZERO * P
+def _extend(terms: np.ndarray, s: int, k: int, L, R):
+    """Make ``T_s..T_{s+k-1} = L T_i R``, ``i < k``, in place, as 2-d
+    products, with ``L = L^s`` (None for no left factor) and ``R = R^s``."""
+    n = terms.shape[1]
+    Y = terms[s:s + k]
+    np.matmul(terms[:k].reshape(k * n, n), R, out=Y.reshape(k * n, n))
+    if L is not None:
+        Y[...] = (L @ Y.transpose(1, 0, 2).reshape(n, k * n)).reshape(
+            n, k, n).transpose(1, 0, 2)
 
 
 def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
@@ -208,59 +166,51 @@ def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
                  left: np.ndarray | None = None,
                  floors=0.0) -> SeriesRecord:
     """Generate ``T_0 = first``, ``T_{j+1} = left @ T_j @ right`` (no left
-    factor when ``left`` is None) until every row's tail bound is at most
-    ``tol``; ``steps`` and ``floors`` describe the rows past the table
-    (RowTails).
+    factor when ``left`` is None) up to the first cut where every row's
+    tail bound is at most ``tol``; ``steps`` and ``floors`` describe the
+    rows past the table (RowTails).
 
-    The matrices must be complex.  Terms are made in doubling blocks, and
-    ``K`` is updated from the Frobenius norm of each term.  Raises
-    ConvergenceError, naming ``context``, when the shortest row runs out
-    before the bound holds.  The loop's error quotes ``K * worst[cap]``;
-    a series refused before any block is made, because its table holds no
-    cut for ``K = ||T_0||`` and no term up to ``cap`` can vanish, quotes
-    ``||T_0|| * worst[cap]`` instead.
+    The matrices must be complex.  The decay rate ``q`` is certified on
+    the squares of ``left`` and ``right`` before the cut is chosen (see the
+    module docstring).  Raises ConvergenceError, naming ``context``, when
+    no span ``m <= 2^16`` certifies ``q`` or the shortest row runs out
+    before the bound holds.
     """
     tails = RowTails(rows, q, steps, floors)
     cap, n = tails.cap, first.shape[0]
+    tails.check(_fro(first), cap, tol, context)  # K >= ||T_0||
     terms = np.empty((cap + 1, n, n), dtype=complex)
     terms[0] = first
-    # K >= ||T_0||, so no cut comes before J0
-    norm0 = float(_frobenius(terms[:1])[0])
-    J0 = tails.first_cut(norm0, tol)
-    if J0 is None:
-        if _cannot_vanish(first, right, left, cap):
-            tails.check(norm0, cap, tol, context)
-        J0 = cap
-    L, R = left, right  # L^s and R^s for the block made from s terms
-    K, lo, hi = 0.0, 0, 1  # terms lo..hi-1 are made and not yet tested
-    while True:
-        if hi > J0:
-            norms = _frobenius(terms[lo:hi])
-            Ks = np.fmax(np.fmax.accumulate(tails.scaled(norms, lo)), K)
-            stop = (norms == 0.0) | ((np.arange(lo, hi) >= _MIN_J)
-                                     & (Ks * tails.worst[lo:hi] <= tol))
-            hit = np.flatnonzero(stop)
-            if hit.size:
-                i = int(hit[0])
-                J, K = lo + i, float(Ks[i])  # a zero term leaves K as it was
-                bounds = ([0.0] * len(rows) if norms[i] == 0.0
-                          else list(K * tails.tails[:, J]))
-                return SeriesRecord(terms[:J + 1], J, K, bounds)
-            K = float(Ks[-1])
-            if hi > cap:
-                tails.check(K, cap, tol, context)
-                return SeriesRecord(terms, cap, K,
-                                    list(K * tails.tails[:, cap]))
-            lo = hi
-        s = hi
-        m = min(s, cap + 1 - s)
-        if s > 1:
+    L, R, m = left, right, 1  # T_0..T_{m-1} are made; L^m and R^m
+    # a conjugation at rate 1 is taken on X >= A* X A >= 0: no term grows
+    while not (left is not None and q >= 1.0) and _fro(R) * (
+            1.0 if L is None else _fro(L)) > q ** m:
+        if m == _MAX_SPAN:
+            raise ConvergenceError(
+                f"{context}: decay rate q = {q:.6g} is not certified by "
+                f"||A^{m}||")
+        if len(terms) < 2 * m:
+            terms = np.concatenate([terms[:m], np.empty_like(terms[:m])])
+        _extend(terms, m, m, L, R)
+        R = R @ R
+        L = None if L is None else L @ L
+        m *= 2
+    # T_{j+1} = L T_j R, so past a term whose entries are all 0 every term is
+    live = terms[:m].reshape(m, -1).any(axis=1)
+    span = m if live.all() else int(np.argmin(live))
+    flat = terms[:span].reshape(span, -1).view(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = float(np.max(np.sqrt(np.einsum("ij,ij->i", flat, flat))
+                         / np.power(q, np.arange(span)), initial=0.0))
+    if span < m and span <= cap:
+        return SeriesRecord(terms[:span + 1], span, K, [0.0] * len(rows))
+    J = tails.cut(K, tol, context)
+    s = m  # the terms past the span, in doubling blocks up to J
+    while s <= J:
+        if s > m:
             R = R @ R
             L = None if L is None else L @ L
-        # the block T_s..T_{s+m-1} = L^s T_i R^s, i < m, as 2-d products
-        Y = terms[s:s + m]
-        np.matmul(terms[:m].reshape(m * n, n), R, out=Y.reshape(m * n, n))
-        if L is not None:
-            Y[...] = (L @ Y.transpose(1, 0, 2).reshape(n, m * n)).reshape(
-                n, m, n).transpose(1, 0, 2)
-        hi = s + m
+        k = min(s, J + 1 - s)
+        _extend(terms, s, k, L, R)
+        s += k
+    return SeriesRecord(terms[:J + 1], J, K, list(K * tails.tails[:, J]))

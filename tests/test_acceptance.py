@@ -181,6 +181,11 @@ def _nan(real):
     return lambda *args, **kwargs: NAN
 
 
+def _nan_matrix(real):
+    """Poison a function whose result is an array: NaN in every entry."""
+    return lambda *args, **kwargs: real(*args, **kwargs) * NAN
+
+
 def _nan_field(**fields):
     """Poison a function whose result is a report: NaN in ``fields``."""
     def poison(real):
@@ -200,14 +205,13 @@ def _nan_last_isometry_residual(real):
 
 @pytest.mark.parametrize("number,module,name,poison", [
     (1, her, "stein_residual", _nan),
-    # opnorm's SVD raises on a NaN matrix, so the norm itself is poisoned
-    (2, her, "opnorm", _nan),
+    (2, her, "gamma_map", _nan_matrix),
     (3, acc, "build_family", _nan_last_isometry_residual),
     (4, acc, "_kernel_identity_residuals",
      lambda real: lambda *args: [0.0, NAN, 0.0]),
     (5, ker, "check_inner_family", _nan_field(isometry_residual=NAN)),
     (6, acc, "transfer_eval", lambda real: lambda *args: real(*args) * NAN),
-    (7, her, "opnorm", _nan),
+    (7, her, "gamma_k_map", _nan_matrix),
     (8, mod, "model_roundtrip_residual", _nan_field(residual=NAN)),
     # check_coincidence decides coincide = residual <= tol, false on NaN
     (9, mod, "check_coincidence", _nan_field(residual=NAN, coincide=False)),

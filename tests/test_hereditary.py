@@ -719,6 +719,20 @@ class TestRefusals:
                            match="shift k=257 exceeds stored length"):
             hb.resolvents(w_hardy, [0, 257], self.A2, 0.5)
 
+    @pytest.mark.parametrize("weight", ["w_beta2", "w_beta25"])
+    def test_resolvents_need_a_shift(self, request, weight):
+        w = request.getfixturevalue(weight)
+        with pytest.raises(hb.InvalidParameterError,
+                           match="resolvents need at least one shift k"):
+            hb.resolvents(w, [], self.A2, 0.5)
+
+    @pytest.mark.parametrize("weight", ["w_beta2", "w_beta25"])
+    def test_gamma_k_map_needs_a_shift(self, request, weight):
+        w = request.getfixturevalue(weight)
+        with pytest.raises(hb.InvalidParameterError,
+                           match="gamma_k_map needs at least one shift k"):
+            hb.gamma_k_map(w, [], self.A2, np.eye(2))
+
     def test_scalar_resolvent_refusals(self, w_beta25):
         with pytest.raises(hb.DivergenceError,
                            match=re.escape("scalar resolvent needs |x| < 1")):

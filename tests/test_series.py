@@ -3,6 +3,7 @@ how a too-short weight table is reported."""
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 import hardybeta as hb
 from hardybeta import hereditary as her
@@ -23,26 +24,39 @@ def _weight(kind):
     return series_copy(hb.make_weight_beta_alpha(2.0, 256)), 2
 
 
+def _span(right, q, left=None):
+    """The certified span: the first ``m = 2^i`` with
+    ``||L^m||_F ||R^m||_F <= q^m``, from plain matrix powers; 1 for a
+    conjugation at ``q >= 1``."""
+    m = 1
+    while not (left is not None and q >= 1.0) and np.linalg.norm(
+            np.linalg.matrix_power(right, m)) * (
+            1.0 if left is None
+            else np.linalg.norm(np.linalg.matrix_power(left, m))) > q ** m:
+        m *= 2
+    return m
+
+
 def _reference(first, right, rows, q, steps, tol, left=None):
-    """The stop rule as a plain per-term loop: ``T_{j+1} = left T_j right``,
-    ``K`` the running maximum of ``||T_j|| / q^j`` over ``q^j > 1e-280``,
-    stop at the first ``j >= 4`` with ``K * worst[j] <= tol``; a zero term
-    ends the series.  Returns (terms, K, ended by a zero term), or
-    (terms, K, None) when the table runs out."""
+    """The certified rule as a plain per-term loop: ``T_{j+1} = left T_j
+    right``, ``K`` the maximum of ``||T_s|| / q^s`` over the span ``s < m``,
+    and the cut the first ``j >= 4`` with ``K * worst[j] <= tol``; a term
+    with every entry 0 inside the span ends the series.  Returns (terms, K,
+    ended by a zero term), or (terms, K, None) when the table runs out."""
     worst = series.RowTails(rows, q, steps).worst
-    terms, K, T = [], 0.0, first
-    for j in range(len(worst)):
-        if j:
-            T = (T if left is None else left @ T) @ right
-        terms.append(T)
-        nrm = np.linalg.norm(T)
-        if nrm == 0.0:
-            return terms, K, True
-        if q ** j > 1e-280:
-            K = max(K, nrm / q ** j)
-        if j >= 4 and K * worst[j] <= tol:
-            return terms, K, False
-    return terms, K, None
+    m = _span(right, q, left)
+    terms = [first]
+    while len(terms) < max(m, len(worst)):
+        T = terms[-1]
+        terms.append((T if left is None else left @ T) @ right)
+    K = max(np.linalg.norm(terms[s]) / q ** s for s in range(m))
+    for s in range(m):
+        if not terms[s].any():
+            return terms[:s + 1], K, True
+    for j in range(4, len(worst)):
+        if K * worst[j] <= tol:
+            return terms[:j + 1], K, False
+    return terms[:len(worst)], K, None
 
 
 def _normal(rng, n, rho):
@@ -98,8 +112,8 @@ class TestBlocksMatchTermByTerm:
 
     @pytest.mark.parametrize("index", [3, 5])
     def test_zero_term_inside_block_ends_series(self, w_hardy, index):
-        # A^index = 0 exactly; the zero term sits inside the block of
-        # terms 2..3 (index 3) or 4..7 (index 5)
+        # A^index = 0 exactly, so the certified span is m = 4 (index 3) or
+        # 8 (index 5), and the zero term sits inside it: the sum is finite
         A = np.diag(np.ones(index - 1), 1).astype(complex)
         args = (np.eye(index, dtype=complex), A, [w_hardy.c_coeffs,
                                                   w_hardy.inv_betas],
@@ -107,6 +121,7 @@ class TestBlocksMatchTermByTerm:
                 [w_hardy.c_step(256), w_hardy.inv_step(256)])
         ref, K, zero = _reference(*args, 1e-10, left=A.conj().T)
         assert zero is True and len(ref) == index + 1
+        assert _span(A, args[3], A.conj().T) == {3: 4, 5: 8}[index]
         rec = series.adaptive_sum(*args, 1e-10, "test", left=A.conj().T)
         assert rec.J == index
         assert rec.K == K
@@ -186,6 +201,17 @@ class TestTooShortTable:
                 "rate q = 1.125 >= 1 bounds no tail, whatever the weight "
                 "truncation")
 
+    def test_uncertified_rate_names_q_and_m(self):
+        # a rotation keeps ||R^m||_F = sqrt(2) > 1 = q^m for every m, while
+        # the finite row bounds every tail by 0
+        R = np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)
+        with pytest.raises(hb.ConvergenceError) as info:
+            series.adaptive_sum(np.eye(2, dtype=complex), R,
+                                [np.array([1.0, -2.0])], 1.0, 0.0, 1e-10,
+                                "test")
+        assert str(info.value) == (
+            "test: decay rate q = 1 is not certified by ||A^65536||")
+
 
 class TestTailCoversRemainder:
     @pytest.mark.parametrize("kind", ["hardy", "beta2"])
@@ -231,8 +257,9 @@ class TestTailCoversRemainder:
 
 
 def test_nilpotent_gramian_has_zero_tail(w_beta2):
-    # the custom copy of the beta_2 table takes the series, whose zero
-    # term A^3 X A^3 ends it
+    # the custom copy of the beta_2 table takes the series; A^4 = 0 makes
+    # the certified span m = 4, and the zero term A^3 X A^3 inside it ends
+    # the sum exactly
     w = hb.make_weight_custom(w_beta2.betas)
     A = np.diag([1.0, 1.0], 1)  # A^3 = 0
     C = np.array([[1.0, 0.5, 0.25]])
@@ -244,6 +271,75 @@ def test_nilpotent_gramian_has_zero_tail(w_beta2):
                     * (np.linalg.matrix_power(A, j).T @ C.T @ C
                        @ np.linalg.matrix_power(A, j)) for j in range(3))
         np.testing.assert_allclose(tab[k], exact, atol=1e-15)
+
+
+def test_rate_one_hereditary_map():
+    # rho(U) = 1 gives the conjugation rate 1, which squaring would never
+    # certify (||U^m||_F = sqrt(3)); the domain X >= U* X U >= 0 makes the
+    # terms decrease, so K = ||T_0|| and Gamma[I] = I - 2 U* U = -I
+    rng = np.random.default_rng(5)
+    U = np.linalg.qr(rng.standard_normal((3, 3))
+                     + 1j * rng.standard_normal((3, 3)))[0]
+    out = hb.gamma_map(hb.make_weight_custom([1.0, 0.5]), U, np.eye(3))
+    np.testing.assert_allclose(out, -np.eye(3), atol=1e-14)
+
+
+def _brute_gramian(A, C, alpha, terms=8000):
+    """``sum_j (1/beta_j) A^{*j} C^* C A^j`` over ``terms`` terms, with the
+    closed form ``1/beta_j = Gamma(alpha + j) / (Gamma(alpha) j!)``."""
+    inv = np.exp(gammaln(alpha + np.arange(terms)) - gammaln(alpha)
+                 - gammaln(np.arange(terms) + 1.0))
+    T, S = C.conj().T @ C + 0j, np.zeros(A.shape, dtype=complex)
+    for c in inv:
+        S += c * T
+        T = A.conj().T @ T @ A
+    return S
+
+
+@pytest.mark.parametrize("kind", ["beta1.5", "custom_beta2"])
+def test_jordan_probe_within_tail(kind):
+    # ||A^j|| grows for dozens of steps before it decays, and C is tiny:
+    # a constant read off the first few terms stopped at J = 4 with
+    # ||G|| near 1e-12, where the sum is 10.8 (beta_1.5) or 83.8 (beta_2)
+    alpha = 1.5 if kind == "beta1.5" else 2.0
+    w = hb.make_weight_beta_alpha(alpha, 768)
+    if kind == "custom_beta2":
+        w = hb.make_weight_custom(w.betas)
+    C = np.zeros((1, 8))
+    C[0, 0] = 1e-7
+    tab = hb.gramian_table(w, hb.OutputPair(A=_JORDAN, C=C), 0)
+    exact = _brute_gramian(_JORDAN, C, alpha)
+    assert np.linalg.norm(exact, 2) > 10.0
+    assert np.linalg.norm(tab[0] - exact) <= tab.tail_bounds[0] <= 1e-10
+
+
+@pytest.mark.parametrize("make", ["normal", "nonnormal", "jordan"])
+@pytest.mark.parametrize("form", ["powers", "conjugations"])
+def test_terms_obey_certified_constant(make, form):
+    """Every term up to ``j = 4m`` obeys ``||T_j||_F <= K q^j`` for the
+    returned ``K``, ``m`` the certified span."""
+    rng = np.random.default_rng(13)
+    w = hb.make_weight_beta_alpha(2.5, 2048)
+    for _ in range(4):
+        n = 8 if make == "jordan" else int(rng.integers(2, 7))
+        A = {"normal": lambda: _normal(rng, n, 0.95),
+             "nonnormal": lambda: _nonnormal(rng, n, 0.9),
+             "jordan": lambda: _JORDAN}[make]().astype(complex)
+        rho = hb.spectral_radius(A)
+        if form == "powers":
+            first, left, q = np.eye(n, dtype=complex), None, \
+                series.decay_rate(rho)
+        else:
+            C = rng.standard_normal((2, n)) + 0j
+            first, left, q = C.conj().T @ C, A.conj().T, \
+                series.conjugation_rate(rho)
+        rec = series.adaptive_sum(first, A, [w.inv_betas], q,
+                                  w.inv_step(w.trunc_len), 1e-4, "test",
+                                  left=left)
+        T = first
+        for j in range(4 * _span(A, q, left) + 1):
+            assert np.linalg.norm(T) <= rec.K * q ** j * (1 + 1e-12)
+            T = (T if left is None else left @ T) @ A
 
 
 def _closed_form(alpha, n):
@@ -323,35 +419,40 @@ def test_row_tails_equal_full_table_above_underflow():
 
 
 class TestUnderflow:
-    """Terms that fall below about 1.5e-162 have a computed norm of 0 and
-    end the series; no refusal is made before the loop sees them."""
+    """A term whose entries fall below about 1.5e-162 (where their squares
+    underflow) no longer ends a series: only a term with every entry 0
+    inside the certified span does."""
 
     A = np.diag([0.999, 1e-3])
 
     @pytest.mark.parametrize("small", [0.0, 1e-200])
-    def test_vanishing_term_ends_the_series(self, small):
-        # at q = 0.999 no table length holds a cut for 1/beta_{k+j}, but
-        # the term A^{*27} X A^27 has entries of 1e-162 and below
+    def test_vanishing_term_is_refused(self, small):
+        # at q = 0.999 no table length holds a cut for the terms of
+        # X = diag(small, 1), even with K = ||T_0|| = 1.  The term
+        # A^{*27} X A^27 has entries of 1e-162 and below, so its computed
+        # norm is 0, and at small = 0 a term is exactly 0 some 50 terms
+        # later, far past the certified span m = 1
         w = hb.make_weight_beta_alpha(2.5, 2048)
         X = np.diag([small, 1.0])
-        assert np.all(np.isfinite(hb.gamma_map(w, self.A, X)))
-        tab = hb.gramian_table(w, hb.OutputPair(A=self.A, C=np.sqrt(X)), 3)
-        assert tab.trunc_order == 27
-        assert tab.tail_bounds == {k: 0.0 for k in range(4)}
+        with pytest.raises(hb.ConvergenceError) as info:
+            hb.gamma_map(w, self.A, X)
+        assert str(info.value) == (
+            "gamma_map: tail bound 3.513e-10 > tol 1.000e-10 after 2049 "
+            "stored terms; increase the weight truncation")
+        with pytest.raises(hb.ConvergenceError, match="^gramian_table: "):
+            hb.gramian_table(w, hb.OutputPair(A=self.A, C=np.sqrt(X)), 3)
 
-    def test_refusal_before_the_loop_matches_the_loop(self):
-        # neither table holds a cut for K = ||T_0|| = 1, which is also the
-        # loop's K.  The first series keeps T_2048 near 1e-141 and is
-        # refused before any block is made; the second (near 1e-156, below
-        # the guard) makes every term and raises at the end, with the same
-        # type and the same text
+    def test_refusal_does_not_depend_on_underflow(self):
+        # neither table holds a cut even for ||T_0|| = 1, which bounds K
+        # from below, so both are refused before a term is made: the terms
+        # of the second series fall below the squares' underflow, those of
+        # the first do not, and the text is the same
         w = hb.make_weight_beta_alpha(2.5, 2048)
         A = np.diag([0.999, 0.5]).astype(complex)
         rows, q = [w.c_coeffs], series.conjugation_rate(0.999)
         texts = []
-        for small, up_front in ((1e-140, True), (1e-155, False)):
+        for small in (1e-140, 1e-155):
             X = np.diag([small, 1.0]).astype(complex)
-            assert series._cannot_vanish(X, A, A.conj().T, 2048) is up_front
             with pytest.raises(hb.ConvergenceError) as info:
                 series.adaptive_sum(X, A, rows, q, w.c_step(2048), 1e-10,
                                     "gamma_map", left=A.conj().T)
