@@ -31,11 +31,11 @@ past the largest shift.
 Every other sum (non-integer alpha and custom weights) is cut adaptively
 by the engine in ``series.py``, with each coefficient row's step bound
 past the table taken from the weight, and raises ConvergenceError when the
-stored table is too short for ``tol``.  The decay rate ``q`` is chosen
-from the spectral radius, and the engine certifies it on powers of ``A``
-before it sums: every term is at most ``K q^j`` for the certified
-transient constant ``K``, so the tail bound holds for a non-normal ``A``
-too.  A resolvent grid on the series is one table
+stored table is too short for ``tol`` or to certify ``q``.  The decay rate
+``q`` is chosen from the spectral radius, and the engine certifies it on
+powers of ``A`` before it sums: every term is at most ``K q^j`` for the
+certified transient constant ``K``, so the tail bound holds for a
+non-normal ``A`` too.  A resolvent grid on the series is one table
 of powers ``(rA)^j``, cut once at its largest radius ``r``: since
 ``|z_i / r|^j <= 1``, the tail bound of the powers holds at every point of
 the grid.  A sequence of shifts adds one coefficient row ``1/beta_{k+j}``

@@ -12,13 +12,19 @@ resolvents (``T_0 = I``, ``R = zA``, no ``L``) or the conjugations
 every term then obeys ``||T_j||_F <= K q^j`` with the transient constant
 ``K = max_{s<m} ||T_s||_F / q^s``.  Conjugations at ``q >= 1`` take
 ``m = 1``: their callers' hereditary domain ``X >= A^* X A >= 0`` makes
-the terms decrease.  The cut ``J`` is fixed once, the first ``j >= 4``
-with ``K * max_i tail_i(j) <= tol``; ConvergenceError is raised when the
-stored table holds none (before any term is made when it holds none even
-for ``||T_0|| <= K``) or when ``m`` would pass ``2^16``.  A term with every
-entry 0 among the first ``m`` ends a finite sum, with tail 0.  Past the
-stored table a row's tail is geometric in the step bound the weight gives
-for it (``RowTails``); nothing is extrapolated here.
+the terms decrease.  Rows that are 0 from an index on stop the squaring
+once the span holds every term with a nonzero coefficient.  The cut ``J``
+is fixed once, the first ``j >= 4`` with ``K * max_i tail_i(j) <= tol``;
+ConvergenceError is raised when the stored table holds none, or when
+``m`` would pass the first power of two past the table, so the terms
+never take twice the table.  A term with every entry 0 in the span ends
+a finite sum, with tail 0.  A table with no cut even for ``||T_0|| <= K``
+is refused before any term is made, unless ``det(A) = 0``: a zero term
+past ``T_0`` needs a singular ``A``, and comes by ``T_n`` (the ranges of
+``A^j`` settle by ``j = n``), so the span then reaches past
+``T_min(n, cap)`` before the cut refuses the sum.  Past the stored table
+a row's tail is geometric in the step bound the weight gives for it
+(``RowTails``); nothing is extrapolated here.
 
 Terms are made in doubling blocks: with ``s`` terms stored the next ``s``
 are ``L^s T_i R^s``, one product over the stacked block, with ``L^s`` and
@@ -42,9 +48,6 @@ from .errors import ConvergenceError
 #: past this decay-rate power a row's damped entries and their suffix sums
 #: are not formed
 _UNDERFLOW = 1e-280
-
-#: the certificate refuses a decay rate that needs a longer span ``m``
-_MAX_SPAN = 2 ** 16
 
 #: no cut comes before this term index
 _MIN_J = 4
@@ -71,7 +74,8 @@ class RowTails:
     a cut ``J <= cap``, ``tails[i, J]`` bounds ``sum_{j > J} |row_i[j]| q^j``:
     the stored suffix sum plus that level times ``q^cap s q / (1 - s q)``
     (``inf`` when ``s q >= 1``).  ``K * worst[J]`` bounds every row's tail
-    at once.
+    at once.  Every row is 0 from index ``end`` on when each one's step or
+    level is 0 (``end`` is ``inf`` otherwise).
 
     The suffix sums leave out the entries past the underflow guard, each
     below ``1e-280 |row_i[j]|``.
@@ -91,8 +95,8 @@ class RowTails:
         np.multiply(np.abs(damped, out=damped), powq, out=damped)
         sq = np.broadcast_to(np.asarray(steps, dtype=float) * q, len(damped))
         qcap = np.power(q, cap)
-        last = np.maximum(np.abs([r[cap] for r in rows]) * qcap,
-                          np.multiply(floors, qcap))
+        level = np.maximum(np.abs([r[cap] for r in rows]), floors)
+        last = level * qcap
         ok = sq < 1.0
         beyond = np.full(len(damped), np.inf)
         beyond[ok] = last[ok] * sq[ok] / (1.0 - sq[ok])
@@ -106,6 +110,10 @@ class RowTails:
             np.cumsum(damped[:, :0:-1], axis=1, out=tails[:, m - 2::-1])
             tails[:, :m - 1] += beyond[:, None]
             self.worst[:m - 1] = tails[:, :m - 1].max(axis=0)
+        self.end = math.inf
+        if ((sq == 0.0) | (level == 0.0)).all():
+            live = np.flatnonzero(np.any([r[:cap + 1] for r in rows], axis=0))
+            self.end = int(live[-1]) + 1 if live.size else 0
 
     def check(self, K: float, J: int, tol: float, context: str):
         """Raise ConvergenceError, naming ``context``, unless
@@ -152,13 +160,15 @@ def _fro(M: np.ndarray) -> float:
 
 def _extend(terms: np.ndarray, s: int, k: int, L, R):
     """Make ``T_s..T_{s+k-1} = L T_i R``, ``i < k``, in place, as 2-d
-    products, with ``L = L^s`` (None for no left factor) and ``R = R^s``."""
+    products, with ``L = L^s`` (None for no left factor) and ``R = R^s``;
+    return the squares of ``L`` and ``R``."""
     n = terms.shape[1]
     Y = terms[s:s + k]
     np.matmul(terms[:k].reshape(k * n, n), R, out=Y.reshape(k * n, n))
     if L is not None:
         Y[...] = (L @ Y.transpose(1, 0, 2).reshape(n, k * n)).reshape(
             n, k, n).transpose(1, 0, 2)
+    return (None if L is None else L @ L), R @ R
 
 
 def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
@@ -173,27 +183,33 @@ def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
     The matrices must be complex.  The decay rate ``q`` is certified on
     the squares of ``left`` and ``right`` before the cut is chosen (see the
     module docstring).  Raises ConvergenceError, naming ``context``, when
-    no span ``m <= 2^16`` certifies ``q`` or the shortest row runs out
-    before the bound holds.
+    no span up to the first power of two past the table certifies ``q``
+    or the shortest row runs out before the bound holds.
     """
     tails = RowTails(rows, q, steps, floors)
     cap, n = tails.cap, first.shape[0]
-    tails.check(_fro(first), cap, tol, context)  # K >= ||T_0||
-    terms = np.empty((cap + 1, n, n), dtype=complex)
+    size = 1 << cap.bit_length()  # the first power of two past the table
+    try:
+        tails.check(_fro(first), cap, tol, context)  # K >= ||T_0||
+        zero = 0
+    except ConvergenceError:
+        # unless the sum is finite: a term with every entry 0 comes by T_n,
+        # and past T_0 only for a singular A
+        if np.linalg.det(right) != 0.0:
+            raise
+        zero = min(n, cap)
+    terms = np.empty((size, n, n), dtype=complex)
     terms[0] = first
     L, R, m = left, right, 1  # T_0..T_{m-1} are made; L^m and R^m
     # a conjugation at rate 1 is taken on X >= A* X A >= 0: no term grows
-    while not (left is not None and q >= 1.0) and _fro(R) * (
-            1.0 if L is None else _fro(L)) > q ** m:
-        if m == _MAX_SPAN:
-            raise ConvergenceError(
-                f"{context}: decay rate q = {q:.6g} is not certified by "
-                f"||A^{m}||")
-        if len(terms) < 2 * m:
-            terms = np.concatenate([terms[:m], np.empty_like(terms[:m])])
-        _extend(terms, m, m, L, R)
-        R = R @ R
-        L = None if L is None else L @ L
+    rate_one = left is not None and q >= 1.0
+    while m < tails.end and (m <= zero or not rate_one and _fro(R) * (
+            1.0 if L is None else _fro(L)) > q ** m):
+        if m == size:
+            raise ConvergenceError(f"{context}: decay rate q = {q:.6g} is "
+                                   f"not certified by ||A^{m}|| within "
+                                   f"{cap + 1} stored terms")
+        L, R = _extend(terms, m, m, L, R)
         m *= 2
     # T_{j+1} = L T_j R, so past a term whose entries are all 0 every term is
     live = terms[:m].reshape(m, -1).any(axis=1)
@@ -205,12 +221,8 @@ def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
     if span < m and span <= cap:
         return SeriesRecord(terms[:span + 1], span, K, [0.0] * len(rows))
     J = tails.cut(K, tol, context)
-    s = m  # the terms past the span, in doubling blocks up to J
-    while s <= J:
-        if s > m:
-            R = R @ R
-            L = None if L is None else L @ L
-        k = min(s, J + 1 - s)
-        _extend(terms, s, k, L, R)
-        s += k
+    while m <= J:  # the terms past the span, in doubling blocks up to J
+        k = min(m, J + 1 - m)
+        L, R = _extend(terms, m, k, L, R)
+        m += k
     return SeriesRecord(terms[:J + 1], J, K, list(K * tails.tails[:, J]))

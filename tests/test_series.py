@@ -202,15 +202,18 @@ class TestTooShortTable:
                 "truncation")
 
     def test_uncertified_rate_names_q_and_m(self):
-        # a rotation keeps ||R^m||_F = sqrt(2) > 1 = q^m for every m, while
-        # the finite row bounds every tail by 0
+        # a rotation keeps ||R^m||_F = sqrt(2) > 1 = q^m for every m; the
+        # row 2^-j goes on past its 64 entries at step 1/2, and its table
+        # holds a cut for ||T_0||, so the refusal is the certificate's, at
+        # the first power of two past the table
         R = np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)
         with pytest.raises(hb.ConvergenceError) as info:
             series.adaptive_sum(np.eye(2, dtype=complex), R,
-                                [np.array([1.0, -2.0])], 1.0, 0.0, 1e-10,
+                                [0.5 ** np.arange(64)], 1.0, 0.5, 1e-10,
                                 "test")
         assert str(info.value) == (
-            "test: decay rate q = 1 is not certified by ||A^65536||")
+            "test: decay rate q = 1 is not certified by ||A^64|| within 64 "
+            "stored terms")
 
 
 class TestTailCoversRemainder:
@@ -271,6 +274,59 @@ def test_nilpotent_gramian_has_zero_tail(w_beta2):
                     * (np.linalg.matrix_power(A, j).T @ C.T @ C
                        @ np.linalg.matrix_power(A, j)) for j in range(3))
         np.testing.assert_allclose(tab[k], exact, atol=1e-15)
+
+
+def test_short_table_nilpotent_gramian_is_exact():
+    # a 13-entry table holds no cut even for ||T_0||, but A^3 = 0 makes
+    # the sum finite, and it is summed to its zero term
+    w = hb.make_weight_custom(hb.make_weight_beta_alpha(2.0, 12).betas)
+    A = np.diag([1.0, 1.0], 1)
+    C = np.array([[1.0, 0.5, 0.25]])
+    tab = hb.gramian_table(w, hb.OutputPair(A=A, C=C), 0)
+    assert tab.trunc_order == 3 and tab.tail_bounds == {0: 0.0}
+    exact = sum(w.inv_betas[j] * (np.linalg.matrix_power(A, j).T @ C.T @ C
+                                  @ np.linalg.matrix_power(A, j))
+                for j in range(3))
+    np.testing.assert_allclose(tab[0], exact, atol=1e-15)
+    # a singular A whose terms never vanish is still refused
+    with pytest.raises(hb.ConvergenceError, match="^gramian_table: tail "):
+        hb.gramian_table(w, hb.OutputPair(A=np.diag([0.95, 0.0, 0.0]), C=C),
+                         0)
+
+
+class TestFiniteRows:
+    """The ``c`` row of a custom copy of beta_2 is ``1, -2, 1`` and then
+    exact zeros, so its hereditary maps are finite sums whatever ``A``."""
+
+    w = hb.make_weight_custom(hb.make_weight_beta_alpha(2.0, 256).betas)
+
+    @staticmethod
+    def _jordan(n, rho):
+        return rho * np.eye(n) + np.diag(np.ones(n - 1), 1)
+
+    def test_gamma_map_is_the_finite_sum(self):
+        A = self._jordan(3, 0.99)
+        M = np.eye(9) - np.kron(A.T, A.T)  # X - A* X A = I
+        X = np.linalg.solve(M, np.eye(3).reshape(-1)).reshape(3, 3)
+        X = (X + X.T) / 2
+        L = A.T @ X @ A
+        exact = X - 2 * L + A.T @ L @ A
+        np.testing.assert_allclose(hb.gamma_map(self.w, A, X), exact,
+                                   rtol=0, atol=1e-12 * np.abs(X).max())
+
+    def test_no_squaring_past_the_last_coefficient(self):
+        # rate 0.999 on a Jordan block would need a span far past the
+        # table; every term with a nonzero coefficient lies in the span 4
+        A = self._jordan(8, 0.999).astype(complex)
+        X = np.eye(8, dtype=complex)
+        rec = series.adaptive_sum(X, A, [self.w.c_coeffs],
+                                  series.conjugation_rate(0.999),
+                                  self.w.c_step(256), 1e-10, "test",
+                                  left=A.conj().T)
+        assert rec.J == 4 and rec.tails == [0.0]
+        L = A.conj().T @ X @ A
+        np.testing.assert_allclose(
+            rec.terms[:3], [X, L, A.conj().T @ L @ A], rtol=1e-15)
 
 
 def test_rate_one_hereditary_map():
