@@ -14,19 +14,19 @@ and an admissible weight sequence this module evaluates
   pair (contractive, isometric, hypercontractive, strongly stable, exactly
   observable).
 
-Hardy and integer alpha (``R(x) = (1 - x)^-alpha``) leave the series: a
-gramian table takes alpha chained applications of one inverse of the
-Kronecker matrix of ``I - L``, ``L: X -> A* X A``, each refined once; the
-hereditary maps are finite sums over the moments ``X, L X, .., L^alpha X``,
-since their rows vanish past index alpha; and a resolvent grid is
-``R_k(zA) = sum_{r<alpha} C(k + r - 1, r) (I - zA)^(r - alpha)`` for every
-shift, from one batched inverse of ``I - z_i A`` over the points and its
-powers (the scalar ``R_k(x)`` likewise from ``1 / (1 - x)``).  The choice
-is made from the weight's kind, never from trailing zeros in its table.
-A closed form reports tail 0 (a resolvent no record) and cannot raise
-ConvergenceError; these weights take the series only for a conjugation sum
-at ``rho(A) >= 1`` or a hereditary map whose table is shorter than alpha
-past the largest shift.
+Hardy and integer alpha (``R(x) = (1 - x)^-alpha``) never enter the
+series: a gramian table takes alpha chained applications of one inverse of
+the Kronecker matrix of ``I - L``, ``L: X -> A* X A``, each refined once;
+the hereditary maps are finite sums over the moments
+``X, L X, .., L^alpha X``, since their rows vanish past index alpha; and a
+resolvent grid is
+``R_k(zA) = sum_{r<alpha} C(k + r - 1, r) (I - zA)^(r - alpha)`` for
+every shift, from one batched inverse of ``I - z_i A`` over the points and
+its powers (the scalar ``R_k(x)`` likewise from ``1 / (1 - x)``).  The
+route follows the weight's kind alone, never its table or the input: a
+closed form reports tail 0 (a resolvent no record) and raises no
+ConvergenceError, and a table too short for the finite hereditary rows is
+refused by name.
 
 Every other sum (non-integer alpha and custom weights) is cut adaptively
 by the engine in ``series.py``, with each coefficient row's step bound
@@ -267,19 +267,26 @@ def _series_sums(A, X, rows, steps, q, tol, context, floors=0.0):
     return _contract(rows, rec.terms), rec
 
 
-def _shift_coefs(ks, a: int) -> np.ndarray:
-    """``C(k + r - 1, r)`` for ``r < a``, one row per shift of ``ks``: the
-    coefficient of ``(1 - x)^(r - a)`` in the shifted generating function
-    ``R_k(x) = sum_j (1/beta_{k+j}) x^j`` when
-    ``1/beta_m = C(a + m - 1, m)``."""
-    return np.array([[math.comb(k + r - 1, r) if r else 1 for r in range(a)]
-                     for k in ks], dtype=float)
+def _binomial_sum(ks, a: int, first, step) -> np.ndarray:
+    """``R_k = sum_{r<a} C(k + r - 1, r) P^(a - r)`` for every shift of
+    ``ks``, one row per shift, when ``1/beta_m = C(a + m - 1, m)``: ``P`` is
+    ``(1 - x)^-1`` applied to what it acts on, ``first`` its first
+    application and ``step`` the next one (a refined Kronecker solve, a
+    batched matrix product or an elementwise one)."""
+    powers = [first]
+    for _ in range(a - 1):
+        powers.append(step(powers[-1]))
+    coefs = np.array([[math.comb(k + r - 1, r) if r else 1
+                       for r in range(a)] for k in ks], dtype=float)
+    P = np.array(powers[::-1])
+    # one 2-d product: at desk scale np.tensordot's set-up costs more
+    return (coefs @ P.reshape(a, -1)).reshape((len(coefs),) + P.shape[1:])
 
 
 def _closed_gramians(A, X, ks, a: int) -> np.ndarray:
     """``sum_j (1/beta_{j+k}) A^{*j} X A^j`` for every shift of ``ks`` when
-    ``1/beta_m = C(a + m - 1, m)``, as one stack:
-    ``sum_{r<a} C(k + r - 1, r) S_{a-1-r}`` with ``S_m = (I - L)^-(m+1) X``.
+    ``1/beta_m = C(a + m - 1, m)``, as one stack: ``_binomial_sum`` over
+    ``(I - L)^-(m+1) X``.
 
     ``I - L`` is the Kronecker matrix ``I - kron(A^*, A^T)`` of the row-major
     vectorization, inverted once; each of the ``a`` chained applications of
@@ -289,15 +296,13 @@ def _closed_gramians(A, X, ks, a: int) -> np.ndarray:
     n = A.shape[0]
     M = np.eye(n * n) - np.kron(A.conj().T, A.T)
     inv = np.linalg.inv(M)
-    v = np.asarray(X, dtype=complex).reshape(-1)
-    S = []
-    for _ in range(a):
+
+    def solve(v):
         x = inv @ v
         x += inv @ (v - M @ x)
-        S.append(x)
-        v = x
-    sums = _shift_coefs(ks, a) @ np.array(S[::-1])
-    return hermitize(sums.reshape(-1, n, n))
+        return x
+    first = solve(np.asarray(X, dtype=complex).reshape(-1))
+    return hermitize(_binomial_sum(ks, a, first, solve).reshape(-1, n, n))
 
 
 def _stein_sums(w: WeightSequence, A, X, ks, rho: float, tol, context):
@@ -305,10 +310,10 @@ def _stein_sums(w: WeightSequence, A, X, ks, rho: float, tol, context):
     the tail bound of each and the index of the last term summed.
 
     Closed form (tails 0, index -1: no term is summed) for hardy and integer
-    alpha when ``rho = rho(A) < 1``; otherwise the series, every shift's
-    row cut at the table length left to the largest shift."""
+    alpha; otherwise the series at the rate of ``rho = rho(A)``, every
+    shift's row cut at the table length left to the largest shift."""
     a = _integer_alpha(w)
-    if a is not None and rho < 1.0:
+    if a is not None:
         return _closed_gramians(A, X, ks, a), [0.0] * len(ks), -1
     Jcap = w.trunc_len - max(ks)
     rows = np.array([w.inv_betas[k:k + Jcap + 1] for k in ks])
@@ -325,47 +330,36 @@ def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context,
     quotient rows ``d^(k)``, kept on the weight (``hereditary_rows``).
 
     For hardy and integer alpha these rows vanish past index alpha: the
-    sums are finite, over the moments ``X, L X, .., L^alpha X``, once the
-    table holds the rows to that index.  Every other weight takes the
-    series, every row cut at the table length left to the largest shift;
-    ``rho`` is ``rho(A)`` when the caller has it."""
+    sums are finite, over the moments ``X, L X, .., L^alpha X``.  Every
+    other weight takes the series, every row cut at the table length left
+    to the largest shift; ``rho`` is ``rho(A)`` when the caller has it.  A
+    table that cannot hold the rows past the largest shift is refused."""
     ks = np.asarray(ks)
-    cap = w.trunc_len - int(ks.max(initial=0))
+    kmax = int(ks.max(initial=0))
+    cap = w.trunc_len - kmax
     a = _integer_alpha(w)
-    finite = a is not None and a <= cap
-    n = a if finite else cap
-    rows = hereditary_rows(w, ks, n, gamma)
-    if finite:
+    if cap < (a or 0):
+        raise InvalidParameterError(
+            f"{context}: shift k={kmax} needs the c table to index "
+            f"{kmax + (a or 0)}, stored {w.trunc_len}")
+    if a is not None:
         A = np.asarray(A, dtype=complex)
         terms = np.empty((a + 1,) + np.shape(X), dtype=complex)
         terms[0] = X
         for j in range(a):
             terms[j + 1] = A.conj().T @ terms[j] @ A
-        return _contract(rows, terms)
+        return _contract(hereditary_rows(w, ks, a, gamma), terms)
     if rho is None:
         rho = spectral_radius(A)
     floors = w.c_floors(np.concatenate([[0], ks]) if gamma else ks)
-    return _series_sums(A, X, rows, w.c_step(cap),
-                        series.conjugation_rate(rho), tol, context,
-                        floors)[0]
+    return _series_sums(A, X, hereditary_rows(w, ks, cap, gamma),
+                        w.c_step(cap), series.conjugation_rate(rho), tol,
+                        context, floors)[0]
 
 
 # ---------------------------------------------------------------------------
 # resolvents
 # ---------------------------------------------------------------------------
-
-
-def _closed_resolvents(ks, a: int, inv, mul) -> np.ndarray:
-    """``R_k`` for every shift of ``ks`` when ``1/beta_m = C(a + m - 1, m)``:
-    ``sum_{r<a} C(k + r - 1, r) inv^(a - r)``, one row per shift, from the
-    powers of ``inv = (I - zA)^-1`` (a stack of matrices, ``mul`` the
-    matrix product) or of ``inv = (1 - x)^-1`` (``mul`` the elementwise
-    one)."""
-    powers = [inv]
-    for _ in range(a - 1):
-        powers.append(mul(powers[-1], inv))
-    return np.tensordot(_shift_coefs(ks, a), np.stack(powers[::-1]),
-                        axes=(1, 0))
 
 
 def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
@@ -399,7 +393,8 @@ def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
     a = _integer_alpha(w)
     if a is not None:
         inv = np.linalg.inv(np.eye(n) - zs[:, None, None] * A)
-        return _closed_resolvents(ks, a, inv, np.matmul).reshape(shape), None
+        return _binomial_sum(ks, a, inv,
+                             lambda P: P @ inv).reshape(shape), None
     rows = w.inv_betas[ks[:, None] + np.arange(cap + 1)]
     if r == 0.0 or not A.any():
         return (rows[:, 0, None, None, None] * np.eye(n, dtype=complex)
@@ -470,7 +465,8 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
         raise TruncationError(f"shift k={k} exceeds stored length")
     a = _integer_alpha(w)
     if a is not None:
-        return _closed_resolvents([k], a, 1.0 / (1.0 - xs), np.multiply)[0]
+        inv = 1.0 / (1.0 - xs)
+        return _binomial_sum([k], a, inv, lambda P: P * inv)[0]
     inv_b = w.inv_betas[k:]
     q = float(np.max(np.abs(xs), initial=0.0))
     # |x^j| <= q^j exactly, so the transient constant is 1
@@ -722,8 +718,9 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     to ``tol``, and a weight whose reciprocal series is not "diverging" (as
     ``gamma_map`` does).  Returns ``D_{k_max}`` together with a monotone-decrease
     certificate (worst eigenvalue of the decrements, which must be PSD) and,
-    when the sequence has numerically converged, the residual of the
-    summation identity ``sum_j (1/beta_j) A^{*j} Gamma[H] A^j = H - Delta``.
+    when the sequence has numerically converged and ``rho(A) < 1`` (past it
+    no rate certifies the series), the residual of the summation identity
+    ``sum_j (1/beta_j) A^{*j} Gamma[H] A^j = H - Delta``; None otherwise.
     """
     A = np.asarray(A, dtype=complex)
     H = hermitize(np.asarray(H, dtype=complex))
@@ -753,7 +750,7 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     converged = opnorm(D[k_max] - D[k_max - 1]) <= tol * scale
 
     residual = None
-    if converged and _psd_defects(gamma_H) >= -tol:
+    if converged and rho < 1.0 and _psd_defects(gamma_H) >= -tol:
         total = _stein_sums(w, A, gamma_H, [0], rho, tol * 0.1,
                             "delta_limit sum identity")[0][0]
         residual = opnorm(total - (H - delta))

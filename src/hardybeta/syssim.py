@@ -119,25 +119,24 @@ class IOMatrix:
 def io_matrix(family: ColligationFamily, T_steps: int) -> IOMatrix:
     """Materialize the input-output map over ``T_steps`` steps.
 
-    Block ``(i, j)`` is zero above the diagonal, ``(1/beta_i) D_i`` on it,
-    and ``(1/beta_i) C A^{i-1-j} B_j`` below.
+    Block ``(i, j)`` is zero above the diagonal and the Taylor coefficient
+    ``Theta_{j, i-j}`` on and below it: ``(1/beta_i) D_i`` on the diagonal
+    and ``(1/beta_i) C A^{i-1-j} B_j`` below, from one Taylor stack.
     """
-    if T_steps - 1 > family.k_max:
-        raise InvalidParameterError("family too short for requested horizon")
+    if not 1 <= T_steps <= family.k_max + 1:
+        raise InvalidParameterError(
+            f"io_matrix needs 1 <= T_steps <= {family.k_max + 1}, "
+            f"got {T_steps}")
     p = family.pair.p
-    w, A, C = family.weight, family.pair.A, family.pair.C
     us = [family.step(j).u for j in range(T_steps)]
     col_off = list(np.concatenate([[0], np.cumsum(us)]))
     row_off = [p * i for i in range(T_steps + 1)]
     M = np.zeros((p * T_steps, col_off[-1]), dtype=complex)
-    powers = _right_powers(np.eye(family.pair.n), A, T_steps + 1)
-    for i in range(T_steps):
-        for j in range(i + 1):
-            if j == i:
-                blk = w.inv_betas[i] * family.step(i).D
-            else:
-                blk = w.inv_betas[i] * (C @ powers[i - 1 - j] @ family.step(j).B)
-            M[row_off[i]:row_off[i + 1], col_off[j]:col_off[j + 1]] = blk
+    taylor = _taylor_stack(family, np.arange(T_steps), T_steps - 1)[0]
+    for j, u in enumerate(us):
+        # column block j holds Theta_{j, 0..T_steps-1-j}, one row block each
+        M[row_off[j]:, col_off[j]:col_off[j + 1]] = \
+            taylor[j, :T_steps - j, :, :u].reshape(-1, u)
     return IOMatrix(matrix=M, row_offsets=row_off, col_offsets=col_off)
 
 

@@ -227,3 +227,58 @@ def test_nan_fails_criterion(monkeypatch, number, module, name, poison):
     assert res.number == number
     assert not res.passed, res.line()
     assert any(np.isnan(v) for v in res.measured.values()), res.line()
+
+
+def test_stein_criterion_measured_is_reproducible():
+    # the criterion's wall time bounds its verdict but stays out of
+    # measured, which verify --out writes: same config and seed, same dict
+    runs = [acc.criterion_1_stein(RunConfig(trials=1), acc.suite_weights())
+            for _ in range(2)]
+    assert runs[0].measured == runs[1].measured
+    assert list(runs[0].measured) == ["max_residual"]
+
+
+def test_conditioned_pair_draw_gives_up(monkeypatch):
+    # no gramian condition number is <= 0: every draw is replaced
+    monkeypatch.setattr(acc, "PAIR_COND_MAX", 0.0)
+    monkeypatch.setattr(acc, "DRAW_TRIES", 3)
+    with pytest.raises(RuntimeError, match=(
+            "^could not draw a well-conditioned observable pair$")):
+        acc.random_conditioned_pair(acc.make_weight_hardy(256),
+                                    np.random.default_rng(1), 3, 2)
+
+
+def test_star_hypercontraction_draw_gives_up(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise acc.ModelHypothesisError("refused")
+
+    monkeypatch.setattr(mod, "characteristic_family", refuse)
+    monkeypatch.setattr(acc, "DRAW_TRIES", 3)
+    with pytest.raises(RuntimeError,
+                       match="^could not draw a star-hypercontraction$"):
+        acc.random_star_hypercontraction(acc.make_weight_hardy(256),
+                                         np.random.default_rng(1), 2, 4,
+                                         1e-10)
+
+
+def test_coincidence_skips_a_refused_distinct_operator(monkeypatch):
+    # criterion 9 compares each family with that of a spectrally distinct
+    # T3; a T3 that characteristic_family refuses skips that comparison
+    real = mod.characteristic_family
+    drawn, refused = [], []
+
+    def family(w, T, **kwargs):
+        T = np.asarray(T)
+        for S in drawn:
+            n = S.shape[0]
+            if np.array_equal(T, S * 0.5 if n == 1 else S + 0.3 * np.eye(n)):
+                refused.append(T)
+                raise acc.ModelHypothesisError("distinct operator refused")
+        char = real(w, T, **kwargs)
+        drawn.append(char.T)
+        return char
+
+    monkeypatch.setattr(mod, "characteristic_family", family)
+    res = acc.criterion_9_coincidence(RunConfig(trials=4), acc.suite_weights())
+    assert res.passed, res.line()
+    assert len(refused) == 4  # one per weight

@@ -12,6 +12,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,8 @@ import pytest
 
 import hardybeta as hb
 from hardybeta import hereditary as her
-from conftest import cmat, series_copy, stable_pair
+from hardybeta import series
+from conftest import cmat, hypercontraction_T, series_copy, stable_pair
 
 
 class TestResolvent:
@@ -671,6 +672,74 @@ class TestDeltaLimit:
                      lambda: hb.delta_limit(w, A, np.eye(2))):
             with pytest.raises(hb.HereditaryDomainError, match="diverge"):
                 call()
+
+
+class TestOneRoute:
+    """Hardy and integer alpha take their closed forms for every input the
+    code answers: no call reaches the series engine, and a table too short
+    for the finite hereditary rows is refused by name."""
+
+    @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2", "w_beta3"])
+    def test_no_call_enters_the_series(self, request, weight, monkeypatch):
+        w = request.getfixturevalue(weight)
+
+        def engine(*args, **kwargs):
+            raise AssertionError("the series engine was entered")
+
+        monkeypatch.setattr(series, "adaptive_sum", engine)
+        monkeypatch.setattr(series, "RowTails", engine)
+        rng = np.random.default_rng(22)
+        A = cmat(rng, 3, 3)
+        A *= 0.8 / np.linalg.norm(A, 2)
+        pair = hb.OutputPair(A=A, C=cmat(rng, 2, 3))
+        I, zs = np.eye(3), np.array([0.0, 0.5, -0.3j])
+        tab = hb.gramian_table(w, pair, 11)
+        hb.gamma_map(w, A, I)
+        hb.gamma_k_map(w, [1, 4], A, I)
+        hb.classify(w, pair)
+        hb.delta_limit(w, A, tab[0])
+        hb.delta_limit(w, np.diag([1.0, 0.5]), np.eye(2))
+        hb.resolvents(w, [0, 3], A, zs)
+        hb.resolvent_scalar(w, 2, zs)
+        hb.characteristic_family(w, hypercontraction_T(w, rng, 2), k_max=4)
+        hb.kernel_coinvariant(w, pair, zs, zs)
+        hb.kernel_invariant(w, pair, zs, zs)
+        hb.kernel_shifted(w, 3, pair, tab, zs, zs)
+        hb.kernel_gap(w, 3, pair, tab, zs, zs)
+
+    @pytest.mark.parametrize("weight,A", [
+        ("w_hardy", np.diag([1.0, 0.5])),
+        ("w_beta2", np.diag([1.0, 0.5])),
+        # Gamma[I] = diag(0, 1) is annihilated by A* . A: the identity's
+        # series ends at one term, but no rate certifies it either
+        ("w_hardy", np.diag([1.0, 0.0])),
+    ], ids=["hardy", "beta2", "hardy-finite"])
+    def test_delta_limit_at_rho_one(self, request, weight, A):
+        # at rho(A) = 1 no decay rate certifies the sum identity's series,
+        # whatever the weight: it is skipped, as for a sequence that has
+        # not converged
+        w = request.getfixturevalue(weight)
+        rep = hb.delta_limit(w, A, np.eye(2))
+        assert rep.converged and rep.sum_identity_residual is None
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda: hb.gamma_map(hb.make_weight_beta_alpha(3.0, 2),
+                              0.5 * np.eye(2), np.eye(2)),
+         "gamma_map: shift k=0 needs the c table to index 3, stored 2"),
+        (lambda: hb.classify(hb.make_weight_beta_alpha(3.0, 22),
+                             hb.OutputPair(A=0.5 * np.eye(2), C=np.eye(2)),
+                             k_max=20),
+         "classify: shift k=20 needs the c table to index 23, stored 22"),
+        (lambda: hb.delta_limit(hb.make_weight_custom([1.0, 0.5]),
+                                np.diag([1.0, 0.5]), np.eye(2)),
+         "delta_limit: shift k=21 needs the c table to index 21, stored 1"),
+    ], ids=["beta3-gamma", "beta3-classify", "custom-delta"])
+    def test_short_table_refused_by_name(self, call, match):
+        # the finite rows of beta_3 need alpha = 3 entries past the largest
+        # shift, and every weight's rows need the shift itself in the table
+        with pytest.raises(hb.InvalidParameterError,
+                           match="^" + re.escape(match) + "$"):
+            call()
 
 
 class TestRefusals:

@@ -538,3 +538,18 @@ def test_grid_hermitian_off_the_diagonal(all_weights, kind, k):
              }[kind]()
         np.testing.assert_array_equal(
             _bits(K[i, j]), _bits(K[j, i].conj().swapaxes(-1, -2)))
+
+
+class TestRefusals:
+    def test_element_past_the_weight_table(self):
+        w = hb.make_weight_beta_alpha(2.0, 4)
+        with pytest.raises(hb.TruncationError,
+                           match=r"^degree 5 exceeds stored weights \(4\)$"):
+            hb.HardyElement(w, np.ones((6, 1)))
+
+    def test_inner_product_value_dimensions(self, w_beta2):
+        f = hb.HardyElement(w_beta2, np.ones((2, 1)))
+        g = hb.HardyElement(w_beta2, np.ones((2, 2)))
+        with pytest.raises(hb.InvalidParameterError,
+                           match="^value dimensions differ$"):
+            hb.hardy_inner(f, g)

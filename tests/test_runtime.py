@@ -28,7 +28,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 def test_runtime_imports_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                          SCRIPT], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

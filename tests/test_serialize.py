@@ -30,6 +30,11 @@ class TestComplexEncoding:
         with pytest.raises(hb.InvalidParameterError):
             ser.complex_matrix_from_json([[[1.0, 2.0, 3.0]]])
 
+    def test_malformed_vector_rejected(self):
+        with pytest.raises(hb.InvalidParameterError,
+                           match=r"^vector JSON must be \[re, im\] pairs$"):
+            ser.complex_vector_from_json([[1.0, 2.0, 3.0]])
+
 
 class TestWeightJson:
     def test_beta_alpha(self):

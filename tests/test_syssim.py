@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,32 @@ class TestIOIsometry:
                                    tol=1e-6, seed=6)
         assert not rep.isometric
         assert rep.worst_defect > 0.01
+
+
+class TestRefusals:
+    """Every refusal of a horizon or a dimension names what it refuses."""
+
+    def test_horizon_past_the_weight_table(self, fam_beta2):
+        # the same steps over a 4-term table: five steps need beta_5
+        fam = dataclasses.replace(fam_beta2,
+                                  weight=hb.make_weight_beta_alpha(2.0, 4))
+        us = [np.zeros(fam.step(k).u) for k in range(5)]
+        with pytest.raises(hb.TruncationError,
+                           match="^horizon exceeds stored weights$"):
+            hb.simulate(fam, np.zeros(3), us)
+
+    def test_initial_state_dimension(self, fam_beta2):
+        with pytest.raises(hb.InvalidParameterError,
+                           match="^x0 has wrong dimension$"):
+            hb.simulate(fam_beta2, np.zeros(4), [])
+
+    @pytest.mark.parametrize("steps", [0, 14])
+    def test_io_matrix_horizon(self, fam_beta2, steps):
+        with pytest.raises(hb.InvalidParameterError, match=(
+                f"^io_matrix needs 1 <= T_steps <= 13, got {steps}$")):
+            hb.io_matrix(fam_beta2, steps)
+
+    def test_io_isometry_horizon(self, fam_beta2):
+        with pytest.raises(hb.InvalidParameterError,
+                           match="^family too short for requested horizon$"):
+            hb.check_io_isometry(fam_beta2, trials=1, horizon=14)

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 import mpmath
@@ -283,3 +286,44 @@ class TestGammaKCoeffs:
                 with pytest.raises(ValueError):
                     rows[0, 0] = 1.0
                 assert weights.hereditary_rows(w, list(ks), n, gamma) is rows
+
+
+class TestRefusals:
+    """Every refusal of a constructor or a table query names what it
+    refuses."""
+
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda: hb.make_weight_hardy(0), hb.InvalidParameterError,
+         "need at least two stored weights"),
+        (lambda: hb.make_weight_beta_alpha(2.0, 0), hb.InvalidParameterError,
+         "need at least two stored weights"),
+        (lambda: hb.make_weight_custom([]), hb.InvalidParameterError,
+         "betas must be a nonempty 1-d sequence"),
+        (lambda: hb.make_weight_custom([[1.0, 0.5]]),
+         hb.InvalidParameterError, "betas must be a nonempty 1-d sequence"),
+        (lambda: hb.wiener_report(hb.make_weight_hardy(8), 9),
+         hb.TruncationError, "need 0 <= n <= 8 stored coefficients, got 9"),
+        (lambda: hb.wiener_report(hb.make_weight_hardy(8), -1),
+         hb.TruncationError, "need 0 <= n <= 8 stored coefficients, got -1"),
+        (lambda: hb.shifted_resolvent_coeffs(hb.make_weight_hardy(8), -1, 2),
+         hb.InvalidParameterError, "k and n must be nonnegative"),
+    ], ids=["hardy-short", "beta-short", "custom-empty", "custom-2d",
+            "wiener-past-table", "wiener-negative", "shifted-negative"])
+    def test_refusal_text(self, call, error, match):
+        with pytest.raises(error, match="^" + re.escape(match) + "$"):
+            call()
+
+    def test_one_trailing_entry_has_no_step(self):
+        # 1/R = 1 - 2z + z^20: the window c_4..c_20 holds one nonzero entry,
+        # from which no step can be read, so the weight is refused as
+        # diverging
+        inv = [2.0 ** j for j in range(20)] + [2.0 ** 20 - 1.0]
+        w = hb.make_weight_custom([1.0 / x for x in inv])
+        assert np.count_nonzero(w.c_coeffs[4:]) == 1
+        assert (w.c_step(20), w.c_floor) == (math.inf, 0.0)
+        assert (w.wiener.verdict, w.wiener.tail_estimate) \
+            == ("diverging", math.inf)
+        with pytest.raises(hb.HereditaryDomainError, match=(
+                "^reciprocal coefficients diverge: hereditary map "
+                "undefined$")):
+            hb.gamma_map(w, 0.3 * np.eye(2), np.eye(2))
