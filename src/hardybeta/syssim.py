@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colligation import ColligationFamily, _taylor_stack
+from .colligation import ColligationFamily, _taylor_stack, transfer_taylor
 from .errors import InvalidParameterError, TruncationError
 from .hereditary import _right_powers
 
@@ -121,22 +121,23 @@ def io_matrix(family: ColligationFamily, T_steps: int) -> IOMatrix:
 
     Block ``(i, j)`` is zero above the diagonal and the Taylor coefficient
     ``Theta_{j, i-j}`` on and below it: ``(1/beta_i) D_i`` on the diagonal
-    and ``(1/beta_i) C A^{i-1-j} B_j`` below, from one Taylor stack.
+    and ``(1/beta_i) C A^{i-1-j} B_j`` below, so column block ``j`` is
+    ``transfer_taylor(family, j, T_steps - 1 - j)``.
     """
-    if not 1 <= T_steps <= family.k_max + 1:
+    if not 0 <= T_steps <= family.k_max + 1:
         raise InvalidParameterError(
-            f"io_matrix needs 1 <= T_steps <= {family.k_max + 1}, "
+            f"io_matrix needs 0 <= T_steps <= {family.k_max + 1}, "
             f"got {T_steps}")
     p = family.pair.p
     us = [family.step(j).u for j in range(T_steps)]
-    col_off = list(np.concatenate([[0], np.cumsum(us)]))
+    col_off = list(np.cumsum([0] + us))
     row_off = [p * i for i in range(T_steps + 1)]
     M = np.zeros((p * T_steps, col_off[-1]), dtype=complex)
-    taylor = _taylor_stack(family, np.arange(T_steps), T_steps - 1)[0]
     for j, u in enumerate(us):
-        # column block j holds Theta_{j, 0..T_steps-1-j}, one row block each
+        # Theta_{j, 0..T_steps-1-j}, one row block each: beta_{T_steps-1}
+        # is the last weight read
         M[row_off[j]:, col_off[j]:col_off[j + 1]] = \
-            taylor[j, :T_steps - j, :, :u].reshape(-1, u)
+            transfer_taylor(family, j, T_steps - 1 - j).reshape(-1, u)
     return IOMatrix(matrix=M, row_offsets=row_off, col_offsets=col_off)
 
 

@@ -262,22 +262,27 @@ def test_star_hypercontraction_draw_gives_up(monkeypatch):
 
 
 def test_coincidence_skips_a_refused_distinct_operator(monkeypatch):
-    # criterion 9 compares each family with that of a spectrally distinct
-    # T3; a T3 that characteristic_family refuses skips that comparison
-    real = mod.characteristic_family
-    drawn, refused = [], []
+    # criterion 9 builds two families from each drawn one, a unitary
+    # conjugate and then a spectrally distinct one; refusing the second
+    # call after each draw skips that comparison
+    real_draw = acc.random_star_hypercontraction
+    real_family = mod.characteristic_family
+    since_draw, refused = [], []
+
+    def draw(*args):
+        since_draw.clear()
+        with monkeypatch.context() as m:
+            m.setattr(mod, "characteristic_family", real_family)
+            return real_draw(*args)
 
     def family(w, T, **kwargs):
-        T = np.asarray(T)
-        for S in drawn:
-            n = S.shape[0]
-            if np.array_equal(T, S * 0.5 if n == 1 else S + 0.3 * np.eye(n)):
-                refused.append(T)
-                raise acc.ModelHypothesisError("distinct operator refused")
-        char = real(w, T, **kwargs)
-        drawn.append(char.T)
-        return char
+        since_draw.append(T)
+        if len(since_draw) == 2:
+            refused.append(T)
+            raise acc.ModelHypothesisError("distinct operator refused")
+        return real_family(w, T, **kwargs)
 
+    monkeypatch.setattr(acc, "random_star_hypercontraction", draw)
     monkeypatch.setattr(mod, "characteristic_family", family)
     res = acc.criterion_9_coincidence(RunConfig(trials=4), acc.suite_weights())
     assert res.passed, res.line()

@@ -112,6 +112,25 @@ class TestIOMatrix:
         np.testing.assert_allclose(col, np.concatenate(traj.outputs),
                                    atol=1e-11)
 
+    def test_no_steps_is_empty(self, fam_beta2):
+        io = hb.io_matrix(fam_beta2, 0)
+        assert io.matrix.shape == (0, 0)
+        assert io.row_offsets == [0] and io.col_offsets == [0]
+        assert (io.matrix @ hb.stack_inputs([])).shape == (0,)
+
+    def test_full_horizon_on_a_short_table(self):
+        # 20 stored terms hold k_max = 12 (which needs 17) but not index
+        # 2 k_max: the matrix over all 13 steps reads beta_0..beta_12 only
+        rng = np.random.default_rng(77)
+        pair = stable_pair(rng, 3, 2, rho=0.6)
+        fam = hb.build_family(hb.make_weight_beta_alpha(2.0, 20), pair,
+                              k_max=12, tol=1e-13)
+        us = random_inputs(rng, fam, 13)
+        io = hb.io_matrix(fam, 13)
+        traj = hb.simulate(fam, np.zeros(3), us)
+        np.testing.assert_allclose(io.matrix @ hb.stack_inputs(us),
+                                   np.concatenate(traj.outputs), atol=1e-11)
+
     def test_hardy_block_toeplitz(self, w_hardy):
         # constant weight: identical steps make the matrix block-Toeplitz
         rng = np.random.default_rng(76)
@@ -240,10 +259,10 @@ class TestRefusals:
                            match="^x0 has wrong dimension$"):
             hb.simulate(fam_beta2, np.zeros(4), [])
 
-    @pytest.mark.parametrize("steps", [0, 14])
+    @pytest.mark.parametrize("steps", [-1, 14])
     def test_io_matrix_horizon(self, fam_beta2, steps):
         with pytest.raises(hb.InvalidParameterError, match=(
-                f"^io_matrix needs 1 <= T_steps <= 13, got {steps}$")):
+                f"^io_matrix needs 0 <= T_steps <= 13, got {steps}$")):
             hb.io_matrix(fam_beta2, steps)
 
     def test_io_isometry_horizon(self, fam_beta2):
