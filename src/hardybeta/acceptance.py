@@ -168,14 +168,14 @@ def criterion_1_stein(cfg: RunConfig, weights) -> CriterionResult:
     """Weighted Stein identity on the gramians of one ``gramian_table``,
     k <= 10.
 
-    For beta_2.5 both sides are sums of the same stored conjugation terms
-    ``T_j = A^{*j} C^* C A^j``, so the residual measures how consistently
-    the terms follow the recurrence ``T_{j+1} = A^* T_j A``, not how
-    accurate the gramians are (their truncation is bounded by the table's
-    tail bounds).  For hardy and integer alpha the table is a Stein solve
-    and the residual is that solve's own.  The verdict bounds the runtime
-    too, so the criterion keeps its own timer; the time stays out of
-    ``measured``, which is the same for the same configuration and seed."""
+    For beta_2.5 each gramian is its own function of ``L`` on the spectral
+    route, so the identity ties independent evaluations of ``R_k`` and
+    ``R_{k+1}`` together (a draw past the route's gate would sum one
+    series, whose terms both sides share).  For hardy and integer alpha
+    the table is a Stein solve and the residual is that solve's own.  The
+    verdict bounds the runtime too, so the criterion keeps its own timer;
+    the time stays out of ``measured``, which is the same for the same
+    configuration and seed."""
     t0 = time.perf_counter()
     rng = _rng(cfg, 1)
     worst = 0.0
@@ -197,12 +197,11 @@ def criterion_1_stein(cfg: RunConfig, weights) -> CriterionResult:
 def criterion_2_gamma_gramian(cfg: RunConfig, weights) -> CriterionResult:
     """Hereditary maps of the gramian reproduce C*C and the shifted gramians.
 
-    For beta_2.5 the maps conjugate the gramian by the same powers of ``A``
-    from which the gramian table was summed, so, as in criterion 1, the
-    residual measures how consistently the stored terms follow the
-    recurrence ``T_{j+1} = A^* T_j A``, not how accurate the gramians are.
-    For hardy and integer alpha it compares two different computations: a
-    Stein solve for the gramians, finite binomial sums for the maps."""
+    For beta_2.5 both sides are spectral-route functions of ``L`` on one
+    diagonalization of ``A``: ``(1 - x)^alpha R_k`` applied to ``G^(0)``
+    against ``R_k`` applied to ``C* C``.  For hardy and integer alpha it
+    compares two different computations: a Stein solve for the gramians,
+    finite binomial sums for the maps."""
     rng = _rng(cfg, 2)
     worst = 0.0
     for _, w in weights:
@@ -232,11 +231,20 @@ def criterion_3_cholesky(cfg: RunConfig, weights) -> CriterionResult:
                            {"max_residual": worst}, "residual <= 1e-9")
 
 
+def _cross(X, Y) -> np.ndarray:
+    """``Z[i, j] = X[i] @ Y[j]^*`` for two stacks of matrices with the same
+    column count, from one 2-d product."""
+    N, a, c = X.shape
+    M, b, _ = Y.shape
+    Z = X.reshape(N * a, c) @ Y.reshape(M * b, c).conj().T
+    return Z.reshape(N, a, M, b).transpose(0, 2, 1, 3)
+
+
 def _kernel_identity_residuals(fam, ks, grid):
     """Residuals of the two difference-kernel identities and the gap
     factorization at each step of ``ks`` over all grid point pairs.
 
-    The two identities are einsum contractions of the grid's resolvents,
+    The two identities are products (``_cross``) of the grid's resolvents,
     those of every shift ``k`` and ``k + 1`` from one table; the
     factorization compares the library's gap kernel with
     ``x^k Theta_k(z) Theta_k(zeta)*``.  Residuals are measured in Frobenius
@@ -254,6 +262,11 @@ def _kernel_identity_residuals(fam, ks, grid):
     def worst(diff):
         return float(np.linalg.norm(diff.reshape(N * N, -1), axis=1).max())
 
+    def gram(P, G):
+        """``P[i]^* G P[j]`` for every pair: the conjugate of the product
+        of the transposed stacks ``P^T`` and ``(G P)^T``."""
+        return _cross(P.swapaxes(1, 2), (G @ P).swapaxes(1, 2)).conj()
+
     out = []
     for k, th in zip(ks, thetas):
         st = fam.step(k)
@@ -261,25 +274,23 @@ def _kernel_identity_residuals(fam, ks, grid):
         Gk, Gk1 = fam.gramians[k], fam.gramians[k + 1]
         Gk_inv, Gk1_inv = fam.gramians.inverses(k, k + 1)
         Rk, Rk1 = R[k], R[k + 1]
-        thth = np.einsum("ipu,jqu->ijpq", th, th.conj())
+        thth = _cross(th, th)
 
         # input-side identity (conjugate-linear in the first argument)
         PB = Rk @ st.B          # R_k(zA) B, shape (N, n, u)
         PB1 = Rk1 @ st.B
+        thT = th.swapaxes(1, 2)
         lhs_in = w.inv_betas[k] * np.eye(st.u)[None, None] \
-            - np.einsum("ipu,jpv->ijuv", th.conj(), th)
-        rhs_in = w.betas[k] * (
-            np.einsum("inu,nm,jmv->ijuv", PB.conj(), Gk1, PB)
-            - np.conj(x)[:, :, None, None]
-            * np.einsum("inu,nm,jmv->ijuv", PB1.conj(), Gk, PB1))
+            - _cross(thT, thT).conj()
+        rhs_in = w.betas[k] * (gram(PB, Gk1)
+                               - np.conj(x)[:, :, None, None] * gram(PB1, Gk))
         out.append(worst(lhs_in - rhs_in))
 
         # output-side identity (linear in the first argument)
-        V = np.einsum("pq,zqn->zpn", C, Rk)      # C R_k(zA)
-        V1 = np.einsum("pq,zqn->zpn", C, Rk1)
-        core = np.einsum("ipn,jqn->ijpq", V @ Gk_inv, V.conj()) \
-            - x[:, :, None, None] * np.einsum("ipn,jqn->ijpq", V1 @ Gk1_inv,
-                                              V1.conj())
+        V = C @ Rk      # C R_k(zA)
+        V1 = C @ Rk1
+        core = _cross(V @ Gk_inv, V) \
+            - x[:, :, None, None] * _cross(V1 @ Gk1_inv, V1)
         lhs_out = w.inv_betas[k] * np.eye(pair.p)[None, None] - thth
         out.append(worst(lhs_out - core))
 

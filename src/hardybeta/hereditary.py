@@ -28,7 +28,25 @@ closed form reports tail 0 (a resolvent no record) and raises no
 ConvergenceError, and a table too short for the finite hereditary rows is
 refused by name.
 
-Every other sum (non-integer alpha and custom weights) is cut adaptively
+Non-integer alpha takes the spectral route of ``spectral.py`` for gramian
+tables and hereditary maps: with ``A = V diag(d) V^-1`` from one
+``np.linalg.eig``, ``f(L)[X] = V^-* (F o (V* X V)) V^-1`` with
+``F_ij = f(conj(d_i) d_j)``, where ``f`` is ``R_k`` (gramians),
+``(1 - x)^alpha`` (``Gamma``) or ``(1 - x)^alpha R_k`` (``Gamma^(k)``) and
+``R_k``, ``k >= 1``, is a Gauss–Jacobi quadrature of Euler's Beta
+integral.  Its gate is ``rho(A) < 1`` and
+``kappa(V) = ||V||_F ||V^-1||_F <= spectral.KAPPA_MAX`` (1e6); a defective
+``A``, such as a Jordan block, fails it.  The table length plays no part:
+the route raises no ConvergenceError and ``tol`` is not used.  A gramian
+table from it reports, per shift, the first-order error bound that its
+gate and node count promise (``spectral.stein_bounds``; 0 only for
+``C = 0``), with truncation order -1.  ``classify``, ``delta_limit`` and the
+characteristic family share one diagonalization between the hereditary
+stack and the gramian table.  Resolvents and the scalar ``R_k(x)`` of
+non-integer alpha stay on the series.
+
+Every other sum (custom weights; non-integer alpha past the gate or in a
+resolvent) is cut adaptively
 by the engine in ``series.py``, with each coefficient row's step bound
 past the table taken from the weight, and raises ConvergenceError when the
 stored table is too short for ``tol`` or to certify ``q``.  The decay rate
@@ -44,8 +62,11 @@ largest shift and bounded past it by the weight's step; the one cut is the
 first index where every row's bound holds, so the tail is <= tol at every
 shift and point.
 Gramian tables are inverted as one stack.
+``GramianTable.tail_bounds`` is 0 on the closed forms, the spectral
+route's error bound there, and the series' tail bound (``K`` times the
+row's coefficient tail past the cut) on the series.
 Gramians and classification are restricted to spectral radius at most
-0.999, on either route; resolvents need ``|z| rho(A) < 1``.
+0.999, on every route; resolvents need ``|z| rho(A) < 1``.
 
 Everything here is a pure function of immutable inputs; results are safe to
 share across threads.
@@ -55,10 +76,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import series
+from . import series, spectral
 from .errors import (
     DivergenceError,
     HereditaryDomainError,
@@ -159,6 +181,12 @@ class OutputPair:
     def p(self) -> int:
         return self.C.shape[0]
 
+    @cached_property
+    def diagonalization(self) -> spectral.Diagonalization | None:
+        """``A = V diag(d) V^-1`` when ``A`` passes the spectral route's
+        gate, else None; built on first use."""
+        return spectral.diagonalize(self.A)
+
 
 @dataclass
 class GramianTable:
@@ -166,7 +194,10 @@ class GramianTable:
     bounds and the truncation order of the shared series: the index of its
     last term.  Hardy and integer alpha are closed form, a Stein solve with
     tail bounds 0 and truncation order -1, since no term is summed;
-    non-integer alpha and custom weights sum the series."""
+    non-integer alpha takes the spectral route when ``A`` passes its gate,
+    with the route's error bounds (0 only for ``C = 0``) and truncation
+    order -1;
+    custom weights and ``A`` past the gate sum the series."""
 
     entries: dict
     tail_bounds: dict
@@ -245,6 +276,25 @@ def _integer_alpha(w: WeightSequence) -> int | None:
     return None
 
 
+def _spectral_kind(w: WeightSequence) -> bool:
+    """Whether the weight takes the spectral route: ``beta_alpha`` with
+    non-integer ``alpha``."""
+    return w.kind == "beta_alpha" and not float(w.alpha).is_integer()
+
+
+def _route(w: WeightSequence, A) -> spectral.Diagonalization | None:
+    """The diagonalization of ``A`` when the weight takes the spectral
+    route and ``A`` passes its gate; None otherwise, and the sums stay on
+    the closed forms or the series."""
+    return spectral.diagonalize(A) if _spectral_kind(w) else None
+
+
+def _pair_route(w: WeightSequence, pair: OutputPair):
+    """``_route`` of ``pair.A``, from the diagonalization kept on the
+    pair."""
+    return pair.diagonalization if _spectral_kind(w) else None
+
+
 def _contract(rows, terms) -> np.ndarray:
     """``sum_j rows[i, j] terms[j]`` over the ``len(terms)`` leading columns,
     for every row, as one stack of Hermitian parts."""
@@ -305,16 +355,25 @@ def _closed_gramians(A, X, ks, a: int) -> np.ndarray:
     return hermitize(_binomial_sum(ks, a, first, solve).reshape(-1, n, n))
 
 
-def _stein_sums(w: WeightSequence, A, X, ks, rho: float, tol, context):
+def _stein_sums(w: WeightSequence, A, X, ks, rho: float, tol, context,
+                spec):
     """``sum_j (1/beta_{j+k}) A^{*j} X A^j`` for every shift of ``ks``, with
-    the tail bound of each and the index of the last term summed.
+    the error or tail bound of each and the index of the last term summed.
 
     Closed form (tails 0, index -1: no term is summed) for hardy and integer
-    alpha; otherwise the series at the rate of ``rho = rho(A)``, every
-    shift's row cut at the table length left to the largest shift."""
+    alpha; the spectral route on the diagonalization ``spec`` (``_route``;
+    the bounds of ``spectral.stein_bounds``, index -1); otherwise the
+    series at the rate of ``rho = rho(A)``, every shift's row cut at the
+    table length left to the largest shift."""
     a = _integer_alpha(w)
     if a is not None:
         return _closed_gramians(A, X, ks, a), [0.0] * len(ks), -1
+    values = None if spec is None else spectral.shifted(w, ks, spec.upper)
+    if values is not None:
+        R, N = values
+        return (hermitize(spec.apply(R, X)),
+                list(spectral.stein_bounds(spec, w.alpha, ks, N, R, X,
+                                           float(np.linalg.norm(A)))), -1)
     Jcap = w.trunc_len - max(ks)
     rows = np.array([w.inv_betas[k:k + Jcap + 1] for k in ks])
     steps = [w.inv_step(k + Jcap) for k in ks]
@@ -323,18 +382,38 @@ def _stein_sums(w: WeightSequence, A, X, ks, rho: float, tol, context):
     return sums, rec.tails, rec.J
 
 
-def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context,
+def _spectral_quotients(w: WeightSequence, ks, gamma: bool, x):
+    """``(1 - x)^alpha`` (when ``gamma``) over ``(1 - x)^alpha R_k(x)`` for
+    every shift of ``ks``, at the 1-d points ``x``, one row each; None
+    when the quadrature declines (``spectral.shifted``)."""
+    one = (1.0 - x) ** w.alpha  # principal branch: Re(1 - x) > 0
+    if not len(ks):
+        return one[None]
+    values = spectral.shifted(w, ks, x)
+    if values is None:
+        return None
+    return np.concatenate([one[None], one * values[0]]) if gamma \
+        else one * values[0]
+
+
+def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context, spec,
                      gamma=False, rho=None) -> np.ndarray:
     """``Gamma[X]`` (when ``gamma``) followed by ``Gamma^(k)[X]`` for every
     shift ``k >= 1`` of ``ks``, as one stack, from the ``c`` row and the
     quotient rows ``d^(k)``, kept on the weight (``hereditary_rows``).
 
     For hardy and integer alpha these rows vanish past index alpha: the
-    sums are finite, over the moments ``X, L X, .., L^alpha X``.  Every
-    other weight takes the series, every row cut at the table length left
-    to the largest shift; ``rho`` is ``rho(A)`` when the caller has it.  A
-    table that cannot hold the rows past the largest shift is refused."""
+    sums are finite, over the moments ``X, L X, .., L^alpha X``.  With a
+    diagonalization ``spec`` (``_route``) they are the spectral route's
+    ``(1 - x)^alpha`` and ``(1 - x)^alpha R_k(x)`` at the eigenvalue
+    products.  Every other case takes the series, every row cut at the
+    table length left to the largest shift; ``rho`` is ``rho(A)`` when the
+    caller has it.  A table that cannot hold the rows past the largest
+    shift is refused."""
     ks = np.asarray(ks)
+    if ks.size and ks.min() < 1:
+        raise InvalidParameterError(
+            f"{context} needs shifts k >= 1, got k={ks.min()}")
     kmax = int(ks.max(initial=0))
     cap = w.trunc_len - kmax
     a = _integer_alpha(w)
@@ -349,6 +428,10 @@ def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context,
         for j in range(a):
             terms[j + 1] = A.conj().T @ terms[j] @ A
         return _contract(hereditary_rows(w, ks, a, gamma), terms)
+    F = None if spec is None else _spectral_quotients(w, ks, gamma,
+                                                      spec.upper)
+    if F is not None:
+        return hermitize(spec.apply(F, X))
     if rho is None:
         rho = spectral_radius(A)
     floors = w.c_floors(np.concatenate([[0], ks]) if gamma else ks)
@@ -493,21 +576,24 @@ def _gramian_rows(w, ks, pair, tol, context):
         raise TruncationError(
             f"stored weights too short for gramian shift k={kmax}")
     sums, tails, J = _stein_sums(w, pair.A, pair.C.conj().T @ pair.C, ks,
-                                 pair.spectral_radius, tol, context)
+                                 pair.spectral_radius, tol, context,
+                                 _pair_route(w, pair))
     return dict(zip(ks, sums)), dict(zip(ks, tails)), J
 
 
 def gramian(w: WeightSequence, k: int, pair: OutputPair,
             tol: float = 1e-10) -> np.ndarray:
     """Shifted observability gramian ``G^(k)``: a Stein solve for hardy and
-    integer alpha, otherwise a series with tail bound <= tol."""
+    integer alpha, the spectral route for non-integer alpha (``A`` within
+    its gate), otherwise a series with tail bound <= tol."""
     return _gramian_rows(w, [k], pair, tol, "gramian")[0][k]
 
 
 def gramian_table(w: WeightSequence, pair: OutputPair, k_max: int,
                   tol: float = 1e-10) -> GramianTable:
     """All shifted gramians ``G^(k)``, ``k = 0..k_max``, from one Stein
-    inverse (hardy and integer alpha) or one shared series."""
+    inverse (hardy and integer alpha), one diagonalization (non-integer
+    alpha, ``A`` within the spectral route's gate) or one shared series."""
     entries, tails, J = _gramian_rows(w, list(range(k_max + 1)), pair, tol,
                                       "gramian_table")
     return GramianTable(entries=entries, tail_bounds=tails, trunc_order=J)
@@ -546,8 +632,10 @@ def _check_domain(w: WeightSequence, A, X, tol):
     summable reciprocal series (``_check_summable``)."""
     X = hermitize(np.asarray(X, dtype=complex))
     A = np.asarray(A, dtype=complex)
-    scale = max(opnorm(X), 1.0)
-    if min_eig(X) < -tol * scale:
+    lam = np.linalg.eigvalsh(X) if X.size else np.zeros(1)
+    # the operator norm of the Hermitian X, floored at 1
+    scale = max(-lam[0], lam[-1], 1.0)
+    if lam[0] < -tol * scale:
         raise HereditaryDomainError("X must be positive semidefinite")
     if min_eig(X - A.conj().T @ X @ A) < -tol * scale:
         raise HereditaryDomainError("X - A* X A must be positive semidefinite")
@@ -570,7 +658,7 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
     """
     _check_domain(w, A, X, tol)
     return _hereditary_sums(w, A, X, np.arange(0), tol, "gamma_map",
-                            gamma=True)[0]
+                            _route(w, A), gamma=True)[0]
 
 
 def gamma_k_map(w: WeightSequence, k, A, X,
@@ -585,7 +673,8 @@ def gamma_k_map(w: WeightSequence, k, A, X,
     _check_domain(w, A, X, tol)
     if np.ndim(k) == 0 and k == 0:
         return hermitize(np.asarray(X, dtype=complex))
-    sums = _hereditary_sums(w, A, X, np.atleast_1d(k), tol, "gamma_k_map")
+    sums = _hereditary_sums(w, A, X, np.atleast_1d(k), tol, "gamma_k_map",
+                            _route(w, A))
     return sums if np.ndim(k) else sums[0]
 
 
@@ -645,9 +734,18 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
             "series-summable gramian")
     _check_summable(w)
     sums = _hereditary_sums(w, pair.A, np.eye(pair.n), range(1, k_max + 1),
-                            tol * 0.1, "classify", gamma=True, rho=rho)
+                            tol * 0.1, "classify", _pair_route(w, pair),
+                            gamma=True, rho=rho)
     return _classification(w, pair, sums,
                             gramian_table(w, pair, 0, tol=tol * 0.1), tol)
+
+
+def _stability_residual(A, sums) -> float:
+    """``||A^{*k} Gamma^(k)[I] A^k||`` at the last shift ``k`` of the
+    stack ``Gamma[I], Gamma^(1..k)[I]``: weighted strong stability of ``A``
+    at depth ``k``."""
+    Ak = np.linalg.matrix_power(A, len(sums) - 1)
+    return opnorm(Ak.conj().T @ sums[-1] @ Ak)
 
 
 def _classification(w: WeightSequence, pair: OutputPair, sums,
@@ -681,8 +779,7 @@ def _classification(w: WeightSequence, pair: OutputPair, sums,
     exactly_observable = bool(gram_eigs[0] > tol * max(gram_eigs[-1], 1.0))
 
     k_max = len(sums) - 1
-    Ak = np.linalg.matrix_power(A, k_max)
-    stab_res = opnorm(Ak.conj().T @ sums[-1] @ Ak)
+    stab_res = _stability_residual(A, sums)
     strongly_stable_beta = stab_res <= tol
 
     residuals = {
@@ -728,8 +825,9 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     scale = max(opnorm(H), 1.0)
 
     rho = spectral_radius(A)
+    spec = _route(w, A)
     sums = _hereditary_sums(w, A, H, range(1, k_max + 2), tol * 0.1,
-                            "delta_limit", gamma=True, rho=rho)
+                            "delta_limit", spec, gamma=True, rho=rho)
     gamma_H = sums[0]
     bad = np.flatnonzero(_psd_defects(sums[1:]) < -tol)
     if bad.size:
@@ -752,7 +850,7 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     residual = None
     if converged and rho < 1.0 and _psd_defects(gamma_H) >= -tol:
         total = _stein_sums(w, A, gamma_H, [0], rho, tol * 0.1,
-                            "delta_limit sum identity")[0][0]
+                            "delta_limit sum identity", spec)[0][0]
         residual = opnorm(total - (H - delta))
 
     return DeltaReport(delta=delta, converged=converged,

@@ -36,7 +36,11 @@ from .colligation import (
     transfer_eval,
     transfer_taylor,
 )
-from .errors import ModelCoordinatesError, ModelHypothesisError
+from .errors import (
+    ConvergenceError,
+    ModelCoordinatesError,
+    ModelHypothesisError,
+)
 from .hereditary import (
     ClassificationReport,
     OutputPair,
@@ -44,6 +48,8 @@ from .hereditary import (
     _classification,
     _hereditary_sums,
     _right_powers,
+    _route,
+    _stability_residual,
     gamma_map,
     gramian_table,
     hermitize,
@@ -115,18 +121,33 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
     _check_domain(w, A, I, tol)
     ctol = max(tol, 1e-8)
     rho = spectral_radius(A)
-    # pick the stability-check depth so a geometric decay at the spectral
-    # radius has room to reach the tolerance
+    # the stability-check depth starts where a geometric decay at the
+    # spectral radius reaches the tolerance, and doubles, up to the table,
+    # while the measured residual does not: Gamma^(k)[I] may grow
+    # polynomially in k
     r = max(rho, 1e-3)
     k_stab = max(20, k_max)
     if r < 1.0:
         k_stab = max(k_stab, int(np.ceil(np.log(ctol) / (2 * np.log(r)))) + 5)
-    k_stab = min(k_stab, w.trunc_len - 8)
-    sums = _hereditary_sums(w, A, I, range(1, k_stab + 1),
-                            min(tol, 0.1 * ctol), "characteristic_family",
-                            gamma=True, rho=rho)
+    cap = w.trunc_len - 8
+    k_stab = min(k_stab, cap)
+    spec = _route(w, A)
+
+    def stack(depth):
+        return _hereditary_sums(w, A, I, range(1, depth + 1),
+                                min(tol, 0.1 * ctol), "characteristic_family",
+                                spec, gamma=True, rho=rho)
+    sums = stack(k_stab)
+    while k_stab < cap and _stability_residual(A, sums) > ctol:
+        k_stab = min(2 * k_stab, cap)
+        try:
+            sums = stack(k_stab)
+        except ConvergenceError:  # the series holds no deeper stack
+            break
     D = _defect_root(sums[0], tol)
     pair = OutputPair(A=A, C=D)
+    if spec is not None:  # the table shares the stack's eig of A
+        pair.diagonalization = spec
     table = gramian_table(w, pair, k_max + 1, tol=min(tol, 1e-12))
     report = _classification(w, pair, sums, table, ctol)
     if not report.hypercontraction:

@@ -20,7 +20,8 @@ cut (``inv_step``, ``c_step``) and the Wiener report of ``c``, all proved
 except the ``c`` step and floor of a custom weight, the one estimate left.
 
 Instances are immutable after construction and safe for concurrent reads;
-the stacked rows of the hereditary maps (``hereditary_rows``) are built on
+the stacked rows of the hereditary maps (``hereditary_rows``) and the
+quadrature rules of the spectral route (``spectral.py``) are built on
 first use and kept, read-only, on the weight.
 """
 
@@ -82,6 +83,8 @@ class WeightSequence:
     wiener: WienerReport = field(init=False)
     _rows: dict = field(init=False, default_factory=dict, repr=False,
                         compare=False)
+    _nodes: dict = field(init=False, default_factory=dict, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         self.betas = np.asarray(self.betas, dtype=float)

@@ -5,6 +5,7 @@ import pytest
 
 import hardybeta as hb
 from conftest import cmat, hypercontraction_T, stable_pair
+from hardybeta import model as mod
 from hardybeta.model import defect_form_family
 
 
@@ -62,6 +63,40 @@ class TestCharacteristicFamily:
                 hb.transfer_eval(char.family, 0, z, 1e-13), z * U,
                 atol=1e-12)
 
+    # a distinct operator of acceptance criterion 9 (seed 2, beta_3 at 768
+    # terms): Gamma^(k)[I] grows polynomially in k, so at the depth that a
+    # decay like rho^(2k) gives (23) the residual is 1.6e-8 > 1e-8
+    T_SLOW = np.array([
+        [0.41575247828230655 + 0.15993895553585377j,
+         -0.02441475804397368 - 0.07594575850396067j],
+        [0.1593451564353697 + 0.2554472181099646j,
+         0.5565849393679749 + 0.17292611588658735j]])
+
+    def test_stability_depth_follows_the_measured_decay(self):
+        char = hb.characteristic_family(hb.make_weight_beta_alpha(3.0, 768),
+                                        self.T_SLOW, k_max=6)
+        report = char.classification
+        assert report.strongly_stable_beta and report.k_checked > 23
+        assert report.residuals["beta_strong_stability"] <= 1e-8
+
+    def test_stack_the_series_cannot_deepen_is_refused(self, monkeypatch):
+        # past the first stack every deeper one raises, as a series whose
+        # table runs out would: the check stays at depth 23 and refuses
+        real = mod._hereditary_sums
+        calls = []
+
+        def first_only(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 1:
+                raise hb.ConvergenceError("table too short")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, "_hereditary_sums", first_only)
+        with pytest.raises(hb.ModelHypothesisError,
+                           match="not strongly stable.*1.589e-08"):
+            hb.characteristic_family(hb.make_weight_beta_alpha(3.0, 768),
+                                     self.T_SLOW, k_max=6)
+        assert len(calls) == 2
+
     def test_gramian_is_identity(self, all_weights):
         rng = np.random.default_rng(55)
         for w in all_weights:
@@ -72,7 +107,8 @@ class TestCharacteristicFamily:
 
     def test_defect_is_the_defect_operator(self, all_weights):
         # the family takes D from row 0 of its hereditary stack; for
-        # beta_2.5 both sums are series, each with tail <= tol
+        # beta_2.5 both are the spectral route's (a series, each with tail
+        # <= tol, for A past its gate)
         rng = np.random.default_rng(59)
         for w in all_weights:
             T = hypercontraction_T(w, rng, 3)

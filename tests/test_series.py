@@ -142,7 +142,9 @@ class TestBlocksMatchTermByTerm:
 
 
 class TestTooShortTable:
-    # hardy and integer alpha are closed form; beta_1.5 sums the series
+    # hardy and integer alpha are closed form; beta_1.5 resolvents sum the
+    # series, and so do its gramians and maps past the spectral route's
+    # gate, or with its table entered as a custom weight
     def test_resolvent_apply_names_caller(self):
         w = hb.make_weight_beta_alpha(1.5, 16)
         with pytest.raises(hb.ConvergenceError, match="^resolvent_apply: "):
@@ -154,8 +156,9 @@ class TestTooShortTable:
             hb.resolvent_scalar(w, 0, 0.95)
 
     def test_gramian_table_names_caller(self):
-        # hardy and integer alpha take the Stein solve; beta_1.5 sums a series
-        w = hb.make_weight_beta_alpha(1.5, 16)
+        # hardy and integer alpha take the Stein solve and beta_1.5 the
+        # spectral route; the beta_1.5 table as a custom weight sums a series
+        w = series_copy(hb.make_weight_beta_alpha(1.5, 16))
         pair = hb.OutputPair(A=0.95 * np.eye(2), C=np.ones((1, 2)))
         with pytest.raises(hb.ConvergenceError, match="^gramian_table: "):
             hb.gramian_table(w, pair, 2)
@@ -166,11 +169,13 @@ class TestTooShortTable:
         # trailing-ratio extrapolation it replaced gave inf here).  Every
         # case is beta_1.5's, since hardy is closed form; its resolvent row
         # steps by 17.5/17 past the table, and at q = 0.975 that bounds no
-        # tail
+        # tail.  The gramian is the table's as a custom weight (the same
+        # rows and steps) and the map is the series that gamma_map takes
+        # past the spectral route's gate: the route answers both inputs
         w = hb.make_weight_beta_alpha(1.5, 16)
         A = 0.95 * np.eye(2)
         cases = [
-            (lambda: hb.gramian_table(hb.make_weight_beta_alpha(1.5, 16),
+            (lambda: hb.gramian_table(series_copy(w),
                                       hb.OutputPair(A=A, C=np.ones((1, 2))),
                                       2),
              "gramian_table: tail bound 2.369e+02 > tol 1.000e-10 after 15 "
@@ -178,8 +183,9 @@ class TestTooShortTable:
             (lambda: hb.resolvent_apply(w, 0, A, 1.0),
              "resolvent_apply: tail bound inf > tol 1.000e-12 after 17 "
              "stored terms; increase the weight truncation"),
-            (lambda: hb.gamma_map(hb.make_weight_beta_alpha(1.5, 16),
-                                  np.diag([0.95, 0.5]), np.eye(2)),
+            (lambda: her._hereditary_sums(w, np.diag([0.95, 0.5]), np.eye(2),
+                                          np.arange(0), 1e-10, "gamma_map",
+                                          None, gamma=True),
              "gamma_map: tail bound 5.656e-03 > tol 1.000e-10 after 17 stored "
              "terms; increase the weight truncation"),
         ]
@@ -244,10 +250,11 @@ class TestTailCoversRemainder:
 
     @pytest.mark.parametrize("kind", ["beta1.5", "custom_beta2"])
     def test_gramian(self, kind):
-        # hardy and integer alpha take the Stein solve, with no tail; these
-        # two weights sum the series (the custom beta_2 table continues at
-        # its last ratio, which moves the exact value by far less than tol)
-        w, power = ((hb.make_weight_beta_alpha(1.5, 256), 1.5)
+        # hardy and integer alpha take the Stein solve, with no tail, and
+        # beta_1.5 the spectral route; these two tables as custom weights
+        # sum the series (a custom table continues at its last ratio, which
+        # moves the exact value by far less than tol)
+        w, power = ((series_copy(hb.make_weight_beta_alpha(1.5, 256)), 1.5)
                     if kind == "beta1.5" else
                     (hb.make_weight_custom(_weight("beta2")[0].betas), 2))
         tol = 1e-2
@@ -338,6 +345,20 @@ def test_rate_one_hereditary_map():
                      + 1j * rng.standard_normal((3, 3)))[0]
     out = hb.gamma_map(hb.make_weight_custom([1.0, 0.5]), U, np.eye(3))
     np.testing.assert_allclose(out, -np.eye(3), atol=1e-14)
+
+
+def test_rate_one_certifies_an_infinite_row():
+    # 1/beta = 1, 1.9, 1.9, ... gives 1/R(x) = (1 - x)/(1 + 0.9 x): the c
+    # row never ends and steps by 0.9 past its table.  At rho(A) = 1 the
+    # hereditary domain X >= A* X A >= 0 bounds every term by ||X||; the
+    # squaring never would, since ||A^m||_F^2 = 1 + 0.99^(2m) > 1 (and
+    # stays so in rounding up to the first power of two past the table)
+    w = hb.make_weight_custom([1.0] + [1 / 1.9] * 180)
+    assert 0.89 < w.c_step(180) < 0.91 and w.c_floor == 0.0
+    out = hb.gamma_map(w, np.diag([1.0, 0.99]), np.diag([0.0, 1.0]), tol=1e-6)
+    x = 0.99 ** 2
+    np.testing.assert_allclose(out, np.diag([0.0, (1 - x) / (1 + 0.9 * x)]),
+                               rtol=0, atol=1e-6)
 
 
 def _brute_gramian(A, C, alpha, terms=8000):
@@ -488,15 +509,23 @@ class TestUnderflow:
         # A^{*27} X A^27 has entries of 1e-162 and below, so its computed
         # norm is 0, and at small = 0 a term is exactly 0 some 50 terms
         # later, far past the certified span m = 1
+        # gamma_map and gramian_table answer it on the spectral route;
+        # the series they take past its gate refuses it
         w = hb.make_weight_beta_alpha(2.5, 2048)
         X = np.diag([small, 1.0])
+        np.testing.assert_allclose(
+            hb.gamma_map(w, self.A, X),
+            np.diag((1 - np.diag(self.A) ** 2) ** 2.5 * [small, 1.0]),
+            rtol=1e-12, atol=0)
         with pytest.raises(hb.ConvergenceError) as info:
-            hb.gamma_map(w, self.A, X)
+            her._hereditary_sums(w, self.A, X, np.arange(0), 1e-10,
+                                 "gamma_map", None, gamma=True)
         assert str(info.value) == (
             "gamma_map: tail bound 3.513e-10 > tol 1.000e-10 after 2049 "
             "stored terms; increase the weight truncation")
         with pytest.raises(hb.ConvergenceError, match="^gramian_table: "):
-            hb.gramian_table(w, hb.OutputPair(A=self.A, C=np.sqrt(X)), 3)
+            hb.gramian_table(series_copy(w),
+                             hb.OutputPair(A=self.A, C=np.sqrt(X)), 3)
 
     def test_refusal_does_not_depend_on_underflow(self):
         # neither table holds a cut even for ||T_0|| = 1, which bounds K
