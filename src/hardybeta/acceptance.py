@@ -119,7 +119,7 @@ def random_star_hypercontraction(w, rng, n, k_max, rank_tol):
     T, so a refused draw is simply replaced by the next."""
     for _ in range(DRAW_TRIES):
         G = _cmat(rng, n, n)
-        T = G * (rng.uniform(0.25, T_NORM_MAX) / np.linalg.norm(G, 2))
+        T = G * (rng.uniform(0.25, T_NORM_MAX) / her.opnorm(G))
         try:
             return mod.characteristic_family(w, T, k_max=k_max,
                                              rank_tol=rank_tol)
@@ -215,8 +215,7 @@ def criterion_2_gamma_gramian(cfg: RunConfig, weights) -> CriterionResult:
                 her.gamma_map(w, pair.A, G, 1e-10)
                 - pair.C.conj().T @ pair.C))
             maps = her.gamma_k_map(w, range(1, 7), pair.A, G, 1e-10)
-            for k, M in enumerate(maps, 1):
-                worst = _worst(worst, her.opnorm(M - table[k]))
+            worst = _worst(worst, *her.opnorm(maps - table.stack(1, 6)))
     return CriterionResult(2, "gamma-gramian-duality", worst <= 1e-7,
                            {"max_residual": worst}, "residual <= 1e-7")
 
@@ -371,13 +370,13 @@ def criterion_7_integer_alpha_identity(cfg: RunConfig,
         for _ in range(cfg.trials):
             n = int(rng.integers(2, 9))
             G = _cmat(rng, n, n)
-            A = G * (rng.uniform(0.3, 0.95) / np.linalg.norm(G, 2))
+            A = G * (rng.uniform(0.3, 0.95) / her.opnorm(G))
             I = np.eye(n)
             maps = her.gamma_k_map(w, range(1, 6), A, I, 1e-12)
-            for k, lhs in enumerate(maps, 1):
-                rhs = sum(math.comb(l + k - 1, l) * her.gamma_binomial(l, A, I)
-                          for l in range(nn))
-                worst = _worst(worst, her.opnorm(lhs - rhs))
+            binom = [her.gamma_binomial(l, A, I) for l in range(nn)]
+            rhs = [sum(math.comb(l + k - 1, l) * binom[l] for l in range(nn))
+                   for k in range(1, 6)]
+            worst = _worst(worst, *her.opnorm(maps - np.array(rhs)))
     return CriterionResult(7, "integer-alpha-identity", worst <= 1e-7,
                            {"max_residual": worst},
                            "residual <= 1e-7 for k <= 5")
@@ -494,7 +493,9 @@ CRITERIA = [
 def run_suite(cfg: RunConfig | None = None, echo=None) -> list:
     """Run every acceptance criterion on one set of suite weights and
     return the results, each timed; ``cfg.trunc`` below ``SUITE_TRUNC`` is
-    refused, since the criteria's tail bounds need the deep table."""
+    refused, since the criteria's tail bounds need the deep table.  A
+    criterion that raises fails, with the exception's type and message as
+    its ``error``, and the suite goes on."""
     cfg = cfg or RunConfig()
     if cfg.trunc < SUITE_TRUNC:
         raise InvalidParameterError(
@@ -502,9 +503,14 @@ def run_suite(cfg: RunConfig | None = None, echo=None) -> list:
             f"got {cfg.trunc}")
     weights = suite_weights(cfg.trunc)
     results = []
-    for crit in CRITERIA:
+    for number, crit in enumerate(CRITERIA, 1):
         t0 = time.perf_counter()
-        res = crit(cfg, weights)
+        try:
+            res = crit(cfg, weights)
+        except Exception as exc:  # a criterion that raises fails by name
+            res = CriterionResult(number, crit.__name__, False,
+                                  {"error": f"{type(exc).__name__}: {exc}"},
+                                  "runs without raising")
         res.seconds = time.perf_counter() - t0
         results.append(res)
         if echo is not None:

@@ -61,12 +61,18 @@ per shift to the same table, every row cut at the length left to the
 largest shift and bounded past it by the weight's step; the one cut is the
 first index where every row's bound holds, so the tail is <= tol at every
 shift and point.
-Gramian tables are inverted as one stack.
-``GramianTable.tail_bounds`` is 0 on the closed forms, the spectral
-route's error bound there, and the series' tail bound (``K`` times the
-row's coefficient tail past the cut) on the series.
+A gramian table is one ``(k_max + 1, n, n)`` array, inverted as one stack.
+``GramianTable.tail_bounds`` (a dict by shift) is 0 on the closed forms,
+the spectral route's error bound there, and the series' tail bound (``K``
+times the row's coefficient tail past the cut) on the series.
 Gramians and classification are restricted to spectral radius at most
-0.999, on every route; resolvents need ``|z| rho(A) < 1``.
+0.999, on every route; resolvents need ``|z| < 1`` and
+``|z| rho(A) < 1``.
+
+``opnorm`` (every spectral norm of the package) and ``min_eig`` take one
+matrix or a stack with any leading axes, one LAPACK call per stack, and
+give NaN for a matrix with a non-finite entry: every check built on them
+reports NaN, and fails its verdict, instead of raising.
 
 Everything here is a pure function of immutable inputs; results are safe to
 share across threads.
@@ -101,17 +107,27 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
-def opnorm(M: np.ndarray) -> float:
-    """Operator (spectral) norm: the largest singular value, the LAPACK
-    call ``np.linalg.norm(M, 2)`` makes, without its wrapping.  NaN for a
-    matrix with a non-finite entry: the SVD gives NaN on an infinite entry
-    and does not converge on a NaN one."""
-    if M.size == 0:
-        return 0.0
-    try:
-        return float(np.linalg.svd(M, compute_uv=False)[0])
-    except np.linalg.LinAlgError:
-        return math.nan
+def _stacked(f, M):
+    """``f`` of one matrix (a float) or of each matrix of a stack with any
+    leading axes (an array), from one call of ``f`` on the finite ones.  A
+    matrix with a non-finite entry gets NaN and is masked out before ``f``
+    sees it: the SVD does not converge on a NaN, and ``hermitize`` warns
+    on ``inf - inf``.  A zero-size matrix gets 0."""
+    M = np.asarray(M)
+    if np.isfinite(M).all():  # a zero-size stack too
+        out = f(M) if M.size else np.zeros(M.shape[:-2])
+    else:
+        ok = np.isfinite(M).all(axis=(-2, -1))
+        out = np.where(ok, 0.0, np.nan)
+        out[ok] = f(M[ok])
+    return out if out.ndim else float(out)
+
+
+def opnorm(M: np.ndarray):
+    """Operator (spectral) norm, the largest singular value, of one matrix
+    or of each matrix of a stack (``_stacked``).  Every spectral norm of
+    the package is taken here."""
+    return _stacked(lambda S: np.linalg.svd(S, compute_uv=False)[..., 0], M)
 
 
 def spectral_radius(A: np.ndarray) -> float:
@@ -119,11 +135,10 @@ def spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
 
 
-def min_eig(M: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part."""
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(hermitize(M))[0])
+def min_eig(M: np.ndarray):
+    """Smallest eigenvalue of the Hermitian part, of one matrix or of each
+    matrix of a stack (``_stacked``)."""
+    return _stacked(lambda S: np.linalg.eigvalsh(hermitize(S))[..., 0], M)
 
 
 def psd_sqrt(M: np.ndarray) -> np.ndarray:
@@ -190,16 +205,17 @@ class OutputPair:
 
 @dataclass
 class GramianTable:
-    """Shifted gramians ``G^(k)`` for ``k = 0..k_max`` with their tail
-    bounds and the truncation order of the shared series: the index of its
-    last term.  Hardy and integer alpha are closed form, a Stein solve with
+    """Shifted gramians ``G^(k)`` for ``k = 0..k_max`` as one
+    ``(k_max + 1, n, n)`` array, with their tail bounds (a dict by shift)
+    and the truncation order of the shared series: the index of its last
+    term.  Hardy and integer alpha are closed form, a Stein solve with
     tail bounds 0 and truncation order -1, since no term is summed;
     non-integer alpha takes the spectral route when ``A`` passes its gate,
     with the route's error bounds (0 only for ``C = 0``) and truncation
     order -1;
     custom weights and ``A`` past the gate sum the series."""
 
-    entries: dict
+    entries: np.ndarray
     tail_bounds: dict
     trunc_order: int
 
@@ -208,11 +224,14 @@ class GramianTable:
 
     @property
     def k_max(self) -> int:
-        return max(self.entries)
+        return len(self.entries) - 1
 
     def stack(self, k0: int, k1: int) -> np.ndarray:
-        """``G^(k0..k1)`` as one ``(k1 - k0 + 1, n, n)`` array."""
-        return np.stack([self.entries[k] for k in range(k0, k1 + 1)])
+        """``G^(k0..k1)``: a ``(k1 - k0 + 1, n, n)`` view of ``entries``."""
+        if not 0 <= k0 <= k1 <= self.k_max:
+            raise InvalidParameterError(f"gramian table holds shifts 0.."
+                                        f"{self.k_max}, not {k0}..{k1}")
+        return self.entries[k0:k1 + 1]
 
     def inverses(self, k0: int, k1: int, rank_tol: float = 1e-10):
         """``inv(G^(k))`` for ``k = k0..k1`` as one stack, from one stacked
@@ -469,6 +488,9 @@ def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
     if r * rho >= 1.0:
         raise DivergenceError(
             f"|z| * rho(A) = {r * rho:.6f} >= 1: series diverges")
+    if r >= 1.0:
+        raise InvalidParameterError(
+            "resolvent points must be finite and lie in |z| < 1")
     cap = w.trunc_len - int(ks.max())
     if cap < 0:
         raise TruncationError(f"shift k={ks.max()} exceeds stored length")
@@ -507,8 +529,9 @@ def resolvents(w: WeightSequence, k, A, zs,
     grid radius ``r = max |z_i|`` for every shift and point, cut once with
     tail <= tol at every shift and every point.
 
-    Requires finite points, ``r * rho(A) < 1`` and shifts ``k >= 0``
-    within the stored table.  On the series, raises ConvergenceError when
+    Requires finite points in the open unit disk, ``r * rho(A) < 1`` (a
+    DivergenceError names it first) and shifts ``k >= 0`` within the stored
+    table.  On the series, raises ConvergenceError when
     the stored coefficient table is exhausted before the tail bound drops
     below ``tol``.
     """
@@ -521,9 +544,9 @@ def resolvent_apply(w: WeightSequence, k: int, A, z: complex,
     one-point grid of ``resolvents``, so closed form for hardy and integer
     alpha and otherwise a series with tail <= tol.
 
-    Requires ``|z| * rho(A) < 1``.  On the series, raises ConvergenceError
-    when the stored coefficient table is exhausted before the tail bound
-    drops below ``tol``.
+    Requires ``|z| < 1`` and ``|z| * rho(A) < 1``.  On the series, raises
+    ConvergenceError when the stored coefficient table is exhausted before
+    the tail bound drops below ``tol``.
     """
     return resolvents(w, k, A, complex(z), tol)
 
@@ -575,10 +598,9 @@ def _gramian_rows(w, ks, pair, tol, context):
     if w.trunc_len - kmax < 4:
         raise TruncationError(
             f"stored weights too short for gramian shift k={kmax}")
-    sums, tails, J = _stein_sums(w, pair.A, pair.C.conj().T @ pair.C, ks,
-                                 pair.spectral_radius, tol, context,
-                                 _pair_route(w, pair))
-    return dict(zip(ks, sums)), dict(zip(ks, tails)), J
+    return _stein_sums(w, pair.A, pair.C.conj().T @ pair.C, ks,
+                       pair.spectral_radius, tol, context,
+                       _pair_route(w, pair))
 
 
 def gramian(w: WeightSequence, k: int, pair: OutputPair,
@@ -586,7 +608,7 @@ def gramian(w: WeightSequence, k: int, pair: OutputPair,
     """Shifted observability gramian ``G^(k)``: a Stein solve for hardy and
     integer alpha, the spectral route for non-integer alpha (``A`` within
     its gate), otherwise a series with tail bound <= tol."""
-    return _gramian_rows(w, [k], pair, tol, "gramian")[0][k]
+    return _gramian_rows(w, [k], pair, tol, "gramian")[0][0]
 
 
 def gramian_table(w: WeightSequence, pair: OutputPair, k_max: int,
@@ -594,9 +616,10 @@ def gramian_table(w: WeightSequence, pair: OutputPair, k_max: int,
     """All shifted gramians ``G^(k)``, ``k = 0..k_max``, from one Stein
     inverse (hardy and integer alpha), one diagonalization (non-integer
     alpha, ``A`` within the spectral route's gate) or one shared series."""
-    entries, tails, J = _gramian_rows(w, list(range(k_max + 1)), pair, tol,
-                                      "gramian_table")
-    return GramianTable(entries=entries, tail_bounds=tails, trunc_order=J)
+    ks = list(range(k_max + 1))
+    entries, tails, J = _gramian_rows(w, ks, pair, tol, "gramian_table")
+    return GramianTable(entries=entries, tail_bounds=dict(zip(ks, tails)),
+                        trunc_order=J)
 
 
 def _right_powers(X: np.ndarray, A: np.ndarray, m: int) -> np.ndarray:
@@ -628,16 +651,18 @@ def observability_coeffs(w: WeightSequence, k: int, pair: OutputPair,
 # ---------------------------------------------------------------------------
 
 def _check_domain(w: WeightSequence, A, X, tol):
-    """Domain of the hereditary calculus: ``X >= A* X A >= 0``, and a
-    summable reciprocal series (``_check_summable``)."""
+    """Domain of the hereditary calculus: ``X >= A* X A >= 0``, from one
+    eigen-solve of ``X`` and ``X - A* X A``, and a summable reciprocal
+    series (``_check_summable``)."""
     X = hermitize(np.asarray(X, dtype=complex))
     A = np.asarray(A, dtype=complex)
-    lam = np.linalg.eigvalsh(X) if X.size else np.zeros(1)
+    lam = np.linalg.eigvalsh(hermitize(np.stack(
+        (X, X - A.conj().T @ X @ A)))) if X.size else np.zeros((2, 1))
     # the operator norm of the Hermitian X, floored at 1
-    scale = max(-lam[0], lam[-1], 1.0)
-    if lam[0] < -tol * scale:
+    scale = max(-lam[0, 0], lam[0, -1], 1.0)
+    if lam[0, 0] < -tol * scale:
         raise HereditaryDomainError("X must be positive semidefinite")
-    if min_eig(X - A.conj().T @ X @ A) < -tol * scale:
+    if lam[1, 0] < -tol * scale:
         raise HereditaryDomainError("X - A* X A must be positive semidefinite")
     _check_summable(w)
 
@@ -839,7 +864,8 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     for k in range(1, k_max + 2):
         P = P @ A
         D.append(hermitize(P.conj().T @ sums[k] @ P))
-    mono = min(min_eig(D[k] - D[k + 1]) for k in range(k_max + 1)) / scale
+    # one stacked call; np.min keeps a NaN that Python's min can drop
+    mono = float(np.min(min_eig(np.subtract(D[:-1], D[1:])))) / scale
     if mono < -10 * tol:
         raise HereditaryDomainError(
             f"monotone decrease violated: worst decrement eigenvalue {mono:.3e}")

@@ -333,12 +333,11 @@ def check_inner_family(family: ColligationFamily, k_max: int, J: int,
     # containment: P_k for every step, and the remainder of G^(k+1) after
     # the J terms that P_k used
     P = np.einsum("jpn,kjpu->knu", CA.conj(), taylor)
-    res = np.linalg.norm(P, 2, axis=(1, 2))
+    res = opnorm(P)
     moments = CA[:J].conj().swapaxes(-1, -2) @ CA[:J]
     G_cut = np.tensordot(w.inv_betas[ks[:, None] + 1 + np.arange(J)],
                          moments, axes=(1, 0))
-    remainder = np.linalg.norm(
-        family.gramians.stack(1, k_max + 1) - G_cut, 2, axis=(1, 2)) \
+    remainder = opnorm(family.gramians.stack(1, k_max + 1) - G_cut) \
         + [family.gramians.tail_bounds[k + 1] for k in ks]
     allow = opnorm(family.pair.A) * remainder \
         * [opnorm(family.step(k).B) for k in ks]
@@ -378,7 +377,7 @@ def _block_kernel(w: WeightSequence, theta_eval, grid, entry):
     pts = list(grid)
     vals = np.stack([np.atleast_2d(np.asarray(theta_eval(z), dtype=complex))
                      for z in pts])
-    sup = np.linalg.norm(vals, 2, axis=(1, 2)).max()
+    sup = opnorm(vals).max()
     N, p = vals.shape[:2]
     x = _point_grid(pts, pts)[2]
     P = vals[:, None] @ vals.conj().swapaxes(-1, -2)[None]

@@ -254,7 +254,7 @@ def _residual_floor(S, values, p: int) -> float:
     the floor by ``64 eps (1 + beta)`` for that of a computed residual."""
     eps = np.finfo(float).eps
     rows = len(values) * values.shape[1] ** 2  # blocks of p^2 rows
-    beta = float(np.linalg.svd(values, compute_uv=False)[..., 0].max())
+    beta = float(opnorm(values).max())
     c = max(S[-1] - 16 * p * p * eps * S[0], 0.0) * np.sqrt(p / rows)
     return float(c / (beta + np.sqrt(beta * beta + c))
                  - 64 * eps * (1.0 + beta))

@@ -29,11 +29,8 @@ a row's tail is geometric in the step bound the weight gives for it
 Terms are made in doubling blocks: with ``s`` terms stored the next ``s``
 are ``L^s T_i R^s``, one product over the stacked block, with ``L^s`` and
 ``R^s`` the squares the certificate forms.  Past the first ``m`` terms only
-the blocks up to ``J`` are made, with no norms.  A row's damped entries
-``|row[j]| q^j``, their suffix sums and ``q^j`` are formed only while
-``q^j`` is above the underflow guard 1e-280; past it they are 0 (below a
-tail of 1e-250 the sums then differ from the full-table ones in rounding
-only).  Callers sum the returned terms in their own order.
+the blocks up to ``J`` are made, with no norms.  Callers sum the returned
+terms in their own order.
 """
 
 from __future__ import annotations
@@ -44,10 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-
-#: past this decay-rate power a row's damped entries and their suffix sums
-#: are not formed
-_UNDERFLOW = 1e-280
 
 #: no cut comes before this term index
 _MIN_J = 4
@@ -76,23 +69,15 @@ class RowTails:
     (``inf`` when ``s q >= 1``).  ``K * worst[J]`` bounds every row's tail
     at once.  Every row is 0 from index ``end`` on when each one's step or
     level is 0 (``end`` is ``inf`` otherwise).
-
-    The suffix sums leave out the entries past the underflow guard, each
-    below ``1e-280 |row_i[j]|``.
     """
 
     def __init__(self, rows, q: float, steps, floors=0.0):
         self.cap = cap = min(len(r) for r in rows) - 1
         self.q = q
-        m = cap + 1
-        if 0.0 < q < 1.0:  # q^j <= _UNDERFLOW from about this index on
-            m = min(m, int(math.log(_UNDERFLOW) / math.log(q)) + 2)
-        powq = np.power(q, np.arange(m))
-        powq = powq[:np.count_nonzero(powq > _UNDERFLOW)]
-        m = len(powq)
-        damped = np.array([r[:m] for r in rows], dtype=float)
+        damped = np.array([r[:cap + 1] for r in rows], dtype=float)
         # in place: a fresh temporary this size costs more in page faults
-        np.multiply(np.abs(damped, out=damped), powq, out=damped)
+        np.multiply(np.abs(damped, out=damped),
+                    np.power(q, np.arange(cap + 1)), out=damped)
         sq = np.broadcast_to(np.asarray(steps, dtype=float) * q, len(damped))
         qcap = np.power(q, cap)
         level = np.maximum(np.abs([r[cap] for r in rows]), floors)
@@ -101,15 +86,13 @@ class RowTails:
         beyond = np.full(len(damped), np.inf)
         beyond[ok] = last[ok] * sq[ok] / (1.0 - sq[ok])
         beyond[last == 0.0] = 0.0
-        # the stored suffix sums past J, 0 from J = m - 1 on
+        # the stored suffix sums past J, 0 at J = cap
         self.tails = tails = np.empty((len(damped), cap + 1))
-        tails[:, m - 1:] = beyond[:, None]
-        self.worst = np.empty(cap + 1)
-        self.worst[m - 1:] = beyond.max()
-        if m > 1:
-            np.cumsum(damped[:, :0:-1], axis=1, out=tails[:, m - 2::-1])
-            tails[:, :m - 1] += beyond[:, None]
-            self.worst[:m - 1] = tails[:, :m - 1].max(axis=0)
+        tails[:, cap] = beyond
+        if cap:
+            np.cumsum(damped[:, :0:-1], axis=1, out=tails[:, cap - 1::-1])
+            tails[:, :cap] += beyond[:, None]
+        self.worst = tails.max(axis=0)
         self.end = math.inf
         if ((sq == 0.0) | (level == 0.0)).all():
             live = np.flatnonzero(np.any([r[:cap + 1] for r in rows], axis=0))

@@ -229,6 +229,22 @@ def test_nan_fails_criterion(monkeypatch, number, module, name, poison):
     assert any(np.isnan(v) for v in res.measured.values()), res.line()
 
 
+def test_raising_criterion_fails_by_name(monkeypatch):
+    # an exception used to stop the suite; now it is the criterion's
+    # failed verdict, and the criteria after it still run
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+    monkeypatch.setattr(her, "stein_residual", boom)
+    monkeypatch.setattr(acc, "CRITERIA", [acc.criterion_1_stein,
+                                          acc.criterion_6_scalar_golden])
+    first, second = run_suite(RunConfig(trials=1))
+    assert (first.number, first.name, first.passed) == (
+        1, "criterion_1_stein", False)
+    assert first.measured == {"error": "ValueError: boom"}
+    assert "error=ValueError: boom" in first.line()
+    assert (second.number, second.passed) == (6, True)
+
+
 def test_stein_criterion_measured_is_reproducible():
     # the criterion's wall time bounds its verdict but stays out of
     # measured, which verify --out writes: same config and seed, same dict

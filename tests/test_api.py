@@ -34,3 +34,61 @@ def test_no_weight_next_to_a_family():
     both = sorted(name for name in takes_family
                   if any("WeightSequence" in a for a in defs[name]))
     assert both == []
+
+
+def _is_two(node) -> bool:
+    """Whether the node is the literal 2 or -2 (a spectral norm order)."""
+    try:
+        return ast.literal_eval(node) in (2, -2)
+    except ValueError:  # not a literal
+        return False
+
+
+def spectral_norms(source: str):
+    """``function:line`` of every call in ``source`` that takes a spectral
+    norm itself: an ``np.linalg.norm`` of order 2 (or -2), or an SVD with
+    ``compute_uv=False``.  ``function`` is the enclosing top-level def or
+    method, ``<module>`` outside any."""
+    tree = ast.parse(source)
+    owners = [(node.name, node) for top in tree.body
+              for node in ([top] + list(top.body)
+                           if isinstance(top, ast.ClassDef) else [top])
+              if isinstance(node, ast.FunctionDef)]
+    owned = {id(n): name for name, fn in owners for n in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        kw = {k.arg: k.value for k in node.keywords}
+        order = node.args[1] if len(node.args) > 1 else kw.get("ord")
+        is_norm = isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "norm" and order is not None \
+            and _is_two(order)
+        no_uv = "compute_uv" in kw and isinstance(kw["compute_uv"],
+                                                  ast.Constant) \
+            and kw["compute_uv"].value is False
+        if is_norm or no_uv:
+            yield f"{owned.get(id(node), '<module>')}:{node.lineno}"
+
+
+def test_spectral_norm_check_sees_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "a = np.linalg.norm(X, 2)\n"
+        "def f(X):\n"
+        "    return np.linalg.norm(X, ord=-2, axis=(1, 2))\n"
+        "class C:\n"
+        "    def g(self, X):\n"
+        "        return max(np.linalg.svd(X, compute_uv=False))\n"
+        "def h(X):\n"
+        "    return np.linalg.norm(X), np.linalg.norm(X, 'fro'), "
+        "np.linalg.svd(X)\n")
+    assert list(spectral_norms(source)) == ["<module>:2", "f:4", "g:7"]
+
+
+def test_one_spectral_norm():
+    # every spectral norm of the package goes through hereditary.opnorm,
+    # which masks a non-finite matrix out of the SVD
+    found = [f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
+             for where in spectral_norms(path.read_text())]
+    assert [f.rsplit(":", 1)[0] for f in found] == ["hereditary.opnorm"], \
+        found

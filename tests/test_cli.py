@@ -499,6 +499,28 @@ class TestVerifyCommand:
         assert not report.exists()
 
 
+    def test_raising_criterion_exits_6(self, tmp_path, capsys,
+                                       monkeypatch):
+        # the criterion that raises fails by name, and the next one runs
+        import hardybeta.acceptance as acc
+
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+        monkeypatch.setattr(hb.hereditary, "stein_residual", boom)
+        monkeypatch.setattr(acc, "CRITERIA", [acc.criterion_1_stein,
+                                              acc.criterion_6_scalar_golden])
+        report = tmp_path / "report.json"
+        code, out, _ = run(capsys, "verify", "--trials", "1",
+                           "--out", str(report))
+        assert code == 6
+        assert "FAIL   1 criterion_1_stein" in out
+        assert "error=ValueError: boom" in out
+        assert "1/2 criteria passed" in out
+        crit = json.loads(report.read_text())["criteria"]
+        assert [c["passed"] for c in crit] == [False, True]
+        assert crit[0]["measured"] == {"error": "ValueError: boom"}
+
+
 class TestShortCustomWeights:
     def test_three_entry_constant_weight(self, capsys):
         code, out, _ = run(capsys, "weights", "--betas", "1,1,1")

@@ -287,6 +287,24 @@ class TestMetricResiduals:
         assert res == pytest.approx(ref, rel=1e-10, abs=1e-14)
 
 
+    def test_nan_in_one_step_gives_nan(self, w_beta2):
+        # the stacked operator norm masks the NaN step out of the SVD,
+        # which raised "SVD did not converge" on it
+        rng = np.random.default_rng(29)
+        pair = stable_pair(rng, 3, 2, rho=0.6)
+        fam = hb.build_family(w_beta2, pair, k_max=2, tol=1e-13)
+        st = fam.step(1)
+        B = st.B.copy()
+        B[0, 0] = np.nan
+        fam.steps[1] = hb.ColligationStep(B=B, D=st.D, u=st.u)
+        res = hb.metric_residuals(fam, 1)
+        assert np.isnan(res["isometry"]) and np.isnan(res["coisometry"])
+        G_inv = fam.gramians.inverses(0, 3)
+        isom, coisom = _metric_residuals(fam, 0, 2, G_inv)
+        assert np.isnan(isom[1]) and np.isnan(coisom[1])
+        assert max(isom[0], isom[2], coisom[0], coisom[2]) < 1e-9
+
+
 class TestBasisCovariance:
     def test_right_unitary_leaves_products_invariant(self, w_beta2):
         rng = np.random.default_rng(29)

@@ -29,6 +29,18 @@ class TestResolvent:
         with pytest.raises(hb.DivergenceError):
             hb.resolvent_apply(w_hardy, 0, [[0.9]], 1.2)
 
+    @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2", "w_beta25"])
+    def test_points_outside_the_disk_refused(self, request, weight):
+        # |z| rho(A) = 0.6 < 1 summed to R(1.2 * 0.5) = 2.5 for hardy; the
+        # kernels refuse such a point, and so do the resolvents
+        w = request.getfixturevalue(weight)
+        for zs in (1.2, [0.3, -1.0], 1j):
+            with pytest.raises(hb.InvalidParameterError,
+                               match=re.escape("lie in |z| < 1")):
+                hb.resolvents(w, 0, [[0.5]], zs)
+        with pytest.raises(hb.DivergenceError):  # named first
+            hb.resolvents(w, 0, [[0.9]], 1.2)
+
     @pytest.mark.parametrize("A", [[[0.5]], [[0.0]]])
     def test_non_finite_points_refused(self, w_hardy, A):
         # a NaN radius used to pass the |z| rho(A) < 1 test
@@ -122,6 +134,21 @@ class TestHermitianInverse:
             her.hermitian_inverse(Ms[1])
         assert exc.value.index is None
 
+    def test_gramian_table_is_one_array(self, w_beta2):
+        rng = np.random.default_rng(62)
+        pair = stable_pair(rng, 3, 2, rho=0.6)
+        tab = hb.gramian_table(w_beta2, pair, 4, tol=1e-12)
+        assert tab.entries.shape == (5, 3, 3) and tab.k_max == 4
+        assert np.shares_memory(tab.stack(1, 3), tab.entries)
+        np.testing.assert_array_equal(tab.stack(1, 3), tab.entries[1:4])
+        for k0, k1 in ((3, 5), (-1, 2), (3, 2)):  # a slice would not refuse
+            with pytest.raises(hb.InvalidParameterError,
+                               match=f"shifts 0..4, not {k0}..{k1}"):
+                tab.stack(k0, k1)
+        assert list(tab.tail_bounds) == [0, 1, 2, 3, 4]
+        np.testing.assert_array_equal(hb.gramian(w_beta2, 2, pair, 1e-12),
+                                      tab[2])
+
     def test_gramian_table_names_the_shift(self, w_beta2):
         rng = np.random.default_rng(63)
         pair = stable_pair(rng, 3, 2, rho=0.6)
@@ -132,6 +159,54 @@ class TestHermitianInverse:
         with pytest.raises(hb.ObservabilityError, match=r"G\^\(3\)") as exc:
             tab.inverses(1, 4)
         assert exc.value.index == 3
+
+
+def _probe_stack():
+    """A ``(2, 3, 4, 4)`` stack of complex matrices over 16 decades, with
+    +inf, -inf, NaN and both infinities in four of them."""
+    rng = np.random.default_rng(64)
+    S = cmat(rng, 24, 4).reshape(2, 3, 4, 4) \
+        * 10.0 ** rng.uniform(-8, 8, (2, 3, 1, 1))
+    S[0, 1, 0, 0] = np.inf
+    S[1, 0, 2, 1] = -np.inf
+    S[1, 2, 3, 3] = np.nan
+    S[0, 2, 0, 1], S[0, 2, 1, 0] = np.inf, -np.inf  # hermitize: inf - inf
+    return S
+
+
+class TestStackedNorms:
+    """``opnorm`` and ``min_eig`` of a stack: each matrix's value bit for
+    bit as its own call, NaN for a matrix with a non-finite entry."""
+
+    @pytest.mark.parametrize("f", [her.opnorm, her.min_eig])
+    def test_stack_matches_single_calls(self, f):
+        S = _probe_stack()
+        got = f(S)
+        assert got.shape == (2, 3)
+        for i in np.ndindex(2, 3):
+            one = f(S[i])
+            assert isinstance(one, float)
+            assert np.array_equal(got[i], one, equal_nan=True), i
+            assert np.isnan(one) == (not np.isfinite(S[i]).all()), i
+        np.testing.assert_array_equal(f(S.reshape(6, 4, 4)), got.ravel())
+
+    def test_finite_values_are_the_lapack_ones(self):
+        S = _probe_stack()[[0, 1], [0, 1]]  # the finite ones
+        for M, norm, lo in zip(S, her.opnorm(S), her.min_eig(S)):
+            assert norm == np.linalg.svd(M, compute_uv=False)[0]
+            assert lo == np.linalg.eigvalsh(her.hermitize(M))[0]
+        rect = cmat(np.random.default_rng(65), 3, 5)
+        assert her.opnorm(rect) == np.linalg.norm(rect, 2)
+
+    @pytest.mark.parametrize("f", [her.opnorm, her.min_eig])
+    def test_zero_size(self, f):
+        assert f(np.zeros((0, 0))) == 0.0
+        np.testing.assert_array_equal(f(np.zeros((3, 0, 0))), np.zeros(3))
+        assert f(np.zeros((0, 4, 4))).shape == (0,)
+
+    def test_all_masked(self):
+        S = np.full((2, 2, 2), np.nan)
+        assert np.isnan(her.opnorm(S)).all() and np.isnan(her.min_eig(S)).all()
 
 
 class TestGramian:
@@ -295,7 +370,8 @@ class TestClosedResolvents:
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     def test_jordan_probe(self, alpha):
         # |z| lam up to 0.999, where I - zA is within 1e-3 of singular
-        lam, n = 0.9, 8
+        # (|z| < 1: resolvents refuse points outside the disk)
+        lam, n = 0.9995, 8
         A = lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
         w = (hb.make_weight_hardy() if alpha == 1
              else hb.make_weight_beta_alpha(float(alpha)))

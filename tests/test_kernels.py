@@ -350,6 +350,23 @@ class TestInnerFamilyCheck:
         assert rep.isometry_residual == pytest.approx(3.0, rel=0.05)
 
 
+    def test_nan_step_fails(self, w_beta2):
+        # a NaN in one step's B fails the verdict instead of raising
+        rng = np.random.default_rng(50)
+        pair = stable_pair(rng, 3, 2, rho=0.6)
+        fam = hb.build_family(w_beta2, pair, k_max=6, tol=1e-13)
+        st = fam.step(2)
+        B = st.B.copy()
+        B[1, 0] = np.nan
+        fam.steps[2] = hb.ColligationStep(B=B, D=st.D, u=st.u)
+        rep = hb.check_inner_family(fam, k_max=6, J=100, tol=1e-8)
+        assert rep.verdict == "fail"
+        assert np.isnan(rep.isometry_residual)
+        assert np.isnan(rep.containment_residual)
+        for d in rep.details["containment"]:
+            assert np.isnan(d["residual"]) == (d["k"] == 2)
+
+
 class TestContractiveMultiplier:
     def test_zero_is_contractive(self, w_beta2):
         rep = hb.check_contractive_multiplier(
@@ -368,6 +385,19 @@ class TestContractiveMultiplier:
             w_beta3, lambda z: 1.1 * np.eye(2), hb.default_grid())
         assert not rep.contractive
         assert rep.sup_norm == pytest.approx(1.1)
+
+    def test_nan_at_one_point_fails(self, w_beta2):
+        # the sup norm is a stacked operator norm over the grid values
+        grid = hb.default_grid()
+        bad = grid[5]
+
+        def theta(z):
+            if z == bad:
+                return np.full((1, 1), np.nan)
+            return np.array([[(z - 0.5) / (1 - 0.5 * z)]])
+        rep = hb.check_contractive_multiplier(w_beta2, theta, grid)
+        assert not rep.contractive
+        assert np.isnan(rep.sup_norm) and np.isnan(rep.block_kernel_min_eig)
 
     def test_wandering_theta_mixed_criterion(self, w_beta3):
         rng = np.random.default_rng(53)

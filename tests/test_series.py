@@ -148,7 +148,7 @@ class TestTooShortTable:
     def test_resolvent_apply_names_caller(self):
         w = hb.make_weight_beta_alpha(1.5, 16)
         with pytest.raises(hb.ConvergenceError, match="^resolvent_apply: "):
-            hb.resolvent_apply(w, 0, 0.95 * np.eye(2), 1.0)
+            hb.resolvent_apply(w, 0, 0.99 * np.eye(2), 0.99)
 
     def test_resolvent_scalar_names_caller(self):
         w = hb.make_weight_beta_alpha(1.5, 16)
@@ -168,7 +168,7 @@ class TestTooShortTable:
         # wrote it; the gamma_map bound is the closed-form c step's (the
         # trailing-ratio extrapolation it replaced gave inf here).  Every
         # case is beta_1.5's, since hardy is closed form; its resolvent row
-        # steps by 17.5/17 past the table, and at q = 0.975 that bounds no
+        # steps by 17.5/17 past the table, and at q = 0.985 that bounds no
         # tail.  The gramian is the table's as a custom weight (the same
         # rows and steps) and the map is the series that gamma_map takes
         # past the spectral route's gate: the route answers both inputs
@@ -180,7 +180,7 @@ class TestTooShortTable:
                                       2),
              "gramian_table: tail bound 2.369e+02 > tol 1.000e-10 after 15 "
              "stored terms; increase the weight truncation"),
-            (lambda: hb.resolvent_apply(w, 0, A, 1.0),
+            (lambda: hb.resolvent_apply(w, 0, 0.99 * np.eye(2), 0.99),
              "resolvent_apply: tail bound inf > tol 1.000e-12 after 17 "
              "stored terms; increase the weight truncation"),
             (lambda: her._hereditary_sums(w, np.diag([0.95, 0.5]), np.eye(2),
@@ -195,16 +195,17 @@ class TestTooShortTable:
             assert str(info.value) == text
 
     def test_unbounded_tail_names_the_rate(self):
-        # |z| rho(A) = 0.75 < 1, but the powers (zA)^j are bounded at the
-        # rate q = |z| (1 + rho)/2 = 1.125: no table length gives a bound
-        # (q depends on |z| and rho alone; beta_1.5 takes the series)
+        # a resolvent's rate |z| (1 + rho)/2 is below 1 on the disk, so
+        # only a conjugation at rho(A) = 1 has q = 1: the c row of
+        # beta_1.5 has step bound 1 past the table, and no table length
+        # gives a bound (rho(A) = 1 fails the spectral route's gate)
         for n in (16, 256):
             with pytest.raises(hb.ConvergenceError) as info:
-                hb.resolvents(hb.make_weight_beta_alpha(1.5, n), 0,
-                              0.5 * np.eye(2), 1.5)
+                hb.gamma_map(hb.make_weight_beta_alpha(1.5, n),
+                             np.diag([1.0, 0.5]), np.diag([0.0, 1.0]), 1e-6)
             assert str(info.value) == (
-                "resolvent_apply: tail bound inf > tol 1.000e-12: the decay "
-                "rate q = 1.125 >= 1 bounds no tail, whatever the weight "
+                "gamma_map: tail bound inf > tol 1.000e-06: the decay "
+                "rate q = 1 >= 1 bounds no tail, whatever the weight "
                 "truncation")
 
     def test_uncertified_rate_names_q_and_m(self):
