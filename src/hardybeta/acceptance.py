@@ -22,6 +22,7 @@ star-hypercontraction (criteria 8, 9 and 10).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -164,7 +165,28 @@ def _worst(*values) -> float:
     return float(np.max(values))
 
 
-def criterion_1_stein(cfg: RunConfig, weights) -> CriterionResult:
+def _criterion(number: int, name: str):
+    """Make a criterion of a function that returns ``(passed, measured,
+    bound)``: it is called as ``criterion(cfg, weights)`` and returns a
+    CriterionResult under this number and name, its only ones.  A criterion
+    that raises fails under them, with the exception's type and message as
+    its ``error``."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def criterion(cfg: RunConfig, weights) -> CriterionResult:
+            try:
+                return CriterionResult(number, name, *fn(cfg, weights))
+            except Exception as exc:
+                return CriterionResult(
+                    number, name, False,
+                    {"error": f"{type(exc).__name__}: {exc}"},
+                    "runs without raising")
+        return criterion
+    return wrap
+
+
+@_criterion(1, "stein-identity")
+def criterion_1_stein(cfg: RunConfig, weights) -> tuple:
     """Weighted Stein identity on the gramians of one ``gramian_table``,
     k <= 10.
 
@@ -189,12 +211,13 @@ def criterion_1_stein(cfg: RunConfig, weights) -> CriterionResult:
                 worst = _worst(worst, her.stein_residual(
                     w, k, pair, table[k], table[k + 1]))
     dt = time.perf_counter() - t0
-    return CriterionResult(1, "stein-identity", worst <= 1e-7 and dt < 5.0,
-                           {"max_residual": worst},
-                           "residual <= 1e-7, runtime < 5 s")
+    return (worst <= 1e-7 and dt < 5.0,
+            {"max_residual": worst},
+            "residual <= 1e-7, runtime < 5 s")
 
 
-def criterion_2_gamma_gramian(cfg: RunConfig, weights) -> CriterionResult:
+@_criterion(2, "gamma-gramian-duality")
+def criterion_2_gamma_gramian(cfg: RunConfig, weights) -> tuple:
     """Hereditary maps of the gramian reproduce C*C and the shifted gramians.
 
     For beta_2.5 both sides are spectral-route functions of ``L`` on one
@@ -216,18 +239,19 @@ def criterion_2_gamma_gramian(cfg: RunConfig, weights) -> CriterionResult:
                 - pair.C.conj().T @ pair.C))
             maps = her.gamma_k_map(w, range(1, 7), pair.A, G, 1e-10)
             worst = _worst(worst, *her.opnorm(maps - table.stack(1, 6)))
-    return CriterionResult(2, "gamma-gramian-duality", worst <= 1e-7,
-                           {"max_residual": worst}, "residual <= 1e-7")
+    return (worst <= 1e-7,
+            {"max_residual": worst}, "residual <= 1e-7")
 
 
-def criterion_3_cholesky(cfg: RunConfig, weights) -> CriterionResult:
+@_criterion(3, "cholesky-colligation")
+def criterion_3_cholesky(cfg: RunConfig, weights) -> tuple:
     """Every built colligation step meets both weighted metric identities."""
     worst = 0.0
     for _, fam in _families(cfg, weights, 3, cfg.trials, 6, 4, 8):
         worst = _worst(worst, *fam.isometry_residuals,
                        *fam.coisometry_residuals)
-    return CriterionResult(3, "cholesky-colligation", worst <= 1e-9,
-                           {"max_residual": worst}, "residual <= 1e-9")
+    return (worst <= 1e-9,
+            {"max_residual": worst}, "residual <= 1e-9")
 
 
 def _cross(X, Y) -> np.ndarray:
@@ -299,18 +323,20 @@ def _kernel_identity_residuals(fam, ks, grid):
     return out
 
 
-def criterion_4_kernel_identities(cfg: RunConfig, weights) -> CriterionResult:
+@_criterion(4, "kernel-identities")
+def criterion_4_kernel_identities(cfg: RunConfig, weights) -> tuple:
     grid = ker.default_grid()
     worst = 0.0
     for _, fam in _families(cfg, weights, 4, max(1, cfg.trials // 4),
                             5, 3, 3):
         worst = _worst(worst, *_kernel_identity_residuals(fam, (0, 2), grid))
-    return CriterionResult(4, "kernel-identities", worst <= 1e-7,
-                           {"max_residual": worst},
-                           "residual <= 1e-7 on default grid")
+    return (worst <= 1e-7,
+            {"max_residual": worst},
+            "residual <= 1e-7 on default grid")
 
 
-def criterion_5_inner_family(cfg: RunConfig, weights) -> CriterionResult:
+@_criterion(5, "inner-family")
+def criterion_5_inner_family(cfg: RunConfig, weights) -> tuple:
     worst12 = worst3 = 0.0
     ok = True
     for _, fam in _families(cfg, weights, 5, max(1, cfg.trials // 4),
@@ -324,13 +350,14 @@ def criterion_5_inner_family(cfg: RunConfig, weights) -> CriterionResult:
         ok = ok and rep.isometry_residual <= 1e-7 \
             and rep.orthogonality_residual <= 1e-7 \
             and all(d["residual"] <= 1e-6 + d["allowance"] for d in cont)
-    return CriterionResult(5, "inner-family", ok,
-                           {"max_isometry_orthogonality": worst12,
+    return (ok,
+            {"max_isometry_orthogonality": worst12,
                             "max_containment_minus_allowance": worst3},
                            "props 1,2 <= 1e-7; prop 3 <= 1e-6 + allowance")
 
 
-def criterion_6_scalar_golden(cfg: RunConfig, weights) -> CriterionResult:
+@_criterion(6, "scalar-golden-blaschke")
+def criterion_6_scalar_golden(cfg: RunConfig, weights) -> tuple:
     """Constant weight, T = 0.5: the characteristic function is the
     classical single-zero inner factor (z - 0.5)/(1 - 0.5 z)."""
     char = mod.characteristic_family(dict(weights)["hardy"],
@@ -353,14 +380,15 @@ def criterion_6_scalar_golden(cfg: RunConfig, weights) -> CriterionResult:
         val = D + zb * c * B / (1.0 - zb * a)
         worst_bd = _worst(worst_bd, abs(abs(val) - 1.0))
     passed = worst_in <= 1e-11 and worst_bd <= 1e-10
-    return CriterionResult(6, "scalar-golden-blaschke", passed,
-                           {"interior_residual": worst_in,
+    return (passed,
+            {"interior_residual": worst_in,
                             "boundary_residual": worst_bd},
                            "interior <= 1e-11, boundary <= 1e-10")
 
 
+@_criterion(7, "integer-alpha-identity")
 def criterion_7_integer_alpha_identity(cfg: RunConfig,
-                                       weights) -> CriterionResult:
+                                       weights) -> tuple:
     """For alpha = n in {2, 3} the shifted hereditary maps expand as
     binomial combinations of the classical defect maps."""
     rng = _rng(cfg, 7)
@@ -377,21 +405,23 @@ def criterion_7_integer_alpha_identity(cfg: RunConfig,
             rhs = [sum(math.comb(l + k - 1, l) * binom[l] for l in range(nn))
                    for k in range(1, 6)]
             worst = _worst(worst, *her.opnorm(maps - np.array(rhs)))
-    return CriterionResult(7, "integer-alpha-identity", worst <= 1e-7,
-                           {"max_residual": worst},
-                           "residual <= 1e-7 for k <= 5")
+    return (worst <= 1e-7,
+            {"max_residual": worst},
+            "residual <= 1e-7 for k <= 5")
 
 
-def criterion_8_model_roundtrip(cfg: RunConfig, weights) -> CriterionResult:
+@_criterion(8, "model-roundtrip")
+def criterion_8_model_roundtrip(cfg: RunConfig, weights) -> tuple:
     worst = 0.0
     for _, char in _char_families(cfg, weights, 8, 16):
         worst = _worst(worst, mod.model_roundtrip_residual(char).residual)
-    return CriterionResult(8, "model-roundtrip", worst <= 1e-5,
-                           {"max_roundtrip_residual": worst},
-                           "residual <= 1e-5, k_max 16")
+    return (worst <= 1e-5,
+            {"max_roundtrip_residual": worst},
+            "residual <= 1e-5, k_max 16")
 
 
-def criterion_9_coincidence(cfg: RunConfig, weights) -> CriterionResult:
+@_criterion(9, "coincidence")
+def criterion_9_coincidence(cfg: RunConfig, weights) -> tuple:
     ok = True
     worst = 0.0
     for rng, famA in _char_families(cfg, weights, 9, 6):
@@ -411,12 +441,13 @@ def criterion_9_coincidence(cfg: RunConfig, weights) -> CriterionResult:
         except ModelHypothesisError:
             continue
         ok = ok and not mod.check_coincidence(famA, famC, tol=1e-7).coincide
-    return CriterionResult(9, "coincidence", ok,
-                           {"max_conjugation_residual": worst},
-                           "conjugated: residual <= 1e-7; distinct: no")
+    return (ok,
+            {"max_conjugation_residual": worst},
+            "conjugated: residual <= 1e-7; distinct: no")
 
 
-def criterion_10_functional_model(cfg: RunConfig, weights) -> CriterionResult:
+@_criterion(10, "functional-model-checks")
+def criterion_10_functional_model(cfg: RunConfig, weights) -> tuple:
     ok = True
     worst_checks = 0.0
     worst_align = -np.inf
@@ -429,13 +460,14 @@ def criterion_10_functional_model(cfg: RunConfig, weights) -> CriterionResult:
                                  - rep.alignment_allowance)
             ok = ok and checks <= 1e-7 \
                 and rep.alignment_residual <= 1e-5 + rep.alignment_allowance
-    return CriterionResult(10, "functional-model-checks", ok,
-                           {"max_block_residual": worst_checks,
+    return (ok,
+            {"max_block_residual": worst_checks,
                             "max_align_minus_allowance": worst_align},
                            "blocks <= 1e-7; alignment <= 1e-5 + allowance")
 
 
-def criterion_11_system_transfer(cfg: RunConfig, weights) -> CriterionResult:
+@_criterion(11, "system-transfer-consistency")
+def criterion_11_system_transfer(cfg: RunConfig, weights) -> tuple:
     worst_zt = 0.0
     iso_ok = True
     worst_iso = -np.inf
@@ -449,14 +481,15 @@ def criterion_11_system_transfer(cfg: RunConfig, weights) -> CriterionResult:
         iso_ok = iso_ok and rep.isometric
         worst_iso = _worst(worst_iso, rep.worst_defect - rep.allowance)
     ok = worst_zt <= 1e-9 and iso_ok
-    return CriterionResult(11, "system-transfer-consistency", ok,
-                           {"max_ztransform_residual": worst_zt,
+    return (ok,
+            {"max_ztransform_residual": worst_zt,
                             "max_isometry_defect_minus_allowance": worst_iso},
                            "z-transform <= 1e-9; energy <= 1e-6 + allowance")
 
 
+@_criterion(12, "contractive-multiplier")
 def criterion_12_contractive_multiplier(cfg: RunConfig,
-                                        weights) -> CriterionResult:
+                                        weights) -> tuple:
     grid = ker.default_grid()
     ok = True
     worst_eig = 0.0
@@ -469,9 +502,9 @@ def criterion_12_contractive_multiplier(cfg: RunConfig,
         bad = ker.check_contractive_multiplier(
             w, lambda z: 1.1 * np.eye(2), grid, tol=1e-8)
         ok = ok and not bad.contractive
-    return CriterionResult(12, "contractive-multiplier", ok,
-                           {"min_block_eig": worst_eig},
-                           "inner factor passes, 1.1 I fails")
+    return (ok,
+            {"min_block_eig": worst_eig},
+            "inner factor passes, 1.1 I fails")
 
 
 CRITERIA = [
@@ -494,8 +527,8 @@ def run_suite(cfg: RunConfig | None = None, echo=None) -> list:
     """Run every acceptance criterion on one set of suite weights and
     return the results, each timed; ``cfg.trunc`` below ``SUITE_TRUNC`` is
     refused, since the criteria's tail bounds need the deep table.  A
-    criterion that raises fails, with the exception's type and message as
-    its ``error``, and the suite goes on."""
+    criterion that raises fails under its own number and name
+    (``_criterion``), and the suite goes on."""
     cfg = cfg or RunConfig()
     if cfg.trunc < SUITE_TRUNC:
         raise InvalidParameterError(
@@ -503,14 +536,9 @@ def run_suite(cfg: RunConfig | None = None, echo=None) -> list:
             f"got {cfg.trunc}")
     weights = suite_weights(cfg.trunc)
     results = []
-    for number, crit in enumerate(CRITERIA, 1):
+    for crit in CRITERIA:
         t0 = time.perf_counter()
-        try:
-            res = crit(cfg, weights)
-        except Exception as exc:  # a criterion that raises fails by name
-            res = CriterionResult(number, crit.__name__, False,
-                                  {"error": f"{type(exc).__name__}: {exc}"},
-                                  "runs without raising")
+        res = crit(cfg, weights)
         res.seconds = time.perf_counter() - t0
         results.append(res)
         if echo is not None:

@@ -114,11 +114,9 @@ def _stacked(f, M):
     sees it: the SVD does not converge on a NaN, and ``hermitize`` warns
     on ``inf - inf``.  A zero-size matrix gets 0."""
     M = np.asarray(M)
-    if np.isfinite(M).all():  # a zero-size stack too
-        out = f(M) if M.size else np.zeros(M.shape[:-2])
-    else:
-        ok = np.isfinite(M).all(axis=(-2, -1))
-        out = np.where(ok, 0.0, np.nan)
+    ok = np.isfinite(M).all(axis=(-2, -1))
+    out = np.where(ok, 0.0, np.nan)
+    if M.size:
         out[ok] = f(M[ok])
     return out if out.ndim else float(out)
 
@@ -220,7 +218,7 @@ class GramianTable:
     trunc_order: int
 
     def __getitem__(self, k: int) -> np.ndarray:
-        return self.entries[k]
+        return self.stack(k, k)[0]
 
     @property
     def k_max(self) -> int:
@@ -864,9 +862,9 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     for k in range(1, k_max + 2):
         P = P @ A
         D.append(hermitize(P.conj().T @ sums[k] @ P))
-    # one stacked call; np.min keeps a NaN that Python's min can drop
+    # one stacked call; np.min keeps a NaN, and `not >=` fails on it
     mono = float(np.min(min_eig(np.subtract(D[:-1], D[1:])))) / scale
-    if mono < -10 * tol:
+    if not mono >= -10 * tol:
         raise HereditaryDomainError(
             f"monotone decrease violated: worst decrement eigenvalue {mono:.3e}")
 

@@ -231,18 +231,21 @@ def test_nan_fails_criterion(monkeypatch, number, module, name, poison):
 
 def test_raising_criterion_fails_by_name(monkeypatch):
     # an exception used to stop the suite; now it is the criterion's
-    # failed verdict, and the criteria after it still run
+    # failed verdict, under the number and name it has when it runs, and
+    # the criteria after it still run
     def boom(*args, **kwargs):
         raise ValueError("boom")
     monkeypatch.setattr(her, "stein_residual", boom)
-    monkeypatch.setattr(acc, "CRITERIA", [acc.criterion_1_stein,
-                                          acc.criterion_6_scalar_golden])
-    first, second = run_suite(RunConfig(trials=1))
-    assert (first.number, first.name, first.passed) == (
-        1, "criterion_1_stein", False)
-    assert first.measured == {"error": "ValueError: boom"}
-    assert "error=ValueError: boom" in first.line()
-    assert (second.number, second.passed) == (6, True)
+    monkeypatch.setattr(acc, "CRITERIA", [
+        acc.criterion_6_scalar_golden, acc.criterion_1_stein,
+        acc.criterion_7_integer_alpha_identity])
+    first, second, third = run_suite(RunConfig(trials=1))
+    assert (first.number, first.passed) == (6, True)
+    assert (second.number, second.name, second.passed) == (
+        1, "stein-identity", False)
+    assert second.measured == {"error": "ValueError: boom"}
+    assert "error=ValueError: boom" in second.line()
+    assert (third.number, third.passed) == (7, True)
 
 
 def test_stein_criterion_measured_is_reproducible():

@@ -513,7 +513,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--trials", "1",
                            "--out", str(report))
         assert code == 6
-        assert "FAIL   1 criterion_1_stein" in out
+        assert "FAIL   1 stein-identity" in out
         assert "error=ValueError: boom" in out
         assert "1/2 criteria passed" in out
         crit = json.loads(report.read_text())["criteria"]

@@ -145,6 +145,9 @@ class TestHermitianInverse:
             with pytest.raises(hb.InvalidParameterError,
                                match=f"shifts 0..4, not {k0}..{k1}"):
                 tab.stack(k0, k1)
+        with pytest.raises(hb.InvalidParameterError,  # not G^(4)
+                           match=r"shifts 0..4, not -1..-1"):
+            tab[-1]
         assert list(tab.tail_bounds) == [0, 1, 2, 3, 4]
         np.testing.assert_array_equal(hb.gramian(w_beta2, 2, pair, 1e-12),
                                       tab[2])
@@ -737,6 +740,13 @@ class TestDeltaLimit:
                            match="^monotone decrease violated: worst "
                                  "decrement eigenvalue -6.200e-01$"):
             hb.delta_limit(w_beta2, A, np.eye(2))
+
+    def test_nan_decrement_refused(self, w_beta2):
+        # the domain check lets a NaN H through; the certificate must not
+        with pytest.raises(hb.HereditaryDomainError,
+                           match="worst decrement eigenvalue nan$"):
+            hb.delta_limit(w_beta2, np.diag([0.5, 0.2]),
+                           np.diag([1.0, np.nan]))
 
     def test_diverging_weight_refused(self):
         # the reciprocal series of this weight diverges; delta_limit must
