@@ -69,10 +69,14 @@ Gramians and classification are restricted to spectral radius at most
 0.999, on every route; resolvents need ``|z| < 1`` and
 ``|z| rho(A) < 1``.
 
-``opnorm`` (every spectral norm of the package) and ``min_eig`` take one
-matrix or a stack with any leading axes, one LAPACK call per stack, and
-give NaN for a matrix with a non-finite entry: every check built on them
-reports NaN, and fails its verdict, instead of raising.
+``opnorm`` (every spectral norm of the package), ``eigh`` (every
+Hermitian eigen-solve) and ``min_eig`` take one matrix or a stack with any
+leading axes, one LAPACK call per stack, and give NaN for a matrix with a
+non-finite entry: every check built on them reports NaN, and fails its
+verdict, instead of raising.  Every positivity verdict (the hereditary
+domain, the shifted maps of ``delta_limit``, ``hermitian_inverse``) is
+written so that NaN fails it, and a non-finite ``A``, ``C`` or ``X`` is
+refused by name before any product is formed.
 
 Everything here is a pure function of immutable inputs; results are safe to
 share across threads.
@@ -107,14 +111,21 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
+def _finite(M):
+    """``M`` as an array, and the mask of its finite matrices: of one matrix
+    (a 0-d mask) or of each matrix of a stack with any leading axes.  A
+    matrix with a non-finite entry is masked out before LAPACK sees it: the
+    SVD does not converge on a NaN, and ``hermitize`` warns on
+    ``inf - inf``."""
+    M = np.asarray(M)
+    return M, np.isfinite(M).all(axis=(-2, -1))
+
+
 def _stacked(f, M):
     """``f`` of one matrix (a float) or of each matrix of a stack with any
-    leading axes (an array), from one call of ``f`` on the finite ones.  A
-    matrix with a non-finite entry gets NaN and is masked out before ``f``
-    sees it: the SVD does not converge on a NaN, and ``hermitize`` warns
-    on ``inf - inf``.  A zero-size matrix gets 0."""
-    M = np.asarray(M)
-    ok = np.isfinite(M).all(axis=(-2, -1))
+    leading axes (an array), from one call of ``f`` on the finite ones
+    (``_finite``); a masked matrix gets NaN, a zero-size matrix 0."""
+    M, ok = _finite(M)
     out = np.where(ok, 0.0, np.nan)
     if M.size:
         out[ok] = f(M[ok])
@@ -128,22 +139,39 @@ def opnorm(M: np.ndarray):
     return _stacked(lambda S: np.linalg.svd(S, compute_uv=False)[..., 0], M)
 
 
+def eigh(M: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues of the Hermitian part, and its eigenvectors
+    (as columns) when ``vectors``, of one matrix or of each matrix of a
+    stack with any leading axes, from one LAPACK call on the finite ones
+    (``_finite``).  A matrix with a non-finite entry gets NaN eigenvalues
+    and eigenvectors.  Every Hermitian eigen-solve of the package is taken
+    here."""
+    M, ok = _finite(M)
+    S = hermitize(M[ok])
+    lam = np.full(M.shape[:-1], np.nan)
+    if not vectors:
+        lam[ok] = np.linalg.eigvalsh(S)
+        return lam
+    V = np.full(M.shape, np.nan, dtype=S.dtype)
+    lam[ok], V[ok] = np.linalg.eigh(S)
+    return lam, V
+
+
 def spectral_radius(A: np.ndarray) -> float:
+    """Largest eigenvalue modulus; a non-finite matrix is refused."""
     A = np.atleast_2d(np.asarray(A))
+    if not np.isfinite(A).all():
+        raise InvalidParameterError("spectral radius needs a finite matrix")
     return float(np.max(np.abs(np.linalg.eigvals(A)))) if A.size else 0.0
 
 
 def min_eig(M: np.ndarray):
-    """Smallest eigenvalue of the Hermitian part, of one matrix or of each
-    matrix of a stack (``_stacked``)."""
-    return _stacked(lambda S: np.linalg.eigvalsh(hermitize(S))[..., 0], M)
-
-
-def psd_sqrt(M: np.ndarray) -> np.ndarray:
-    """Hermitian square root; negative roundoff eigenvalues are clipped to 0."""
-    lam, V = np.linalg.eigh(hermitize(M))
-    lam = np.where(lam < 0.0, 0.0, lam)
-    return hermitize((V * np.sqrt(lam)) @ V.conj().T)
+    """Smallest eigenvalue of the Hermitian part, of one matrix (a float) or
+    of each matrix of a stack (``eigh``): NaN for a matrix with a
+    non-finite entry, 0 for a zero-size one."""
+    lam = eigh(M, vectors=False)
+    lo = lam[..., 0] if lam.shape[-1] else np.zeros(lam.shape[:-1])
+    return lo if lo.ndim else float(lo)
 
 
 def hermitian_inverse(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
@@ -151,12 +179,15 @@ def hermitian_inverse(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     a stack, from one eigen-solve.
 
     Refuses (rather than pseudo-inverts) a matrix whose smallest eigenvalue
-    falls below ``rank_tol`` times the largest; for a stack the
-    ObservabilityError names, as ``index``, the first such matrix.
+    does not exceed ``rank_tol`` times the largest, or one with a
+    non-finite entry; for a stack the ObservabilityError names, as
+    ``index``, the first such matrix.
     """
-    lam, V = np.linalg.eigh(hermitize(M))
+    lam, V = eigh(M)
     lo, hi = lam[..., 0], lam[..., -1]
-    bad = np.flatnonzero((lo <= rank_tol * np.maximum(hi, 0.0)) | (lo <= 0.0))
+    # written so that NaN fails it
+    good = (lo > rank_tol * np.maximum(hi, 0.0)) & (lo > 0.0)
+    bad = np.flatnonzero(~good)
     if bad.size:
         i = int(bad[0])
         where = f" {i} of the stack" if lam.ndim > 1 else ""
@@ -184,6 +215,8 @@ class OutputPair:
         if self.C.shape[1] != self.A.shape[0]:
             raise InvalidParameterError(
                 f"C has {self.C.shape[1]} columns, expected {self.A.shape[0]}")
+        if not np.isfinite(self.C).all():
+            raise InvalidParameterError("C must be finite")
         self.spectral_radius = spectral_radius(self.A)
 
     @property
@@ -561,10 +594,9 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     if k < 0:
         raise InvalidParameterError(f"shift k={k} must be >= 0")
     xs = np.asarray(x, dtype=complex)
-    if not np.isfinite(xs).all():
-        raise InvalidParameterError("scalar resolvent points must be finite")
-    if np.any(np.abs(xs) >= 1.0):
-        raise DivergenceError("scalar resolvent needs |x| < 1")
+    if not np.isfinite(xs).all() or np.any(np.abs(xs) >= 1.0):
+        raise InvalidParameterError(
+            "scalar resolvent points must be finite and lie in |x| < 1")
     if w.trunc_len - k < 0:
         raise TruncationError(f"shift k={k} exceeds stored length")
     a = _integer_alpha(w)
@@ -651,16 +683,23 @@ def observability_coeffs(w: WeightSequence, k: int, pair: OutputPair,
 def _check_domain(w: WeightSequence, A, X, tol):
     """Domain of the hereditary calculus: ``X >= A* X A >= 0``, from one
     eigen-solve of ``X`` and ``X - A* X A``, and a summable reciprocal
-    series (``_check_summable``)."""
-    X = hermitize(np.asarray(X, dtype=complex))
+    series (``_check_summable``).  A non-finite ``A`` or ``X`` is refused
+    before the product, and every test fails on NaN."""
+    X = np.asarray(X, dtype=complex)
     A = np.asarray(A, dtype=complex)
-    lam = np.linalg.eigvalsh(hermitize(np.stack(
-        (X, X - A.conj().T @ X @ A)))) if X.size else np.zeros((2, 1))
+    if not np.isfinite(A).all():
+        raise HereditaryDomainError("A must be finite")
+    if not np.isfinite(X).all():
+        raise HereditaryDomainError(
+            "X must be positive semidefinite: it has a non-finite entry")
+    X = hermitize(X)
+    lam = eigh(np.stack((X, X - A.conj().T @ X @ A)), vectors=False) \
+        if X.size else np.zeros((2, 1))
     # the operator norm of the Hermitian X, floored at 1
     scale = max(-lam[0, 0], lam[0, -1], 1.0)
-    if lam[0, 0] < -tol * scale:
+    if not lam[0, 0] >= -tol * scale:
         raise HereditaryDomainError("X must be positive semidefinite")
-    if lam[1, 0] < -tol * scale:
+    if not lam[1, 0] >= -tol * scale:
         raise HereditaryDomainError("X - A* X A must be positive semidefinite")
     _check_summable(w)
 
@@ -729,8 +768,9 @@ def stein_residual(w: WeightSequence, k: int, pair: OutputPair,
 def _psd_defects(Ms) -> np.ndarray:
     """Most negative scaled eigenvalue of the Hermitian part of each matrix
     of a stack; >= 0 means PSD to working precision.  The scale is
-    ``max(|lambda_min|, |lambda_max|, 1)``, the operator norm floored at 1."""
-    lam = np.linalg.eigvalsh(hermitize(Ms))
+    ``max(|lambda_min|, |lambda_max|, 1)``, the operator norm floored at 1;
+    NaN for a matrix with a non-finite entry."""
+    lam = eigh(Ms, vectors=False)
     lo, hi = lam[..., 0], lam[..., -1]
     return lo / np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
 
@@ -798,7 +838,7 @@ def _classification(w: WeightSequence, pair: OutputPair, sums,
     isom_res = opnorm(pair_defect)
     isometric_pair = hypercontraction and isom_res <= tol * max(opnorm(gamma_I), 1.0)
 
-    gram_eigs = np.linalg.eigvalsh(hermitize(table[0]))
+    gram_eigs = eigh(table[0], vectors=False)
     exactly_observable = bool(gram_eigs[0] > tol * max(gram_eigs[-1], 1.0))
 
     k_max = len(sums) - 1
@@ -843,8 +883,8 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     ``sum_j (1/beta_j) A^{*j} Gamma[H] A^j = H - Delta``; None otherwise.
     """
     A = np.asarray(A, dtype=complex)
-    H = hermitize(np.asarray(H, dtype=complex))
     _check_domain(w, A, H, tol)
+    H = hermitize(np.asarray(H, dtype=complex))
     scale = max(opnorm(H), 1.0)
 
     rho = spectral_radius(A)
@@ -852,7 +892,7 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     sums = _hereditary_sums(w, A, H, range(1, k_max + 2), tol * 0.1,
                             "delta_limit", spec, gamma=True, rho=rho)
     gamma_H = sums[0]
-    bad = np.flatnonzero(_psd_defects(sums[1:]) < -tol)
+    bad = np.flatnonzero(~(_psd_defects(sums[1:]) >= -tol))  # NaN fails
     if bad.size:
         raise HereditaryDomainError(
             f"shifted hereditary map of H not PSD at k={bad[0] + 1}")

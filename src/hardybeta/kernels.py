@@ -377,15 +377,17 @@ def _block_kernel(w: WeightSequence, theta_eval, grid, entry):
     pts = list(grid)
     vals = np.stack([np.atleast_2d(np.asarray(theta_eval(z), dtype=complex))
                      for z in pts])
-    sup = opnorm(vals).max()
+    sup = float(opnorm(vals).max())
     N, p = vals.shape[:2]
+    if np.isnan(sup):  # a non-finite Theta: NaN fails both verdicts
+        return sup, sup, N
     x = _point_grid(pts, pts)[2]
     P = vals[:, None] @ vals.conj().swapaxes(-1, -2)[None]
     blocks = entry(space_kernel(w, pts, pts)[..., None, None], P,
                    x[..., None, None])
     block = hermitize(blocks.swapaxes(1, 2).reshape(N * p, N * p))
     scale = max(abs(float(np.trace(block).real)) / (N * p), 1e-30)
-    return float(sup), float(min_eig(block) / scale), N
+    return sup, float(min_eig(block) / scale), N
 
 
 def check_contractive_multiplier(w: WeightSequence, theta_eval, grid,

@@ -50,11 +50,11 @@ from .hereditary import (
     _right_powers,
     _route,
     _stability_residual,
+    eigh,
     gamma_map,
     gramian_table,
     hermitize,
     opnorm,
-    psd_sqrt,
     spectral_radius,
 )
 from .kernels import _point_grid, _range_kernel, default_grid
@@ -82,12 +82,14 @@ class CharFamily:
 
 
 def _defect_root(G: np.ndarray, tol: float) -> np.ndarray:
-    """PSD square root of ``G = Gamma[I]``, refused below ``-10 tol``."""
-    lam = np.linalg.eigvalsh(G)
-    if lam[0] < -10 * tol * max(lam[-1], 1.0):
+    """PSD square root of ``G = Gamma[I]``, from one eigen-solve, refused
+    below ``-10 tol`` and on NaN."""
+    lam, V = eigh(G)
+    if not lam[0] >= -10 * tol * max(lam[-1], 1.0):
         raise ModelHypothesisError(
             f"Gamma[I] has eigenvalue {lam[0]:.3e}: not a star-hypercontraction")
-    return psd_sqrt(G)
+    lam = np.where(lam < 0.0, 0.0, lam)  # clip negative roundoff
+    return hermitize((V * np.sqrt(lam)) @ V.conj().T)
 
 
 def defect_operator(w: WeightSequence, T, tol: float = 1e-10) -> np.ndarray:
@@ -187,8 +189,8 @@ def defect_form_family(w: WeightSequence, T, k_max: int = 12,
     pair = OutputPair(A=A, C=C)
     gramians = gramian_table(w, pair, k_max + 1, tol=min(tol, 1e-12))
     n = pair.n
-    lam, V = np.linalg.eigh(hermitize(gramians.stack(0, k_max + 1)))
-    if np.any(lam[:, 0] <= rank_tol * lam[:, -1]):
+    lam, V = eigh(gramians.stack(0, k_max + 1))
+    if not np.all(lam[:, 0] > rank_tol * lam[:, -1]):  # NaN fails
         raise ModelHypothesisError("gramian numerically singular")
     root = np.sqrt(lam)[:, None, :]
     G_half = (V * root) @ V.conj().swapaxes(-1, -2)
@@ -200,7 +202,7 @@ def defect_form_family(w: WeightSequence, T, k_max: int = 12,
         # polar factor of Ct: Ct = omega * (Ct* Ct)^(1/2), and the positive
         # factor equals the defect of At by the isometry identity
         omega = _polar_unitary(Ct)
-        lam_d, V_d = np.linalg.eigh(hermitize(np.eye(n) - At @ At.conj().T))
+        lam_d, V_d = eigh(np.eye(n) - At @ At.conj().T)
         keep = lam_d >= rank_tol * max(float(lam_d[-1]), 1e-300)
         # fix phases so the construction is reproducible; the adjoint
         # defect (I - At At*)^(1/2) scales its eigenvectors by sqrt(lam)

@@ -44,11 +44,9 @@ def _is_two(node) -> bool:
         return False
 
 
-def spectral_norms(source: str):
-    """``function:line`` of every call in ``source`` that takes a spectral
-    norm itself: an ``np.linalg.norm`` of order 2 (or -2), or an SVD with
-    ``compute_uv=False``.  ``function`` is the enclosing top-level def or
-    method, ``<module>`` outside any."""
+def _owned_nodes(source: str):
+    """``(function, node)`` for every node of ``source``: ``function`` is
+    the enclosing top-level def or method, ``<module>`` outside any."""
     tree = ast.parse(source)
     owners = [(node.name, node) for top in tree.body
               for node in ([top] + list(top.body)
@@ -56,6 +54,14 @@ def spectral_norms(source: str):
               if isinstance(node, ast.FunctionDef)]
     owned = {id(n): name for name, fn in owners for n in ast.walk(fn)}
     for node in ast.walk(tree):
+        yield owned.get(id(node), "<module>"), node
+
+
+def spectral_norms(source: str):
+    """``function:line`` of every call in ``source`` that takes a spectral
+    norm itself: an ``np.linalg.norm`` of order 2 (or -2), or an SVD with
+    ``compute_uv=False``."""
+    for owner, node in _owned_nodes(source):
         if not isinstance(node, ast.Call):
             continue
         kw = {k.arg: k.value for k in node.keywords}
@@ -67,7 +73,7 @@ def spectral_norms(source: str):
                                                   ast.Constant) \
             and kw["compute_uv"].value is False
         if is_norm or no_uv:
-            yield f"{owned.get(id(node), '<module>')}:{node.lineno}"
+            yield f"{owner}:{node.lineno}"
 
 
 def test_spectral_norm_check_sees_every_spelling():
@@ -92,3 +98,51 @@ def test_one_spectral_norm():
              for where in spectral_norms(path.read_text())]
     assert [f.rsplit(":", 1)[0] for f in found] == ["hereditary.opnorm"], \
         found
+
+
+EIGEN_SOLVES = {"eigh", "eigvalsh"}
+
+
+def hermitian_eigen_solves(source: str):
+    """``function:line`` of every direct Hermitian eigen-solve in
+    ``source``: a call of ``eigh`` or ``eigvalsh`` on a ``linalg`` module
+    (``np.linalg``, ``numpy.linalg``, ``scipy.linalg``), or either name
+    imported from one."""
+    for owner, node in _owned_nodes(source):
+        call = isinstance(node, ast.Call) \
+            and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in EIGEN_SOLVES \
+            and ast.unparse(node.func.value).endswith("linalg")
+        imported = isinstance(node, ast.ImportFrom) \
+            and (node.module or "").endswith("linalg") \
+            and any(a.name in EIGEN_SOLVES for a in node.names)
+        if call or imported:
+            yield f"{owner}:{node.lineno}"
+
+
+def test_eigen_solve_check_sees_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "lam = np.linalg.eigvalsh(X)\n"
+        "def f(X):\n"
+        "    return numpy.linalg.eigh(X, UPLO='U')\n"
+        "class C:\n"
+        "    def g(self, X):\n"
+        "        from scipy.linalg import eigh as e\n"
+        "        return scipy.linalg.eigvalsh(X)\n"
+        "def h(X):\n"
+        "    return eigh(X), her.eigh(X, vectors=False), "
+        "np.linalg.eig(X), np.linalg.eigvals(X)\n")
+    assert list(hermitian_eigen_solves(source)) == [
+        "<module>:2", "f:4", "g:7", "g:8"]
+
+
+def test_one_hermitian_eigen_solve():
+    # every Hermitian eigen-solve of the package goes through
+    # hereditary.eigh, which masks a non-finite matrix out of LAPACK; the
+    # Gauss-Jacobi rule solves its own real tridiagonal Jacobi matrix
+    found = [f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
+             for where in hermitian_eigen_solves(path.read_text())]
+    assert sorted({f.rsplit(":", 1)[0] for f in found}) == [
+        "hereditary.eigh", "spectral._gauss_jacobi"], found
+    assert len(found) == 3, found

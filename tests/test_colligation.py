@@ -52,6 +52,19 @@ class TestPsdFactor:
                                           _psd_factor(Ri, 1e-12))
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_defect_refused(self, bad):
+        # a NaN defect used to give an (n, 0) factor: a step with no inputs
+        R = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+        R[1, 0, 1] = bad
+        with pytest.raises(hb.NotCoisometrizableError,
+                           match="^defect matrix 1 has negative eigenvalue nan"):
+            _psd_factor(R, 1e-10)
+        with pytest.raises(hb.NotCoisometrizableError,
+                           match="^defect matrix has negative eigenvalue nan"):
+            _psd_factor(R[1], 1e-10)
+
+
 def _reference_factor(R, rank_tol):
     """One defect matrix factored column by column."""
     lam, V = np.linalg.eigh(0.5 * (R + R.conj().T))

@@ -212,6 +212,41 @@ class TestStackedNorms:
         assert np.isnan(her.opnorm(S)).all() and np.isnan(her.min_eig(S)).all()
 
 
+class TestEigh:
+    """``eigh`` of a matrix or a stack: LAPACK's own values and vectors bit
+    for bit on finite input, NaN for a matrix with a non-finite entry."""
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 5, 5), (2, 3, 4, 4),
+                                       (0, 0), (3, 0, 0), (0, 4, 4)])
+    def test_finite_is_the_lapack_solve(self, shape):
+        rng = np.random.default_rng(66)
+        M = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+            * 10.0 ** rng.uniform(-8, 8, shape[:-2] + (1, 1))
+        for S in (M, M.real):  # complex and real
+            lam, V = her.eigh(S)
+            ref_lam, ref_V = np.linalg.eigh(her.hermitize(S))
+            assert lam.shape == ref_lam.shape and V.dtype == ref_V.dtype
+            np.testing.assert_array_equal(lam, ref_lam)
+            np.testing.assert_array_equal(V, ref_V)
+            np.testing.assert_array_equal(
+                her.eigh(S, vectors=False),
+                np.linalg.eigvalsh(her.hermitize(S)))
+
+    def test_non_finite_matrices_get_nan(self):
+        S = _probe_stack()  # inf - inf in hermitize would warn, an error
+        lam, V = her.eigh(S)
+        vals = her.eigh(S, vectors=False)
+        for i in np.ndindex(2, 3):
+            one_lam, one_V = her.eigh(S[i])
+            assert np.array_equal(lam[i], one_lam, equal_nan=True), i
+            assert np.array_equal(V[i], one_V, equal_nan=True), i
+            assert np.array_equal(vals[i], her.eigh(S[i], vectors=False),
+                                  equal_nan=True), i
+            finite = np.isfinite(S[i]).all()
+            assert np.isnan(lam[i]).all() == (not finite), i
+            assert np.isnan(V[i]).all() == (not finite), i
+
+
 class TestGramian:
     def test_scalar_oracle(self, w_hardy):
         pair = hb.OutputPair(A=[[0.5]], C=[[1.0]])
@@ -741,12 +776,15 @@ class TestDeltaLimit:
                                  "decrement eigenvalue -6.200e-01$"):
             hb.delta_limit(w_beta2, A, np.eye(2))
 
-    def test_nan_decrement_refused(self, w_beta2):
-        # the domain check lets a NaN H through; the certificate must not
+    def test_nan_decrement_refused(self, monkeypatch, w_beta2):
+        # the domain check refuses a NaN H; a NaN in the stack of
+        # decrements must still fail the monotone certificate
+        real = her.min_eig
+        monkeypatch.setattr(her, "min_eig", lambda D: real(
+            np.concatenate([D[:1] * np.nan, D[1:]])))
         with pytest.raises(hb.HereditaryDomainError,
                            match="worst decrement eigenvalue nan$"):
-            hb.delta_limit(w_beta2, np.diag([0.5, 0.2]),
-                           np.diag([1.0, np.nan]))
+            hb.delta_limit(w_beta2, np.diag([0.5, 0.2]), np.eye(2))
 
     def test_diverging_weight_refused(self):
         # the reciprocal series of this weight diverges; delta_limit must
@@ -758,6 +796,60 @@ class TestDeltaLimit:
                      lambda: hb.delta_limit(w, A, np.eye(2))):
             with pytest.raises(hb.HereditaryDomainError, match="diverge"):
                 call()
+
+
+class TestNonFiniteVerdicts:
+    """Every positivity verdict of the hereditary calculus refuses NaN and
+    +-inf by name: a comparison with NaN is false, so each test is written
+    to fail on it, and a non-finite input is refused before a product
+    that would warn on it."""
+
+    A = np.diag([0.5, 0.2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which,match", [
+        ("A", "^A must be finite$"),
+        ("X", "^X must be positive semidefinite: it has a non-finite entry$")])
+    @pytest.mark.parametrize("call", [
+        lambda w, A, X: hb.gamma_map(w, A, X),
+        lambda w, A, X: hb.gamma_k_map(w, 2, A, X),
+        lambda w, A, X: hb.gamma_k_map(w, 0, A, X),
+        lambda w, A, X: hb.delta_limit(w, A, X)],
+        ids=["gamma_map", "gamma_k_map", "gamma_k_map-0", "delta_limit"])
+    def test_domain_refuses(self, w_beta2, bad, which, match, call):
+        # a NaN X used to return a NaN Gamma[X]
+        A, X = self.A.copy(), np.eye(2)
+        (A if which == "A" else X)[0, 1] = bad
+        with pytest.raises(hb.HereditaryDomainError, match=match):
+            call(w_beta2, A, X)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hermitian_inverse_names_the_matrix(self, bad):
+        Ms = np.stack([np.eye(2), np.eye(2), np.eye(2)])
+        Ms[1, 1, 0] = bad
+        with pytest.raises(hb.ObservabilityError,
+                           match=r"1 of the stack.*\[nan, nan\]") as exc:
+            her.hermitian_inverse(Ms)
+        assert exc.value.index == 1
+        with pytest.raises(hb.ObservabilityError) as exc:
+            her.hermitian_inverse(Ms[1])
+        assert exc.value.index is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_delta_limit_shifted_map_check(self, monkeypatch, w_beta2, bad):
+        # a non-finite Gamma^(2)[H] fails the shifted-positivity check
+        # instead of passing it to the monotone certificate
+        real = her._hereditary_sums
+
+        def poisoned(*args, **kwargs):
+            sums = real(*args, **kwargs).copy()
+            sums[2, 0, 0] = bad
+            return sums
+        monkeypatch.setattr(her, "_hereditary_sums", poisoned)
+        with pytest.raises(hb.HereditaryDomainError,
+                           match="^shifted hereditary map of H not PSD at "
+                                 "k=2$"):
+            hb.delta_limit(w_beta2, self.A, np.eye(2))
 
 
 class TestOneRoute:
@@ -862,6 +954,29 @@ class TestRefusals:
         with pytest.raises(hb.InvalidParameterError, match=re.escape(match)):
             call(w, self.A2, pair)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_refused_at_the_door(self, w_beta2, bad):
+        # numpy's eigvals raised a raw LinAlgError on these
+        A = self.A2.copy()
+        A[0, 1] = bad
+        msg = "spectral radius needs a finite matrix"
+        for call in (lambda: hb.spectral_radius(A),
+                     lambda: hb.OutputPair(A=A, C=np.eye(2)),
+                     lambda: hb.resolvents(w_beta2, 0, A, 0.5)):
+            with pytest.raises(hb.InvalidParameterError, match=msg):
+                call()
+        C = np.eye(2)
+        C[1, 0] = bad  # build_family died on "invalid value in divide"
+        with pytest.raises(hb.InvalidParameterError, match="^C must be finite$"):
+            hb.OutputPair(A=self.A2, C=C)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, 1.0, 0.6 + 0.8j])
+    def test_scalar_resolvent_domain(self, w_beta2, x):
+        # one error type for the whole domain, as resolvents refuses it
+        with pytest.raises(hb.InvalidParameterError, match=re.escape(
+                "scalar resolvent points must be finite and lie in |x| < 1")):
+            hb.resolvent_scalar(w_beta2, 0, [0.5, x])
+
     def test_output_pair_shapes(self):
         with pytest.raises(hb.InvalidParameterError, match="A must be square"):
             hb.OutputPair(A=np.ones((2, 3)), C=np.ones((1, 3)))
@@ -889,8 +1004,8 @@ class TestRefusals:
             hb.gamma_k_map(w, [], self.A2, np.eye(2))
 
     def test_scalar_resolvent_refusals(self, w_beta25):
-        with pytest.raises(hb.DivergenceError,
-                           match=re.escape("scalar resolvent needs |x| < 1")):
+        with pytest.raises(hb.InvalidParameterError, match=re.escape(
+                "scalar resolvent points must be finite and lie in |x| < 1")):
             hb.resolvent_scalar(w_beta25, 0, [0.5, 1.0])
         with pytest.raises(hb.TruncationError,
                            match="shift k=257 exceeds stored length"):

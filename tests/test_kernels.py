@@ -399,6 +399,19 @@ class TestContractiveMultiplier:
         assert not rep.contractive
         assert np.isnan(rep.sup_norm) and np.isnan(rep.block_kernel_min_eig)
 
+    @pytest.mark.parametrize("check", [hb.check_contractive_multiplier,
+                                       check_hardy_to_weighted_multiplier])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_theta_fails(self, w_beta2, check, bad):
+        # Theta(z_i) Theta(z_j)* warned "invalid value encountered in
+        # matmul" before anything masked the infinite values
+        def theta(z):
+            return np.full((1, 1), bad if abs(z) > 0.7 else 0.5 * z)
+        rep = check(w_beta2, theta, hb.default_grid())
+        assert not rep.contractive
+        assert np.isnan(rep.sup_norm) and np.isnan(rep.block_kernel_min_eig)
+
+
     def test_wandering_theta_mixed_criterion(self, w_beta3):
         rng = np.random.default_rng(53)
         pair = stable_pair(rng, 3, 2, rho=0.6)

@@ -41,6 +41,26 @@ class TestDefectOperator:
             hb.defect_operator(w_beta2, np.diag([1.0], -1))
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, w_beta2, bad):
+        # a NaN T used to give a NaN defect
+        T = np.diag([0.5, 0.2]).astype(complex)
+        T[1, 0] = bad
+        for call in (hb.defect_operator, defect_form_family,
+                     hb.characteristic_family):
+            with pytest.raises(hb.HereditaryDomainError,
+                               match="^A must be finite$"):
+                call(w_beta2, T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gamma_refused(self, bad):
+        G = np.eye(2, dtype=complex)
+        G[0, 1] = bad
+        with pytest.raises(hb.ModelHypothesisError, match=(
+                r"^Gamma\[I\] has eigenvalue nan: not a star-hypercontraction$")):
+            mod._defect_root(G, 1e-10)
+
+
 class TestCharacteristicFamily:
     def test_weight_is_the_family_weight(self, w_beta3):
         char = hb.characteristic_family(w_beta3, [[0.4]], k_max=2)
@@ -357,6 +377,22 @@ class TestDefectFormRoute:
         with pytest.raises(hb.ModelHypothesisError,
                            match="^gramian numerically singular$"):
             defect_form_family(w_hardy, [[0.5]], k_max=2, rank_tol=1.0)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gramian_refused(self, monkeypatch, w_hardy, bad):
+        # the singularity test fails on NaN, and the masked eigen-solve
+        # gives NaN for an infinite entry
+        real = mod.gramian_table
+
+        def poisoned(*args, **kwargs):
+            table = real(*args, **kwargs)
+            table.entries[1, 0, 0] = bad
+            return table
+        monkeypatch.setattr(mod, "gramian_table", poisoned)
+        with pytest.raises(hb.ModelHypothesisError,
+                           match="^gramian numerically singular$"):
+            defect_form_family(w_hardy, [[0.5]], k_max=2)
 
 
 class TestWanderingTheta:
