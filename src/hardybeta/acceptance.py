@@ -236,7 +236,7 @@ def criterion_2_gamma_gramian(cfg: RunConfig, weights) -> tuple:
             G = table[0]
             worst = _worst(worst, her.opnorm(
                 her.gamma_map(w, pair.A, G, 1e-10)
-                - pair.C.conj().T @ pair.C))
+                - pair.CstarC))
             maps = her.gamma_k_map(w, range(1, 7), pair.A, G, 1e-10)
             worst = _worst(worst, *her.opnorm(maps - table.stack(1, 6)))
     return (worst <= 1e-7,

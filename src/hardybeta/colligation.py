@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotCoisometrizableError
+from .errors import InvalidParameterError, NotCoisometrizableError
 from .hereditary import (
     GramianTable,
     OutputPair,
@@ -105,8 +105,11 @@ def _psd_factor(R: np.ndarray, rank_tol: float) -> np.ndarray:
     eigenvalue signals inconsistent input.  The phase of each retained
     eigenvector is fixed by making its largest-magnitude entry real positive
     so the factor is reproducible.  A stack's factors have as many columns
-    as the largest rank, those past each matrix's own rank zero.
+    as the largest rank, those past each matrix's own rank zero.  A
+    zero-size matrix is refused.
     """
+    if not np.size(R):
+        raise InvalidParameterError("_psd_factor needs a non-empty matrix")
     lam, V = eigh(R)
     lam_max = np.maximum(lam[..., -1:], 0.0)
     neg_floor = -10.0 * rank_tol * np.maximum(lam_max, 1.0)

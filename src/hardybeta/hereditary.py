@@ -28,25 +28,28 @@ closed form reports tail 0 (a resolvent no record) and raises no
 ConvergenceError, and a table too short for the finite hereditary rows is
 refused by name.
 
-Non-integer alpha takes the spectral route of ``spectral.py`` for gramian
-tables and hereditary maps: with ``A = V diag(d) V^-1`` from one
-``np.linalg.eig``, ``f(L)[X] = V^-* (F o (V* X V)) V^-1`` with
-``F_ij = f(conj(d_i) d_j)``, where ``f`` is ``R_k`` (gramians),
-``(1 - x)^alpha`` (``Gamma``) or ``(1 - x)^alpha R_k`` (``Gamma^(k)``) and
-``R_k``, ``k >= 1``, is a Gauss–Jacobi quadrature of Euler's Beta
-integral.  Its gate is ``rho(A) < 1`` and
+Non-integer alpha takes the spectral route of ``spectral.py``: with
+``A = V diag(d) V^-1`` from one ``np.linalg.eig``,
+``f(L)[X] = V^-* (F o (V* X V)) V^-1`` with ``F_ij = f(conj(d_i) d_j)``,
+where ``f`` is ``R_k`` (gramians), ``(1 - x)^alpha`` (``Gamma``) or
+``(1 - x)^alpha R_k`` (``Gamma^(k)``), a resolvent grid is
+``R_k(z_i A) = V diag(R_k(z_i d)) V^-1`` (Higham, *Functions of
+Matrices*, ch. 4), and ``R_k``, ``k >= 1``, is a Gauss–Jacobi quadrature
+of Euler's Beta integral.  Its gate is ``rho(A) < 1`` and
 ``kappa(V) = ||V||_F ||V^-1||_F <= spectral.KAPPA_MAX`` (1e6); a defective
 ``A``, such as a Jordan block, fails it.  The table length plays no part:
 the route raises no ConvergenceError and ``tol`` is not used.  A gramian
 table from it reports, per shift, the first-order error bound that its
 gate and node count promise (``spectral.stein_bounds``; 0 only for
-``C = 0``), with truncation order -1.  ``classify``, ``delta_limit`` and the
-characteristic family share one diagonalization between the hereditary
-stack and the gramian table.  Resolvents and the scalar ``R_k(x)`` of
-non-integer alpha stay on the series.
+``C = 0``), with truncation order -1; a resolvent grid reports no record.
+``classify``, ``delta_limit`` and the characteristic family share one
+diagonalization between the hereditary stack and the gramian table.  The
+scalar ``R_k(x)`` needs no gate: it is the quadrature at ``x`` itself.
+A node count past the top of the quadrature's ladder (points too close to
+the unit circle) keeps the series.
 
-Every other sum (custom weights; non-integer alpha past the gate or in a
-resolvent) is cut adaptively
+Every other sum (custom weights; non-integer alpha past the gate or the
+ladder) is cut adaptively
 by the engine in ``series.py``, with each coefficient row's step bound
 past the table taken from the weight, and raises ConvergenceError when the
 stored table is too short for ``tol`` or to certify ``q``.  The decay rate
@@ -76,7 +79,9 @@ non-finite entry: every check built on them reports NaN, and fails its
 verdict, instead of raising.  Every positivity verdict (the hereditary
 domain, the shifted maps of ``delta_limit``, ``hermitian_inverse``) is
 written so that NaN fails it, and a non-finite ``A``, ``C`` or ``X`` is
-refused by name before any product is formed.
+refused by name before any product is formed.  An empty state space
+(``n = 0``), a ``C* C`` that overflows and an ``X - A* X A`` that
+overflows are refused by name too.
 
 Everything here is a pure function of immutable inputs; results are safe to
 share across threads.
@@ -181,8 +186,11 @@ def hermitian_inverse(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     Refuses (rather than pseudo-inverts) a matrix whose smallest eigenvalue
     does not exceed ``rank_tol`` times the largest, or one with a
     non-finite entry; for a stack the ObservabilityError names, as
-    ``index``, the first such matrix.
+    ``index``, the first such matrix.  A zero-size matrix is refused.
     """
+    if not np.size(M):
+        raise InvalidParameterError("hermitian_inverse needs a non-empty "
+                                    "matrix")
     lam, V = eigh(M)
     lo, hi = lam[..., 0], lam[..., -1]
     # written so that NaN fails it
@@ -200,8 +208,9 @@ def hermitian_inverse(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
 
 @dataclass
 class OutputPair:
-    """Matrices ``(C, A)`` with ``A`` n-by-n on the state space and ``C``
-    p-by-n into the output space; the spectral radius of ``A`` is cached."""
+    """Matrices ``(C, A)`` with ``A`` n-by-n, ``n >= 1``, on the state space
+    and ``C`` p-by-n into the output space; the spectral radius of ``A`` is
+    cached."""
 
     A: np.ndarray
     C: np.ndarray
@@ -212,6 +221,8 @@ class OutputPair:
         self.C = np.atleast_2d(np.asarray(self.C, dtype=complex))
         if self.A.shape[0] != self.A.shape[1]:
             raise InvalidParameterError("A must be square")
+        if not self.A.size:
+            raise InvalidParameterError("the state space must have n >= 1")
         if self.C.shape[1] != self.A.shape[0]:
             raise InvalidParameterError(
                 f"C has {self.C.shape[1]} columns, expected {self.A.shape[0]}")
@@ -232,6 +243,16 @@ class OutputPair:
         """``A = V diag(d) V^-1`` when ``A`` passes the spectral route's
         gate, else None; built on first use."""
         return spectral.diagonalize(self.A)
+
+    @cached_property
+    def CstarC(self) -> np.ndarray:
+        """``C* C``, formed once; a ``C`` whose ``C* C`` overflows is
+        refused."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = self.C.conj().T @ self.C
+        if not np.isfinite(G).all():
+            raise InvalidParameterError("C* C overflows: C is too large")
+        return G
 
 
 @dataclass
@@ -326,23 +347,15 @@ def _integer_alpha(w: WeightSequence) -> int | None:
     return None
 
 
-def _spectral_kind(w: WeightSequence) -> bool:
-    """Whether the weight takes the spectral route: ``beta_alpha`` with
-    non-integer ``alpha``."""
-    return w.kind == "beta_alpha" and not float(w.alpha).is_integer()
-
-
 def _route(w: WeightSequence, A) -> spectral.Diagonalization | None:
-    """The diagonalization of ``A`` when the weight takes the spectral
-    route and ``A`` passes its gate; None otherwise, and the sums stay on
-    the closed forms or the series."""
-    return spectral.diagonalize(A) if _spectral_kind(w) else None
-
-
-def _pair_route(w: WeightSequence, pair: OutputPair):
-    """``_route`` of ``pair.A``, from the diagonalization kept on the
-    pair."""
-    return pair.diagonalization if _spectral_kind(w) else None
+    """The diagonalization of ``A`` (the one kept on an OutputPair) when
+    the weight takes the spectral route, ``beta_alpha`` with non-integer
+    ``alpha``, and ``A`` passes its gate; None otherwise, and the sums stay
+    on the closed forms or the series."""
+    if w.kind != "beta_alpha" or float(w.alpha).is_integer():
+        return None
+    return A.diagonalization if isinstance(A, OutputPair) \
+        else spectral.diagonalize(A)
 
 
 def _contract(rows, terms) -> np.ndarray:
@@ -437,8 +450,6 @@ def _spectral_quotients(w: WeightSequence, ks, gamma: bool, x):
     every shift of ``ks``, at the 1-d points ``x``, one row each; None
     when the quadrature declines (``spectral.shifted``)."""
     one = (1.0 - x) ** w.alpha  # principal branch: Re(1 - x) > 0
-    if not len(ks):
-        return one[None]
     values = spectral.shifted(w, ks, x)
     if values is None:
         return None
@@ -447,7 +458,7 @@ def _spectral_quotients(w: WeightSequence, ks, gamma: bool, x):
 
 
 def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context, spec,
-                     gamma=False, rho=None) -> np.ndarray:
+                     gamma=False) -> np.ndarray:
     """``Gamma[X]`` (when ``gamma``) followed by ``Gamma^(k)[X]`` for every
     shift ``k >= 1`` of ``ks``, as one stack, from the ``c`` row and the
     quotient rows ``d^(k)``, kept on the weight (``hereditary_rows``).
@@ -457,9 +468,8 @@ def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context, spec,
     diagonalization ``spec`` (``_route``) they are the spectral route's
     ``(1 - x)^alpha`` and ``(1 - x)^alpha R_k(x)`` at the eigenvalue
     products.  Every other case takes the series, every row cut at the
-    table length left to the largest shift; ``rho`` is ``rho(A)`` when the
-    caller has it.  A table that cannot hold the rows past the largest
-    shift is refused."""
+    table length left to the largest shift.  A table that cannot hold the
+    rows past the largest shift is refused."""
     ks = np.asarray(ks)
     if ks.size and ks.min() < 1:
         raise InvalidParameterError(
@@ -482,12 +492,10 @@ def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context, spec,
                                                       spec.upper)
     if F is not None:
         return hermitize(spec.apply(F, X))
-    if rho is None:
-        rho = spectral_radius(A)
     floors = w.c_floors(np.concatenate([[0], ks]) if gamma else ks)
+    rate = series.conjugation_rate(spectral_radius(A))
     return _series_sums(A, X, hereditary_rows(w, ks, cap, gamma),
-                        w.c_step(cap), series.conjugation_rate(rho), tol,
-                        context, floors)[0]
+                        w.c_step(cap), rate, tol, context, floors)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +507,12 @@ def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
     """``R_k(z_i A)`` for a shift or a sequence of shifts and a point or a
     1-d array of points, of shape ``np.shape(k) + np.shape(z) + (n, n)``,
     together with the series record of the powers at the grid radius
-    ``r = max |z_i|``, or None when the sum is exact: a closed form (hardy
-    and integer alpha, from one batched inverse of ``I - z_i A``), ``r = 0``
-    or ``A = 0``.  On the series every shift's row ``1/beta_{k+j}`` is cut
-    at the table length of the largest shift, past which the weight bounds
-    its step."""
+    ``r = max |z_i|``, or None off the series: a closed form (hardy and
+    integer alpha, from one batched inverse of ``I - z_i A``), the exact
+    sum at ``r = 0`` or ``A = 0``, or the spectral route
+    (``V diag(R_k(z_i d)) V^-1`` from one ``spectral.shifted`` call).  On
+    the series every shift's row ``1/beta_{k+j}`` is cut at the table
+    length of the largest shift, past which the weight bounds its step."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     ks = np.atleast_1d(np.asarray(k, dtype=int))
@@ -531,10 +540,16 @@ def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
         inv = np.linalg.inv(np.eye(n) - zs[:, None, None] * A)
         return _binomial_sum(ks, a, inv,
                              lambda P: P @ inv).reshape(shape), None
-    rows = w.inv_betas[ks[:, None] + np.arange(cap + 1)]
     if r == 0.0 or not A.any():
-        return (rows[:, 0, None, None, None] * np.eye(n, dtype=complex)
+        return (w.inv_betas[ks, None, None, None] * np.eye(n, dtype=complex)
                 * np.ones((len(zs), 1, 1))).reshape(shape), None
+    spec = _route(w, A)
+    values = None if spec is None else spectral.shifted(
+        w, ks, np.outer(zs, spec.d).ravel())
+    if values is not None:  # V diag(R_k(z_i d)) V^-1
+        F = values[0].reshape(len(ks), len(zs), 1, n)
+        return ((spec.V * F) @ spec.W).reshape(shape), None
+    rows = w.inv_betas[ks[:, None] + np.arange(cap + 1)]
     # |z_i / r|^j <= 1, so the tail bound of the powers (rA)^j bounds the
     # tail at every point of the grid
     rec = series.adaptive_sum(np.eye(n, dtype=complex), r * A, rows,
@@ -555,9 +570,13 @@ def resolvents(w: WeightSequence, k, A, zs,
 
     Hardy and integer alpha are closed form,
     ``R_k(zA) = sum_{r<alpha} C(k + r - 1, r) (I - zA)^(r - alpha)``, from
-    one batched inverse of ``I - z_i A`` and its powers; ``tol`` is not
-    used.  Every other weight sums one table of powers ``(rA)^j`` at the
-    grid radius ``r = max |z_i|`` for every shift and point, cut once with
+    one batched inverse of ``I - z_i A`` and its powers.  Non-integer
+    alpha takes the spectral route when ``A`` passes its gate,
+    ``V diag(R_k(z_i d)) V^-1`` with ``R_k`` by quadrature at the ``n``
+    points ``z_i d`` of every ``z_i``.  Neither uses ``tol``.  Every other
+    case (custom weights; ``A`` past the gate, or points past the
+    quadrature's ladder) sums one table of powers ``(rA)^j`` at the grid
+    radius ``r = max |z_i|`` for every shift and point, cut once with
     tail <= tol at every shift and every point.
 
     Requires finite points in the open unit disk, ``r * rho(A) < 1`` (a
@@ -573,7 +592,8 @@ def resolvent_apply(w: WeightSequence, k: int, A, z: complex,
                     tol: float = 1e-12) -> np.ndarray:
     """Evaluate ``R_k(zA) = sum_j (1/beta_{k+j}) z^j A^j`` at one point: the
     one-point grid of ``resolvents``, so closed form for hardy and integer
-    alpha and otherwise a series with tail <= tol.
+    alpha, the spectral route for non-integer alpha within its gate, and
+    otherwise a series with tail <= tol.
 
     Requires ``|z| < 1`` and ``|z| * rho(A) < 1``.  On the series, raises
     ConvergenceError when the stored coefficient table is exhausted before
@@ -588,8 +608,10 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     Used for the space kernel ``K(z, zeta) = R(z * conj(zeta))``.  Requires
     ``k >= 0`` and finite points with ``|x| < 1``.  Hardy and integer alpha
     are closed form, ``sum_{r<alpha} C(k + r - 1, r) (1 - x)^(r - alpha)``;
-    every other weight sums the series with tail <= tol, and raises
-    ConvergenceError when the stored table is too short for that.
+    non-integer alpha is ``spectral.shifted`` at the points, with no gate.
+    Custom weights, and points past the quadrature's ladder, sum the series
+    with tail <= tol, and raise ConvergenceError when the stored table is
+    too short for that.
     """
     if k < 0:
         raise InvalidParameterError(f"shift k={k} must be >= 0")
@@ -603,6 +625,10 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     if a is not None:
         inv = 1.0 / (1.0 - xs)
         return _binomial_sum([k], a, inv, lambda P: P * inv)[0]
+    if w.kind == "beta_alpha":  # non-integer alpha: the spectral route
+        values = spectral.shifted(w, [k], xs.ravel())
+        if values is not None:
+            return values[0][0].reshape(xs.shape)[()]
     inv_b = w.inv_betas[k:]
     q = float(np.max(np.abs(xs), initial=0.0))
     # |x^j| <= q^j exactly, so the transient constant is 1
@@ -628,9 +654,8 @@ def _gramian_rows(w, ks, pair, tol, context):
     if w.trunc_len - kmax < 4:
         raise TruncationError(
             f"stored weights too short for gramian shift k={kmax}")
-    return _stein_sums(w, pair.A, pair.C.conj().T @ pair.C, ks,
-                       pair.spectral_radius, tol, context,
-                       _pair_route(w, pair))
+    return _stein_sums(w, pair.A, pair.CstarC, ks,
+                       pair.spectral_radius, tol, context, _route(w, pair))
 
 
 def gramian(w: WeightSequence, k: int, pair: OutputPair,
@@ -684,7 +709,8 @@ def _check_domain(w: WeightSequence, A, X, tol):
     """Domain of the hereditary calculus: ``X >= A* X A >= 0``, from one
     eigen-solve of ``X`` and ``X - A* X A``, and a summable reciprocal
     series (``_check_summable``).  A non-finite ``A`` or ``X`` is refused
-    before the product, and every test fails on NaN."""
+    before the product, ``X - A* X A`` when it overflows, and every test
+    fails on NaN."""
     X = np.asarray(X, dtype=complex)
     A = np.asarray(A, dtype=complex)
     if not np.isfinite(A).all():
@@ -692,9 +718,12 @@ def _check_domain(w: WeightSequence, A, X, tol):
     if not np.isfinite(X).all():
         raise HereditaryDomainError(
             "X must be positive semidefinite: it has a non-finite entry")
-    X = hermitize(X)
-    lam = eigh(np.stack((X, X - A.conj().T @ X @ A)), vectors=False) \
-        if X.size else np.zeros((2, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = hermitize(X)
+        D = X - A.conj().T @ X @ A
+    if not np.isfinite(D).all():
+        raise HereditaryDomainError("X - A* X A must be finite: it overflows")
+    lam = eigh(np.stack((X, D)), vectors=False) if X.size else np.zeros((2, 1))
     # the operator norm of the Hermitian X, floored at 1
     scale = max(-lam[0, 0], lam[0, -1], 1.0)
     if not lam[0, 0] >= -tol * scale:
@@ -755,9 +784,9 @@ def gamma_binomial(m: int, A, X) -> np.ndarray:
 def stein_residual(w: WeightSequence, k: int, pair: OutputPair,
                    G_k, G_k1) -> float:
     """Operator-norm residual of ``A* G^(k+1) A + (1/beta_k) C* C = G^(k)``."""
-    A, C = pair.A, pair.C
+    A = pair.A
     lhs = A.conj().T @ np.asarray(G_k1, dtype=complex) @ A \
-        + w.inv_betas[k] * (C.conj().T @ C)
+        + w.inv_betas[k] * pair.CstarC
     return opnorm(lhs - np.asarray(G_k, dtype=complex))
 
 
@@ -790,15 +819,14 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
     The spectral radius is restricted to 0.999, and a weight whose
     reciprocal series is "diverging" is refused (as ``gamma_map`` does).
     """
-    rho = pair.spectral_radius
-    if rho > RHO_MAX:
+    if pair.spectral_radius > RHO_MAX:
         raise SpectralRadiusError(
-            f"rho(A) = {rho:.4f} > {RHO_MAX}: classification needs a "
-            "series-summable gramian")
+            f"rho(A) = {pair.spectral_radius:.4f} > {RHO_MAX}: classification "
+            "needs a series-summable gramian")
     _check_summable(w)
     sums = _hereditary_sums(w, pair.A, np.eye(pair.n), range(1, k_max + 1),
-                            tol * 0.1, "classify", _pair_route(w, pair),
-                            gamma=True, rho=rho)
+                            tol * 0.1, "classify", _route(w, pair),
+                            gamma=True)
     return _classification(w, pair, sums,
                             gramian_table(w, pair, 0, tol=tol * 0.1), tol)
 
@@ -832,7 +860,7 @@ def _classification(w: WeightSequence, pair: OutputPair, sums,
     certified = betan_min is not None and contraction and betan_min >= -tol
     hypercontraction = hyper_truncated or certified
 
-    pair_defect = gamma_I - pair.C.conj().T @ pair.C
+    pair_defect = gamma_I - pair.CstarC
     pair_min = float(_psd_defects(pair_defect))
     contractive_pair = hypercontraction and pair_min >= -tol
     isom_res = opnorm(pair_defect)
@@ -890,7 +918,7 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     rho = spectral_radius(A)
     spec = _route(w, A)
     sums = _hereditary_sums(w, A, H, range(1, k_max + 2), tol * 0.1,
-                            "delta_limit", spec, gamma=True, rho=rho)
+                            "delta_limit", spec, gamma=True)
     gamma_H = sums[0]
     bad = np.flatnonzero(~(_psd_defects(sums[1:]) >= -tol))  # NaN fails
     if bad.size:

@@ -17,8 +17,9 @@ and a scalar pair is the 1-by-1 grid.  Every point must lie in the open
 unit disk; a point with ``|z| >= 1`` or a NaN or infinite part raises
 InvalidParameterError.  The resolvents ``R_k(zA)`` of a point array are
 one ``resolvents`` call (closed form for hardy and integer alpha, from one
-batched inverse; otherwise one table of powers of ``A`` cut at the grid's
-largest radius), and each shift's range kernel is one matrix product over
+batched inverse; the spectral route for non-integer alpha within its gate;
+otherwise one table of powers of ``A`` cut at the grid's largest radius),
+and each shift's range kernel is one matrix product over
 the whole grid.  With ``zeta is z`` every kernel grid is Hermitian off its
 diagonal bit for bit: ``K[j, i]`` is the conjugate transpose of
 ``K[i, j]`` for ``i != j``, signed zeros included.

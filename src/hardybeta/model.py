@@ -138,7 +138,7 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
     def stack(depth):
         return _hereditary_sums(w, A, I, range(1, depth + 1),
                                 min(tol, 0.1 * ctol), "characteristic_family",
-                                spec, gamma=True, rho=rho)
+                                spec, gamma=True)
     sums = stack(k_stab)
     while k_stab < cap and _stability_residual(A, sums) > ctol:
         k_stab = min(2 * k_stab, cap)
@@ -456,7 +456,7 @@ def functional_model_colligation(fam: ColligationFamily, k: int, J: int,
     st = fam.step(k)
     A, C = pair.A, pair.C
     Gk, Gk1 = fam.gramians[k], fam.gramians[k + 1]
-    c1 = opnorm(A.conj().T @ Gk1 @ A + w.inv_betas[k] * (C.conj().T @ C) - Gk)
+    c1 = opnorm(A.conj().T @ Gk1 @ A + w.inv_betas[k] * pair.CstarC - Gk)
     c2 = opnorm(A.conj().T @ Gk1 @ st.B + w.inv_betas[k] * (C.conj().T @ st.D))
     c3 = opnorm(st.B.conj().T @ Gk1 @ st.B
                 + w.inv_betas[k] * (st.D.conj().T @ st.D) - np.eye(st.u))

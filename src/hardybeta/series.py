@@ -1,5 +1,10 @@
 """Truncation and tail bounds of the package's weighted power series.
 
+This is the fallback engine of ``hereditary.py``: custom weights, and
+``beta_alpha`` with non-integer ``alpha`` when ``A`` fails the spectral
+route's gate or its node count passes the ladder (``spectral.py``).  Hardy
+and integer alpha are closed form and never reach it.
+
 Every series summed here is ``sum_j row_i[j] T_j``: scalar coefficient rows
 (reciprocal weights, reciprocal-series or quotient-series coefficients)
 against matrix terms ``T_{j+1} = L T_j R``, the powers ``(zA)^j`` of the
@@ -26,11 +31,10 @@ past ``T_0`` needs a singular ``A``, and comes by ``T_n`` (the ranges of
 a row's tail is geometric in the step bound the weight gives for it
 (``RowTails``); nothing is extrapolated here.
 
-Terms are made in doubling blocks: with ``s`` terms stored the next ``s``
-are ``L^s T_i R^s``, one product over the stacked block, with ``L^s`` and
-``R^s`` the squares the certificate forms.  Past the first ``m`` terms only
-the blocks up to ``J`` are made, with no norms.  Callers sum the returned
-terms in their own order.
+Terms are made one product at a time, ``T_{j+1} = (L T_j) R``; the
+squares serve the certificate only.  Past the first ``m`` terms only those
+up to ``J`` are made, with no norms.  Callers sum the returned terms in
+their own order.
 """
 
 from __future__ import annotations
@@ -141,17 +145,12 @@ def _fro(M: np.ndarray) -> float:
     return math.sqrt(np.vdot(M, M).real)
 
 
-def _extend(terms: np.ndarray, s: int, k: int, L, R):
-    """Make ``T_s..T_{s+k-1} = L T_i R``, ``i < k``, in place, as 2-d
-    products, with ``L = L^s`` (None for no left factor) and ``R = R^s``;
-    return the squares of ``L`` and ``R``."""
-    n = terms.shape[1]
-    Y = terms[s:s + k]
-    np.matmul(terms[:k].reshape(k * n, n), R, out=Y.reshape(k * n, n))
-    if L is not None:
-        Y[...] = (L @ Y.transpose(1, 0, 2).reshape(n, k * n)).reshape(
-            n, k, n).transpose(1, 0, 2)
-    return (None if L is None else L @ L), R @ R
+def _extend(terms: np.ndarray, s: int, e: int, L, R):
+    """Make ``T_s..T_{e-1}`` in place, ``T_{j+1} = (L T_j) R`` one product
+    at a time (no left factor when ``L`` is None)."""
+    for j in range(s, e):
+        T = terms[j - 1]
+        terms[j] = (T if L is None else L @ T) @ R
 
 
 def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
@@ -192,7 +191,8 @@ def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
             raise ConvergenceError(f"{context}: decay rate q = {q:.6g} is "
                                    f"not certified by ||A^{m}|| within "
                                    f"{cap + 1} stored terms")
-        L, R = _extend(terms, m, m, L, R)
+        _extend(terms, m, 2 * m, left, right)
+        L, R = (None if L is None else L @ L), R @ R
         m *= 2
     # T_{j+1} = L T_j R, so past a term whose entries are all 0 every term is
     live = terms[:m].reshape(m, -1).any(axis=1)
@@ -204,8 +204,5 @@ def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
     if span < m and span <= cap:
         return SeriesRecord(terms[:span + 1], span, K, [0.0] * len(rows))
     J = tails.cut(K, tol, context)
-    while m <= J:  # the terms past the span, in doubling blocks up to J
-        k = min(m, J + 1 - m)
-        L, R = _extend(terms, m, k, L, R)
-        m += k
+    _extend(terms, m, J + 1, left, right)  # the terms past the span
     return SeriesRecord(terms[:J + 1], J, K, list(K * tails.tails[:, J]))

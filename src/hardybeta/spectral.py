@@ -8,7 +8,9 @@ With ``L: X -> A* X A`` and ``A = V diag(d) V^-1``, every scalar function
 
 so a gramian ``G^(k) = R_k(L)[C*C]`` or a hereditary map
 ``Gamma^(k) = (R_k / R)(L)`` needs ``f`` at the ``n^2`` eigenvalue products
-only, however deep the weight.  ``hereditary.py`` takes this route for
+only, however deep the weight, and a resolvent
+``R_k(zA) = V diag(R_k(z d)) V^-1`` needs ``R_k`` at the ``n`` points
+``z d_i``.  ``hereditary.py`` takes this route for
 ``beta_alpha`` with non-integer ``alpha = m + s`` (``0 < s < 1``), where
 ``1/R = (1 - x)^alpha`` on the principal branch, ``R_0 = (1 - x)^-alpha``
 and every other ``R_k`` is Euler's Beta integral
@@ -249,7 +251,7 @@ def shifted(w, ks, x):
     if not live.size:
         return np.repeat(((1.0 - x) ** -w.alpha)[None], len(ks), axis=0), 0
     kmax = int(live.max())
-    N = node_count(w.alpha, float(np.abs(x).max()), kmax)
+    N = node_count(w.alpha, float(np.abs(x).max(initial=0.0)), kmax)
     if N is None:
         return None
     t, wts = _rule(w, N)

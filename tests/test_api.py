@@ -146,3 +146,47 @@ def test_one_hermitian_eigen_solve():
     assert sorted({f.rsplit(":", 1)[0] for f in found}) == [
         "hereditary.eigh", "spectral._gauss_jacobi"], found
     assert len(found) == 3, found
+
+
+def series_uses(source: str):
+    """``function:line`` of every use of a name from the series engine in
+    ``source``: an attribute of a module named ``series``, however it is
+    reached, or a name imported from one."""
+    for owner, node in _owned_nodes(source):
+        attr = isinstance(node, ast.Attribute) \
+            and ast.unparse(node.value).split(".")[-1] == "series"
+        imported = isinstance(node, ast.ImportFrom) \
+            and (node.module or "").split(".")[-1] == "series"
+        if attr or imported:
+            yield f"{owner}:{node.lineno}"
+
+
+def test_series_check_sees_every_spelling():
+    source = (
+        "from . import series\n"
+        "q = series.decay_rate(0.5)\n"
+        "def f(X):\n"
+        "    from .series import adaptive_sum\n"
+        "    return adaptive_sum(X)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return hardybeta.series.RowTails\n"
+        "def h(series_rows):\n"
+        "    return series_rows.cut, spectral.shifted(w, ks, x)\n")
+    assert sorted(series_uses(source), key=lambda f: int(f.split(":")[1])) \
+        == ["<module>:2", "f:4", "g:8"]
+
+
+#: the fallback sites: custom weights, and non-integer alpha past the
+#: spectral route's gate or its node ladder
+SERIES_SITES = {"hereditary._series_sums", "hereditary._stein_sums",
+                "hereditary._hereditary_sums", "hereditary._resolvent_table",
+                "hereditary.resolvent_scalar"}
+
+
+def test_series_only_in_the_fallback_sites():
+    # a change that sends new traffic to the series engine adds a site here
+    found = [f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
+             if path.stem != "series"
+             for where in series_uses(path.read_text())]
+    assert {f.rsplit(":", 1)[0] for f in found} == SERIES_SITES, found

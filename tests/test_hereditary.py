@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hardybeta as hb
+from hardybeta import colligation
 from hardybeta import hereditary as her
 from hardybeta import series
 from conftest import cmat, hypercontraction_T, series_copy, stable_pair
@@ -852,20 +853,24 @@ class TestNonFiniteVerdicts:
             hb.delta_limit(w_beta2, self.A, np.eye(2))
 
 
+@pytest.fixture
+def no_series(monkeypatch):
+    """The series engine replaced by functions that raise."""
+    def engine(*args, **kwargs):
+        raise AssertionError("the series engine was entered")
+
+    monkeypatch.setattr(series, "adaptive_sum", engine)
+    monkeypatch.setattr(series, "RowTails", engine)
+
+
 class TestOneRoute:
     """Hardy and integer alpha take their closed forms for every input the
     code answers: no call reaches the series engine, and a table too short
     for the finite hereditary rows is refused by name."""
 
     @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2", "w_beta3"])
-    def test_no_call_enters_the_series(self, request, weight, monkeypatch):
+    def test_no_call_enters_the_series(self, request, weight, no_series):
         w = request.getfixturevalue(weight)
-
-        def engine(*args, **kwargs):
-            raise AssertionError("the series engine was entered")
-
-        monkeypatch.setattr(series, "adaptive_sum", engine)
-        monkeypatch.setattr(series, "RowTails", engine)
         rng = np.random.default_rng(22)
         A = cmat(rng, 3, 3)
         A *= 0.8 / np.linalg.norm(A, 2)
@@ -884,6 +889,35 @@ class TestOneRoute:
         hb.kernel_invariant(w, pair, zs, zs)
         hb.kernel_shifted(w, 3, pair, tab, zs, zs)
         hb.kernel_gap(w, 3, pair, tab, zs, zs)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    def test_spectral_route_enters_no_series(self, alpha, no_series):
+        # non-integer alpha on an operator that passes the spectral route's
+        # gate: gramians, maps, resolvents, scalars, every kernel kind and
+        # the transfer family all take the route
+        w = hb.make_weight_beta_alpha(alpha, 256)
+        rng = np.random.default_rng(23)
+        A = cmat(rng, 3, 3)
+        A *= 0.8 / np.linalg.norm(A, 2)
+        pair = hb.OutputPair(A=A, C=cmat(rng, 2, 3))
+        assert pair.diagonalization is not None
+        I, zs = np.eye(3), np.array([0.0, 0.5, -0.3j, 0.9 * np.exp(2j)])
+        tab = hb.gramian_table(w, pair, 11)
+        hb.gamma_map(w, A, I)
+        hb.gamma_k_map(w, [1, 4], A, I)
+        hb.classify(w, pair)
+        hb.delta_limit(w, A, tab[0])
+        hb.resolvents(w, [0, 3], A, zs)
+        hb.resolvent_apply(w, 2, A, 0.7j)
+        hb.resolvent_scalar(w, 2, zs)
+        hb.resolvent_scalar(w, 0, 0.5)
+        assert hb.resolvent_scalar(w, 2, []).shape == (0,)
+        hb.space_kernel(w, zs, zs)
+        hb.kernel_coinvariant(w, pair, zs, zs)
+        hb.kernel_invariant(w, pair, zs, zs)
+        hb.kernel_shifted(w, 3, pair, tab, zs, zs)
+        hb.kernel_gap(w, 3, pair, tab, zs, zs)
+        hb.transfer_eval(hb.build_family(w, pair, 4), [0, 2, 4], zs)
 
     @pytest.mark.parametrize("weight,A", [
         ("w_hardy", np.diag([1.0, 0.5])),
@@ -983,6 +1017,38 @@ class TestRefusals:
         with pytest.raises(hb.InvalidParameterError,
                            match="C has 3 columns, expected 2"):
             hb.OutputPair(A=np.eye(2), C=np.ones((1, 3)))
+
+    @pytest.mark.parametrize("call,match", [
+        (lambda w: hb.gramian_table(w, hb.OutputPair(
+            A=np.zeros((0, 0)), C=np.zeros((2, 0))), 2),
+         "the state space must have n >= 1"),
+        (lambda w: hb.build_family(w, hb.OutputPair(
+            A=np.zeros((0, 0)), C=np.zeros((2, 0))), 2),
+         "the state space must have n >= 1"),
+        (lambda w: her.hermitian_inverse(np.zeros((0, 0))),
+         "hermitian_inverse needs a non-empty matrix"),
+        (lambda w: colligation._psd_factor(np.zeros((0, 0)), 1e-10),
+         "_psd_factor needs a non-empty matrix"),
+    ], ids=["gramian-table", "build-family", "hermitian-inverse",
+            "psd-factor"])
+    def test_zero_size_refused_by_name(self, w_beta2, call, match):
+        # these raised a reshape ValueError, an IndexError and an empty
+        # argmax before the refusals
+        with pytest.raises(hb.InvalidParameterError, match=f"^{match}$"):
+            call(w_beta2)
+
+    def test_overflow_refused_by_name(self, w_beta2, w_hardy):
+        # under the suite's error::RuntimeWarning filter these raised
+        # "overflow encountered in add" (hermitize) and "in matmul" (C* C)
+        with pytest.raises(hb.HereditaryDomainError,
+                           match=re.escape("X - A* X A must be finite")):
+            hb.gamma_map(w_beta2, np.array([[0.9, 0.9], [0.0, 0.0]]),
+                         1e308 * np.eye(2))
+        for C in (1e200 * np.eye(2), (1e200 + 1e200j) * np.ones((2, 2))):
+            pair = hb.OutputPair(A=0.5 * np.eye(2), C=C)
+            with pytest.raises(hb.InvalidParameterError,
+                               match=re.escape("C* C overflows")):
+                hb.classify(w_hardy, pair)
 
     def test_resolvent_shift_past_table(self, w_hardy):
         with pytest.raises(hb.TruncationError,

@@ -134,6 +134,42 @@ class TestAgainstBruteForce:
             assert np.linalg.norm(g - r) <= 1e-10 * np.linalg.norm(X)
 
 
+class TestResolventGrid:
+    """A resolvent grid on a non-normal draw against 40 digits: ``mpmath``'s
+    eigen-decomposition of the float ``A``, with ``R_k`` at ``z d_i``."""
+
+    def test_nonnormal_grid_against_mpmath(self):
+        # the gate's kappa(V) = 1.0e3 (2-norm condition 9.1e2),
+        # |z| = 0.95 and rho(A) = 0.9: the route errs
+        # 1.4e-11 and the series of the table as a custom weight 1.3e-11;
+        # made in doubling blocks, the series erred 5.9e-10
+        rng = np.random.default_rng(5)
+        n, alpha, ks = 6, 2.5, (0, 3)
+        U, Q = (np.linalg.qr(rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)))[0]
+                for _ in range(2))
+        V = U @ np.diag(np.logspace(0, -3, n)) @ Q
+        d = 0.9 * np.exp(2j * np.pi * rng.uniform(size=n)) \
+            * rng.uniform(0.5, 1, n)
+        d[0] = 0.9
+        A = V @ np.diag(d) @ np.linalg.inv(V)
+        zs = 0.95 * np.exp(2j * np.pi * np.arange(9) / 9)
+        with mpmath.workdps(40):
+            dm, Vm = mpmath.eig(mpmath.matrix(A.tolist()))
+            Wm = mpmath.inverse(Vm)
+            ref = np.array([[(Vm * mpmath.diag([
+                mpmath.rf(alpha, k) / mpmath.factorial(k)
+                * mpmath.hyp2f1(1, alpha + k, k + 1, mpmath.mpc(z) * di)
+                for di in dm]) * Wm).tolist() for z in zs] for k in ks],
+                dtype=complex)
+        w = hb.make_weight_beta_alpha(alpha, 2048)
+        assert spectral.diagonalize(A).kappa > 1e3
+        for weight in (w, hb.make_weight_custom(w.betas)):
+            got = hb.resolvents(weight, ks, A, zs)
+            err = her.opnorm(got - ref) / her.opnorm(ref)
+            assert err.max() <= 1e-10
+
+
 class TestFallback:
     """Input that fails the gate takes the series, bit for bit."""
 
