@@ -270,7 +270,7 @@ def _transfer_values(w: WeightSequence, ks, pair: OutputPair, B, D, z,
     ``resolvents`` table."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     ks = np.asarray(ks)
-    R = resolvents(w, ks + 1, pair.A, zs, tol)
+    R = resolvents(w, ks + 1, pair, zs, tol)
     vals = w.inv_betas[ks, None, None, None] * D[:, None] \
         + zs[None, :, None, None] * (pair.C @ R @ B[:, None])
     return vals.reshape((len(ks),) + np.shape(z) + D.shape[-2:])
@@ -323,7 +323,7 @@ def defect_kernel(family: ColligationFamily, k: int, z: complex, zeta: complex,
     G_inv = family.gramians.inverses(k, k + 1)
     defect = -_metric_defects(family, k, k, G_inv)[1][0]
 
-    Rz, Rzeta = resolvents(w, k, pair.A, [z, zeta], tol)
+    Rz, Rzeta = resolvents(w, k, pair, [z, zeta], tol)
     left = np.hstack([z * (pair.C @ Rz), w.inv_betas[k] * np.eye(p)])
     right = np.vstack([np.conj(zeta) * (Rzeta.conj().T @ pair.C.conj().T),
                        w.inv_betas[k] * np.eye(p)])

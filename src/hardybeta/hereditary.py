@@ -358,6 +358,13 @@ def _route(w: WeightSequence, A) -> spectral.Diagonalization | None:
         else spectral.diagonalize(A)
 
 
+def _radius(A, spec: spectral.Diagonalization | None) -> float:
+    """``rho(A)``, read from ``A``'s diagonalization ``spec`` when there is
+    one: an operator on the spectral route is eigen-solved once."""
+    return spectral_radius(A) if spec is None \
+        else float(np.abs(spec.d).max())
+
+
 def _contract(rows, terms) -> np.ndarray:
     """``sum_j rows[i, j] terms[j]`` over the ``len(terms)`` leading columns,
     for every row, as one stack of Hermitian parts."""
@@ -483,17 +490,14 @@ def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context, spec,
             f"{kmax + (a or 0)}, stored {w.trunc_len}")
     if a is not None:
         A = np.asarray(A, dtype=complex)
-        terms = np.empty((a + 1,) + np.shape(X), dtype=complex)
-        terms[0] = X
-        for j in range(a):
-            terms[j + 1] = A.conj().T @ terms[j] @ A
-        return _contract(hereditary_rows(w, ks, a, gamma), terms)
+        return _contract(hereditary_rows(w, ks, a, gamma),
+                         _right_powers(X, A, a + 1, A.conj().T))
     F = None if spec is None else _spectral_quotients(w, ks, gamma,
                                                       spec.upper)
     if F is not None:
         return hermitize(spec.apply(F, X))
     floors = w.c_floors(np.concatenate([[0], ks]) if gamma else ks)
-    rate = series.conjugation_rate(spectral_radius(A))
+    rate = series.conjugation_rate(_radius(A, spec))
     return _series_sums(A, X, hereditary_rows(w, ks, cap, gamma),
                         w.c_step(cap), rate, tol, context, floors)[0]
 
@@ -512,18 +516,27 @@ def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
     sum at ``r = 0`` or ``A = 0``, or the spectral route
     (``V diag(R_k(z_i d)) V^-1`` from one ``spectral.shifted`` call).  On
     the series every shift's row ``1/beta_{k+j}`` is cut at the table
-    length of the largest shift, past which the weight bounds its step."""
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    length of the largest shift, past which the weight bounds its step.
+    ``A`` is a matrix or an OutputPair, whose cached spectral radius and
+    diagonalization are read; a matrix on the spectral route takes
+    ``rho(A)`` from its diagonalization, so no operator is eigen-solved
+    twice."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     ks = np.atleast_1d(np.asarray(k, dtype=int))
     if not ks.size:
         raise InvalidParameterError("resolvents need at least one shift k")
     if ks.min() < 0:
         raise InvalidParameterError(f"shift k={ks.min()} must be >= 0")
-    n = A.shape[0]
     if not np.isfinite(zs).all():
         raise InvalidParameterError("resolvent points must be finite")
-    rho = spectral_radius(A)
+    if isinstance(A, OutputPair):
+        A, rho, spec = A.A, A.spectral_radius, _route(w, A)
+    else:
+        A = np.atleast_2d(np.asarray(A, dtype=complex))
+        # eig raises on a non-finite A; spectral_radius refuses it by name
+        spec = _route(w, A) if np.isfinite(A).all() else None
+        rho = _radius(A, spec)
+    n = A.shape[0]
     r = float(np.max(np.abs(zs))) if zs.size else 0.0
     if r * rho >= 1.0:
         raise DivergenceError(
@@ -543,7 +556,6 @@ def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
     if r == 0.0 or not A.any():
         return (w.inv_betas[ks, None, None, None] * np.eye(n, dtype=complex)
                 * np.ones((len(zs), 1, 1))).reshape(shape), None
-    spec = _route(w, A)
     values = None if spec is None else spectral.shifted(
         w, ks, np.outer(zs, spec.d).ravel())
     if values is not None:  # V diag(R_k(z_i d)) V^-1
@@ -677,14 +689,19 @@ def gramian_table(w: WeightSequence, pair: OutputPair, k_max: int,
                         trunc_order=J)
 
 
-def _right_powers(X: np.ndarray, A: np.ndarray, m: int) -> np.ndarray:
+def _right_powers(X: np.ndarray, A: np.ndarray, m: int,
+                  left: np.ndarray | None = None) -> np.ndarray:
     """``X A^j`` for ``j = 0..m-1`` as one ``(m,) + X.shape`` array, by
-    repeated right multiplication."""
-    out = np.empty((max(m, 0),) + X.shape, dtype=complex)
+    repeated right multiplication; with ``left = A*`` the conjugation
+    moments ``A^{*j} X A^j``, each ``(A* T) A`` of the one before.  Every
+    power of ``A`` in the package that is not a certificate's is made
+    here."""
+    out = np.empty((max(m, 0),) + np.shape(X), dtype=complex)
     if m > 0:
         out[0] = X
     for j in range(1, m):
-        np.matmul(out[j - 1], A, out=out[j])
+        T = out[j - 1] if left is None else left @ out[j - 1]
+        np.matmul(T, A, out=out[j])
     return out
 
 
@@ -772,13 +789,8 @@ def gamma_k_map(w: WeightSequence, k, A, X,
 def gamma_binomial(m: int, A, X) -> np.ndarray:
     """Finite binomial defect map ``sum_j (-1)^j binom(m, j) A^{*j} X A^j``."""
     A = np.asarray(A, dtype=complex)
-    M = np.asarray(X, dtype=complex)
-    out = np.zeros_like(M)
-    for j in range(m + 1):
-        out = out + ((-1) ** j * math.comb(m, j)) * M
-        if j < m:
-            M = A.conj().T @ M @ A
-    return hermitize(out)
+    return hermitize(sum((-1) ** j * math.comb(m, j) * M for j, M in
+                         enumerate(_right_powers(X, A, m + 1, A.conj().T))))
 
 
 def stein_residual(w: WeightSequence, k: int, pair: OutputPair,
@@ -788,6 +800,20 @@ def stein_residual(w: WeightSequence, k: int, pair: OutputPair,
     lhs = A.conj().T @ np.asarray(G_k1, dtype=complex) @ A \
         + w.inv_betas[k] * pair.CstarC
     return opnorm(lhs - np.asarray(G_k, dtype=complex))
+
+
+def _gramian_remainders(w: WeightSequence, table: GramianTable, CA,
+                        ks) -> np.ndarray:
+    """``||G^(k) - sum_{l<J} A^{*l} C* C A^l / beta_{k+l}|| + tail_bounds[k]``
+    for every shift of ``ks``, from the ``J`` products ``CA = C A^l``
+    (``_right_powers``): a bound on the part of ``G^(k)`` past a Taylor cut
+    at ``J`` terms."""
+    ks = np.asarray(ks)
+    moments = CA.conj().swapaxes(-1, -2) @ CA
+    cut = np.tensordot(w.inv_betas[ks[:, None] + np.arange(len(CA))],
+                       moments, axes=(1, 0))
+    return opnorm(table.entries[ks] - cut) \
+        + [table.tail_bounds[k] for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -915,8 +941,8 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     H = hermitize(np.asarray(H, dtype=complex))
     scale = max(opnorm(H), 1.0)
 
-    rho = spectral_radius(A)
     spec = _route(w, A)
+    rho = _radius(A, spec)
     sums = _hereditary_sums(w, A, H, range(1, k_max + 2), tol * 0.1,
                             "delta_limit", spec, gamma=True)
     gamma_H = sums[0]
@@ -925,13 +951,12 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
         raise HereditaryDomainError(
             f"shifted hereditary map of H not PSD at k={bad[0] + 1}")
 
-    D = [H]  # D_0 = Gamma^(0)[H] = H
-    P = np.eye(A.shape[0], dtype=complex)
-    for k in range(1, k_max + 2):
-        P = P @ A
-        D.append(hermitize(P.conj().T @ sums[k] @ P))
+    # D_0 = Gamma^(0)[H] = H
+    P = _right_powers(np.eye(A.shape[0]), A, k_max + 2)[1:]
+    D = np.concatenate([H[None], hermitize(
+        P.conj().swapaxes(-1, -2) @ sums[1:] @ P)])
     # one stacked call; np.min keeps a NaN, and `not >=` fails on it
-    mono = float(np.min(min_eig(np.subtract(D[:-1], D[1:])))) / scale
+    mono = float(np.min(min_eig(D[:-1] - D[1:]))) / scale
     if not mono >= -10 * tol:
         raise HereditaryDomainError(
             f"monotone decrease violated: worst decrement eigenvalue {mono:.3e}")

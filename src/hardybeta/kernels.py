@@ -43,6 +43,7 @@ from .colligation import ColligationFamily, _taylor_stack
 from .errors import InvalidParameterError, TruncationError
 from .hereditary import (
     OutputPair,
+    _gramian_remainders,
     gramian,
     hermitian_inverse,
     hermitize,
@@ -177,22 +178,33 @@ def _mirrored(K: np.ndarray, same: bool) -> np.ndarray:
 
 
 def _range_kernel(w: WeightSequence, k, pair: OutputPair, G_inv,
-                  z, zeta, tol: float) -> np.ndarray:
+                  z, zeta, tol: float):
     """``C R_k(zA) G_inv R_k(zeta A)* C*`` for a shift ``k`` or a sequence
     of shifts (``G_inv`` then the matching stack), of shape
-    ``np.shape(k) + np.shape(z) + np.shape(zeta) + (p, p)``; the resolvents
-    are one ``resolvents`` call per point array (one in all when
+    ``np.shape(k) + np.shape(z) + np.shape(zeta) + (p, p)``, and the point
+    products ``x = z conj(zeta)`` of ``_point_grid`` with two trailing axes
+    of length 1, to broadcast over the blocks; the resolvents are one
+    ``resolvents`` call on the pair per point array (one in all when
     ``zeta is z``), and each shift's grid is one product of the stacked
     ``C R_k(z_i A) G_inv`` with the stacked ``(C R_k(zeta_j A))*``."""
     zs, zetas, x = _point_grid(z, zeta)
     lead, n, p = np.shape(k), pair.n, pair.p
-    CRz = pair.C @ resolvents(w, k, pair.A, zs, tol)
+    CRz = pair.C @ resolvents(w, k, pair, zs, tol)
     CRzeta = CRz if zetas is zs \
-        else pair.C @ resolvents(w, k, pair.A, zetas, tol)
+        else pair.C @ resolvents(w, k, pair, zetas, tol)
     left = (CRz @ np.reshape(G_inv, lead + (1, n, n))).reshape(lead + (-1, n))
     right = CRzeta.reshape(lead + (-1, n)).conj().swapaxes(-1, -2)
     K = (left @ right).reshape(lead + (len(zs), p, len(zetas), p))
-    return K.swapaxes(-3, -2).reshape(lead + x.shape + (p, p))
+    return K.swapaxes(-3, -2).reshape(lead + x.shape + (p, p)), \
+        x[..., None, None]
+
+
+def _coinvariant(w, pair, z, zeta, gram_inv, tol):
+    """``_range_kernel`` at shift 0 with ``inv(G^(0))``, inverted here when
+    ``gram_inv`` is None."""
+    if gram_inv is None:
+        gram_inv = hermitian_inverse(gramian(w, 0, pair, tol))
+    return _range_kernel(w, 0, pair, gram_inv, z, zeta, tol)
 
 
 def kernel_coinvariant(w: WeightSequence, pair: OutputPair, z, zeta,
@@ -200,9 +212,7 @@ def kernel_coinvariant(w: WeightSequence, pair: OutputPair, z, zeta,
                        tol: float = 1e-12) -> np.ndarray:
     """Kernel ``C R(zA) inv(G) R(zeta A)* C*`` of the coinvariant subspace
     spanned by the observability range of an exactly observable pair."""
-    if gram_inv is None:
-        gram_inv = hermitian_inverse(gramian(w, 0, pair, tol))
-    return _mirrored(_range_kernel(w, 0, pair, gram_inv, z, zeta, tol),
+    return _mirrored(_coinvariant(w, pair, z, zeta, gram_inv, tol)[0],
                      zeta is z)
 
 
@@ -211,9 +221,9 @@ def kernel_invariant(w: WeightSequence, pair: OutputPair, z, zeta,
                      tol: float = 1e-12) -> np.ndarray:
     """Kernel of the complementary shift-invariant subspace:
     ``R(z conj(zeta)) I - C R(zA) inv(G) R(zeta A)* C*``."""
-    K = kernel_coinvariant(w, pair, z, zeta, gram_inv, tol)
-    scal = space_kernel(w, z, zeta, tol)
-    return _mirrored(scal[..., None, None] * np.eye(pair.p) - K, zeta is z)
+    K, x = _coinvariant(w, pair, z, zeta, gram_inv, tol)
+    return _mirrored(resolvent_scalar(w, 0, x, tol) * np.eye(pair.p) - K,
+                     zeta is z)
 
 
 def kernel_shifted(w: WeightSequence, k: int, pair: OutputPair,
@@ -221,9 +231,8 @@ def kernel_shifted(w: WeightSequence, k: int, pair: OutputPair,
                    rank_tol: float = 1e-10) -> np.ndarray:
     """Kernel of the k-th shift image of the invariant subspace; ``G^(k)``
     is inverted under ``rank_tol`` (``hermitian_inverse``)."""
-    K = _range_kernel(w, k, pair, hermitian_inverse(gramians[k], rank_tol),
-                      z, zeta, tol)
-    x = _point_grid(z, zeta)[2][..., None, None]
+    K, x = _range_kernel(w, k, pair, hermitian_inverse(gramians[k], rank_tol),
+                         z, zeta, tol)
     scal = resolvent_scalar(w, k, x, tol)
     return _mirrored(x ** k * (scal * np.eye(pair.p) - K), zeta is z)
 
@@ -234,10 +243,9 @@ def kernel_gap(w: WeightSequence, k: int, pair: OutputPair, gramians,
     """Kernel of the wandering gap between shift images k and k+1; both
     range kernels come from one ``resolvents`` table, and ``G^(k)``,
     ``G^(k+1)`` are inverted under ``rank_tol``."""
-    K0, K1 = _range_kernel(w, (k, k + 1), pair,
-                           gramians.inverses(k, k + 1, rank_tol), z, zeta,
-                           tol)
-    x = _point_grid(z, zeta)[2][..., None, None]
+    (K0, K1), x = _range_kernel(w, (k, k + 1), pair,
+                                gramians.inverses(k, k + 1, rank_tol), z,
+                                zeta, tol)
     return _mirrored(x ** k * (w.inv_betas[k] * np.eye(pair.p) - K0 + x * K1),
                      zeta is z)
 
@@ -333,14 +341,9 @@ def check_inner_family(family: ColligationFamily, k_max: int, J: int,
 
     # containment: P_k for every step, and the remainder of G^(k+1) after
     # the J terms that P_k used
-    P = np.einsum("jpn,kjpu->knu", CA.conj(), taylor)
-    res = opnorm(P)
-    moments = CA[:J].conj().swapaxes(-1, -2) @ CA[:J]
-    G_cut = np.tensordot(w.inv_betas[ks[:, None] + 1 + np.arange(J)],
-                         moments, axes=(1, 0))
-    remainder = opnorm(family.gramians.stack(1, k_max + 1) - G_cut) \
-        + [family.gramians.tail_bounds[k + 1] for k in ks]
-    allow = opnorm(family.pair.A) * remainder \
+    res = opnorm(np.einsum("jpn,kjpu->knu", CA.conj(), taylor))
+    allow = opnorm(family.pair.A) \
+        * _gramian_remainders(w, family.gramians, CA[:J], ks + 1) \
         * [opnorm(family.step(k).B) for k in ks]
     per_k = [{"k": int(k), "residual": float(r), "allowance": float(a)}
              for k, r, a in zip(ks, res, allow)]
@@ -382,10 +385,9 @@ def _block_kernel(w: WeightSequence, theta_eval, grid, entry):
     N, p = vals.shape[:2]
     if np.isnan(sup):  # a non-finite Theta: NaN fails both verdicts
         return sup, sup, N
-    x = _point_grid(pts, pts)[2]
+    x = _point_grid(pts, pts)[2][..., None, None]
     P = vals[:, None] @ vals.conj().swapaxes(-1, -2)[None]
-    blocks = entry(space_kernel(w, pts, pts)[..., None, None], P,
-                   x[..., None, None])
+    blocks = entry(resolvent_scalar(w, 0, x), P, x)
     block = hermitize(blocks.swapaxes(1, 2).reshape(N * p, N * p))
     scale = max(abs(float(np.trace(block).real)) / (N * p), 1e-30)
     return sup, float(min_eig(block) / scale), N

@@ -46,6 +46,7 @@ from .hereditary import (
     OutputPair,
     _check_domain,
     _classification,
+    _gramian_remainders,
     _hereditary_sums,
     _right_powers,
     _route,
@@ -56,8 +57,9 @@ from .hereditary import (
     hermitize,
     opnorm,
     spectral_radius,
+    stein_residual,
 )
-from .kernels import _point_grid, _range_kernel, default_grid
+from .kernels import _range_kernel, default_grid
 from .weights import WeightSequence
 
 
@@ -413,8 +415,7 @@ def model_roundtrip_residual(char: CharFamily, grid=None,
     # kernel_invariant - kernel_shifted(K + 1), from one resolvents table
     G_inv = np.stack([np.eye(pair.n, dtype=complex),
                       fam.gramians.inverses(k_max + 1, k_max + 1)[0]])
-    K0, K1 = _range_kernel(w, (0, k_max + 1), pair, G_inv, zs, zs, tol)
-    x = _point_grid(zs, zs)[2][..., None, None]
+    (K0, K1), x = _range_kernel(w, (0, k_max + 1), pair, G_inv, zs, zs, tol)
     head = np.polyval(w.inv_betas[k_max::-1], x) * np.eye(pair.p) - K0 \
         + x ** (k_max + 1) * K1
     diff = head - sums.transpose(0, 2, 1, 3)
@@ -456,7 +457,7 @@ def functional_model_colligation(fam: ColligationFamily, k: int, J: int,
     st = fam.step(k)
     A, C = pair.A, pair.C
     Gk, Gk1 = fam.gramians[k], fam.gramians[k + 1]
-    c1 = opnorm(A.conj().T @ Gk1 @ A + w.inv_betas[k] * pair.CstarC - Gk)
+    c1 = stein_residual(w, k, pair, Gk, Gk1)
     c2 = opnorm(A.conj().T @ Gk1 @ st.B + w.inv_betas[k] * (C.conj().T @ st.D))
     c3 = opnorm(st.B.conj().T @ Gk1 @ st.B
                 + w.inv_betas[k] * (st.D.conj().T @ st.D) - np.eye(st.u))
@@ -465,9 +466,6 @@ def functional_model_colligation(fam: ColligationFamily, k: int, J: int,
     Astar = _right_powers(np.eye(pair.n, dtype=complex), A.conj().T, J + 1)
     ratio = w.betas[k + 1:k + J + 2] / w.betas[:J + 1]
     xB = (ratio[:, None, None] * (Astar @ C.conj().T @ taylor[1:])).sum(0)
-    CA = _right_powers(C, A, J + 1)
-    Gpart = (w.inv_betas[:J + 1, None, None]
-             * (CA.conj().swapaxes(-1, -2) @ CA)).sum(0)
     if st.u:
         sigma = _polar_unitary(st.B.conj().T @ xB)
         align = opnorm(xB - st.B @ sigma)
@@ -475,9 +473,8 @@ def functional_model_colligation(fam: ColligationFamily, k: int, J: int,
         align = 0.0
     # x_B equals (J-truncated base gramian) B_k exactly, so the cut tail is
     # bounded by the gramian truncation remainder times ||B_k||
-    gram_remainder = opnorm(fam.gramians[0] - Gpart) \
-        + fam.gramians.tail_bounds[0]
-    allowance = gram_remainder * opnorm(st.B)
+    allowance = float(_gramian_remainders(
+        w, fam.gramians, _right_powers(C, A, J + 1), [0])[0]) * opnorm(st.B)
     return FunctionalModelReport(check_state=c1, check_cross=c2,
                                  check_input=c3, input_coordinates=xB,
                                  alignment_residual=align,
