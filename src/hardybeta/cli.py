@@ -54,29 +54,41 @@ def _add_weight_args(p: argparse.ArgumentParser):
                    help="constant weight (classical Hardy space)")
     g.add_argument("--beta", type=str,
                    help="shorthand: '1'/'hardy' or a float alpha > 1")
-    p.add_argument("-n", "--trunc", type=int, default=DEFAULT_TRUNC,
-                   help="stored table length (default %(default)s)")
+    p.add_argument("-n", "--trunc", type=int, default=None,
+                   help=f"stored table length (default {DEFAULT_TRUNC}); "
+                   "not with --betas, which gives its own table")
 
 
 def _weight_from_args(args):
-    if getattr(args, "betas", None):
+    """The weight of the flags; ``--betas`` with ``-n`` is refused, since
+    the explicit table sets its own length."""
+    if args.betas and args.trunc is not None:
+        raise InvalidParameterError(
+            "--betas gives the whole table, so -n/--trunc does not apply")
+    n = DEFAULT_TRUNC if args.trunc is None else args.trunc
+    if args.betas:
         return make_weight_custom([float(x) for x in args.betas.split(",")])
-    if getattr(args, "alpha", None) is not None:
-        return make_weight_beta_alpha(args.alpha, args.trunc)
-    if getattr(args, "beta", None):
+    if args.alpha is not None:
+        return make_weight_beta_alpha(args.alpha, n)
+    if args.beta:
         token = args.beta.strip().lower()
         if token in ("1", "hardy"):
-            return make_weight_hardy(args.trunc)
-        return make_weight_beta_alpha(float(token), args.trunc)
-    return make_weight_hardy(args.trunc)
+            return make_weight_hardy(n)
+        return make_weight_beta_alpha(float(token), n)
+    return make_weight_hardy(n)
 
 
-def _config_from_args(args) -> dict:
+def _config_from_args(args, w=None) -> dict:
     """The run configuration a report embeds: the subcommand's own value
     of each key, and for a key it has no flag for, the default tolerance,
-    ``k_max`` 12 or the suite's default (``RunConfig``)."""
+    ``k_max`` 12 or the suite's default (``RunConfig``).  With the weight
+    ``w``, ``trunc`` is its own table length."""
     defaults = {"tol": _default_tol(), "k_max": 12, **vars(RunConfig())}
-    return {key: getattr(args, key, value) for key, value in defaults.items()}
+    config = {key: getattr(args, key, value)
+              for key, value in defaults.items()}
+    if w is not None:
+        config["trunc"] = w.trunc_len
+    return config
 
 
 def _emit(args, payload: dict):
@@ -105,7 +117,7 @@ def cmd_weights(args) -> int:
     w = _weight_from_args(args)
     n = min(w.trunc_len, 64) if args.head else w.trunc_len
     payload = {
-        "config": _config_from_args(args),
+        "config": _config_from_args(args, w),
         "kind": w.kind,
         "alpha": w.alpha,
         "ratio_bound": w.ratio_bound,
@@ -122,12 +134,9 @@ def cmd_analyze(args) -> int:
     pair = ser.pair_from_json(_load_json(args.operator))
     report = classify(w, pair, k_max=args.k_max, tol=args.tol)
     payload = {
-        "config": _config_from_args(args),
+        "config": _config_from_args(args, w),
         "weight": ser.weight_to_json(w),
-        "flags": report.flags,
-        "residuals": report.residuals,
-        "k_checked": report.k_checked,
-        "certified_all_k": report.certified_all_k,
+        **ser.classification_to_json(report),
     }
     _emit(args, payload)
     return 0
@@ -138,7 +147,7 @@ def cmd_colligate(args) -> int:
     pair = ser.pair_from_json(_load_json(args.operator))
     fam = build_family(w, pair, k_max=args.k_max, rank_tol=args.rank_tol)
     payload = ser.family_to_json(fam)
-    payload["config"] = _config_from_args(args)
+    payload["config"] = _config_from_args(args, w)
     _emit(args, payload)
     return 0
 
@@ -155,7 +164,7 @@ def cmd_charfn(args) -> int:
     char = mod.characteristic_family(w, T, k_max=args.k_max,
                                      rank_tol=args.rank_tol)
     payload = ser.char_family_to_json(char)
-    payload["config"] = _config_from_args(args)
+    payload["config"] = _config_from_args(args, w)
     _emit(args, payload)
     return 0
 
@@ -196,7 +205,7 @@ def cmd_kernels(args) -> int:
         fh.write(ser.kernel_grid_csv(points, values))
     if args.out_json:
         payload = {
-            "config": _config_from_args(args),
+            "config": _config_from_args(args, w),
             "kind": args.kind,
             "k": args.k,
             "points": points,
@@ -277,9 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_colligate)
 
     p = sub.add_parser("charfn", help="characteristic function family")
-    p.add_argument("--t", type=str, default=None,
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--t", type=str, default=None,
                    help="scalar operator value")
-    p.add_argument("--operator", type=str, default=None,
+    g.add_argument("--operator", type=str, default=None,
                    help="JSON file with key T")
     _add_weight_args(p)
     options(p, "rank_tol", "k_max", "out")

@@ -5,7 +5,9 @@ and an admissible weight sequence this module evaluates
 
 * the weighted resolvents ``R_k(zA) = sum_j (1/beta_{k+j}) (zA)^j``, for
   one shift ``k`` or a sequence of shifts (the steps of a colligation
-  family) on a whole point array, and the scalar ``R_k(x)``,
+  family) on a whole point array, of a matrix ``A`` or of an OutputPair,
+  whose cached spectral radius and diagonalization they reuse, and the
+  scalar ``R_k(x)``,
 * the shifted observability gramians
   ``G^(k) = sum_j (1/beta_{j+k}) A^{*j} C^* C A^j``,
 * the hereditary maps ``Gamma[X] = sum_j c_j A^{*j} X A^j`` and their shifted
@@ -43,7 +45,10 @@ table from it reports, per shift, the first-order error bound that its
 gate and node count promise (``spectral.stein_bounds``; 0 only for
 ``C = 0``), with truncation order -1; a resolvent grid reports no record.
 ``classify``, ``delta_limit`` and the characteristic family share one
-diagonalization between the hereditary stack and the gramian table.  The
+diagonalization between the hereditary stack and the gramian table, and a
+resolvent grid of a pair reads the pair's cached one (made once, by the
+pair's gramian table or by the grid); on a bare matrix it takes ``rho(A)``
+from the diagonalization it makes.  The
 scalar ``R_k(x)`` needs no gate: it is the quadrature at ``x`` itself.
 A node count past the top of the quadrature's ladder (points too close to
 the unit circle) keeps the series.
@@ -65,6 +70,10 @@ largest shift and bounded past it by the weight's step; the one cut is the
 first index where every row's bound holds, so the tail is <= tol at every
 shift and point.
 A gramian table is one ``(k_max + 1, n, n)`` array, inverted as one stack.
+The powers ``X A^j`` and the conjugation moments ``A^{*j} X A^j`` of the
+finite sums and the Taylor data all come from ``_right_powers``; the
+series engine makes its own terms, and the strong-stability residual takes
+one binary power.
 ``GramianTable.tail_bounds`` (a dict by shift) is 0 on the closed forms,
 the spectral route's error bound there, and the series' tail bound (``K``
 times the row's coefficient tail past the cut) on the series.
@@ -578,7 +587,10 @@ def resolvents(w: WeightSequence, k, A, zs,
                tol: float = 1e-12) -> np.ndarray:
     """``R_k(z_i A)`` at a point or a 1-d array of points, of shape
     ``np.shape(k) + np.shape(zs) + (n, n)``: ``k`` is one shift or a
-    sequence of shifts.
+    sequence of shifts, and ``A`` a matrix or an OutputPair, whose cached
+    spectral radius and diagonalization are read (the evaluators of
+    kernels, transfer families and the model pass the pair, so they
+    eigen-solve nothing its gramian table did not).
 
     Hardy and integer alpha are closed form,
     ``R_k(zA) = sum_{r<alpha} C(k + r - 1, r) (I - zA)^(r - alpha)``, from
@@ -693,9 +705,7 @@ def _right_powers(X: np.ndarray, A: np.ndarray, m: int,
                   left: np.ndarray | None = None) -> np.ndarray:
     """``X A^j`` for ``j = 0..m-1`` as one ``(m,) + X.shape`` array, by
     repeated right multiplication; with ``left = A*`` the conjugation
-    moments ``A^{*j} X A^j``, each ``(A* T) A`` of the one before.  Every
-    power of ``A`` in the package that is not a certificate's is made
-    here."""
+    moments ``A^{*j} X A^j``, each ``(A* T) A`` of the one before."""
     out = np.empty((max(m, 0),) + np.shape(X), dtype=complex)
     if m > 0:
         out[0] = X

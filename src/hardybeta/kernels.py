@@ -16,11 +16,14 @@ point arrays, the value has shape ``np.shape(z) + np.shape(zeta) + (p, p)``
 and a scalar pair is the 1-by-1 grid.  Every point must lie in the open
 unit disk; a point with ``|z| >= 1`` or a NaN or infinite part raises
 InvalidParameterError.  The resolvents ``R_k(zA)`` of a point array are
-one ``resolvents`` call (closed form for hardy and integer alpha, from one
-batched inverse; the spectral route for non-integer alpha within its gate;
-otherwise one table of powers of ``A`` cut at the grid's largest radius),
-and each shift's range kernel is one matrix product over
-the whole grid.  With ``zeta is z`` every kernel grid is Hermitian off its
+one ``resolvents`` call on the pair (closed form for hardy and integer
+alpha, from one batched inverse; the spectral route for non-integer alpha
+within its gate; otherwise one table of powers of ``A`` cut at the grid's
+largest radius), which reads the pair's cached spectral radius and
+diagonalization, so a kernel grid makes no eigen-solve of ``A`` past the
+gramian table; each shift's range kernel is one matrix product over the
+whole grid, and the point products ``z conj(zeta)`` are formed once per
+kernel.  With ``zeta is z`` every kernel grid is Hermitian off its
 diagonal bit for bit: ``K[j, i]`` is the conjugate transpose of
 ``K[i, j]`` for ``i != j``, signed zeros included.
 

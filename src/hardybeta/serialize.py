@@ -294,12 +294,18 @@ def char_family_to_json(char) -> dict:
         "weight": weight_to_json(char.weight),
         "family": family_to_json(char.family),
         "gramian_identity_residual": char.gramian_identity_residual,
-        "classification": {
-            "flags": char.classification.flags,
-            "residuals": char.classification.residuals,
-            "k_checked": char.classification.k_checked,
-            "certified_all_k": char.classification.certified_all_k,
-        },
+        "classification": classification_to_json(char.classification),
+    }
+
+
+def classification_to_json(report) -> dict:
+    """The classification block of a report: flags, residuals, the depth
+    checked and whether the verdict holds for every shift."""
+    return {
+        "flags": report.flags,
+        "residuals": report.residuals,
+        "k_checked": report.k_checked,
+        "certified_all_k": report.certified_all_k,
     }
 
 

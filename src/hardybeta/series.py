@@ -82,7 +82,9 @@ class RowTails:
         # in place: a fresh temporary this size costs more in page faults
         np.multiply(np.abs(damped, out=damped),
                     np.power(q, np.arange(cap + 1)), out=damped)
-        sq = np.broadcast_to(np.asarray(steps, dtype=float) * q, len(damped))
+        self.steps = np.broadcast_to(np.asarray(steps, dtype=float),
+                                     len(damped))
+        sq = self.steps * q
         qcap = np.power(q, cap)
         level = np.maximum(np.abs([r[cap] for r in rows]), floors)
         last = level * qcap
@@ -90,6 +92,8 @@ class RowTails:
         beyond = np.full(len(damped), np.inf)
         beyond[ok] = last[ok] * sq[ok] / (1.0 - sq[ok])
         beyond[last == 0.0] = 0.0
+        #: the rows whose tail past the table no geometric step bounds
+        self.unbounded = beyond == np.inf
         # the stored suffix sums past J, 0 at J = cap
         self.tails = tails = np.empty((len(damped), cap + 1))
         tails[:, cap] = beyond
@@ -105,14 +109,24 @@ class RowTails:
     def check(self, K: float, J: int, tol: float, context: str):
         """Raise ConvergenceError, naming ``context``, unless
         ``K * worst[J] <= tol``, with the bound 0 at ``K = 0`` (no term).
-        An infinite bound at ``q >= 1`` names ``q``: no table length makes
-        that bound finite."""
+        An infinite bound names its cause: at ``q >= 1`` the rate, which no
+        table length makes bound a tail, and at ``q < 1`` the largest step
+        past the table whose product with ``q`` is at least 1 (a custom
+        weight keeps its last ratio there, so no longer table lowers it).
+        Only a finite bound is told to increase the weight truncation."""
         bound = K * self.worst[J] if K else 0.0
         if bound == np.inf and self.q >= 1.0:
             raise ConvergenceError(
                 f"{context}: tail bound inf > tol {tol:.3e}: the decay rate "
                 f"q = {self.q:.6g} >= 1 bounds no tail, whatever the weight "
                 "truncation")
+        if bound == np.inf and self.unbounded.any():
+            s = float(self.steps[self.unbounded].max())
+            raise ConvergenceError(
+                f"{context}: tail bound inf > tol {tol:.3e} after {J + 1} "
+                f"stored terms: a row's step bound past the table, {s:.6g}, "
+                f"times the decay rate q = {self.q:.6g} is "
+                f"{s * self.q:.6g} >= 1")
         if not bound <= tol:
             raise ConvergenceError(
                 f"{context}: tail bound {bound:.3e} > tol "

@@ -101,23 +101,31 @@ def test_one_spectral_norm():
 
 
 EIGEN_SOLVES = {"eigh", "eigvalsh"}
+#: the eigen-solves of a general (non-Hermitian) matrix
+GENERAL_SOLVES = {"eig", "eigvals"}
+
+
+def linalg_uses(source: str, names):
+    """``function:line`` of every use in ``source`` of a function of
+    ``names`` from a ``linalg`` module (``np.linalg``, ``numpy.linalg``,
+    ``scipy.linalg``): a call of it as an attribute of the module, or an
+    import of it from one."""
+    for owner, node in _owned_nodes(source):
+        call = isinstance(node, ast.Call) \
+            and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in names \
+            and ast.unparse(node.func.value).endswith("linalg")
+        imported = isinstance(node, ast.ImportFrom) \
+            and (node.module or "").endswith("linalg") \
+            and any(a.name in names for a in node.names)
+        if call or imported:
+            yield f"{owner}:{node.lineno}"
 
 
 def hermitian_eigen_solves(source: str):
     """``function:line`` of every direct Hermitian eigen-solve in
-    ``source``: a call of ``eigh`` or ``eigvalsh`` on a ``linalg`` module
-    (``np.linalg``, ``numpy.linalg``, ``scipy.linalg``), or either name
-    imported from one."""
-    for owner, node in _owned_nodes(source):
-        call = isinstance(node, ast.Call) \
-            and isinstance(node.func, ast.Attribute) \
-            and node.func.attr in EIGEN_SOLVES \
-            and ast.unparse(node.func.value).endswith("linalg")
-        imported = isinstance(node, ast.ImportFrom) \
-            and (node.module or "").endswith("linalg") \
-            and any(a.name in EIGEN_SOLVES for a in node.names)
-        if call or imported:
-            yield f"{owner}:{node.lineno}"
+    ``source``: ``eigh`` or ``eigvalsh`` (``linalg_uses``)."""
+    return linalg_uses(source, EIGEN_SOLVES)
 
 
 def test_eigen_solve_check_sees_every_spelling():
@@ -146,6 +154,33 @@ def test_one_hermitian_eigen_solve():
     assert sorted({f.rsplit(":", 1)[0] for f in found}) == [
         "hereditary.eigh", "spectral._gauss_jacobi"], found
     assert len(found) == 3, found
+
+
+def test_general_eigen_solve_check_sees_every_spelling():
+    source = (
+        "import numpy as np\n"
+        "d = np.linalg.eigvals(X)\n"
+        "def f(X):\n"
+        "    return numpy.linalg.eig(X)\n"
+        "class C:\n"
+        "    def g(self, X):\n"
+        "        from scipy.linalg import eig as e\n"
+        "        return scipy.linalg.eigvals(X)\n"
+        "def h(X):\n"
+        "    return np.linalg.eigh(X), np.linalg.eigvalsh(X), eig(X), "
+        "spectral.diagonalize(X), her.spectral_radius(X)\n")
+    assert list(linalg_uses(source, GENERAL_SOLVES)) == [
+        "<module>:2", "f:4", "g:7", "g:8"]
+
+
+def test_one_general_eigen_solve_of_each_kind():
+    # an operator's eigenvalues come from hereditary.spectral_radius, which
+    # OutputPair caches, and its eigenvectors from spectral.diagonalize,
+    # which OutputPair.diagonalization caches: every other site reads them
+    found = [f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
+             for where in linalg_uses(path.read_text(), GENERAL_SOLVES)]
+    assert sorted(f.rsplit(":", 1)[0] for f in found) == [
+        "hereditary.spectral_radius", "spectral.diagonalize"], found
 
 
 def series_uses(source: str):

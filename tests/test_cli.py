@@ -66,6 +66,20 @@ class TestWeightsCommand:
         assert (payload["kind"], payload["alpha"]) == ("beta_alpha", 2.5)
         assert len(payload["betas"]) == 17
 
+    def test_betas_with_trunc_exits_2(self, capsys):
+        # the explicit table sets its own length: -n was accepted and
+        # ignored, and the report claimed it
+        code, out, err = run(capsys, "weights", "--betas", "1,0.5,0.3,0.2",
+                             "-n", "64")
+        assert (code, out) == (2, "")
+        assert "--betas" in err and "-n/--trunc" in err
+
+    def test_custom_weight_reports_its_own_length(self, capsys):
+        code, out, _ = run(capsys, "weights", "--betas", "1,0.5,0.3,0.2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["trunc"] == 3 == len(payload["betas"]) - 1
+
     def test_unparsable_betas_exits_2(self, capsys):
         code, _, err = run(capsys, "weights", "--betas", "1,x")
         assert code == 2
@@ -151,6 +165,16 @@ class TestCharfnCommand:
             assert code == 0
             outs.append(out)
         assert outs[1] == outs[0] and outs[2] == outs[0]
+
+    def test_scalar_and_operator_exit_2(self, tmp_path, capsys):
+        # --operator was dropped silently when --t was given too
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps(ser.complex_matrix_to_json(np.eye(2) / 2)))
+        with pytest.raises(SystemExit) as exc:
+            main(["charfn", "--t", "0.5", "--operator", str(op)])
+        assert exc.value.code == 2
+        assert "--operator: not allowed with argument --t" \
+            in capsys.readouterr().err
 
     def test_no_operator_exits_2(self, capsys):
         code, _, err = run(capsys, "charfn", "--beta", "1")

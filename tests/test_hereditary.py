@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -1093,3 +1094,50 @@ class TestRefusals:
         with pytest.raises(hb.HereditaryDomainError,
                            match="X must be positive semidefinite"):
             hb.gamma_map(w_beta2, self.A2, -np.eye(2))
+
+
+class TestKnownDefects:
+    """Standing defects against a high-precision truth, each pinned as a
+    strict xfail naming the ROADMAP item that fixes it: the fixing change
+    turns the xfail into a pass and must drop the mark."""
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: a custom weight's reciprocal series is cut at its "
+        "table with a Wiener tail of 0, instead of being continued by its "
+        "last ratio"))
+    def test_custom_weight_map_past_its_table(self):
+        # Gamma[1] at a = 0.95 is 1 / R(a^2), with 1/beta_j continued past
+        # the table by the last ratio s = beta_{N-1} / beta_N; the map
+        # returns 0.00950625, the truth is 0.0095039872496...
+        betas = hb.make_weight_beta_alpha(2.0, 64).betas
+        with mpmath.workdps(40):
+            x = mpmath.mpf(0.95) ** 2
+            b = [mpmath.mpf(v) for v in betas]
+            N = len(b) - 1
+            s = b[N - 1] / b[N]
+            R = mpmath.fsum(x ** j / b[j] for j in range(N + 1)) \
+                + x ** N / b[N] * s * x / (1 - s * x)
+            ref = float(1 / R)
+        got = hb.gamma_map(hb.make_weight_custom(betas), [[0.95]], [[1.0]])
+        assert abs(got[0, 0] - ref) <= 1e-12 * ref
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 13: the Kronecker closed form of a Jordan block near "
+        "the circle is wrong by 1.2e-4 while it reports a tail of 0"))
+    def test_jordan_gramian_against_its_tail(self):
+        # G_pq = sum_j C(j, p) C(j, q) 0.99^(2j - p - q) for C = e_1^T
+        n = 6
+        A = 0.99 * np.eye(n) + np.diag(np.ones(n - 1), 1)
+        C = np.eye(1, n)
+        table = hb.gramian_table(hb.make_weight_hardy(256),
+                                 hb.OutputPair(A=A, C=C), 0)
+        ref = np.empty((n, n))
+        with mpmath.workdps(50):
+            lam = mpmath.mpf(0.99)
+            for p in range(n):
+                for q in range(p, n):
+                    ref[p, q] = ref[q, p] = mpmath.nsum(
+                        lambda j: mpmath.binomial(j, p) * mpmath.binomial(j, q)
+                        * lam ** (2 * j - p - q), [0, mpmath.inf])
+        err = np.linalg.norm(table[0] - ref)
+        assert err <= table.tail_bounds[0] + 1e-12 * np.linalg.norm(ref)

@@ -520,6 +520,27 @@ class TestArrayEvaluators:
         assert vals.shape[0] == 33
         assert calls == []
 
+    def test_no_eigen_solve_past_the_table(self, w_beta25, monkeypatch):
+        # a beta_2.5 pair's gramian table diagonalizes A once; every kernel
+        # grid on the pair and every transfer evaluation of its family
+        # reads that diagonalization and the pair's spectral radius
+        pair, fam = self.pair_and_family(w_beta25)
+        assert pair.diagonalization is not None
+        calls = []
+        for name in ("eig", "eigvals"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda A, _f=original, _n=name:
+                                calls.append(_n) or _f(A))
+        pts = hb.default_grid()
+        hb.kernel_coinvariant(w_beta25, pair, pts, pts)
+        hb.kernel_invariant(w_beta25, pair, pts, pts[:3])
+        hb.kernel_shifted(w_beta25, 1, pair, fam.gramians, pts, pts)
+        hb.kernel_gap(w_beta25, 1, pair, fam.gramians, pts, pts)
+        hb.transfer_eval(fam, [0, 1, 2], pts, 1e-13)
+        hb.defect_kernel(fam, 1, 0.3, 0.2j)
+        assert calls == []
+
     def test_scalar_kernel_within_tol(self, w_beta2):
         # the scalar series is cut once at the grid's largest |z conj(zeta)|;
         # a pointwise cut is never later, and the terms between the two cuts

@@ -166,9 +166,12 @@ class TestTooShortTable:
         # the whole message of a 16-term table, as the term-by-term engine
         # wrote it; the gamma_map bound is the closed-form c step's (the
         # trailing-ratio extrapolation it replaced gave inf here).  Every
-        # case is beta_1.5's, since hardy is closed form; its resolvent row
-        # steps by 17.5/17 past the table, and at q = 0.985 that bounds no
-        # tail.  The gramian and the resolvent are the table's as a custom
+        # case is beta_1.5's, since hardy is closed form; its resolvent row,
+        # as a custom weight, steps by its last ratio 16.5/16 past the
+        # table, and at q = 0.985 that bounds no tail, so the message names
+        # the step and q and gives no advice: a custom weight keeps that
+        # step however long its table.  The gramian and the resolvent are
+        # the table's as a custom
         # weight (the same rows and steps) and the map is the series that
         # gamma_map takes past the spectral route's gate: the route answers
         # all three inputs
@@ -183,7 +186,8 @@ class TestTooShortTable:
             (lambda: hb.resolvent_apply(series_copy(w), 0, 0.99 * np.eye(2),
                                         0.99),
              "resolvent_apply: tail bound inf > tol 1.000e-12 after 17 "
-             "stored terms; increase the weight truncation"),
+             "stored terms: a row's step bound past the table, 1.03125, "
+             "times the decay rate q = 0.98505 is 1.01583 >= 1"),
             (lambda: her._hereditary_sums(w, np.diag([0.95, 0.5]), np.eye(2),
                                           np.arange(0), 1e-10, "gamma_map",
                                           None, gamma=True),
@@ -194,6 +198,20 @@ class TestTooShortTable:
             with pytest.raises(hb.ConvergenceError) as info:
                 call()
             assert str(info.value) == text
+
+    def test_unbounded_step_names_the_step_and_rate(self):
+        # at q < 1 an infinite bound comes from a row whose step past the
+        # table times q is at least 1; a custom weight keeps its last ratio
+        # (65/64 for a beta_2 copy) there, so a longer table would not
+        # help, and the message gives no advice (ROADMAP prototype P8)
+        w = hb.make_weight_custom(hb.make_weight_beta_alpha(2.0, 64).betas)
+        pair = hb.OutputPair(A=np.diag([0.995, 0.3]), C=np.ones((1, 2)))
+        with pytest.raises(hb.ConvergenceError) as info:
+            hb.gramian_table(w, pair, 0)
+        assert str(info.value) == (
+            "gramian_table: tail bound inf > tol 1.000e-10 after 65 stored "
+            "terms: a row's step bound past the table, 1.01562, times the "
+            "decay rate q = 0.995006 is 1.01055 >= 1")
 
     def test_unbounded_tail_names_the_rate(self):
         # a resolvent's rate |z| (1 + rho)/2 is below 1 on the disk, so

@@ -170,6 +170,60 @@ class TestResolventGrid:
             assert err.max() <= 1e-10
 
 
+class TestLadderFallback:
+    """A node count past the top of the ladder (1,024 nodes) hands a call
+    that passes the gate to the series, which answers it or refuses it by
+    name."""
+
+    def test_gramian_table_answered_by_the_series(self):
+        # the deepest shift needs ceil(2002 / 2) nodes on top of R_0's, so
+        # the table is the series': 400 stored terms past shift 2000
+        w = hb.make_weight_beta_alpha(2.5, 2400)
+        rng = np.random.default_rng(3)
+        G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        A = G * (0.9 / hb.spectral_radius(G))
+        C = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        pair = hb.OutputPair(A=A, C=C)
+        assert pair.diagonalization is not None
+        assert spectral.node_count(2.5, pair.spectral_radius ** 2,
+                                   2000) is None
+        table = hb.gramian_table(w, pair, 2000)
+        assert 4 <= table.trunc_order < 400
+        assert max(table.tail_bounds.values()) <= 1e-10
+        # the direct sum of G^(2000) over 400 terms, in blocks of 64
+        ref = _brute_force(
+            A, pair.CstarC,
+            lambda j: (w.inv_betas[2000 + np.minimum(j, 400)] * (j < 400))[None],
+            448)[0]
+        err = np.linalg.norm(table[2000] - ref)
+        assert err <= table.tail_bounds[2000] + 1e-14 * np.linalg.norm(ref)
+
+    W = hb.make_weight_beta_alpha(2.5, 2048)
+    A = np.diag([0.99995, 0.3])
+
+    @pytest.mark.parametrize("call,text", [
+        (lambda w, A: hb.resolvent_scalar(w, 1, 0.9999),
+         "resolvent_scalar: tail bound inf > tol 1.000e-12 after 2048 "
+         "stored terms: a row's step bound past the table, 1.00073, times "
+         "the decay rate q = 0.9999 is 1.00063 >= 1"),
+        (lambda w, A: hb.gamma_k_map(w, 1, A, np.eye(2)),
+         "gamma_k_map: tail bound 6.963e-08 > tol 1.000e-10 after 2048 "
+         "stored terms; increase the weight truncation"),
+        (lambda w, A: hb.resolvents(w, 1, A, 0.99995),
+         "resolvent_apply: tail bound inf > tol 1.000e-12 after 2048 "
+         "stored terms: a row's step bound past the table, 1.00073, times "
+         "the decay rate q = 0.999925 is 1.00066 >= 1"),
+    ], ids=["resolvent_scalar", "gamma_k_map", "resolvents"])
+    def test_refused_by_the_series(self, call, text):
+        # A passes the gate, but its points (0.99995^2 = 0.9999 for the
+        # maps and the grid) need more nodes than the ladder holds
+        assert spectral.diagonalize(self.A) is not None
+        assert spectral.node_count(2.5, 0.9999, 1) is None
+        with pytest.raises(hb.ConvergenceError) as info:
+            call(self.W, self.A)
+        assert str(info.value) == text
+
+
 class TestFallback:
     """Input that fails the gate takes the series, bit for bit."""
 
