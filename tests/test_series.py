@@ -171,10 +171,9 @@ class TestTooShortTable:
         # table, and at q = 0.985 that bounds no tail, so the message names
         # the step and q and gives no advice: a custom weight keeps that
         # step however long its table.  The gramian and the resolvent are
-        # the table's as a custom
-        # weight (the same rows and steps) and the map is the series that
-        # gamma_map takes past the spectral route's gate: the route answers
-        # all three inputs
+        # the table's as a custom weight (the same rows and steps) and the
+        # map is the series that gamma_map takes past the spectral route's
+        # gate: the route answers all three inputs
         w = hb.make_weight_beta_alpha(1.5, 16)
         A = 0.95 * np.eye(2)
         cases = [
