@@ -30,6 +30,16 @@ closed form reports tail 0 (a resolvent no record) and raises no
 ConvergenceError, and a table too short for the finite hereditary rows is
 refused by name.
 
+The hereditary maps of a custom weight leave the series too.  Past its
+table it continues at its last ratio ``s``, so ``1/R = (1 - s z) / P`` and
+``R_k / R = P_k / P`` with ``P_k = (1 - s z) R_k`` of degree below
+``N - k`` (``weights.rational_rows``): with ``Y = P(L)^-1 X`` from one
+solve against ``P(L)``, formed by Horner on the Kronecker matrix of ``L``,
+``Gamma[X] = Y - s L Y`` and ``Gamma^(k)[X] = P_k(L) Y``, finite sums over
+the moments of ``Y``.  They use no ``tol``, have no tail and need no rate,
+for a Jordan block and at ``rho(A) = 1`` alike; a ``P(L)`` that overflows
+(``rho(A)`` far past 1) is refused by name.
+
 Non-integer alpha takes the spectral route of ``spectral.py``: with
 ``A = V diag(d) V^-1`` from one ``np.linalg.eig``,
 ``f(L)[X] = V^-* (F o (V* X V)) V^-1`` with ``F_ij = f(conj(d_i) d_j)``,
@@ -53,11 +63,12 @@ scalar ``R_k(x)`` needs no gate: it is the quadrature at ``x`` itself.
 A node count past the top of the quadrature's ladder (points too close to
 the unit circle) keeps the series.
 
-Every other sum (custom weights; non-integer alpha past the gate or the
-ladder) is cut adaptively
-by the engine in ``series.py``, with each coefficient row's step bound
-past the table taken from the weight, and raises ConvergenceError when the
-stored table is too short for ``tol`` or to certify ``q``.  The decay rate
+Every other sum (the gramians, resolvents and scalars of custom weights;
+non-integer alpha past the gate or the ladder) is cut adaptively by the
+engine in ``series.py``, with each coefficient row's step bound past the
+table taken from the weight, and raises ConvergenceError, naming the
+function called, when the stored table is too short for ``tol`` or to
+certify ``q``.  The decay rate
 ``q`` is chosen from the spectral radius, and the engine certifies it on
 powers of ``A`` before it sums: every term is at most ``K q^j`` for the
 certified transient constant ``K``, so the tail bound holds for a
@@ -113,7 +124,7 @@ from .errors import (
     SpectralRadiusError,
     TruncationError,
 )
-from .weights import WeightSequence, hereditary_rows
+from .weights import WeightSequence, hereditary_rows, rational_denominator
 
 #: gramians and classification refuse spectral radius beyond this
 RHO_MAX = 0.999
@@ -384,15 +395,14 @@ def _contract(rows, terms) -> np.ndarray:
     return hermitize(sums.reshape(-1, n, n))
 
 
-def _series_sums(A, X, rows, steps, q, tol, context, floors=0.0):
+def _series_sums(A, X, rows, steps, q, tol, context):
     """``sum_j rows[i, j] A^{*j} X A^j`` for every row of the 2-d array
-    ``rows`` (step bounds ``steps`` and ``floors`` past the table), cut once
-    for all rows by the series engine and contracted in one product.
-    Returns (sums, series record)."""
+    ``rows`` (step bounds ``steps`` past the table), cut once for all rows
+    by the series engine and contracted in one product.  Returns (sums,
+    series record)."""
     A = np.asarray(A, dtype=complex)
     rec = series.adaptive_sum(np.asarray(X, dtype=complex), A, rows, q,
-                              steps, tol, context, left=A.conj().T,
-                              floors=floors)
+                              steps, tol, context, left=A.conj().T)
     return _contract(rows, rec.terms), rec
 
 
@@ -432,6 +442,25 @@ def _closed_gramians(A, X, ks, a: int) -> np.ndarray:
         return x
     first = solve(np.asarray(X, dtype=complex).reshape(-1))
     return hermitize(_binomial_sum(ks, a, first, solve).reshape(-1, n, n))
+
+
+def _rational_solve(w: WeightSequence, A, X) -> np.ndarray:
+    """``Y = P(L)^-1 X`` for a custom weight's ``P = (1 - s z) R``
+    (``rational_denominator``): ``P(L)`` by Horner on the Kronecker matrix
+    ``kron(A^*, A^T)`` of ``L`` (the vectorization of ``_closed_gramians``)
+    and one solve.  A ``P(L)`` that overflows (``rho(A) > 1``, so ``L`` has
+    an eigenvalue past the disk, raised to the degree of ``P``) is
+    refused."""
+    K = np.kron(A.conj().T, A.T)
+    M, B = np.zeros_like(K), np.empty_like(K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in rational_denominator(w)[::-1]:
+            np.matmul(M, K, out=B)
+            B.reshape(-1)[::len(K) + 1] += c  # a view of the diagonal
+            M, B = B, M
+    if not np.isfinite(M).all():
+        raise HereditaryDomainError("P(L) overflows: rho(A) is too far past 1")
+    return np.linalg.solve(M, np.ravel(X)).reshape(np.shape(X))
 
 
 def _stein_sums(w: WeightSequence, A, X, ks, rho: float, tol, context,
@@ -476,16 +505,21 @@ def _spectral_quotients(w: WeightSequence, ks, gamma: bool, x):
 def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context, spec,
                      gamma=False) -> np.ndarray:
     """``Gamma[X]`` (when ``gamma``) followed by ``Gamma^(k)[X]`` for every
-    shift ``k >= 1`` of ``ks``, as one stack, from the ``c`` row and the
-    quotient rows ``d^(k)``, kept on the weight (``hereditary_rows``).
+    shift ``k >= 1`` of ``ks``, as one stack, from the coefficient rows
+    kept on the weight (``hereditary_rows``).
 
-    For hardy and integer alpha these rows vanish past index alpha: the
-    sums are finite, over the moments ``X, L X, .., L^alpha X``.  With a
+    For hardy and integer alpha the ``c`` and quotient rows vanish past
+    index alpha: the sums are finite, over the moments
+    ``X, L X, .., L^alpha X``.  A custom weight is exact too, with no tail:
+    ``1/R = (1 - s z) / P`` and ``R_k / R = P_k / P``, so the sums are the
+    finite rows ``1 - s z`` and ``P_k`` (degree below ``N - k``) over the
+    moments of ``Y = P(L)^-1 X`` (``_rational_solve``).  With a
     diagonalization ``spec`` (``_route``) they are the spectral route's
     ``(1 - x)^alpha`` and ``(1 - x)^alpha R_k(x)`` at the eigenvalue
-    products.  Every other case takes the series, every row cut at the
-    table length left to the largest shift.  A table that cannot hold the
-    rows past the largest shift is refused."""
+    products.  Non-integer alpha past the gate takes the series, every row
+    cut at the table length left to the largest shift.  None of them but
+    the series uses ``tol``.  A table that cannot hold the rows past the
+    largest shift is refused."""
     ks = np.asarray(ks)
     if ks.size and ks.min() < 1:
         raise InvalidParameterError(
@@ -497,18 +531,19 @@ def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context, spec,
         raise InvalidParameterError(
             f"{context}: shift k={kmax} needs the c table to index "
             f"{kmax + (a or 0)}, stored {w.trunc_len}")
-    if a is not None:
-        A = np.asarray(A, dtype=complex)
+    A = np.asarray(A, dtype=complex)
+    if w.kind == "custom":  # P_k[m] = P[k + m] for m >= 1: no row outlasts P
+        a, X = len(rational_denominator(w)), _rational_solve(w, A, X)
+    if a is not None:  # finite rows, 0 past index a
         return _contract(hereditary_rows(w, ks, a, gamma),
                          _right_powers(X, A, a + 1, A.conj().T))
     F = None if spec is None else _spectral_quotients(w, ks, gamma,
                                                       spec.upper)
     if F is not None:
         return hermitize(spec.apply(F, X))
-    floors = w.c_floors(np.concatenate([[0], ks]) if gamma else ks)
     rate = series.conjugation_rate(_radius(A, spec))
     return _series_sums(A, X, hereditary_rows(w, ks, cap, gamma),
-                        w.c_step(cap), rate, tol, context, floors)[0]
+                        w.c_step(cap), rate, tol, context)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +551,7 @@ def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context, spec,
 # ---------------------------------------------------------------------------
 
 
-def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
+def _resolvent_table(w, k, A, z, tol, context="resolvents"):
     """``R_k(z_i A)`` for a shift or a sequence of shifts and a point or a
     1-d array of points, of shape ``np.shape(k) + np.shape(z) + (n, n)``,
     together with the series record of the powers at the grid radius
@@ -529,7 +564,8 @@ def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
     ``A`` is a matrix or an OutputPair, whose cached spectral radius and
     diagonalization are read; a matrix on the spectral route takes
     ``rho(A)`` from its diagonalization, so no operator is eigen-solved
-    twice."""
+    twice.  A ConvergenceError of the series names ``context``, the
+    caller."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     ks = np.atleast_1d(np.asarray(k, dtype=int))
     if not ks.size:
@@ -576,7 +612,7 @@ def _resolvent_table(w: WeightSequence, k, A, z, tol: float):
     rec = series.adaptive_sum(np.eye(n, dtype=complex), r * A, rows,
                               series.decay_rate(rho, r),
                               [w.inv_step(k + cap) for k in ks], tol,
-                              "resolvent_apply")
+                              context)
     coef = (zs[:, None] / r) ** np.arange(rec.J + 1) \
         * rows[:, None, :rec.J + 1]
     S = np.tensordot(coef, rec.terms, axes=(2, 0))
@@ -623,7 +659,7 @@ def resolvent_apply(w: WeightSequence, k: int, A, z: complex,
     ConvergenceError when the stored coefficient table is exhausted before
     the tail bound drops below ``tol``.
     """
-    return resolvents(w, k, A, complex(z), tol)
+    return _resolvent_table(w, k, A, complex(z), tol, "resolvent_apply")[0]
 
 
 def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
@@ -769,7 +805,10 @@ def _check_summable(w: WeightSequence):
 
 
 def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
-    """Hereditary map ``Gamma[X] = sum_j c_j A^{*j} X A^j``.
+    """Hereditary map ``Gamma[X] = sum_j c_j A^{*j} X A^j``: a finite sum
+    for hardy and integer alpha, ``(1 - s L) P(L)^-1 X`` for a custom
+    weight, the spectral route or the series (with tail <= tol) for
+    non-integer alpha.
 
     Requires the domain condition ``X >= A* X A >= 0`` and a reciprocal
     coefficient table whose summability check did not come back "diverging".
@@ -781,11 +820,12 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
 
 def gamma_k_map(w: WeightSequence, k, A, X,
                 tol: float = 1e-10) -> np.ndarray:
-    """Shifted hereditary map built from the quotient-series coefficients,
-    for one shift ``k`` or a sequence of shifts ``k >= 1``: then a
-    ``(len(k), n, n)`` stack, every shift's row cut at the length left to
-    the largest and all of them summed by one series, as ``classify``
-    does."""
+    """Shifted hereditary map ``(R_k / R)(L)[X]``, built from the
+    quotient-series coefficients, for one shift ``k`` or a sequence of
+    shifts ``k >= 1``: then a ``(len(k), n, n)`` stack from one evaluation
+    on the weight's route (``_hereditary_sums``), as ``classify`` does; on
+    the series every shift's row is cut at the length left to the
+    largest."""
     if not np.size(k):
         raise InvalidParameterError("gamma_k_map needs at least one shift k")
     _check_domain(w, A, X, tol)

@@ -1,9 +1,11 @@
 """Truncation and tail bounds of the package's weighted power series.
 
-This is the fallback engine of ``hereditary.py``: custom weights, and
-``beta_alpha`` with non-integer ``alpha`` when ``A`` fails the spectral
-route's gate or its node count passes the ladder (``spectral.py``).  Hardy
-and integer alpha are closed form and never reach it.
+This is the fallback engine of ``hereditary.py``: the gramians,
+resolvents and scalars of custom weights, and ``beta_alpha`` with
+non-integer ``alpha`` when ``A`` fails the spectral route's gate or its
+node count passes the ladder (``spectral.py``).  Hardy and integer alpha
+are closed form, and the hereditary maps of a custom weight take its
+rational form; neither reaches it.
 
 Every series summed here is ``sum_j row_i[j] T_j``: scalar coefficient rows
 (reciprocal weights, reciprocal-series or quotient-series coefficients)
@@ -15,11 +17,8 @@ resolvents (``T_0 = I``, ``R = zA``, no ``L``) or the conjugations
 ``R`` are squared until ``||L^m||_F ||R^m||_F <= q^m`` for some
 ``m = 2^i`` (no ``L`` counts 1), and since ``T_{tm+s} = L^{tm} T_s R^{tm}``
 every term then obeys ``||T_j||_F <= K q^j`` with the transient constant
-``K = max_{s<m} ||T_s||_F / q^s``.  Conjugations at ``q >= 1`` take
-``m = 1``: their callers' hereditary domain ``X >= A^* X A >= 0`` makes
-the terms decrease.  Rows that are 0 from an index on stop the squaring
-once the span holds every term with a nonzero coefficient.  The cut ``J``
-is fixed once, the first ``j >= 4`` with ``K * max_i tail_i(j) <= tol``;
+``K = max_{s<m} ||T_s||_F / q^s``.  The cut ``J`` is fixed once, the
+first ``j >= 4`` with ``K * max_i tail_i(j) <= tol``;
 ConvergenceError is raised when the stored table holds none, or when
 ``m`` would pass the first power of two past the table, so the terms
 never take twice the table.  A term with every entry 0 in the span ends
@@ -28,8 +27,11 @@ is refused before any term is made, unless ``det(A) = 0``: a zero term
 past ``T_0`` needs a singular ``A``, and comes by ``T_n`` (the ranges of
 ``A^j`` settle by ``j = n``), so the span then reaches past
 ``T_min(n, cap)`` before the cut refuses the sum.  Past the stored table
-a row's tail is geometric in the step bound the weight gives for it
-(``RowTails``); nothing is extrapolated here.
+a row's tail is geometric in the step bound the weight proves for it
+(``RowTails``); nothing is extrapolated here.  At ``q >= 1`` (a
+hereditary map at ``rho(A) >= 1``) that bound is ``inf``, as the ``c`` row
+of a non-integer alpha steps by 1, and the sum is refused with the rate
+named.
 
 Terms are made one product at a time, ``T_{j+1} = (L T_j) R``; the
 squares serve the certificate only.  Past the first ``m`` terms only those
@@ -66,16 +68,14 @@ class RowTails:
     """Coefficient tails of several rows at one decay rate ``q``.
 
     ``cap`` is the last index stored in every row, and ``steps`` bounds
-    ``|row_i[j+1] / row_i[j]|`` for ``j >= cap`` from the level
-    ``max(|row_i[cap]|, floors_i)`` (each one per row, or one for all).  For
-    a cut ``J <= cap``, ``tails[i, J]`` bounds ``sum_{j > J} |row_i[j]| q^j``:
-    the stored suffix sum plus that level times ``q^cap s q / (1 - s q)``
-    (``inf`` when ``s q >= 1``).  ``K * worst[J]`` bounds every row's tail
-    at once.  Every row is 0 from index ``end`` on when each one's step or
-    level is 0 (``end`` is ``inf`` otherwise).
+    ``|row_i[j+1] / row_i[j]|`` for ``j >= cap`` (one per row, or one for
+    all).  For a cut ``J <= cap``, ``tails[i, J]`` bounds
+    ``sum_{j > J} |row_i[j]| q^j``: the stored suffix sum plus
+    ``|row_i[cap]| q^cap s q / (1 - s q)`` (``inf`` when ``s q >= 1``).
+    ``K * worst[J]`` bounds every row's tail at once.
     """
 
-    def __init__(self, rows, q: float, steps, floors=0.0):
+    def __init__(self, rows, q: float, steps):
         self.cap = cap = min(len(r) for r in rows) - 1
         self.q = q
         damped = np.array([r[:cap + 1] for r in rows], dtype=float)
@@ -86,8 +86,7 @@ class RowTails:
                                      len(damped))
         sq = self.steps * q
         qcap = np.power(q, cap)
-        level = np.maximum(np.abs([r[cap] for r in rows]), floors)
-        last = level * qcap
+        last = np.abs([r[cap] for r in rows]) * qcap
         ok = sq < 1.0
         beyond = np.full(len(damped), np.inf)
         beyond[ok] = last[ok] * sq[ok] / (1.0 - sq[ok])
@@ -101,10 +100,6 @@ class RowTails:
             np.cumsum(damped[:, :0:-1], axis=1, out=tails[:, cap - 1::-1])
             tails[:, :cap] += beyond[:, None]
         self.worst = tails.max(axis=0)
-        self.end = math.inf
-        if ((sq == 0.0) | (level == 0.0)).all():
-            live = np.flatnonzero(np.any([r[:cap + 1] for r in rows], axis=0))
-            self.end = int(live[-1]) + 1 if live.size else 0
 
     def check(self, K: float, J: int, tol: float, context: str):
         """Raise ConvergenceError, naming ``context``, unless
@@ -169,12 +164,11 @@ def _extend(terms: np.ndarray, s: int, e: int, L, R):
 
 def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
                  steps, tol: float, context: str,
-                 left: np.ndarray | None = None,
-                 floors=0.0) -> SeriesRecord:
+                 left: np.ndarray | None = None) -> SeriesRecord:
     """Generate ``T_0 = first``, ``T_{j+1} = left @ T_j @ right`` (no left
     factor when ``left`` is None) up to the first cut where every row's
-    tail bound is at most ``tol``; ``steps`` and ``floors`` describe the
-    rows past the table (RowTails).
+    tail bound is at most ``tol``; ``steps`` bound the rows past the table
+    (RowTails).
 
     The matrices must be complex.  The decay rate ``q`` is certified on
     the squares of ``left`` and ``right`` before the cut is chosen (see the
@@ -182,7 +176,7 @@ def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
     no span up to the first power of two past the table certifies ``q``
     or the shortest row runs out before the bound holds.
     """
-    tails = RowTails(rows, q, steps, floors)
+    tails = RowTails(rows, q, steps)
     cap, n = tails.cap, first.shape[0]
     size = 1 << cap.bit_length()  # the first power of two past the table
     try:
@@ -197,10 +191,7 @@ def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
     terms = np.empty((size, n, n), dtype=complex)
     terms[0] = first
     L, R, m = left, right, 1  # T_0..T_{m-1} are made; L^m and R^m
-    # a conjugation at rate 1 is taken on X >= A* X A >= 0: no term grows
-    rate_one = left is not None and q >= 1.0
-    while m < tails.end and (m <= zero or not rate_one and _fro(R) * (
-            1.0 if L is None else _fro(L)) > q ** m):
+    while m <= zero or _fro(R) * (1.0 if L is None else _fro(L)) > q ** m:
         if m == size:
             raise ConvergenceError(f"{context}: decay rate q = {q:.6g} is "
                                    f"not certified by ||A^{m}|| within "

@@ -15,9 +15,15 @@ truncation length (default 256):
   ``d^(k)_j = -sum_{l=1..k} c_{j+l} / beta_{k-l}`` used by the hereditary
   calculus.
 
-Each weight knows its tails: step bounds on ``|row[j+1] / row[j]|`` past a
-cut (``inv_step``, ``c_step``) and the Wiener report of ``c``, all proved
-except the ``c`` step and floor of a custom weight, the one estimate left.
+A custom weight continues past its table ``beta_0 .. beta_N`` at its last
+ratio ``s = beta_{N-1} / beta_N`` (``make_weight_custom``), so
+``1/R = (1 - s z) / P(z)`` exactly, with ``P = (1 - s z) R`` a polynomial
+of degree below ``N``, and every shifted ``R_k`` is ``P_k / (1 - s z)``
+with ``P_k = (1 - s z) R_k`` of degree below ``N - k`` (``rational_rows``):
+its hereditary maps need no tail.  Each weight knows the tails of the
+series that remain: step bounds on ``|row[j+1] / row[j]|`` past a cut
+(``inv_step``; ``c_step`` for hardy and ``beta_alpha``) and the Wiener
+report of ``c``, with the rule of its verdict.  None of them is estimated.
 
 Instances are immutable after construction and safe for concurrent reads;
 the stacked rows of the hereditary maps (``hereditary_rows``) and the
@@ -49,11 +55,13 @@ _ONE_TOL = 1e-12
 @dataclass
 class WienerReport:
     """Summability of the reciprocal coefficients: ``sum_{j<=n} |c_j|``, the
-    tail ``sum_{j>n} |c_j|`` and the verdict."""
+    tail ``sum_{j>n} |c_j|`` (None where it is not known exactly), the
+    verdict and the rule it came from."""
 
     partial_sum: float
-    tail_estimate: float
+    tail_estimate: float | None
     verdict: str  # "summable" | "diverging"
+    rule: str  # closed form, polynomial 1/R or Schur-Cohn on P of degree d
 
 
 @dataclass
@@ -91,8 +99,9 @@ class WeightSequence:
         self.inv_betas = 1.0 / self.betas
         r = self.betas[:-1] / self.betas[1:] if self.trunc_len else np.ones(1)
         self.inv_steps = np.maximum.accumulate(r[::-1])[::-1]
-        self._c_step, self.c_floor = (_trailing_step(self.c_coeffs)
-                                      if self.kind == "custom" else (None, 0.0))
+        #: ``s = beta_{N-1} / beta_N``, at which a custom weight continues
+        #: past its table (1 for a one-entry table)
+        self.last_ratio = float(r[-1])
         self.wiener = wiener_report(self, self.trunc_len)
 
     @property
@@ -108,25 +117,13 @@ class WeightSequence:
 
     def c_step(self, m: int) -> float:
         """A bound on ``|row[j+1] / row[j]|`` for every ``j >= m`` of the
-        ``c`` row and the quotient rows.  Closed-form kinds (hardy:
-        ``alpha = 1``): 1 once ``m >= floor(alpha)``, since
+        ``c`` row and the quotient rows of hardy (``alpha = 1``) and
+        ``beta_alpha``: 1 once ``m >= floor(alpha)``, since
         ``|c_{j+1}/c_j| = |j - alpha|/(j + 1) <= 1`` there and the
-        ``c_{j+l}`` in each ``d^(k)_j`` share one sign; ``inf`` before.
-        Custom weights: the estimate of ``_trailing_step``, from the level
-        ``max(|row[m]|, c_floors)``."""
-        if self._c_step is not None:
-            return self._c_step
+        ``c_{j+l}`` in each ``d^(k)_j`` share one sign; ``inf`` before.  The
+        maps of a custom weight take its rational form (``rational_rows``)
+        and need no step."""
         return 1.0 if m >= math.floor(self.alpha or 1.0) else math.inf
-
-    def c_floors(self, ks) -> np.ndarray:
-        """The level at which the quotient rows ``d^(k)`` (``k = 0``: the
-        ``c`` row) may persist past the table: ``c_floor``, nonzero only for
-        a custom ``c`` ending at its noise floor, times
-        ``sum_{i<k} 1/beta_i`` (1 for ``k = 0``), as
-        ``|d^(k)_j| <= sum_{l=1..k} |c_{j+l}| / beta_{k-l}``."""
-        ks = np.asarray(ks)
-        sums = np.cumsum(self.inv_betas)[np.maximum(ks - 1, 0)]
-        return self.c_floor * np.where(ks > 0, sums, 1.0)
 
     def __repr__(self):
         tag = f", alpha={self.alpha}" if self.alpha is not None else ""
@@ -160,36 +157,6 @@ def _reciprocal_series(inv_betas: np.ndarray) -> np.ndarray:
             val = 0.0
         c[m] = val
     return c
-
-
-def _trailing_step(c: np.ndarray, window: int = 16) -> tuple:
-    """The one tail estimate left, not a bound: the step and floor of a
-    custom weight's ``c`` past its table ``c_0 .. c_N``, read from its last
-    ``window + 1`` entries past ``c_0`` (``|c_1 / c_0| = 1/beta_1`` is no
-    step of the tail).
-
-    Past the table the weight continues at its last ratio, so ``1/R`` is
-    ``(1 - rz) / Q(z)`` with ``Q`` of degree ``N - 1`` and the ``c_j``,
-    ``j >= 2``, obey a recurrence of that order: ``N - 1`` trailing zeros
-    end the table, and so do ``window`` of them in a longer one (step 0).
-    Entries at the recursion's noise floor (at most 1e-9 of the largest)
-    persist at ten times their level, damped only by ``q`` (step 1, that
-    floor).  Otherwise the step is the largest per-step ratio of the
-    nonzero entries; fewer than two give ``inf``.  A one-entry table is
-    the Hardy weight, ``1/R = 1 - z``: step 1, then 0."""
-    n = len(c) - 1
-    if not n:
-        return 1.0, 0.0
-    mags = np.abs(c[max(n - window, 1):])
-    if not mags[1:].any():
-        return 0.0, 0.0
-    if mags.max() <= 1e-9 * np.abs(c).max():
-        return 1.0, 10.0 * float(mags.max())
-    nz = np.flatnonzero(mags)
-    if len(nz) < 2:
-        return math.inf, 0.0
-    ratios = (mags[nz[1:]] / mags[nz[:-1]]) ** (1.0 / np.diff(nz))
-    return float(ratios.max()), 0.0
 
 
 def make_weight_hardy(n: int = DEFAULT_TRUNC) -> WeightSequence:
@@ -259,19 +226,36 @@ def reciprocal_coeffs(w: WeightSequence, n: int) -> np.ndarray:
     return w.c_coeffs[:n + 1].copy()
 
 
+def _schur_cohn(p) -> bool:
+    """Whether the real polynomial ``sum_m p_m z^m`` (``p_0 != 0``) has no
+    zero in the closed unit disk: the Schur–Cohn test on the reversed
+    polynomial ``f``, whose zeros are then all in the open disk.  With ``f``
+    made monic, that holds iff ``|k| < 1`` for ``k = f_0`` and it holds for
+    ``(f - k f_rev) / z`` (Rouché on the circle, where
+    ``|f_rev| = |f|``); ``O(d^2)`` for degree ``d``, and NaN fails it."""
+    f = np.asarray(p, dtype=float)[::-1]
+    while len(f) > 1:
+        f = f / f[-1]
+        if not abs(f[0]) < 1.0:
+            return False
+        f = (f - f[0] * f[::-1])[1:]
+    return True
+
+
 def wiener_report(w: WeightSequence, n: int) -> WienerReport:
     """Summability of the reciprocal coefficients: the partial sum
-    ``sum_{j<=n} |c_j|``, the tail ``sum_{j>n} |c_j|`` and a verdict.
+    ``sum_{j<=n} |c_j|``, the tail ``sum_{j>n} |c_j|``, a verdict and its
+    rule.
 
-    Exact for the closed-form kinds, always summable: past
+    Closed form for hardy and ``beta_alpha``, always summable: past
     ``m = max(n, floor(alpha))`` the ``c_j`` share one sign and all of them
     sum to ``(1 - 1)^alpha = 0``, so the tail is ``sum_{n<j<=m} |c_j|`` plus
     ``|sum_{j<=m} c_j| = |C(alpha - 1, m)| = |c_m| |alpha - m| / alpha``
-    (0 for integer alpha), taken without cancellation.  A custom weight
-    continues from ``c_N`` at its estimated step ``s``, "diverging" when
-    ``s >= 1``, except that a table ending at its noise floor is summable
-    to that resolution, with the floor as its tail past the table, and
-    that a one-entry table is the Hardy weight, whose tail is ``|c_1| = 1``.
+    (0 for integer alpha), taken without cancellation.  A custom weight has
+    ``1/R = (1 - s z) / P(z)`` (``rational_rows``), Wiener-summable iff
+    ``P`` has no zero in the closed disk, which the Schur–Cohn test decides;
+    its tail is exact, and given, only where ``P`` is constant (``P(0) = 1``)
+    and ``1/R = 1 - s z`` a polynomial, and None otherwise.
     """
     if n < 0 or n > w.trunc_len:
         raise TruncationError(
@@ -279,21 +263,19 @@ def wiener_report(w: WeightSequence, n: int) -> WienerReport:
     mags = np.abs(w.c_coeffs)
     partial = float(mags[:n + 1].sum())
     if w.kind == "custom":
-        if not w.trunc_len:
-            return WienerReport(partial, 1.0, "summable")
-        s, stored = w.c_step(n), float(mags[n + 1:].sum())
-        if w.c_floor:
-            return WienerReport(partial, stored + w.c_floor, "summable")
-        if s >= 1.0:
-            return WienerReport(partial, math.inf, "diverging")
-        tail = stored + float(mags[-1]) * s / (1.0 - s)
-        return WienerReport(partial, tail, "summable")
+        p = rational_denominator(w)
+        if len(p) == 1:
+            tail = float(np.sum([1.0, w.last_ratio][n + 1:]))
+            return WienerReport(partial, tail, "summable", "polynomial 1/R")
+        return WienerReport(partial, None,
+                            "summable" if _schur_cohn(p) else "diverging",
+                            f"Schur-Cohn on P of degree {len(p) - 1}")
     alpha = w.alpha or 1.0
     m = max(n, math.floor(alpha))
     if m > w.trunc_len:
         mags = np.abs(_binomial_series(alpha, m))
     tail = mags[n + 1:m + 1].sum() + mags[m] * abs(alpha - m) / alpha
-    return WienerReport(partial, float(tail), "summable")
+    return WienerReport(partial, float(tail), "summable", "closed form")
 
 
 def shifted_resolvent_coeffs(w: WeightSequence, k: int, n: int) -> np.ndarray:
@@ -327,18 +309,44 @@ def quotient_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
     return -(sliding_window_view(w.c_coeffs[1:n + k_max + 1], k_max) @ B).T
 
 
+def rational_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
+    """Coefficients ``0 .. n`` of ``P_k = (1 - s z) R_k``, one row per shift
+    of ``ks``, for a weight continued past its table at ``s = last_ratio``:
+    ``1/beta_{k+m} - s/beta_{k+m-1}`` (``1/beta_k`` at ``m = 0``), exactly 0
+    once ``k + m >= N`` and ``m >= 1``, so ``P_k`` has degree below
+    ``N - k`` (``P_N = 1/beta_N``).  ``P_0`` is ``P``,
+    ``R_k / R = P_k / P``, and past ``m = 0`` the row is ``P`` shifted by
+    ``k``: no ``P_k`` is of higher degree than ``P``."""
+    ks, m = np.asarray(ks)[:, None], np.arange(n + 1)
+    R = w.inv_betas[np.minimum(ks + m, w.trunc_len)]
+    P = R - w.last_ratio * np.pad(R[:, :-1], ((0, 0), (1, 0)))
+    return np.where((ks + m < w.trunc_len) | (m == 0), P, 0.0)
+
+
+def rational_denominator(w: WeightSequence) -> np.ndarray:
+    """The coefficients of ``P = (1 - s z) R`` (``P_0`` of
+    ``rational_rows``) up to its last nonzero one; ``P(0) = 1``."""
+    return np.trim_zeros(rational_rows(w, [0], max(w.trunc_len - 1, 0))[0],
+                         "b")
+
+
 def hereditary_rows(w: WeightSequence, ks, n: int,
                     gamma: bool) -> np.ndarray:
-    """The ``c`` row ``c_0 .. c_n`` (when ``gamma``) stacked over
-    ``quotient_rows(w, ks, n)`` (when ``ks`` is not empty): the coefficient
-    rows of ``Gamma`` and ``Gamma^(k)``.  Built once per weight, shifts and
+    """Coefficient rows ``0 .. n`` of ``Gamma`` (when ``gamma``) stacked over
+    those of ``Gamma^(k)`` for each shift ``k >= 1`` of ``ks`` (when not
+    empty): the ``c`` row over ``quotient_rows``, or, for a custom weight,
+    the numerators over ``P`` that ``P(L)^-1 X`` is summed with:
+    ``1 - s z`` over ``rational_rows``.  Built once per weight, shifts and
     length, and returned read-only."""
     key = (gamma, tuple(int(k) for k in ks), n)
     rows = w._rows.get(key)
     if rows is None:
-        parts = [w.c_coeffs[None, :n + 1]] if gamma else []
+        custom = w.kind == "custom"
+        parts = [np.eye(1, n + 1) - w.last_ratio * np.eye(1, n + 1, 1)
+                 if custom else w.c_coeffs[None, :n + 1]] if gamma else []
         if key[1]:
-            parts.append(quotient_rows(w, key[1], n))
+            parts.append((rational_rows if custom else quotient_rows)(
+                w, key[1], n))
         # kept in this layout: the contraction with the terms, and so
         # every hereditary sum, rounds by it
         rows = np.vstack(parts)

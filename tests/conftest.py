@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,12 +34,66 @@ def all_weights(w_hardy, w_beta2, w_beta3, w_beta25):
 
 
 def series_copy(w):
-    """The same table as a custom weight, which sums the series (hardy and
-    integer alpha are closed form).  ``make_weight_custom`` tags an
-    all-ones table hardy, so the hardy copy is built directly."""
+    """The same table as a custom weight, whose gramians and resolvents sum
+    the series (hardy and integer alpha are closed form) and whose maps take
+    its rational form.  ``make_weight_custom`` tags an all-ones table hardy,
+    so the hardy copy is built directly."""
     if w.kind == "hardy":
         return WeightSequence(w.betas, w.ratio_bound, "custom", w.c_coeffs)
     return hb.make_weight_custom(w.betas)
+
+
+def continued_R(betas):
+    """``R_k(x) = sum_j x^j / beta_{k+j}`` of a table ``beta_0 .. beta_N``
+    continued past ``beta_N`` at its last ratio ``s = beta_{N-1}/beta_N``
+    (1 for ``N = 0``), as a function of ``k`` and an mpmath point ``x``, at
+    the working precision: the stored terms and the geometric rest."""
+    inv = [1 / mpmath.mpf(float(b)) for b in betas]
+    N = len(inv) - 1
+    s = inv[N] / inv[N - 1] if N else mpmath.mpf(1)
+    return lambda k, x: mpmath.polyval(inv[k:][::-1], x) \
+        + x ** (N - k) * inv[N] * s * x / (1 - s * x)
+
+
+def mp_maps(betas, A, X, ks, dps=34):
+    """``Gamma[X]`` (``k = 0``) or ``Gamma^(k)[X]`` for each ``k`` of ``ks``
+    for the table ``betas`` continued at its last ratio, at ``dps`` digits:
+    ``f(L) X`` with ``f = R_k / R`` (``1 / R`` at ``k = 0``) and
+    ``L: X -> A* X A``.  An ``A = lam I + N`` with a real ``lam`` and ``N``
+    nilpotent (a triangular ``A`` with a constant diagonal, such as a
+    Jordan block) takes the Taylor series of ``f`` at ``lam^2``, since
+    ``L - lam^2`` is nilpotent; any other ``A`` must be diagonalizable,
+    ``f(L) X = V^-* (F o (V* X V)) V^-1`` with
+    ``F_ij = f(conj(d_i) d_j)``."""
+    with mpmath.workdps(dps):
+        R = continued_R(betas)
+        num = [(lambda x, k=k: R(k, x)) if k else (lambda x: 1) for k in ks]
+        n = len(A)
+        Xm = mpmath.matrix(np.asarray(X).tolist())
+        out = []
+        if np.all(np.diag(A) == A[0, 0]):
+            lam = mpmath.mpf(float(A[0, 0].real))
+            Nm = mpmath.matrix((A - A[0, 0] * np.eye(n)).tolist())
+            for f in num:
+                S, T = mpmath.matrix(n, n), Xm
+                for c in mpmath.taylor(lambda x: f(x) / R(0, x), lam * lam,
+                                       2 * n - 2):
+                    S += c * T
+                    T = lam * (T * Nm + Nm.H * T) + Nm.H * T * Nm
+                out.append(S)
+        else:
+            d, V = mpmath.eig(mpmath.matrix(np.asarray(A).tolist()))
+            Vi = mpmath.inverse(V)
+            Z = V.H * Xm * V
+            xs = {(i, j): mpmath.conj(d[i]) * d[j]
+                  for i in range(n) for j in range(n)}
+            R0 = {ij: R(0, x) for ij, x in xs.items()}
+            for f in num:
+                F = Z.copy()
+                for ij, x in xs.items():
+                    F[ij] *= f(x) / R0[ij]
+                out.append(Vi.H * F * Vi)
+        return np.array([np.array(S.tolist(), dtype=complex) for S in out])
 
 
 def cmat(rng, rows, cols):

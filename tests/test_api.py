@@ -212,8 +212,9 @@ def test_series_check_sees_every_spelling():
         == ["<module>:2", "f:4", "g:8"]
 
 
-#: the fallback sites: custom weights, and non-integer alpha past the
-#: spectral route's gate or its node ladder
+#: the fallback sites: the gramians, resolvents and scalars of custom
+#: weights (their maps take the rational form), and non-integer alpha past
+#: the spectral route's gate or its node ladder
 SERIES_SITES = {"hereditary._series_sums", "hereditary._stein_sums",
                 "hereditary._hereditary_sums", "hereditary._resolvent_table",
                 "hereditary.resolvent_scalar"}

@@ -45,7 +45,8 @@ class TestWeightsCommand:
         payload = json.loads(out)
         assert payload["kind"] == "custom"
         assert payload["wiener"] == {"partial_sum": 1.0, "tail_estimate": 1.0,
-                                     "verdict": "summable"}
+                                     "verdict": "summable",
+                                     "rule": "polynomial 1/R"}
 
     def test_constant_weight_report(self, capsys):
         code, out, _ = run(capsys, "weights", "--betas", "1,1,1,1,1,1,1,1,1")

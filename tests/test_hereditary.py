@@ -9,7 +9,8 @@ import hardybeta as hb
 from hardybeta import colligation
 from hardybeta import hereditary as her
 from hardybeta import series
-from conftest import cmat, hypercontraction_T, series_copy, stable_pair
+from conftest import (cmat, continued_R, hypercontraction_T, mp_maps,
+                      series_copy, stable_pair)
 
 
 class TestResolvent:
@@ -388,6 +389,14 @@ class TestClosedForms:
             X = hb.gramian(hb.make_weight_hardy(), 0, pair)  # X >= A* X A
             for run in (lambda v: hb.gamma_map(v, pair.A, X),
                         lambda v: hb.gamma_k_map(v, range(1, 7), pair.A, X)):
+                if alpha == 3:
+                    # the copy's P is palindromic, with its zeros on the
+                    # circle: its c row is not summable, and its maps are
+                    # refused by name
+                    with pytest.raises(hb.HereditaryDomainError, match=(
+                            "^reciprocal coefficients diverge")):
+                        run(copy)
+                    continue
                 got, ref = run(w), run(copy)
                 assert np.linalg.norm(got - ref) \
                     <= 1e-13 * max(1.0, np.linalg.norm(ref))
@@ -553,27 +562,32 @@ class TestGammaMaps:
         got = hb.gamma_map(w, 0.3 * np.eye(2), np.eye(2))
         np.testing.assert_allclose(got, 0.82 * np.eye(2), atol=1e-15)
 
-    def test_one_entry_table_needs_more_terms(self):
-        # a one-entry table is the Hardy weight (1/R = 1 - z): summable, but
-        # one stored coefficient cannot carry the map, and the error says so
+    def test_one_entry_table_is_the_hardy_map(self):
+        # a one-entry table is the Hardy weight (1/R = 1 - z), answered
+        # exactly from its rational form: Gamma[X] = X - A* X A
         w = hb.make_weight_custom([1.0])
-        with pytest.raises(hb.ConvergenceError, match="after 1 stored terms"):
-            hb.gamma_map(w, 0.3 * np.eye(2), np.eye(2))
+        A = np.array([[0.3, 0.2], [0.0, -0.4]])
+        np.testing.assert_array_equal(hb.gamma_map(w, A, np.eye(2)),
+                                      np.eye(2) - A.T @ A)
 
-    def test_custom_noise_floor_keeps_its_tail(self):
+    def test_custom_table_near_its_radius(self):
         # the c of a custom beta_2.5 table ends below 1e-9 of its largest
-        # entry but still decays slowly: that floor persists past the table,
-        # so near the circle the tail bound exceeds tol
+        # entry but still decays slowly past it; near the circle (x = 0.9801
+        # against the radius 1/s = 0.99708) its maps are exact all the same
         w = hb.make_weight_custom(hb.make_weight_beta_alpha(2.5, 512).betas)
-        assert w.wiener.verdict == "summable" and w.c_floor > 0.0
+        assert w.wiener.verdict == "summable"
         ref = hb.make_weight_beta_alpha(2.5, 512)
         A = 0.3 * np.eye(2)
         np.testing.assert_allclose(hb.gamma_map(w, A, np.eye(2)),
                                    hb.gamma_map(ref, A, np.eye(2)), atol=1e-13)
-        for run in (lambda: hb.gamma_map(w, 0.99 * np.eye(2), np.eye(2)),
-                    lambda: hb.gamma_k_map(w, 3, 0.99 * np.eye(2), np.eye(2))):
-            with pytest.raises(hb.ConvergenceError):
-                run()
+        R = continued_R(w.betas)
+        with mpmath.workdps(34):
+            x = mpmath.mpf(0.99) ** 2
+            exact = [float(1 / R(0, x)), float(R(3, x) / R(0, x))]
+        got = [hb.gamma_map(w, 0.99 * np.eye(2), np.eye(2)),
+               hb.gamma_k_map(w, 3, 0.99 * np.eye(2), np.eye(2))]
+        for g, e in zip(got, exact):
+            np.testing.assert_allclose(g, e * np.eye(2), rtol=1e-12, atol=0)
 
     def test_shifted_identity_map(self, w_hardy, w_beta2):
         rng = np.random.default_rng(8)
@@ -624,6 +638,70 @@ class TestGammaMaps:
             for bad in ([0, 2], [1, w.trunc_len + 1]):
                 with pytest.raises(hb.InvalidParameterError):
                     hb.gamma_k_map(w, bad, A, X)
+
+
+class TestRationalForm:
+    """A custom weight's maps from ``1/R = (1 - s z) / P`` and
+    ``R_k / R = P_k / P``: one Kronecker solve ``P(L)^-1 X``, then finite
+    rows, with no series and no tail."""
+
+    @staticmethod
+    def _inputs(kind):
+        """A 3-by-3 Jordan block or upper triangular non-normal ``A`` at
+        ``rho(A) = 0.95``, and ``X`` with ``X - A* X A = I``."""
+        n = 3
+        if kind == "jordan":
+            A = 0.95 * np.eye(n) + np.diag(np.ones(n - 1), 1)
+        else:
+            A = np.triu(cmat(np.random.default_rng(40), n, n))
+            A *= 0.95 / np.abs(np.diag(A)).max()
+        K = np.kron(A.conj().T, A.T)
+        X = np.linalg.solve(np.eye(n * n) - K, np.eye(n).reshape(-1))
+        X = X.reshape(n, n)
+        return A, (X + X.conj().T) / 2
+
+    @pytest.mark.parametrize("N", [64, 256])
+    @pytest.mark.parametrize("kind", ["jordan", "nonnormal"])
+    def test_against_high_precision(self, kind, N):
+        w = series_copy(hb.make_weight_beta_alpha(2.0, N))
+        A, X = self._inputs(kind)
+        ks = [1, 4, N]  # P_N = 1/beta_N is constant
+        got = np.concatenate([hb.gamma_map(w, A, X)[None],
+                              hb.gamma_k_map(w, ks, A, X)])
+        ref = mp_maps(w.betas, A, X, [0] + ks)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(X).max()
+
+    def test_no_series(self, monkeypatch):
+        # on a Jordan block, and at rho(A) = 1 where no rate is certified
+        def entered(*args, **kwargs):
+            raise AssertionError("a custom weight's map entered the series")
+        monkeypatch.setattr(series, "adaptive_sum", entered)
+        monkeypatch.setattr(series, "RowTails", entered)
+        w = series_copy(hb.make_weight_beta_alpha(2.0, 256))
+        A, X = self._inputs("jordan")
+        assert hb.gamma_map(w, A, X).shape == (3, 3)
+        assert hb.gamma_k_map(w, range(1, 21), A, X).shape == (20, 3, 3)
+        A, X = np.diag([1.0, 0.5]), np.diag([0.0, 1.0])
+        assert hb.spectral_radius(A) == 1.0
+        R = continued_R(w.betas)
+        with mpmath.workdps(34):
+            exact = [float(f) for f in (1 / R(0, mpmath.mpf(0.25)),
+                                        R(2, mpmath.mpf(0.25))
+                                        / R(0, mpmath.mpf(0.25)))]
+        np.testing.assert_allclose(hb.gamma_map(w, A, X), exact[0] * X,
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(hb.gamma_k_map(w, 2, A, X), exact[1] * X,
+                                   rtol=1e-14, atol=0)
+
+    def test_delta_limit_solves_for_rho_once(self, monkeypatch):
+        # rho(A) for the sum identity; the maps need none
+        real, calls = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda M: calls.append(1) or real(M))
+        w = series_copy(hb.make_weight_beta_alpha(2.0, 512))
+        rep = hb.delta_limit(w, np.diag([0.5, 0.3]), np.eye(2), k_max=10)
+        assert rep.monotone_min_eig >= 0.0
+        assert len(calls) == 1
 
 
 class TestStein:
@@ -1097,18 +1175,16 @@ class TestRefusals:
 
 
 class TestKnownDefects:
-    """Standing defects against a high-precision truth, each pinned as a
-    strict xfail naming the ROADMAP item that fixes it: the fixing change
-    turns the xfail into a pass and must drop the mark."""
+    """Defects against a high-precision truth: a standing one is pinned as
+    a strict xfail naming the ROADMAP item that fixes it, and the fixing
+    change turns the xfail into a pass, drops the mark and keeps the
+    test."""
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 3: a custom weight's reciprocal series is cut at its "
-        "table with a Wiener tail of 0, instead of being continued by its "
-        "last ratio"))
     def test_custom_weight_map_past_its_table(self):
         # Gamma[1] at a = 0.95 is 1 / R(a^2), with 1/beta_j continued past
-        # the table by the last ratio s = beta_{N-1} / beta_N; the map
-        # returns 0.00950625, the truth is 0.0095039872496...
+        # the table by the last ratio s = beta_{N-1} / beta_N.  Cutting the
+        # c row at its table gives 0.00950625; the truth is
+        # 0.0095039872496...
         betas = hb.make_weight_beta_alpha(2.0, 64).betas
         with mpmath.workdps(40):
             x = mpmath.mpf(0.95) ** 2

@@ -8,7 +8,7 @@ from scipy.special import gammaln
 import hardybeta as hb
 from hardybeta import hereditary as her
 from hardybeta import series
-from conftest import series_copy
+from conftest import mp_maps, series_copy
 
 #: diagonal (normal) operator: ||A^j|| = rho^j, so the observed transient
 #: constant is a true bound and the closed forms below are exact
@@ -321,8 +321,9 @@ def test_short_table_nilpotent_gramian_is_exact():
 
 
 class TestFiniteRows:
-    """The ``c`` row of a custom copy of beta_2 is ``1, -2, 1`` and then
-    exact zeros, so its hereditary maps are finite sums whatever ``A``."""
+    """A custom copy of beta_2 continues past its table at its last ratio
+    ``s``, so ``1/R = (1 - s z) / P`` and its hereditary maps are finite
+    rows over ``P(L)^-1 X`` whatever ``A``: no series and no tail."""
 
     w = hb.make_weight_custom(hb.make_weight_beta_alpha(2.0, 256).betas)
 
@@ -335,30 +336,17 @@ class TestFiniteRows:
         M = np.eye(9) - np.kron(A.T, A.T)  # X - A* X A = I
         X = np.linalg.solve(M, np.eye(3).reshape(-1)).reshape(3, 3)
         X = (X + X.T) / 2
-        L = A.T @ X @ A
-        exact = X - 2 * L + A.T @ L @ A
+        # the 34-digit truth; the c row cut at its table, X - 2 L X +
+        # L^2 X, is off by 2.2e-5 of max|X|
+        exact = mp_maps(self.w.betas, A, X, [0])[0]
         np.testing.assert_allclose(hb.gamma_map(self.w, A, X), exact,
                                    rtol=0, atol=1e-12 * np.abs(X).max())
-
-    def test_no_squaring_past_the_last_coefficient(self):
-        # rate 0.999 on a Jordan block would need a span far past the
-        # table; every term with a nonzero coefficient lies in the span 4
-        A = self._jordan(8, 0.999).astype(complex)
-        X = np.eye(8, dtype=complex)
-        rec = series.adaptive_sum(X, A, [self.w.c_coeffs],
-                                  series.conjugation_rate(0.999),
-                                  self.w.c_step(256), 1e-10, "test",
-                                  left=A.conj().T)
-        assert rec.J == 4 and rec.tails == [0.0]
-        L = A.conj().T @ X @ A
-        np.testing.assert_allclose(
-            rec.terms[:3], [X, L, A.conj().T @ L @ A], rtol=1e-15)
 
 
 def test_rate_one_hereditary_map():
     # rho(U) = 1 gives the conjugation rate 1, which squaring would never
-    # certify (||U^m||_F = sqrt(3)); the domain X >= U* X U >= 0 makes the
-    # terms decrease, so K = ||T_0|| and Gamma[I] = I - 2 U* U = -I
+    # certify (||U^m||_F = sqrt(3)); the rational form needs no rate:
+    # P = 1, so Gamma[I] = I - 2 U* U = -I
     rng = np.random.default_rng(5)
     U = np.linalg.qr(rng.standard_normal((3, 3))
                      + 1j * rng.standard_normal((3, 3)))[0]
@@ -368,12 +356,10 @@ def test_rate_one_hereditary_map():
 
 def test_rate_one_certifies_an_infinite_row():
     # 1/beta = 1, 1.9, 1.9, ... gives 1/R(x) = (1 - x)/(1 + 0.9 x): the c
-    # row never ends and steps by 0.9 past its table.  At rho(A) = 1 the
-    # hereditary domain X >= A* X A >= 0 bounds every term by ||X||; the
-    # squaring never would, since ||A^m||_F^2 = 1 + 0.99^(2m) > 1 (and
-    # stays so in rounding up to the first power of two past the table)
+    # row never ends and steps by 0.9 past its table.  At rho(A) = 1 no
+    # squaring certifies a rate, since ||A^m||_F^2 = 1 + 0.99^(2m) > 1; the
+    # rational form, P = 1 + 0.9 z, needs none
     w = hb.make_weight_custom([1.0] + [1 / 1.9] * 180)
-    assert 0.89 < w.c_step(180) < 0.91 and w.c_floor == 0.0
     out = hb.gamma_map(w, np.diag([1.0, 0.99]), np.diag([0.0, 1.0]), tol=1e-6)
     x = 0.99 ** 2
     np.testing.assert_allclose(out, np.diag([0.0, (1 - x) / (1 + 0.9 * x)]),

@@ -210,7 +210,7 @@ class TestLadderFallback:
          "gamma_k_map: tail bound 6.963e-08 > tol 1.000e-10 after 2048 "
          "stored terms; increase the weight truncation"),
         (lambda w, A: hb.resolvents(w, 1, A, 0.99995),
-         "resolvent_apply: tail bound inf > tol 1.000e-12 after 2048 "
+         "resolvents: tail bound inf > tol 1.000e-12 after 2048 "
          "stored terms: a row's step bound past the table, 1.00073, times "
          "the decay rate q = 0.999925 is 1.00066 >= 1"),
     ], ids=["resolvent_scalar", "gamma_k_map", "resolvents"])

@@ -1,4 +1,3 @@
-import math
 import re
 
 import numpy as np
@@ -10,6 +9,7 @@ from scipy.special import gammaln
 
 import hardybeta as hb
 from hardybeta import weights
+from conftest import continued_R
 
 
 def binomial_reciprocal(n_int, length):
@@ -151,15 +151,46 @@ class TestWiener:
         assert mags[40] > mags[20] > mags[10]
 
     def test_short_custom_tables(self):
-        # past the table the c_j obey a recurrence of order N - 1; the step
-        # is read past c_0, whose ratio |c_1 / c_0| = 1/beta_1 is no step
+        # 1/R = (1 - s z) / P with P = (1 - s z) R of degree below N: a
+        # constant P makes 1/R a polynomial with an exact tail, any other
+        # P is decided by Schur-Cohn, with no tail
         w = hb.make_weight_custom([1.0, 0.5])  # 1/R = 1 - 2z
-        assert (w.c_step(1), w.wiener.tail_estimate) == (0.0, 0.0)
-        w = hb.make_weight_custom([1.0, 0.5, 0.2])  # c_{j+1} = c_j / 2, j >= 1
-        assert w.c_step(2) == 0.5
-        assert w.wiener.verdict == "summable"
+        assert (w.wiener.verdict, w.wiener.tail_estimate, w.wiener.rule) \
+            == ("summable", 0.0, "polynomial 1/R")
+        w = hb.make_weight_custom([1.0, 0.5, 0.2])  # P = 1 - z/2
+        assert (w.wiener.verdict, w.wiener.tail_estimate, w.wiener.rule) \
+            == ("summable", None, "Schur-Cohn on P of degree 1")
         w = hb.make_weight_custom([2.0 ** -j for j in range(11)])
-        assert (w.c_step(10), w.wiener.tail_estimate) == (0.0, 0.0)
+        assert (w.wiener.verdict, w.wiener.tail_estimate, w.wiener.rule) \
+            == ("summable", 0.0, "polynomial 1/R")
+
+    @pytest.mark.parametrize("table,verdict", [
+        *[((alpha, N), "summable") for alpha in (1.2, 2.0, 2.5, 2.9)
+          for N in (16, 64, 256)],
+        *[((alpha, N), "diverging") for alpha in (3.0, 3.5, 4.0)
+          for N in (16, 64, 256)],
+        ([1.0, 1.0] + [0.25] * 60, "diverging"),
+        ([2.0 ** -j for j in range(20)] + [1 / (2.0 ** 20 - 1.0)],
+         "summable"),
+    ], ids=lambda v: v if isinstance(v, str)
+        else "beta%g-%d" % v if isinstance(v, tuple) else f"table{len(v)}")
+    def test_verdict_against_roots(self, table, verdict):
+        # a custom copy of beta_alpha at N entries, or a fixed table: the
+        # verdict is "summable" iff P = (1 - s z) R has no zero in the
+        # closed disk.  beta_3's P is palindromic, p_m = (m+1)(N-m)/N, with
+        # its zeros on the circle, which rounding moves by about 1e-13
+        if isinstance(table, tuple):
+            table = hb.make_weight_beta_alpha(*table).betas
+        w = hb.make_weight_custom(table)
+        inv = 1.0 / np.asarray(table)
+        s = table[-2] / table[-1]
+        P = np.trim_zeros(inv[:-1] - s * np.concatenate([[0.0], inv[:-2]]),
+                          "b")
+        nearest = np.abs(np.roots(P[::-1])).min()
+        assert (nearest > 1.0 + 1e-9) == (verdict == "summable")
+        assert w.wiener.verdict == verdict
+        assert w.wiener.rule == f"Schur-Cohn on P of degree {len(P) - 1}"
+        assert w.wiener.tail_estimate is None
 
     def test_one_entry_table_is_hardy(self):
         # the last-ratio rule continues beta_0 = 1 at ratio 1: 1/R = 1 - z,
@@ -313,17 +344,18 @@ class TestRefusals:
         with pytest.raises(error, match="^" + re.escape(match) + "$"):
             call()
 
-    def test_one_trailing_entry_has_no_step(self):
-        # 1/R = 1 - 2z + z^20: the window c_4..c_20 holds one nonzero entry,
-        # from which no step can be read, so the weight is refused as
-        # diverging
+    def test_one_trailing_entry_is_summable(self):
+        # the table's c is 1 - 2z + z^20, one nonzero entry among
+        # c_4..c_20, which shows nothing of the tail.  Past the table
+        # P = 1 + sum_{m=1..19} 2^(m-20) z^m, whose nearest zero is at
+        # 1.0016, so the weight is summable and its map is answered
         inv = [2.0 ** j for j in range(20)] + [2.0 ** 20 - 1.0]
         w = hb.make_weight_custom([1.0 / x for x in inv])
         assert np.count_nonzero(w.c_coeffs[4:]) == 1
-        assert (w.c_step(20), w.c_floor) == (math.inf, 0.0)
-        assert (w.wiener.verdict, w.wiener.tail_estimate) \
-            == ("diverging", math.inf)
-        with pytest.raises(hb.HereditaryDomainError, match=(
-                "^reciprocal coefficients diverge: hereditary map "
-                "undefined$")):
-            hb.gamma_map(w, 0.3 * np.eye(2), np.eye(2))
+        assert (w.wiener.verdict, w.wiener.tail_estimate, w.wiener.rule) \
+            == ("summable", None, "Schur-Cohn on P of degree 19")
+        with mpmath.workdps(34):
+            ref = float(1 / continued_R(w.betas)(0, mpmath.mpf(0.09)))
+        np.testing.assert_allclose(hb.gamma_map(w, 0.3 * np.eye(2),
+                                                np.eye(2)),
+                                   ref * np.eye(2), rtol=1e-14, atol=0)
