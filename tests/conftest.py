@@ -74,11 +74,14 @@ def mp_maps(betas, A, X, ks, dps=34):
         if np.all(np.diag(A) == A[0, 0]):
             lam = mpmath.mpf(float(A[0, 0].real))
             Nm = mpmath.matrix((A - A[0, 0] * np.eye(n)).tolist())
+            b = mpmath.taylor(lambda x: R(0, x), lam * lam, 2 * n - 2)
             for f in num:
-                S, T = mpmath.matrix(n, n), Xm
-                for c in mpmath.taylor(lambda x: f(x) / R(0, x), lam * lam,
-                                       2 * n - 2):
-                    S += c * T
+                a = mpmath.taylor(f, lam * lam, 2 * n - 2)
+                S, T, c = mpmath.matrix(n, n), Xm, []
+                for m in range(len(a)):  # the Taylor series of f / R
+                    c.append((a[m] - mpmath.fsum(c[j] * b[m - j]
+                                                 for j in range(m))) / b[0])
+                    S += c[m] * T
                     T = lam * (T * Nm + Nm.H * T) + Nm.H * T * Nm
                 out.append(S)
         else:

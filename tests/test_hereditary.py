@@ -665,7 +665,7 @@ class TestRationalForm:
     def test_against_high_precision(self, kind, N):
         w = series_copy(hb.make_weight_beta_alpha(2.0, N))
         A, X = self._inputs(kind)
-        ks = [1, 4, N]  # P_N = 1/beta_N is constant
+        ks = [1, N]  # P_1 has degree N - 2, P_N = 1/beta_N is constant
         got = np.concatenate([hb.gamma_map(w, A, X)[None],
                               hb.gamma_k_map(w, ks, A, X)])
         ref = mp_maps(w.betas, A, X, [0] + ks)
