@@ -8,14 +8,20 @@ trajectories as CSV) and ``verify`` (the acceptance suite).
 
 Exit codes: 0 ok, 2 input error, 3 spectral radius, 4 observability or
 model hypothesis, 5 non-convergence, 6 verification failure.  The default
-tolerance honors the ``HARDY_BETA_TOL`` environment variable.  Every JSON
-report embeds the run configuration so outputs are reproducible; identical
-configuration and seed give byte-identical reports.
+tolerance honors the ``HARDY_BETA_TOL`` environment variable, read on every
+call.  Every JSON report embeds the run configuration so outputs are
+reproducible; identical configuration and seed give byte-identical reports.
+
+``main(argv)`` may be called repeatedly in one process.  The parser is
+built on the first call and reused; each call looks its subcommand's
+``cmd_<name>`` up in this module by name, so a function replaced here after
+the first call (a wrapper, a tracer) is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -250,15 +256,21 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared
+    by every later one: it holds no ``cmd_*`` function and no default
+    read from the environment, so nothing in it goes stale."""
     ap = argparse.ArgumentParser(
         prog="hardy-beta",
         description="Weighted Hardy space operator-model toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def options(p, *names, k_max=12):
-        """Add the named options shared by several subcommands."""
-        spec = {"tol": ("--tol", float, _default_tol()),
+        """Add the named options shared by several subcommands.  ``--tol``
+        defaults to None, which ``main`` resolves on every call from
+        ``HARDY_BETA_TOL`` (``_default_tol``)."""
+        spec = {"tol": ("--tol", float, None),
                 "rank_tol": ("--rank-tol", float, 1e-10),
                 "k_max": ("--k-max", int, k_max),
                 "out": ("--out", str, None)}
@@ -271,19 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
     options(p, "out")
     p.add_argument("--head", action="store_true",
                    help="print only the first 65 table entries")
-    p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("analyze", help="classification report for (C, A)")
     p.add_argument("operator", help="JSON file with keys A and C")
     _add_weight_args(p)
     options(p, "tol", "k_max", "out", k_max=20)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("colligate", help="build a colligation family")
     p.add_argument("operator")
     _add_weight_args(p)
     options(p, "rank_tol", "k_max", "out")
-    p.set_defaults(func=cmd_colligate)
 
     p = sub.add_parser("charfn", help="characteristic function family")
     g = p.add_mutually_exclusive_group()
@@ -293,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file with key T")
     _add_weight_args(p)
     options(p, "rank_tol", "k_max", "out")
-    p.set_defaults(func=cmd_charfn)
 
     p = sub.add_parser("kernels", help="kernel grid as CSV/JSON")
     p.add_argument("operator")
@@ -304,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=str, default="default")
     p.add_argument("--out-csv", dest="out_csv", required=True)
     p.add_argument("--out-json", dest="out_json", default=None)
-    p.set_defaults(func=cmd_kernels)
 
     p = sub.add_parser("simulate", help="time-domain trajectory as CSV")
     p.add_argument("family", help="family JSON from colligate/charfn")
@@ -312,14 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON ragged list of input vectors")
     p.add_argument("--x0", default=None, help="JSON initial state vector")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     options(p, "rank_tol", "out")
     p.add_argument("--trunc", type=int, default=SUITE_TRUNC)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=20)
-    p.set_defaults(func=cmd_verify)
 
     return ap
 
@@ -327,7 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        tol = _default_tol()  # on every call, and refused before any work
+        if getattr(args, "tol", tol) is None:
+            args.tol = tol
+        # by name at call time, so a replaced cmd_* (a wrapper) is the one run
+        return globals()["cmd_" + args.command](args)
     except HardyBetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

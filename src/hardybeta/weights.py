@@ -120,9 +120,13 @@ class WeightSequence:
         ``c`` row and the quotient rows of hardy (``alpha = 1``) and
         ``beta_alpha``: 1 once ``m >= floor(alpha)``, since
         ``|c_{j+1}/c_j| = |j - alpha|/(j + 1) <= 1`` there and the
-        ``c_{j+l}`` in each ``d^(k)_j`` share one sign; ``inf`` before.  The
-        maps of a custom weight take its rational form (``rational_rows``)
-        and need no step."""
+        ``c_{j+l}`` in each ``d^(k)_j`` share one sign; ``inf`` before.  A
+        custom weight is refused: its maps take the rational form
+        (``rational_rows``) and need no step."""
+        if self.kind == "custom":
+            raise InvalidParameterError(
+                "c_step has no bound for a custom weight: its hereditary "
+                "maps take the rational form (rational_rows)")
         return 1.0 if m >= math.floor(self.alpha or 1.0) else math.inf
 
     def __repr__(self):

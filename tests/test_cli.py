@@ -373,6 +373,61 @@ class TestEnvAndDeterminism:
         monkeypatch.delenv("HARDY_BETA_TOL")
         assert _default_tol() == 1e-8
 
+    def test_tol_env_read_on_every_call(self, tmp_path, capsys,
+                                        monkeypatch):
+        # the parser is built by the first call; the environment of a later
+        # one still sets its default tolerance
+        monkeypatch.delenv("HARDY_BETA_TOL", raising=False)
+        op = TestAnalyzeCommand().write_operator(tmp_path, [[0.5]],
+                                                 [[np.sqrt(0.75)]])
+        out = tmp_path / "report.json"
+
+        def tol(*flags):
+            code, _, _ = run(capsys, "analyze", op, "--beta", "1",
+                             "--out", str(out), *flags)
+            assert code == 0
+            return json.loads(out.read_text())["config"]["tol"]
+
+        assert tol() == 1e-8
+        monkeypatch.setenv("HARDY_BETA_TOL", "1e-5")
+        assert tol() == 1e-5
+        assert tol("--tol", "1e-7") == 1e-7
+        monkeypatch.delenv("HARDY_BETA_TOL")
+        assert tol() == 1e-8
+        monkeypatch.setenv("HARDY_BETA_TOL", "tight")
+        code, out, err = run(capsys, "verify", "--out", str(out))
+        assert (code, out) == (2, "")
+        assert "input error" in err and "'tight'" in err
+
+    def test_subcommand_looked_up_on_every_call(self, capsys, monkeypatch):
+        from hardybeta import cli
+        run(capsys, "weights", "--alpha", "2", "-n", "4")
+        calls, original = [], cli.cmd_weights
+
+        def counting(args):
+            calls.append(args.command)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_weights", counting)
+        code, out, _ = run(capsys, "weights", "--alpha", "2", "-n", "4")
+        assert (code, calls) == (0, ["weights"])
+        assert json.loads(out)["kind"] == "beta_alpha"
+
+    def test_options_do_not_leak_between_calls(self, tmp_path, capsys):
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({
+            "A": ser.complex_matrix_to_json(np.array([[0.5]])),
+            "C": ser.complex_matrix_to_json(np.array([[1.0]]))}))
+        js = tmp_path / "a.json"
+        argv = ["kernels", str(op), "--grid", "0.0,0.5"]
+        assert run(capsys, *argv, "--out-csv", str(tmp_path / "a.csv"),
+                   "--out-json", str(js))[0] == 0
+        js.unlink()
+        assert run(capsys, *argv, "--out-csv", str(tmp_path / "b.csv"))[0] \
+            == 0
+        assert sorted(f.name for f in tmp_path.iterdir()) \
+            == ["a.csv", "b.csv", "op.json"]
+
     def test_kernels_repeat_byte_identical(self, tmp_path, capsys):
         rng = np.random.default_rng(90)
         A = cmat(rng, 2, 2)

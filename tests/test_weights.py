@@ -338,8 +338,14 @@ class TestRefusals:
          hb.TruncationError, "need 0 <= n <= 8 stored coefficients, got -1"),
         (lambda: hb.shifted_resolvent_coeffs(hb.make_weight_hardy(8), -1, 2),
          hb.InvalidParameterError, "k and n must be nonnegative"),
+        # this c row steps by 0.9, not the hardy value 1 once answered
+        (lambda: hb.make_weight_custom([1.0] + [1 / 1.9] * 180).c_step(180),
+         hb.InvalidParameterError, "c_step has no bound for a custom "
+         "weight: its hereditary maps take the rational form "
+         "(rational_rows)"),
     ], ids=["hardy-short", "beta-short", "custom-empty", "custom-2d",
-            "wiener-past-table", "wiener-negative", "shifted-negative"])
+            "wiener-past-table", "wiener-negative", "shifted-negative",
+            "c-step-custom"])
     def test_refusal_text(self, call, error, match):
         with pytest.raises(error, match="^" + re.escape(match) + "$"):
             call()
