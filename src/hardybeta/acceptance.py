@@ -221,8 +221,9 @@ def criterion_2_gamma_gramian(cfg: RunConfig, weights) -> tuple:
     """Hereditary maps of the gramian reproduce C*C and the shifted gramians.
 
     For beta_2.5 both sides are spectral-route functions of ``L`` on one
-    diagonalization of ``A``: ``(1 - x)^alpha R_k`` applied to ``G^(0)``
-    against ``R_k`` applied to ``C* C``.  For hardy and integer alpha it
+    diagonalization of ``A``, the pair's (the maps take the pair):
+    ``(1 - x)^alpha R_k`` applied to ``G^(0)`` against ``R_k`` applied to
+    ``C* C``.  For hardy and integer alpha it
     compares two different computations: a Stein solve for the gramians,
     finite binomial sums for the maps."""
     rng = _rng(cfg, 2)
@@ -235,9 +236,9 @@ def criterion_2_gamma_gramian(cfg: RunConfig, weights) -> tuple:
             table = her.gramian_table(w, pair, 6, tol=1e-10)
             G = table[0]
             worst = _worst(worst, her.opnorm(
-                her.gamma_map(w, pair.A, G, 1e-10)
+                her.gamma_map(w, pair, G, 1e-10)
                 - pair.CstarC))
-            maps = her.gamma_k_map(w, range(1, 7), pair.A, G, 1e-10)
+            maps = her.gamma_k_map(w, range(1, 7), pair, G, 1e-10)
             worst = _worst(worst, *her.opnorm(maps - table.stack(1, 6)))
     return (worst <= 1e-7,
             {"max_residual": worst}, "residual <= 1e-7")

@@ -9,7 +9,10 @@ trajectories as CSV) and ``verify`` (the acceptance suite).
 Exit codes: 0 ok, 2 input error, 3 spectral radius, 4 observability or
 model hypothesis, 5 non-convergence, 6 verification failure.  The default
 tolerance honors the ``HARDY_BETA_TOL`` environment variable, read on every
-call.  Every JSON report embeds the run configuration so outputs are
+call; a ``--tol`` or ``HARDY_BETA_TOL`` that is negative, NaN or infinite
+is refused with exit 2 before any work, and so is a ``--k-max`` below the
+subcommand's least (1 for ``analyze``, 0 for ``colligate`` and
+``charfn``).  Every JSON report embeds the run configuration so outputs are
 reproducible; identical configuration and seed give byte-identical reports.
 
 ``main(argv)`` may be called repeatedly in one process.  The parser is
@@ -34,7 +37,7 @@ from . import serialize as ser
 from . import syssim as sys_
 from .acceptance import SUITE_TRUNC, RunConfig, run_suite
 from .colligation import build_family
-from .errors import HardyBetaError, InvalidParameterError
+from .errors import HardyBetaError, InvalidParameterError, _check_tol
 from .hereditary import classify, gramian_table, hermitian_inverse
 from .weights import (
     DEFAULT_TRUNC,
@@ -46,8 +49,12 @@ from .weights import (
 
 
 def _default_tol() -> float:
+    """``HARDY_BETA_TOL``, else 1e-8; a value that is not a finite number
+    ``>= 0`` is refused."""
     env = os.environ.get("HARDY_BETA_TOL")
-    return float(env) if env else 1e-8
+    tol = float(env) if env else 1e-8
+    _check_tol(tol, "HARDY_BETA_TOL")
+    return tol
 
 
 def _add_weight_args(p: argparse.ArgumentParser):
@@ -335,6 +342,7 @@ def main(argv=None) -> int:
         tol = _default_tol()  # on every call, and refused before any work
         if getattr(args, "tol", tol) is None:
             args.tol = tol
+        _check_tol(getattr(args, "tol", tol), "--tol")
         # by name at call time, so a replaced cmd_* (a wrapper) is the one run
         return globals()["cmd_" + args.command](args)
     except HardyBetaError as exc:

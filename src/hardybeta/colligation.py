@@ -36,7 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotCoisometrizableError
+from .errors import (
+    InvalidParameterError,
+    NotCoisometrizableError,
+    _check_k_max,
+    _check_tol,
+)
 from .hereditary import (
     GramianTable,
     OutputPair,
@@ -166,8 +171,11 @@ def build_family(w: WeightSequence, pair: OutputPair, k_max: int,
     The pair must be exactly observable; strict positivity of the base
     gramian propagates to every shifted gramian, so all inversions in the
     step factorizations are genuine.  A singular gramian raises
-    ObservabilityError naming its shift.
+    ObservabilityError naming its shift.  ``k_max >= 0``; ``tol``, the
+    gramian table's, is finite and ``>= 0`` (0 as for ``gramian``).
     """
+    _check_tol(tol)
+    _check_k_max(k_max, 0, "build_family")
     return _family_from_table(w, pair, gramian_table(w, pair, k_max + 1,
                                                      tol=tol), rank_tol)
 
@@ -282,7 +290,9 @@ def transfer_eval(family: ColligationFamily, k, z,
     point or a 1-d array of points; the value has shape
     ``np.shape(z) + (p, u_k)``.  For a sequence of steps ``k`` it has shape
     ``(len(k),) + np.shape(z) + (p, max u_k)``, each step's columns past
-    its ``u_k`` zero, from one ``resolvents`` table."""
+    its ``u_k`` zero, from one ``resolvents`` table; ``tol`` is the
+    table's (finite, ``>= 0``; 0 as for ``resolvents``)."""
+    _check_tol(tol)
     ks = np.atleast_1d(k)
     B, D, _ = _padded(family, ks)
     vals = _transfer_values(family.weight, ks, family.pair, B, D, z, tol)
@@ -317,7 +327,9 @@ def defect_kernel(family: ColligationFamily, k: int, z: complex, zeta: complex,
 
     Vanishes identically when the step satisfies the weighted coisometry
     identity; its size is proportional to the identity's violation.
+    ``tol`` is the resolvents' (finite, ``>= 0``; 0 as for ``resolvents``).
     """
+    _check_tol(tol)
     w, pair = family.weight, family.pair
     p = pair.p
     G_inv = family.gramians.inverses(k, k + 1)

@@ -1,9 +1,16 @@
-"""Exception taxonomy.
+"""Exception taxonomy, and the two parameter checks every entry shares.
 
 Every exception carries an ``exit_code`` used by the command line front end:
 2 input error, 3 spectral radius out of range, 4 observability / model
 hypothesis failure, 5 series did not converge within the stored tables.
+
+Every public entry with a ``tol`` refuses, before any work, a ``tol`` that
+is negative, NaN or infinite (``_check_tol``); 0 is allowed.  ``classify``,
+``delta_limit``, the family builders and ``check_inner_family`` refuse a
+``k_max`` below its least value by name (``_check_k_max``).
 """
+
+import math
 
 
 class HardyBetaError(Exception):
@@ -83,3 +90,18 @@ class NotCoisometrizableError(HardyBetaError):
     """Cholesky defect matrix has a genuinely negative eigenvalue."""
 
     exit_code = 5
+
+
+def _check_tol(tol, name: str = "tol"):
+    """Refuse, naming ``name``, a tolerance that is not a finite number
+    ``>= 0``: a negative value, NaN or an infinity.  0 passes."""
+    if not 0.0 <= tol < math.inf:  # NaN fails both comparisons
+        raise InvalidParameterError(
+            f"{name} must be a finite number >= 0, got {tol}")
+
+
+def _check_k_max(k_max: int, least: int, context: str):
+    """Refuse, naming ``context``, a ``k_max`` below ``least``."""
+    if not k_max >= least:
+        raise InvalidParameterError(
+            f"{context} needs k_max >= {least}, got k_max={k_max}")

@@ -5,9 +5,7 @@ and an admissible weight sequence this module evaluates
 
 * the weighted resolvents ``R_k(zA) = sum_j (1/beta_{k+j}) (zA)^j``, for
   one shift ``k`` or a sequence of shifts (the steps of a colligation
-  family) on a whole point array, of a matrix ``A`` or of an OutputPair,
-  whose cached spectral radius and diagonalization they reuse, and the
-  scalar ``R_k(x)``,
+  family) on a whole point array, and the scalar ``R_k(x)``,
 * the shifted observability gramians
   ``G^(k) = sum_j (1/beta_{j+k}) A^{*j} C^* C A^j``,
 * the hereditary maps ``Gamma[X] = sum_j c_j A^{*j} X A^j`` and their shifted
@@ -15,6 +13,17 @@ and an admissible weight sequence this module evaluates
 * Stein-identity residuals and a tolerance-qualified classification of the
   pair (contractive, isometric, hypercontractive, strongly stable, exactly
   observable).
+
+One door for the operator: every entry that takes ``A`` (``gamma_map``,
+``gamma_k_map``, ``gamma_binomial``, ``delta_limit``, ``resolvents``,
+``resolvent_apply``) takes a matrix or an OutputPair and turns it once into
+an ``_Operator``, which makes ``rho(A)`` and the spectral route's
+diagonalization on first use and keeps them; an OutputPair is one, with
+``C``.  The private helpers take only that object, so no ``A`` is
+eigen-solved twice: ``rho(A)`` is read from the diagonalization when that
+came first, a pair's gramian table, hereditary maps and resolvent grids
+share one diagonalization, and a hardy or integer-alpha map eigen-solves
+nothing.
 
 Hardy and integer alpha (``R(x) = (1 - x)^-alpha``) never enter the
 series: a gramian table takes alpha chained applications of one inverse of
@@ -54,11 +63,8 @@ the route raises no ConvergenceError and ``tol`` is not used.  A gramian
 table from it reports, per shift, the first-order error bound that its
 gate and node count promise (``spectral.stein_bounds``; 0 only for
 ``C = 0``), with truncation order -1; a resolvent grid reports no record.
-``classify``, ``delta_limit`` and the characteristic family share one
-diagonalization between the hereditary stack and the gramian table, and a
-resolvent grid of a pair reads the pair's cached one (made once, by the
-pair's gramian table or by the grid); on a bare matrix it takes ``rho(A)``
-from the diagonalization it makes.  The
+The diagonalization is the operator's, made once by whichever of its
+gramian table, hereditary stack or resolvent grid comes first.  The
 scalar ``R_k(x)`` needs no gate: it is the quadrature at ``x`` itself.
 A node count past the top of the quadrature's ladder (points too close to
 the unit circle) keeps the series.
@@ -101,7 +107,9 @@ domain, the shifted maps of ``delta_limit``, ``hermitian_inverse``) is
 written so that NaN fails it, and a non-finite ``A``, ``C`` or ``X`` is
 refused by name before any product is formed.  An empty state space
 (``n = 0``), a ``C* C`` that overflows and an ``X - A* X A`` that
-overflows are refused by name too.
+overflows are refused by name too.  Every entry refuses a negative, NaN
+or infinite ``tol`` before any work (0 is allowed), and ``classify`` and
+``delta_limit`` a ``k_max`` below 1.
 
 Everything here is a pure function of immutable inputs; results are safe to
 share across threads.
@@ -110,7 +118,7 @@ share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -123,6 +131,8 @@ from .errors import (
     ObservabilityError,
     SpectralRadiusError,
     TruncationError,
+    _check_k_max,
+    _check_tol,
 )
 from .weights import WeightSequence, hereditary_rows, rational_denominator
 
@@ -226,19 +236,57 @@ def hermitian_inverse(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     return hermitize((V / lam[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
 
+class _Operator:
+    """An n-by-n complex matrix ``A`` with its spectral data, each made on
+    first use and kept: the spectral route's diagonalization and
+    ``rho(A)``."""
+
+    def __init__(self, A):
+        self.A = np.atleast_2d(np.asarray(A, dtype=complex))
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+    @cached_property
+    def diagonalization(self) -> spectral.Diagonalization | None:
+        """``A = V diag(d) V^-1`` when ``A`` passes the spectral route's
+        gate, else None (also for a non-finite ``A``, which ``eig`` cannot
+        take)."""
+        return spectral.diagonalize(self.A) if np.isfinite(self.A).all() \
+            else None
+
+    @cached_property
+    def spectral_radius(self) -> float:
+        """``rho(A)``: the largest ``|d_i|`` of the diagonalization when that
+        was made first, else ``spectral_radius``, which refuses a non-finite
+        ``A``."""
+        spec = self.__dict__.get("diagonalization")
+        return spectral_radius(self.A) if spec is None \
+            else float(np.abs(spec.d).max())
+
+
+def _operator(A) -> _Operator:
+    """The door of every entry that takes an operator: a matrix becomes an
+    ``_Operator``; an OutputPair (or an ``_Operator``) is taken as it is,
+    with the data it has cached."""
+    return A if isinstance(A, _Operator) else _Operator(A)
+
+
 @dataclass
-class OutputPair:
+class OutputPair(_Operator):
     """Matrices ``(C, A)`` with ``A`` n-by-n, ``n >= 1``, on the state space
-    and ``C`` p-by-n into the output space; the spectral radius of ``A`` is
-    cached."""
+    and ``C`` p-by-n into the output space: an ``_Operator`` with ``C``,
+    whose spectral radius is computed at construction.  ``A`` may be an
+    ``_Operator``, whose cached spectral data the pair then shares."""
 
     A: np.ndarray
     C: np.ndarray
-    spectral_radius: float = field(init=False)
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=complex))
-        self.C = np.atleast_2d(np.asarray(self.C, dtype=complex))
+        C = self.C
+        vars(self).update(vars(_operator(self.A)))
+        self.C = np.atleast_2d(np.asarray(C, dtype=complex))
         if self.A.shape[0] != self.A.shape[1]:
             raise InvalidParameterError("A must be square")
         if not self.A.size:
@@ -248,21 +296,11 @@ class OutputPair:
                 f"C has {self.C.shape[1]} columns, expected {self.A.shape[0]}")
         if not np.isfinite(self.C).all():
             raise InvalidParameterError("C must be finite")
-        self.spectral_radius = spectral_radius(self.A)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
+        self.spectral_radius  # made now, so a non-finite A is refused here
 
     @property
     def p(self) -> int:
         return self.C.shape[0]
-
-    @cached_property
-    def diagonalization(self) -> spectral.Diagonalization | None:
-        """``A = V diag(d) V^-1`` when ``A`` passes the spectral route's
-        gate, else None; built on first use."""
-        return spectral.diagonalize(self.A)
 
     @cached_property
     def CstarC(self) -> np.ndarray:
@@ -367,22 +405,15 @@ def _integer_alpha(w: WeightSequence) -> int | None:
     return None
 
 
-def _route(w: WeightSequence, A) -> spectral.Diagonalization | None:
-    """The diagonalization of ``A`` (the one kept on an OutputPair) when
-    the weight takes the spectral route, ``beta_alpha`` with non-integer
-    ``alpha``, and ``A`` passes its gate; None otherwise, and the sums stay
-    on the closed forms or the series."""
+def _route(w: WeightSequence,
+           op: _Operator) -> spectral.Diagonalization | None:
+    """The operator's diagonalization when the weight takes the spectral
+    route, ``beta_alpha`` with non-integer ``alpha``, and ``A`` passes its
+    gate; None otherwise, and the sums stay on the closed forms or the
+    series."""
     if w.kind != "beta_alpha" or float(w.alpha).is_integer():
         return None
-    return A.diagonalization if isinstance(A, OutputPair) \
-        else spectral.diagonalize(A)
-
-
-def _radius(A, spec: spectral.Diagonalization | None) -> float:
-    """``rho(A)``, read from ``A``'s diagonalization ``spec`` when there is
-    one: an operator on the spectral route is eigen-solved once."""
-    return spectral_radius(A) if spec is None \
-        else float(np.abs(spec.d).max())
+    return op.diagonalization
 
 
 def _contract(rows, terms) -> np.ndarray:
@@ -395,13 +426,14 @@ def _contract(rows, terms) -> np.ndarray:
     return hermitize(sums.reshape(-1, n, n))
 
 
-def _series_sums(A, X, rows, steps, q, tol, context):
+def _series_sums(op: _Operator, X, rows, steps, tol, context):
     """``sum_j rows[i, j] A^{*j} X A^j`` for every row of the 2-d array
     ``rows`` (step bounds ``steps`` past the table), cut once for all rows
-    by the series engine and contracted in one product.  Returns (sums,
-    series record)."""
-    A = np.asarray(A, dtype=complex)
-    rec = series.adaptive_sum(np.asarray(X, dtype=complex), A, rows, q,
+    by the series engine at the rate of ``rho(A)`` and contracted in one
+    product.  Returns (sums, series record)."""
+    A = op.A
+    rec = series.adaptive_sum(np.asarray(X, dtype=complex), A, rows,
+                              series.conjugation_rate(op.spectral_radius),
                               steps, tol, context, left=A.conj().T)
     return _contract(rows, rec.terms), rec
 
@@ -431,7 +463,6 @@ def _closed_gramians(A, X, ks, a: int) -> np.ndarray:
     vectorization, inverted once; each of the ``a`` chained applications of
     the inverse is followed by one step of iterative refinement, which a
     strongly non-normal ``A`` needs for full accuracy."""
-    A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     M = np.eye(n * n) - np.kron(A.conj().T, A.T)
     inv = np.linalg.inv(M)
@@ -463,30 +494,29 @@ def _rational_solve(w: WeightSequence, A, X) -> np.ndarray:
     return np.linalg.solve(M, np.ravel(X)).reshape(np.shape(X))
 
 
-def _stein_sums(w: WeightSequence, A, X, ks, rho: float, tol, context,
-                spec):
+def _stein_sums(w: WeightSequence, op: _Operator, X, ks, tol, context):
     """``sum_j (1/beta_{j+k}) A^{*j} X A^j`` for every shift of ``ks``, with
     the error or tail bound of each and the index of the last term summed.
 
     Closed form (tails 0, index -1: no term is summed) for hardy and integer
-    alpha; the spectral route on the diagonalization ``spec`` (``_route``;
-    the bounds of ``spectral.stein_bounds``, index -1); otherwise the
-    series at the rate of ``rho = rho(A)``, every shift's row cut at the
-    table length left to the largest shift."""
+    alpha; the spectral route on the operator's diagonalization
+    (``_route``; the bounds of ``spectral.stein_bounds``, index -1);
+    otherwise the series, every shift's row cut at the table length left to
+    the largest shift."""
     a = _integer_alpha(w)
     if a is not None:
-        return _closed_gramians(A, X, ks, a), [0.0] * len(ks), -1
+        return _closed_gramians(op.A, X, ks, a), [0.0] * len(ks), -1
+    spec = _route(w, op)
     values = None if spec is None else spectral.shifted(w, ks, spec.upper)
     if values is not None:
         R, N = values
         return (hermitize(spec.apply(R, X)),
                 list(spectral.stein_bounds(spec, w.alpha, ks, N, R, X,
-                                           float(np.linalg.norm(A)))), -1)
+                                           float(np.linalg.norm(op.A)))), -1)
     Jcap = w.trunc_len - max(ks)
     rows = np.array([w.inv_betas[k:k + Jcap + 1] for k in ks])
     steps = [w.inv_step(k + Jcap) for k in ks]
-    sums, rec = _series_sums(A, X, rows, steps, series.conjugation_rate(rho),
-                             tol, context)
+    sums, rec = _series_sums(op, X, rows, steps, tol, context)
     return sums, rec.tails, rec.J
 
 
@@ -502,7 +532,7 @@ def _spectral_quotients(w: WeightSequence, ks, gamma: bool, x):
         else one * values[0]
 
 
-def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context, spec,
+def _hereditary_sums(w: WeightSequence, op: _Operator, X, ks, tol, context,
                      gamma=False) -> np.ndarray:
     """``Gamma[X]`` (when ``gamma``) followed by ``Gamma^(k)[X]`` for every
     shift ``k >= 1`` of ``ks``, as one stack, from the coefficient rows
@@ -513,8 +543,8 @@ def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context, spec,
     ``X, L X, .., L^alpha X``.  A custom weight is exact too, with no tail:
     ``1/R = (1 - s z) / P`` and ``R_k / R = P_k / P``, so the sums are the
     finite rows ``1 - s z`` and ``P_k`` (degree below ``N - k``) over the
-    moments of ``Y = P(L)^-1 X`` (``_rational_solve``).  With a
-    diagonalization ``spec`` (``_route``) they are the spectral route's
+    moments of ``Y = P(L)^-1 X`` (``_rational_solve``).  With the
+    operator's diagonalization (``_route``) they are the spectral route's
     ``(1 - x)^alpha`` and ``(1 - x)^alpha R_k(x)`` at the eigenvalue
     products.  Non-integer alpha past the gate takes the series, every row
     cut at the table length left to the largest shift.  None of them but
@@ -531,19 +561,19 @@ def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context, spec,
         raise InvalidParameterError(
             f"{context}: shift k={kmax} needs the c table to index "
             f"{kmax + (a or 0)}, stored {w.trunc_len}")
-    A = np.asarray(A, dtype=complex)
+    A = op.A
     if w.kind == "custom":  # P_k[m] = P[k + m] for m >= 1: no row outlasts P
         a, X = len(rational_denominator(w)), _rational_solve(w, A, X)
     if a is not None:  # finite rows, 0 past index a
         return _contract(hereditary_rows(w, ks, a, gamma),
                          _right_powers(X, A, a + 1, A.conj().T))
+    spec = _route(w, op)
     F = None if spec is None else _spectral_quotients(w, ks, gamma,
                                                       spec.upper)
     if F is not None:
         return hermitize(spec.apply(F, X))
-    rate = series.conjugation_rate(_radius(A, spec))
-    return _series_sums(A, X, hereditary_rows(w, ks, cap, gamma),
-                        w.c_step(cap), rate, tol, context)[0]
+    return _series_sums(op, X, hereditary_rows(w, ks, cap, gamma),
+                        w.c_step(cap), tol, context)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +581,7 @@ def _hereditary_sums(w: WeightSequence, A, X, ks, tol, context, spec,
 # ---------------------------------------------------------------------------
 
 
-def _resolvent_table(w, k, A, z, tol, context="resolvents"):
+def _resolvent_table(w, k, op: _Operator, z, tol, context="resolvents"):
     """``R_k(z_i A)`` for a shift or a sequence of shifts and a point or a
     1-d array of points, of shape ``np.shape(k) + np.shape(z) + (n, n)``,
     together with the series record of the powers at the grid radius
@@ -561,11 +591,8 @@ def _resolvent_table(w, k, A, z, tol, context="resolvents"):
     (``V diag(R_k(z_i d)) V^-1`` from one ``spectral.shifted`` call).  On
     the series every shift's row ``1/beta_{k+j}`` is cut at the table
     length of the largest shift, past which the weight bounds its step.
-    ``A`` is a matrix or an OutputPair, whose cached spectral radius and
-    diagonalization are read; a matrix on the spectral route takes
-    ``rho(A)`` from its diagonalization, so no operator is eigen-solved
-    twice.  A ConvergenceError of the series names ``context``, the
-    caller."""
+    ``rho(A)`` and the diagonalization are the operator's, made once.  A
+    ConvergenceError of the series names ``context``, the caller."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     ks = np.atleast_1d(np.asarray(k, dtype=int))
     if not ks.size:
@@ -574,14 +601,8 @@ def _resolvent_table(w, k, A, z, tol, context="resolvents"):
         raise InvalidParameterError(f"shift k={ks.min()} must be >= 0")
     if not np.isfinite(zs).all():
         raise InvalidParameterError("resolvent points must be finite")
-    if isinstance(A, OutputPair):
-        A, rho, spec = A.A, A.spectral_radius, _route(w, A)
-    else:
-        A = np.atleast_2d(np.asarray(A, dtype=complex))
-        # eig raises on a non-finite A; spectral_radius refuses it by name
-        spec = _route(w, A) if np.isfinite(A).all() else None
-        rho = _radius(A, spec)
-    n = A.shape[0]
+    spec = _route(w, op)
+    A, n, rho = op.A, op.n, op.spectral_radius
     r = float(np.max(np.abs(zs))) if zs.size else 0.0
     if r * rho >= 1.0:
         raise DivergenceError(
@@ -623,10 +644,10 @@ def resolvents(w: WeightSequence, k, A, zs,
                tol: float = 1e-12) -> np.ndarray:
     """``R_k(z_i A)`` at a point or a 1-d array of points, of shape
     ``np.shape(k) + np.shape(zs) + (n, n)``: ``k`` is one shift or a
-    sequence of shifts, and ``A`` a matrix or an OutputPair, whose cached
-    spectral radius and diagonalization are read (the evaluators of
-    kernels, transfer families and the model pass the pair, so they
-    eigen-solve nothing its gramian table did not).
+    sequence of shifts, and ``A`` a matrix or an OutputPair.  A pair's
+    spectral radius and diagonalization are reused, and a matrix's are made
+    once (the evaluators of kernels, transfer families and the model pass
+    the pair, so they eigen-solve nothing its gramian table did not).
 
     Hardy and integer alpha are closed form,
     ``R_k(zA) = sum_{r<alpha} C(k + r - 1, r) (I - zA)^(r - alpha)``, from
@@ -643,9 +664,11 @@ def resolvents(w: WeightSequence, k, A, zs,
     DivergenceError names it first) and shifts ``k >= 0`` within the stored
     table.  On the series, raises ConvergenceError when
     the stored coefficient table is exhausted before the tail bound drops
-    below ``tol``.
+    below ``tol``.  ``tol`` must be finite and ``>= 0``; at 0 only an exact
+    sum (a closed form, the spectral route, a vanishing tail) is returned.
     """
-    return _resolvent_table(w, k, A, zs, tol)[0]
+    _check_tol(tol)
+    return _resolvent_table(w, k, _operator(A), zs, tol)[0]
 
 
 def resolvent_apply(w: WeightSequence, k: int, A, z: complex,
@@ -653,13 +676,17 @@ def resolvent_apply(w: WeightSequence, k: int, A, z: complex,
     """Evaluate ``R_k(zA) = sum_j (1/beta_{k+j}) z^j A^j`` at one point: the
     one-point grid of ``resolvents``, so closed form for hardy and integer
     alpha, the spectral route for non-integer alpha within its gate, and
-    otherwise a series with tail <= tol.
+    otherwise a series with tail <= tol.  ``A`` is a matrix or an
+    OutputPair, as for ``resolvents``.
 
     Requires ``|z| < 1`` and ``|z| * rho(A) < 1``.  On the series, raises
     ConvergenceError when the stored coefficient table is exhausted before
-    the tail bound drops below ``tol``.
+    the tail bound drops below ``tol``, which must be finite and ``>= 0``
+    (0 as for ``resolvents``).
     """
-    return _resolvent_table(w, k, A, complex(z), tol, "resolvent_apply")[0]
+    _check_tol(tol)
+    return _resolvent_table(w, k, _operator(A), complex(z), tol,
+                            "resolvent_apply")[0]
 
 
 def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
@@ -671,8 +698,10 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     non-integer alpha is ``spectral.shifted`` at the points, with no gate.
     Custom weights, and points past the quadrature's ladder, sum the series
     with tail <= tol, and raise ConvergenceError when the stored table is
-    too short for that.
+    too short for that.  ``tol`` must be finite and ``>= 0``; at 0 the
+    series returns only a vanishing tail.
     """
+    _check_tol(tol)
     if k < 0:
         raise InvalidParameterError(f"shift k={k} must be >= 0")
     xs = np.asarray(x, dtype=complex)
@@ -714,15 +743,17 @@ def _gramian_rows(w, ks, pair, tol, context):
     if w.trunc_len - kmax < 4:
         raise TruncationError(
             f"stored weights too short for gramian shift k={kmax}")
-    return _stein_sums(w, pair.A, pair.CstarC, ks,
-                       pair.spectral_radius, tol, context, _route(w, pair))
+    return _stein_sums(w, pair, pair.CstarC, ks, tol, context)
 
 
 def gramian(w: WeightSequence, k: int, pair: OutputPair,
             tol: float = 1e-10) -> np.ndarray:
     """Shifted observability gramian ``G^(k)``: a Stein solve for hardy and
     integer alpha, the spectral route for non-integer alpha (``A`` within
-    its gate), otherwise a series with tail bound <= tol."""
+    its gate), otherwise a series with tail bound <= tol (finite and
+    ``>= 0``; at 0 the series raises ConvergenceError unless its tail
+    vanishes)."""
+    _check_tol(tol)
     return _gramian_rows(w, [k], pair, tol, "gramian")[0][0]
 
 
@@ -730,7 +761,9 @@ def gramian_table(w: WeightSequence, pair: OutputPair, k_max: int,
                   tol: float = 1e-10) -> GramianTable:
     """All shifted gramians ``G^(k)``, ``k = 0..k_max``, from one Stein
     inverse (hardy and integer alpha), one diagonalization (non-integer
-    alpha, ``A`` within the spectral route's gate) or one shared series."""
+    alpha, ``A`` within the spectral route's gate) or one shared series;
+    ``tol`` as for ``gramian``."""
+    _check_tol(tol)
     ks = list(range(k_max + 1))
     entries, tails, J = _gramian_rows(w, ks, pair, tol, "gramian_table")
     return GramianTable(entries=entries, tail_bounds=dict(zip(ks, tails)),
@@ -768,14 +801,14 @@ def observability_coeffs(w: WeightSequence, k: int, pair: OutputPair,
 # hereditary maps
 # ---------------------------------------------------------------------------
 
-def _check_domain(w: WeightSequence, A, X, tol):
+def _check_domain(w: WeightSequence, op: _Operator, X, tol):
     """Domain of the hereditary calculus: ``X >= A* X A >= 0``, from one
     eigen-solve of ``X`` and ``X - A* X A``, and a summable reciprocal
     series (``_check_summable``).  A non-finite ``A`` or ``X`` is refused
     before the product, ``X - A* X A`` when it overflows, and every test
     fails on NaN."""
     X = np.asarray(X, dtype=complex)
-    A = np.asarray(A, dtype=complex)
+    A = op.A
     if not np.isfinite(A).all():
         raise HereditaryDomainError("A must be finite")
     if not np.isfinite(X).all():
@@ -810,12 +843,17 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
     weight, the spectral route or the series (with tail <= tol) for
     non-integer alpha.
 
-    Requires the domain condition ``X >= A* X A >= 0`` and a reciprocal
-    coefficient table whose summability check did not come back "diverging".
+    ``A`` is a matrix or an OutputPair, whose cached diagonalization is
+    reused.  Requires the domain condition ``X >= A* X A >= 0`` up to
+    ``tol`` (finite and ``>= 0``; 0 asks for it exactly, and for an exact
+    series) and a reciprocal coefficient table whose summability check did
+    not come back "diverging".
     """
-    _check_domain(w, A, X, tol)
-    return _hereditary_sums(w, A, X, np.arange(0), tol, "gamma_map",
-                            _route(w, A), gamma=True)[0]
+    _check_tol(tol)
+    op = _operator(A)
+    _check_domain(w, op, X, tol)
+    return _hereditary_sums(w, op, X, np.arange(0), tol, "gamma_map",
+                            gamma=True)[0]
 
 
 def gamma_k_map(w: WeightSequence, k, A, X,
@@ -825,20 +863,22 @@ def gamma_k_map(w: WeightSequence, k, A, X,
     shifts ``k >= 1``: then a ``(len(k), n, n)`` stack from one evaluation
     on the weight's route (``_hereditary_sums``), as ``classify`` does; on
     the series every shift's row is cut at the length left to the
-    largest."""
+    largest.  ``A`` and ``tol`` as for ``gamma_map``."""
+    _check_tol(tol)
     if not np.size(k):
         raise InvalidParameterError("gamma_k_map needs at least one shift k")
-    _check_domain(w, A, X, tol)
+    op = _operator(A)
+    _check_domain(w, op, X, tol)
     if np.ndim(k) == 0 and k == 0:
         return hermitize(np.asarray(X, dtype=complex))
-    sums = _hereditary_sums(w, A, X, np.atleast_1d(k), tol, "gamma_k_map",
-                            _route(w, A))
+    sums = _hereditary_sums(w, op, X, np.atleast_1d(k), tol, "gamma_k_map")
     return sums if np.ndim(k) else sums[0]
 
 
 def gamma_binomial(m: int, A, X) -> np.ndarray:
-    """Finite binomial defect map ``sum_j (-1)^j binom(m, j) A^{*j} X A^j``."""
-    A = np.asarray(A, dtype=complex)
+    """Finite binomial defect map ``sum_j (-1)^j binom(m, j) A^{*j} X A^j``;
+    ``A`` is a matrix or an OutputPair."""
+    A = _operator(A).A
     return hermitize(sum((-1) ** j * math.comb(m, j) * M for j, M in
                          enumerate(_right_powers(X, A, m + 1, A.conj().T))))
 
@@ -894,15 +934,18 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
 
     The spectral radius is restricted to 0.999, and a weight whose
     reciprocal series is "diverging" is refused (as ``gamma_map`` does).
+    ``k_max >= 1``; ``tol`` is finite and ``>= 0`` (0 asks for exact
+    verdicts, and the series at ``0.1 tol`` for an exact sum).
     """
+    _check_tol(tol)
+    _check_k_max(k_max, 1, "classify")
     if pair.spectral_radius > RHO_MAX:
         raise SpectralRadiusError(
             f"rho(A) = {pair.spectral_radius:.4f} > {RHO_MAX}: classification "
             "needs a series-summable gramian")
     _check_summable(w)
-    sums = _hereditary_sums(w, pair.A, np.eye(pair.n), range(1, k_max + 1),
-                            tol * 0.1, "classify", _route(w, pair),
-                            gamma=True)
+    sums = _hereditary_sums(w, pair, np.eye(pair.n), range(1, k_max + 1),
+                            tol * 0.1, "classify", gamma=True)
     return _classification(w, pair, sums,
                             gramian_table(w, pair, 0, tol=tol * 0.1), tol)
 
@@ -985,16 +1028,18 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     when the sequence has numerically converged and ``rho(A) < 1`` (past it
     no rate certifies the series), the residual of the summation identity
     ``sum_j (1/beta_j) A^{*j} Gamma[H] A^j = H - Delta``; None otherwise.
+    ``A`` is a matrix or an OutputPair, ``k_max >= 1``, and ``tol`` finite
+    and ``>= 0`` (0 as for ``gamma_map``).
     """
-    A = np.asarray(A, dtype=complex)
-    _check_domain(w, A, H, tol)
+    _check_tol(tol)
+    _check_k_max(k_max, 1, "delta_limit")
+    op = _operator(A)
+    _check_domain(w, op, H, tol)
     H = hermitize(np.asarray(H, dtype=complex))
     scale = max(opnorm(H), 1.0)
 
-    spec = _route(w, A)
-    rho = _radius(A, spec)
-    sums = _hereditary_sums(w, A, H, range(1, k_max + 2), tol * 0.1,
-                            "delta_limit", spec, gamma=True)
+    sums = _hereditary_sums(w, op, H, range(1, k_max + 2), tol * 0.1,
+                            "delta_limit", gamma=True)
     gamma_H = sums[0]
     bad = np.flatnonzero(~(_psd_defects(sums[1:]) >= -tol))  # NaN fails
     if bad.size:
@@ -1002,7 +1047,7 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
             f"shifted hereditary map of H not PSD at k={bad[0] + 1}")
 
     # D_0 = Gamma^(0)[H] = H
-    P = _right_powers(np.eye(A.shape[0]), A, k_max + 2)[1:]
+    P = _right_powers(np.eye(op.n), op.A, k_max + 2)[1:]
     D = np.concatenate([H[None], hermitize(
         P.conj().swapaxes(-1, -2) @ sums[1:] @ P)])
     # one stacked call; np.min keeps a NaN, and `not >=` fails on it
@@ -1015,9 +1060,10 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     converged = opnorm(D[k_max] - D[k_max - 1]) <= tol * scale
 
     residual = None
-    if converged and rho < 1.0 and _psd_defects(gamma_H) >= -tol:
-        total = _stein_sums(w, A, gamma_H, [0], rho, tol * 0.1,
-                            "delta_limit sum identity", spec)[0][0]
+    if converged and op.spectral_radius < 1.0 \
+            and _psd_defects(gamma_H) >= -tol:
+        total = _stein_sums(w, op, gamma_H, [0], tol * 0.1,
+                            "delta_limit sum identity")[0][0]
         residual = opnorm(total - (H - delta))
 
     return DeltaReport(delta=delta, converged=converged,

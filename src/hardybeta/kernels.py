@@ -43,7 +43,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .colligation import ColligationFamily, _taylor_stack
-from .errors import InvalidParameterError, TruncationError
+from .errors import (
+    InvalidParameterError,
+    TruncationError,
+    _check_k_max,
+    _check_tol,
+)
 from .hereditary import (
     OutputPair,
     _gramian_remainders,
@@ -162,7 +167,9 @@ def _point_grid(z, zeta):
 
 def space_kernel(w: WeightSequence, z, zeta, tol: float = 1e-12) -> np.ndarray:
     """Scalar reproducing kernel ``R(z * conj(zeta))`` of the full space,
-    of shape ``np.shape(z) + np.shape(zeta)``."""
+    of shape ``np.shape(z) + np.shape(zeta)``; ``tol`` is
+    ``resolvent_scalar``'s (finite, ``>= 0``; 0 as there)."""
+    _check_tol(tol)
     return resolvent_scalar(w, 0, _point_grid(z, zeta)[2], tol)
 
 
@@ -214,7 +221,10 @@ def kernel_coinvariant(w: WeightSequence, pair: OutputPair, z, zeta,
                        gram_inv: np.ndarray | None = None,
                        tol: float = 1e-12) -> np.ndarray:
     """Kernel ``C R(zA) inv(G) R(zeta A)* C*`` of the coinvariant subspace
-    spanned by the observability range of an exactly observable pair."""
+    spanned by the observability range of an exactly observable pair.
+    ``tol`` is the resolvents' (finite, ``>= 0``; 0 as for
+    ``resolvents``)."""
+    _check_tol(tol)
     return _mirrored(_coinvariant(w, pair, z, zeta, gram_inv, tol)[0],
                      zeta is z)
 
@@ -223,7 +233,9 @@ def kernel_invariant(w: WeightSequence, pair: OutputPair, z, zeta,
                      gram_inv: np.ndarray | None = None,
                      tol: float = 1e-12) -> np.ndarray:
     """Kernel of the complementary shift-invariant subspace:
-    ``R(z conj(zeta)) I - C R(zA) inv(G) R(zeta A)* C*``."""
+    ``R(z conj(zeta)) I - C R(zA) inv(G) R(zeta A)* C*``; ``tol`` as for
+    ``kernel_coinvariant``."""
+    _check_tol(tol)
     K, x = _coinvariant(w, pair, z, zeta, gram_inv, tol)
     return _mirrored(resolvent_scalar(w, 0, x, tol) * np.eye(pair.p) - K,
                      zeta is z)
@@ -233,7 +245,9 @@ def kernel_shifted(w: WeightSequence, k: int, pair: OutputPair,
                    gramians, z, zeta, tol: float = 1e-12,
                    rank_tol: float = 1e-10) -> np.ndarray:
     """Kernel of the k-th shift image of the invariant subspace; ``G^(k)``
-    is inverted under ``rank_tol`` (``hermitian_inverse``)."""
+    is inverted under ``rank_tol`` (``hermitian_inverse``), and ``tol`` is
+    as for ``kernel_coinvariant``."""
+    _check_tol(tol)
     K, x = _range_kernel(w, k, pair, hermitian_inverse(gramians[k], rank_tol),
                          z, zeta, tol)
     scal = resolvent_scalar(w, k, x, tol)
@@ -245,7 +259,9 @@ def kernel_gap(w: WeightSequence, k: int, pair: OutputPair, gramians,
                rank_tol: float = 1e-10) -> np.ndarray:
     """Kernel of the wandering gap between shift images k and k+1; both
     range kernels come from one ``resolvents`` table, and ``G^(k)``,
-    ``G^(k+1)`` are inverted under ``rank_tol``."""
+    ``G^(k+1)`` are inverted under ``rank_tol``; ``tol`` as for
+    ``kernel_coinvariant``."""
+    _check_tol(tol)
     (K0, K1), x = _range_kernel(w, (k, k + 1), pair,
                                 gramians.inverses(k, k + 1, rank_tol), z,
                                 zeta, tol)
@@ -325,7 +341,11 @@ def check_inner_family(family: ColligationFamily, k_max: int, J: int,
     remainder (the difference with the table's ``G^(k+1)`` plus its tail
     bound).  The Taylor data of all steps are one array, zero-padded past
     each step's input dimension; zero columns change none of the residuals.
+    ``k_max >= 0``, and ``tol`` bounds every residual: finite and ``>= 0``
+    (0 asks for exact identities).
     """
+    _check_tol(tol)
+    _check_k_max(k_max, 0, "check_inner_family")
     w, k_max = family.weight, min(k_max, family.k_max)
     length = k_max + J + 1
     if length - 1 > w.trunc_len:
@@ -404,8 +424,10 @@ def check_contractive_multiplier(w: WeightSequence, theta_eval, grid,
     criterion is the pointwise bound ``||Theta(z)|| <= 1`` together with
     positivity of the block kernel ``[(I - Theta(z_i) Theta(z_j)*) K(z_i, z_j)]``;
     the smallest eigenvalue is reported after scaling by the mean diagonal
-    (trace scaling).
+    (trace scaling).  ``tol`` is the slack of both tests: finite and
+    ``>= 0`` (0 allows none).
     """
+    _check_tol(tol)
     sup, lam_min, N = _block_kernel(
         w, theta_eval, grid,
         lambda K, P, x: (np.eye(P.shape[-1]) - P) * K)
@@ -423,8 +445,10 @@ def check_hardy_to_weighted_multiplier(w: WeightSequence, theta_eval, grid,
     into the weighted one exactly when the block kernel
     ``[R(z_i conj(z_j)) I - Theta(z_i) Theta(z_j)* / (1 - z_i conj(z_j))]``
     is positive; this is the criterion met by wandering-gap transfer
-    functions, whose pointwise norms may exceed 1.
+    functions, whose pointwise norms may exceed 1.  ``tol`` as for
+    ``check_contractive_multiplier``.
     """
+    _check_tol(tol)
     sup, lam_min, N = _block_kernel(
         w, theta_eval, grid,
         lambda K, P, x: K * np.eye(P.shape[-1]) - P / (1.0 - x))

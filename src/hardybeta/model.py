@@ -40,6 +40,8 @@ from .errors import (
     ConvergenceError,
     ModelCoordinatesError,
     ModelHypothesisError,
+    _check_k_max,
+    _check_tol,
 )
 from .hereditary import (
     ClassificationReport,
@@ -48,15 +50,14 @@ from .hereditary import (
     _classification,
     _gramian_remainders,
     _hereditary_sums,
+    _Operator,
     _right_powers,
-    _route,
     _stability_residual,
     eigh,
     gamma_map,
     gramian_table,
     hermitize,
     opnorm,
-    spectral_radius,
     stein_residual,
 )
 from .kernels import _range_kernel, default_grid
@@ -94,16 +95,29 @@ def _defect_root(G: np.ndarray, tol: float) -> np.ndarray:
     return hermitize((V * np.sqrt(lam)) @ V.conj().T)
 
 
+def _adjoint(T):
+    """``T`` as a complex matrix, and the operator ``A = T*`` of the model,
+    built once: every hereditary sum, pair and gramian table of ``T`` reads
+    its spectral data."""
+    T = np.atleast_2d(np.asarray(T, dtype=complex))
+    return T, _Operator(T.conj().T)
+
+
+def _defect(w: WeightSequence, op: _Operator, tol: float) -> np.ndarray:
+    """``defect_operator`` of the operator ``op = T*``."""
+    return _defect_root(gamma_map(w, op, np.eye(op.n), tol), tol)
+
+
 def defect_operator(w: WeightSequence, T, tol: float = 1e-10) -> np.ndarray:
     """PSD square root of ``Gamma[I]`` evaluated at ``A = T*``.
 
     Raises ModelHypothesisError when ``Gamma[I]`` has an eigenvalue below
     ``-10 tol``, i.e. when ``T`` is not a star-hypercontraction at the
-    zeroth level.
+    zeroth level.  ``tol`` is finite and ``>= 0`` (0 allows no negative
+    roundoff).
     """
-    T = np.atleast_2d(np.asarray(T, dtype=complex))
-    A = T.conj().T
-    return _defect_root(gamma_map(w, A, np.eye(A.shape[0]), tol), tol)
+    _check_tol(tol)
+    return _defect(w, _adjoint(T)[1], tol)
 
 
 def characteristic_family(w: WeightSequence, T, k_max: int = 12,
@@ -117,41 +131,40 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
     ``rho(A) = 0.999``) the classification, which must report a strongly
     stable hypercontraction; the table is then factored into the family.
     The base gramian of ``(C, A)`` is the identity; its deviation is
-    recorded on the bundle.
+    recorded on the bundle.  ``A`` is eigen-solved once for all of it.
+    ``k_max >= 0``; ``tol`` is finite and ``>= 0`` (0 as for
+    ``defect_operator``).
     """
-    T = np.atleast_2d(np.asarray(T, dtype=complex))
-    A = T.conj().T
-    I = np.eye(A.shape[0])
-    _check_domain(w, A, I, tol)
+    _check_tol(tol)
+    _check_k_max(k_max, 0, "characteristic_family")
+    T, op = _adjoint(T)
+    I = np.eye(op.n)
+    _check_domain(w, op, I, tol)
     ctol = max(tol, 1e-8)
-    rho = spectral_radius(A)
     # the stability-check depth starts where a geometric decay at the
     # spectral radius reaches the tolerance, and doubles, up to the table,
     # while the measured residual does not: Gamma^(k)[I] may grow
     # polynomially in k
-    r = max(rho, 1e-3)
+    r = max(op.spectral_radius, 1e-3)
     k_stab = max(20, k_max)
     if r < 1.0:
         k_stab = max(k_stab, int(np.ceil(np.log(ctol) / (2 * np.log(r)))) + 5)
     cap = w.trunc_len - 8
     k_stab = min(k_stab, cap)
-    spec = _route(w, A)
 
     def stack(depth):
-        return _hereditary_sums(w, A, I, range(1, depth + 1),
+        return _hereditary_sums(w, op, I, range(1, depth + 1),
                                 min(tol, 0.1 * ctol), "characteristic_family",
-                                spec, gamma=True)
+                                gamma=True)
     sums = stack(k_stab)
-    while k_stab < cap and _stability_residual(A, sums) > ctol:
+    while k_stab < cap and _stability_residual(op.A, sums) > ctol:
         k_stab = min(2 * k_stab, cap)
         try:
             sums = stack(k_stab)
         except ConvergenceError:  # the series holds no deeper stack
             break
     D = _defect_root(sums[0], tol)
-    pair = OutputPair(A=A, C=D)
-    if spec is not None:  # the table shares the stack's eig of A
-        pair.diagonalization = spec
+    pair = OutputPair(A=op, C=D)
     table = gramian_table(w, pair, k_max + 1, tol=min(tol, 1e-12))
     report = _classification(w, pair, sums, table, ctol)
     if not report.hypercontraction:
@@ -183,12 +196,14 @@ def defect_form_family(w: WeightSequence, T, k_max: int = 12,
     characteristic family up to per-step right unitaries.
 
     Assumes the defect operator has full rank, so the output space does not
-    degenerate.
+    degenerate.  ``A`` is eigen-solved once for the defect and the
+    gramians.  ``k_max >= 0``; ``tol`` as for ``characteristic_family``.
     """
-    T = np.atleast_2d(np.asarray(T, dtype=complex))
-    A = T.conj().T
-    C = defect_operator(w, T, tol)
-    pair = OutputPair(A=A, C=C)
+    _check_tol(tol)
+    _check_k_max(k_max, 0, "defect_form_family")
+    op = _adjoint(T)[1]
+    pair = OutputPair(A=op, C=_defect(w, op, tol))
+    A, C = pair.A, pair.C
     gramians = gramian_table(w, pair, k_max + 1, tol=min(tol, 1e-12))
     n = pair.n
     lam, V = eigh(gramians.stack(0, k_max + 1))
@@ -292,8 +307,10 @@ def check_coincidence(famA, famB, grid=None,
     singular value ``S_min``.  So ``res`` is at least
     ``c / (beta + sqrt(beta^2 + c))``, ``c = S_min sqrt(p / R)``; when that
     floor, less an allowance for rounding, exceeds ``tol`` the check
-    returns "no" with no unitaries and 0 sweeps.
+    returns "no" with no unitaries and 0 sweeps.  ``tol`` is finite and
+    ``>= 0``; at 0 only an exact coincidence is one, and every sweep runs.
     """
+    _check_tol(tol)
     A_col = famA.family if isinstance(famA, CharFamily) else famA
     B_col = famB.family if isinstance(famB, CharFamily) else famB
     if grid is None:
@@ -394,8 +411,10 @@ def model_roundtrip_residual(char: CharFamily, grid=None,
     ``x^k Theta_k(z) Theta_k(zeta)*``, so no allowance enters.  Both range
     kernels (shift 0 with ``G = I`` and shift ``K + 1``) come from one
     ``resolvents`` table, and their scalar parts combine into the
-    polynomial ``sum_{j <= K} x^j / beta_j``.
+    polynomial ``sum_{j <= K} x^j / beta_j``.  ``tol`` is the resolvents'
+    (finite, ``>= 0``; 0 as for ``resolvents``).
     """
+    _check_tol(tol)
     fam, w = char.family, char.weight
     if grid is None:
         grid = default_grid(radii=(0.0, 0.15, 0.3, 0.45, 0.6))
@@ -448,8 +467,10 @@ def functional_model_colligation(fam: ColligationFamily, k: int, J: int,
 
     and reports its alignment against the stored ``B_k`` up to a right
     unitary, together with the three block identities of the weighted
-    isometry property.
+    isometry property.  ``tol`` (finite, ``>= 0``; 0 allowed) bounds the
+    identity base gramian's deviation, floored at 1e-8.
     """
+    _check_tol(tol)
     w, pair = fam.weight, fam.pair
     if opnorm(fam.gramians[0] - np.eye(pair.n)) > max(tol, 1e-8):
         raise ModelCoordinatesError(
@@ -495,7 +516,9 @@ class WanderingTheta:
     def eval(self, z, tol: float = 1e-12) -> np.ndarray:
         """``Theta(z) = D + z C R_1(zA) B`` at a point or a 1-d array of
         points, of shape ``np.shape(z) + (p, u)`` (``transfer_eval`` at
-        step 0, where ``1/beta_0 = 1``)."""
+        step 0, where ``1/beta_0 = 1``); ``tol`` as for ``resolvents``
+        (finite, ``>= 0``)."""
+        _check_tol(tol)
         return _transfer_values(self.weight, [0], self.pair, self.B[None],
                                 self.D[None], z, tol)[0]
 
@@ -508,8 +531,10 @@ def wandering_theta(w: WeightSequence, pair: OutputPair,
     Specializes the Cholesky step to ``k = 0`` (the leading weight is 1, so
     the constant term needs no scaling).  The result factors the gap kernel
     as ``Theta(z) Theta(zeta)*`` and is a contractive multiplier from the
-    unweighted Hardy space into the weighted one.
+    unweighted Hardy space into the weighted one.  ``tol`` is the gramian
+    table's (finite, ``>= 0``; 0 as for ``gramian``).
     """
+    _check_tol(tol)
     gramians = gramian_table(w, pair, 1, tol=tol)
     B, D = build_step(w, 0, pair, gramians, rank_tol)
     return WanderingTheta(B=B, D=D, pair=pair, weight=w)

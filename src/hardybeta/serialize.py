@@ -31,7 +31,7 @@ import json
 import numpy as np
 
 from .colligation import ColligationFamily, ColligationStep
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _check_tol
 from .hereditary import OutputPair, gramian_table
 from .weights import (
     WeightSequence,
@@ -266,6 +266,9 @@ def family_to_json(fam: ColligationFamily) -> dict:
 
 
 def family_from_json(obj: dict, tol: float = 1e-12) -> ColligationFamily:
+    """The family of ``family_to_json``, its gramian table recomputed with
+    ``tol`` (finite, ``>= 0``; 0 as for ``gramian``)."""
+    _check_tol(tol)
     w = weight_from_json(obj["weight"])
     pair = pair_from_json(obj["pair"])
     steps = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colligation import ColligationFamily, _taylor_stack, transfer_taylor
-from .errors import InvalidParameterError, TruncationError
+from .errors import InvalidParameterError, TruncationError, _check_tol
 from .hereditary import _right_powers
 
 
@@ -210,8 +210,10 @@ def check_io_isometry(family: ColligationFamily, trials: int, horizon: int,
     outputs before the horizon ``h`` are simulated; the energy of those
     from ``h`` on, where the input is zero, is ``zero_input_tail_energy``
     of the state ``x(h)``.  The allowance is that closed form's truncation,
-    ``beta_h^2 ||x(h)||^2`` times the tail bound of ``G^(h)``.
+    ``beta_h^2 ||x(h)||^2`` times the tail bound of ``G^(h)``.  ``tol`` is
+    finite and ``>= 0`` (0 allows no slack past the allowance).
     """
+    _check_tol(tol)
     w = family.weight
     rng = np.random.default_rng(seed)
     if horizon - 1 > family.k_max:

@@ -43,6 +43,15 @@ def series_copy(w):
     return hb.make_weight_custom(w.betas)
 
 
+def off_route(A):
+    """``A`` as the operator of the private hereditary helpers with the
+    spectral route declined, so that its conjugation sums take the series
+    (as past the route's gate)."""
+    op = hb.hereditary._Operator(A)
+    op.diagonalization = None
+    return op
+
+
 def continued_R(betas):
     """``R_k(x) = sum_j x^j / beta_{k+j}`` of a table ``beta_0 .. beta_N``
     continued past ``beta_N`` at its last ratio ``s = beta_{N-1}/beta_N``

@@ -3,7 +3,15 @@ for a weight next to a colligation or characteristic family, where the two
 could disagree."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+import hardybeta as hb
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hardybeta"
 FAMILIES = {"ColligationFamily", "CharFamily"}
@@ -174,13 +182,147 @@ def test_general_eigen_solve_check_sees_every_spelling():
 
 
 def test_one_general_eigen_solve_of_each_kind():
-    # an operator's eigenvalues come from hereditary.spectral_radius, which
-    # OutputPair caches, and its eigenvectors from spectral.diagonalize,
-    # which OutputPair.diagonalization caches: every other site reads them
+    # an operator's eigenvalues come from hereditary.spectral_radius and
+    # its eigenvectors from spectral.diagonalize, both cached by
+    # hereditary._Operator (test_one_door_for_the_operator): every other
+    # site reads them
     found = [f"{path.stem}.{where}" for path in sorted(SRC.glob("*.py"))
              for where in linalg_uses(path.read_text(), GENERAL_SOLVES)]
     assert sorted(f.rsplit(":", 1)[0] for f in found) == [
         "hereditary.spectral_radius", "spectral.diagonalize"], found
+
+
+def calls_of(source: str, name: str):
+    """The owner of every call in ``source`` of a function named ``name``,
+    however it is reached (``name(..)``, ``module.name(..)``): the
+    enclosing top-level def, ``Class.method`` for a method, or
+    ``<module>``."""
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            owners = [(f"{top.name}.{node.name}", node) for node in top.body
+                      if isinstance(node, ast.FunctionDef)]
+        else:
+            owners = [(top.name if isinstance(top, ast.FunctionDef)
+                       else "<module>", top)]
+        for owner, tree in owners:
+            for node in ast.walk(tree):
+                func = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and name == (
+                        getattr(func, "id", None) or getattr(func, "attr",
+                                                             None)):
+                    yield owner
+
+
+def test_call_check_sees_every_spelling():
+    source = (
+        "rho = spectral_radius(A)\n"
+        "def f(A, pair):\n"
+        "    return her.spectral_radius(A), pair.spectral_radius\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return spectral.diagonalize(self.A)\n"
+        "    def spectral_radius(self):\n"
+        "        return spectral_radius(self.A)\n")
+    assert list(calls_of(source, "spectral_radius")) == [
+        "<module>", "f", "C.spectral_radius"]
+    assert list(calls_of(source, "diagonalize")) == ["C.g"]
+
+
+def test_one_door_for_the_operator():
+    # an operator's diagonalization and spectral radius are made by the
+    # cache of hereditary._Operator (an OutputPair is one) and read from
+    # it; only the suite's random pairs, which scale a fresh matrix, call
+    # spectral_radius as well
+    found = {name: sorted(f"{path.stem}.{owner}"
+                          for path in sorted(SRC.glob("*.py"))
+                          for owner in calls_of(path.read_text(), name))
+             for name in ("diagonalize", "spectral_radius")}
+    assert found == {
+        "diagonalize": ["hereditary._Operator.diagonalization"],
+        "spectral_radius": ["acceptance.random_pair",
+                            "hereditary._Operator.spectral_radius"]}
+
+
+def tol_entries():
+    """``module.name`` and the callable of every public function and public
+    method of the package's modules with a ``tol`` parameter; the series
+    engine, which sums to the checked tolerance of its callers, is left
+    out."""
+    for info in pkgutil.iter_modules(hb.__path__):
+        if info.name == "series":
+            continue
+        module = importlib.import_module(f"hardybeta.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") \
+                    or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            fns = [(f"{name}.{m}", f) for m, f in vars(obj).items()
+                   if inspect.isfunction(f) and not m.startswith("_")] \
+                if inspect.isclass(obj) else [(name, obj)]
+            for qual, fn in fns:
+                if inspect.isfunction(fn) \
+                        and "tol" in inspect.signature(fn).parameters:
+                    yield f"{info.name}.{qual}", fn
+
+
+TOL_ENTRIES = dict(tol_entries())
+
+
+def test_the_walk_sees_every_tol():
+    exported = {name for name, fn in vars(hb).items()
+                if inspect.isfunction(fn)
+                and "tol" in inspect.signature(fn).parameters}
+    assert len(exported) == 28
+    assert exported <= {name.rsplit(".", 1)[1] for name in TOL_ENTRIES}
+    assert {"model.WanderingTheta.eval", "serialize.family_from_json"} \
+        <= set(TOL_ENTRIES)
+    assert len(TOL_ENTRIES) == 30
+
+
+@pytest.mark.parametrize("name", sorted(TOL_ENTRIES))
+def test_bad_tol_is_refused_at_the_door(name):
+    # before any work: the other arguments (None here) are never read
+    fn = TOL_ENTRIES[name]
+    params = list(inspect.signature(fn).parameters.values())
+    needed = [None for p in params[:[p.name for p in params].index("tol")]
+              if p.default is inspect.Parameter.empty]
+    for bad in (-1, np.nan, np.inf):
+        with pytest.raises(hb.InvalidParameterError) as info:
+            fn(*needed, tol=bad)
+        assert str(info.value) == \
+            f"tol must be a finite number >= 0, got {bad}"
+
+
+def _k_max_calls():
+    """Each entry that refuses a ``k_max`` below its least by name, with a
+    call of it at a given ``k_max``."""
+    w = hb.make_weight_beta_alpha(2.5, 256)
+    pair = hb.OutputPair(A=[[0.5]], C=[[0.866]])
+    T = [[0.5]]
+    return {
+        "classify": (1, lambda k: hb.classify(w, pair, k_max=k)),
+        "delta_limit": (1, lambda k: hb.delta_limit(w, [[0.5]], [[1.0]],
+                                                    k_max=k)),
+        "build_family": (0, lambda k: hb.build_family(w, pair, k_max=k)),
+        "characteristic_family": (
+            0, lambda k: hb.characteristic_family(w, T, k_max=k)),
+        "defect_form_family": (
+            0, lambda k: hb.defect_form_family(w, T, k_max=k)),
+        "check_inner_family": (
+            0, lambda k: hb.check_inner_family(
+                hb.build_family(w, pair, k_max=2), k_max=k, J=10)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_k_max_calls()))
+def test_k_max_below_its_least_is_refused_by_name(name):
+    least, call = _k_max_calls()[name]
+    call(least)  # the least k_max is answered
+    for k in (least - 1, -1):
+        with pytest.raises(hb.InvalidParameterError) as info:
+            call(k)
+        assert str(info.value) == \
+            f"{name} needs k_max >= {least}, got k_max={k}"
 
 
 def series_uses(source: str):
@@ -214,9 +356,10 @@ def test_series_check_sees_every_spelling():
 
 #: the fallback sites: the gramians, resolvents and scalars of custom
 #: weights (their maps take the rational form), and non-integer alpha past
-#: the spectral route's gate or its node ladder
-SERIES_SITES = {"hereditary._series_sums", "hereditary._stein_sums",
-                "hereditary._hereditary_sums", "hereditary._resolvent_table",
+#: the spectral route's gate or its node ladder; the conjugation sums of
+#: the gramians and the maps reach the engine through ``_series_sums``,
+#: which takes its rate from the operator
+SERIES_SITES = {"hereditary._series_sums", "hereditary._resolvent_table",
                 "hereditary.resolvent_scalar"}
 
 

@@ -137,6 +137,45 @@ class TestAnalyzeCommand:
         code, _, _ = run(capsys, "analyze", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
+    def test_bad_tol_flag_exits_2(self, tmp_path, capsys, bad):
+        # refused by name before any work: a negative tol once turned
+        # every verdict of this contraction around
+        op = self.write_operator(tmp_path, [[0.5]], [[0.866]])
+        code, out, err = run(capsys, "analyze", op, "--tol", bad)
+        assert (code, out) == (2, "")
+        assert err == f"error: --tol must be a finite number >= 0, " \
+            f"got {float(bad)}\n"
+
+    @pytest.mark.parametrize("bad", ["nan", "-1e-3", "-inf"])
+    def test_bad_tol_variable_exits_2(self, tmp_path, capsys, monkeypatch,
+                                      bad):
+        # every subcommand embeds the default tolerance in its report, so
+        # every one refuses a bad HARDY_BETA_TOL, an explicit --tol too
+        op = self.write_operator(tmp_path, [[0.5]], [[0.866]])
+        monkeypatch.setenv("HARDY_BETA_TOL", bad)
+        text = f"error: HARDY_BETA_TOL must be a finite number >= 0, " \
+            f"got {float(bad)}\n"
+        for argv in (["analyze", op], ["analyze", op, "--tol", "1e-8"],
+                     ["weights", "--hardy", "--head"]):
+            assert run(capsys, *argv) == (2, "", text)
+
+    def test_k_max_zero_exits_2(self, tmp_path, capsys):
+        op = self.write_operator(tmp_path, [[0.5]], [[0.866]])
+        code, out, err = run(capsys, "analyze", op, "--k-max", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: classify needs k_max >= 1, got k_max=0\n"
+
+    @pytest.mark.parametrize("sub", ["colligate", "charfn"])
+    def test_negative_k_max_exits_2(self, tmp_path, capsys, sub):
+        op = self.write_operator(tmp_path, [[0.5]], [[0.866]])
+        where = [op] if sub == "colligate" else ["--t", "0.5"]
+        code, out, err = run(capsys, sub, *where, "--k-max", "-1")
+        name = "build_family" if sub == "colligate" \
+            else "characteristic_family"
+        assert (code, out) == (2, "")
+        assert err == f"error: {name} needs k_max >= 0, got k_max=-1\n"
+
 
 class TestCharfnCommand:
     def test_scalar_blaschke_bundle(self, tmp_path, capsys):

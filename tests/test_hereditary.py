@@ -106,7 +106,8 @@ class TestShiftLists:
         zs = np.asarray(hb.default_grid(), dtype=complex)
         shifts = (0, 2, 5)
         tol = 1e-6
-        S, rec = her._resolvent_table(w, shifts, A, zs, tol)
+        S, rec = her._resolvent_table(w, shifts, her._operator(A), zs,
+                                        tol)
         inv = np.linalg.inv(np.eye(4) - zs[:, None, None] * A)
         worst = 0.0
         for Sk, k, bound in zip(S, shifts, rec.tails):
@@ -428,7 +429,8 @@ class TestClosedResolvents:
             (0.999 / lam) * np.exp(2j * np.pi * np.array([0.0, 0.3, 0.55])),
             [0.0, 0.5j, -0.8, 0.7 + 0.6j]])
         shifts = (0, 2, 5)
-        R, rec = her._resolvent_table(w, shifts, A, zs, 1e-12)
+        R, rec = her._resolvent_table(w, shifts, her._operator(A), zs,
+                                        1e-12)
         assert rec is None
         for Rk, k in zip(R, shifts):
             for Rz, z in zip(Rk, zs):
@@ -462,8 +464,9 @@ class TestClosedResolvents:
         xs = 0.9 * zs
         for w in (w_hardy, w_beta2):
             copy = series_copy(w)
-            closed, none = her._resolvent_table(w, (0, 3), A, zs, 1e-12)
-            summed, rec = her._resolvent_table(copy, (0, 3), A, zs, 1e-12)
+            op = her._operator(A)
+            closed, none = her._resolvent_table(w, (0, 3), op, zs, 1e-12)
+            summed, rec = her._resolvent_table(copy, (0, 3), op, zs, 1e-12)
             assert none is None and rec.J >= 4
             for Ck, Sk, tail in zip(closed, summed, rec.tails):
                 assert np.linalg.norm(Ck - Sk, axis=(1, 2)).max() \
@@ -694,13 +697,17 @@ class TestRationalForm:
                                    rtol=1e-14, atol=0)
 
     def test_delta_limit_solves_for_rho_once(self, monkeypatch):
-        # rho(A) for the sum identity; the maps need none
+        # rho(A) for the sum identity, once; the maps need none, and a
+        # sequence that has not converged checks no identity
         real, calls = np.linalg.eigvals, []
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda M: calls.append(1) or real(M))
         w = series_copy(hb.make_weight_beta_alpha(2.0, 512))
         rep = hb.delta_limit(w, np.diag([0.5, 0.3]), np.eye(2), k_max=10)
         assert rep.monotone_min_eig >= 0.0
+        assert not rep.converged and len(calls) == 0
+        rep = hb.delta_limit(w, np.diag([0.5, 0.3]), np.eye(2), k_max=40)
+        assert rep.sum_identity_residual is not None
         assert len(calls) == 1
 
 
@@ -1217,3 +1224,92 @@ class TestKnownDefects:
                         * lam ** (2 * j - p - q), [0, mpmath.inf])
         err = np.linalg.norm(table[0] - ref)
         assert err <= table.tail_bounds[0] + 1e-12 * np.linalg.norm(ref)
+
+
+def _count_eigen_solves(monkeypatch) -> dict:
+    """``{"eig": calls, "eigvals": calls}`` of the general eigen-solves
+    made from here on."""
+    calls = {"eig": 0, "eigvals": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestOneDoor:
+    """Every entry that takes ``A`` takes a matrix or an OutputPair, and no
+    ``A`` is eigen-solved twice."""
+
+    @staticmethod
+    def contraction(rng, n, norm=0.3):
+        G = cmat(rng, n, n)
+        return G * (norm / her.opnorm(G))
+
+    def test_a_pair_is_eigen_solved_once(self, w_beta25, monkeypatch):
+        # the pair's radius at construction and one diagonalization, made
+        # by the gramian table and read by every map and grid after it
+        rng = np.random.default_rng(71)
+        A, C = self.contraction(rng, 3), cmat(rng, 2, 3)
+        calls = _count_eigen_solves(monkeypatch)
+        pair = hb.OutputPair(A=A, C=C)
+        G = hb.gramian_table(w_beta25, pair, 3)[0]
+        gamma = hb.gamma_map(w_beta25, pair, G)
+        maps = hb.gamma_k_map(w_beta25, [1, 2, 3], pair, G)
+        rep = hb.delta_limit(w_beta25, pair, np.eye(3))
+        hb.resolvents(w_beta25, [0, 1], pair, hb.default_grid())
+        hb.resolvent_apply(w_beta25, 2, pair, 0.5j)
+        assert rep.sum_identity_residual is not None  # reads rho(A)
+        assert calls == {"eig": 1, "eigvals": 1}
+        # the same values as from the bare matrix, bit for bit
+        assert np.array_equal(gamma, hb.gamma_map(w_beta25, A, G))
+        assert np.array_equal(maps, hb.gamma_k_map(w_beta25, [1, 2, 3], A, G))
+
+    def test_the_model_solves_its_operator_once(self, w_beta25, monkeypatch):
+        # characteristic_family needs rho(A) for its stability depth before
+        # any diagonalization; defect_form_family diagonalizes A for the
+        # defect first, and its pair reads rho(A) from that
+        T = hypercontraction_T(w_beta25, np.random.default_rng(72), 3)
+        calls = _count_eigen_solves(monkeypatch)
+        char = hb.characteristic_family(w_beta25, T, k_max=4)
+        assert calls == {"eig": 1, "eigvals": 1}
+        assert char.family.pair.diagonalization is not None
+        calls.update(eig=0, eigvals=0)
+        hb.defect_form_family(w_beta25, T, k_max=4)
+        assert calls == {"eig": 1, "eigvals": 0}
+
+    @pytest.mark.parametrize("kind", ["hardy", "beta2", "custom"])
+    def test_closed_maps_solve_nothing(self, kind, monkeypatch):
+        w = {"hardy": hb.make_weight_hardy(64),
+             "beta2": hb.make_weight_beta_alpha(2.0, 64),
+             "custom": hb.make_weight_custom([1.0, 0.5, 0.3, 0.2])}[kind]
+        calls = _count_eigen_solves(monkeypatch)
+        A = np.diag([0.5, 0.2])
+        hb.gamma_map(w, A, np.eye(2))
+        hb.gamma_k_map(w, [1, 2], A, np.eye(2))
+        assert calls == {"eig": 0, "eigvals": 0}
+
+    def test_a_bare_matrix_on_the_route_is_diagonalized_once(
+            self, w_beta25, monkeypatch):
+        # its radius is read from the diagonalization
+        calls = _count_eigen_solves(monkeypatch)
+        hb.resolvent_apply(w_beta25, 1, np.diag([0.5, 0.2]), 0.5)
+        assert calls == {"eig": 1, "eigvals": 0}
+
+    def test_a_pair_shares_the_operator_it_is_built_on(self, w_beta25):
+        op = her._Operator(np.diag([0.5, 0.2]))
+        spec = op.diagonalization
+        pair = hb.OutputPair(A=op, C=np.ones((1, 2)))
+        assert pair.diagonalization is spec
+        assert pair.spectral_radius == 0.5
+        assert her._operator(pair) is pair
+
+    def test_zero_tol_is_allowed(self):
+        # the door refuses negative, NaN and infinite tolerances only
+        # (tests/test_api.py walks every entry); a closed form needs none
+        A = np.diag([0.5, 0.2])
+        w = hb.make_weight_hardy(64)
+        np.testing.assert_allclose(hb.gamma_map(w, A, np.eye(2), tol=0.0),
+                                   np.eye(2) - A @ A, rtol=0, atol=1e-15)

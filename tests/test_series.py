@@ -8,7 +8,7 @@ from scipy.special import gammaln
 import hardybeta as hb
 from hardybeta import hereditary as her
 from hardybeta import series
-from conftest import mp_maps, series_copy
+from conftest import mp_maps, off_route, series_copy
 
 #: diagonal (normal) operator: ||A^j|| = rho^j, so the observed transient
 #: constant is a true bound and the closed forms below are exact
@@ -187,9 +187,9 @@ class TestTooShortTable:
              "resolvent_apply: tail bound inf > tol 1.000e-12 after 17 "
              "stored terms: a row's step bound past the table, 1.03125, "
              "times the decay rate q = 0.98505 is 1.01583 >= 1"),
-            (lambda: her._hereditary_sums(w, np.diag([0.95, 0.5]), np.eye(2),
-                                          np.arange(0), 1e-10, "gamma_map",
-                                          None, gamma=True),
+            (lambda: her._hereditary_sums(w, off_route(np.diag([0.95, 0.5])),
+                                          np.eye(2), np.arange(0), 1e-10,
+                                          "gamma_map", gamma=True),
              "gamma_map: tail bound 5.656e-03 > tol 1.000e-10 after 17 stored "
              "terms; increase the weight truncation"),
         ]
@@ -247,7 +247,8 @@ class TestTailCoversRemainder:
         w, power = _weight(kind)
         tol = 1e-2
         for z in (0.8, 0.6 - 0.5j, -0.7j):
-            S, rec = her._resolvent_table(w, 0, DIAG, z, tol)
+            S, rec = her._resolvent_table(w, 0, her._operator(DIAG), z,
+                                          tol)
             exact = np.linalg.matrix_power(
                 np.linalg.inv(np.eye(3) - z * DIAG), power)
             remainder = np.linalg.norm(exact - S)
@@ -260,7 +261,7 @@ class TestTailCoversRemainder:
         w, power = _weight(kind)
         tol = 1e-2
         zs = np.array([0.8, 0.6 - 0.5j, -0.7j, 0.5, -0.2 + 0.1j, 0.0])
-        S, rec = her._resolvent_table(w, 0, DIAG, zs, tol)
+        S, rec = her._resolvent_table(w, 0, her._operator(DIAG), zs, tol)
         for z, Sz in zip(zs, S):
             exact = np.linalg.matrix_power(
                 np.linalg.inv(np.eye(3) - z * DIAG), power)
@@ -523,8 +524,8 @@ class TestUnderflow:
             np.diag((1 - np.diag(self.A) ** 2) ** 2.5 * [small, 1.0]),
             rtol=1e-12, atol=0)
         with pytest.raises(hb.ConvergenceError) as info:
-            her._hereditary_sums(w, self.A, X, np.arange(0), 1e-10,
-                                 "gamma_map", None, gamma=True)
+            her._hereditary_sums(w, off_route(self.A), X, np.arange(0),
+                                 1e-10, "gamma_map", gamma=True)
         assert str(info.value) == (
             "gamma_map: tail bound 3.513e-10 > tol 1.000e-10 after 2049 "
             "stored terms; increase the weight truncation")

@@ -236,16 +236,16 @@ class TestFallback:
         table = hb.gramian_table(w, pair, 3)
         assert table.trunc_order >= 0
         sums, tails, J = her._stein_sums(
-            w, pair.A, pair.C.conj().T @ pair.C, [0, 1, 2, 3],
-            pair.spectral_radius, 1e-10, "gramian_table", None)
+            w, pair, pair.C.conj().T @ pair.C, [0, 1, 2, 3], 1e-10,
+            "gramian_table")
         assert J == table.trunc_order
         assert all(np.array_equal(table[k], sums[k]) for k in range(4))
         assert [table.tail_bounds[k] for k in range(4)] == tails
         X = table[0]
         np.testing.assert_array_equal(
             hb.gamma_k_map(w, 2, JORDAN, X),
-            her._hereditary_sums(w, pair.A, X, np.array([2]), 1e-10,
-                                 "gamma_k_map", None)[0])
+            her._hereditary_sums(w, pair, X, np.array([2]), 1e-10,
+                                 "gamma_k_map")[0])
 
     def test_rate_one_takes_the_series(self):
         # rho(A) = 1 fails the gate, and the series, at rate 1, refuses the
