@@ -27,7 +27,10 @@ zero-padded in the stacks, since zero columns of ``U_k`` change neither
 identity; ``build_step`` and ``metric_residuals`` are the one-step calls of
 the same code.  The Taylor coefficients of one step are one array, and
 ``transfer_eval`` evaluates a sequence of steps from one ``resolvents``
-table.  Built families are immutable.
+table.  Every step stack is built by ``_padded``, which refuses a step
+outside ``0..k_max`` by name.  Nothing here changes a built family, but a
+family is not frozen: every evaluator reads ``steps`` as they stand when it
+is called, so a step replaced after the build is what the evaluators see.
 """
 
 from __future__ import annotations
@@ -259,7 +262,12 @@ def metric_residuals(family: ColligationFamily, k: int) -> dict:
 
 def _padded(family: ColligationFamily, ks):
     """``B_k`` and ``D_k`` for the steps ``ks`` as stacks zero-padded to the
-    widest step, and the mask of each step's own input columns."""
+    widest step, and the mask of each step's own input columns.  A step
+    outside ``0..k_max`` is refused."""
+    for k in ks:
+        if not 0 <= k <= family.k_max:
+            raise InvalidParameterError(f"family holds steps 0.."
+                                        f"{family.k_max}, not k={k}")
     steps = [family.step(k) for k in ks]
     u = np.array([st.u for st in steps])
     B = np.zeros((len(steps), family.pair.n, u.max()), dtype=complex)
@@ -268,20 +276,6 @@ def _padded(family: ColligationFamily, ks):
         Bi[:, :st.u] = st.B
         Di[:, :st.u] = st.D
     return B, D, np.arange(u.max()) < u[:, None]
-
-
-def _transfer_values(w: WeightSequence, ks, pair: OutputPair, B, D, z,
-                     tol: float) -> np.ndarray:
-    """``(1/beta_k) D_k + z C R_{k+1}(zA) B_k`` for the steps ``ks``
-    (``B`` and ``D`` the matching stacks) at a point or a 1-d array of
-    points, of shape ``(len(ks),) + np.shape(z) + D.shape[-2:]``, from one
-    ``resolvents`` table."""
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    ks = np.asarray(ks)
-    R = resolvents(w, ks + 1, pair, zs, tol)
-    vals = w.inv_betas[ks, None, None, None] * D[:, None] \
-        + zs[None, :, None, None] * (pair.C @ R @ B[:, None])
-    return vals.reshape((len(ks),) + np.shape(z) + D.shape[-2:])
 
 
 def transfer_eval(family: ColligationFamily, k, z,
@@ -293,10 +287,14 @@ def transfer_eval(family: ColligationFamily, k, z,
     its ``u_k`` zero, from one ``resolvents`` table; ``tol`` is the
     table's (finite, ``>= 0``; 0 as for ``resolvents``)."""
     _check_tol(tol)
+    w, pair = family.weight, family.pair
     ks = np.atleast_1d(k)
     B, D, _ = _padded(family, ks)
-    vals = _transfer_values(family.weight, ks, family.pair, B, D, z, tol)
-    return vals if np.ndim(k) else vals[0]
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    R = resolvents(w, ks + 1, pair, zs, tol)
+    vals = w.inv_betas[ks, None, None, None] * D[:, None] \
+        + zs[None, :, None, None] * (pair.C @ R @ B[:, None])
+    return vals.reshape(np.shape(k) + np.shape(z) + D.shape[-2:])
 
 
 def _taylor_stack(family: ColligationFamily, ks, J: int):
@@ -304,6 +302,8 @@ def _taylor_stack(family: ColligationFamily, ks, J: int):
     ``(len(ks), J + 1, p, max u_k)`` array, zero-padded past each ``u_k``,
     the mask of each step's own input columns and the products
     ``C A^j``, ``j = 0..J``, formed once for all steps."""
+    if J < 0:
+        raise InvalidParameterError(f"Taylor length J={J} must be >= 0")
     w, pair = family.weight, family.pair
     ks = np.asarray(ks)
     B, D, inputs = _padded(family, ks)

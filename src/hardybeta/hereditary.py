@@ -17,20 +17,19 @@ and an admissible weight sequence this module evaluates
 One door for the operator: every entry that takes ``A`` (``gamma_map``,
 ``gamma_k_map``, ``gamma_binomial``, ``delta_limit``, ``resolvents``,
 ``resolvent_apply``) takes a matrix or an OutputPair and turns it once into
-an ``_Operator``, which makes ``rho(A)`` and the spectral route's
-diagonalization on first use and keeps them; an OutputPair is one, with
-``C``.  The private helpers take only that object, so no ``A`` is
-eigen-solved twice: ``rho(A)`` is read from the diagonalization when that
-came first, a pair's gramian table, hereditary maps and resolvent grids
-share one diagonalization, and a hardy or integer-alpha map eigen-solves
-nothing.
+an ``_Operator``, which refuses a non-square or empty ``A`` by name, and
+makes ``rho(A)`` and the spectral route's diagonalization on first use and
+keeps them; an OutputPair is one, with ``C``.  The private helpers take
+only that object, so no ``A`` is eigen-solved twice: ``rho(A)`` is read
+from the diagonalization when that came first, a pair's gramian table,
+hereditary maps and resolvent grids share one diagonalization, and a hardy
+or integer-alpha map eigen-solves nothing.
 
 Hardy and integer alpha (``R(x) = (1 - x)^-alpha``) never enter the
-series: a gramian table takes alpha chained applications of one inverse of
-the Kronecker matrix of ``I - L``, ``L: X -> A* X A``, each refined once;
-the hereditary maps are finite sums over the moments
-``X, L X, .., L^alpha X``, since their rows vanish past index alpha; and a
-resolvent grid is
+series: a gramian table takes alpha chained solves of ``I - L``,
+``L: X -> A* X A``, from ``_kron_solver``; the hereditary maps are finite
+sums over the moments ``X, L X, .., L^alpha X``, since their rows vanish
+past index alpha; and a resolvent grid is
 ``R_k(zA) = sum_{r<alpha} C(k + r - 1, r) (I - zA)^(r - alpha)`` for
 every shift, from one batched inverse of ``I - z_i A`` over the points and
 its powers (the scalar ``R_k(x)`` likewise from ``1 / (1 - x)``).  The
@@ -43,11 +42,17 @@ The hereditary maps of a custom weight leave the series too.  Past its
 table it continues at its last ratio ``s``, so ``1/R = (1 - s z) / P`` and
 ``R_k / R = P_k / P`` with ``P_k = (1 - s z) R_k`` of degree below
 ``N - k`` (``weights.rational_rows``): with ``Y = P(L)^-1 X`` from one
-solve against ``P(L)``, formed by Horner on the Kronecker matrix of ``L``,
-``Gamma[X] = Y - s L Y`` and ``Gamma^(k)[X] = P_k(L) Y``, finite sums over
-the moments of ``Y``.  They use no ``tol``, have no tail and need no rate,
-for a Jordan block and at ``rho(A) = 1`` alike; a ``P(L)`` that overflows
-(``rho(A)`` far past 1) is refused by name.
+solve of ``_kron_solver``, ``Gamma[X] = Y - s L Y`` and
+``Gamma^(k)[X] = P_k(L) Y``, finite sums over the moments of ``Y``.  They
+use no ``tol``, have no tail and need no rate, for a Jordan block and at
+``rho(A) = 1`` alike.
+
+``_kron_solver`` is the one solver of a polynomial ``p(L)``, and forms
+the only Kronecker matrix of the package: ``p(L)`` by Horner from the
+leading coefficient on ``K = kron(A^*, A^T)`` (``I - K`` itself at degree
+1), inverted once, each solve refined once.  A ``p(L)`` that overflows
+(``A`` too large, or ``rho(A)`` far past 1 against the degree of ``p``)
+is refused by name.
 
 Non-integer alpha takes the spectral route of ``spectral.py``: with
 ``A = V diag(d) V^-1`` from one ``np.linalg.eig``,
@@ -105,9 +110,10 @@ non-finite entry: every check built on them reports NaN, and fails its
 verdict, instead of raising.  Every positivity verdict (the hereditary
 domain, the shifted maps of ``delta_limit``, ``hermitian_inverse``) is
 written so that NaN fails it, and a non-finite ``A``, ``C`` or ``X`` is
-refused by name before any product is formed.  An empty state space
-(``n = 0``), a ``C* C`` that overflows and an ``X - A* X A`` that
-overflows are refused by name too.  Every entry refuses a negative, NaN
+refused by name before any product is formed.  A non-square ``A``, an
+empty state space (``n = 0``), an ``X`` not of ``A``'s shape, a ``C* C``
+that overflows and an ``X - A* X A`` that overflows are refused by name
+too.  Every entry refuses a negative, NaN
 or infinite ``tol`` before any work (0 is allowed), and ``classify`` and
 ``delta_limit`` a ``k_max`` below 1.
 
@@ -237,12 +243,16 @@ def hermitian_inverse(M: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
 
 
 class _Operator:
-    """An n-by-n complex matrix ``A`` with its spectral data, each made on
-    first use and kept: the spectral route's diagonalization and
-    ``rho(A)``."""
+    """An n-by-n complex matrix ``A``, ``n >= 1``, with its spectral data,
+    each made on first use and kept: the spectral route's diagonalization
+    and ``rho(A)``.  A non-square or empty ``A`` is refused."""
 
     def __init__(self, A):
         self.A = np.atleast_2d(np.asarray(A, dtype=complex))
+        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
+            raise InvalidParameterError("A must be square")
+        if not self.A.size:
+            raise InvalidParameterError("the state space must have n >= 1")
 
     @property
     def n(self) -> int:
@@ -276,8 +286,9 @@ def _operator(A) -> _Operator:
 @dataclass
 class OutputPair(_Operator):
     """Matrices ``(C, A)`` with ``A`` n-by-n, ``n >= 1``, on the state space
-    and ``C`` p-by-n into the output space: an ``_Operator`` with ``C``,
-    whose spectral radius is computed at construction.  ``A`` may be an
+    and ``C`` p-by-n into the output space: an ``_Operator`` (which refuses
+    a non-square or empty ``A``) with ``C``, whose spectral radius is
+    computed at construction.  ``A`` may be an
     ``_Operator``, whose cached spectral data the pair then shares."""
 
     A: np.ndarray
@@ -287,10 +298,6 @@ class OutputPair(_Operator):
         C = self.C
         vars(self).update(vars(_operator(self.A)))
         self.C = np.atleast_2d(np.asarray(C, dtype=complex))
-        if self.A.shape[0] != self.A.shape[1]:
-            raise InvalidParameterError("A must be square")
-        if not self.A.size:
-            raise InvalidParameterError("the state space must have n >= 1")
         if self.C.shape[1] != self.A.shape[0]:
             raise InvalidParameterError(
                 f"C has {self.C.shape[1]} columns, expected {self.A.shape[0]}")
@@ -454,44 +461,46 @@ def _binomial_sum(ks, a: int, first, step) -> np.ndarray:
     return (coefs @ P.reshape(a, -1)).reshape((len(coefs),) + P.shape[1:])
 
 
-def _closed_gramians(A, X, ks, a: int) -> np.ndarray:
-    """``sum_j (1/beta_{j+k}) A^{*j} X A^j`` for every shift of ``ks`` when
-    ``1/beta_m = C(a + m - 1, m)``, as one stack: ``_binomial_sum`` over
-    ``(I - L)^-(m+1) X``.
-
-    ``I - L`` is the Kronecker matrix ``I - kron(A^*, A^T)`` of the row-major
-    vectorization, inverted once; each of the ``a`` chained applications of
-    the inverse is followed by one step of iterative refinement, which a
-    strongly non-normal ``A`` needs for full accuracy."""
-    n = A.shape[0]
-    M = np.eye(n * n) - np.kron(A.conj().T, A.T)
+def _kron_solver(A, coefs):
+    """The solver of ``p(L)[Y] = X``, ``L: X -> A* X A``, for the polynomial
+    ``p(z) = sum_i coefs[i] z^i``: it takes and returns the row-major
+    vectorization.  ``p(L)`` is formed on the Kronecker matrix
+    ``K = kron(A^*, A^T)`` of ``L`` by Horner from the leading coefficient,
+    so degree 1 is ``c_0 I + c_1 K`` with no product (``I - K`` for
+    ``1 - z``), and inverted once;
+    each solve is followed by one step of iterative refinement, which a
+    strongly non-normal ``A`` needs for full accuracy.  A ``p(L)`` that
+    overflows (``A`` too large, or ``rho(A)`` far past 1 against the degree
+    of ``p``) is refused.  Every Kronecker matrix of the package is formed
+    here."""
+    *low, top = coefs
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = np.kron(A.conj().T, A.T)
+        I = np.eye(len(K))
+        M = low.pop() * I + top * K if low else top * I
+        for c in low[::-1]:
+            M = M @ K + c * I
+    if not np.isfinite(M).all():
+        raise InvalidParameterError(
+            "the Kronecker matrix of p(L), L: X -> A* X A, overflows: A is "
+            "too large")
     inv = np.linalg.inv(M)
 
     def solve(v):
         x = inv @ v
         x += inv @ (v - M @ x)
         return x
+    return solve
+
+
+def _closed_gramians(A, X, ks, a: int) -> np.ndarray:
+    """``sum_j (1/beta_{j+k}) A^{*j} X A^j`` for every shift of ``ks`` when
+    ``1/beta_m = C(a + m - 1, m)``, as one stack: ``_binomial_sum`` over
+    ``(I - L)^-(m+1) X``, ``a`` chained refined solves of ``I - L``
+    (``_kron_solver``)."""
+    solve = _kron_solver(A, [1.0, -1.0])
     first = solve(np.asarray(X, dtype=complex).reshape(-1))
-    return hermitize(_binomial_sum(ks, a, first, solve).reshape(-1, n, n))
-
-
-def _rational_solve(w: WeightSequence, A, X) -> np.ndarray:
-    """``Y = P(L)^-1 X`` for a custom weight's ``P = (1 - s z) R``
-    (``rational_denominator``): ``P(L)`` by Horner on the Kronecker matrix
-    ``kron(A^*, A^T)`` of ``L`` (the vectorization of ``_closed_gramians``)
-    and one solve.  A ``P(L)`` that overflows (``rho(A) > 1``, so ``L`` has
-    an eigenvalue past the disk, raised to the degree of ``P``) is
-    refused."""
-    K = np.kron(A.conj().T, A.T)
-    M, B = np.zeros_like(K), np.empty_like(K)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c in rational_denominator(w)[::-1]:
-            np.matmul(M, K, out=B)
-            B.reshape(-1)[::len(K) + 1] += c  # a view of the diagonal
-            M, B = B, M
-    if not np.isfinite(M).all():
-        raise HereditaryDomainError("P(L) overflows: rho(A) is too far past 1")
-    return np.linalg.solve(M, np.ravel(X)).reshape(np.shape(X))
+    return hermitize(_binomial_sum(ks, a, first, solve).reshape(-1, *A.shape))
 
 
 def _stein_sums(w: WeightSequence, op: _Operator, X, ks, tol, context):
@@ -543,7 +552,7 @@ def _hereditary_sums(w: WeightSequence, op: _Operator, X, ks, tol, context,
     ``X, L X, .., L^alpha X``.  A custom weight is exact too, with no tail:
     ``1/R = (1 - s z) / P`` and ``R_k / R = P_k / P``, so the sums are the
     finite rows ``1 - s z`` and ``P_k`` (degree below ``N - k``) over the
-    moments of ``Y = P(L)^-1 X`` (``_rational_solve``).  With the
+    moments of ``Y = P(L)^-1 X`` (``_kron_solver``).  With the
     operator's diagonalization (``_route``) they are the spectral route's
     ``(1 - x)^alpha`` and ``(1 - x)^alpha R_k(x)`` at the eigenvalue
     products.  Non-integer alpha past the gate takes the series, every row
@@ -563,7 +572,8 @@ def _hereditary_sums(w: WeightSequence, op: _Operator, X, ks, tol, context,
             f"{kmax + (a or 0)}, stored {w.trunc_len}")
     A = op.A
     if w.kind == "custom":  # P_k[m] = P[k + m] for m >= 1: no row outlasts P
-        a, X = len(rational_denominator(w)), _rational_solve(w, A, X)
+        P = rational_denominator(w)
+        a, X = len(P), _kron_solver(A, P)(np.ravel(X)).reshape(np.shape(X))
     if a is not None:  # finite rows, 0 past index a
         return _contract(hereditary_rows(w, ks, a, gamma),
                          _right_powers(X, A, a + 1, A.conj().T))
@@ -801,13 +811,22 @@ def observability_coeffs(w: WeightSequence, k: int, pair: OutputPair,
 # hereditary maps
 # ---------------------------------------------------------------------------
 
+def _like_A(op: _Operator, X) -> np.ndarray:
+    """``X`` as a complex array, refused unless it has ``A``'s shape."""
+    X = np.asarray(X, dtype=complex)
+    if X.shape != op.A.shape:
+        raise InvalidParameterError(
+            f"X has shape {X.shape}, expected {op.A.shape} like A")
+    return X
+
+
 def _check_domain(w: WeightSequence, op: _Operator, X, tol):
     """Domain of the hereditary calculus: ``X >= A* X A >= 0``, from one
     eigen-solve of ``X`` and ``X - A* X A``, and a summable reciprocal
-    series (``_check_summable``).  A non-finite ``A`` or ``X`` is refused
-    before the product, ``X - A* X A`` when it overflows, and every test
-    fails on NaN."""
-    X = np.asarray(X, dtype=complex)
+    series (``_check_summable``).  An ``X`` not of ``A``'s shape is
+    refused, a non-finite ``A`` or ``X`` before the product, and
+    ``X - A* X A`` when it overflows; every test fails on NaN."""
+    X = _like_A(op, X)
     A = op.A
     if not np.isfinite(A).all():
         raise HereditaryDomainError("A must be finite")
@@ -819,7 +838,7 @@ def _check_domain(w: WeightSequence, op: _Operator, X, tol):
         D = X - A.conj().T @ X @ A
     if not np.isfinite(D).all():
         raise HereditaryDomainError("X - A* X A must be finite: it overflows")
-    lam = eigh(np.stack((X, D)), vectors=False) if X.size else np.zeros((2, 1))
+    lam = eigh(np.stack((X, D)), vectors=False)
     # the operator norm of the Hermitian X, floored at 1
     scale = max(-lam[0, 0], lam[0, -1], 1.0)
     if not lam[0, 0] >= -tol * scale:
@@ -877,8 +896,9 @@ def gamma_k_map(w: WeightSequence, k, A, X,
 
 def gamma_binomial(m: int, A, X) -> np.ndarray:
     """Finite binomial defect map ``sum_j (-1)^j binom(m, j) A^{*j} X A^j``;
-    ``A`` is a matrix or an OutputPair."""
-    A = _operator(A).A
+    ``A`` is a matrix or an OutputPair, and ``X`` of its shape."""
+    op = _operator(A)
+    X, A = _like_A(op, X), op.A
     return hermitize(sum((-1) ** j * math.comb(m, j) * M for j, M in
                          enumerate(_right_powers(X, A, m + 1, A.conj().T))))
 

@@ -16,7 +16,8 @@ to a constant unitary on each input space.  This module provides
   k-sum,
 * the functional-model colligation checks and the coordinate form of its
   input operator, and
-* the wandering-subspace transfer function (step 0 of the construction).
+* the wandering-subspace transfer function: the one-step family of the
+  construction, evaluated with ``transfer_eval`` at step 0.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .colligation import (
     _family_from_table,
     _metric_residuals,
     _phase_fixed,
-    _transfer_values,
-    build_step,
+    build_family,
     transfer_eval,
     transfer_taylor,
 )
@@ -506,35 +506,14 @@ def functional_model_colligation(fam: ColligationFamily, k: int, J: int,
 # wandering-subspace transfer function
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WanderingTheta:
-    B: np.ndarray
-    D: np.ndarray
-    pair: OutputPair
-    weight: WeightSequence
-
-    def eval(self, z, tol: float = 1e-12) -> np.ndarray:
-        """``Theta(z) = D + z C R_1(zA) B`` at a point or a 1-d array of
-        points, of shape ``np.shape(z) + (p, u)`` (``transfer_eval`` at
-        step 0, where ``1/beta_0 = 1``); ``tol`` as for ``resolvents``
-        (finite, ``>= 0``)."""
-        _check_tol(tol)
-        return _transfer_values(self.weight, [0], self.pair, self.B[None],
-                                self.D[None], z, tol)[0]
-
-
 def wandering_theta(w: WeightSequence, pair: OutputPair,
                     rank_tol: float = 1e-10,
-                    tol: float = 1e-12) -> WanderingTheta:
-    """Transfer function of the wandering gap at step 0.
-
-    Specializes the Cholesky step to ``k = 0`` (the leading weight is 1, so
-    the constant term needs no scaling).  The result factors the gap kernel
-    as ``Theta(z) Theta(zeta)*`` and is a contractive multiplier from the
-    unweighted Hardy space into the weighted one.  ``tol`` is the gramian
-    table's (finite, ``>= 0``; 0 as for ``gramian``).
-    """
-    _check_tol(tol)
-    gramians = gramian_table(w, pair, 1, tol=tol)
-    B, D = build_step(w, 0, pair, gramians, rank_tol)
-    return WanderingTheta(B=B, D=D, pair=pair, weight=w)
+                    tol: float = 1e-12) -> ColligationFamily:
+    """Transfer function of the wandering gap: the one-step family
+    ``build_family(w, pair, 0, rank_tol, tol)``, whose step 0
+    ``Theta(z) = D_0 + z C R_1(zA) B_0`` (the leading weight is 1) is
+    evaluated with ``transfer_eval(fam, 0, z, tol)``.  It factors the gap
+    kernel as ``Theta(z) Theta(zeta)*`` and is a contractive multiplier
+    from the unweighted Hardy space into the weighted one.  ``tol`` is the
+    gramian table's (finite, ``>= 0``; 0 as for ``gramian``)."""
+    return build_family(w, pair, 0, rank_tol, tol)

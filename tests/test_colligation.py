@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,40 @@ class TestTransfer:
             ref = w_beta3.inv_betas[j + k + 1] * (
                 C @ np.linalg.matrix_power(A, j) @ st.B)
             np.testing.assert_allclose(coeffs[j + 1], ref, atol=1e-14)
+
+
+class TestStepRange:
+    """Every step stack is built by one helper, which refuses a step
+    outside ``0..k_max`` by name: a negative step wrapped to the last one
+    (``transfer_eval(fam, -1, 0.3)`` gave 4.42 - 13.09i here, with
+    ``1/beta`` from the table's last entry, where step 3 gives
+    0.36 - 0.80i), and a step past ``k_max`` raised a raw IndexError."""
+
+    CALLS = {
+        "transfer_eval": lambda fam, k: hb.transfer_eval(fam, k, 0.3),
+        "transfer_eval-sequence":
+            lambda fam, k: hb.transfer_eval(fam, [0, k], [0.3, -0.2j]),
+        "transfer_taylor": lambda fam, k: hb.transfer_taylor(fam, k, 2),
+        "colligation_block": lambda fam, k: colligation_block(fam, k),
+    }
+
+    @pytest.fixture(scope="class")
+    def fam(self):
+        pair = stable_pair(np.random.default_rng(12), 2, 1, rho=0.6)
+        return hb.build_family(hb.make_weight_beta_alpha(2.0, 64), pair,
+                               k_max=3)
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_out_of_range_step_refused(self, fam, entry, k):
+        with pytest.raises(hb.InvalidParameterError, match=re.escape(
+                f"family holds steps 0..3, not k={k}")):
+            self.CALLS[entry](fam, k)
+
+    def test_negative_taylor_length_refused(self, fam):
+        with pytest.raises(hb.InvalidParameterError,
+                           match=re.escape("Taylor length J=-1 must be >= 0")):
+            hb.transfer_taylor(fam, 0, -1)
 
 
 class TestMetricResiduals:

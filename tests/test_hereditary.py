@@ -1135,6 +1135,21 @@ class TestRefusals:
             with pytest.raises(hb.InvalidParameterError,
                                match=re.escape("C* C overflows")):
                 hb.classify(w_hardy, pair)
+        # the gramians, diag(0, 1), are finite, but I - kron(A*, A^T) is
+        # not: this raised "overflow encountered in multiply", and
+        # LinAlgError "Singular matrix" without the suite's filter
+        w = hb.make_weight_hardy(64)
+
+        def pair(a):
+            return hb.OutputPair(A=[[0, a], [0, 0]], C=[[0, 1]])
+        with pytest.raises(hb.InvalidParameterError, match=re.escape(
+                "the Kronecker matrix of p(L), L: X -> A* X A, overflows: "
+                "A is too large")):
+            hb.gramian_table(w, pair(1e155), 2)
+        table = hb.gramian_table(w, pair(1e100), 2)
+        np.testing.assert_array_equal(table.entries,
+                                      np.broadcast_to(np.diag([0, 1]),
+                                                      (3, 2, 2)))
 
     def test_resolvent_shift_past_table(self, w_hardy):
         with pytest.raises(hb.TruncationError,

@@ -415,9 +415,9 @@ class TestContractiveMultiplier:
     def test_wandering_theta_mixed_criterion(self, w_beta3):
         rng = np.random.default_rng(53)
         pair = stable_pair(rng, 3, 2, rho=0.6)
-        wt = hb.wandering_theta(w_beta3, pair)
-        rep = check_hardy_to_weighted_multiplier(w_beta3, wt.eval,
-                                                 hb.default_grid())
+        fam = hb.wandering_theta(w_beta3, pair)
+        rep = check_hardy_to_weighted_multiplier(
+            w_beta3, lambda z: hb.transfer_eval(fam, 0, z), hb.default_grid())
         assert rep.contractive
 
 

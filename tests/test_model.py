@@ -396,10 +396,13 @@ class TestDefectFormRoute:
 
 
 class TestWanderingTheta:
+    """The wandering transfer function is the one-step family, evaluated
+    with ``transfer_eval`` at step 0."""
+
     def test_matches_step_zero(self, w_beta3):
         rng = np.random.default_rng(66)
         pair = stable_pair(rng, 3, 2, rho=0.6)
-        wt = hb.wandering_theta(w_beta3, pair)
+        wt = hb.wandering_theta(w_beta3, pair).step(0)
         tab = hb.gramian_table(w_beta3, pair, 1, tol=1e-12)
         B, D = hb.build_step(w_beta3, 0, pair, tab)
         np.testing.assert_allclose(wt.B, B, atol=1e-11)
@@ -408,27 +411,29 @@ class TestWanderingTheta:
     def test_gap_kernel_factorization(self, w_beta2):
         rng = np.random.default_rng(67)
         pair = stable_pair(rng, 3, 2, rho=0.65)
-        wt = hb.wandering_theta(w_beta2, pair)
+        fam = hb.wandering_theta(w_beta2, pair)
         tab = hb.gramian_table(w_beta2, pair, 1, tol=1e-13)
         for z in (0.3 + 0.2j, -0.5, 0.45j):
             for zt in (0.2, -0.3j):
                 KE = hb.kernel_gap(w_beta2, 0, pair, tab, z, zt, 1e-13)
-                ref = wt.eval(z) @ wt.eval(zt).conj().T
+                ref = hb.transfer_eval(fam, 0, z) \
+                    @ hb.transfer_eval(fam, 0, zt).conj().T
                 np.testing.assert_allclose(KE, ref, atol=1e-10)
 
 
     def test_eval_on_point_array(self, w_beta2):
         rng = np.random.default_rng(68)
         pair = stable_pair(rng, 3, 2, rho=0.65)
-        wt = hb.wandering_theta(w_beta2, pair)
+        fam = hb.wandering_theta(w_beta2, pair)
+        D = fam.step(0).D
         pts = [0.0, 0.3 + 0.2j, -0.5, 0.45j]
-        vals = wt.eval(pts, 1e-13)
-        assert vals.shape == (4,) + wt.D.shape
-        assert wt.eval(0.3, 1e-13).shape == wt.D.shape
-        np.testing.assert_array_equal(vals[0], wt.D)
+        vals = hb.transfer_eval(fam, 0, pts, 1e-13)
+        assert vals.shape == (4,) + D.shape
+        assert hb.transfer_eval(fam, 0, 0.3, 1e-13).shape == D.shape
+        np.testing.assert_array_equal(vals[0], D)
         for z, V in zip(pts, vals):
-            np.testing.assert_allclose(V, wt.eval(z, 1e-13), rtol=0,
-                                       atol=1e-13)
+            np.testing.assert_allclose(V, hb.transfer_eval(fam, 0, z, 1e-13),
+                                       rtol=0, atol=1e-13)
 
 
 class TestIntertwining:
