@@ -12,11 +12,12 @@ to the bound, never silently absorbed.
 
 ``run_suite`` is the one harness, for the test suite and the ``verify``
 subcommand of the CLI: it builds the four suite weights once, calls each
-criterion as ``criterion(cfg, weights)`` and times the call.  Two draw
-generators yield each random instance already built, together with the
-criterion's seeded generator for any further draws: ``_families`` the
+criterion as ``criterion(cfg, weights)`` and times the call.  Three draw
+generators yield each random instance already built: ``_pairs`` a random
+output pair with its weight (criteria 1 and 2), and, together with the
+criterion's seeded generator for any further draws, ``_families`` the
 colligation family of a well-conditioned observable pair (criteria 3, 4, 5
-and 11), ``_char_families`` the characteristic family of a
+and 11) and ``_char_families`` the characteristic family of a
 star-hypercontraction (criteria 8, 9 and 10).
 """
 
@@ -129,6 +130,18 @@ def random_star_hypercontraction(w, rng, n, k_max, rank_tol):
     raise RuntimeError("could not draw a star-hypercontraction")
 
 
+def _pairs(cfg, weights, tag):
+    """Yield ``(w, pair)``, ``cfg.trials`` per weight: a random pair with
+    ``2 <= n <= 8`` states, ``1 <= p <= 3`` outputs and spectral radius
+    at most 0.9."""
+    rng = _rng(cfg, tag)
+    for _, w in weights:
+        for _ in range(cfg.trials):
+            n = int(rng.integers(2, 9))
+            p = int(rng.integers(1, 4))
+            yield w, random_pair(rng, n, p)
+
+
 def _families(cfg, weights, tag, trials, n_hi, p_hi, k_max):
     """Yield ``(rng, family)``, ``trials`` per weight: the colligation
     family of a well-conditioned observable pair with ``2 <= n < n_hi``
@@ -199,17 +212,12 @@ def criterion_1_stein(cfg: RunConfig, weights) -> tuple:
     the time stays out of ``measured``, which is the same for the same
     configuration and seed."""
     t0 = time.perf_counter()
-    rng = _rng(cfg, 1)
     worst = 0.0
-    for _, w in weights:
-        for _ in range(cfg.trials):
-            n = int(rng.integers(2, 9))
-            p = int(rng.integers(1, 4))
-            pair = random_pair(rng, n, p, rho_max=0.9)
-            table = her.gramian_table(w, pair, 11, tol=1e-9)
-            for k in range(11):
-                worst = _worst(worst, her.stein_residual(
-                    w, k, pair, table[k], table[k + 1]))
+    for w, pair in _pairs(cfg, weights, 1):
+        table = her.gramian_table(w, pair, 11, tol=1e-9)
+        for k in range(11):
+            worst = _worst(worst, her.stein_residual(
+                w, k, pair, table[k], table[k + 1]))
     dt = time.perf_counter() - t0
     return (worst <= 1e-7 and dt < 5.0,
             {"max_residual": worst},
@@ -226,20 +234,14 @@ def criterion_2_gamma_gramian(cfg: RunConfig, weights) -> tuple:
     ``C* C``.  For hardy and integer alpha it
     compares two different computations: a Stein solve for the gramians,
     finite binomial sums for the maps."""
-    rng = _rng(cfg, 2)
     worst = 0.0
-    for _, w in weights:
-        for _ in range(cfg.trials):
-            n = int(rng.integers(2, 9))
-            p = int(rng.integers(1, 4))
-            pair = random_pair(rng, n, p, rho_max=0.9)
-            table = her.gramian_table(w, pair, 6, tol=1e-10)
-            G = table[0]
-            worst = _worst(worst, her.opnorm(
-                her.gamma_map(w, pair, G, 1e-10)
-                - pair.CstarC))
-            maps = her.gamma_k_map(w, range(1, 7), pair, G, 1e-10)
-            worst = _worst(worst, *her.opnorm(maps - table.stack(1, 6)))
+    for w, pair in _pairs(cfg, weights, 2):
+        table = her.gramian_table(w, pair, 6, tol=1e-10)
+        G = table[0]
+        worst = _worst(worst, her.opnorm(
+            her.gamma_map(w, pair, G, 1e-10) - pair.CstarC))
+        maps = her.gamma_k_map(w, range(1, 7), pair, G, 1e-10)
+        worst = _worst(worst, *her.opnorm(maps - table.stack(1, 6)))
     return (worst <= 1e-7,
             {"max_residual": worst}, "residual <= 1e-7")
 
@@ -255,22 +257,13 @@ def criterion_3_cholesky(cfg: RunConfig, weights) -> tuple:
             {"max_residual": worst}, "residual <= 1e-9")
 
 
-def _cross(X, Y) -> np.ndarray:
-    """``Z[i, j] = X[i] @ Y[j]^*`` for two stacks of matrices with the same
-    column count, from one 2-d product."""
-    N, a, c = X.shape
-    M, b, _ = Y.shape
-    Z = X.reshape(N * a, c) @ Y.reshape(M * b, c).conj().T
-    return Z.reshape(N, a, M, b).transpose(0, 2, 1, 3)
-
-
 def _kernel_identity_residuals(fam, ks, grid):
     """Residuals of the two difference-kernel identities and the gap
     factorization at each step of ``ks`` over all grid point pairs.
 
-    The two identities are products (``_cross``) of the grid's resolvents,
-    those of every shift ``k`` and ``k + 1`` from one table; the
-    factorization compares the library's gap kernel with
+    The two identities are products (``kernels._cross``) of the grid's
+    resolvents, those of every shift ``k`` and ``k + 1`` from one table;
+    the factorization compares the library's gap kernel with
     ``x^k Theta_k(z) Theta_k(zeta)*``.  Residuals are measured in Frobenius
     norm, which dominates the operator norm.
     """
@@ -289,7 +282,7 @@ def _kernel_identity_residuals(fam, ks, grid):
     def gram(P, G):
         """``P[i]^* G P[j]`` for every pair: the conjugate of the product
         of the transposed stacks ``P^T`` and ``(G P)^T``."""
-        return _cross(P.swapaxes(1, 2), (G @ P).swapaxes(1, 2)).conj()
+        return ker._cross(P.swapaxes(1, 2), (G @ P).swapaxes(1, 2)).conj()
 
     out = []
     for k, th in zip(ks, thetas):
@@ -298,14 +291,14 @@ def _kernel_identity_residuals(fam, ks, grid):
         Gk, Gk1 = fam.gramians[k], fam.gramians[k + 1]
         Gk_inv, Gk1_inv = fam.gramians.inverses(k, k + 1)
         Rk, Rk1 = R[k], R[k + 1]
-        thth = _cross(th, th)
+        thth = ker._cross(th, th)
 
         # input-side identity (conjugate-linear in the first argument)
         PB = Rk @ st.B          # R_k(zA) B, shape (N, n, u)
         PB1 = Rk1 @ st.B
         thT = th.swapaxes(1, 2)
         lhs_in = w.inv_betas[k] * np.eye(st.u)[None, None] \
-            - _cross(thT, thT).conj()
+            - ker._cross(thT, thT).conj()
         rhs_in = w.betas[k] * (gram(PB, Gk1)
                                - np.conj(x)[:, :, None, None] * gram(PB1, Gk))
         out.append(worst(lhs_in - rhs_in))
@@ -313,8 +306,8 @@ def _kernel_identity_residuals(fam, ks, grid):
         # output-side identity (linear in the first argument)
         V = C @ Rk      # C R_k(zA)
         V1 = C @ Rk1
-        core = _cross(V @ Gk_inv, V) \
-            - x[:, :, None, None] * _cross(V1 @ Gk1_inv, V1)
+        core = ker._cross(V @ Gk_inv, V) \
+            - x[:, :, None, None] * ker._cross(V1 @ Gk1_inv, V1)
         lhs_out = w.inv_betas[k] * np.eye(pair.p)[None, None] - thth
         out.append(worst(lhs_out - core))
 

@@ -104,11 +104,12 @@ def _config_from_args(args, w=None) -> dict:
     return config
 
 
-def _emit(args, payload: dict):
+def _emit(payload: dict, path):
+    """Write the JSON report ``payload`` to the file ``path``, or print it
+    when ``path`` is None."""
     text = ser.dumps(payload)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -138,7 +139,7 @@ def cmd_weights(args) -> int:
         "c": reciprocal_coeffs(w, n),
         "wiener": vars(w.wiener),
     }
-    _emit(args, payload)
+    _emit(payload, args.out)
     return 0
 
 
@@ -151,7 +152,7 @@ def cmd_analyze(args) -> int:
         "weight": ser.weight_to_json(w),
         **ser.classification_to_json(report),
     }
-    _emit(args, payload)
+    _emit(payload, args.out)
     return 0
 
 
@@ -161,7 +162,7 @@ def cmd_colligate(args) -> int:
     fam = build_family(w, pair, k_max=args.k_max, rank_tol=args.rank_tol)
     payload = ser.family_to_json(fam)
     payload["config"] = _config_from_args(args, w)
-    _emit(args, payload)
+    _emit(payload, args.out)
     return 0
 
 
@@ -178,7 +179,7 @@ def cmd_charfn(args) -> int:
                                      rank_tol=args.rank_tol)
     payload = ser.char_family_to_json(char)
     payload["config"] = _config_from_args(args, w)
-    _emit(args, payload)
+    _emit(payload, args.out)
     return 0
 
 
@@ -224,8 +225,7 @@ def cmd_kernels(args) -> int:
             "points": points,
             "values": values,
         }
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            fh.write(ser.dumps(payload) + "\n")
+        _emit(payload, args.out_json)
     return 0
 
 
@@ -254,8 +254,7 @@ def cmd_verify(args) -> int:
         "all_passed": all(r.passed for r in results),
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(ser.dumps(payload) + "\n")
+        _emit(payload, args.out)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 6 if failed else 0

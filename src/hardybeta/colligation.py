@@ -27,10 +27,11 @@ zero-padded in the stacks, since zero columns of ``U_k`` change neither
 identity; ``build_step`` and ``metric_residuals`` are the one-step calls of
 the same code.  The Taylor coefficients of one step are one array, and
 ``transfer_eval`` evaluates a sequence of steps from one ``resolvents``
-table.  Every step stack is built by ``_padded``, which refuses a step
-outside ``0..k_max`` by name.  Nothing here changes a built family, but a
-family is not frozen: every evaluator reads ``steps`` as they stand when it
-is called, so a step replaced after the build is what the evaluators see.
+table.  Every step is read through ``ColligationFamily.step``, which
+refuses a step outside ``0..k_max`` by name.  Nothing here changes a built
+family, but a family is not frozen: every evaluator reads ``steps`` as they
+stand when it is called, so a step replaced after the build is what the
+evaluators see.
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ class ColligationFamily:
         return len(self.steps) - 1
 
     def step(self, k: int) -> ColligationStep:
+        """Step ``k``; a ``k`` outside ``0..k_max`` is refused."""
+        if not 0 <= k < len(self.steps):
+            raise InvalidParameterError(
+                f"family holds steps 0..{self.k_max}, not k={k}")
         return self.steps[k]
 
 
@@ -190,10 +195,16 @@ def _family_from_table(w: WeightSequence, pair: OutputPair,
     B, D, u, G_inv = _factor_steps(w, pair, gramians, 0, k_max, rank_tol)
     steps = [ColligationStep(B=B[k, :, :u[k]], D=D[k, :, :u[k]], u=int(u[k]))
              for k in range(k_max + 1)]
+    return _checked_family(w, pair, steps, gramians, G_inv)
+
+
+def _checked_family(w, pair, steps, gramians, G_inv) -> ColligationFamily:
+    """The family of ``steps`` with the metric residuals of every step,
+    given ``G_inv = inv(G^(0..k_max+1))``."""
     fam = ColligationFamily(weight=w, pair=pair, steps=steps,
                             gramians=gramians)
     fam.isometry_residuals, fam.coisometry_residuals = \
-        _metric_residuals(fam, 0, k_max, G_inv)
+        _metric_residuals(fam, 0, len(steps) - 1, G_inv)
     return fam
 
 
@@ -262,12 +273,7 @@ def metric_residuals(family: ColligationFamily, k: int) -> dict:
 
 def _padded(family: ColligationFamily, ks):
     """``B_k`` and ``D_k`` for the steps ``ks`` as stacks zero-padded to the
-    widest step, and the mask of each step's own input columns.  A step
-    outside ``0..k_max`` is refused."""
-    for k in ks:
-        if not 0 <= k <= family.k_max:
-            raise InvalidParameterError(f"family holds steps 0.."
-                                        f"{family.k_max}, not k={k}")
+    widest step, and the mask of each step's own input columns."""
     steps = [family.step(k) for k in ks]
     u = np.array([st.u for st in steps])
     B = np.zeros((len(steps), family.pair.n, u.max()), dtype=complex)
@@ -284,11 +290,14 @@ def transfer_eval(family: ColligationFamily, k, z,
     point or a 1-d array of points; the value has shape
     ``np.shape(z) + (p, u_k)``.  For a sequence of steps ``k`` it has shape
     ``(len(k),) + np.shape(z) + (p, max u_k)``, each step's columns past
-    its ``u_k`` zero, from one ``resolvents`` table; ``tol`` is the
-    table's (finite, ``>= 0``; 0 as for ``resolvents``)."""
+    its ``u_k`` zero, from one ``resolvents`` table; an empty sequence is
+    refused.  ``tol`` is the table's (finite, ``>= 0``; 0 as for
+    ``resolvents``)."""
     _check_tol(tol)
     w, pair = family.weight, family.pair
     ks = np.atleast_1d(k)
+    if not ks.size:
+        raise InvalidParameterError("transfer_eval needs at least one step k")
     B, D, _ = _padded(family, ks)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     R = resolvents(w, ks + 1, pair, zs, tol)

@@ -820,12 +820,15 @@ def _like_A(op: _Operator, X) -> np.ndarray:
     return X
 
 
-def _check_domain(w: WeightSequence, op: _Operator, X, tol):
-    """Domain of the hereditary calculus: ``X >= A* X A >= 0``, from one
-    eigen-solve of ``X`` and ``X - A* X A``, and a summable reciprocal
-    series (``_check_summable``).  An ``X`` not of ``A``'s shape is
-    refused, a non-finite ``A`` or ``X`` before the product, and
-    ``X - A* X A`` when it overflows; every test fails on NaN."""
+def _check_domain(w: WeightSequence, A, X, tol) -> _Operator:
+    """The operator of ``A`` (a matrix or a pair, through ``_operator``)
+    once ``X`` is in the domain of the hereditary calculus:
+    ``X >= A* X A >= 0``, from one eigen-solve of ``X`` and ``X - A* X A``,
+    and a summable reciprocal series (``_check_summable``).  An ``X`` not
+    of ``A``'s shape is refused, a non-finite ``A`` or ``X`` before the
+    product, and ``X - A* X A`` when it overflows; every test fails on
+    NaN."""
+    op = _operator(A)
     X = _like_A(op, X)
     A = op.A
     if not np.isfinite(A).all():
@@ -846,6 +849,7 @@ def _check_domain(w: WeightSequence, op: _Operator, X, tol):
     if not lam[1, 0] >= -tol * scale:
         raise HereditaryDomainError("X - A* X A must be positive semidefinite")
     _check_summable(w)
+    return op
 
 
 def _check_summable(w: WeightSequence):
@@ -869,8 +873,7 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
     not come back "diverging".
     """
     _check_tol(tol)
-    op = _operator(A)
-    _check_domain(w, op, X, tol)
+    op = _check_domain(w, A, X, tol)
     return _hereditary_sums(w, op, X, np.arange(0), tol, "gamma_map",
                             gamma=True)[0]
 
@@ -886,8 +889,7 @@ def gamma_k_map(w: WeightSequence, k, A, X,
     _check_tol(tol)
     if not np.size(k):
         raise InvalidParameterError("gamma_k_map needs at least one shift k")
-    op = _operator(A)
-    _check_domain(w, op, X, tol)
+    op = _check_domain(w, A, X, tol)
     if np.ndim(k) == 0 and k == 0:
         return hermitize(np.asarray(X, dtype=complex))
     sums = _hereditary_sums(w, op, X, np.atleast_1d(k), tol, "gamma_k_map")
@@ -905,7 +907,11 @@ def gamma_binomial(m: int, A, X) -> np.ndarray:
 
 def stein_residual(w: WeightSequence, k: int, pair: OutputPair,
                    G_k, G_k1) -> float:
-    """Operator-norm residual of ``A* G^(k+1) A + (1/beta_k) C* C = G^(k)``."""
+    """Operator-norm residual of ``A* G^(k+1) A + (1/beta_k) C* C = G^(k)``;
+    a shift ``k`` outside ``0..trunc_len`` is refused."""
+    if not 0 <= k <= w.trunc_len:
+        raise InvalidParameterError(
+            f"stein_residual needs a shift k in 0..{w.trunc_len}, got k={k}")
     A = pair.A
     lhs = A.conj().T @ np.asarray(G_k1, dtype=complex) @ A \
         + w.inv_betas[k] * pair.CstarC
@@ -1053,8 +1059,7 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
     """
     _check_tol(tol)
     _check_k_max(k_max, 1, "delta_limit")
-    op = _operator(A)
-    _check_domain(w, op, H, tol)
+    op = _check_domain(w, A, H, tol)
     H = hermitize(np.asarray(H, dtype=complex))
     scale = max(opnorm(H), 1.0)
 

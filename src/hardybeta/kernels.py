@@ -187,6 +187,16 @@ def _mirrored(K: np.ndarray, same: bool) -> np.ndarray:
     return K
 
 
+def _cross(X, Y) -> np.ndarray:
+    """``Z[..., i, j, :, :] = X[..., i, :, :] @ Y[..., j, :, :]^*`` for two
+    stacks of matrices with the same leading axes and column count, from
+    one product over the stacked rows."""
+    *lead, N, a, c = X.shape
+    Yh = Y.reshape(*lead, -1, c).conj().swapaxes(-1, -2)
+    Z = X.reshape(*lead, N * a, c) @ Yh
+    return Z.reshape(*lead, N, a, -1, Y.shape[-2]).swapaxes(-3, -2)
+
+
 def _range_kernel(w: WeightSequence, k, pair: OutputPair, G_inv,
                   z, zeta, tol: float):
     """``C R_k(zA) G_inv R_k(zeta A)* C*`` for a shift ``k`` or a sequence
@@ -195,18 +205,15 @@ def _range_kernel(w: WeightSequence, k, pair: OutputPair, G_inv,
     products ``x = z conj(zeta)`` of ``_point_grid`` with two trailing axes
     of length 1, to broadcast over the blocks; the resolvents are one
     ``resolvents`` call on the pair per point array (one in all when
-    ``zeta is z``), and each shift's grid is one product of the stacked
-    ``C R_k(z_i A) G_inv`` with the stacked ``(C R_k(zeta_j A))*``."""
+    ``zeta is z``), and each shift's grid is one ``_cross`` of the stacked
+    ``C R_k(z_i A) G_inv`` with the stacked ``C R_k(zeta_j A)``."""
     zs, zetas, x = _point_grid(z, zeta)
     lead, n, p = np.shape(k), pair.n, pair.p
     CRz = pair.C @ resolvents(w, k, pair, zs, tol)
     CRzeta = CRz if zetas is zs \
         else pair.C @ resolvents(w, k, pair, zetas, tol)
-    left = (CRz @ np.reshape(G_inv, lead + (1, n, n))).reshape(lead + (-1, n))
-    right = CRzeta.reshape(lead + (-1, n)).conj().swapaxes(-1, -2)
-    K = (left @ right).reshape(lead + (len(zs), p, len(zetas), p))
-    return K.swapaxes(-3, -2).reshape(lead + x.shape + (p, p)), \
-        x[..., None, None]
+    K = _cross(CRz @ np.reshape(G_inv, lead + (1, n, n)), CRzeta)
+    return K.reshape(lead + x.shape + (p, p)), x[..., None, None]
 
 
 def _coinvariant(w, pair, z, zeta, gram_inv, tol):
@@ -341,12 +348,14 @@ def check_inner_family(family: ColligationFamily, k_max: int, J: int,
     remainder (the difference with the table's ``G^(k+1)`` plus its tail
     bound).  The Taylor data of all steps are one array, zero-padded past
     each step's input dimension; zero columns change none of the residuals.
-    ``k_max >= 0``, and ``tol`` bounds every residual: finite and ``>= 0``
-    (0 asks for exact identities).
+    Steps ``0..k_max`` are checked: ``k_max >= 0``, and a ``k_max`` past the
+    family's is refused as ``ColligationFamily.step`` refuses it.  ``tol``
+    bounds every residual: finite and ``>= 0`` (0 asks for exact
+    identities).
     """
     _check_tol(tol)
     _check_k_max(k_max, 0, "check_inner_family")
-    w, k_max = family.weight, min(k_max, family.k_max)
+    w = family.weight
     length = k_max + J + 1
     if length - 1 > w.trunc_len:
         raise TruncationError("weight table too short for requested J")
@@ -402,6 +411,9 @@ def _block_kernel(w: WeightSequence, theta_eval, grid, entry):
     ``P = Theta(z_i) Theta(z_j)*`` and ``x = z_i conj(z_j)``, each of
     shape ``(N, N, ...)``, with ``K`` and ``x`` broadcast over the blocks."""
     pts = list(grid)
+    if not pts:
+        raise InvalidParameterError(
+            "a multiplier check needs at least one grid point")
     vals = np.stack([np.atleast_2d(np.asarray(theta_eval(z), dtype=complex))
                      for z in pts])
     sup = float(opnorm(vals).max())
@@ -424,8 +436,8 @@ def check_contractive_multiplier(w: WeightSequence, theta_eval, grid,
     criterion is the pointwise bound ``||Theta(z)|| <= 1`` together with
     positivity of the block kernel ``[(I - Theta(z_i) Theta(z_j)*) K(z_i, z_j)]``;
     the smallest eigenvalue is reported after scaling by the mean diagonal
-    (trace scaling).  ``tol`` is the slack of both tests: finite and
-    ``>= 0`` (0 allows none).
+    (trace scaling).  An empty grid is refused.  ``tol`` is the slack of
+    both tests: finite and ``>= 0`` (0 allows none).
     """
     _check_tol(tol)
     sup, lam_min, N = _block_kernel(

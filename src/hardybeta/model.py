@@ -29,15 +29,16 @@ import numpy as np
 from .colligation import (
     ColligationFamily,
     ColligationStep,
+    _checked_family,
     _family_from_table,
-    _metric_residuals,
     _phase_fixed,
+    _taylor_stack,
     build_family,
     transfer_eval,
-    transfer_taylor,
 )
 from .errors import (
     ConvergenceError,
+    InvalidParameterError,
     ModelCoordinatesError,
     ModelHypothesisError,
     _check_k_max,
@@ -60,7 +61,7 @@ from .hereditary import (
     opnorm,
     stein_residual,
 )
-from .kernels import _range_kernel, default_grid
+from .kernels import _cross, _range_kernel, default_grid
 from .weights import WeightSequence
 
 
@@ -229,11 +230,8 @@ def defect_form_family(w: WeightSequence, T, k_max: int = 12,
         B = G_half_inv[k + 1] @ Bt
         D = (w.betas[k] ** 0.5) * Dt
         steps.append(ColligationStep(B=B, D=D, u=B.shape[1]))
-    fam = ColligationFamily(weight=w, pair=pair, steps=steps,
-                            gramians=gramians)
-    fam.isometry_residuals, fam.coisometry_residuals = _metric_residuals(
-        fam, 0, k_max, gramians.inverses(0, k_max + 1, rank_tol))
-    return fam
+    return _checked_family(w, pair, steps, gramians,
+                           gramians.inverses(0, k_max + 1, rank_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +305,9 @@ def check_coincidence(famA, famB, grid=None,
     singular value ``S_min``.  So ``res`` is at least
     ``c / (beta + sqrt(beta^2 + c))``, ``c = S_min sqrt(p / R)``; when that
     floor, less an allowance for rounding, exceeds ``tol`` the check
-    returns "no" with no unitaries and 0 sweeps.  ``tol`` is finite and
-    ``>= 0``; at 0 only an exact coincidence is one, and every sweep runs.
+    returns "no" with no unitaries and 0 sweeps.  An empty ``grid`` is
+    refused.  ``tol`` is finite and ``>= 0``; at 0 only an exact
+    coincidence is one, and every sweep runs.
     """
     _check_tol(tol)
     A_col = famA.family if isinstance(famA, CharFamily) else famA
@@ -316,6 +315,9 @@ def check_coincidence(famA, famB, grid=None,
     if grid is None:
         grid = [0.15 + 0.1j, -0.3 + 0.2j, 0.45j, -0.5 - 0.1j, 0.6,
                 0.2 - 0.55j, -0.05 + 0.05j, 0.35 + 0.35j]
+    elif not np.size(grid):
+        raise InvalidParameterError(
+            "check_coincidence needs at least one grid point")
     k_max = min(A_col.k_max, B_col.k_max)
     if A_col.pair.p != B_col.pair.p:
         return CoincidenceResult(False, float("inf"), None, None,
@@ -411,13 +413,17 @@ def model_roundtrip_residual(char: CharFamily, grid=None,
     ``x^k Theta_k(z) Theta_k(zeta)*``, so no allowance enters.  Both range
     kernels (shift 0 with ``G = I`` and shift ``K + 1``) come from one
     ``resolvents`` table, and their scalar parts combine into the
-    polynomial ``sum_{j <= K} x^j / beta_j``.  ``tol`` is the resolvents'
-    (finite, ``>= 0``; 0 as for ``resolvents``).
+    polynomial ``sum_{j <= K} x^j / beta_j``.  An empty ``grid`` is
+    refused.  ``tol`` is the resolvents' (finite, ``>= 0``; 0 as for
+    ``resolvents``).
     """
     _check_tol(tol)
     fam, w = char.family, char.weight
     if grid is None:
         grid = default_grid(radii=(0.0, 0.15, 0.3, 0.45, 0.6))
+    elif not np.size(grid):
+        raise InvalidParameterError(
+            "model_roundtrip_residual needs at least one grid point")
     pair = fam.pair
     k_max = fam.k_max
     ks = list(range(k_max + 1))
@@ -429,15 +435,14 @@ def model_roundtrip_residual(char: CharFamily, grid=None,
     # sum_k (z conj(zeta))^k Theta_k(z) Theta_k(zeta)* is Phi(z) Phi(zeta)*
     # for the block row Phi(z) = [z^k Theta_k(z)]_k: one product
     Phi = (zs[:, None] ** ks).T[..., None, None] * evals
-    Phi = Phi.transpose(1, 2, 0, 3).reshape(N * pair.p, -1)
-    sums = (Phi @ Phi.conj().T).reshape(N, pair.p, N, pair.p)
+    Phi = Phi.transpose(1, 2, 0, 3).reshape(N, pair.p, -1)
     # kernel_invariant - kernel_shifted(K + 1), from one resolvents table
     G_inv = np.stack([np.eye(pair.n, dtype=complex),
                       fam.gramians.inverses(k_max + 1, k_max + 1)[0]])
     (K0, K1), x = _range_kernel(w, (0, k_max + 1), pair, G_inv, zs, zs, tol)
     head = np.polyval(w.inv_betas[k_max::-1], x) * np.eye(pair.p) - K0 \
         + x ** (k_max + 1) * K1
-    diff = head - sums.transpose(0, 2, 1, 3)
+    diff = head - _cross(Phi, Phi)
     worst = float(np.linalg.norm(diff.reshape(N * N, -1), axis=1).max())
     return RoundTripReport(residual=worst, k_max=k_max)
 
@@ -483,7 +488,7 @@ def functional_model_colligation(fam: ColligationFamily, k: int, J: int,
     c3 = opnorm(st.B.conj().T @ Gk1 @ st.B
                 + w.inv_betas[k] * (st.D.conj().T @ st.D) - np.eye(st.u))
 
-    taylor = transfer_taylor(fam, k, J + 1)
+    (taylor,), _, CA = _taylor_stack(fam, [k], J + 1)
     Astar = _right_powers(np.eye(pair.n, dtype=complex), A.conj().T, J + 1)
     ratio = w.betas[k + 1:k + J + 2] / w.betas[:J + 1]
     xB = (ratio[:, None, None] * (Astar @ C.conj().T @ taylor[1:])).sum(0)
@@ -495,7 +500,7 @@ def functional_model_colligation(fam: ColligationFamily, k: int, J: int,
     # x_B equals (J-truncated base gramian) B_k exactly, so the cut tail is
     # bounded by the gramian truncation remainder times ||B_k||
     allowance = float(_gramian_remainders(
-        w, fam.gramians, _right_powers(C, A, J + 1), [0])[0]) * opnorm(st.B)
+        w, fam.gramians, CA[:J + 1], [0])[0]) * opnorm(st.B)
     return FunctionalModelReport(check_state=c1, check_cross=c2,
                                  check_input=c3, input_coordinates=xB,
                                  alignment_residual=align,

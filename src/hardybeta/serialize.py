@@ -185,33 +185,33 @@ def dumps(obj) -> str:
     return _write(obj, 0)
 
 
-def complex_matrix_to_json(M) -> list:
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
-
-
-def complex_matrix_from_json(obj) -> np.ndarray:
+def _complex_from_json(obj, ndim: int, message: str) -> np.ndarray:
+    """The complex array of ``ndim`` axes that ``obj`` holds as nested
+    ``[re, im]`` pairs, or as bare reals; other nestings are refused with
+    ``message``."""
     arr = np.asarray(obj, dtype=float)
-    if arr.ndim == 2:  # bare real matrix accepted
+    if arr.ndim == ndim:  # bare reals accepted
         return arr.astype(complex)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise InvalidParameterError(
-            "matrix JSON must be rows of [re, im] pairs")
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise InvalidParameterError(message)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def complex_matrix_to_json(M) -> list:
+    return _re_im(np.atleast_2d(np.asarray(M, dtype=complex))).tolist()
+
+
+def complex_matrix_from_json(obj) -> np.ndarray:
+    return _complex_from_json(obj, 2,
+                              "matrix JSON must be rows of [re, im] pairs")
+
+
 def complex_vector_to_json(v) -> list:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return [[float(x.real), float(x.imag)] for x in v]
+    return _re_im(np.asarray(v, dtype=complex).reshape(-1)).tolist()
 
 
 def complex_vector_from_json(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    if arr.ndim == 1:
-        return arr.astype(complex)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise InvalidParameterError("vector JSON must be [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return _complex_from_json(obj, 1, "vector JSON must be [re, im] pairs")
 
 
 def weight_to_json(w: WeightSequence) -> dict:

@@ -210,12 +210,17 @@ def check_io_isometry(family: ColligationFamily, trials: int, horizon: int,
     outputs before the horizon ``h`` are simulated; the energy of those
     from ``h`` on, where the input is zero, is ``zero_input_tail_energy``
     of the state ``x(h)``.  The allowance is that closed form's truncation,
-    ``beta_h^2 ||x(h)||^2`` times the tail bound of ``G^(h)``.  ``tol`` is
-    finite and ``>= 0`` (0 allows no slack past the allowance).
+    ``beta_h^2 ||x(h)||^2`` times the tail bound of ``G^(h)``.  The horizon
+    is at least 1, since one input step is always simulated, and at most
+    ``k_max + 1``.  ``tol`` is finite and ``>= 0`` (0 allows no slack past
+    the allowance).
     """
     _check_tol(tol)
     w = family.weight
     rng = np.random.default_rng(seed)
+    if horizon < 1:
+        raise InvalidParameterError(
+            f"check_io_isometry needs horizon >= 1, got horizon={horizon}")
     if horizon - 1 > family.k_max:
         raise InvalidParameterError("family too short for requested horizon")
     worst = 0.0

@@ -252,6 +252,53 @@ def test_one_kronecker_matrix():
     assert found == ["hereditary._kron_solver"]
 
 
+def test_one_cross_product():
+    # the point-pair block product X[i] Y[j]^* of the kernel grids, the
+    # model round trip and the suite's kernel identities has one
+    # implementation
+    found = [f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name == "_cross"]
+    assert found == ["kernels._cross"]
+
+
+def _empty_input_calls():
+    """Each entry that takes a grid or a step sequence, called with an
+    empty one, and its refusal."""
+    w = hb.make_weight_hardy(64)
+    fam = hb.build_family(w, hb.OutputPair([[0.5]], [[0.866]]), k_max=2)
+    char = hb.characteristic_family(w, [[0.5]], k_max=2)
+    unit = lambda z: np.eye(1)  # noqa: E731
+    grid = "a multiplier check needs at least one grid point"
+    return {
+        "check_contractive_multiplier": (
+            lambda: hb.check_contractive_multiplier(w, unit, []), grid),
+        "check_hardy_to_weighted_multiplier": (
+            lambda: hb.check_hardy_to_weighted_multiplier(w, unit, []), grid),
+        "model_roundtrip_residual": (
+            lambda: hb.model_roundtrip_residual(char, grid=[]),
+            "model_roundtrip_residual needs at least one grid point"),
+        "check_coincidence": (
+            lambda: hb.check_coincidence(fam, fam, grid=[]),
+            "check_coincidence needs at least one grid point"),
+        "transfer_eval": (lambda: hb.transfer_eval(fam, [], 0.3),
+                          "transfer_eval needs at least one step k"),
+    }
+
+
+EMPTY_INPUT_CALLS = _empty_input_calls()
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_INPUT_CALLS))
+def test_an_empty_input_is_refused_by_name(name):
+    # these raised raw numpy errors: "need at least one array to stack",
+    # "cannot reshape array of size 0" or "zero-size array to reduction
+    # operation maximum which has no identity"
+    call, match = EMPTY_INPUT_CALLS[name]
+    with pytest.raises(hb.InvalidParameterError, match=f"^{match}$"):
+        call()
+
+
 def _operator_entries():
     """Each entry that takes an operator ``A``, called with ``A`` and, where
     it takes one, ``X``."""

@@ -301,6 +301,47 @@ class TestStepRange:
             hb.transfer_taylor(fam, 0, -1)
 
 
+class TestStepDoor:
+    """``ColligationFamily.step`` is the one door for a step index: every
+    entry that reads a step refuses ``k_max + 1`` and ``-1`` with its
+    text.  ``fam.step(-1)`` answered with the last step,
+    ``functional_model_colligation`` past ``k_max`` raised a raw
+    IndexError, and ``check_inner_family`` cut a ``k_max`` past the
+    family's to the family's own and checked only those steps."""
+
+    ENTRIES = {
+        "ColligationFamily.step": lambda fam, k: fam.step(k),
+        "transfer_eval": lambda fam, k: hb.transfer_eval(fam, k, 0.3),
+        "transfer_taylor": lambda fam, k: hb.transfer_taylor(fam, k, 2),
+        "colligation_block": lambda fam, k: colligation_block(fam, k),
+        "functional_model_colligation":
+            lambda fam, k: hb.functional_model_colligation(fam, k, 10),
+    }
+
+    def test_every_step_entry_meets_the_door(self):
+        # a characteristic family: its base gramian is the identity, as
+        # functional_model_colligation needs
+        fam = hb.characteristic_family(hb.make_weight_hardy(256),
+                                       [[0.5]], k_max=3).family
+        for name, call in self.ENTRIES.items():
+            call(fam, 3)  # the last step is answered
+            for k in (4, -1):
+                with pytest.raises(hb.InvalidParameterError) as info:
+                    call(fam, k)
+                assert str(info.value) == \
+                    f"family holds steps 0..3, not k={k}", name
+        # check_inner_family reads steps 0..k_max: a k_max past the
+        # family's meets the door, one below 0 its own named refusal
+        hb.check_inner_family(fam, 3, 10)
+        with pytest.raises(hb.InvalidParameterError) as info:
+            hb.check_inner_family(fam, 4, 10)
+        assert str(info.value) == "family holds steps 0..3, not k=4"
+        with pytest.raises(hb.InvalidParameterError) as info:
+            hb.check_inner_family(fam, -1, 10)
+        assert str(info.value) == \
+            "check_inner_family needs k_max >= 0, got k_max=-1"
+
+
 class TestMetricResiduals:
     def test_scaled_input_block(self, w_beta2):
         rng = np.random.default_rng(27)

@@ -737,6 +737,20 @@ class TestStein:
                                 tab[1])
         assert res == pytest.approx(eps, rel=1e-6)
 
+    def test_shift_outside_the_table_refused(self):
+        # k = -1 read 1/beta_64, the table's last entry, and k = 65 raised
+        # a raw IndexError
+        w = hb.make_weight_beta_alpha(2.0, 64)
+        pair = hb.OutputPair([[0.5]], [[0.866]])
+        tab = hb.gramian_table(w, pair, 1, tol=1e-13)
+        assert hb.stein_residual(w, 0, pair, tab[0], tab[1]) < 1e-12
+        hb.stein_residual(w, 64, pair, tab[0], tab[1])
+        for k in (-1, 65):
+            with pytest.raises(hb.InvalidParameterError, match=(
+                    f"^stein_residual needs a shift k in 0..64, "
+                    f"got k={k}$")):
+                hb.stein_residual(w, k, pair, tab[0], tab[1])
+
 
 class TestClassify:
     def test_psd_defects_of_a_stack(self):

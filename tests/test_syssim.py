@@ -269,3 +269,17 @@ class TestRefusals:
         with pytest.raises(hb.InvalidParameterError,
                            match="^family too short for requested horizon$"):
             hb.check_io_isometry(fam_beta2, trials=1, horizon=14)
+
+    def test_io_isometry_horizon_below_one(self):
+        # one input step is always simulated, so horizon 0 read the tail
+        # energy from x(0) and failed an isometric family (defect 0.316),
+        # and horizon -1 met the gramian table's refusal of shift -1
+        pair = hb.OutputPair([[0.5]], [[0.866]])
+        fam = hb.build_family(hb.make_weight_hardy(64), pair, k_max=3)
+        for h in (1, 2, 3):
+            assert hb.check_io_isometry(fam, 2, h).isometric
+        for h in (0, -1):
+            with pytest.raises(hb.InvalidParameterError, match=(
+                    f"^check_io_isometry needs horizon >= 1, "
+                    f"got horizon={h}$")):
+                hb.check_io_isometry(fam, 2, h)
