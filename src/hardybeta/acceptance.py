@@ -11,11 +11,13 @@ What is left is an explicit allowance from the gramian tail bounds, added
 to the bound, never silently absorbed.
 
 ``run_suite`` is the one harness, for the test suite and the ``verify``
-subcommand of the CLI: it builds the four suite weights once, calls each
-criterion as ``criterion(cfg, weights)`` and times the call.  Three draw
-generators yield each random instance already built: ``_pairs`` a random
-output pair with its weight (criteria 1 and 2), and, together with the
-criterion's seeded generator for any further draws, ``_families`` the
+subcommand of the CLI: it builds the four suite weights once, at the one
+table length ``SUITE_TRUNC``, calls each criterion as
+``criterion(cfg, weights)`` and times the call.  ``RunConfig`` holds the
+three settings of a run: ``rank_tol``, ``seed`` and ``trials``.  Three
+draw generators yield each random instance already built: ``_pairs`` a
+random output pair with its weight (criteria 1 and 2), and, together with
+the criterion's seeded generator for any further draws, ``_families`` the
 colligation family of a well-conditioned observable pair (criteria 3, 4, 5
 and 11) and ``_char_families`` the characteristic family of a
 star-hypercontraction (criteria 8, 9 and 10).
@@ -35,12 +37,13 @@ from . import kernels as ker
 from . import model as mod
 from . import syssim as sys_
 from .colligation import build_family, transfer_eval
-from .errors import InvalidParameterError, ModelHypothesisError
+from .errors import ModelHypothesisError
 from .hereditary import OutputPair
 from .weights import make_weight_beta_alpha, make_weight_hardy
 
-#: weight-table length used by the suite; the gramian tail bounds at
-#: spectral radius 0.9 and shift 11 need a deep table
+#: weight-table length of the four suite weights, which take only the
+#: closed and spectral routes; the deepest entry any criterion reads is
+#: index 118, in criterion 5's Taylor cut (shift 8 plus 110 terms)
 SUITE_TRUNC = 768
 
 #: draws per random instance before a helper gives up
@@ -56,7 +59,6 @@ class RunConfig:
     """The settings ``run_suite`` reads."""
 
     rank_tol: float = 1e-10
-    trunc: int = SUITE_TRUNC
     seed: int = 7
     trials: int = 20
 
@@ -78,9 +80,10 @@ class CriterionResult:
                 f"  [{self.bound}]  ({self.seconds:.2f}s)")
 
 
-def suite_weights(trunc: int = SUITE_TRUNC):
-    return [("hardy", make_weight_hardy(trunc))] + [
-        (f"beta{a:g}", make_weight_beta_alpha(a, trunc)) for a in (2.0, 3.0, 2.5)]
+def suite_weights():
+    return [("hardy", make_weight_hardy(SUITE_TRUNC))] + [
+        (f"beta{a:g}", make_weight_beta_alpha(a, SUITE_TRUNC))
+        for a in (2.0, 3.0, 2.5)]
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +520,10 @@ CRITERIA = [
 
 def run_suite(cfg: RunConfig | None = None, echo=None) -> list:
     """Run every acceptance criterion on one set of suite weights and
-    return the results, each timed; ``cfg.trunc`` below ``SUITE_TRUNC`` is
-    refused, since the criteria's tail bounds need the deep table.  A
-    criterion that raises fails under its own number and name
-    (``_criterion``), and the suite goes on."""
+    return the results, each timed.  A criterion that raises fails under
+    its own number and name (``_criterion``), and the suite goes on."""
     cfg = cfg or RunConfig()
-    if cfg.trunc < SUITE_TRUNC:
-        raise InvalidParameterError(
-            f"the acceptance suite needs trunc >= {SUITE_TRUNC}, "
-            f"got {cfg.trunc}")
-    weights = suite_weights(cfg.trunc)
+    weights = suite_weights()
     results = []
     for crit in CRITERIA:
         t0 = time.perf_counter()

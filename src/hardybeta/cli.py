@@ -8,12 +8,18 @@ trajectories as CSV) and ``verify`` (the acceptance suite).
 
 Exit codes: 0 ok, 2 input error, 3 spectral radius, 4 observability or
 model hypothesis, 5 non-convergence, 6 verification failure.  The default
-tolerance honors the ``HARDY_BETA_TOL`` environment variable, read on every
-call; a ``--tol`` or ``HARDY_BETA_TOL`` that is negative, NaN or infinite
-is refused with exit 2 before any work, and so is a ``--k-max`` below the
-subcommand's least (1 for ``analyze``, 0 for ``colligate`` and
-``charfn``).  Every JSON report embeds the run configuration so outputs are
-reproducible; identical configuration and seed give byte-identical reports.
+``--tol`` (of ``analyze``, the one subcommand with a tolerance) honors the
+``HARDY_BETA_TOL`` environment variable, read on every call; a ``--tol``
+or ``HARDY_BETA_TOL`` that is negative, NaN or infinite is refused with
+exit 2 before any work, on every subcommand, and so is a ``--k-max`` below
+the subcommand's least (1 for ``analyze``, 0 for ``colligate`` and
+``charfn``).  Every JSON report embeds its run configuration: the
+subcommand's own settings among ``tol``, ``rank_tol``, ``k_max``, ``seed``
+and ``trials``, and ``trunc``, the table length of the weight it built;
+identical configuration and seed give byte-identical reports.
+``kernels --k`` is the shift of the ``shifted`` and ``gap`` kernels, which
+build ``G^(0..k+1)``; ``coinvariant`` and ``invariant`` build ``G^(0)``
+alone and do not read it.
 
 ``main(argv)`` may be called repeatedly in one process.  The parser is
 built on the first call and reused; each call looks its subcommand's
@@ -35,7 +41,7 @@ from . import kernels as ker
 from . import model as mod
 from . import serialize as ser
 from . import syssim as sys_
-from .acceptance import SUITE_TRUNC, RunConfig, run_suite
+from .acceptance import RunConfig, run_suite
 from .colligation import build_family
 from .errors import HardyBetaError, InvalidParameterError, _check_tol
 from .hereditary import classify, gramian_table, hermitian_inverse
@@ -92,13 +98,12 @@ def _weight_from_args(args):
 
 
 def _config_from_args(args, w=None) -> dict:
-    """The run configuration a report embeds: the subcommand's own value
-    of each key, and for a key it has no flag for, the default tolerance,
-    ``k_max`` 12 or the suite's default (``RunConfig``).  With the weight
-    ``w``, ``trunc`` is its own table length."""
-    defaults = {"tol": _default_tol(), "k_max": 12, **vars(RunConfig())}
-    config = {key: getattr(args, key, value)
-              for key, value in defaults.items()}
+    """The run configuration a report embeds: each setting among ``tol``,
+    ``rank_tol``, ``k_max``, ``seed`` and ``trials`` that the subcommand
+    has a flag for, with the value it ran at, and with the weight ``w``,
+    ``trunc``, its own table length."""
+    config = {key: value for key, value in vars(args).items()
+              if key in ("tol", "rank_tol", "k_max", "seed", "trials")}
     if w is not None:
         config["trunc"] = w.trunc_len
     return config
@@ -197,8 +202,11 @@ def cmd_kernels(args) -> int:
             raise InvalidParameterError(
                 f"--grid radii must lie in [0, 1): {args.grid}")
         pts = ker.default_grid(radii=radii)
-    gramians = gramian_table(w, pair, args.k + 1, tol=1e-12)
-    if args.kind in ("coinvariant", "invariant"):
+    # --k is the shift of shifted and gap; coinvariant and invariant read
+    # G^(0) alone, and their report has no k
+    g0_only = args.kind in ("coinvariant", "invariant")
+    gramians = gramian_table(w, pair, 0 if g0_only else args.k + 1, tol=1e-12)
+    if g0_only:
         kernel = (ker.kernel_coinvariant if args.kind == "coinvariant"
                   else ker.kernel_invariant)
         K = kernel(w, pair, pts, pts,
@@ -221,7 +229,7 @@ def cmd_kernels(args) -> int:
         payload = {
             "config": _config_from_args(args, w),
             "kind": args.kind,
-            "k": args.k,
+            **({} if g0_only else {"k": args.k}),
             "points": points,
             "values": values,
         }
@@ -243,8 +251,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(RunConfig(rank_tol=args.rank_tol, trunc=args.trunc,
-                                  seed=args.seed, trials=args.trials),
+    results = run_suite(RunConfig(rank_tol=args.rank_tol, seed=args.seed,
+                                  trials=args.trials),
                         echo=print)
     payload = {
         "config": _config_from_args(args),
@@ -328,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     options(p, "rank_tol", "out")
-    p.add_argument("--trunc", type=int, default=SUITE_TRUNC)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=20)
 

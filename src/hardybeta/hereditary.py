@@ -474,9 +474,12 @@ def _kron_solver(A, coefs):
     of ``p``) is refused.  Every Kronecker matrix of the package is formed
     here."""
     *low, top = coefs
+    n = len(A)
     with np.errstate(over="ignore", invalid="ignore"):
-        K = np.kron(A.conj().T, A.T)
-        I = np.eye(len(K))
+        # kron(A^*, A^T) as one broadcast product
+        K = (A.conj().T[:, None, :, None] * A.T[None, :, None, :]) \
+            .reshape(n * n, n * n)
+        I = np.eye(n * n)
         M = low.pop() * I + top * K if low else top * I
         for c in low[::-1]:
             M = M @ K + c * I
@@ -897,10 +900,16 @@ def gamma_k_map(w: WeightSequence, k, A, X,
 
 
 def gamma_binomial(m: int, A, X) -> np.ndarray:
-    """Finite binomial defect map ``sum_j (-1)^j binom(m, j) A^{*j} X A^j``;
-    ``A`` is a matrix or an OutputPair, and ``X`` of its shape."""
+    """Finite binomial defect map ``sum_j (-1)^j binom(m, j) A^{*j} X A^j``
+    for ``m >= 0``; ``A`` is a matrix or an OutputPair, and ``X`` a finite
+    matrix of its shape.  A negative ``m`` and a non-finite ``A`` or ``X``
+    are refused before any product."""
+    if m < 0:
+        raise InvalidParameterError(f"gamma_binomial needs m >= 0, got m={m}")
     op = _operator(A)
     X, A = _like_A(op, X), op.A
+    if not (np.isfinite(A).all() and np.isfinite(X).all()):
+        raise InvalidParameterError("gamma_binomial needs a finite A and X")
     return hermitize(sum((-1) ** j * math.comb(m, j) * M for j, M in
                          enumerate(_right_powers(X, A, m + 1, A.conj().T))))
 

@@ -212,12 +212,16 @@ def check_io_isometry(family: ColligationFamily, trials: int, horizon: int,
     of the state ``x(h)``.  The allowance is that closed form's truncation,
     ``beta_h^2 ||x(h)||^2`` times the tail bound of ``G^(h)``.  The horizon
     is at least 1, since one input step is always simulated, and at most
-    ``k_max + 1``.  ``tol`` is finite and ``>= 0`` (0 allows no slack past
-    the allowance).
+    ``k_max + 1``; ``trials`` is at least 1, since a verdict on no input
+    checks nothing.  ``tol`` is finite and ``>= 0`` (0 allows no slack
+    past the allowance).
     """
     _check_tol(tol)
     w = family.weight
     rng = np.random.default_rng(seed)
+    if trials < 1:
+        raise InvalidParameterError(
+            f"check_io_isometry needs trials >= 1, got trials={trials}")
     if horizon < 1:
         raise InvalidParameterError(
             f"check_io_isometry needs horizon >= 1, got horizon={horizon}")

@@ -9,8 +9,9 @@ Criteria 1, 2, 3 and 7 draw 20 instances per weight, criteria 4, 5 and
 
 A reduced run with counted calls pins the harness: the suite weights are
 built once per run, each characteristic family evaluates one hereditary
-stack and one gramian table, and every ``RunConfig`` field is read.  A NaN
-injected into any criterion's residual source fails that criterion.
+stack and one gramian table, and every ``RunConfig`` field is read; the
+suite's table length is no field.  A NaN injected into any criterion's
+residual source fails that criterion.
 """
 
 import dataclasses
@@ -143,6 +144,15 @@ def call_counts():
 def test_every_config_field_is_read(call_counts):
     read = {key[2] for key in call_counts if key[1] == "config"}
     assert read == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_one_table_length():
+    # the table length is no setting: verify --trunc demanded 768 and
+    # changed nothing, since no criterion reads an entry past index 118
+    assert [f.name for f in dataclasses.fields(RunConfig)] \
+        == ["rank_tol", "seed", "trials"]
+    assert [w.trunc_len for _, w in acc.suite_weights()] \
+        == [acc.SUITE_TRUNC] * 4
 
 
 def test_suite_weights_built_once_per_run(call_counts):

@@ -244,11 +244,67 @@ def test_one_door_for_the_operator():
                             "hereditary._Operator.spectral_radius"]}
 
 
+#: the index of each factor of a broadcast Kronecker product
+#: ``L[:, None, :, None] * R[None, :, None, :]``, ``:`` as "full" and a new
+#: axis as "new"
+KRON_AXES = {("full", "new", "full", "new"), ("new", "full", "new", "full")}
+
+
+def _axes(node):
+    """The index of a subscript as a tuple of "full" (``:``) and "new"
+    (``None`` or ``np.newaxis``), or None for any other node."""
+    if not (isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Tuple)):
+        return None
+    axes = []
+    for e in node.slice.elts:
+        if isinstance(e, ast.Slice) and e.lower is e.upper is e.step is None:
+            axes.append("full")
+        elif ast.unparse(e) == "None" or ast.unparse(e).endswith("newaxis"):
+            axes.append("new")
+        else:
+            return None
+    return tuple(axes)
+
+
+def kron_sites(source: str):
+    """The function of every Kronecker product in ``source``: a call of a
+    function named ``kron``, however it is reached, or the broadcast
+    product ``L[:, None, :, None] * R[None, :, None, :]``, whose reshape to
+    ``(n^2, n^2)`` is ``kron(L, R)``."""
+    for owner, node in _owned_nodes(source):
+        func = getattr(node, "func", None)
+        call = isinstance(node, ast.Call) and "kron" in (
+            getattr(func, "id", None), getattr(func, "attr", None))
+        outer = isinstance(node, ast.BinOp) \
+            and isinstance(node.op, ast.Mult) \
+            and {_axes(node.left), _axes(node.right)} == KRON_AXES
+        if call or outer:
+            yield owner
+
+
+def test_kron_check_sees_every_spelling():
+    source = (
+        "K = np.kron(A.conj().T, A.T)\n"
+        "def f(L, R):\n"
+        "    return kron(L, R)\n"
+        "def g(L, R):\n"
+        "    K = L[:, None, :, None] * R[None, :, None, :]\n"
+        "    return K.reshape(4, 4)\n"
+        "def h(L, R):\n"
+        "    return R[np.newaxis, :, np.newaxis, :] * L[:, np.newaxis, :,\n"
+        "                                              np.newaxis]\n"
+        "def grid(zs, X):\n"
+        "    x = zs[:, None] * np.conj(zs)[None, :]\n"
+        "    return x[:, :, None, None] * X[None, None, :, :]\n")
+    assert sorted(kron_sites(source)) == ["<module>", "f", "g", "h"]
+
+
 def test_one_kronecker_matrix():
     # every Kronecker matrix of L: X -> A* X A is formed by the one solver
     # of a polynomial in L, which refuses an overflow by name
     found = [f"{path.stem}.{owner}" for path in sorted(SRC.glob("*.py"))
-             for owner in calls_of(path.read_text(), "kron")]
+             for owner in kron_sites(path.read_text())]
     assert found == ["hereditary._kron_solver"]
 
 

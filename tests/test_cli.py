@@ -150,8 +150,8 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("bad", ["nan", "-1e-3", "-inf"])
     def test_bad_tol_variable_exits_2(self, tmp_path, capsys, monkeypatch,
                                       bad):
-        # every subcommand embeds the default tolerance in its report, so
-        # every one refuses a bad HARDY_BETA_TOL, an explicit --tol too
+        # every subcommand refuses a bad HARDY_BETA_TOL before any work,
+        # one with an explicit --tol or with no tolerance at all too
         op = self.write_operator(tmp_path, [[0.5]], [[0.866]])
         monkeypatch.setenv("HARDY_BETA_TOL", bad)
         text = f"error: HARDY_BETA_TOL must be a finite number >= 0, " \
@@ -336,6 +336,32 @@ class TestKernelsCommand:
         assert "[0, 1)" in err
         assert not csv_file.exists()
 
+    @pytest.mark.parametrize("kind,k_maxes", [
+        ("coinvariant", [0]), ("invariant", [0]), ("shifted", [3]),
+        ("gap", [3])])
+    def test_gramians_of_the_kind_alone(self, tmp_path, capsys, monkeypatch,
+                                        kind, k_maxes):
+        # coinvariant and invariant read G^(0) alone: they built
+        # G^(0..k+1) and echoed the k they do not read
+        from hardybeta import cli
+        calls, original = [], cli.gramian_table
+
+        def recorded(w, pair, k_max, **kwargs):
+            calls.append(k_max)
+            return original(w, pair, k_max, **kwargs)
+
+        monkeypatch.setattr(cli, "gramian_table", recorded)
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"A": ser.complex_matrix_to_json(
+            0.5 * np.eye(2)), "C": ser.complex_matrix_to_json(np.eye(2))}))
+        js = tmp_path / "grid.json"
+        assert run(capsys, "kernels", str(op), "--alpha", "2", "--kind",
+                   kind, "--k", "2", "--grid", "0.0,0.5", "--out-csv",
+                   str(tmp_path / "grid.csv"), "--out-json", str(js))[0] == 0
+        assert calls == k_maxes
+        assert json.loads(js.read_text()).get("k") \
+            == (None if k_maxes == [0] else 2)
+
     def test_gap_resolvents_once_per_shift(self, tmp_path, capsys,
                                            monkeypatch):
         rng = np.random.default_rng(91)
@@ -382,6 +408,7 @@ class TestParser:
         ("kernels op.json --out-csv g.csv", "--seed", "1"),
         ("kernels op.json --out-csv g.csv", "--out", "g.json"),
         ("verify", "--tol", "1e-6"), ("verify", "--k-max", "4"),
+        ("verify", "--trunc", "768"),
     ]
 
     @pytest.mark.parametrize("command,flag,value", REMOVED)
@@ -402,6 +429,50 @@ class TestParser:
             argv = shlex.split(line, comments=True)[1:]
             args = parser.parse_args(argv)
             assert args.command == argv[0]
+
+
+class TestReportConfig:
+    """A report's ``config`` holds the subcommand's own settings, at the
+    values it ran at, and ``trunc``, the table length of the weight it
+    built: no key from a flag the subcommand does not have."""
+
+    SETTINGS = {"tol", "rank_tol", "k_max", "seed", "trials"}
+
+    @pytest.mark.parametrize("argv,own", [
+        (["weights", "--alpha", "2"], set()),
+        (["analyze", "{op}", "--alpha", "2"], {"tol", "k_max"}),
+        (["colligate", "{op}", "--alpha", "2", "--k-max", "3"],
+         {"rank_tol", "k_max"}),
+        (["charfn", "--t", "0.5", "--alpha", "2", "--k-max", "3"],
+         {"rank_tol", "k_max"}),
+        (["kernels", "{op}", "--alpha", "2", "--grid", "0.0,0.5",
+          "--out-csv", "{csv}"], {"rank_tol"}),
+        (["verify", "--seed", "3", "--trials", "1"],
+         {"rank_tol", "seed", "trials"}),
+    ], ids=["weights", "analyze", "colligate", "charfn", "kernels", "verify"])
+    def test_config_is_the_subcommand_settings(self, tmp_path, capsys,
+                                               monkeypatch, argv, own):
+        # every report echoed tol, k_max, rank_tol, seed and trials, with a
+        # default for each flag it lacks: under HARDY_BETA_TOL=1e-3 a
+        # colligate report said tol 0.001, though build_family takes none
+        import hardybeta.acceptance as acc
+        monkeypatch.setattr(acc, "CRITERIA", [acc.criterion_6_scalar_golden])
+        monkeypatch.setenv("HARDY_BETA_TOL", "1e-3")
+        op, report = tmp_path / "op.json", tmp_path / "report.json"
+        op.write_text(json.dumps({"A": [[[0.5, 0.0]]],
+                                  "C": [[[0.866, 0.0]]]}))
+        argv = [a.format(op=op, csv=tmp_path / "grid.csv") for a in argv]
+        argv += ["--out-json" if argv[0] == "kernels" else "--out",
+                 str(report)]
+        parsed = vars(build_parser().parse_args(argv))
+        assert self.SETTINGS & set(parsed) == own
+        assert run(capsys, *argv)[0] == 0
+        expected = {key: parsed[key] for key in own}
+        if "tol" in own:  # --tol defaults to HARDY_BETA_TOL
+            expected["tol"] = 1e-3
+        if argv[0] != "verify":  # the suite's table is no setting
+            expected["trunc"] = 256
+        assert json.loads(report.read_text())["config"] == expected
 
 
 class TestEnvAndDeterminism:
@@ -605,18 +676,6 @@ class TestVerifyCommand:
         payload = json.loads(report.read_text())
         assert payload["all_passed"]
         assert len(payload["criteria"]) == 12
-
-    def test_short_table_exits_2(self, tmp_path, capsys):
-        # the criteria's tail bounds need the 768-term table; a shorter one
-        # is refused rather than recorded and replaced
-        report = tmp_path / "report.json"
-        code, out, err = run(capsys, "verify", "--trunc", "256", "--trials",
-                             "1", "--out", str(report))
-        assert code == 2
-        assert "768" in err and "256" in err
-        assert "PASS" not in out
-        assert not report.exists()
-
 
     def test_raising_criterion_exits_6(self, tmp_path, capsys,
                                        monkeypatch):

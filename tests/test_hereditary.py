@@ -1209,6 +1209,19 @@ class TestRefusals:
                            match="X must be positive semidefinite"):
             hb.gamma_map(w_beta2, self.A2, -np.eye(2))
 
+    @pytest.mark.parametrize("m,A,X,match", [
+        (2, [[np.inf]], np.eye(1), "gamma_binomial needs a finite A and X"),
+        (1, 0.5 * np.eye(1), [[np.nan]],
+         "gamma_binomial needs a finite A and X"),
+        (-1, 0.5 * np.eye(1), np.eye(1), "gamma_binomial needs m >= 0, got "
+         "m=-1")], ids=["inf-A", "nan-X", "negative-m"])
+    def test_gamma_binomial_refusals(self, m, A, X, match):
+        # the first two returned NaN with a RuntimeWarning from the product
+        # (an error under the suite's filter), the third raised a raw
+        # AttributeError from hermitize of the empty sum
+        with pytest.raises(hb.InvalidParameterError, match=f"^{match}$"):
+            hb.gamma_binomial(m, A, X)
+
 
 class TestKnownDefects:
     """Defects against a high-precision truth: a standing one is pinned as

@@ -283,3 +283,14 @@ class TestRefusals:
                     f"^check_io_isometry needs horizon >= 1, "
                     f"got horizon={h}$")):
                 hb.check_io_isometry(fam, 2, h)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_io_isometry_needs_a_trial(self, trials):
+        # no input was simulated, yet the verdict was isometric with
+        # defect 0
+        pair = hb.OutputPair([[0.5]], [[0.866]])
+        fam = hb.build_family(hb.make_weight_hardy(64), pair, k_max=3)
+        with pytest.raises(hb.InvalidParameterError, match=(
+                f"^check_io_isometry needs trials >= 1, "
+                f"got trials={trials}$")):
+            hb.check_io_isometry(fam, trials, 2)
