@@ -11,8 +11,9 @@ What is left is an explicit allowance from the gramian tail bounds, added
 to the bound, never silently absorbed.
 
 ``run_suite`` is the one harness, for the test suite and the ``verify``
-subcommand of the CLI: it builds the four suite weights once, at the one
-table length ``SUITE_TRUNC``, calls each criterion as
+subcommand of the CLI: it builds the four suite weights once, at the
+default table length (they take only the closed and spectral routes, which
+read no table), calls each criterion as
 ``criterion(cfg, weights)`` and times the call.  ``RunConfig`` holds the
 three settings of a run: ``rank_tol``, ``seed`` and ``trials``.  Three
 draw generators yield each random instance already built: ``_pairs`` a
@@ -40,11 +41,6 @@ from .colligation import build_family, transfer_eval
 from .errors import ModelHypothesisError
 from .hereditary import OutputPair
 from .weights import make_weight_beta_alpha, make_weight_hardy
-
-#: weight-table length of the four suite weights, which take only the
-#: closed and spectral routes; the deepest entry any criterion reads is
-#: index 118, in criterion 5's Taylor cut (shift 8 plus 110 terms)
-SUITE_TRUNC = 768
 
 #: draws per random instance before a helper gives up
 DRAW_TRIES = 60
@@ -81,9 +77,8 @@ class CriterionResult:
 
 
 def suite_weights():
-    return [("hardy", make_weight_hardy(SUITE_TRUNC))] + [
-        (f"beta{a:g}", make_weight_beta_alpha(a, SUITE_TRUNC))
-        for a in (2.0, 3.0, 2.5)]
+    return [("hardy", make_weight_hardy())] + [
+        (f"beta{a:g}", make_weight_beta_alpha(a)) for a in (2.0, 3.0, 2.5)]
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +295,10 @@ def _kernel_identity_residuals(fam, ks, grid):
         PB = Rk @ st.B          # R_k(zA) B, shape (N, n, u)
         PB1 = Rk1 @ st.B
         thT = th.swapaxes(1, 2)
-        lhs_in = w.inv_betas[k] * np.eye(st.u)[None, None] \
+        beta, inv_beta, _ = w._entries(k)
+        lhs_in = inv_beta * np.eye(st.u)[None, None] \
             - ker._cross(thT, thT).conj()
-        rhs_in = w.betas[k] * (gram(PB, Gk1)
+        rhs_in = beta * (gram(PB, Gk1)
                                - np.conj(x)[:, :, None, None] * gram(PB1, Gk))
         out.append(worst(lhs_in - rhs_in))
 
@@ -311,7 +307,7 @@ def _kernel_identity_residuals(fam, ks, grid):
         V1 = C @ Rk1
         core = ker._cross(V @ Gk_inv, V) \
             - x[:, :, None, None] * ker._cross(V1 @ Gk1_inv, V1)
-        lhs_out = w.inv_betas[k] * np.eye(pair.p)[None, None] - thth
+        lhs_out = inv_beta * np.eye(pair.p)[None, None] - thth
         out.append(worst(lhs_out - core))
 
         # gap kernel factorization: gap kernel = x^k Theta Theta*

@@ -19,7 +19,8 @@ and ``trials``, and ``trunc``, the table length of the weight it built;
 identical configuration and seed give byte-identical reports.
 ``kernels --k`` is the shift of the ``shifted`` and ``gap`` kernels, which
 build ``G^(0..k+1)``; ``coinvariant`` and ``invariant`` build ``G^(0)``
-alone and do not read it.
+alone and do not read it.  A ``--k`` below 0 is refused by name with exit
+2 for every kind.
 
 ``main(argv)`` may be called repeatedly in one process.  The parser is
 built on the first call and reused; each call looks its subcommand's
@@ -192,6 +193,9 @@ _KERNELS = ("coinvariant", "invariant", "shifted", "gap")
 
 
 def cmd_kernels(args) -> int:
+    if args.k < 0:
+        raise InvalidParameterError(
+            f"kernels needs --k >= 0, got --k={args.k}")
     w = _weight_from_args(args)
     pair = ser.pair_from_json(_load_json(args.operator))
     if args.grid == "default":

@@ -152,7 +152,7 @@ def _factor_steps(w: WeightSequence, pair: OutputPair,
     G_inv = gramians.inverses(k0, k1 + 1, rank_tol)
     AC = np.vstack([pair.A, pair.C])
     ones = np.ones(pair.p)
-    R = _block_diag(G_inv[1:], w.betas[ks, None] * ones) \
+    R = _block_diag(G_inv[1:], w._entries(ks)[0][:, None] * ones) \
         - AC @ G_inv[:-1] @ AC.conj().T
     F = _psd_factor(R, rank_tol)
     u = np.count_nonzero(F.any(axis=-2), axis=-1)
@@ -249,10 +249,11 @@ def _metric_defects(family: ColligationFamily, k0: int, k1: int, G_inv):
     G = family.gramians.stack(k0, k1 + 1)
     U, inputs = _blocks(family, k0, k1)
     Uh = U.conj().swapaxes(-1, -2)
+    betas, inv_betas, _ = w._entries(ks[:, None])
     ones = np.ones(p)
-    W_out = _block_diag(G[1:], w.inv_betas[ks, None] * ones)
+    W_out = _block_diag(G[1:], inv_betas * ones)
     isom = Uh @ W_out @ U - _block_diag(G[:-1], inputs)
-    V_out = _block_diag(G_inv[1:], w.betas[ks, None] * ones)
+    V_out = _block_diag(G_inv[1:], betas * ones)
     coisom = U @ _block_diag(G_inv[:-1], inputs) @ Uh - V_out
     return isom, coisom
 
@@ -301,7 +302,7 @@ def transfer_eval(family: ColligationFamily, k, z,
     B, D, _ = _padded(family, ks)
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     R = resolvents(w, ks + 1, pair, zs, tol)
-    vals = w.inv_betas[ks, None, None, None] * D[:, None] \
+    vals = w._entries(ks)[1][:, None, None, None] * D[:, None] \
         + zs[None, :, None, None] * (pair.C @ R @ B[:, None])
     return vals.reshape(np.shape(k) + np.shape(z) + D.shape[-2:])
 
@@ -317,10 +318,10 @@ def _taylor_stack(family: ColligationFamily, ks, J: int):
     ks = np.asarray(ks)
     B, D, inputs = _padded(family, ks)
     out = np.empty((len(ks), J + 1) + D.shape[1:], dtype=complex)
-    out[:, 0] = w.inv_betas[ks, None, None] * D
+    inv_betas = w._entries(ks[:, None] + np.arange(J + 1))[1][..., None, None]
+    out[:, 0] = inv_betas[:, 0] * D
     CA = _right_powers(pair.C, pair.A, J + 1)
-    out[:, 1:] = w.inv_betas[ks[:, None] + np.arange(1, J + 1), None, None] \
-        * (CA[None, :J] @ B[:, None])
+    out[:, 1:] = inv_betas[:, 1:] * (CA[None, :J] @ B[:, None])
     return out, inputs, CA
 
 
@@ -345,7 +346,8 @@ def defect_kernel(family: ColligationFamily, k: int, z: complex, zeta: complex,
     defect = -_metric_defects(family, k, k, G_inv)[1][0]
 
     Rz, Rzeta = resolvents(w, k, pair, [z, zeta], tol)
-    left = np.hstack([z * (pair.C @ Rz), w.inv_betas[k] * np.eye(p)])
+    inv_beta = w._entries(k)[1]
+    left = np.hstack([z * (pair.C @ Rz), inv_beta * np.eye(p)])
     right = np.vstack([np.conj(zeta) * (Rzeta.conj().T @ pair.C.conj().T),
-                       w.inv_betas[k] * np.eye(p)])
+                       inv_beta * np.eye(p)])
     return left @ defect @ right

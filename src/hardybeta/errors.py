@@ -1,8 +1,10 @@
 """Exception taxonomy, and the two parameter checks every entry shares.
 
 Every exception carries an ``exit_code`` used by the command line front end:
-2 input error, 3 spectral radius out of range, 4 observability / model
-hypothesis failure, 5 series did not converge within the stored tables.
+2 input error (a stored table too short for the series, or a custom
+weight read past its table, included), 3 spectral radius out of range,
+4 observability / model hypothesis failure, 5 series did not converge
+within the stored tables.
 
 Every public entry with a ``tol`` refuses, before any work, a ``tol`` that
 is negative, NaN or infinite (``_check_tol``); 0 is allowed.  ``classify``,
@@ -34,7 +36,10 @@ class AdmissibilityError(InvalidParameterError):
 
 
 class TruncationError(HardyBetaError):
-    """A coefficient table is too short for the requested index range."""
+    """A stored table is too short: the series', which reads only the stored
+    table, past its largest shift, or a custom weight's, which is its
+    definition, past its last entry.  Hardy and ``beta_alpha`` answer at
+    every index."""
 
     exit_code = 2
 

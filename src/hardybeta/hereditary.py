@@ -35,8 +35,9 @@ every shift, from one batched inverse of ``I - z_i A`` over the points and
 its powers (the scalar ``R_k(x)`` likewise from ``1 / (1 - x)``).  The
 route follows the weight's kind alone, never its table or the input: a
 closed form reports tail 0 (a resolvent no record) and raises no
-ConvergenceError, and a table too short for the finite hereditary rows is
-refused by name.
+ConvergenceError, and it answers at every shift, since hardy and
+``beta_alpha`` give their entries at every index
+(``WeightSequence._entries``).
 
 The hereditary maps of a custom weight leave the series too.  Past its
 table it continues at its last ratio ``s``, so ``1/R = (1 - s z) / P`` and
@@ -79,7 +80,10 @@ non-integer alpha past the gate or the ladder) is cut adaptively by the
 engine in ``series.py``, with each coefficient row's step bound past the
 table taken from the weight, and raises ConvergenceError, naming the
 function called, when the stored table is too short for ``tol`` or to
-certify ``q``.  The decay rate
+certify ``q``.  The series alone reads the stored table, and one that ends
+before the largest shift (before 4 terms past it, for a gramian) is
+refused by name (``_series_cap``); everywhere else a table bounds only a
+custom weight, whose index past it is refused.  The decay rate
 ``q`` is chosen from the spectral radius, and the engine certifies it on
 powers of ``A`` before it sums: every term is at most ``K q^j`` for the
 certified transient constant ``K``, so the tail bound holds for a
@@ -433,6 +437,19 @@ def _contract(rows, terms) -> np.ndarray:
     return hermitize(sums.reshape(-1, n, n))
 
 
+def _series_cap(w: WeightSequence, kmax: int, least: int = 0) -> int:
+    """The length of the stored table left past the largest shift ``kmax``,
+    at which every row of the series is cut; a table that leaves fewer
+    than ``least`` is refused, since the series reads only the stored
+    table."""
+    cap = w.trunc_len - kmax
+    if cap < least:
+        raise TruncationError(
+            f"the series needs the stored table to index {kmax + least}, "
+            f"and the weight stores beta_0..beta_{w.trunc_len}")
+    return cap
+
+
 def _series_sums(op: _Operator, X, rows, steps, tol, context):
     """``sum_j rows[i, j] A^{*j} X A^j`` for every row of the 2-d array
     ``rows`` (step bounds ``steps`` past the table), cut once for all rows
@@ -506,7 +523,8 @@ def _closed_gramians(A, X, ks, a: int) -> np.ndarray:
     return hermitize(_binomial_sum(ks, a, first, solve).reshape(-1, *A.shape))
 
 
-def _stein_sums(w: WeightSequence, op: _Operator, X, ks, tol, context):
+def _stein_sums(w: WeightSequence, op: _Operator, X, ks, tol, context,
+                least: int = 0):
     """``sum_j (1/beta_{j+k}) A^{*j} X A^j`` for every shift of ``ks``, with
     the error or tail bound of each and the index of the last term summed.
 
@@ -514,7 +532,7 @@ def _stein_sums(w: WeightSequence, op: _Operator, X, ks, tol, context):
     alpha; the spectral route on the operator's diagonalization
     (``_route``; the bounds of ``spectral.stein_bounds``, index -1);
     otherwise the series, every shift's row cut at the table length left to
-    the largest shift."""
+    the largest shift, which must be at least ``least`` (``_series_cap``)."""
     a = _integer_alpha(w)
     if a is not None:
         return _closed_gramians(op.A, X, ks, a), [0.0] * len(ks), -1
@@ -525,7 +543,7 @@ def _stein_sums(w: WeightSequence, op: _Operator, X, ks, tol, context):
         return (hermitize(spec.apply(R, X)),
                 list(spectral.stein_bounds(spec, w.alpha, ks, N, R, X,
                                            float(np.linalg.norm(op.A)))), -1)
-    Jcap = w.trunc_len - max(ks)
+    Jcap = _series_cap(w, max(ks), least)
     rows = np.array([w.inv_betas[k:k + Jcap + 1] for k in ks])
     steps = [w.inv_step(k + Jcap) for k in ks]
     sums, rec = _series_sums(op, X, rows, steps, tol, context)
@@ -559,20 +577,13 @@ def _hereditary_sums(w: WeightSequence, op: _Operator, X, ks, tol, context,
     operator's diagonalization (``_route``) they are the spectral route's
     ``(1 - x)^alpha`` and ``(1 - x)^alpha R_k(x)`` at the eigenvalue
     products.  Non-integer alpha past the gate takes the series, every row
-    cut at the table length left to the largest shift.  None of them but
-    the series uses ``tol``.  A table that cannot hold the rows past the
-    largest shift is refused."""
+    cut at the table length left to the largest shift (``_series_cap``).
+    None of them but the series uses ``tol``."""
     ks = np.asarray(ks)
     if ks.size and ks.min() < 1:
         raise InvalidParameterError(
             f"{context} needs shifts k >= 1, got k={ks.min()}")
-    kmax = int(ks.max(initial=0))
-    cap = w.trunc_len - kmax
     a = _integer_alpha(w)
-    if cap < (a or 0):
-        raise InvalidParameterError(
-            f"{context}: shift k={kmax} needs the c table to index "
-            f"{kmax + (a or 0)}, stored {w.trunc_len}")
     A = op.A
     if w.kind == "custom":  # P_k[m] = P[k + m] for m >= 1: no row outlasts P
         P = rational_denominator(w)
@@ -585,6 +596,7 @@ def _hereditary_sums(w: WeightSequence, op: _Operator, X, ks, tol, context,
                                                       spec.upper)
     if F is not None:
         return hermitize(spec.apply(F, X))
+    cap = _series_cap(w, int(ks.max(initial=0)))
     return _series_sums(op, X, hereditary_rows(w, ks, cap, gamma),
                         w.c_step(cap), tol, context)[0]
 
@@ -603,7 +615,8 @@ def _resolvent_table(w, k, op: _Operator, z, tol, context="resolvents"):
     sum at ``r = 0`` or ``A = 0``, or the spectral route
     (``V diag(R_k(z_i d)) V^-1`` from one ``spectral.shifted`` call).  On
     the series every shift's row ``1/beta_{k+j}`` is cut at the table
-    length of the largest shift, past which the weight bounds its step.
+    length of the largest shift (``_series_cap``), past which the weight
+    bounds its step.
     ``rho(A)`` and the diagonalization are the operator's, made once.  A
     ConvergenceError of the series names ``context``, the caller."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -623,9 +636,6 @@ def _resolvent_table(w, k, op: _Operator, z, tol, context="resolvents"):
     if r >= 1.0:
         raise InvalidParameterError(
             "resolvent points must be finite and lie in |z| < 1")
-    cap = w.trunc_len - int(ks.max())
-    if cap < 0:
-        raise TruncationError(f"shift k={ks.max()} exceeds stored length")
     shape = np.shape(k) + np.shape(z) + (n, n)
     a = _integer_alpha(w)
     if a is not None:
@@ -633,13 +643,15 @@ def _resolvent_table(w, k, op: _Operator, z, tol, context="resolvents"):
         return _binomial_sum(ks, a, inv,
                              lambda P: P @ inv).reshape(shape), None
     if r == 0.0 or not A.any():
-        return (w.inv_betas[ks, None, None, None] * np.eye(n, dtype=complex)
+        return (w._entries(ks)[1][:, None, None, None]
+                * np.eye(n, dtype=complex)
                 * np.ones((len(zs), 1, 1))).reshape(shape), None
     values = None if spec is None else spectral.shifted(
         w, ks, np.outer(zs, spec.d).ravel())
     if values is not None:  # V diag(R_k(z_i d)) V^-1
         F = values[0].reshape(len(ks), len(zs), 1, n)
         return ((spec.V * F) @ spec.W).reshape(shape), None
+    cap = _series_cap(w, int(ks.max()))
     rows = w.inv_betas[ks[:, None] + np.arange(cap + 1)]
     # |z_i / r|^j <= 1, so the tail bound of the powers (rA)^j bounds the
     # tail at every point of the grid
@@ -674,11 +686,12 @@ def resolvents(w: WeightSequence, k, A, zs,
     tail <= tol at every shift and every point.
 
     Requires finite points in the open unit disk, ``r * rho(A) < 1`` (a
-    DivergenceError names it first) and shifts ``k >= 0`` within the stored
-    table.  On the series, raises ConvergenceError when
-    the stored coefficient table is exhausted before the tail bound drops
-    below ``tol``.  ``tol`` must be finite and ``>= 0``; at 0 only an exact
-    sum (a closed form, the spectral route, a vanishing tail) is returned.
+    DivergenceError names it first) and shifts ``k >= 0``.  The series
+    reads only the stored table: it refuses a shift past it, and raises
+    ConvergenceError when the table is exhausted before the tail bound
+    drops below ``tol``.  ``tol`` must be finite and ``>= 0``; at 0 only an
+    exact sum (a closed form, the spectral route, a vanishing tail) is
+    returned.
     """
     _check_tol(tol)
     return _resolvent_table(w, k, _operator(A), zs, tol)[0]
@@ -710,9 +723,9 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     are closed form, ``sum_{r<alpha} C(k + r - 1, r) (1 - x)^(r - alpha)``;
     non-integer alpha is ``spectral.shifted`` at the points, with no gate.
     Custom weights, and points past the quadrature's ladder, sum the series
-    with tail <= tol, and raise ConvergenceError when the stored table is
-    too short for that.  ``tol`` must be finite and ``>= 0``; at 0 the
-    series returns only a vanishing tail.
+    with tail <= tol over the stored table: a shift past it is refused, and
+    a table too short for ``tol`` raises ConvergenceError.  ``tol`` must be
+    finite and ``>= 0``; at 0 the series returns only a vanishing tail.
     """
     _check_tol(tol)
     if k < 0:
@@ -721,8 +734,6 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     if not np.isfinite(xs).all() or np.any(np.abs(xs) >= 1.0):
         raise InvalidParameterError(
             "scalar resolvent points must be finite and lie in |x| < 1")
-    if w.trunc_len - k < 0:
-        raise TruncationError(f"shift k={k} exceeds stored length")
     a = _integer_alpha(w)
     if a is not None:
         inv = 1.0 / (1.0 - xs)
@@ -731,7 +742,7 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
         values = spectral.shifted(w, [k], xs.ravel())
         if values is not None:
             return values[0][0].reshape(xs.shape)[()]
-    inv_b = w.inv_betas[k:]
+    inv_b = w.inv_betas[k:k + _series_cap(w, k) + 1]
     q = float(np.max(np.abs(xs), initial=0.0))
     # |x^j| <= q^j exactly, so the transient constant is 1
     J = 0 if q == 0.0 else series.RowTails(
@@ -752,11 +763,7 @@ def _gramian_rows(w, ks, pair, tol, context):
         raise SpectralRadiusError(
             f"rho(A) = {pair.spectral_radius:.4f} > {RHO_MAX}: gramian series "
             "not summable at desk scale")
-    kmax = max(ks)
-    if w.trunc_len - kmax < 4:
-        raise TruncationError(
-            f"stored weights too short for gramian shift k={kmax}")
-    return _stein_sums(w, pair, pair.CstarC, ks, tol, context)
+    return _stein_sums(w, pair, pair.CstarC, ks, tol, context, least=4)
 
 
 def gramian(w: WeightSequence, k: int, pair: OutputPair,
@@ -804,9 +811,7 @@ def observability_coeffs(w: WeightSequence, k: int, pair: OutputPair,
     if k < 0 or J < 0:
         raise InvalidParameterError(
             f"shift k={k} and length J={J} must be >= 0")
-    if k + J > w.trunc_len:
-        raise TruncationError("stored weights too short")
-    return w.inv_betas[k:k + J + 1, None, None] \
+    return w._entries(np.arange(k, k + J + 1))[1][:, None, None] \
         * _right_powers(pair.C, pair.A, J + 1)
 
 
@@ -917,13 +922,13 @@ def gamma_binomial(m: int, A, X) -> np.ndarray:
 def stein_residual(w: WeightSequence, k: int, pair: OutputPair,
                    G_k, G_k1) -> float:
     """Operator-norm residual of ``A* G^(k+1) A + (1/beta_k) C* C = G^(k)``;
-    a shift ``k`` outside ``0..trunc_len`` is refused."""
-    if not 0 <= k <= w.trunc_len:
+    a negative shift ``k`` is refused."""
+    if k < 0:
         raise InvalidParameterError(
-            f"stein_residual needs a shift k in 0..{w.trunc_len}, got k={k}")
+            f"stein_residual needs a shift k >= 0, got k={k}")
     A = pair.A
     lhs = A.conj().T @ np.asarray(G_k1, dtype=complex) @ A \
-        + w.inv_betas[k] * pair.CstarC
+        + w._entries(k)[1] * pair.CstarC
     return opnorm(lhs - np.asarray(G_k, dtype=complex))
 
 
@@ -935,7 +940,7 @@ def _gramian_remainders(w: WeightSequence, table: GramianTable, CA,
     at ``J`` terms."""
     ks = np.asarray(ks)
     moments = CA.conj().swapaxes(-1, -2) @ CA
-    cut = np.tensordot(w.inv_betas[ks[:, None] + np.arange(len(CA))],
+    cut = np.tensordot(w._entries(ks[:, None] + np.arange(len(CA)))[1],
                        moments, axes=(1, 0))
     return opnorm(table.entries[ks] - cut) \
         + [table.tail_bounds[k] for k in ks]

@@ -43,12 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .colligation import ColligationFamily, _taylor_stack
-from .errors import (
-    InvalidParameterError,
-    TruncationError,
-    _check_k_max,
-    _check_tol,
-)
+from .errors import InvalidParameterError, _check_k_max, _check_tol
 from .hereditary import (
     OutputPair,
     _gramian_remainders,
@@ -86,11 +81,7 @@ class HardyElement:
 
     def __post_init__(self):
         self.coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=complex))
-        if self.degree > self.weight.trunc_len:
-            raise TruncationError(
-                f"degree {self.degree} exceeds stored weights "
-                f"({self.weight.trunc_len})")
-        b = self.weight.betas[:self.degree + 1]
+        b = self.weight._entries(np.arange(self.degree + 1))[0]
         self.norm_sq = float(np.sum(b * np.sum(np.abs(self.coeffs) ** 2, axis=1)))
 
     @property
@@ -106,15 +97,20 @@ def hardy_inner(f: HardyElement, g: HardyElement) -> complex:
     """Weighted inner product ``sum_j beta_j <f_j, g_j>``.
 
     Truncated at the shorter of the two coefficient sequences; both elements
-    must share the weight and the value dimension.
+    must live in one space and share the value dimension.  Two hardy
+    weights, or two ``beta_alpha`` weights with one ``alpha``, are one
+    space whatever their stored lengths; custom weights are one space when
+    their tables are equal.
     """
-    if f.weight is not g.weight and not np.array_equal(f.weight.betas,
-                                                       g.weight.betas):
+    v, w = f.weight, g.weight
+    same = v is w or (v.kind == w.kind and v.alpha == w.alpha and (
+        v.kind != "custom" or np.array_equal(v.betas, w.betas)))
+    if not same:
         raise InvalidParameterError("elements live in different spaces")
     if f.p != g.p:
         raise InvalidParameterError("value dimensions differ")
     m = min(f.degree, g.degree) + 1
-    b = f.weight.betas[:m]
+    b = v._entries(np.arange(m))[0]
     return complex(np.sum(b * np.sum(np.conj(g.coeffs[:m]) * f.coeffs[:m],
                                      axis=1)))
 
@@ -129,8 +125,8 @@ def shift_adjoint_apply(f: HardyElement) -> HardyElement:
     """Adjoint of the shift: ``g_j = (beta_{j+1} / beta_j) f_{j+1}``."""
     if f.degree == 0:
         return HardyElement(f.weight, np.zeros((1, f.p), dtype=complex))
-    ratios = (f.weight.betas[1:f.degree + 1]
-              / f.weight.betas[:f.degree])[:, None]
+    b = f.weight._entries(np.arange(f.degree + 1))[0]
+    ratios = (b[1:] / b[:-1])[:, None]
     return HardyElement(f.weight, ratios * f.coeffs[1:])
 
 
@@ -272,8 +268,8 @@ def kernel_gap(w: WeightSequence, k: int, pair: OutputPair, gramians,
     (K0, K1), x = _range_kernel(w, (k, k + 1), pair,
                                 gramians.inverses(k, k + 1, rank_tol), z,
                                 zeta, tol)
-    return _mirrored(x ** k * (w.inv_betas[k] * np.eye(pair.p) - K0 + x * K1),
-                     zeta is z)
+    return _mirrored(x ** k * (w._entries(k)[1] * np.eye(pair.p) - K0
+                               + x * K1), zeta is z)
 
 
 def default_grid(radii=(0.0, 0.2, 0.4, 0.6, 0.8), angles: int = 8):
@@ -328,7 +324,7 @@ def _element_columns(w, taylor, length):
     deg = ks + np.arange(J1)
     fits = deg < length
     E[np.broadcast_to(ks, deg.shape)[fits], deg[fits]] = taylor[fits]
-    wgt = np.sqrt(w.betas[:length])[:, None, None]
+    wgt = np.sqrt(w._entries(np.arange(length))[0])[:, None, None]
     return (wgt * E).reshape(K, length * p, u)
 
 
@@ -357,9 +353,6 @@ def check_inner_family(family: ColligationFamily, k_max: int, J: int,
     _check_k_max(k_max, 0, "check_inner_family")
     w = family.weight
     length = k_max + J + 1
-    if length - 1 > w.trunc_len:
-        raise TruncationError("weight table too short for requested J")
-
     ks = np.arange(k_max + 1)
     taylor, inputs, CA = _taylor_stack(family, ks, J)
     cols = _element_columns(w, taylor, length)

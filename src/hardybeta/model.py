@@ -41,6 +41,7 @@ from .errors import (
     InvalidParameterError,
     ModelCoordinatesError,
     ModelHypothesisError,
+    TruncationError,
     _check_k_max,
     _check_tol,
 )
@@ -64,6 +65,12 @@ from .hereditary import (
 from .kernels import _cross, _range_kernel, default_grid
 from .weights import WeightSequence
 
+#: the deepest stack at which ``characteristic_family`` checks strong
+#: stability: the depth doubles while the residual stays above the
+#: tolerance, as it always does for an adjoint that is not strongly stable,
+#: so the loop's work needs a bound; 248 is where the default table of 256
+#: entries once capped it, so no verdict at default settings moved
+_DEPTH_MAX = 248
 
 @dataclass
 class CharFamily:
@@ -143,26 +150,26 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
     _check_domain(w, op, I, tol)
     ctol = max(tol, 1e-8)
     # the stability-check depth starts where a geometric decay at the
-    # spectral radius reaches the tolerance, and doubles, up to the table,
+    # spectral radius reaches the tolerance, and doubles, up to _DEPTH_MAX,
     # while the measured residual does not: Gamma^(k)[I] may grow
     # polynomially in k
     r = max(op.spectral_radius, 1e-3)
     k_stab = max(20, k_max)
     if r < 1.0:
         k_stab = max(k_stab, int(np.ceil(np.log(ctol) / (2 * np.log(r)))) + 5)
-    cap = w.trunc_len - 8
-    k_stab = min(k_stab, cap)
+    k_stab = min(k_stab, _DEPTH_MAX)
 
     def stack(depth):
         return _hereditary_sums(w, op, I, range(1, depth + 1),
                                 min(tol, 0.1 * ctol), "characteristic_family",
                                 gamma=True)
     sums = stack(k_stab)
-    while k_stab < cap and _stability_residual(op.A, sums) > ctol:
-        k_stab = min(2 * k_stab, cap)
+    while k_stab < _DEPTH_MAX and _stability_residual(op.A, sums) > ctol:
+        k_stab = min(2 * k_stab, _DEPTH_MAX)
         try:
             sums = stack(k_stab)
-        except ConvergenceError:  # the series holds no deeper stack
+        # the series, or a custom weight's table, holds no deeper stack
+        except (ConvergenceError, TruncationError):
             break
     D = _defect_root(sums[0], tol)
     pair = OutputPair(A=op, C=D)
@@ -216,7 +223,7 @@ def defect_form_family(w: WeightSequence, T, k_max: int = 12,
     steps = []
     for k in range(k_max + 1):
         At = G_half[k + 1] @ A @ G_half_inv[k]
-        Ct = (w.betas[k] ** -0.5) * (C @ G_half_inv[k])
+        Ct = (w._entries(k)[0] ** -0.5) * (C @ G_half_inv[k])
         # polar factor of Ct: Ct = omega * (Ct* Ct)^(1/2), and the positive
         # factor equals the defect of At by the isometry identity
         omega = _polar_unitary(Ct)
@@ -228,7 +235,7 @@ def defect_form_family(w: WeightSequence, T, k_max: int = 12,
         Bt = basis * np.sqrt(lam_d[keep])
         Dt = -(omega @ At.conj().T) @ basis
         B = G_half_inv[k + 1] @ Bt
-        D = (w.betas[k] ** 0.5) * Dt
+        D = (w._entries(k)[0] ** 0.5) * Dt
         steps.append(ColligationStep(B=B, D=D, u=B.shape[1]))
     return _checked_family(w, pair, steps, gramians,
                            gramians.inverses(0, k_max + 1, rank_tol))
@@ -440,8 +447,8 @@ def model_roundtrip_residual(char: CharFamily, grid=None,
     G_inv = np.stack([np.eye(pair.n, dtype=complex),
                       fam.gramians.inverses(k_max + 1, k_max + 1)[0]])
     (K0, K1), x = _range_kernel(w, (0, k_max + 1), pair, G_inv, zs, zs, tol)
-    head = np.polyval(w.inv_betas[k_max::-1], x) * np.eye(pair.p) - K0 \
-        + x ** (k_max + 1) * K1
+    head = np.polyval(w._entries(np.arange(k_max, -1, -1))[1], x) \
+        * np.eye(pair.p) - K0 + x ** (k_max + 1) * K1
     diff = head - _cross(Phi, Phi)
     worst = float(np.linalg.norm(diff.reshape(N * N, -1), axis=1).max())
     return RoundTripReport(residual=worst, k_max=k_max)
@@ -483,14 +490,15 @@ def functional_model_colligation(fam: ColligationFamily, k: int, J: int,
     st = fam.step(k)
     A, C = pair.A, pair.C
     Gk, Gk1 = fam.gramians[k], fam.gramians[k + 1]
+    betas, inv_betas, _ = w._entries(np.arange(k + J + 2))
     c1 = stein_residual(w, k, pair, Gk, Gk1)
-    c2 = opnorm(A.conj().T @ Gk1 @ st.B + w.inv_betas[k] * (C.conj().T @ st.D))
+    c2 = opnorm(A.conj().T @ Gk1 @ st.B + inv_betas[k] * (C.conj().T @ st.D))
     c3 = opnorm(st.B.conj().T @ Gk1 @ st.B
-                + w.inv_betas[k] * (st.D.conj().T @ st.D) - np.eye(st.u))
+                + inv_betas[k] * (st.D.conj().T @ st.D) - np.eye(st.u))
 
     (taylor,), _, CA = _taylor_stack(fam, [k], J + 1)
     Astar = _right_powers(np.eye(pair.n, dtype=complex), A.conj().T, J + 1)
-    ratio = w.betas[k + 1:k + J + 2] / w.betas[:J + 1]
+    ratio = betas[k + 1:] / betas[:J + 1]
     xB = (ratio[:, None, None] * (Astar @ C.conj().T @ taylor[1:])).sum(0)
     if st.u:
         sigma = _polar_unitary(st.B.conj().T @ xB)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colligation import ColligationFamily, _taylor_stack, transfer_taylor
-from .errors import InvalidParameterError, TruncationError, _check_tol
+from .errors import InvalidParameterError, _check_tol
 from .hereditary import _right_powers
 
 
@@ -57,18 +57,17 @@ def simulate(family: ColligationFamily, x0, inputs) -> Trajectory:
     w, A, C = family.weight, family.pair.A, family.pair.C
     us = _conform_inputs(family, inputs)
     T = len(us)
-    if T > w.trunc_len:
-        raise TruncationError("horizon exceeds stored weights")
     x = np.asarray(x0, dtype=complex).reshape(-1)
     if len(x) != family.pair.n:
         raise InvalidParameterError("x0 has wrong dimension")
+    betas, inv_betas, _ = w._entries(np.arange(T + 1))
     states, outputs = [x], []
     for j in range(T):
         st = family.step(j)
-        y = C @ x + w.inv_betas[j] * (st.D @ us[j])
+        y = C @ x + inv_betas[j] * (st.D @ us[j])
         outputs.append(y)
-        x = (w.betas[j] / w.betas[j + 1]) * (A @ x) \
-            + w.inv_betas[j + 1] * (st.B @ us[j])
+        x = (betas[j] / betas[j + 1]) * (A @ x) \
+            + inv_betas[j + 1] * (st.B @ us[j])
         states.append(x)
     return Trajectory(states=states, outputs=outputs, inputs=us)
 
@@ -87,18 +86,19 @@ def closed_form_trajectory(family: ColligationFamily, x0,
     T = len(us)
     x0 = np.asarray(x0, dtype=complex).reshape(-1)
     powers = _right_powers(np.eye(family.pair.n), A, T + 1)
+    inv_betas = w._entries(np.arange(T + 1))[1]
     states, outputs = [], []
     for j in range(T + 1):
         acc = powers[j] @ x0
         for l in range(j):
             acc = acc + powers[j - l - 1] @ (family.step(l).B @ us[l])
-        states.append(w.inv_betas[j] * acc)
+        states.append(inv_betas[j] * acc)
     for j in range(T):
         acc = C @ (powers[j] @ x0)
         for l in range(j):
             acc = acc + C @ (powers[j - l - 1] @ (family.step(l).B @ us[l]))
         acc = acc + family.step(j).D @ us[j]
-        outputs.append(w.inv_betas[j] * acc)
+        outputs.append(inv_betas[j] * acc)
     return Trajectory(states=states, outputs=outputs, inputs=us)
 
 
@@ -172,9 +172,10 @@ def check_ztransform(family: ColligationFamily, x0, inputs, J: int) -> float:
         U[k, :len(us[k]), 0] = us[k]
     terms = (taylor @ U[:, None])[..., 0]
     v = x0.copy()
+    inv_betas = w._entries(np.arange(J + 1))[1]
     rhs = np.empty((J + 1, len(C)), dtype=complex)
     for j in range(J + 1):
-        rhs[j] = w.inv_betas[j] * (C @ v)
+        rhs[j] = inv_betas[j] * (C @ v)
         v = A @ v
     # degree j collects Theta_{k, j-k} u(k), k = 0..j, in that order
     for k in ks:
@@ -188,7 +189,7 @@ def zero_input_tail_energy(family: ColligationFamily, h: int, x) -> float:
     from step ``h <= k_max + 1`` on: ``beta_j x(j) = A^{j-h} beta_h x(h)``
     and ``y(j) = C x(j)``, so it is ``beta_h^2 x^* G^(h) x``."""
     x = np.asarray(x, dtype=complex).reshape(-1)
-    return float(family.weight.betas[h] ** 2
+    return float(family.weight._entries(h)[0] ** 2
                  * np.vdot(x, family.gramians[h] @ x).real)
 
 
@@ -230,6 +231,7 @@ def check_io_isometry(family: ColligationFamily, trials: int, horizon: int,
     worst = 0.0
     allow = 0.0
     support = max(1, min(horizon // 3, family.k_max + 1))
+    betas = w._entries(np.arange(horizon + 1))[0]
     for _ in range(trials):
         us = [rng.standard_normal(family.step(k).u)
               + 1j * rng.standard_normal(family.step(k).u)
@@ -237,13 +239,13 @@ def check_io_isometry(family: ColligationFamily, trials: int, horizon: int,
         us += [np.zeros(family.step(k).u) for k in range(support, horizon)]
         traj = simulate(family, np.zeros(family.pair.n), us)
         energy_in = sum(float(np.vdot(u, u).real) for u in us)
-        energy_out = sum(w.betas[j] * float(np.vdot(y, y).real)
+        energy_out = sum(betas[j] * float(np.vdot(y, y).real)
                          for j, y in enumerate(traj.outputs))
         x = traj.states[horizon]
         energy_out += zero_input_tail_energy(family, horizon, x)
         # np.maximum, not max: max(0.0, nan) is 0.0, and a NaN energy must
         # fail the verdict
-        allow = np.maximum(allow, w.betas[horizon] ** 2 * np.vdot(x, x).real
+        allow = np.maximum(allow, betas[horizon] ** 2 * np.vdot(x, x).real
                            * family.gramians.tail_bounds[horizon])
         worst = np.maximum(worst, abs(energy_out - energy_in))
     return IsometryReport(isometric=bool(worst <= tol + allow),

@@ -2,9 +2,9 @@
 
 A weight sequence ``beta_0, beta_1, ...`` is admissible when ``beta_0 = 1``
 and ``1 <= beta_j / beta_{j+1} <= M`` for some ``M >= 1``, so the weights are
-positive and non-increasing with a bounded step-down ratio.  All derived
-scalar tables are materialized eagerly at construction up to a finite
-truncation length (default 256):
+positive and non-increasing with a bounded step-down ratio.  A weight
+stores its tables up to a length (default 256), read by the series engine
+and the reports:
 
 * ``inv_betas``     reciprocals ``1 / beta_j``, the Taylor coefficients of
   the generating function ``R(z) = sum 1/beta_j z^j``,
@@ -14,6 +14,13 @@ truncation length (default 256):
 * shifted tables ``1 / beta_{k+j}`` and the quotient-series coefficients
   ``d^(k)_j = -sum_{l=1..k} c_{j+l} / beta_{k-l}`` used by the hereditary
   calculus.
+
+Hardy and ``beta_alpha`` are fixed by ``R`` itself, so they answer at every
+index: past the stored table they build their tables again at a longer
+length, whose prefix is the stored table bit for bit, and keep them.  A
+custom weight's entries are its table, and an index past it is refused by
+name; past the table it enters only through its last ratio, below.  Every
+read of an entry outside the series takes ``WeightSequence._entries``.
 
 A custom weight continues past its table ``beta_0 .. beta_N`` at its last
 ratio ``s = beta_{N-1} / beta_N`` (``make_weight_custom``), so
@@ -26,9 +33,10 @@ series that remain: step bounds on ``|row[j+1] / row[j]|`` past a cut
 report of ``c``, with the rule of its verdict.  None of them is estimated.
 
 Instances are immutable after construction and safe for concurrent reads;
-the stacked rows of the hereditary maps (``hereditary_rows``) and the
-quadrature rules of the spectral route (``spectral.py``) are built on
-first use and kept, read-only, on the weight.
+the longer tables of hardy and ``beta_alpha``, the stacked rows of the
+hereditary maps (``hereditary_rows``) and the quadrature rules of the
+spectral route (``spectral.py``) are built on first use and kept,
+read-only, on the weight.
 """
 
 from __future__ import annotations
@@ -93,10 +101,12 @@ class WeightSequence:
                         compare=False)
     _nodes: dict = field(init=False, default_factory=dict, repr=False,
                          compare=False)
+    _long: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.betas = np.asarray(self.betas, dtype=float)
         self.inv_betas = 1.0 / self.betas
+        self._long = (self.betas, self.inv_betas, self.c_coeffs)
         r = self.betas[:-1] / self.betas[1:] if self.trunc_len else np.ones(1)
         self.inv_steps = np.maximum.accumulate(r[::-1])[::-1]
         #: ``s = beta_{N-1} / beta_N``, at which a custom weight continues
@@ -107,6 +117,27 @@ class WeightSequence:
     @property
     def trunc_len(self) -> int:
         return len(self.betas) - 1
+
+    def _entries(self, i):
+        """``(beta_i, 1/beta_i, c_i)`` at an index or an index array
+        ``i >= 0``: the stored table's entries within it.  Past it hardy and
+        ``beta_alpha`` run their builder again at a longer length, whose
+        tables repeat this one's bit for bit (both recurrences are
+        sequential), and keep its tables; a custom weight, whose table is
+        its definition, is refused."""
+        top = np.asarray(i).max(initial=0)
+        tables = self._long  # one read: a concurrent call may replace it
+        if top >= len(tables[0]):
+            if self.kind == "custom":
+                raise TruncationError(
+                    f"index {top} is past the table of a custom weight, "
+                    f"beta_0..beta_{self.trunc_len}, which defines it")
+            n = max(top, 2 * len(tables[0]))
+            tables = self._long = (
+                make_weight_hardy(n) if self.alpha is None
+                else make_weight_beta_alpha(self.alpha, n))._long
+        betas, inv_betas, c = tables
+        return betas[i], inv_betas[i], c[i]
 
     def inv_step(self, m: int) -> float:
         """A bound on ``beta_i / beta_{i+1}`` for every ``i >= m``: the step
@@ -224,10 +255,7 @@ def make_weight_custom(betas) -> WeightSequence:
 
 def reciprocal_coeffs(w: WeightSequence, n: int) -> np.ndarray:
     """Coefficients ``c_0 .. c_n`` of the reciprocal series ``1/R``."""
-    if n > w.trunc_len:
-        raise TruncationError(
-            f"requested c_0..c_{n} but only {w.trunc_len + 1} weights stored")
-    return w.c_coeffs[:n + 1].copy()
+    return w._entries(np.arange(n + 1))[2]
 
 
 def _schur_cohn(p) -> bool:
@@ -261,10 +289,11 @@ def wiener_report(w: WeightSequence, n: int) -> WienerReport:
     its tail is exact, and given, only where ``P`` is constant (``P(0) = 1``)
     and ``1/R = 1 - s z`` a polynomial, and None otherwise.
     """
-    if n < 0 or n > w.trunc_len:
-        raise TruncationError(
-            f"need 0 <= n <= {w.trunc_len} stored coefficients, got {n}")
-    mags = np.abs(w.c_coeffs)
+    if n < 0:
+        raise InvalidParameterError(f"wiener_report needs n >= 0, got {n}")
+    alpha = w.alpha or 1.0
+    m = n if w.kind == "custom" else max(n, math.floor(alpha))
+    mags = np.abs(w._entries(np.arange(m + 1))[2])
     partial = float(mags[:n + 1].sum())
     if w.kind == "custom":
         p = rational_denominator(w)
@@ -274,10 +303,6 @@ def wiener_report(w: WeightSequence, n: int) -> WienerReport:
         return WienerReport(partial, None,
                             "summable" if _schur_cohn(p) else "diverging",
                             f"Schur-Cohn on P of degree {len(p) - 1}")
-    alpha = w.alpha or 1.0
-    m = max(n, math.floor(alpha))
-    if m > w.trunc_len:
-        mags = np.abs(_binomial_series(alpha, m))
     tail = mags[n + 1:m + 1].sum() + mags[m] * abs(alpha - m) / alpha
     return WienerReport(partial, float(tail), "summable", "closed form")
 
@@ -286,10 +311,7 @@ def shifted_resolvent_coeffs(w: WeightSequence, k: int, n: int) -> np.ndarray:
     """Coefficients ``1/beta_{k+j}`` for ``j = 0..n`` of the k-shifted series."""
     if k < 0 or n < 0:
         raise InvalidParameterError("k and n must be nonnegative")
-    if k + n > w.trunc_len:
-        raise TruncationError(
-            f"index {k + n} exceeds stored length {w.trunc_len}")
-    return w.inv_betas[k:k + n + 1].copy()
+    return w._entries(np.arange(k, k + n + 1))[1]
 
 
 def quotient_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
@@ -304,13 +326,11 @@ def quotient_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
     if n < 0 or ks.size == 0 or ks.min() < 1:
         raise InvalidParameterError("need n >= 0 and shifts k >= 1")
     k_max = int(ks.max())
-    if n + k_max > w.trunc_len:
-        raise TruncationError(
-            f"need c-table to index {n + k_max}, stored {w.trunc_len}")
+    _, inv_betas, c = w._entries(np.arange(n + k_max + 1))
     gap = ks - np.arange(1, k_max + 1)[:, None]  # k - l
-    B = np.where(gap >= 0, w.inv_betas[np.maximum(gap, 0)], 0.0)
+    B = np.where(gap >= 0, inv_betas[np.maximum(gap, 0)], 0.0)
     # row j of the window is c_{j+1}, ..., c_{j+k_max}
-    return -(sliding_window_view(w.c_coeffs[1:n + k_max + 1], k_max) @ B).T
+    return -(sliding_window_view(c[1:], k_max) @ B).T
 
 
 def rational_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
@@ -322,7 +342,9 @@ def rational_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
     ``R_k / R = P_k / P``, and past ``m = 0`` the row is ``P`` shifted by
     ``k``: no ``P_k`` is of higher degree than ``P``."""
     ks, m = np.asarray(ks)[:, None], np.arange(n + 1)
-    R = w.inv_betas[np.minimum(ks + m, w.trunc_len)]
+    # clamped at the table, but never below the shift: a shift past the
+    # table is refused (``_entries``)
+    R = w._entries(np.minimum(ks + m, np.maximum(ks, w.trunc_len)))[1]
     P = R - w.last_ratio * np.pad(R[:, :-1], ((0, 0), (1, 0)))
     return np.where((ks + m < w.trunc_len) | (m == 0), P, 0.0)
 
@@ -347,7 +369,8 @@ def hereditary_rows(w: WeightSequence, ks, n: int,
     if rows is None:
         custom = w.kind == "custom"
         parts = [np.eye(1, n + 1) - w.last_ratio * np.eye(1, n + 1, 1)
-                 if custom else w.c_coeffs[None, :n + 1]] if gamma else []
+                 if custom else w._entries(np.arange(n + 1))[2][None]] \
+            if gamma else []
         if key[1]:
             parts.append((rational_rows if custom else quotient_rows)(
                 w, key[1], n))

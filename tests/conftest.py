@@ -43,6 +43,13 @@ def series_copy(w):
     return hb.make_weight_custom(w.betas)
 
 
+def long_copy(w, n=2048):
+    """The hardy or ``beta_alpha`` weight of ``w`` with an ``n``-entry
+    table: a call on ``w`` past its table must give these bits."""
+    return hb.make_weight_hardy(n) if w.kind == "hardy" \
+        else hb.make_weight_beta_alpha(w.alpha, n)
+
+
 def off_route(A):
     """``A`` as the operator of the private hereditary helpers with the
     spectral route declined, so that its conjugation sums take the series

@@ -27,6 +27,7 @@ import hardybeta.kernels as ker
 import hardybeta.model as mod
 import hardybeta.syssim as sys_
 from hardybeta.acceptance import CRITERIA, RunConfig, run_suite
+from hardybeta.weights import DEFAULT_TRUNC
 
 
 @pytest.fixture(scope="module")
@@ -147,12 +148,12 @@ def test_every_config_field_is_read(call_counts):
 
 
 def test_one_table_length():
-    # the table length is no setting: verify --trunc demanded 768 and
-    # changed nothing, since no criterion reads an entry past index 118
+    # the table length is no setting: the suite's weights take only routes
+    # that read no table, and are built at the default length
     assert [f.name for f in dataclasses.fields(RunConfig)] \
         == ["rank_tol", "seed", "trials"]
     assert [w.trunc_len for _, w in acc.suite_weights()] \
-        == [acc.SUITE_TRUNC] * 4
+        == [DEFAULT_TRUNC] * 4
 
 
 def test_suite_weights_built_once_per_run(call_counts):

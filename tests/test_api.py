@@ -308,6 +308,47 @@ def test_one_kronecker_matrix():
     assert found == ["hereditary._kron_solver"]
 
 
+#: the stored tables of a weight, read by subscript
+TABLES = {"betas", "inv_betas", "c_coeffs"}
+
+
+def table_reads(source: str):
+    """The function of every read of a weight's stored table in
+    ``source``: ``trunc_len``, or a subscript of ``betas``, ``inv_betas``
+    or ``c_coeffs``."""
+    for owner, node in _owned_nodes(source):
+        if isinstance(node, ast.Attribute) and node.attr == "trunc_len" \
+                or isinstance(node, ast.Subscript) \
+                and getattr(node.value, "attr", None) in TABLES:
+            yield owner
+
+
+def test_table_read_check_sees_every_spelling():
+    source = ("def f(w, k):\n"
+              "    return w.inv_betas[k] * w.betas[:k].sum()\n"
+              "def g(fam):\n"
+              "    return fam.weight.c_coeffs[1:], fam.weight.trunc_len\n"
+              "def h(w, k):\n"
+              "    return w._entries(k)[1], w.betas, len(w.inv_betas)\n")
+    assert sorted(table_reads(source)) == ["f", "f", "g", "g"]
+
+
+def test_stored_tables_read_by_the_series_and_reports_alone():
+    # a weight is its R, not its table: outside weights.py only the
+    # series, which sums the stored rows, and the report writers read the
+    # table or its length; every other read takes WeightSequence._entries,
+    # which answers at every index for hardy and beta_alpha
+    found = sorted(f"{path.stem}.{owner}" for path in sorted(SRC.glob("*.py"))
+                   if path.stem != "weights"
+                   for owner in table_reads(path.read_text()))
+    assert found == sorted(
+        ["cli._config_from_args"] + ["cli.cmd_weights"] * 3
+        + ["hereditary._series_cap"] * 2 + ["hereditary._stein_sums",
+                                            "hereditary._resolvent_table"]
+        + ["hereditary.resolvent_scalar"] * 2
+        + ["serialize.weight_to_json"] * 2)
+
+
 def test_one_cross_product():
     # the point-pair block product X[i] Y[j]^* of the kernel grids, the
     # model round trip and the suite's kernel identities has one

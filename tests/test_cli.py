@@ -110,6 +110,17 @@ class TestAnalyzeCommand:
         payload = json.loads(out)
         assert all(payload["flags"].values())
 
+    @pytest.mark.parametrize("k_max", ["1", "7"])
+    def test_k_checked_is_k_max(self, tmp_path, capsys, k_max):
+        # the report's depth is the --k-max asked for, on a closed form and
+        # the spectral route
+        op = self.write_operator(tmp_path, [[0.5]], [[np.sqrt(0.75)]])
+        for weight in (["--beta", "1"], ["--alpha", "2.5"]):
+            code, out, _ = run(capsys, "analyze", op, *weight,
+                               "--k-max", k_max)
+            assert code == 0
+            assert json.loads(out)["k_checked"] == int(k_max)
+
     def test_radius_one_exits_3(self, tmp_path, capsys):
         op = self.write_operator(tmp_path, np.eye(2), np.ones((1, 2)))
         code, _, err = run(capsys, "analyze", op)
@@ -334,6 +345,19 @@ class TestKernelsCommand:
                            "--out-csv", str(csv_file))
         assert code == 2
         assert "[0, 1)" in err
+        assert not csv_file.exists()
+
+    @pytest.mark.parametrize("kind", ["coinvariant", "invariant", "shifted",
+                                      "gap"])
+    def test_negative_k_exits_2(self, tmp_path, capsys, kind):
+        # gap named a k_max never passed, and coinvariant exited 0
+        op = tmp_path / "op.json"
+        op.write_text(json.dumps({"A": ser.complex_matrix_to_json(
+            0.5 * np.eye(2)), "C": ser.complex_matrix_to_json(np.eye(2))}))
+        csv_file = tmp_path / "grid.csv"
+        assert run(capsys, "kernels", str(op), "--kind", kind, "--k", "-3",
+                   "--out-csv", str(csv_file)) \
+            == (2, "", "error: kernels needs --k >= 0, got --k=-3\n")
         assert not csv_file.exists()
 
     @pytest.mark.parametrize("kind,k_maxes", [

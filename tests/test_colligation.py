@@ -440,6 +440,41 @@ class TestDefectKernel:
                          - D2 @ D2.conj().T) * (1 / b)
         np.testing.assert_allclose(got, ref, atol=1e-11)
 
+    def test_block_formula_off_the_origin(self, w_beta2):
+        # a perturbed step, a complex C and non-zero z and zeta: the kernel
+        # against the coisometry defect, with the resolvents of beta_2 in
+        # closed form, R_k(x) = k / (1 - x) + 1 / (1 - x)^2 (the origin
+        # test multiplies the C* factor by conj(zeta) = 0)
+        rng = np.random.default_rng(33)
+        pair = stable_pair(rng, 3, 2, rho=0.6)
+        A, C = pair.A, pair.C
+        assert np.abs(C.imag).min() > 0
+        fam = hb.build_family(w_beta2, pair, k_max=2, tol=1e-13)
+        k, z, zeta = 1, 0.3 + 0.4j, -0.5 + 0.2j
+        st = fam.step(k)
+        D2 = st.D + 0.05 * cmat(rng, 2, st.u)
+        fam.steps[k] = hb.ColligationStep(B=st.B, D=D2, u=st.u)
+
+        def R(x):
+            P = np.linalg.inv(np.eye(3) - x * A)
+            return k * P + P @ P
+
+        b = 1.0 / (k + 1)  # beta_k of beta_2
+        G0, G1 = (np.linalg.inv(fam.gramians[j]) for j in (k, k + 1))
+        U = np.block([[A, st.B], [C, D2]])
+        outer = np.zeros((5, 5), dtype=complex)
+        outer[:3, :3], outer[3:, 3:] = G1, b * np.eye(2)
+        inner = np.zeros((3 + st.u,) * 2, dtype=complex)
+        inner[:3, :3], inner[3:, 3:] = G0, np.eye(st.u)
+        defect = outer - U @ inner @ U.conj().T
+        left = np.hstack([z * C @ R(z), np.eye(2) / b])
+        right = np.vstack([np.conj(zeta) * R(zeta).conj().T @ C.conj().T,
+                           np.eye(2) / b])
+        ref = left @ defect @ right
+        assert np.linalg.norm(ref, 2) > 1e-3
+        np.testing.assert_allclose(hb.defect_kernel(fam, k, z, zeta), ref,
+                                   rtol=0, atol=1e-11)
+
     def test_perturbation_scales(self, w_beta2):
         rng = np.random.default_rng(32)
         pair = stable_pair(rng, 3, 2, rho=0.6)

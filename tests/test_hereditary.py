@@ -9,8 +9,8 @@ import hardybeta as hb
 from hardybeta import colligation
 from hardybeta import hereditary as her
 from hardybeta import series
-from conftest import (cmat, continued_R, hypercontraction_T, mp_maps,
-                      series_copy, stable_pair)
+from conftest import (cmat, continued_R, hypercontraction_T, long_copy,
+                      mp_maps, series_copy, stable_pair)
 
 
 class TestResolvent:
@@ -638,9 +638,14 @@ class TestGammaMaps:
                 np.testing.assert_allclose(
                     got, hb.gamma_k_map(w, k, A, X, 1e-12), rtol=0,
                     atol=1e-12)
-            for bad in ([0, 2], [1, w.trunc_len + 1]):
-                with pytest.raises(hb.InvalidParameterError):
-                    hb.gamma_k_map(w, bad, A, X)
+            with pytest.raises(hb.InvalidParameterError):
+                hb.gamma_k_map(w, [0, 2], A, X)
+            # a shift past the table is answered, with the bits of a
+            # longer table
+            past = [1, w.trunc_len + 1]
+            np.testing.assert_array_equal(
+                hb.gamma_k_map(w, past, A, X),
+                hb.gamma_k_map(long_copy(w), past, A, X))
 
 
 class TestRationalForm:
@@ -737,19 +742,19 @@ class TestStein:
                                 tab[1])
         assert res == pytest.approx(eps, rel=1e-6)
 
-    def test_shift_outside_the_table_refused(self):
-        # k = -1 read 1/beta_64, the table's last entry, and k = 65 raised
-        # a raw IndexError
+    def test_negative_shift_refused_any_other_answered(self):
+        # k = -1 read 1/beta_64, the table's last entry; a shift past the
+        # table reads 1/beta_k of a longer one
         w = hb.make_weight_beta_alpha(2.0, 64)
         pair = hb.OutputPair([[0.5]], [[0.866]])
         tab = hb.gramian_table(w, pair, 1, tol=1e-13)
         assert hb.stein_residual(w, 0, pair, tab[0], tab[1]) < 1e-12
-        hb.stein_residual(w, 64, pair, tab[0], tab[1])
-        for k in (-1, 65):
-            with pytest.raises(hb.InvalidParameterError, match=(
-                    f"^stein_residual needs a shift k in 0..64, "
-                    f"got k={k}$")):
-                hb.stein_residual(w, k, pair, tab[0], tab[1])
+        for k in (64, 65, 300):
+            assert hb.stein_residual(w, k, pair, tab[0], tab[1]) \
+                == hb.stein_residual(long_copy(w), k, pair, tab[0], tab[1])
+        with pytest.raises(hb.InvalidParameterError, match=(
+                "^stein_residual needs a shift k >= 0, got k=-1$")):
+            hb.stein_residual(w, -1, pair, tab[0], tab[1])
 
 
 class TestClassify:
@@ -966,7 +971,8 @@ def no_series(monkeypatch):
 class TestOneRoute:
     """Hardy and integer alpha take their closed forms for every input the
     code answers: no call reaches the series engine, and a table too short
-    for the finite hereditary rows is refused by name."""
+    for the finite hereditary rows is no refusal, since they read their
+    entries at every index."""
 
     @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2", "w_beta3"])
     def test_no_call_enters_the_series(self, request, weight, no_series):
@@ -1034,24 +1040,74 @@ class TestOneRoute:
         rep = hb.delta_limit(w, A, np.eye(2))
         assert rep.converged and rep.sum_identity_residual is None
 
-    @pytest.mark.parametrize("call,match", [
-        (lambda: hb.gamma_map(hb.make_weight_beta_alpha(3.0, 2),
-                              0.5 * np.eye(2), np.eye(2)),
-         "gamma_map: shift k=0 needs the c table to index 3, stored 2"),
-        (lambda: hb.classify(hb.make_weight_beta_alpha(3.0, 22),
-                             hb.OutputPair(A=0.5 * np.eye(2), C=np.eye(2)),
-                             k_max=20),
-         "classify: shift k=20 needs the c table to index 23, stored 22"),
-        (lambda: hb.delta_limit(hb.make_weight_custom([1.0, 0.5]),
-                                np.diag([1.0, 0.5]), np.eye(2)),
-         "delta_limit: shift k=21 needs the c table to index 21, stored 1"),
-    ], ids=["beta3-gamma", "beta3-classify", "custom-delta"])
-    def test_short_table_refused_by_name(self, call, match):
-        # the finite rows of beta_3 need alpha = 3 entries past the largest
-        # shift, and every weight's rows need the shift itself in the table
-        with pytest.raises(hb.InvalidParameterError,
-                           match="^" + re.escape(match) + "$"):
-            call()
+    @pytest.mark.parametrize("n,call", [
+        (2, lambda w: hb.gamma_map(w, 0.5 * np.eye(2), np.eye(2))),
+        (22, lambda w: hb.classify(
+            w, hb.OutputPair(A=0.5 * np.eye(2), C=np.eye(2)),
+            k_max=20).residuals),
+    ], ids=["beta3-gamma", "beta3-classify"])
+    def test_short_table_answered(self, n, call):
+        # the finite rows of beta_3 read alpha = 3 entries past the largest
+        # shift: past a short table they are those of a longer one
+        np.testing.assert_equal(call(hb.make_weight_beta_alpha(3.0, n)),
+                                call(hb.make_weight_beta_alpha(3.0, 2048)))
+
+    def test_custom_shift_past_the_table_refused(self):
+        # a custom weight is its table: its maps at a shift past it are
+        # refused (rational_rows would clamp the index, a wrong P_k)
+        with pytest.raises(hb.TruncationError, match="^" + re.escape(
+                "index 21 is past the table of a custom weight, "
+                "beta_0..beta_1, which defines it") + "$"):
+            hb.delta_limit(hb.make_weight_custom([1.0, 0.5]),
+                           np.diag([1.0, 0.5]), np.eye(2))
+
+
+class TestEveryIndex:
+    """Hardy and ``beta_alpha`` are fixed by ``R``, not by their table: past
+    a 16-entry table every call that reads no series answers, with the bits
+    of the same call on a 2,048-entry weight."""
+
+    PAIR = dict(A=np.diag([0.5, 0.3]), C=np.ones((1, 2)))
+
+    @staticmethod
+    def _bits(x):
+        if isinstance(x, hb.ColligationFamily):
+            return [x.gramians.entries.tolist(), x.gramians.tail_bounds,
+                    [(st.B.tolist(), st.D.tolist()) for st in x.steps],
+                    x.isometry_residuals, x.coisometry_residuals]
+        if isinstance(x, hb.GramianTable):
+            return [x.entries.tolist(), x.tail_bounds, x.trunc_order]
+        return x if isinstance(x, hb.ClassificationReport) \
+            else np.asarray(x).tolist()
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 2.5])
+    @pytest.mark.parametrize("call", [
+        lambda w, p: hb.gramian_table(w, p, 13),
+        lambda w, p: hb.classify(w, p, k_max=20),
+        lambda w, p: hb.build_family(w, p, 12),
+        lambda w, p: hb.resolvents(w, [0, 17], p, [0.0, 0.4j, -0.7]),
+        lambda w, p: hb.gamma_k_map(w, 15, p, np.eye(2)),
+        lambda w, p: hb.resolvent_scalar(w, 17, [0.2, -0.5j]),
+        lambda w, p: hb.observability_coeffs(w, 0, p, 20),
+    ], ids=["gramian_table", "classify", "build_family", "resolvents",
+            "gamma_k_map", "resolvent_scalar", "observability_coeffs"])
+    def test_short_table_answers_as_a_long_one(self, alpha, call):
+        def make(n):
+            return hb.make_weight_hardy(n) if alpha == 1.0 \
+                else hb.make_weight_beta_alpha(alpha, n)
+        got, ref = (call(make(n), hb.OutputPair(**self.PAIR))
+                    for n in (16, 2048))
+        assert self._bits(got) == self._bits(ref)
+
+    def test_characteristic_family_depth_reads_no_table(self):
+        # the stability depth was capped at 8 below the table, so 16
+        # entries checked depth 8 and refused, with residual 3.564e-08
+        got, ref = (hb.characteristic_family(
+            hb.make_weight_beta_alpha(2.0, n), [[0.3]], k_max=2)
+            for n in (16, 256))
+        assert got.classification.k_checked == 20
+        assert got.classification.residuals["beta_strong_stability"] \
+            == ref.classification.residuals["beta_strong_stability"]
 
 
 class TestRefusals:
@@ -1165,10 +1221,18 @@ class TestRefusals:
                                       np.broadcast_to(np.diag([0, 1]),
                                                       (3, 2, 2)))
 
-    def test_resolvent_shift_past_table(self, w_hardy):
-        with pytest.raises(hb.TruncationError,
-                           match="shift k=257 exceeds stored length"):
-            hb.resolvents(w_hardy, [0, 257], self.A2, 0.5)
+    @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2", "w_beta25"])
+    def test_resolvent_shift_past_table(self, request, weight):
+        # answered on the closed forms and the spectral route; the series
+        # reads only the stored table, and refuses a shift past it
+        w = request.getfixturevalue(weight)
+        np.testing.assert_array_equal(
+            hb.resolvents(w, [0, 257], self.A2, 0.5),
+            hb.resolvents(long_copy(w), [0, 257], self.A2, 0.5))
+        with pytest.raises(hb.TruncationError, match="^" + re.escape(
+                "the series needs the stored table to index 257, and the "
+                "weight stores beta_0..beta_256") + "$"):
+            hb.resolvents(series_copy(w), [0, 257], self.A2, 0.5)
 
     @pytest.mark.parametrize("weight", ["w_beta2", "w_beta25"])
     def test_resolvents_need_a_shift(self, request, weight):
@@ -1188,21 +1252,37 @@ class TestRefusals:
         with pytest.raises(hb.InvalidParameterError, match=re.escape(
                 "scalar resolvent points must be finite and lie in |x| < 1")):
             hb.resolvent_scalar(w_beta25, 0, [0.5, 1.0])
-        with pytest.raises(hb.TruncationError,
-                           match="shift k=257 exceeds stored length"):
-            hb.resolvent_scalar(w_beta25, 257, 0.5)
+        assert hb.resolvent_scalar(w_beta25, 257, 0.5) \
+            == hb.resolvent_scalar(long_copy(w_beta25), 257, 0.5)
+        with pytest.raises(hb.TruncationError, match="^" + re.escape(
+                "the series needs the stored table to index 257, and the "
+                "weight stores beta_0..beta_256") + "$"):
+            hb.resolvent_scalar(series_copy(w_beta25), 257, 0.5)
 
-    def test_gramian_shift_needs_four_terms(self, w_beta2):
+    def test_series_gramian_needs_four_terms(self, w_beta2):
+        # the closed form answers at any shift; the series needs 4 stored
+        # terms past it
         pair = hb.OutputPair(A=self.A2, C=np.eye(2))
-        with pytest.raises(hb.TruncationError, match=(
-                "stored weights too short for gramian shift k=253")):
-            hb.gramian(w_beta2, 253, pair)
+        np.testing.assert_array_equal(
+            hb.gramian(w_beta2, 253, pair),
+            hb.gramian(long_copy(w_beta2), 253, pair))
+        # 4 terms pass the table's check, and are too few for the tail
+        with pytest.raises(hb.ConvergenceError, match="after 5 stored terms"):
+            hb.gramian(series_copy(w_beta2), 252, pair)
+        with pytest.raises(hb.TruncationError, match="^" + re.escape(
+                "the series needs the stored table to index 257, and the "
+                "weight stores beta_0..beta_256") + "$"):
+            hb.gramian(series_copy(w_beta2), 253, pair)
 
     def test_observability_past_table(self, w_beta2):
         pair = hb.OutputPair(A=self.A2, C=np.eye(2))
-        with pytest.raises(hb.TruncationError,
-                           match="stored weights too short"):
-            hb.observability_coeffs(w_beta2, 200, pair, 57)
+        np.testing.assert_array_equal(
+            hb.observability_coeffs(w_beta2, 200, pair, 57),
+            hb.observability_coeffs(long_copy(w_beta2), 200, pair, 57))
+        with pytest.raises(hb.TruncationError, match="^" + re.escape(
+                "index 257 is past the table of a custom weight, "
+                "beta_0..beta_256, which defines it") + "$"):
+            hb.observability_coeffs(series_copy(w_beta2), 200, pair, 57)
 
     def test_domain_needs_psd_argument(self, w_beta2):
         with pytest.raises(hb.HereditaryDomainError,

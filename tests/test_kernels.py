@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hardybeta as hb
-from conftest import cmat, stable_pair
+from conftest import cmat, long_copy, series_copy, stable_pair
 from hardybeta import kernels as ker
 from hardybeta.kernels import check_hardy_to_weighted_multiplier
 
@@ -281,8 +281,8 @@ class TestInnerFamilyCheck:
             assert d["allowance"] <= 1e-10
 
     def test_longest_J_the_table_allows(self, w_beta2):
-        # the columns reach degree k_max + J, so J = trunc_len - k_max
-        # fits the table and one more does not
+        # the columns reach degree k_max + J: past the table beta_2 reads
+        # the entries of a longer one, and a custom weight is refused
         rng = np.random.default_rng(50)
         pair = stable_pair(rng, 3, 2, rho=0.6)
         fam = hb.build_family(w_beta2, pair, k_max=6, tol=1e-13)
@@ -290,8 +290,16 @@ class TestInnerFamilyCheck:
         rep = hb.check_inner_family(fam, k_max=6, J=J, tol=1e-8)
         assert rep.verdict == "pass"
         assert rep.details["J"] == J
-        with pytest.raises(hb.TruncationError):
-            hb.check_inner_family(fam, k_max=6, J=J + 1, tol=1e-8)
+        longer = hb.build_family(long_copy(w_beta2), pair, k_max=6,
+                                 tol=1e-13)
+        assert hb.check_inner_family(fam, k_max=6, J=J + 1, tol=1e-8) \
+            == hb.check_inner_family(longer, k_max=6, J=J + 1, tol=1e-8)
+        custom = hb.build_family(series_copy(w_beta2), pair, k_max=6,
+                                 tol=1e-13)
+        hb.check_inner_family(custom, k_max=6, J=J, tol=1e-8)
+        with pytest.raises(hb.TruncationError, match=(
+                "^index 257 is past the table of a custom weight")):
+            hb.check_inner_family(custom, k_max=6, J=J + 1, tol=1e-8)
 
     def test_extra_zero_degree_changes_nothing(self, w_beta2, monkeypatch):
         # columns one degree longer (all zero there) give the same
@@ -609,10 +617,40 @@ def test_grid_hermitian_off_the_diagonal(all_weights, kind, k):
 
 class TestRefusals:
     def test_element_past_the_weight_table(self):
+        # beta_2 reads the weights of a longer table; a custom weight is
+        # its table
         w = hb.make_weight_beta_alpha(2.0, 4)
-        with pytest.raises(hb.TruncationError,
-                           match=r"^degree 5 exceeds stored weights \(4\)$"):
-            hb.HardyElement(w, np.ones((6, 1)))
+        f = hb.HardyElement(w, np.ones((6, 1)))
+        assert f.norm_sq \
+            == hb.HardyElement(long_copy(w), np.ones((6, 1))).norm_sq
+        assert hb.shift_adjoint_apply(f).coeffs.tolist() \
+            == hb.shift_adjoint_apply(hb.HardyElement(
+                long_copy(w), np.ones((6, 1)))).coeffs.tolist()
+        with pytest.raises(hb.TruncationError, match=(
+                r"^index 5 is past the table of a custom weight, "
+                r"beta_0\.\.beta_4, which defines it$")):
+            hb.HardyElement(series_copy(w), np.ones((6, 1)))
+
+    def test_one_space_whatever_the_table(self):
+        # a weight is its R: hardy at 16 and 256 entries is one space, as
+        # is beta_alpha at one alpha; custom weights compare by table
+        def inner(v, w):
+            return hb.hardy_inner(hb.HardyElement(v, [[1]]),
+                                  hb.HardyElement(w, [[1]]))
+        assert inner(hb.make_weight_hardy(16), hb.make_weight_hardy(256)) \
+            == 1
+        assert inner(hb.make_weight_beta_alpha(2.5, 16),
+                     hb.make_weight_beta_alpha(2.5, 256)) == 1
+        custom = hb.make_weight_custom(0.5 ** np.arange(9))
+        assert inner(custom, hb.make_weight_custom(0.5 ** np.arange(9))) == 1
+        for v, w in ((hb.make_weight_beta_alpha(2.0, 16),
+                      hb.make_weight_beta_alpha(2.5, 16)),
+                     (hb.make_weight_hardy(16), hb.make_weight_beta_alpha(
+                         2.0, 16)),
+                     (custom, hb.make_weight_custom(0.5 ** np.arange(10)))):
+            with pytest.raises(hb.InvalidParameterError,
+                               match="^elements live in different spaces$"):
+                inner(v, w)
 
     def test_inner_product_value_dimensions(self, w_beta2):
         f = hb.HardyElement(w_beta2, np.ones((2, 1)))

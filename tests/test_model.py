@@ -159,8 +159,8 @@ class TestCharacteristicFamily:
 
     @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2"])
     def test_not_strongly_stable_refused(self, weight, request):
-        # rho = 0.99: the stability depth is capped by the 256-term table,
-        # and 0.99^(2 * 248) is far above tol
+        # rho = 0.99: the stability depth is capped at 248 whatever the
+        # table, and 0.99^(2 * 248) is far above tol
         w = request.getfixturevalue(weight)
         with pytest.raises(hb.ModelHypothesisError,
                            match="^adjoint is not strongly stable in the "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hardybeta as hb
-from conftest import cmat, stable_pair
+from conftest import cmat, series_copy, stable_pair
 from hardybeta.syssim import zero_input_tail_energy
 
 
@@ -246,13 +246,22 @@ class TestRefusals:
     """Every refusal of a horizon or a dimension names what it refuses."""
 
     def test_horizon_past_the_weight_table(self, fam_beta2):
-        # the same steps over a 4-term table: five steps need beta_5
-        fam = dataclasses.replace(fam_beta2,
-                                  weight=hb.make_weight_beta_alpha(2.0, 4))
-        us = [np.zeros(fam.step(k).u) for k in range(5)]
-        with pytest.raises(hb.TruncationError,
-                           match="^horizon exceeds stored weights$"):
-            hb.simulate(fam, np.zeros(3), us)
+        # the same steps over a 4-term table: five steps read beta_5, which
+        # beta_2 gives as a longer table does, and a custom weight refuses
+        w = hb.make_weight_beta_alpha(2.0, 4)
+        fam = dataclasses.replace(fam_beta2, weight=w)
+        rng = np.random.default_rng(78)
+        us = random_inputs(rng, fam, 5)
+        x0 = cmat(rng, 3, 1).ravel()
+        traj = hb.simulate(fam, x0, us)
+        ref = hb.simulate(fam_beta2, x0, us)
+        np.testing.assert_array_equal(traj.states, ref.states)
+        np.testing.assert_array_equal(traj.outputs, ref.outputs)
+        fam = dataclasses.replace(fam_beta2, weight=series_copy(w))
+        with pytest.raises(hb.TruncationError, match=(
+                r"^index 5 is past the table of a custom weight, "
+                r"beta_0\.\.beta_4, which defines it$")):
+            hb.simulate(fam, x0, us)
 
     def test_initial_state_dimension(self, fam_beta2):
         with pytest.raises(hb.InvalidParameterError,

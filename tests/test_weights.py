@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,15 @@ from scipy.special import gammaln
 
 import hardybeta as hb
 from hardybeta import weights
-from conftest import continued_R
+from conftest import continued_R, long_copy, series_copy
+
+
+def custom_past(n, index):
+    """The refusal of a custom weight ``beta_0 .. beta_n`` read at
+    ``index``, as a pattern."""
+    return "^" + re.escape(
+        f"index {index} is past the table of a custom weight, "
+        f"beta_0..beta_{n}, which defines it") + "$"
 
 
 def binomial_reciprocal(n_int, length):
@@ -103,8 +113,13 @@ class TestReciprocalCoeffs:
         assert np.array_equal(np.signbit(w.c_coeffs), np.signbit(old))
 
     def test_truncation_guard(self, w_beta2):
-        with pytest.raises(hb.TruncationError):
-            hb.reciprocal_coeffs(w_beta2, w_beta2.trunc_len + 1)
+        # past the table: the bits of a longer one, or a custom refusal
+        n = w_beta2.trunc_len + 1
+        np.testing.assert_array_equal(
+            hb.reciprocal_coeffs(w_beta2, n),
+            hb.reciprocal_coeffs(long_copy(w_beta2), n))
+        with pytest.raises(hb.TruncationError, match=custom_past(n - 1, n)):
+            hb.reciprocal_coeffs(series_copy(w_beta2), n)
 
     def test_convolution_identity(self, all_weights):
         # sum_j c_j / beta_{n-j} = delta_{n,0}
@@ -130,6 +145,43 @@ def test_convolution_identity_random_weights(ratios):
     assert np.max(np.abs(conv[1:])) < 1e-9 * max(1.0, np.abs(w.c_coeffs).max())
 
 
+def test_concurrent_reads_past_the_table():
+    # threads released together on one fresh short weight, each reading to
+    # its own index past the table: every read has the bits of a long
+    # table, whichever growth lands last
+    ref = hb.make_weight_beta_alpha(2.5, 2048)
+    tops = [40 * (t + 1) for t in range(8)]
+    rounds = 60
+    weights_ = [hb.make_weight_beta_alpha(2.5, 4) for _ in range(rounds)]
+    barrier = threading.Barrier(len(tops), timeout=60)
+    errors = []
+
+    def read(top):
+        idx = np.arange(top + 1)
+        want = ref._entries(idx)
+        try:
+            for w in weights_:
+                barrier.wait()
+                if not all(map(np.array_equal, w._entries(idx), want)):
+                    errors.append(top)
+        except Exception as exc:  # a raise in a thread must fail the test
+            errors.append(exc)
+            barrier.abort()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(t,)) for t in tops]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+
 class TestWiener:
     def test_beta2(self, w_beta2):
         rep = hb.wiener_report(w_beta2, 16)
@@ -141,6 +193,18 @@ class TestWiener:
         rep = hb.wiener_report(w_hardy, 16)
         assert rep.partial_sum == pytest.approx(2.0, abs=1e-14)
         assert rep.verdict == "summable"
+
+    @pytest.mark.parametrize("make", [
+        hb.make_weight_hardy, lambda n: hb.make_weight_beta_alpha(2.5, n),
+        lambda n: hb.make_weight_beta_alpha(7.5, n)],
+        ids=["hardy", "beta2.5", "beta7.5"])
+    def test_past_the_table(self, make):
+        # c past a short table is that of a longer one: so is the report,
+        # the one made at construction included (alpha 7.5 sums to c_7)
+        w, ref = make(2), make(2048)
+        for n in (2, 9, 40):
+            assert hb.wiener_report(w, n) == hb.wiener_report(ref, n)
+        assert w.wiener == hb.wiener_report(ref, 2)
 
     def test_adversarial_diverges(self):
         # reciprocal generating function has zeros inside the disk, so the
@@ -232,8 +296,12 @@ class TestShiftedTables:
             1.0 / w_beta3.betas[:11], rtol=0)
 
     def test_overflow_guard(self, w_beta2):
-        with pytest.raises(hb.TruncationError):
-            hb.shifted_resolvent_coeffs(w_beta2, w_beta2.trunc_len, 1)
+        N = w_beta2.trunc_len
+        np.testing.assert_array_equal(
+            hb.shifted_resolvent_coeffs(w_beta2, N, 1),
+            hb.shifted_resolvent_coeffs(long_copy(w_beta2), N, 1))
+        with pytest.raises(hb.TruncationError, match=custom_past(N, N + 1)):
+            hb.shifted_resolvent_coeffs(series_copy(w_beta2), N, 1)
 
     def test_coefficient_cross_identity(self, all_weights):
         # R_j = z R_{j+1} + 1/beta_j at the coefficient level
@@ -280,8 +348,14 @@ class TestGammaKCoeffs:
                     assert dj[m] == pytest.approx(ref, abs=1e-12)
 
     def test_table_guard(self, w_beta2):
-        with pytest.raises(hb.TruncationError):
-            hb.quotient_rows(w_beta2, [3], w_beta2.trunc_len)
+        N = w_beta2.trunc_len
+        for ks, n in (([3], N), ([1, 4], N - 3)):
+            np.testing.assert_array_equal(
+                hb.quotient_rows(w_beta2, ks, n),
+                hb.quotient_rows(long_copy(w_beta2), ks, n))
+        with pytest.raises(hb.TruncationError,
+                           match=custom_past(N, N + 3)):
+            hb.quotient_rows(series_copy(w_beta2), [3], N)
 
     def test_quotient_rows_are_the_single_rows(self, all_weights):
         # one product for all shifts gives each shift's own row
@@ -295,8 +369,6 @@ class TestGammaKCoeffs:
                                            rtol=1e-13, atol=1e-15)
 
     def test_quotient_rows_guards(self, w_beta2):
-        with pytest.raises(hb.TruncationError):
-            hb.quotient_rows(w_beta2, [1, 4], w_beta2.trunc_len - 3)
         for ks, n in (([0, 1], 5), ([1, 2], -1)):
             with pytest.raises(hb.InvalidParameterError):
                 hb.quotient_rows(w_beta2, ks, n)
@@ -332,10 +404,12 @@ class TestRefusals:
          "betas must be a nonempty 1-d sequence"),
         (lambda: hb.make_weight_custom([[1.0, 0.5]]),
          hb.InvalidParameterError, "betas must be a nonempty 1-d sequence"),
-        (lambda: hb.wiener_report(hb.make_weight_hardy(8), 9),
-         hb.TruncationError, "need 0 <= n <= 8 stored coefficients, got 9"),
+        (lambda: hb.wiener_report(hb.make_weight_custom(0.5 ** np.arange(9)),
+                                  9),
+         hb.TruncationError, "index 9 is past the table of a custom weight, "
+         "beta_0..beta_8, which defines it"),
         (lambda: hb.wiener_report(hb.make_weight_hardy(8), -1),
-         hb.TruncationError, "need 0 <= n <= 8 stored coefficients, got -1"),
+         hb.InvalidParameterError, "wiener_report needs n >= 0, got -1"),
         (lambda: hb.shifted_resolvent_coeffs(hb.make_weight_hardy(8), -1, 2),
          hb.InvalidParameterError, "k and n must be nonnegative"),
         # this c row steps by 0.9, not the hardy value 1 once answered
@@ -349,6 +423,11 @@ class TestRefusals:
     def test_refusal_text(self, call, error, match):
         with pytest.raises(error, match="^" + re.escape(match) + "$"):
             call()
+
+    def test_shortest_tables_build(self):
+        # n = 1, two stored weights, is the least table
+        assert hb.make_weight_hardy(1).betas.tolist() == [1.0, 1.0]
+        assert hb.make_weight_beta_alpha(2.0, 1).betas.tolist() == [1.0, 0.5]
 
     def test_one_trailing_entry_is_summable(self):
         # the table's c is 1 - 2z + z^20, one nonzero entry among
