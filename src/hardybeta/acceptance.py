@@ -14,7 +14,13 @@ to the bound, never silently absorbed.
 subcommand of the CLI: it builds the four suite weights once, at the
 default table length (they take only the closed and spectral routes, which
 read no table), calls each criterion as
-``criterion(cfg, weights)`` and times the call.  ``RunConfig`` holds the
+``criterion(cfg, weights)`` and times the call.  The criteria run on the
+usable CPUs, in worker processes forked from the caller (``fork``; the
+usable CPUs over the BLAS threads of each, ``_workers``), which inherit the
+config, the weights and the criterion list, so only a criterion's index
+goes out and only its result comes back; where that leaves one worker, or
+without ``fork``, they run in-process.  Each ``seconds`` is the
+criterion's own time, in its worker.  ``RunConfig`` holds the
 three settings of a run: ``rank_tol``, ``seed`` and ``trials``.  Three
 draw generators yield each random instance already built: ``_pairs`` a
 random output pair with its weight (criteria 1 and 2), and, together with
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -514,17 +521,94 @@ CRITERIA = [
 ]
 
 
+def _blas_threads() -> int:
+    """Threads of the OpenBLAS that numpy loaded, from its own
+    ``get_num_threads``; 1 where none is found (another BLAS, or no
+    ``/proc/self/maps``)."""
+    import ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in os.path.basename(line)})
+        libs = [ctypes.CDLL(path) for path in paths]  # already loaded
+    except OSError:
+        return 1
+    for lib in libs:
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                return max(1, get())
+    return 1
+
+
+def _workers() -> int:
+    """Worker processes for ``run_suite``: the usable CPUs over the BLAS
+    threads, at most one per criterion, and 1 (in-process) without
+    ``fork``.  Each forked worker keeps the caller's BLAS threads, and
+    idle BLAS threads spin on the CPUs the other workers compute on (on
+    two CPUs with a two-thread BLAS, ``verify --seed 1`` took 1.0-1.5 s
+    with two workers and 0.8-0.9 s in-process)."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(len(CRITERIA), cpus // _blas_threads()))
+
+
+def _timed(run, index: int) -> CriterionResult:
+    """Run criterion ``index`` of ``run = (cfg, weights, criteria)`` and
+    time it."""
+    cfg, weights, criteria = run
+    t0 = time.perf_counter()
+    res = criteria[index](cfg, weights)
+    res.seconds = time.perf_counter() - t0
+    return res
+
+
+#: the ``run`` a forked worker serves, set in the worker by ``_adopt``
+_WORKER_RUN = None
+
+
+def _adopt(*run):
+    global _WORKER_RUN
+    _WORKER_RUN = run
+
+
+def _timed_in_worker(index: int) -> CriterionResult:
+    return _timed(_WORKER_RUN, index)
+
+
+def _results(run, workers: int):
+    """Yield the timed results of ``run`` in criterion order, each once it
+    is ready, from ``workers`` forked processes, or in-process for one.
+    The workers inherit ``run`` through the fork, unpickled; the pool is
+    shut down, its workers joined, on the way out."""
+    indices = range(len(run[2]))
+    if workers == 1:
+        yield from (_timed(run, i) for i in indices)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=run) as pool:
+        for future in [pool.submit(_timed_in_worker, i) for i in indices]:
+            yield future.result()
+
+
 def run_suite(cfg: RunConfig | None = None, echo=None) -> list:
     """Run every acceptance criterion on one set of suite weights and
-    return the results, each timed.  A criterion that raises fails under
-    its own number and name (``_criterion``), and the suite goes on."""
-    cfg = cfg or RunConfig()
-    weights = suite_weights()
+    return the results in criterion order, each timed, with ``echo`` given
+    each line once it and every line before it are ready.  A criterion that
+    raises fails under its own number and name (``_criterion``), and the
+    suite goes on; no worker process outlives the call."""
+    run = (cfg or RunConfig(), suite_weights(), CRITERIA)
     results = []
-    for crit in CRITERIA:
-        t0 = time.perf_counter()
-        res = crit(cfg, weights)
-        res.seconds = time.perf_counter() - t0
+    for res in _results(run, _workers()):
         results.append(res)
         if echo is not None:
             echo(res.line())

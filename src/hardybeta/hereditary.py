@@ -955,7 +955,12 @@ def _psd_defects(Ms) -> np.ndarray:
     of a stack; >= 0 means PSD to working precision.  The scale is
     ``max(|lambda_min|, |lambda_max|, 1)``, the operator norm floored at 1;
     NaN for a matrix with a non-finite entry."""
-    lam = eigh(Ms, vectors=False)
+    return _scaled_min(eigh(Ms, vectors=False))
+
+
+def _scaled_min(lam) -> np.ndarray:
+    """``_psd_defects`` of the matrices with the ascending eigenvalues
+    ``lam`` (``eigh``)."""
     lo, hi = lam[..., 0], lam[..., -1]
     return lo / np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0)
 
@@ -990,46 +995,49 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
                             gramian_table(w, pair, 0, tol=tol * 0.1), tol)
 
 
-def _stability_residual(A, sums) -> float:
-    """``||A^{*k} Gamma^(k)[I] A^k||`` at the last shift ``k`` of the
-    stack ``Gamma[I], Gamma^(1..k)[I]``: weighted strong stability of ``A``
-    at depth ``k``."""
+def _stability_term(A, sums) -> np.ndarray:
+    """``A^{*k} Gamma^(k)[I] A^k`` at the last shift ``k`` of the stack
+    ``Gamma[I], Gamma^(1..k)[I]``: its norm is the residual of weighted
+    strong stability of ``A`` at depth ``k``."""
     Ak = np.linalg.matrix_power(A, len(sums) - 1)
-    return opnorm(Ak.conj().T @ sums[-1] @ Ak)
+    return Ak.conj().T @ sums[-1] @ Ak
 
 
 def _classification(w: WeightSequence, pair: OutputPair, sums,
                     table: GramianTable, tol: float) -> ClassificationReport:
     """``classify``'s report from the stack ``Gamma[I], Gamma^(1..k)[I]``
-    of ``pair.A`` and a gramian table of ``pair`` holding ``G^(0)``."""
+    of ``pair.A`` and a gramian table of ``pair`` holding ``G^(0)``.  All
+    its eigenvalues come from one ``eigh`` and all its norms from one
+    ``opnorm`` of a stack."""
     A = pair.A
-    opA = opnorm(A)
+    k_max = len(sums) - 1
+    gamma_I = sums[0]
+    pair_defect = gamma_I - pair.CstarC
+    integer = w.kind == "beta_alpha" and _integer_alpha(w) is not None
+    hermitian = [*sums, pair_defect, table[0]]
+    if integer:
+        hermitian.append(np.eye(pair.n) - A.conj().T @ A)
+    lam = eigh(np.stack(hermitian), vectors=False)
+    defects = _scaled_min(lam)
+    opA, isom_res, gamma_norm, stab_res = map(float, opnorm(np.stack(
+        [A, pair_defect, gamma_I, _stability_term(A, sums)])))
     contraction = opA <= 1.0 + tol
 
-    gamma_I = sums[0]
-    defects = _psd_defects(sums)
     gamma_min = float(defects[0])
-    gamma_k_min = float(defects[1:].min())
+    gamma_k_min = float(defects[1:k_max + 1].min())
     hyper_truncated = contraction and gamma_min >= -tol and gamma_k_min >= -tol
 
-    betan_min = None
-    if w.kind == "beta_alpha" and _integer_alpha(w) is not None:
-        I_AA = np.eye(pair.n) - A.conj().T @ A
-        betan_min = min(float(_psd_defects(I_AA)), gamma_min)
+    betan_min = min(float(defects[-1]), gamma_min) if integer else None
     certified = betan_min is not None and contraction and betan_min >= -tol
     hypercontraction = hyper_truncated or certified
 
-    pair_defect = gamma_I - pair.CstarC
-    pair_min = float(_psd_defects(pair_defect))
+    pair_min = float(defects[k_max + 1])
     contractive_pair = hypercontraction and pair_min >= -tol
-    isom_res = opnorm(pair_defect)
-    isometric_pair = hypercontraction and isom_res <= tol * max(opnorm(gamma_I), 1.0)
+    isometric_pair = hypercontraction and isom_res <= tol * max(gamma_norm, 1.0)
 
-    gram_eigs = eigh(table[0], vectors=False)
+    gram_eigs = lam[k_max + 2]
     exactly_observable = bool(gram_eigs[0] > tol * max(gram_eigs[-1], 1.0))
 
-    k_max = len(sums) - 1
-    stab_res = _stability_residual(A, sums)
     strongly_stable_beta = stab_res <= tol
 
     residuals = {

@@ -54,7 +54,7 @@ from .hereditary import (
     _hereditary_sums,
     _Operator,
     _right_powers,
-    _stability_residual,
+    _stability_term,
     eigh,
     gamma_map,
     gramian_table,
@@ -164,7 +164,7 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
                                 min(tol, 0.1 * ctol), "characteristic_family",
                                 gamma=True)
     sums = stack(k_stab)
-    while k_stab < _DEPTH_MAX and _stability_residual(op.A, sums) > ctol:
+    while k_stab < _DEPTH_MAX and opnorm(_stability_term(op.A, sums)) > ctol:
         k_stab = min(2 * k_stab, _DEPTH_MAX)
         try:
             sums = stack(k_stab)

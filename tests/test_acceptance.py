@@ -10,12 +10,21 @@ Criteria 1, 2, 3 and 7 draw 20 instances per weight, criteria 4, 5 and
 A reduced run with counted calls pins the harness: the suite weights are
 built once per run, each characteristic family evaluates one hereditary
 stack and one gramian table, and every ``RunConfig`` field is read; the
-suite's table length is no field.  A NaN injected into any criterion's
-residual source fails that criterion.
+suite's table length is no field.  The counted run is in-process (the
+worker count ``_workers`` set to 1), since a forked worker's calls are not
+counted in the caller.  A NaN injected into any criterion's residual source
+fails that criterion.  The criteria give the same results, in the same
+order, forked to worker processes as in-process, and no worker outlives a
+run.
 """
 
 import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +37,8 @@ import hardybeta.model as mod
 import hardybeta.syssim as sys_
 from hardybeta.acceptance import CRITERIA, RunConfig, run_suite
 from hardybeta.weights import DEFAULT_TRUNC
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +130,7 @@ def call_counts():
             return getattr(self.cfg, name)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(acc, "_workers", lambda: 1)
         for module, name in ((acc, "suite_weights"),
                              (acc, "make_weight_hardy"),
                              (acc, "make_weight_beta_alpha"),
@@ -240,12 +252,68 @@ def test_nan_fails_criterion(monkeypatch, number, module, name, poison):
     assert any(np.isnan(v) for v in res.measured.values()), res.line()
 
 
-def test_raising_criterion_fails_by_name(monkeypatch):
+def _verdicts(results):
+    return [(r.number, r.name, r.passed, repr(r.measured), r.bound)
+            for r in results]
+
+
+@pytest.mark.parametrize("seed,trials", [(1, 20), (2, 4), (3, 4)])
+def test_pool_gives_the_in_process_results(monkeypatch, seed, trials):
+    # forked workers and the caller run the same criteria on the same
+    # config and weights: the same verdicts and measured reprs, in
+    # criterion order, and each line is echoed in that order, while the
+    # workers (if any) are alive
+    cfg = RunConfig(seed=seed, trials=trials)
+    runs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(acc, "_workers", lambda: workers)
+        echoed = []
+        runs[workers] = run_suite(cfg, echo=lambda line: echoed.append(
+            (line, len(multiprocessing.active_children()))))
+        assert echoed == [(r.line(), workers if workers > 1 else 0)
+                          for r in runs[workers]]
+        assert not multiprocessing.active_children()
+    assert [r.number for r in runs[2]] == list(range(1, 13))
+    assert _verdicts(runs[2]) == _verdicts(runs[1])
+
+
+@pytest.mark.parametrize("cpus,blas,workers", [
+    (1, 1, 1), (2, 1, 2), (2, 2, 1), (4, 2, 2), (16, 1, 12), (16, 16, 1)])
+def test_worker_count(monkeypatch, cpus, blas, workers):
+    # one worker per usable CPU, at most one per criterion, divided by
+    # the BLAS threads each forked worker keeps
+    monkeypatch.setattr(acc.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    monkeypatch.setattr(acc, "_blas_threads", lambda: blas)
+    assert acc._workers() == workers
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blas_threads_read_from_the_library(threads):
+    # the thread count OpenBLAS was started with is read back from it
+    if threads == "2" and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts at most one thread per CPU")
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+    out = subprocess.run(
+        [sys.executable, "-c", "import hardybeta.acceptance as acc; "
+                               "print(acc._blas_threads(), "
+                               "'openblas' in open('/proc/self/maps').read())"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    got, found = out.stdout.split()
+    if found != "True":
+        pytest.skip("numpy loaded no OpenBLAS")
+    assert got == threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raising_criterion_fails_by_name(monkeypatch, workers):
     # an exception used to stop the suite; now it is the criterion's
     # failed verdict, under the number and name it has when it runs, and
-    # the criteria after it still run
+    # the criteria after it still run; a worker it raised in is joined
     def boom(*args, **kwargs):
         raise ValueError("boom")
+    monkeypatch.setattr(acc, "_workers", lambda: workers)
     monkeypatch.setattr(her, "stein_residual", boom)
     monkeypatch.setattr(acc, "CRITERIA", [
         acc.criterion_6_scalar_golden, acc.criterion_1_stein,
@@ -257,6 +325,7 @@ def test_raising_criterion_fails_by_name(monkeypatch):
     assert second.measured == {"error": "ValueError: boom"}
     assert "error=ValueError: boom" in second.line()
     assert (third.number, third.passed) == (7, True)
+    assert not multiprocessing.active_children()
 
 
 def test_stein_criterion_measured_is_reproducible():

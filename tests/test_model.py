@@ -167,6 +167,19 @@ class TestCharacteristicFamily:
                                  "weighted sense: residual "):
             hb.characteristic_family(w, [[0.99]])
 
+    @pytest.mark.xfail(strict=True, raises=hb.ModelHypothesisError,
+                       reason=(
+        "ROADMAP item 29: the stability depth stops at _DEPTH_MAX = 248 "
+        "while the residual of a strongly stable |T| = 0.97 still decays "
+        "(2.7e-7 hardy, 4.3e-6 beta_2, 1.3e-5 beta_2.5 at 248)"))
+    @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2", "w_beta25"])
+    def test_strongly_stable_near_the_circle_answered(self, weight, request):
+        # |T| = 0.97 < 1: T* is strongly stable for every weight, and its
+        # characteristic family exists
+        w = request.getfixturevalue(weight)
+        char = hb.characteristic_family(w, [[0.97]], k_max=2)
+        assert char.classification.strongly_stable_beta
+
     def test_non_stable_rejected(self, w_beta2):
         # operator norm above 1 fails the hypercontraction hypothesis
         with pytest.raises((hb.ModelHypothesisError, hb.HereditaryDomainError)):

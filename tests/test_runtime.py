@@ -1,9 +1,12 @@
-"""The runtime is numpy-only: building and checking a family loads no scipy."""
+"""The runtime is numpy-only: building and checking a family loads no scipy,
+and importing the package loads no process pool."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -33,3 +36,17 @@ def test_runtime_imports_no_scipy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["hardybeta", "hardybeta.cli",
+                                    "hardybeta.acceptance"])
+def test_import_loads_no_process_pool(module):
+    # run_suite imports multiprocessing only when it forks workers, so the
+    # import of the package, the CLI and the suite does not pay for it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
