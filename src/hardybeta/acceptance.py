@@ -15,12 +15,14 @@ subcommand of the CLI: it builds the four suite weights once, at the
 default table length (they take only the closed and spectral routes, which
 read no table), calls each criterion as
 ``criterion(cfg, weights)`` and times the call.  The criteria run on the
-usable CPUs, in worker processes forked from the caller (``fork``; the
-usable CPUs over the BLAS threads of each, ``_workers``), which inherit the
-config, the weights and the criterion list, so only a criterion's index
-goes out and only its result comes back; where that leaves one worker, or
-without ``fork``, they run in-process.  Each ``seconds`` is the
-criterion's own time, in its worker.  ``RunConfig`` holds the
+usable CPUs, in worker processes forked from the caller (``fork``, one per
+CPU; ``_workers``), which inherit the config, the weights and the
+criterion list, so only a criterion's index goes out and only its result
+comes back.  With one usable CPU, off Linux, with a BLAS other than
+OpenBLAS, or with a criterion wrapped by an observer, they run
+in-process.  Either way the suite computes on one OpenBLAS thread, so its
+numbers do not depend on the caller's BLAS threads.  Each ``seconds`` is
+the criterion's own time, in its worker.  ``RunConfig`` holds the
 three settings of a run: ``rank_tol``, ``seed`` and ``trials``.  Three
 draw generators yield each random instance already built: ``_pairs`` a
 random output pair with its weight (criteria 1 and 2), and, together with
@@ -32,9 +34,11 @@ star-hypercontraction (criteria 8, 9 and 10).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -521,42 +525,76 @@ CRITERIA = [
 ]
 
 
-def _blas_threads() -> int:
-    """Threads of the OpenBLAS that numpy loaded, from its own
-    ``get_num_threads``; 1 where none is found (another BLAS, or no
+#: the criteria this module defines; ``_workers`` keeps a suite in-process
+#: when another has taken the place of one of them
+_OWN = frozenset(CRITERIA)
+
+
+@functools.cache
+def _openblas():
+    """``(get_num_threads, set_num_threads)`` of the OpenBLAS that numpy
+    loaded, or None where none is found (another BLAS, or no
     ``/proc/self/maps``)."""
     import ctypes
     try:
         with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in os.path.basename(line)})
-        libs = [ctypes.CDLL(path) for path in paths]  # already loaded
+            fields = [line.rstrip("\n").split(maxsplit=5) for line in fh]
     except OSError:
-        return 1
-    for lib in libs:
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            get = getattr(lib, name, None)
-            if get is not None:
+        return None
+    # the sixth field is the mapped file; one deleted since it was mapped
+    # reads "<path> (deleted)" and cannot be opened again
+    paths = sorted({f[5] for f in fields if len(f) == 6
+                    and "openblas" in os.path.basename(f[5]).lower()
+                    and not f[5].endswith(" (deleted)")})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: the same handle
+        except OSError:
+            continue
+        for pre, suf in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                         ("openblas_", "")):
+            get = getattr(lib, f"{pre}get_num_threads{suf}", None)
+            set_ = getattr(lib, f"{pre}set_num_threads{suf}", None)
+            if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
-                return max(1, get())
-    return 1
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Compute on one OpenBLAS thread, and restore the caller's count on
+    the way out.  A multi-threaded BLAS sums in another order (criterion
+    9's residual moves in its last bits), and forked workers inherit the
+    count."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _workers() -> int:
-    """Worker processes for ``run_suite``: the usable CPUs over the BLAS
-    threads, at most one per criterion, and 1 (in-process) without
-    ``fork``.  Each forked worker keeps the caller's BLAS threads, and
-    idle BLAS threads spin on the CPUs the other workers compute on (on
-    two CPUs with a two-thread BLAS, ``verify --seed 1`` took 1.0-1.5 s
-    with two workers and 0.8-0.9 s in-process)."""
-    if not hasattr(os, "fork"):
+    """Worker processes for ``run_suite``: one per usable CPU, at most one
+    per criterion.  1 (in-process) off Linux, where ``fork`` is not safe
+    or not there; where numpy's BLAS is not an OpenBLAS whose threads can
+    be set to one (a worker would keep the caller's BLAS threads, whose
+    idle spinning takes the CPUs the other workers compute on: on two
+    CPUs with a two-thread BLAS, ``verify --seed 1`` took 1.0-1.5 s with
+    two such workers and 0.8-0.9 s in-process); and where a criterion is
+    not this module's own, since what a wrapper records in a worker stays
+    there."""
+    if (not sys.platform.startswith("linux") or _openblas() is None
+            or not _OWN.issuperset(CRITERIA)):
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(len(CRITERIA), cpus // _blas_threads()))
+    return min(len(CRITERIA), len(os.sched_getaffinity(0)))
 
 
 def _timed(run, index: int) -> CriterionResult:
@@ -605,11 +643,14 @@ def run_suite(cfg: RunConfig | None = None, echo=None) -> list:
     return the results in criterion order, each timed, with ``echo`` given
     each line once it and every line before it are ready.  A criterion that
     raises fails under its own number and name (``_criterion``), and the
-    suite goes on; no worker process outlives the call."""
-    run = (cfg or RunConfig(), suite_weights(), CRITERIA)
+    suite goes on; no worker process outlives the call.  The suite
+    computes on one OpenBLAS thread, in-process or forked, so its numbers
+    do not depend on the caller's BLAS threads."""
     results = []
-    for res in _results(run, _workers()):
-        results.append(res)
-        if echo is not None:
-            echo(res.line())
+    with _one_blas_thread():
+        run = (cfg or RunConfig(), suite_weights(), CRITERIA)
+        for res in _results(run, _workers()):
+            results.append(res)
+            if echo is not None:
+                echo(res.line())
     return results

@@ -19,12 +19,10 @@ run.
 """
 
 import dataclasses
+import functools
+import io
 import multiprocessing
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,9 +35,6 @@ import hardybeta.model as mod
 import hardybeta.syssim as sys_
 from hardybeta.acceptance import CRITERIA, RunConfig, run_suite
 from hardybeta.weights import DEFAULT_TRUNC
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-
 
 @pytest.fixture(scope="module")
 def suite_results():
@@ -277,33 +272,56 @@ def test_pool_gives_the_in_process_results(monkeypatch, seed, trials):
     assert _verdicts(runs[2]) == _verdicts(runs[1])
 
 
-@pytest.mark.parametrize("cpus,blas,workers", [
-    (1, 1, 1), (2, 1, 2), (2, 2, 1), (4, 2, 2), (16, 1, 12), (16, 16, 1)])
-def test_worker_count(monkeypatch, cpus, blas, workers):
-    # one worker per usable CPU, at most one per criterion, divided by
-    # the BLAS threads each forked worker keeps
+@pytest.mark.parametrize("platform,blas,cpus,observed,workers", [
+    ("linux", True, 1, False, 1), ("linux", True, 2, False, 2),
+    ("linux", True, 16, False, 12), ("linux", False, 16, False, 1),
+    ("linux", True, 16, True, 1), ("darwin", True, 16, False, 1)])
+def test_worker_count(monkeypatch, platform, blas, cpus, observed, workers):
+    # one worker per usable CPU, at most one per criterion, on Linux with
+    # an OpenBLAS whose threads a worker can set; in-process without one,
+    # and while an observer wraps a criterion
+    monkeypatch.setattr(acc.sys, "platform", platform)
+    monkeypatch.setattr(acc, "_openblas", lambda: (len, len) if blas else None)
     monkeypatch.setattr(acc.os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)))
-    monkeypatch.setattr(acc, "_blas_threads", lambda: blas)
+                        lambda pid: set(range(cpus)), raising=False)
+    if observed:
+        monkeypatch.setattr(acc, "CRITERIA", [
+            functools.wraps(fn)(lambda *args, fn=fn: fn(*args))
+            for fn in CRITERIA])
     assert acc._workers() == workers
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_blas_threads_read_from_the_library(threads):
-    # the thread count OpenBLAS was started with is read back from it
-    if threads == "2" and len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("OpenBLAS starts at most one thread per CPU")
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
-    out = subprocess.run(
-        [sys.executable, "-c", "import hardybeta.acceptance as acc; "
-                               "print(acc._blas_threads(), "
-                               "'openblas' in open('/proc/self/maps').read())"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    got, found = out.stdout.split()
-    if found != "True":
+@pytest.mark.parametrize("maps", [
+    None, "7f00-7f01 r-xp 00000000 08:01 42 /lib/libopenblas.so (deleted)\n"])
+def test_unreadable_blas_runs_in_process(monkeypatch, maps):
+    # no /proc/self/maps, or an OpenBLAS that cannot be opened again: no
+    # thread count to set, so no workers
+    def fake_open(path, *args, **kwargs):
+        if maps is None:
+            raise FileNotFoundError(path)
+        return io.StringIO(maps)
+    monkeypatch.setattr(acc, "open", fake_open, raising=False)
+    assert acc._openblas.__wrapped__() is None
+    monkeypatch.setattr(acc, "_openblas", acc._openblas.__wrapped__)
+    assert acc._workers() == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_suite_computes_on_one_blas_thread(monkeypatch, workers):
+    # whatever the caller's BLAS threads, the suite computes on one, in
+    # its workers or in-process, and the caller's count is restored
+    if acc._openblas() is None:
         pytest.skip("numpy loaded no OpenBLAS")
-    assert got == threads
+    get = acc._openblas()[0]
+    before = get()
+    monkeypatch.setattr(acc, "_workers", lambda: workers)
+    monkeypatch.setattr(acc, "CRITERIA", [
+        acc._criterion(n, "blas-threads")(
+            lambda cfg, weights: (True, {"threads": get()}, ""))
+        for n in (1, 2)])
+    results = run_suite(RunConfig())
+    assert [r.measured["threads"] for r in results] == [1, 1]
+    assert get() == before
 
 
 @pytest.mark.parametrize("workers", [1, 2])
