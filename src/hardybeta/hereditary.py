@@ -369,7 +369,11 @@ class GramianTable:
 
 @dataclass
 class ClassificationReport:
-    """Tolerance-qualified classification flags with their justifying residuals."""
+    """Tolerance-qualified classification flags with their justifying
+    residuals.  ``k_checked`` is the positivity depth, the last shift of
+    the stack ``Gamma^(1..k)[I]``: for ``classify`` strong stability is
+    decided at that depth too, and for a characteristic family on one
+    deeper term (``characteristic_family``)."""
 
     contractive_pair: bool
     isometric_pair: bool
@@ -992,22 +996,25 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
     sums = _hereditary_sums(w, pair, np.eye(pair.n), range(1, k_max + 1),
                             tol * 0.1, "classify", gamma=True)
     return _classification(w, pair, sums,
-                            gramian_table(w, pair, 0, tol=tol * 0.1), tol)
+                           _stability_term(pair.A, k_max, sums[-1]),
+                           gramian_table(w, pair, 0, tol=tol * 0.1), tol)
 
 
-def _stability_term(A, sums) -> np.ndarray:
-    """``A^{*k} Gamma^(k)[I] A^k`` at the last shift ``k`` of the stack
-    ``Gamma[I], Gamma^(1..k)[I]``: its norm is the residual of weighted
-    strong stability of ``A`` at depth ``k``."""
-    Ak = np.linalg.matrix_power(A, len(sums) - 1)
-    return Ak.conj().T @ sums[-1] @ Ak
+def _stability_term(A, k: int, term) -> np.ndarray:
+    """``A^{*k} term A^k`` for ``term = Gamma^(k)[I]``: its norm is the
+    residual of weighted strong stability of ``A`` at depth ``k``."""
+    Ak = np.linalg.matrix_power(A, k)
+    return Ak.conj().T @ term @ Ak
 
 
-def _classification(w: WeightSequence, pair: OutputPair, sums,
+def _classification(w: WeightSequence, pair: OutputPair, sums, term,
                     table: GramianTable, tol: float) -> ClassificationReport:
     """``classify``'s report from the stack ``Gamma[I], Gamma^(1..k)[I]``
-    of ``pair.A`` and a gramian table of ``pair`` holding ``G^(0)``.  All
-    its eigenvalues come from one ``eigh`` and all its norms from one
+    of ``pair.A``, the stability term (``_stability_term``) at the depth
+    that the caller decides strong stability at (``k`` for ``classify``,
+    a deeper one for a characteristic family) and a gramian table of
+    ``pair`` holding ``G^(0)``.  ``k_checked`` is the stack's depth ``k``.
+    All its eigenvalues come from one ``eigh`` and all its norms from one
     ``opnorm`` of a stack."""
     A = pair.A
     k_max = len(sums) - 1
@@ -1020,7 +1027,7 @@ def _classification(w: WeightSequence, pair: OutputPair, sums,
     lam = eigh(np.stack(hermitian), vectors=False)
     defects = _scaled_min(lam)
     opA, isom_res, gamma_norm, stab_res = map(float, opnorm(np.stack(
-        [A, pair_defect, gamma_I, _stability_term(A, sums)])))
+        [A, pair_defect, gamma_I, term])))
     contraction = opA <= 1.0 + tol
 
     gamma_min = float(defects[0])

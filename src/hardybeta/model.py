@@ -37,11 +37,9 @@ from .colligation import (
     transfer_eval,
 )
 from .errors import (
-    ConvergenceError,
     InvalidParameterError,
     ModelCoordinatesError,
     ModelHypothesisError,
-    TruncationError,
     _check_k_max,
     _check_tol,
 )
@@ -65,12 +63,11 @@ from .hereditary import (
 from .kernels import _cross, _range_kernel, default_grid
 from .weights import WeightSequence
 
-#: the deepest stack at which ``characteristic_family`` checks strong
-#: stability: the depth doubles while the residual stays above the
-#: tolerance, as it always does for an adjoint that is not strongly stable,
-#: so the loop's work needs a bound; 248 is where the default table of 256
-#: entries once capped it, so no verdict at default settings moved
-_DEPTH_MAX = 248
+#: the deepest positivity stack ``Gamma^(1..k)[I]`` that
+#: ``characteristic_family`` holds: the whole stack is in memory, and the
+#: depth that the spectral radius asks for grows without bound near the
+#: circle; strong stability is decided on one deep term instead
+_STACK_MAX = 248
 
 @dataclass
 class CharFamily:
@@ -133,15 +130,24 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
                           tol: float = 1e-10) -> CharFamily:
     """Characteristic transfer family of ``T`` via the Cholesky construction.
 
-    Sets ``A = T*``.  One hereditary stack ``Gamma[I], Gamma^(1..k)[I]``
-    gives ``C = Gamma[I]^(1/2)`` (refused as by ``defect_operator``), and
-    with one gramian table ``G^(0..k_max+1)`` of ``(C, A)`` (refused past
+    Sets ``A = T*``.  One hereditary stack ``Gamma[I], Gamma^(1..k)[I]``,
+    at most 248 deep, gives ``C = Gamma[I]^(1/2)`` (refused as by
+    ``defect_operator``) and the positivity checks, and with one gramian
+    table ``G^(0..k_max+1)`` of ``(C, A)`` (refused past
     ``rho(A) = 0.999``) the classification, which must report a strongly
     stable hypercontraction; the table is then factored into the family.
-    The base gramian of ``(C, A)`` is the identity; its deviation is
-    recorded on the bundle.  ``A`` is eigen-solved once for all of it.
-    ``k_max >= 0``; ``tol`` is finite and ``>= 0`` (0 as for
-    ``defect_operator``).
+    Strong stability is decided on one term ``A^{*d} Gamma^(d)[I] A^d``
+    (from the stack's last entry when ``d`` is its depth, from one deep
+    sum otherwise): ``d`` starts where a decay like ``rho(A)^(2d)``
+    reaches the tolerance and doubles while the term's norm is above
+    ``max(tol, 1e-8)`` and a doubling shrinks it.  For a hypercontraction
+    the norms do not increase, so a doubling that does not shrink them is
+    a verdict, and the refusal quotes the depth and the residual; a route
+    that cannot give the deep sum refuses by its own error.  The report's
+    ``k_checked`` is the stack's depth.  The base gramian of ``(C, A)`` is
+    the identity; its deviation is recorded on the bundle.  ``A`` is
+    eigen-solved once for all of it.  ``k_max >= 0``; ``tol`` is finite
+    and ``>= 0`` (0 as for ``defect_operator``).
     """
     _check_tol(tol)
     _check_k_max(k_max, 0, "characteristic_family")
@@ -149,39 +155,40 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
     I = np.eye(op.n)
     _check_domain(w, op, I, tol)
     ctol = max(tol, 1e-8)
-    # the stability-check depth starts where a geometric decay at the
-    # spectral radius reaches the tolerance, and doubles, up to _DEPTH_MAX,
-    # while the measured residual does not: Gamma^(k)[I] may grow
-    # polynomially in k
+    # the depth at which a geometric decay at the spectral radius reaches
+    # the tolerance; Gamma^(d)[I] may grow polynomially in d, so the
+    # measured residual may need a deeper one
     r = max(op.spectral_radius, 1e-3)
-    k_stab = max(20, k_max)
+    d = max(20, k_max)
     if r < 1.0:
-        k_stab = max(k_stab, int(np.ceil(np.log(ctol) / (2 * np.log(r)))) + 5)
-    k_stab = min(k_stab, _DEPTH_MAX)
+        d = max(d, int(np.ceil(np.log(ctol) / (2 * np.log(r)))) + 5)
 
-    def stack(depth):
-        return _hereditary_sums(w, op, I, range(1, depth + 1),
-                                min(tol, 0.1 * ctol), "characteristic_family",
-                                gamma=True)
-    sums = stack(k_stab)
-    while k_stab < _DEPTH_MAX and opnorm(_stability_term(op.A, sums)) > ctol:
-        k_stab = min(2 * k_stab, _DEPTH_MAX)
-        try:
-            sums = stack(k_stab)
-        # the series, or a custom weight's table, holds no deeper stack
-        except (ConvergenceError, TruncationError):
-            break
+    def sums_at(ks, gamma=False):
+        return _hereditary_sums(w, op, I, ks, min(tol, 0.1 * ctol),
+                                "characteristic_family", gamma=gamma)
+    sums = sums_at(range(1, min(d, _STACK_MAX) + 1), gamma=True)
     D = _defect_root(sums[0], tol)
     pair = OutputPair(A=op, C=D)
     table = gramian_table(w, pair, k_max + 1, tol=min(tol, 1e-12))
-    report = _classification(w, pair, sums, table, ctol)
+
+    def term_at(d):
+        return _stability_term(op.A, d, sums[-1] if d == len(sums) - 1
+                               else sums_at([d])[0])
+    # the table refused rho(A) > 0.999, so the term decays and the
+    # doubling ends
+    term = term_at(d)
+    while (res := opnorm(term)) > ctol \
+            and opnorm(deeper := term_at(2 * d)) < res:
+        d, term = 2 * d, deeper
+    report = _classification(w, pair, sums, term, table, ctol)
     if not report.hypercontraction:
         raise ModelHypothesisError(
             f"adjoint is not a hypercontraction: residuals {report.residuals}")
     if not report.strongly_stable_beta:
         raise ModelHypothesisError(
             "adjoint is not strongly stable in the weighted sense: "
-            f"residual {report.residuals['beta_strong_stability']:.3e}")
+            f"residual {res:.3e} at depth {d}, and doubling the depth does "
+            "not shrink it")
     return CharFamily(T=T, defect=D,
                       family=_family_from_table(w, pair, table, rank_tol),
                       classification=report,

@@ -302,8 +302,9 @@ def char_family_to_json(char) -> dict:
 
 
 def classification_to_json(report) -> dict:
-    """The classification block of a report: flags, residuals, the depth
-    checked and whether the verdict holds for every shift."""
+    """The classification block of a report: flags, residuals, the
+    positivity depth checked and whether the verdict holds for every
+    shift."""
     return {
         "flags": report.flags,
         "residuals": report.residuals,

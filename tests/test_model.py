@@ -1,4 +1,5 @@
 import copy
+import re
 
 import numpy as np
 import pytest
@@ -85,23 +86,42 @@ class TestCharacteristicFamily:
 
     # a distinct operator of acceptance criterion 9 (seed 2, beta_3 at 768
     # terms): Gamma^(k)[I] grows polynomially in k, so at the depth that a
-    # decay like rho^(2k) gives (23) the residual is 1.6e-8 > 1e-8
+    # decay like rho^(2k) gives (27) the residual is 1.6e-8 > 1e-8
     T_SLOW = np.array([
         [0.41575247828230655 + 0.15993895553585377j,
          -0.02441475804397368 - 0.07594575850396067j],
         [0.1593451564353697 + 0.2554472181099646j,
          0.5565849393679749 + 0.17292611588658735j]])
 
-    def test_stability_depth_follows_the_measured_decay(self):
+    @staticmethod
+    def spy_sums(monkeypatch, scale=None):
+        """The shifts of every ``_hereditary_sums`` call that
+        ``characteristic_family`` makes; ``scale(A, k)`` multiplies each
+        one-shift (deep) sum at shift ``k``."""
+        real = mod._hereditary_sums
+        calls = []
+
+        def spy(w, op, X, ks, *args, **kwargs):
+            calls.append(list(ks))
+            out = real(w, op, X, ks, *args, **kwargs)
+            return out * scale(op.A, ks[0]) if scale and len(ks) == 1 \
+                else out
+        monkeypatch.setattr(mod, "_hereditary_sums", spy)
+        return calls
+
+    def test_stability_depth_follows_the_measured_decay(self, monkeypatch):
+        # the stack stays at 27, and one deep term at 54 decides
+        calls = self.spy_sums(monkeypatch)
         char = hb.characteristic_family(hb.make_weight_beta_alpha(3.0, 768),
                                         self.T_SLOW, k_max=6)
         report = char.classification
-        assert report.strongly_stable_beta and report.k_checked > 23
+        assert calls == [list(range(1, 28)), [54]]
+        assert report.strongly_stable_beta and report.k_checked == 27
         assert report.residuals["beta_strong_stability"] <= 1e-8
 
     def test_stack_the_series_cannot_deepen_is_refused(self, monkeypatch):
-        # past the first stack every deeper one raises, as a series whose
-        # table runs out would: the check stays at depth 23 and refuses
+        # past the stack every deep sum raises, as a series whose table runs
+        # out would: the route's refusal propagates, not a verdict
         real = mod._hereditary_sums
         calls = []
 
@@ -111,11 +131,31 @@ class TestCharacteristicFamily:
                 raise hb.ConvergenceError("table too short")
             return real(*args, **kwargs)
         monkeypatch.setattr(mod, "_hereditary_sums", first_only)
-        with pytest.raises(hb.ModelHypothesisError,
-                           match="not strongly stable.*1.589e-08"):
+        with pytest.raises(hb.ConvergenceError, match="^table too short$"):
             hb.characteristic_family(hb.make_weight_beta_alpha(3.0, 768),
                                      self.T_SLOW, k_max=6)
         assert len(calls) == 2
+
+    def test_deep_term_past_the_series_table_is_refused_by_the_series(self):
+        # beta_2.5 at 256 entries: the deep term at rho = 0.99 falls past
+        # the quadrature's ladder to the series, which refuses for its table
+        # (ROADMAP items 35 and 7), never as "not strongly stable"
+        with pytest.raises(hb.TruncationError,
+                           match="^the series needs the stored table"):
+            hb.characteristic_family(hb.make_weight_beta_alpha(2.5, 256),
+                                     [[0.99]])
+
+    @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2"])
+    def test_no_stack_deeper_than_248(self, weight, request, monkeypatch):
+        # rho = 0.999 asks for depth 9,215: the stack stops at 248, and each
+        # deeper term is one sum of one shift
+        calls = self.spy_sums(monkeypatch)
+        char = hb.characteristic_family(request.getfixturevalue(weight),
+                                        [[0.999]], k_max=2)
+        assert char.classification.strongly_stable_beta
+        assert char.classification.k_checked == 248
+        assert calls[0] == list(range(1, 249))
+        assert [len(ks) for ks in calls[1:]] == [1] * (len(calls) - 1)
 
     def test_gramian_is_identity(self, all_weights):
         rng = np.random.default_rng(55)
@@ -158,27 +198,48 @@ class TestCharacteristicFamily:
             hb.characteristic_family(w_beta2, T, tol=1e-3)
 
     @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2"])
-    def test_not_strongly_stable_refused(self, weight, request):
-        # rho = 0.99: the stability depth is capped at 248 whatever the
-        # table, and 0.99^(2 * 248) is far above tol
-        w = request.getfixturevalue(weight)
-        with pytest.raises(hb.ModelHypothesisError,
-                           match="^adjoint is not strongly stable in the "
-                                 "weighted sense: residual "):
-            hb.characteristic_family(w, [[0.99]])
+    def test_not_strongly_stable_refused(self, weight, request, monkeypatch):
+        # every rho(A) <= 0.999 is strongly stable, so the refusal is
+        # reached through deep terms scaled by k 0.99^(-2k): the residual at
+        # depth k is then k ||Gamma^(k)[I]||, k for hardy and
+        # k (k + 1 - 0.9801 k) for beta_2, which a doubling does not shrink
+        self.spy_sums(monkeypatch, lambda A, k: k * abs(A[0, 0]) ** (-2 * k))
+        res = 922 * {"w_hardy": 1.0, "w_beta2": 923 - 0.9801 * 922}[weight]
+        with pytest.raises(hb.ModelHypothesisError, match=re.escape(
+                "adjoint is not strongly stable in the weighted sense: "
+                f"residual {res:.3e} at depth 922, and doubling the depth "
+                "does not shrink it")):
+            hb.characteristic_family(request.getfixturevalue(weight),
+                                     [[0.99]])
 
-    @pytest.mark.xfail(strict=True, raises=hb.ModelHypothesisError,
-                       reason=(
-        "ROADMAP item 29: the stability depth stops at _DEPTH_MAX = 248 "
-        "while the residual of a strongly stable |T| = 0.97 still decays "
-        "(2.7e-7 hardy, 4.3e-6 beta_2, 1.3e-5 beta_2.5 at 248)"))
-    @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2", "w_beta25"])
-    def test_strongly_stable_near_the_circle_answered(self, weight, request):
-        # |T| = 0.97 < 1: T* is strongly stable for every weight, and its
-        # characteristic family exists
-        w = request.getfixturevalue(weight)
-        char = hb.characteristic_family(w, [[0.97]], k_max=2)
+    @staticmethod
+    def near_unitary(n, r):
+        """``r U`` for a unitary ``U``: the QR factor of a complex Gaussian
+        draw from ``default_rng(270)``, its phases fixed by ``R``."""
+        rng = np.random.default_rng(270)
+        Q, R = np.linalg.qr(cmat(rng, n, n))
+        return r * Q * (np.diag(R) / abs(np.diag(R)))
+
+    @pytest.mark.parametrize("weight, n, r", [
+        pytest.param(w, 1, 0.97, id=w)
+        for w in ("w_hardy", "w_beta2", "w_beta25")] + [
+        pytest.param(w, n, r, id=f"{w}-n{n}-r{r}")
+        for w in ("w_hardy", "w_beta2", "w_beta3")
+        for n, r in ((4, 0.97), (4, 0.99), (8, 0.97), (8, 0.99),
+                     (1, 0.99), (1, 0.995), (1, 0.999))] + [
+        pytest.param("w_beta25", n, 0.97, id=f"w_beta25-n{n}-r0.97")
+        for n in (4, 8)])
+    def test_strongly_stable_near_the_circle_answered(self, weight, n, r,
+                                                      request):
+        # rho(T) < 1: T* is strongly stable for every weight, and its
+        # characteristic family exists; T = r U, or the scalar T = r, is
+        # answered up to the domain's edge on hardy and integer alpha, and
+        # beta_2.5 at 0.97 (past it, its deep term falls to the series)
+        T = self.near_unitary(n, r) if n > 1 else [[r]]
+        char = hb.characteristic_family(request.getfixturevalue(weight), T,
+                                        k_max=2)
         assert char.classification.strongly_stable_beta
+        assert char.classification.residuals["beta_strong_stability"] <= 1e-8
 
     def test_non_stable_rejected(self, w_beta2):
         # operator norm above 1 fails the hypercontraction hypothesis
