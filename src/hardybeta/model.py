@@ -140,12 +140,14 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
     (from the stack's last entry when ``d`` is its depth, from one deep
     sum otherwise): ``d`` starts where a decay like ``rho(A)^(2d)``
     reaches the tolerance and doubles while the term's norm is above
-    ``max(tol, 1e-8)`` and a doubling shrinks it.  For a hypercontraction
-    the norms do not increase, so a doubling that does not shrink them is
-    a verdict, and the refusal quotes the depth and the residual; a route
-    that cannot give the deep sum refuses by its own error.  The report's
-    ``k_checked`` is the stack's depth.  The base gramian of ``(C, A)`` is
-    the identity; its deviation is recorded on the bundle.  ``A`` is
+    ``max(tol, 1e-8)``.  For a hypercontraction the norms do not
+    increase, but while ``d`` is below the dimension a nilpotent part of
+    ``A`` can hold them flat, so the doubling goes on; past it, a doubling
+    that does not shrink them is the verdict, and the refusal quotes the
+    depth and the residual.  A route that cannot give the deep sum refuses
+    by its own error.  The report's ``k_checked`` is the stack's depth.
+    The base gramian of ``(C, A)`` is the identity; its deviation is
+    recorded on the bundle.  ``A`` is
     eigen-solved once for all of it.  ``k_max >= 0``; ``tol`` is finite
     and ``>= 0`` (0 as for ``defect_operator``).
     """
@@ -175,10 +177,11 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
         return _stability_term(op.A, d, sums[-1] if d == len(sums) - 1
                                else sums_at([d])[0])
     # the table refused rho(A) > 0.999, so the term decays and the
-    # doubling ends
+    # doubling ends; below the dimension a nilpotent part of A may hold the
+    # term flat, so only past it is a flat doubling a verdict
     term = term_at(d)
-    while (res := opnorm(term)) > ctol \
-            and opnorm(deeper := term_at(2 * d)) < res:
+    while (res := opnorm(term)) > ctol and (
+            opnorm(deeper := term_at(2 * d)) < res or d < op.n):
         d, term = 2 * d, deeper
     report = _classification(w, pair, sums, term, table, ctol)
     if not report.hypercontraction:

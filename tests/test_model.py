@@ -94,18 +94,17 @@ class TestCharacteristicFamily:
          0.5565849393679749 + 0.17292611588658735j]])
 
     @staticmethod
-    def spy_sums(monkeypatch, scale=None):
+    def spy_sums(monkeypatch, deep=None):
         """The shifts of every ``_hereditary_sums`` call that
-        ``characteristic_family`` makes; ``scale(A, k)`` multiplies each
-        one-shift (deep) sum at shift ``k``."""
+        ``characteristic_family`` makes; ``deep(A, k, out)`` replaces each
+        one-shift (deep) sum ``out`` at shift ``k``, or raises."""
         real = mod._hereditary_sums
         calls = []
 
         def spy(w, op, X, ks, *args, **kwargs):
             calls.append(list(ks))
             out = real(w, op, X, ks, *args, **kwargs)
-            return out * scale(op.A, ks[0]) if scale and len(ks) == 1 \
-                else out
+            return deep(op.A, ks[0], out) if deep and len(ks) == 1 else out
         monkeypatch.setattr(mod, "_hereditary_sums", spy)
         return calls
 
@@ -122,19 +121,13 @@ class TestCharacteristicFamily:
     def test_stack_the_series_cannot_deepen_is_refused(self, monkeypatch):
         # past the stack every deep sum raises, as a series whose table runs
         # out would: the route's refusal propagates, not a verdict
-        real = mod._hereditary_sums
-        calls = []
-
-        def first_only(*args, **kwargs):
-            calls.append(1)
-            if len(calls) > 1:
-                raise hb.ConvergenceError("table too short")
-            return real(*args, **kwargs)
-        monkeypatch.setattr(mod, "_hereditary_sums", first_only)
+        def short_table(A, k, out):
+            raise hb.ConvergenceError("table too short")
+        calls = self.spy_sums(monkeypatch, short_table)
         with pytest.raises(hb.ConvergenceError, match="^table too short$"):
             hb.characteristic_family(hb.make_weight_beta_alpha(3.0, 768),
                                      self.T_SLOW, k_max=6)
-        assert len(calls) == 2
+        assert calls == [list(range(1, 28)), [54]]
 
     def test_deep_term_past_the_series_table_is_refused_by_the_series(self):
         # beta_2.5 at 256 entries: the deep term at rho = 0.99 falls past
@@ -203,7 +196,8 @@ class TestCharacteristicFamily:
         # reached through deep terms scaled by k 0.99^(-2k): the residual at
         # depth k is then k ||Gamma^(k)[I]||, k for hardy and
         # k (k + 1 - 0.9801 k) for beta_2, which a doubling does not shrink
-        self.spy_sums(monkeypatch, lambda A, k: k * abs(A[0, 0]) ** (-2 * k))
+        self.spy_sums(monkeypatch,
+                      lambda A, k, out: out * k * abs(A[0, 0]) ** (-2 * k))
         res = 922 * {"w_hardy": 1.0, "w_beta2": 923 - 0.9801 * 922}[weight]
         with pytest.raises(hb.ModelHypothesisError, match=re.escape(
                 "adjoint is not strongly stable in the weighted sense: "
@@ -240,6 +234,18 @@ class TestCharacteristicFamily:
                                         k_max=2)
         assert char.classification.strongly_stable_beta
         assert char.classification.residuals["beta_strong_stability"] <= 1e-8
+
+    def test_flat_below_the_dimension_is_not_a_verdict(self, w_hardy,
+                                                        monkeypatch):
+        # A = T* is the nilpotent 50 x 50 shift: A^{*d} A^d is a projection
+        # of norm 1 at depths 20 and 40, and 0 from 50 on, so the doubling
+        # goes on below the dimension and the family is answered at 80
+        calls = self.spy_sums(monkeypatch)
+        char = hb.characteristic_family(w_hardy, np.diag(np.ones(49), -1),
+                                        k_max=2)
+        assert calls == [list(range(1, 21)), [40], [80]]
+        assert char.classification.strongly_stable_beta
+        assert char.classification.residuals["beta_strong_stability"] == 0.0
 
     def test_non_stable_rejected(self, w_beta2):
         # operator norm above 1 fails the hypercontraction hypothesis
