@@ -7,7 +7,11 @@ from operator data), ``charfn`` (characteristic family of an operator),
 trajectories as CSV) and ``verify`` (the acceptance suite).
 
 Exit codes: 0 ok, 2 input error, 3 spectral radius, 4 observability or
-model hypothesis, 5 non-convergence, 6 verification failure.  The default
+model hypothesis, 5 non-convergence within the series' term budget, 6
+verification failure.  ``-n/--trunc``, the stored table length, belongs
+to ``weights`` alone, the one report that lists the table; every other
+subcommand reads hardy and ``beta_alpha`` at every index, and refuses the
+flag.  The default
 ``--tol`` (of ``analyze``, the one subcommand with a tolerance) honors the
 ``HARDY_BETA_TOL`` environment variable, read on every call; a ``--tol``
 or ``HARDY_BETA_TOL`` that is negative, NaN or infinite is refused with
@@ -74,18 +78,16 @@ def _add_weight_args(p: argparse.ArgumentParser):
                    help="constant weight (classical Hardy space)")
     g.add_argument("--beta", type=str,
                    help="shorthand: '1'/'hardy' or a float alpha > 1")
-    p.add_argument("-n", "--trunc", type=int, default=None,
-                   help=f"stored table length (default {DEFAULT_TRUNC}); "
-                   "not with --betas, which gives its own table")
 
 
 def _weight_from_args(args):
     """The weight of the flags; ``--betas`` with ``-n`` is refused, since
     the explicit table sets its own length."""
-    if args.betas and args.trunc is not None:
+    trunc = getattr(args, "trunc", None)
+    if args.betas and trunc is not None:
         raise InvalidParameterError(
             "--betas gives the whole table, so -n/--trunc does not apply")
-    n = DEFAULT_TRUNC if args.trunc is None else args.trunc
+    n = DEFAULT_TRUNC if trunc is None else trunc
     if args.betas:
         return make_weight_custom([float(x) for x in args.betas.split(",")])
     if args.alpha is not None:
@@ -298,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="weight tables and summability report")
     _add_weight_args(p)
+    p.add_argument("-n", "--trunc", type=int, default=None,
+                   help=f"stored table length (default {DEFAULT_TRUNC}); "
+                   "not with --betas, which gives its own table")
     options(p, "out")
     p.add_argument("--head", action="store_true",
                    help="print only the first 65 table entries")

@@ -1,10 +1,9 @@
 """Exception taxonomy, and the two parameter checks every entry shares.
 
 Every exception carries an ``exit_code`` used by the command line front end:
-2 input error (a stored table too short for the series, or a custom
-weight read past its table, included), 3 spectral radius out of range,
-4 observability / model hypothesis failure, 5 series did not converge
-within the stored tables.
+2 input error (a custom weight read past its table included), 3 spectral
+radius out of range, 4 observability / model hypothesis failure, 5 series
+did not converge within the term budget.
 
 Every public entry with a ``tol`` refuses, before any work, a ``tol`` that
 is negative, NaN or infinite (``_check_tol``); 0 is allowed.  ``classify``,
@@ -36,10 +35,10 @@ class AdmissibilityError(InvalidParameterError):
 
 
 class TruncationError(HardyBetaError):
-    """A stored table is too short: the series', which reads only the stored
-    table, past its largest shift, or a custom weight's, which is its
-    definition, past its last entry.  Hardy and ``beta_alpha`` answer at
-    every index."""
+    """A custom weight's entry read past its table, which is its definition
+    (``WeightSequence._entries``).  Hardy and ``beta_alpha`` answer at every
+    index, and the series reads a custom weight's rows past its table at
+    its last ratio."""
 
     exit_code = 2
 
@@ -85,8 +84,8 @@ class ModelCoordinatesError(HardyBetaError):
 
 
 class ConvergenceError(HardyBetaError):
-    """Adaptive truncation exhausted the stored tables before the tail bound
-    met the tolerance."""
+    """The series found no certified decay rate, or no cut whose tail bound
+    met the tolerance, within its term budget."""
 
     exit_code = 5
 

@@ -77,13 +77,14 @@ the unit circle) keeps the series.
 
 Every other sum (the gramians, resolvents and scalars of custom weights;
 non-integer alpha past the gate or the ladder) is cut adaptively by the
-engine in ``series.py``, with each coefficient row's step bound past the
-table taken from the weight, and raises ConvergenceError, naming the
-function called, when the stored table is too short for ``tol`` or to
-certify ``q``.  The series alone reads the stored table, and one that ends
-before the largest shift (before 4 terms past it, for a gramian) is
-refused by name (``_series_cap``); everywhere else a table bounds only a
-custom weight, whose index past it is refused.  The decay rate
+engine in ``series.py``.  It reads the weight, not its table: the rows
+``1/beta_{k+j}`` come from ``weights.inv_rows`` (a custom weight past its
+table by its definition, ``1/beta_{N+j} = s^j / beta_N``) and the ``c``
+and quotient rows from ``hereditary_rows``, at whatever length the cut
+needs, with the weight's step bounds (``inv_step``, ``c_step``).  It raises
+ConvergenceError, naming the function called, ``q`` and the term budget,
+when no span or cut within the budget certifies ``q`` or meets ``tol``;
+no stored table and no shift refuses a sum.  The decay rate
 ``q`` is chosen from the spectral radius, and the engine certifies it on
 powers of ``A`` before it sums: every term is at most ``K q^j`` for the
 certified transient constant ``K``, so the tail bound holds for a
@@ -91,10 +92,9 @@ non-normal ``A`` too.  A resolvent grid on the series is one table
 of powers ``(rA)^j``, cut once at its largest radius ``r``: since
 ``|z_i / r|^j <= 1``, the tail bound of the powers holds at every point of
 the grid.  A sequence of shifts adds one coefficient row ``1/beta_{k+j}``
-per shift to the same table, every row cut at the length left to the
-largest shift and bounded past it by the weight's step; the one cut is the
-first index where every row's bound holds, so the tail is <= tol at every
-shift and point.
+per shift to the same sum, each bounded past a cut by its entry there and
+the weight's step; the one cut is the first index where every row's bound
+holds, so the tail is <= tol at every shift and point.
 A gramian table is one ``(k_max + 1, n, n)`` array, inverted as one stack.
 The powers ``X A^j`` and the conjugation moments ``A^{*j} X A^j`` of the
 finite sums and the Taylor data all come from ``_right_powers``; the
@@ -140,11 +140,15 @@ from .errors import (
     InvalidParameterError,
     ObservabilityError,
     SpectralRadiusError,
-    TruncationError,
     _check_k_max,
     _check_tol,
 )
-from .weights import WeightSequence, hereditary_rows, rational_denominator
+from .weights import (
+    WeightSequence,
+    hereditary_rows,
+    inv_rows,
+    rational_denominator,
+)
 
 #: gramians and classification refuse spectral radius beyond this
 RHO_MAX = 0.999
@@ -441,29 +445,24 @@ def _contract(rows, terms) -> np.ndarray:
     return hermitize(sums.reshape(-1, n, n))
 
 
-def _series_cap(w: WeightSequence, kmax: int, least: int = 0) -> int:
-    """The length of the stored table left past the largest shift ``kmax``,
-    at which every row of the series is cut; a table that leaves fewer
-    than ``least`` is refused, since the series reads only the stored
-    table."""
-    cap = w.trunc_len - kmax
-    if cap < least:
-        raise TruncationError(
-            f"the series needs the stored table to index {kmax + least}, "
-            f"and the weight stores beta_0..beta_{w.trunc_len}")
-    return cap
+def _shifted_steps(w: WeightSequence, ks):
+    """The step bounds past the cuts ``J`` of the rows ``1/beta_{k+j}``,
+    one row per shift of ``ks``: ``inv_step`` at ``k + J``."""
+    ks = np.asarray(ks)[:, None]
+    return lambda J: w.inv_step(ks + J)
 
 
 def _series_sums(op: _Operator, X, rows, steps, tol, context):
-    """``sum_j rows[i, j] A^{*j} X A^j`` for every row of the 2-d array
-    ``rows`` (step bounds ``steps`` past the table), cut once for all rows
-    by the series engine at the rate of ``rho(A)`` and contracted in one
-    product.  Returns (sums, series record)."""
+    """``sum_j rows(J)[i, j] A^{*j} X A^j`` for every row, the rows and
+    their step bounds read as functions of the length and the cuts
+    (``series.cut``), cut once for all rows by the series engine at the
+    rate of ``rho(A)`` and contracted in one product.  Returns (sums,
+    series record)."""
     A = op.A
     rec = series.adaptive_sum(np.asarray(X, dtype=complex), A, rows,
                               series.conjugation_rate(op.spectral_radius),
                               steps, tol, context, left=A.conj().T)
-    return _contract(rows, rec.terms), rec
+    return _contract(rec.rows, rec.terms), rec
 
 
 def _binomial_sum(ks, a: int, first, step) -> np.ndarray:
@@ -527,16 +526,14 @@ def _closed_gramians(A, X, ks, a: int) -> np.ndarray:
     return hermitize(_binomial_sum(ks, a, first, solve).reshape(-1, *A.shape))
 
 
-def _stein_sums(w: WeightSequence, op: _Operator, X, ks, tol, context,
-                least: int = 0):
+def _stein_sums(w: WeightSequence, op: _Operator, X, ks, tol, context):
     """``sum_j (1/beta_{j+k}) A^{*j} X A^j`` for every shift of ``ks``, with
     the error or tail bound of each and the index of the last term summed.
 
     Closed form (tails 0, index -1: no term is summed) for hardy and integer
     alpha; the spectral route on the operator's diagonalization
     (``_route``; the bounds of ``spectral.stein_bounds``, index -1);
-    otherwise the series, every shift's row cut at the table length left to
-    the largest shift, which must be at least ``least`` (``_series_cap``)."""
+    otherwise the series, over the rows ``1/beta_{k+j}`` (``inv_rows``)."""
     a = _integer_alpha(w)
     if a is not None:
         return _closed_gramians(op.A, X, ks, a), [0.0] * len(ks), -1
@@ -547,10 +544,8 @@ def _stein_sums(w: WeightSequence, op: _Operator, X, ks, tol, context,
         return (hermitize(spec.apply(R, X)),
                 list(spectral.stein_bounds(spec, w.alpha, ks, N, R, X,
                                            float(np.linalg.norm(op.A)))), -1)
-    Jcap = _series_cap(w, max(ks), least)
-    rows = np.array([w.inv_betas[k:k + Jcap + 1] for k in ks])
-    steps = [w.inv_step(k + Jcap) for k in ks]
-    sums, rec = _series_sums(op, X, rows, steps, tol, context)
+    sums, rec = _series_sums(op, X, lambda n: inv_rows(w, ks, n),
+                             _shifted_steps(w, ks), tol, context)
     return sums, rec.tails, rec.J
 
 
@@ -580,9 +575,8 @@ def _hereditary_sums(w: WeightSequence, op: _Operator, X, ks, tol, context,
     moments of ``Y = P(L)^-1 X`` (``_kron_solver``).  With the
     operator's diagonalization (``_route``) they are the spectral route's
     ``(1 - x)^alpha`` and ``(1 - x)^alpha R_k(x)`` at the eigenvalue
-    products.  Non-integer alpha past the gate takes the series, every row
-    cut at the table length left to the largest shift (``_series_cap``).
-    None of them but the series uses ``tol``."""
+    products.  Non-integer alpha past the gate takes the series, over the
+    rows read to its cut.  None of them but the series uses ``tol``."""
     ks = np.asarray(ks)
     if ks.size and ks.min() < 1:
         raise InvalidParameterError(
@@ -600,9 +594,8 @@ def _hereditary_sums(w: WeightSequence, op: _Operator, X, ks, tol, context,
                                                       spec.upper)
     if F is not None:
         return hermitize(spec.apply(F, X))
-    cap = _series_cap(w, int(ks.max(initial=0)))
-    return _series_sums(op, X, hereditary_rows(w, ks, cap, gamma),
-                        w.c_step(cap), tol, context)[0]
+    return _series_sums(op, X, lambda n: hereditary_rows(w, ks, n, gamma),
+                        w.c_step, tol, context)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +611,8 @@ def _resolvent_table(w, k, op: _Operator, z, tol, context="resolvents"):
     integer alpha, from one batched inverse of ``I - z_i A``), the exact
     sum at ``r = 0`` or ``A = 0``, or the spectral route
     (``V diag(R_k(z_i d)) V^-1`` from one ``spectral.shifted`` call).  On
-    the series every shift's row ``1/beta_{k+j}`` is cut at the table
-    length of the largest shift (``_series_cap``), past which the weight
-    bounds its step.
+    the series every shift's row ``1/beta_{k+j}`` (``inv_rows``) is read to
+    the one cut.
     ``rho(A)`` and the diagonalization are the operator's, made once.  A
     ConvergenceError of the series names ``context``, the caller."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -647,7 +639,7 @@ def _resolvent_table(w, k, op: _Operator, z, tol, context="resolvents"):
         return _binomial_sum(ks, a, inv,
                              lambda P: P @ inv).reshape(shape), None
     if r == 0.0 or not A.any():
-        return (w._entries(ks)[1][:, None, None, None]
+        return (inv_rows(w, ks, 0)[:, :, None, None]
                 * np.eye(n, dtype=complex)
                 * np.ones((len(zs), 1, 1))).reshape(shape), None
     values = None if spec is None else spectral.shifted(
@@ -655,16 +647,13 @@ def _resolvent_table(w, k, op: _Operator, z, tol, context="resolvents"):
     if values is not None:  # V diag(R_k(z_i d)) V^-1
         F = values[0].reshape(len(ks), len(zs), 1, n)
         return ((spec.V * F) @ spec.W).reshape(shape), None
-    cap = _series_cap(w, int(ks.max()))
-    rows = w.inv_betas[ks[:, None] + np.arange(cap + 1)]
     # |z_i / r|^j <= 1, so the tail bound of the powers (rA)^j bounds the
     # tail at every point of the grid
-    rec = series.adaptive_sum(np.eye(n, dtype=complex), r * A, rows,
+    rec = series.adaptive_sum(np.eye(n, dtype=complex), r * A,
+                              lambda m: inv_rows(w, ks, m),
                               series.decay_rate(rho, r),
-                              [w.inv_step(k + cap) for k in ks], tol,
-                              context)
-    coef = (zs[:, None] / r) ** np.arange(rec.J + 1) \
-        * rows[:, None, :rec.J + 1]
+                              _shifted_steps(w, ks), tol, context)
+    coef = (zs[:, None] / r) ** np.arange(rec.J + 1) * rec.rows[:, None]
     S = np.tensordot(coef, rec.terms, axes=(2, 0))
     return S.reshape(shape), rec
 
@@ -691,11 +680,10 @@ def resolvents(w: WeightSequence, k, A, zs,
 
     Requires finite points in the open unit disk, ``r * rho(A) < 1`` (a
     DivergenceError names it first) and shifts ``k >= 0``.  The series
-    reads only the stored table: it refuses a shift past it, and raises
-    ConvergenceError when the table is exhausted before the tail bound
-    drops below ``tol``.  ``tol`` must be finite and ``>= 0``; at 0 only an
-    exact sum (a closed form, the spectral route, a vanishing tail) is
-    returned.
+    raises ConvergenceError when no cut within its term budget brings the
+    tail bound below ``tol``.  ``tol`` must be finite and ``>= 0``; at 0
+    only an exact sum (a closed form, the spectral route, a vanishing tail)
+    is returned.
     """
     _check_tol(tol)
     return _resolvent_table(w, k, _operator(A), zs, tol)[0]
@@ -710,9 +698,9 @@ def resolvent_apply(w: WeightSequence, k: int, A, z: complex,
     OutputPair, as for ``resolvents``.
 
     Requires ``|z| < 1`` and ``|z| * rho(A) < 1``.  On the series, raises
-    ConvergenceError when the stored coefficient table is exhausted before
-    the tail bound drops below ``tol``, which must be finite and ``>= 0``
-    (0 as for ``resolvents``).
+    ConvergenceError when no cut within its term budget brings the tail
+    bound below ``tol``, which must be finite and ``>= 0`` (0 as for
+    ``resolvents``).
     """
     _check_tol(tol)
     return _resolvent_table(w, k, _operator(A), complex(z), tol,
@@ -727,9 +715,9 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     are closed form, ``sum_{r<alpha} C(k + r - 1, r) (1 - x)^(r - alpha)``;
     non-integer alpha is ``spectral.shifted`` at the points, with no gate.
     Custom weights, and points past the quadrature's ladder, sum the series
-    with tail <= tol over the stored table: a shift past it is refused, and
-    a table too short for ``tol`` raises ConvergenceError.  ``tol`` must be
-    finite and ``>= 0``; at 0 the series returns only a vanishing tail.
+    with tail <= tol, or raise ConvergenceError when no cut within its term
+    budget reaches ``tol``.  ``tol`` must be finite and ``>= 0``; at 0 the
+    series returns only a vanishing tail.
     """
     _check_tol(tol)
     if k < 0:
@@ -746,13 +734,13 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
         values = spectral.shifted(w, [k], xs.ravel())
         if values is not None:
             return values[0][0].reshape(xs.shape)[()]
-    inv_b = w.inv_betas[k:k + _series_cap(w, k) + 1]
     q = float(np.max(np.abs(xs), initial=0.0))
     # |x^j| <= q^j exactly, so the transient constant is 1
-    J = 0 if q == 0.0 else series.RowTails(
-        [inv_b], q, w.inv_step(w.trunc_len)).cut(1.0, tol, "resolvent_scalar")
-    # Horner evaluation of the degree-J truncation
-    return np.polyval(inv_b[J::-1], xs)
+    inv_b = inv_rows(w, [k], 0) if q == 0.0 else series.cut(
+        lambda n: inv_rows(w, [k], n), _shifted_steps(w, [k]), q, 1.0, tol,
+        "resolvent_scalar")[1]
+    # Horner evaluation of the truncation
+    return np.polyval(inv_b[0, ::-1], xs)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +755,7 @@ def _gramian_rows(w, ks, pair, tol, context):
         raise SpectralRadiusError(
             f"rho(A) = {pair.spectral_radius:.4f} > {RHO_MAX}: gramian series "
             "not summable at desk scale")
-    return _stein_sums(w, pair, pair.CstarC, ks, tol, context, least=4)
+    return _stein_sums(w, pair, pair.CstarC, ks, tol, context)
 
 
 def gramian(w: WeightSequence, k: int, pair: OutputPair,
@@ -896,8 +884,8 @@ def gamma_k_map(w: WeightSequence, k, A, X,
     quotient-series coefficients, for one shift ``k`` or a sequence of
     shifts ``k >= 1``: then a ``(len(k), n, n)`` stack from one evaluation
     on the weight's route (``_hereditary_sums``), as ``classify`` does; on
-    the series every shift's row is cut at the length left to the
-    largest.  ``A`` and ``tol`` as for ``gamma_map``."""
+    the series every shift's row is cut at one index.  ``A`` and ``tol``
+    as for ``gamma_map``."""
     _check_tol(tol)
     if not np.size(k):
         raise InvalidParameterError("gamma_k_map needs at least one shift k")

@@ -13,25 +13,30 @@ against matrix terms ``T_{j+1} = L T_j R``, the powers ``(zA)^j`` of the
 resolvents (``T_0 = I``, ``R = zA``, no ``L``) or the conjugations
 ``A^{*j} X A^j`` of the gramians and hereditary maps (``T_0 = X``,
 ``L = A^*``, ``R = A``).  The caller's decay rate ``q`` (``decay_rate``,
-``conjugation_rate``) is certified before anything is summed: ``L`` and
+``conjugation_rate``) is certified before the cut is chosen: ``L`` and
 ``R`` are squared until ``||L^m||_F ||R^m||_F <= q^m`` for some
 ``m = 2^i`` (no ``L`` counts 1), and since ``T_{tm+s} = L^{tm} T_s R^{tm}``
 every term then obeys ``||T_j||_F <= K q^j`` with the transient constant
-``K = max_{s<m} ||T_s||_F / q^s``.  The cut ``J`` is fixed once, the
-first ``j >= 4`` with ``K * max_i tail_i(j) <= tol``;
-ConvergenceError is raised when the stored table holds none, or when
-``m`` would pass the first power of two past the table, so the terms
-never take twice the table.  A term with every entry 0 in the span ends
-a finite sum, with tail 0.  A table with no cut even for ``||T_0|| <= K``
-is refused before any term is made, unless ``det(A) = 0``: a zero term
-past ``T_0`` needs a singular ``A``, and comes by ``T_n`` (the ranges of
-``A^j`` settle by ``j = n``), so the span then reaches past
-``T_min(n, cap)`` before the cut refuses the sum.  Past the stored table
-a row's tail is geometric in the step bound the weight proves for it
-(``RowTails``); nothing is extrapolated here.  At ``q >= 1`` (a
-hereditary map at ``rho(A) >= 1``) that bound is ``inf``, as the ``c`` row
-of a non-integer alpha steps by 1, and the sum is refused with the rate
-named.
+``K = max_{s<m} ||T_s||_F / q^s``.  A term with every entry 0 in the span
+``s < m`` ends a finite sum, with tail 0.
+
+The rows are the weight's, read at any length (``rows(n)`` gives the
+entries ``0..n`` of every row), never a stored table.  A row's tail past a
+cut ``J`` is bounded by its one entry there: with ``s`` a bound on
+``|row[j+1] / row[j]|`` for every ``j >= J`` (the weight's ``inv_step`` or
+``c_step``, read at ``J``),
+``sum_{j>J} |row[j]| q^j <= |row[J]| q^J s q / (1 - s q)``, ``inf`` where
+``s q >= 1`` and 0 at a zero entry under a finite step.  The cut is the
+first ``J >= 4`` with ``K * max_i tail_i(J) <= tol``, looked for from the
+certified span ``m`` on in windows of the rows that end about where the
+bound, falling by ``q`` a term, would meet ``tol`` (``cut``).
+
+The only limit is the term budget ``_BUDGET``: no span and no cut passes
+it, so the terms made, ``(J + 1) n^2`` complex entries, stay within
+``_BUDGET n^2``.  ConvergenceError, naming the caller, ``q`` and the
+budget, is raised when no span within it certifies ``q`` (at ``q >= 1`` no
+row's tail is bounded either, as every step is at least 1) or no cut
+within it meets ``tol``.
 
 Terms are made one product at a time, ``T_{j+1} = (L T_j) R``; the
 squares serve the certificate only.  Past the first ``m`` terms only those
@@ -51,6 +56,9 @@ from .errors import ConvergenceError
 #: no cut comes before this term index
 _MIN_J = 4
 
+#: no span and no cut passes this term index: it bounds the terms made
+_BUDGET = 1 << 15
+
 
 def decay_rate(rho: float, scale: float = 1.0) -> float:
     """Decay rate ``q`` of the powers ``(scale A)^j`` when ``rho(A) = rho``."""
@@ -64,87 +72,81 @@ def conjugation_rate(rho: float) -> float:
     return decay_rate(rho) ** 2 if rho < 1.0 else 1.0
 
 
-class RowTails:
-    """Coefficient tails of several rows at one decay rate ``q``.
+def _tails(entries, steps, q: float, J) -> np.ndarray:
+    """``|row[J]| q^J s q / (1 - s q)`` for the entries ``row[J]`` at the
+    cuts ``J`` (a 1-d array) and the step bounds ``s`` past them: ``inf``
+    where ``s q >= 1`` or the entry is not finite, and 0 at a zero entry
+    under a finite step."""
+    sq = np.broadcast_to(np.asarray(steps) * q, entries.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tails = np.abs(entries) * np.power(q, J) * sq / (1.0 - sq)
+    tails[~(sq < 1.0) | np.isnan(tails)] = np.inf
+    tails[(entries == 0.0) & (sq < 1.0)] = 0.0
+    return tails
 
-    ``cap`` is the last index stored in every row, and ``steps`` bounds
-    ``|row_i[j+1] / row_i[j]|`` for ``j >= cap`` (one per row, or one for
-    all).  For a cut ``J <= cap``, ``tails[i, J]`` bounds
-    ``sum_{j > J} |row_i[j]| q^j``: the stored suffix sum plus
-    ``|row_i[cap]| q^cap s q / (1 - s q)`` (``inf`` when ``s q >= 1``).
-    ``K * worst[J]`` bounds every row's tail at once.
-    """
 
-    def __init__(self, rows, q: float, steps):
-        self.cap = cap = min(len(r) for r in rows) - 1
-        self.q = q
-        damped = np.array([r[:cap + 1] for r in rows], dtype=float)
-        # in place: a fresh temporary this size costs more in page faults
-        np.multiply(np.abs(damped, out=damped),
-                    np.power(q, np.arange(cap + 1)), out=damped)
-        self.steps = np.broadcast_to(np.asarray(steps, dtype=float),
-                                     len(damped))
-        sq = self.steps * q
-        qcap = np.power(q, cap)
-        last = np.abs([r[cap] for r in rows]) * qcap
-        ok = sq < 1.0
-        beyond = np.full(len(damped), np.inf)
-        beyond[ok] = last[ok] * sq[ok] / (1.0 - sq[ok])
-        beyond[last == 0.0] = 0.0
-        #: the rows whose tail past the table no geometric step bounds
-        self.unbounded = beyond == np.inf
-        # the stored suffix sums past J, 0 at J = cap
-        self.tails = tails = np.empty((len(damped), cap + 1))
-        tails[:, cap] = beyond
-        if cap:
-            np.cumsum(damped[:, :0:-1], axis=1, out=tails[:, cap - 1::-1])
-            tails[:, :cap] += beyond[:, None]
-        self.worst = tails.max(axis=0)
+def _reach(bound: float, q: float, tol: float, j: int) -> int:
+    """Half again the index where ``bound``, a tail bound at ``j``, would
+    meet ``tol`` if it fell by ``q`` a term; ``j`` when that says nothing.
+    The rows grow the bound by their entries and steps, so that index
+    falls short of the cut."""
+    if not (0.0 < tol < bound < math.inf and 0.0 < q < 1.0):
+        return j
+    return math.ceil(1.5 * (j + math.log(tol / bound) / math.log(q)))
 
-    def check(self, K: float, J: int, tol: float, context: str):
-        """Raise ConvergenceError, naming ``context``, unless
-        ``K * worst[J] <= tol``, with the bound 0 at ``K = 0`` (no term).
-        An infinite bound names its cause: at ``q >= 1`` the rate, which no
-        table length makes bound a tail, and at ``q < 1`` the largest step
-        past the table whose product with ``q`` is at least 1 (a custom
-        weight keeps its last ratio there, so no longer table lowers it).
-        Only a finite bound is told to increase the weight truncation."""
-        bound = K * self.worst[J] if K else 0.0
-        if bound == np.inf and self.q >= 1.0:
-            raise ConvergenceError(
-                f"{context}: tail bound inf > tol {tol:.3e}: the decay rate "
-                f"q = {self.q:.6g} >= 1 bounds no tail, whatever the weight "
-                "truncation")
-        if bound == np.inf and self.unbounded.any():
-            s = float(self.steps[self.unbounded].max())
-            raise ConvergenceError(
-                f"{context}: tail bound inf > tol {tol:.3e} after {J + 1} "
-                f"stored terms: a row's step bound past the table, {s:.6g}, "
-                f"times the decay rate q = {self.q:.6g} is "
-                f"{s * self.q:.6g} >= 1")
-        if not bound <= tol:
-            raise ConvergenceError(
-                f"{context}: tail bound {bound:.3e} > tol "
-                f"{tol:.3e} after {J + 1} stored terms; increase the weight "
-                "truncation")
 
-    def cut(self, K: float, tol: float, context: str) -> int:
-        """The first ``J >= 4`` with ``K * worst[J] <= tol`` for a certified
-        constant ``K``; ``cap`` when none is and the bound there holds."""
-        hit = np.flatnonzero(K * self.worst[_MIN_J:] <= tol)
-        J = _MIN_J + int(hit[0]) if hit.size else self.cap
-        self.check(K, J, tol, context)
-        return J
+def cut(rows, steps, q: float, K: float, tol: float, context: str,
+        start: int = 0):
+    """The first ``J >= 4`` at which ``K`` times every row's tail is at most
+    ``tol`` (the bound 0 at ``K = 0``), with the rows read to it, as a
+    ``(r, J + 1)`` array, and their bounds there.
+
+    ``rows(n)`` gives the entries ``0..n`` of ``r`` rows and ``steps(J)``
+    their step bounds past the cuts ``J`` (a 1-d array), broadcastable to
+    ``(r, len(J))``, and must not increase with ``J``.  The rows are read
+    in windows, each ending where the last bound (``K`` at ``J = 0``)
+    would meet ``tol`` falling by ``q`` a term (``_reach``): the first at
+    least at ``start`` and 8, every later one 1.25 to 2 times as long as the
+    one before; the cut does not depend on them.  ConvergenceError, naming
+    ``context``, ``q`` and the budget, when none holds by ``_BUDGET``, and
+    at once when a row's step there times ``q`` is at least 1."""
+    # the steps do not increase with J: one that bounds no tail at the
+    # budget bounds none before it
+    s = float(np.max(steps(np.array([_BUDGET]))))
+    if K and not s * q < 1.0:
+        raise ConvergenceError(
+            f"{context}: tail bound inf > tol {tol:.3e}: a row's step bound "
+            f"{s:.6g} at the term budget J = {_BUDGET} times the decay rate "
+            f"q = {q:.6g} is {s * q:.6g} >= 1")
+    lo, hi = _MIN_J, min(max(start, 8, _reach(K, q, tol, 0)), _BUDGET)
+    while True:
+        R = rows(hi)
+        J = np.arange(lo, hi + 1)
+        tails = K * _tails(R[:, lo:], steps(J), q, J) if K \
+            else np.zeros((len(R), len(J)))
+        worst = tails.max(axis=0)
+        hit = np.flatnonzero(worst <= tol)
+        if hit.size:
+            i = int(hit[0])
+            return lo + i, R[:, :lo + i + 1], list(tails[:, i])
+        if hi == _BUDGET:
+            break
+        lo, hi = hi + 1, min(max(_reach(worst[-1], q, tol, hi),
+                                 hi + hi // 4), 2 * hi, _BUDGET)
+    raise ConvergenceError(
+        f"{context}: tail bound {worst[-1]:.3e} > tol {tol:.3e} at the term "
+        f"budget J = {_BUDGET}, at the decay rate q = {q:.6g}")
 
 
 @dataclass
 class SeriesRecord:
     """One truncated series: the stored terms ``T_0..T_J`` as one
-    ``(J + 1, n, n)`` array, the cut ``J``, the certified transient
-    constant ``K`` and, per row, the tail bound ``K * RowTails.tails[i, J]``
-    past ``J``."""
+    ``(J + 1, n, n)`` array, the rows cut at ``J`` as one ``(r, J + 1)``
+    array, the cut ``J``, the certified transient constant ``K`` and, per
+    row, the tail bound past ``J`` (``cut``)."""
 
     terms: np.ndarray
+    rows: np.ndarray
     J: int
     K: float
     tails: list
@@ -167,47 +169,42 @@ def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
                  left: np.ndarray | None = None) -> SeriesRecord:
     """Generate ``T_0 = first``, ``T_{j+1} = left @ T_j @ right`` (no left
     factor when ``left`` is None) up to the first cut where every row's
-    tail bound is at most ``tol``; ``steps`` bound the rows past the table
-    (RowTails).
+    tail bound is at most ``tol``; ``rows`` and ``steps`` are functions of
+    the length and the cuts, as for ``cut``.
 
     The matrices must be complex.  The decay rate ``q`` is certified on
     the squares of ``left`` and ``right`` before the cut is chosen (see the
-    module docstring).  Raises ConvergenceError, naming ``context``, when
-    no span up to the first power of two past the table certifies ``q``
-    or the shortest row runs out before the bound holds.
+    module docstring).  Raises ConvergenceError, naming ``context``, ``q``
+    and the budget, when no span within ``_BUDGET`` certifies ``q`` or no
+    cut within it meets ``tol``.
     """
-    tails = RowTails(rows, q, steps)
-    cap, n = tails.cap, first.shape[0]
-    size = 1 << cap.bit_length()  # the first power of two past the table
-    try:
-        tails.check(_fro(first), cap, tol, context)  # K >= ||T_0||
-        zero = 0
-    except ConvergenceError:
-        # unless the sum is finite: a term with every entry 0 comes by T_n,
-        # and past T_0 only for a singular A
-        if np.linalg.det(right) != 0.0:
-            raise
-        zero = min(n, cap)
-    terms = np.empty((size, n, n), dtype=complex)
+    L, R, m = left, right, 1  # L^m and R^m
+    # squares that overflow certify nothing: NaN and inf fail the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not _fro(R) * (1.0 if L is None else _fro(L)) <= q ** m:
+            if m == _BUDGET:
+                raise ConvergenceError(
+                    f"{context}: decay rate q = {q:.6g} is not certified "
+                    f"by ||A^{m}|| within the term budget J = {_BUDGET}")
+            L, R = (None if L is None else L @ L), R @ R
+            m *= 2
+    terms = np.empty((m,) + first.shape, dtype=complex)
     terms[0] = first
-    L, R, m = left, right, 1  # T_0..T_{m-1} are made; L^m and R^m
-    while m <= zero or _fro(R) * (1.0 if L is None else _fro(L)) > q ** m:
-        if m == size:
-            raise ConvergenceError(f"{context}: decay rate q = {q:.6g} is "
-                                   f"not certified by ||A^{m}|| within "
-                                   f"{cap + 1} stored terms")
-        _extend(terms, m, 2 * m, left, right)
-        L, R = (None if L is None else L @ L), R @ R
-        m *= 2
+    _extend(terms, 1, m, left, right)
     # T_{j+1} = L T_j R, so past a term whose entries are all 0 every term is
-    live = terms[:m].reshape(m, -1).any(axis=1)
+    live = terms.reshape(m, -1).any(axis=1)
     span = m if live.all() else int(np.argmin(live))
     flat = terms[:span].reshape(span, -1).view(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         K = float(np.max(np.sqrt(np.einsum("ij,ij->i", flat, flat))
                          / np.power(q, np.arange(span)), initial=0.0))
-    if span < m and span <= cap:
-        return SeriesRecord(terms[:span + 1], span, K, [0.0] * len(rows))
-    J = tails.cut(K, tol, context)
-    _extend(terms, m, J + 1, left, right)  # the terms past the span
-    return SeriesRecord(terms[:J + 1], J, K, list(K * tails.tails[:, J]))
+    if span < m:
+        coefs = rows(span)
+        return SeriesRecord(terms[:span + 1], coefs, span, K,
+                            [0.0] * len(coefs))
+    J, coefs, tails = cut(rows, steps, q, K, tol, context, start=m)
+    if J >= m:  # the terms past the span
+        terms = np.concatenate([terms, np.empty((J + 1 - m,) + first.shape,
+                                                dtype=complex)])
+        _extend(terms, m, J + 1, left, right)
+    return SeriesRecord(terms[:J + 1], coefs, J, K, tails)

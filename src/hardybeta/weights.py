@@ -3,8 +3,10 @@
 A weight sequence ``beta_0, beta_1, ...`` is admissible when ``beta_0 = 1``
 and ``1 <= beta_j / beta_{j+1} <= M`` for some ``M >= 1``, so the weights are
 positive and non-increasing with a bounded step-down ratio.  A weight
-stores its tables up to a length (default 256), read by the series engine
-and the reports:
+stores its tables up to a length (default 256).  For hardy and
+``beta_alpha`` that length is read by the reports alone (the ``weights``
+report lists the tables, and every report names the length); a custom
+weight's table is its definition:
 
 * ``inv_betas``     reciprocals ``1 / beta_j``, the Taylor coefficients of
   the generating function ``R(z) = sum 1/beta_j z^j``,
@@ -19,18 +21,23 @@ Hardy and ``beta_alpha`` are fixed by ``R`` itself, so they answer at every
 index: past the stored table they build their tables again at a longer
 length, whose prefix is the stored table bit for bit, and keep them.  A
 custom weight's entries are its table, and an index past it is refused by
-name; past the table it enters only through its last ratio, below.  Every
-read of an entry outside the series takes ``WeightSequence._entries``.
+name (TruncationError, raised here alone); past the table it enters only
+through its last ratio, below.  Every read of an entry takes
+``WeightSequence._entries``, except the series' rows of a custom weight,
+which go on past its table (``inv_rows``).
 
 A custom weight continues past its table ``beta_0 .. beta_N`` at its last
 ratio ``s = beta_{N-1} / beta_N`` (``make_weight_custom``), so
 ``1/R = (1 - s z) / P(z)`` exactly, with ``P = (1 - s z) R`` a polynomial
 of degree below ``N``, and every shifted ``R_k`` is ``P_k / (1 - s z)``
 with ``P_k = (1 - s z) R_k`` of degree below ``N - k`` (``rational_rows``):
-its hereditary maps need no tail.  Each weight knows the tails of the
-series that remain: step bounds on ``|row[j+1] / row[j]|`` past a cut
-(``inv_step``; ``c_step`` for hardy and ``beta_alpha``) and the Wiener
-report of ``c``, with the rule of its verdict.  None of them is estimated.
+its hereditary maps need no tail.  Its rows ``1/beta_{k+j}`` go on past the
+table by that definition, ``1/beta_{N+j} = s^j / beta_N`` (``inv_rows``),
+which the series reads.  Each weight knows the tails of the series that
+remain: step bounds on ``|row[j+1] / row[j]|`` past a cut, whatever the
+stored length (``inv_step``; ``c_step`` for hardy and ``beta_alpha``),
+and the Wiener report of ``c``, with the rule of its verdict.  None of
+them is estimated.
 
 Instances are immutable after construction and safe for concurrent reads;
 the longer tables of hardy and ``beta_alpha``, the stacked rows of the
@@ -108,6 +115,7 @@ class WeightSequence:
         self.inv_betas = 1.0 / self.betas
         self._long = (self.betas, self.inv_betas, self.c_coeffs)
         r = self.betas[:-1] / self.betas[1:] if self.trunc_len else np.ones(1)
+        #: the largest ratio from each index on: a custom weight's steps
         self.inv_steps = np.maximum.accumulate(r[::-1])[::-1]
         #: ``s = beta_{N-1} / beta_N``, at which a custom weight continues
         #: past its table (1 for a one-entry table)
@@ -139,26 +147,35 @@ class WeightSequence:
         betas, inv_betas, c = tables
         return betas[i], inv_betas[i], c[i]
 
-    def inv_step(self, m: int) -> float:
-        """A bound on ``beta_i / beta_{i+1}`` for every ``i >= m``: the step
-        of the rows ``1/beta_{k+j}`` cut at ``k + j = m``.  The ratio is 1
-        for hardy, decreasing for ``beta_alpha``, and a custom weight
-        continues at its last ratio by definition."""
-        return float(self.inv_steps[min(m, len(self.inv_steps) - 1)])
+    def inv_step(self, m):
+        """A bound on ``beta_i / beta_{i+1}`` for every ``i >= m``, at an
+        index or an index array ``m``: the step of the rows
+        ``1/beta_{k+j}`` past ``k + j = m``, whatever the stored length.
+        Hardy steps by 1 and ``beta_alpha`` by ``(alpha + i)/(i + 1)``,
+        which decreases, so its value at ``m`` bounds the rest; a custom
+        weight takes its largest ratio from ``m`` on, and its last ratio
+        past the table, where it continues at that ratio by definition
+        (``inv_rows``)."""
+        m = np.asarray(m)
+        if self.kind == "custom":
+            return self.inv_steps[np.minimum(m, len(self.inv_steps) - 1)]
+        alpha = self.alpha or 1.0
+        return (alpha + m) / (m + 1.0)
 
-    def c_step(self, m: int) -> float:
+    def c_step(self, m):
         """A bound on ``|row[j+1] / row[j]|`` for every ``j >= m`` of the
         ``c`` row and the quotient rows of hardy (``alpha = 1``) and
-        ``beta_alpha``: 1 once ``m >= floor(alpha)``, since
-        ``|c_{j+1}/c_j| = |j - alpha|/(j + 1) <= 1`` there and the
-        ``c_{j+l}`` in each ``d^(k)_j`` share one sign; ``inf`` before.  A
-        custom weight is refused: its maps take the rational form
-        (``rational_rows``) and need no step."""
+        ``beta_alpha``, at an index or an index array ``m``: 1 once
+        ``m >= floor(alpha)``, since ``|c_{j+1}/c_j| = |j - alpha|/(j + 1)
+        <= 1`` there and the ``c_{j+l}`` in each ``d^(k)_j`` share one
+        sign; ``inf`` before.  A custom weight is refused: its maps take the
+        rational form (``rational_rows``) and need no step."""
         if self.kind == "custom":
             raise InvalidParameterError(
                 "c_step has no bound for a custom weight: its hereditary "
                 "maps take the rational form (rational_rows)")
-        return 1.0 if m >= math.floor(self.alpha or 1.0) else math.inf
+        return np.where(np.asarray(m) >= math.floor(self.alpha or 1.0),
+                        1.0, np.inf)
 
     def __repr__(self):
         tag = f", alpha={self.alpha}" if self.alpha is not None else ""
@@ -305,6 +322,21 @@ def wiener_report(w: WeightSequence, n: int) -> WienerReport:
                             f"Schur-Cohn on P of degree {len(p) - 1}")
     tail = mags[n + 1:m + 1].sum() + mags[m] * abs(alpha - m) / alpha
     return WienerReport(partial, float(tail), "summable", "closed form")
+
+
+def inv_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
+    """``1/beta_{k+j}`` for ``j = 0..n``, one row per shift of ``ks``, at
+    every index: ``_entries`` for hardy and ``beta_alpha``, and for a custom
+    weight its table ``beta_0 .. beta_N``, continued past it by its
+    definition ``1/beta_{N+j} = s^j / beta_N`` (``s = last_ratio``; ``inf``
+    where that overflows).  The series reads its rows here."""
+    i = np.asarray(ks)[:, None] + np.arange(n + 1)
+    if w.kind != "custom":
+        return w._entries(i)[1]
+    N = w.trunc_len
+    with np.errstate(over="ignore"):
+        past = w.inv_betas[N] * w.last_ratio ** np.maximum(i - N, 0)
+    return np.where(i < N, w.inv_betas[np.minimum(i, N)], past)
 
 
 def shifted_resolvent_coeffs(w: WeightSequence, k: int, n: int) -> np.ndarray:

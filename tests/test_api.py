@@ -333,19 +333,17 @@ def test_table_read_check_sees_every_spelling():
     assert sorted(table_reads(source)) == ["f", "f", "g", "g"]
 
 
-def test_stored_tables_read_by_the_series_and_reports_alone():
-    # a weight is its R, not its table: outside weights.py only the
-    # series, which sums the stored rows, and the report writers read the
-    # table or its length; every other read takes WeightSequence._entries,
-    # which answers at every index for hardy and beta_alpha
+def test_stored_tables_read_by_the_reports_alone():
+    # a weight is its R, not its table: outside weights.py only the report
+    # writers read the table or its length; every other read, the series'
+    # rows included, takes WeightSequence._entries (through
+    # weights.inv_rows and hereditary_rows), which answers at every index
+    # for hardy and beta_alpha
     found = sorted(f"{path.stem}.{owner}" for path in sorted(SRC.glob("*.py"))
                    if path.stem != "weights"
                    for owner in table_reads(path.read_text()))
     assert found == sorted(
         ["cli._config_from_args"] + ["cli.cmd_weights"] * 3
-        + ["hereditary._series_cap"] * 2 + ["hereditary._stein_sums",
-                                            "hereditary._resolvent_table"]
-        + ["hereditary.resolvent_scalar"] * 2
         + ["serialize.weight_to_json"] * 2)
 
 

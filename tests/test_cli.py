@@ -433,6 +433,12 @@ class TestParser:
         ("kernels op.json --out-csv g.csv", "--out", "g.json"),
         ("verify", "--tol", "1e-6"), ("verify", "--k-max", "4"),
         ("verify", "--trunc", "768"),
+    ] + [
+        # the table length is read by the weights report alone
+        (command, flag, "64") for command in (
+            "analyze op.json", "colligate op.json", "charfn --t 0.5",
+            "kernels op.json --out-csv g.csv")
+        for flag in ("-n", "--trunc")
     ]
 
     @pytest.mark.parametrize("command,flag,value", REMOVED)

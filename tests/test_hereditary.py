@@ -684,7 +684,7 @@ class TestRationalForm:
         def entered(*args, **kwargs):
             raise AssertionError("a custom weight's map entered the series")
         monkeypatch.setattr(series, "adaptive_sum", entered)
-        monkeypatch.setattr(series, "RowTails", entered)
+        monkeypatch.setattr(series, "cut", entered)
         w = series_copy(hb.make_weight_beta_alpha(2.0, 256))
         A, X = self._inputs("jordan")
         assert hb.gamma_map(w, A, X).shape == (3, 3)
@@ -965,7 +965,7 @@ def no_series(monkeypatch):
         raise AssertionError("the series engine was entered")
 
     monkeypatch.setattr(series, "adaptive_sum", engine)
-    monkeypatch.setattr(series, "RowTails", engine)
+    monkeypatch.setattr(series, "cut", engine)
 
 
 class TestOneRoute:
@@ -1221,18 +1221,31 @@ class TestRefusals:
                                       np.broadcast_to(np.diag([0, 1]),
                                                       (3, 2, 2)))
 
+    @staticmethod
+    def _continued(w, k, x):
+        """``R_k(x)`` of the custom weight ``w``, continued past its table
+        at its last ratio, at 30 digits."""
+        with mpmath.workdps(30):
+            return float(continued_R(w.betas)(k, mpmath.mpf(x)))
+
     @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2", "w_beta25"])
     def test_resolvent_shift_past_table(self, request, weight):
-        # answered on the closed forms and the spectral route; the series
-        # reads only the stored table, and refuses a shift past it
+        # answered on the closed forms and the spectral route, with a longer
+        # table's bits; the series reads a custom weight past its table by
+        # its definition, the last ratio
         w = request.getfixturevalue(weight)
         np.testing.assert_array_equal(
             hb.resolvents(w, [0, 257], self.A2, 0.5),
             hb.resolvents(long_copy(w), [0, 257], self.A2, 0.5))
-        with pytest.raises(hb.TruncationError, match="^" + re.escape(
-                "the series needs the stored table to index 257, and the "
-                "weight stores beta_0..beta_256") + "$"):
-            hb.resolvents(series_copy(w), [0, 257], self.A2, 0.5)
+        custom = series_copy(w)
+        got = hb.resolvents(custom, [0, 257], self.A2, 0.5)
+        for R, k in zip(got, [0, 257]):
+            # f(0.5 A2) for the triangular A2: f at 0.15 and 0.1, and
+            # 0.05 times their divided difference
+            f = [self._continued(custom, k, x) for x in (0.15, 0.1)]
+            np.testing.assert_allclose(
+                R, [[f[0], f[0] - f[1]], [0.0, f[1]]], rtol=1e-13,
+                atol=1e-13 * f[0])
 
     @pytest.mark.parametrize("weight", ["w_beta2", "w_beta25"])
     def test_resolvents_need_a_shift(self, request, weight):
@@ -1254,25 +1267,30 @@ class TestRefusals:
             hb.resolvent_scalar(w_beta25, 0, [0.5, 1.0])
         assert hb.resolvent_scalar(w_beta25, 257, 0.5) \
             == hb.resolvent_scalar(long_copy(w_beta25), 257, 0.5)
-        with pytest.raises(hb.TruncationError, match="^" + re.escape(
-                "the series needs the stored table to index 257, and the "
-                "weight stores beta_0..beta_256") + "$"):
-            hb.resolvent_scalar(series_copy(w_beta25), 257, 0.5)
+        # the series reads the custom row past the table at its last ratio
+        custom = series_copy(w_beta25)
+        assert hb.resolvent_scalar(custom, 257, 0.5) == pytest.approx(
+            self._continued(custom, 257, 0.5), rel=1e-13)
 
-    def test_series_gramian_needs_four_terms(self, w_beta2):
-        # the closed form answers at any shift; the series needs 4 stored
-        # terms past it
+    def test_series_gramian_past_the_table_answered(self, w_beta2):
+        # the closed form answers at any shift; the series reads a custom
+        # row past its table at the last ratio, however few entries the
+        # table leaves past the shift
         pair = hb.OutputPair(A=self.A2, C=np.eye(2))
         np.testing.assert_array_equal(
             hb.gramian(w_beta2, 253, pair),
             hb.gramian(long_copy(w_beta2), 253, pair))
-        # 4 terms pass the table's check, and are too few for the tail
-        with pytest.raises(hb.ConvergenceError, match="after 5 stored terms"):
-            hb.gramian(series_copy(w_beta2), 252, pair)
-        with pytest.raises(hb.TruncationError, match="^" + re.escape(
-                "the series needs the stored table to index 257, and the "
-                "weight stores beta_0..beta_256") + "$"):
-            hb.gramian(series_copy(w_beta2), 253, pair)
+        custom = series_copy(w_beta2)
+        # A2 = V diag(d) V^-1, so G^(k) = V^-* (F o (V* V)) V^-1 with
+        # F_ij = R_k(d_i d_j)
+        d, V = np.linalg.eig(self.A2)
+        Vi = np.linalg.inv(V)
+        for k in (252, 253, 257):
+            F = np.array([[self._continued(custom, k, x * y) for y in d]
+                          for x in d])
+            exact = Vi.T @ (F * (V.T @ V)) @ Vi
+            np.testing.assert_allclose(hb.gramian(custom, k, pair), exact,
+                                       rtol=1e-12, atol=0)
 
     def test_observability_past_table(self, w_beta2):
         pair = hb.OutputPair(A=self.A2, C=np.eye(2))

@@ -7,6 +7,7 @@ import pytest
 import hardybeta as hb
 from conftest import cmat, hypercontraction_T, stable_pair
 from hardybeta import model as mod
+from hardybeta import series
 from hardybeta.model import defect_form_family
 
 
@@ -129,14 +130,25 @@ class TestCharacteristicFamily:
                                      self.T_SLOW, k_max=6)
         assert calls == [list(range(1, 28)), [54]]
 
-    def test_deep_term_past_the_series_table_is_refused_by_the_series(self):
+    def test_deep_term_past_the_ladder_is_answered_by_the_series(
+            self, monkeypatch):
         # beta_2.5 at 256 entries: the deep term at rho = 0.99 falls past
-        # the quadrature's ladder to the series, which refuses for its table
-        # (ROADMAP items 35 and 7), never as "not strongly stable"
-        with pytest.raises(hb.TruncationError,
-                           match="^the series needs the stored table"):
-            hb.characteristic_family(hb.make_weight_beta_alpha(2.5, 256),
-                                     [[0.99]])
+        # the quadrature's ladder to the series, which reads the weight
+        # past its table: the verdict and its residual are those of a
+        # 2,048-entry table, bit for bit
+        entered = []
+        real = series.adaptive_sum
+
+        def spy(*args, **kwargs):
+            entered.append(kwargs.get("left") is not None)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(series, "adaptive_sum", spy)
+        got, ref = (hb.characteristic_family(
+            hb.make_weight_beta_alpha(2.5, n), [[0.99]]).classification
+            for n in (256, 2048))
+        assert entered and all(entered)
+        assert got.strongly_stable_beta
+        assert got.residuals == ref.residuals
 
     @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2"])
     def test_no_stack_deeper_than_248(self, weight, request, monkeypatch):
@@ -221,14 +233,16 @@ class TestCharacteristicFamily:
         for w in ("w_hardy", "w_beta2", "w_beta3")
         for n, r in ((4, 0.97), (4, 0.99), (8, 0.97), (8, 0.99),
                      (1, 0.99), (1, 0.995), (1, 0.999))] + [
-        pytest.param("w_beta25", n, 0.97, id=f"w_beta25-n{n}-r0.97")
-        for n in (4, 8)])
+        pytest.param("w_beta25", n, r, id=f"w_beta25-n{n}-r{r}")
+        for n, r in ((4, 0.97), (4, 0.99), (8, 0.97), (8, 0.99),
+                     (1, 0.99), (1, 0.995))])
     def test_strongly_stable_near_the_circle_answered(self, weight, n, r,
                                                       request):
         # rho(T) < 1: T* is strongly stable for every weight, and its
         # characteristic family exists; T = r U, or the scalar T = r, is
         # answered up to the domain's edge on hardy and integer alpha, and
-        # beta_2.5 at 0.97 (past it, its deep term falls to the series)
+        # on beta_2.5 up to 0.995, where its deep term falls past the
+        # quadrature's ladder to the series
         T = self.near_unitary(n, r) if n > 1 else [[r]]
         char = hb.characteristic_family(request.getfixturevalue(weight), T,
                                         k_max=2)

@@ -1,18 +1,24 @@
 """The series engine: where a series is cut, what its tail bound covers, and
-how a too-short weight table is reported."""
+how a sum that its term budget cannot reach is refused."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 import hardybeta as hb
 from hardybeta import hereditary as her
-from hardybeta import series
-from conftest import mp_maps, off_route, series_copy
+from hardybeta import series, spectral
+from hardybeta.weights import inv_rows
+from conftest import continued_R, mp_maps, off_route, series_copy
 
 #: diagonal (normal) operator: ||A^j|| = rho^j, so the observed transient
 #: constant is a true bound and the closed forms below are exact
 DIAG = np.diag([0.9, -0.5 + 0.3j, 0.2j])
+
+BUDGET = series._BUDGET
 
 
 def _weight(kind):
@@ -22,6 +28,14 @@ def _weight(kind):
     if kind == "hardy":
         return series_copy(hb.make_weight_hardy(256)), 1
     return series_copy(hb.make_weight_beta_alpha(2.0, 256)), 2
+
+
+def _shifted(w, ks):
+    """The rows ``1/beta_{k+j}`` of the shifts ``ks`` and their steps, as
+    the functions of the length and the cuts that the engine reads."""
+    ks = np.asarray(ks)
+    return (lambda n: inv_rows(w, ks, n),
+            lambda J: w.inv_step(ks[:, None] + J))
 
 
 def _span(right, q, left=None):
@@ -37,26 +51,42 @@ def _span(right, q, left=None):
     return m
 
 
-def _reference(first, right, rows, q, steps, tol, left=None):
-    """The certified rule as a plain per-term loop: ``T_{j+1} = left T_j
-    right``, ``K`` the maximum of ``||T_s|| / q^s`` over the span ``s < m``,
-    and the cut the first ``j >= 4`` with ``K * worst[j] <= tol``; a term
-    with every entry 0 inside the span ends the series.  Returns (terms, K,
-    ended by a zero term), or (terms, K, None) when the table runs out."""
-    worst = series.RowTails(rows, q, steps).worst
+def _one_term(entry, s, q, j):
+    """``|entry| q^j s q / (1 - s q)`` as a plain expression: ``inf`` at
+    ``s q >= 1`` and 0 at a zero entry under a finite step."""
+    sq = s * q
+    if not sq < 1.0:
+        return math.inf
+    return 0.0 if entry == 0.0 else abs(entry) * q ** j * sq / (1.0 - sq)
+
+
+def _reference(first, right, rows, steps, q, tol, left=None, length=8192):
+    """The certified rule as a plain per-term loop over rows read once at
+    ``length``: ``T_{j+1} = left T_j right``, ``K`` the maximum of
+    ``||T_s|| / q^s`` over the span ``s < m``, and the cut the first
+    ``j >= 4`` with ``K max_i |row_i[j]| q^j s_i q / (1 - s_i q) <= tol``;
+    a term with every entry 0 inside the span ends the series.  Returns
+    (terms, K, ended by a zero term)."""
     m = _span(right, q, left)
+    R = rows(length)
+    S = np.broadcast_to(steps(np.arange(length + 1)), R.shape)
     terms = [first]
-    while len(terms) < max(m, len(worst)):
+    while len(terms) < m:
         T = terms[-1]
         terms.append((T if left is None else left @ T) @ right)
     K = max(np.linalg.norm(terms[s]) / q ** s for s in range(m))
     for s in range(m):
         if not terms[s].any():
             return terms[:s + 1], K, True
-    for j in range(4, len(worst)):
-        if K * worst[j] <= tol:
-            return terms[:j + 1], K, False
-    return terms[:len(worst)], K, None
+    j = 4
+    while K * max(_one_term(R[i, j], S[i, j], q, j)
+                  for i in range(len(R))) > tol:
+        j += 1
+        assert j < length
+    while len(terms) <= j:
+        T = terms[-1]
+        terms.append((T if left is None else left @ T) @ right)
+    return terms[:j + 1], K, False
 
 
 def _normal(rng, n, rho):
@@ -76,6 +106,14 @@ def _nonnormal(rng, n, rho):
 _JORDAN = 0.9 * np.eye(8) + np.diag(np.ones(7), 1)
 
 
+def _hardy_rows(w):
+    """The ``c`` and ``1/beta`` rows of hardy with their steps."""
+    def rows(n):
+        _, inv, c = w._entries(np.arange(n + 1))
+        return np.vstack([c, inv])
+    return rows, lambda J: np.vstack([w.c_step(J), w.inv_step(J)])
+
+
 class TestBlocksMatchTermByTerm:
     """The engine makes the terms of a term-by-term loop, bit for bit, and
     cuts where it cuts."""
@@ -92,106 +130,136 @@ class TestBlocksMatchTermByTerm:
                  "jordan": lambda: _JORDAN}[make]().astype(complex)
             rho = hb.spectral_radius(A)
             if form == "powers":
-                args = (np.eye(n, dtype=complex), A, [w.inv_betas],
-                        series.decay_rate(rho), w.inv_step(w.trunc_len))
-                left = None
+                first, q, ks, left = (np.eye(n, dtype=complex),
+                                      series.decay_rate(rho), [0], None)
             else:
                 C = rng.standard_normal((2, n)) + 0j
-                rows = [w.inv_betas[k:k + 2000] for k in range(3)]
-                args = (C.conj().T @ C, A, rows, series.conjugation_rate(rho),
-                        [w.inv_step(k + 1999) for k in range(3)])
-                left = A.conj().T
+                first, q, ks, left = (C.conj().T @ C,
+                                      series.conjugation_rate(rho),
+                                      range(3), A.conj().T)
+            rows, steps = _shifted(w, ks)
             for tol in (1e-4, 1e-10):
-                ref, K, zero = _reference(*args, tol, left=left)
+                ref, K, zero = _reference(first, A, rows, steps, q, tol,
+                                          left=left)
                 assert zero is False
-                rec = series.adaptive_sum(*args, tol, "test", left=left)
+                rec = series.adaptive_sum(first, A, rows, q, steps, tol,
+                                          "test", left=left)
                 assert rec.J == len(ref) - 1
                 assert rec.K == pytest.approx(K, rel=1e-13)
                 np.testing.assert_array_equal(rec.terms, np.stack(ref))
+                np.testing.assert_array_equal(rec.rows, rows(rec.J))
 
     @pytest.mark.parametrize("index", [3, 5])
     def test_zero_term_inside_block_ends_series(self, w_hardy, index):
         # A^index = 0 exactly, so the certified span is m = 4 (index 3) or
         # 8 (index 5), and the zero term sits inside it: the sum is finite
         A = np.diag(np.ones(index - 1), 1).astype(complex)
-        args = (np.eye(index, dtype=complex), A, [w_hardy.c_coeffs,
-                                                  w_hardy.inv_betas],
-                series.conjugation_rate(0.0),
-                [w_hardy.c_step(256), w_hardy.inv_step(256)])
+        rows, steps = _hardy_rows(w_hardy)
+        args = (np.eye(index, dtype=complex), A, rows, steps,
+                series.conjugation_rate(0.0))
         ref, K, zero = _reference(*args, 1e-10, left=A.conj().T)
         assert zero is True and len(ref) == index + 1
-        assert _span(A, args[3], A.conj().T) == {3: 4, 5: 8}[index]
-        rec = series.adaptive_sum(*args, 1e-10, "test", left=A.conj().T)
+        assert _span(A, args[4], A.conj().T) == {3: 4, 5: 8}[index]
+        rec = series.adaptive_sum(args[0], A, rows, args[4], steps, 1e-10,
+                                  "test", left=A.conj().T)
         assert rec.J == index
         assert rec.K == K
         assert rec.tails == [0.0, 0.0]
         assert rec.terms.shape == (index + 1, index, index)
+        assert rec.rows.shape == (2, index + 1)
         assert not rec.terms[-1].any()
 
     def test_record_holds_exactly_the_cut(self, w_hardy):
         A = np.diag([0.7, 0.5j]).astype(complex)
-        args = (np.eye(2, dtype=complex), A, [w_hardy.inv_betas],
-                series.decay_rate(0.7), w_hardy.inv_step(256))
-        rec = series.adaptive_sum(*args, 1e-6, "test")
+        rows, steps = _shifted(w_hardy, [0])
+        args = (np.eye(2, dtype=complex), A, rows, steps,
+                series.decay_rate(0.7))
+        rec = series.adaptive_sum(args[0], A, rows, args[4], steps, 1e-6,
+                                  "test")
         ref = _reference(*args, 1e-6)[0]
         J = rec.J
         assert J & (J + 1) and J & (J - 1)  # neither J nor J + 1 a power of 2
         assert isinstance(rec.terms, np.ndarray)
         assert rec.terms.shape == (J + 1, 2, 2) == (len(ref), 2, 2)
+        assert rec.rows.shape == (1, J + 1)
+
+    @pytest.mark.parametrize("start", [0, 5, 64, 4096, BUDGET])
+    def test_cut_does_not_depend_on_the_windows(self, start):
+        # the windows the cut is looked for in only decide how far the rows
+        # are read: the first J whose bound holds is the same from any start
+        w = hb.make_weight_beta_alpha(2.5, 256)
+        rows, steps = _shifted(w, range(4))
+        for q, K, tol in ((0.5, 1.0, 1e-12), (0.99, 3.0, 1e-10),
+                          (0.995, 1e3, 1e-8)):
+            J, coefs, tails = series.cut(rows, steps, q, K, tol, "test",
+                                         start=start)
+            assert (J, tails) == series.cut(rows, steps, q, K, tol,
+                                            "test")[::2]
+            np.testing.assert_array_equal(coefs, rows(J))
+            # the first such J: the bound one index earlier is above tol
+            before = np.array([J - 1])
+            assert max(tails) <= tol < K * series._tails(
+                coefs[:, -2:-1], steps(before), q, before).max()
 
 
-class TestTooShortTable:
-    # hardy and integer alpha are closed form and beta_1.5 takes the
-    # spectral route; its table entered as a custom weight sums the series,
-    # and so do its maps past the spectral route's gate
+class TestBudget:
+    """Nothing refuses a sum for a stored table: a refusal names the caller,
+    the decay rate ``q`` and the term budget.  Hardy and integer alpha are
+    closed form and beta_1.5 takes the spectral route; its table entered
+    as a custom weight sums the series past the table at its last ratio,
+    and so do its maps past the spectral route's gate."""
+
+    W16 = hb.make_weight_beta_alpha(1.5, 16)
+
     def test_resolvent_apply_names_caller(self):
-        w = series_copy(hb.make_weight_beta_alpha(1.5, 16))
+        # the row steps by the last ratio 16.5/16 past the table, and at
+        # q = 0.985 that bounds no tail
+        w = series_copy(self.W16)
         with pytest.raises(hb.ConvergenceError, match="^resolvent_apply: "):
             hb.resolvent_apply(w, 0, 0.99 * np.eye(2), 0.99)
 
-    def test_resolvent_scalar_names_caller(self):
-        w = series_copy(hb.make_weight_beta_alpha(1.5, 16))
-        with pytest.raises(hb.ConvergenceError, match="^resolvent_scalar: "):
-            hb.resolvent_scalar(w, 0, 0.95)
+    def test_resolvent_scalar_past_the_table_answered(self):
+        # at x = 0.95 the last ratio times x is 0.98 < 1, and the row past
+        # the 16-entry table is the definition's
+        w = series_copy(self.W16)
+        with mpmath.workdps(30):
+            exact = float(continued_R(w.betas)(0, mpmath.mpf(0.95)))
+        assert hb.resolvent_scalar(w, 0, 0.95) == pytest.approx(
+            exact, rel=1e-13)
 
-    def test_gramian_table_names_caller(self):
-        # hardy and integer alpha take the Stein solve and beta_1.5 the
-        # spectral route; the beta_1.5 table as a custom weight sums a series
-        w = series_copy(hb.make_weight_beta_alpha(1.5, 16))
-        pair = hb.OutputPair(A=0.95 * np.eye(2), C=np.ones((1, 2)))
-        with pytest.raises(hb.ConvergenceError, match="^gramian_table: "):
-            hb.gramian_table(w, pair, 2)
+    def test_gramian_table_past_the_table_answered(self):
+        # G^(k) = C^* C R_k(0.95^2) for A = 0.95 I: the series reads the
+        # custom row past its 16 entries
+        w = series_copy(self.W16)
+        C = np.ones((1, 2))
+        tab = hb.gramian_table(w, hb.OutputPair(A=0.95 * np.eye(2), C=C), 2)
+        R = continued_R(w.betas)
+        for k in range(3):
+            with mpmath.workdps(30):
+                exact = float(R(k, mpmath.mpf(0.95) ** 2)) * (C.T @ C)
+            assert np.abs(tab[k] - exact).max() <= tab.tail_bounds[k] <= 1e-10
 
     def test_message_text(self):
-        # the whole message of a 16-term table, as the term-by-term engine
-        # wrote it; the gamma_map bound is the closed-form c step's (the
-        # trailing-ratio extrapolation it replaced gave inf here).  Every
-        # case is beta_1.5's, since hardy is closed form; its resolvent row,
-        # as a custom weight, steps by its last ratio 16.5/16 past the
-        # table, and at q = 0.985 that bounds no tail, so the message names
-        # the step and q and gives no advice: a custom weight keeps that
-        # step however long its table.  The gramian and the resolvent are
-        # the table's as a custom weight (the same rows and steps) and the
-        # map is the series that gamma_map takes past the spectral route's
-        # gate: the route answers all three inputs
-        w = hb.make_weight_beta_alpha(1.5, 16)
-        A = 0.95 * np.eye(2)
+        # the whole message of each refusal: a step that bounds no tail
+        # (the resolvent of a custom table past its last ratio), a bound
+        # still above tol at the budget (beta_2.5 at a point the
+        # quadrature's ladder does not reach) and a rate the budget does
+        # not certify (a Jordan block at 0.999)
+        w = hb.make_weight_beta_alpha(2.5, 256)
+        J6 = 0.999 * np.eye(6) + np.diag(np.ones(5), 1)
         cases = [
-            (lambda: hb.gramian_table(series_copy(w),
-                                      hb.OutputPair(A=A, C=np.ones((1, 2))),
-                                      2),
-             "gramian_table: tail bound 2.369e+02 > tol 1.000e-10 after 15 "
-             "stored terms; increase the weight truncation"),
-            (lambda: hb.resolvent_apply(series_copy(w), 0, 0.99 * np.eye(2),
-                                        0.99),
-             "resolvent_apply: tail bound inf > tol 1.000e-12 after 17 "
-             "stored terms: a row's step bound past the table, 1.03125, "
-             "times the decay rate q = 0.98505 is 1.01583 >= 1"),
-            (lambda: her._hereditary_sums(w, off_route(np.diag([0.95, 0.5])),
-                                          np.eye(2), np.arange(0), 1e-10,
-                                          "gamma_map", gamma=True),
-             "gamma_map: tail bound 5.656e-03 > tol 1.000e-10 after 17 stored "
-             "terms; increase the weight truncation"),
+            (lambda: hb.resolvent_apply(series_copy(self.W16), 0,
+                                        0.99 * np.eye(2), 0.99),
+             "resolvent_apply: tail bound inf > tol 1.000e-12: a row's step "
+             f"bound 1.03125 at the term budget J = {BUDGET} times the decay "
+             "rate q = 0.98505 is 1.01583 >= 1"),
+            (lambda: hb.resolvent_scalar(w, 1, 0.9999),
+             "resolvent_scalar: tail bound 3.106e+09 > tol 1.000e-12 at the "
+             f"term budget J = {BUDGET}, at the decay rate q = 0.9999"),
+            (lambda: hb.gramian_table(w, hb.OutputPair(A=J6, C=np.eye(1, 6)),
+                                      0),
+             "gramian_table: decay rate q = 0.999 is not certified by "
+             f"||A^{BUDGET}|| within the term budget J = {BUDGET}"),
         ]
         for call, text in cases:
             with pytest.raises(hb.ConvergenceError) as info:
@@ -199,46 +267,159 @@ class TestTooShortTable:
             assert str(info.value) == text
 
     def test_unbounded_step_names_the_step_and_rate(self):
-        # at q < 1 an infinite bound comes from a row whose step past the
-        # table times q is at least 1; a custom weight keeps its last ratio
-        # (65/64 for a beta_2 copy) there, so a longer table would not
-        # help, and the message gives no advice (ROADMAP prototype P8)
+        # at q < 1 an infinite bound comes from a row whose step times q is
+        # at least 1; a custom weight keeps its last ratio (65/64 for a
+        # beta_2 copy) past its table, by definition (ROADMAP prototype P8)
         w = hb.make_weight_custom(hb.make_weight_beta_alpha(2.0, 64).betas)
         pair = hb.OutputPair(A=np.diag([0.995, 0.3]), C=np.ones((1, 2)))
         with pytest.raises(hb.ConvergenceError) as info:
             hb.gramian_table(w, pair, 0)
         assert str(info.value) == (
-            "gramian_table: tail bound inf > tol 1.000e-10 after 65 stored "
-            "terms: a row's step bound past the table, 1.01562, times the "
-            "decay rate q = 0.995006 is 1.01055 >= 1")
+            "gramian_table: tail bound inf > tol 1.000e-10: a row's step "
+            f"bound 1.01562 at the term budget J = {BUDGET} times the decay "
+            "rate q = 0.995006 is 1.01055 >= 1")
 
     def test_unbounded_tail_names_the_rate(self):
         # a resolvent's rate |z| (1 + rho)/2 is below 1 on the disk, so
         # only a conjugation at rho(A) = 1 has q = 1: the c row of
-        # beta_1.5 has step bound 1 past the table, and no table length
-        # gives a bound (rho(A) = 1 fails the spectral route's gate)
+        # beta_1.5 has step bound 1 at every index, and no budget gives a
+        # bound (rho(A) = 1 fails the spectral route's gate); the text does
+        # not depend on the table
         for n in (16, 256):
             with pytest.raises(hb.ConvergenceError) as info:
                 hb.gamma_map(hb.make_weight_beta_alpha(1.5, n),
                              np.diag([1.0, 0.5]), np.diag([0.0, 1.0]), 1e-6)
             assert str(info.value) == (
-                "gamma_map: tail bound inf > tol 1.000e-06: the decay "
-                "rate q = 1 >= 1 bounds no tail, whatever the weight "
-                "truncation")
+                "gamma_map: tail bound inf > tol 1.000e-06: a row's step "
+                f"bound 1 at the term budget J = {BUDGET} times the decay "
+                "rate q = 1 is 1 >= 1")
 
     def test_uncertified_rate_names_q_and_m(self):
-        # a rotation keeps ||R^m||_F = sqrt(2) > 1 = q^m for every m; the
-        # row 2^-j goes on past its 64 entries at step 1/2, and its table
-        # holds a cut for ||T_0||, so the refusal is the certificate's, at
-        # the first power of two past the table
+        # a rotation keeps ||R^m||_F = sqrt(2) > 1 = q^m for every m, so
+        # the squares run to the budget, and no term past T_0 is made
         R = np.array([[0.6, -0.8], [0.8, 0.6]], dtype=complex)
         with pytest.raises(hb.ConvergenceError) as info:
             series.adaptive_sum(np.eye(2, dtype=complex), R,
-                                [0.5 ** np.arange(64)], 1.0, 0.5, 1e-10,
-                                "test")
+                                lambda n: 0.5 ** np.arange(n + 1)[None], 1.0,
+                                lambda J: 0.5, 1e-10, "test")
         assert str(info.value) == (
-            "test: decay rate q = 1 is not certified by ||A^64|| within 64 "
-            "stored terms")
+            f"test: decay rate q = 1 is not certified by ||A^{BUDGET}|| "
+            f"within the term budget J = {BUDGET}")
+
+
+def _p30(lam):
+    """The defective pair ``A = lam I_3 + 0.1 N``, ``C = ones(1, 3)``: it
+    fails the spectral route's gate, so beta_2.5 takes the series."""
+    A = lam * np.eye(3) + 0.1 * np.diag(np.ones(2), 1)
+    return hb.OutputPair(A=A, C=np.ones((1, 3)))
+
+
+def _ratio_one(n):
+    """A custom weight of ``n + 1`` entries: beta_2.5's first 65, then
+    constant.  Its last ratio is exactly 1, so every table length of it
+    defines the same weight."""
+    head = hb.make_weight_beta_alpha(2.5, 64).betas
+    return hb.make_weight_custom(np.concatenate(
+        [head, np.full(n - 64, head[-1])]))
+
+
+class TestTableIndependence:
+    """A series answer is the weight's, not its table's: every call that
+    sums the series gives the same bits on a 256- and a 2,048-entry table
+    of one weight."""
+
+    @staticmethod
+    def _same(call, make):
+        got, ref = (call(make(n)) for n in (256, 2048))
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+        return got
+
+    @pytest.mark.parametrize("lam", [0.9, 0.95, 0.99])
+    def test_gramian_table_and_classify_past_the_gate(self, lam):
+        pair = _p30(lam)
+        beta = lambda n: hb.make_weight_beta_alpha(2.5, n)  # noqa: E731
+        tab, bounds = self._same(lambda w: (
+            (t := hb.gramian_table(w, pair, 2)).entries,
+            list(t.tail_bounds.values()) + [t.trunc_order]), beta)
+        assert tab.shape == (3, 3, 3) and max(bounds[:3]) <= 1e-10
+        self._same(lambda w: list(hb.classify(w, pair, k_max=4)
+                                  .residuals.values()), beta)
+
+    def test_gamma_k_map_past_the_gate(self):
+        A = _p30(0.9).A
+        got = self._same(lambda w: [hb.gamma_k_map(w, [1, 2, 3], A,
+                                                   np.eye(3))],
+                         lambda n: hb.make_weight_beta_alpha(2.5, n))[0]
+        exact = mp_maps(hb.make_weight_beta_alpha(2.5, 2048).betas, A,
+                        np.eye(3), [1, 2, 3])
+        np.testing.assert_allclose(got, exact, rtol=0, atol=1e-9)
+
+    def test_resolvents_past_the_ladder(self):
+        # a shift of 3,000 needs more nodes than the quadrature's ladder
+        # holds at any point, and lies past both tables
+        A = np.diag([0.9, 0.3]) + np.diag([0.2], 1)
+        zs = np.array([0.9, 0.5j, -0.7 + 0.1j])
+        beta = lambda n: hb.make_weight_beta_alpha(2.5, n)  # noqa: E731
+        assert spectral.node_count(2.5, 0.81, 3001) is None
+        self._same(lambda w: [hb.resolvents(w, [3000, 3001], A, zs),
+                              hb.resolvent_scalar(w, 3000, zs)], beta)
+
+    def test_custom_copy(self):
+        # a custom weight past its table continues at its last ratio: here
+        # 1, so its 256- and 2,048-entry tables define one weight
+        pair = hb.OutputPair(A=np.diag([0.95, 0.5]) + np.diag([0.3], 1),
+                             C=np.ones((1, 2)))
+        self._same(lambda w: [hb.gramian_table(w, pair, 3).entries,
+                              hb.resolvents(w, [0, 300], pair.A, [0.9, 0.5j]),
+                              hb.resolvent_scalar(w, 300, [0.9, 0.5j])],
+                   _ratio_one)
+
+
+class TestAnsweredPastTheTable:
+    """Inputs whose series runs past the stored table, answered by the
+    weight past it."""
+
+    @pytest.mark.parametrize("lam", [0.9, 0.95, 0.99])
+    def test_p30_gramians_within_their_bounds(self, lam):
+        # the truth from 16,384 closed-form coefficients, past which the
+        # remainder is below 1e-40 at lam = 0.99
+        pair = _p30(lam)
+        tab = hb.gramian_table(hb.make_weight_beta_alpha(2.5), pair, 2)
+        inv = hb.make_weight_beta_alpha(2.5, 16386).inv_betas
+        A, T = pair.A, pair.CstarC.astype(complex)
+        exact = np.zeros((3, 3, 3), dtype=complex)
+        for j in range(16384):
+            exact += inv[j:j + 3, None, None] * T
+            T = A.T @ T @ A
+        for k in range(3):
+            err = np.linalg.norm(tab[k] - exact[k])
+            assert err <= tab.tail_bounds[k] \
+                + 1e-14 * np.linalg.norm(exact[k])
+
+    def test_item_21_classify(self):
+        # the custom beta_2 copy at 64 entries continues at 65/64: at
+        # x = 0.81 that steps below 1, and its rows are its definition
+        w = hb.make_weight_custom(hb.make_weight_beta_alpha(2.0, 64).betas)
+        pair = hb.OutputPair(A=np.diag([0.9, 0.3]), C=np.ones((1, 2)))
+        rep = hb.classify(w, pair)
+        assert rep.residuals["gramian_tail_bound"] <= 1e-8
+        R = continued_R(w.betas)
+        d = np.diag(pair.A).real
+        tab = hb.gramian_table(w, pair, 2)
+        for k in range(3):
+            with mpmath.workdps(30):
+                exact = np.array([[float(R(k, mpmath.mpf(x * y)))
+                                   for y in d] for x in d])
+            assert np.abs(tab[k] - exact).max() <= tab.tail_bounds[k] \
+                + 1e-14 * np.abs(exact).max()
+
+    def test_custom_scalar_gramian(self):
+        # the custom beta_2 copy at 256 entries: R(0.81) = 1/(1 - 0.81)^2
+        # up to a continuation below 1e-20
+        w = hb.make_weight_custom(hb.make_weight_beta_alpha(2.0, 256).betas)
+        G = hb.gramian_table(w, hb.OutputPair(A=[[0.9]], C=[[1.0]]), 0)[0]
+        assert G[0, 0].real == pytest.approx(1 / (1 - 0.81) ** 2, rel=1e-14)
 
 
 class TestTailCoversRemainder:
@@ -304,8 +485,8 @@ def test_nilpotent_gramian_has_zero_tail(w_beta2):
 
 
 def test_short_table_nilpotent_gramian_is_exact():
-    # a 13-entry table holds no cut even for ||T_0||, but A^3 = 0 makes
-    # the sum finite, and it is summed to its zero term
+    # past its 13 entries the custom table steps by its last ratio 13/12;
+    # A^3 = 0 makes the sum finite, and it is summed to its zero term
     w = hb.make_weight_custom(hb.make_weight_beta_alpha(2.0, 12).betas)
     A = np.diag([1.0, 1.0], 1)
     C = np.array([[1.0, 0.5, 0.25]])
@@ -315,7 +496,8 @@ def test_short_table_nilpotent_gramian_is_exact():
                                   @ np.linalg.matrix_power(A, j))
                 for j in range(3))
     np.testing.assert_allclose(tab[0], exact, atol=1e-15)
-    # a singular A whose terms never vanish is still refused
+    # a singular A whose terms never vanish is refused: 13/12 times the
+    # rate of rho = 0.95 bounds no tail
     with pytest.raises(hb.ConvergenceError, match="^gramian_table: tail "):
         hb.gramian_table(w, hb.OutputPair(A=np.diag([0.95, 0.0, 0.0]), C=C),
                          0)
@@ -403,6 +585,7 @@ def test_terms_obey_certified_constant(make, form):
     returned ``K``, ``m`` the certified span."""
     rng = np.random.default_rng(13)
     w = hb.make_weight_beta_alpha(2.5, 2048)
+    rows, steps = _shifted(w, [0])
     for _ in range(4):
         n = 8 if make == "jordan" else int(rng.integers(2, 7))
         A = {"normal": lambda: _normal(rng, n, 0.95),
@@ -416,8 +599,7 @@ def test_terms_obey_certified_constant(make, form):
             C = rng.standard_normal((2, n)) + 0j
             first, left, q = C.conj().T @ C, A.conj().T, \
                 series.conjugation_rate(rho)
-        rec = series.adaptive_sum(first, A, [w.inv_betas], q,
-                                  w.inv_step(w.trunc_len), 1e-4, "test",
+        rec = series.adaptive_sum(first, A, rows, q, steps, 1e-4, "test",
                                   left=left)
         T = first
         for j in range(4 * _span(A, q, left) + 1):
@@ -432,122 +614,92 @@ def _closed_form(alpha, n):
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0, 2.5])
 def test_row_tails_cover_remainder(alpha):
-    """Each row's tail bound, at cuts near the table end, covers the true
-    remainder taken from a 64 times longer closed-form table."""
+    """Each row's one-term bound, at cuts about the stored table's end and
+    past it, covers the true remainder taken from a 64 times longer
+    closed-form table."""
     N, K = 256, 6
     w, ref = _closed_form(alpha, N), _closed_form(alpha, 64 * N)
-    cap = N - K
-    quot, quot_ref = (hb.quotient_rows(v, range(1, K + 1), v.trunc_len - K)
-                      for v in (w, ref))
-    cases = [(w.c_coeffs, ref.c_coeffs, w.c_step(N)),
-             (w.c_coeffs[:cap + 1], ref.c_coeffs, w.c_step(cap))]
-    cases += [(d, d_ref, w.c_step(cap)) for d, d_ref in zip(quot, quot_ref)]
-    cases += [(w.inv_betas[k:k + cap + 1], ref.inv_betas[k:],
-               w.inv_step(k + cap)) for k in (0, 1, K)]
+    ks = range(1, K + 1)
+    cases = [(lambda n, v: hb.reciprocal_coeffs(v, n)[None], w.c_step),
+             (lambda n, v: hb.quotient_rows(v, ks, n), w.c_step)]
+    cases += [(lambda n, v, k=k: inv_rows(v, [k], n),
+               lambda J, k=k: w.inv_step(k + J)) for k in (0, 1, K)]
     for q in (0.81, 0.99, 0.999):
-        for row, long, step in cases:
-            tails = series.RowTails([row], q, step)
-            damped = np.abs(long) * q ** np.arange(len(long))
-            for J in (tails.cap - 3, tails.cap):
+        for row, step in cases:
+            long = np.abs(row(64 * N, ref)) * q ** np.arange(64 * N + 1)
+            for J in (N - 3, N, 4 * N):
+                at = np.array([J])
+                tails = series._tails(row(J, w)[:, J:], step(at), q, at)
                 # the hardy bound is the exact geometric sum: allow rounding
-                assert tails.tails[0, J] >= damped[J + 1:].sum() * (1 - 1e-12)
+                assert np.all(tails[:, 0] >= long[:, J + 1:].sum(axis=1)
+                              * (1 - 1e-12))
     if alpha == 2.5:
         # the trailing-ratio extrapolation claimed 2.601e-7 here
         true = np.sum(np.abs(ref.c_coeffs[N + 1:])
                       * 0.999 ** np.arange(N + 1, 64 * N + 1))
         assert true == pytest.approx(2.733e-7, rel=1e-3)
-        assert series.RowTails([w.c_coeffs], 0.999,
-                               w.c_step(N)).tails[0, N] >= true
+        at = np.array([N])
+        assert series._tails(w.c_coeffs[None, N:], w.c_step(at), 0.999,
+                             at)[0, 0] >= true
 
 
-def _full_table_tails(rows, q, steps, floors=0.0):
-    """``RowTails.tails`` formed over the whole stored table, every
-    ``q^j`` included: the reference for the tails cut at the underflow
-    guard."""
-    cap = min(len(r) for r in rows) - 1
-    powq = np.power(q, np.arange(cap + 1))
-    damped = np.abs(np.array([r[:cap + 1] for r in rows], dtype=float)) * powq
-    sq = np.broadcast_to(np.asarray(steps, dtype=float) * q, len(damped))
-    last = np.maximum(damped[:, -1], np.multiply(floors, powq[-1]))
-    beyond = np.full(len(damped), np.inf)
-    beyond[sq < 1.0] = last[sq < 1.0] * sq[sq < 1.0] / (1.0 - sq[sq < 1.0])
-    beyond[last == 0.0] = 0.0
-    tails = np.zeros_like(damped)
-    tails[:, :-1] = np.cumsum(damped[:, :0:-1], axis=1)[:, ::-1]
-    return tails + beyond[:, None]
-
-
-def test_row_tails_equal_full_table_above_underflow():
-    # past q^j = 1e-280 the entries are left out; wherever the worst tail
-    # is above 1e-250 every row's tail is the full-table one, bit for bit
-    rng = np.random.default_rng(11)
-    w = hb.make_weight_beta_alpha(2.5, 2048)
-    quot = hb.quotient_rows(w, range(1, 20), w.trunc_len - 19)
-    cases = 0
-    for q in np.concatenate([rng.uniform(0.01, 0.999, 60), [0.3, 0.7, 0.73]]):
-        for rows, steps in (([w.inv_betas], w.inv_step(w.trunc_len)),
-                            (np.vstack([w.c_coeffs[None, :quot.shape[1]],
-                                        quot]), w.c_step(quot.shape[1] - 1))):
-            tails = series.RowTails(rows, q, steps)
-            ref = _full_table_tails(rows, q, steps)
-            worst = ref.max(axis=0)
-            assert tails.tails.shape == ref.shape
-            assert np.array_equal(tails.worst, tails.tails.max(axis=0))
-            keep = worst > 1e-250
-            assert np.array_equal(tails.tails[:, keep], ref[:, keep])
-            assert np.array_equal(tails.worst[keep], worst[keep])
-            assert np.all(tails.worst[~keep] <= 1e-250)
-            cases += keep.size > keep.sum()
-    assert cases > 20  # most of the sets reach the guard
+def test_one_term_tail_is_infinite_or_zero_by_name():
+    # a step times q of 1 or more bounds no tail, a zero entry under a
+    # finite step has none, and an entry or a power that does not fit a
+    # float (a custom row past its table far out, q^J underflowing) is
+    # inf, never NaN, and raises no RuntimeWarning
+    J = np.array([10, 20, 30, 40])
+    entries = np.array([[1.0, 0.0, np.inf, 2.0]])
+    tails = series._tails(entries, np.array([1.0, 1.0, 1.0, 1.1]), 0.95, J)
+    assert tails[0, 1] == 0.0 and tails[0, 2] == tails[0, 3] == np.inf
+    assert tails[0, 0] == pytest.approx(0.95 ** 10 * 0.95 / 0.05)
+    assert series._tails(entries, 1.0, 1.0, J)[0].tolist() == [np.inf] * 4
+    assert series._tails(np.array([[np.inf]]), 1.0, 0.5,
+                         np.array([5000]))[0, 0] == np.inf
 
 
 class TestUnderflow:
     """A term whose entries fall below about 1.5e-162 (where their squares
-    underflow) no longer ends a series: only a term with every entry 0
+    underflow) does not end a series: only a term with every entry 0
     inside the certified span does."""
 
     A = np.diag([0.999, 1e-3])
 
     @pytest.mark.parametrize("small", [0.0, 1e-200])
-    def test_vanishing_term_is_refused(self, small):
-        # at q = 0.999 no table length holds a cut for the terms of
-        # X = diag(small, 1), even with K = ||T_0|| = 1.  The term
-        # A^{*27} X A^27 has entries of 1e-162 and below, so its computed
-        # norm is 0, and at small = 0 a term is exactly 0 some 50 terms
-        # later, far past the certified span m = 1
-        # gamma_map and gramian_table answer it on the spectral route;
-        # the series they take past its gate refuses it
+    def test_vanishing_term_does_not_end_the_series(self, small):
+        # the term A^{*27} X A^27 of X = diag(small, 1) has entries of
+        # 1e-162 and below, so its computed norm is 0, and at small = 0 a
+        # term is exactly 0 some 50 terms later, far past the certified
+        # span m = 1; the series the maps take past the spectral route's
+        # gate sums on past both to its cut, and gives the route's value
         w = hb.make_weight_beta_alpha(2.5, 2048)
         X = np.diag([small, 1.0])
-        np.testing.assert_allclose(
-            hb.gamma_map(w, self.A, X),
-            np.diag((1 - np.diag(self.A) ** 2) ** 2.5 * [small, 1.0]),
-            rtol=1e-12, atol=0)
-        with pytest.raises(hb.ConvergenceError) as info:
-            her._hereditary_sums(w, off_route(self.A), X, np.arange(0),
-                                 1e-10, "gamma_map", gamma=True)
-        assert str(info.value) == (
-            "gamma_map: tail bound 3.513e-10 > tol 1.000e-10 after 2049 "
-            "stored terms; increase the weight truncation")
-        with pytest.raises(hb.ConvergenceError, match="^gramian_table: "):
+        exact = np.diag((1 - np.diag(self.A) ** 2) ** 2.5 * [small, 1.0])
+        np.testing.assert_allclose(hb.gamma_map(w, self.A, X), exact,
+                                   rtol=1e-12, atol=0)
+        got = her._hereditary_sums(w, off_route(self.A), X, np.arange(0),
+                                   1e-10, "gamma_map", gamma=True)[0]
+        assert np.abs(got - exact).max() <= 1e-10
+        # the custom copy steps by its last ratio 2050.5/2048 past the
+        # table, so its gramian's bound at the budget is still above tol
+        with pytest.raises(hb.ConvergenceError, match=(
+                f"^gramian_table: tail bound .* at the term budget J = "
+                f"{BUDGET}, at the decay rate q = 0.999")):
             hb.gramian_table(series_copy(w),
                              hb.OutputPair(A=self.A, C=np.sqrt(X)), 3)
 
-    def test_refusal_does_not_depend_on_underflow(self):
-        # neither table holds a cut even for ||T_0|| = 1, which bounds K
-        # from below, so both are refused before a term is made: the terms
-        # of the second series fall below the squares' underflow, those of
-        # the first do not, and the text is the same
+    def test_cut_does_not_depend_on_underflow(self):
+        # the terms of the second series fall below the squares' underflow,
+        # those of the first do not: the cut, K and the bounds are the same
         w = hb.make_weight_beta_alpha(2.5, 2048)
         A = np.diag([0.999, 0.5]).astype(complex)
-        rows, q = [w.c_coeffs], series.conjugation_rate(0.999)
-        texts = []
-        for small in (1e-140, 1e-155):
-            X = np.diag([small, 1.0]).astype(complex)
-            with pytest.raises(hb.ConvergenceError) as info:
-                series.adaptive_sum(X, A, rows, q, w.c_step(2048), 1e-10,
-                                    "gamma_map", left=A.conj().T)
-            texts.append(str(info.value))
-        assert texts[0] == texts[1] == (
-            "gamma_map: tail bound 3.513e-10 > tol 1.000e-10 after 2049 "
-            "stored terms; increase the weight truncation")
+        rows = lambda n: hb.reciprocal_coeffs(w, n)[None]  # noqa: E731
+        q = series.conjugation_rate(0.999)
+        recs = [series.adaptive_sum(np.diag([small, 1.0]).astype(complex), A,
+                                    rows, q, w.c_step, 1e-10, "gamma_map",
+                                    left=A.conj().T)
+                for small in (1e-140, 1e-155)]
+        assert [(r.J, r.K, r.tails) for r in recs[:1]] \
+            == [(r.J, r.K, r.tails) for r in recs[1:]]
+        # the cut lies past the 2048-entry table
+        assert 2048 < recs[0].J < BUDGET

@@ -198,30 +198,36 @@ class TestLadderFallback:
         err = np.linalg.norm(table[2000] - ref)
         assert err <= table.tail_bounds[2000] + 1e-14 * np.linalg.norm(ref)
 
-    W = hb.make_weight_beta_alpha(2.5, 2048)
+    W = hb.make_weight_beta_alpha(2.5, 256)
     A = np.diag([0.99995, 0.3])
 
     @pytest.mark.parametrize("call,text", [
         (lambda w, A: hb.resolvent_scalar(w, 1, 0.9999),
-         "resolvent_scalar: tail bound inf > tol 1.000e-12 after 2048 "
-         "stored terms: a row's step bound past the table, 1.00073, times "
-         "the decay rate q = 0.9999 is 1.00063 >= 1"),
-        (lambda w, A: hb.gamma_k_map(w, 1, A, np.eye(2)),
-         "gamma_k_map: tail bound 6.963e-08 > tol 1.000e-10 after 2048 "
-         "stored terms; increase the weight truncation"),
+         "resolvent_scalar: tail bound 3.106e+09 > tol 1.000e-12 at the term "
+         "budget J = 32768, at the decay rate q = 0.9999"),
         (lambda w, A: hb.resolvents(w, 1, A, 0.99995),
-         "resolvents: tail bound inf > tol 1.000e-12 after 2048 "
-         "stored terms: a row's step bound past the table, 1.00073, times "
-         "the decay rate q = 0.999925 is 1.00066 >= 1"),
-    ], ids=["resolvent_scalar", "gamma_k_map", "resolvents"])
-    def test_refused_by_the_series(self, call, text):
+         "resolvents: tail bound 1.849e+10 > tol 1.000e-12 at the term "
+         "budget J = 32768, at the decay rate q = 0.999925"),
+    ], ids=["resolvent_scalar", "resolvents"])
+    def test_refused_at_the_budget(self, call, text):
         # A passes the gate, but its points (0.99995^2 = 0.9999 for the
-        # maps and the grid) need more nodes than the ladder holds
+        # grid) need more nodes than the ladder holds; the rows 1/beta_{1+j}
+        # grow like j^1.5, and their bound is still far above tol at the
+        # series' term budget
         assert spectral.diagonalize(self.A) is not None
         assert spectral.node_count(2.5, 0.9999, 1) is None
         with pytest.raises(hb.ConvergenceError) as info:
             call(self.W, self.A)
         assert str(info.value) == text
+
+    def test_map_past_the_ladder_answered_by_the_series(self):
+        # the same A for gamma_k_map: the c row decays like j^-3.5, so the
+        # series reaches tol within its budget; Gamma^(1)[I] is diagonal, with
+        # entries (R_1 / R)(x) = (1 - (1 - x)^2.5) / x at x = |a_i|^2
+        got = hb.gamma_k_map(self.W, 1, self.A, np.eye(2))
+        x = np.diag(self.A) ** 2
+        np.testing.assert_allclose(got, np.diag((1 - (1 - x) ** 2.5) / x),
+                                   rtol=0, atol=1e-10)
 
 
 class TestFallback:
@@ -249,11 +255,12 @@ class TestFallback:
 
     def test_rate_one_takes_the_series(self):
         # rho(A) = 1 fails the gate, and the series, at rate 1, refuses the
-        # c row of beta_2.5: its step past the table is 1
+        # c row of beta_2.5: its step is 1 at every index
         w = hb.make_weight_beta_alpha(2.5, 256)
         A, X = np.diag([1.0, 0.5]), np.diag([0.0, 1.0])
         assert spectral.diagonalize(A) is None
-        with pytest.raises(hb.ConvergenceError, match="q = 1 >= 1 bounds no"):
+        with pytest.raises(hb.ConvergenceError,
+                           match="times the decay rate q = 1 is 1 >= 1$"):
             hb.gamma_map(w, A, X, tol=1e-6)
 
     def test_kappa_past_the_gate(self, monkeypatch):
