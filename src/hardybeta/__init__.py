@@ -30,7 +30,6 @@ from .errors import (
     NotCoisometrizableError,
     ObservabilityError,
     SpectralRadiusError,
-    TruncationError,
 )
 from .hereditary import (
     ClassificationReport,

@@ -306,7 +306,7 @@ def _kernel_identity_residuals(fam, ks, grid):
         PB = Rk @ st.B          # R_k(zA) B, shape (N, n, u)
         PB1 = Rk1 @ st.B
         thT = th.swapaxes(1, 2)
-        beta, inv_beta, _ = w._entries(k)
+        beta, inv_beta = w._entries(k)
         lhs_in = inv_beta * np.eye(st.u)[None, None] \
             - ker._cross(thT, thT).conj()
         rhs_in = beta * (gram(PB, Gk1)

@@ -7,20 +7,21 @@ from operator data), ``charfn`` (characteristic family of an operator),
 trajectories as CSV) and ``verify`` (the acceptance suite).
 
 Exit codes: 0 ok, 2 input error, 3 spectral radius, 4 observability or
-model hypothesis, 5 non-convergence within the series' term budget, 6
-verification failure.  ``-n/--trunc``, the stored table length, belongs
-to ``weights`` alone, the one report that lists the table; every other
-subcommand reads hardy and ``beta_alpha`` at every index, and refuses the
-flag.  The default
-``--tol`` (of ``analyze``, the one subcommand with a tolerance) honors the
-``HARDY_BETA_TOL`` environment variable, read on every call; a ``--tol``
-or ``HARDY_BETA_TOL`` that is negative, NaN or infinite is refused with
-exit 2 before any work, on every subcommand, and so is a ``--k-max`` below
-the subcommand's least (1 for ``analyze``, 0 for ``colligate`` and
-``charfn``).  Every JSON report embeds its run configuration: the
-subcommand's own settings among ``tol``, ``rank_tol``, ``k_max``, ``seed``
-and ``trials``, and ``trunc``, the table length of the weight it built;
-identical configuration and seed give byte-identical reports.
+model hypothesis, 5 the series did not converge within its term budget or
+a defect matrix has a genuinely negative eigenvalue (inconsistent
+gramians), 6 verification failure.  Each setting has one spelling: the
+weight is ``--hardy``, ``--alpha`` or ``--betas``, and no long option may
+be abbreviated.  ``-n/--trunc``, the stored table length, belongs to
+``weights`` alone, the one report that lists the table; every other
+subcommand reads its weight at every index, and refuses the flag.
+``--tol`` (of ``analyze``, the one subcommand with a tolerance) defaults to
+1e-8; a ``--tol`` that is negative, NaN or infinite is refused with exit 2
+before any work, and so is a ``--k-max`` below the subcommand's least (1
+for ``analyze``, 0 for ``colligate`` and ``charfn``).  Every JSON report
+embeds its run configuration: the subcommand's own settings among
+``tol``, ``rank_tol``, ``k_max``, ``seed`` and ``trials``, and ``trunc``,
+the table length of the weight it built; identical configuration and seed
+give byte-identical reports.
 ``kernels --k`` is the shift of the ``shifted`` and ``gap`` kernels, which
 build ``G^(0..k+1)``; ``coinvariant`` and ``invariant`` build ``G^(0)``
 alone and do not read it.  A ``--k`` below 0 is refused by name with exit
@@ -37,7 +38,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -46,7 +46,6 @@ from . import kernels as ker
 from . import model as mod
 from . import serialize as ser
 from . import syssim as sys_
-from .acceptance import RunConfig, run_suite
 from .colligation import build_family
 from .errors import HardyBetaError, InvalidParameterError, _check_tol
 from .hereditary import classify, gramian_table, hermitian_inverse
@@ -59,15 +58,6 @@ from .weights import (
 )
 
 
-def _default_tol() -> float:
-    """``HARDY_BETA_TOL``, else 1e-8; a value that is not a finite number
-    ``>= 0`` is refused."""
-    env = os.environ.get("HARDY_BETA_TOL")
-    tol = float(env) if env else 1e-8
-    _check_tol(tol, "HARDY_BETA_TOL")
-    return tol
-
-
 def _add_weight_args(p: argparse.ArgumentParser):
     g = p.add_mutually_exclusive_group()
     g.add_argument("--alpha", type=float,
@@ -76,8 +66,6 @@ def _add_weight_args(p: argparse.ArgumentParser):
                    help="comma-separated explicit weights, beta_0 = 1")
     g.add_argument("--hardy", action="store_true",
                    help="constant weight (classical Hardy space)")
-    g.add_argument("--beta", type=str,
-                   help="shorthand: '1'/'hardy' or a float alpha > 1")
 
 
 def _weight_from_args(args):
@@ -92,11 +80,6 @@ def _weight_from_args(args):
         return make_weight_custom([float(x) for x in args.betas.split(",")])
     if args.alpha is not None:
         return make_weight_beta_alpha(args.alpha, n)
-    if args.beta:
-        token = args.beta.strip().lower()
-        if token in ("1", "hardy"):
-            return make_weight_hardy(n)
-        return make_weight_beta_alpha(float(token), n)
     return make_weight_hardy(n)
 
 
@@ -257,6 +240,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the suite is imported here, for the one subcommand that runs it
+    from .acceptance import RunConfig, run_suite
     results = run_suite(RunConfig(rank_tol=args.rank_tol, seed=args.seed,
                                   trials=args.trials),
                         echo=print)
@@ -279,18 +264,18 @@ def cmd_verify(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built on the first call and shared
-    by every later one: it holds no ``cmd_*`` function and no default
-    read from the environment, so nothing in it goes stale."""
+    by every later one: it holds no ``cmd_*`` function, so nothing in it
+    goes stale.  Long options are not abbreviated: ``--beta`` is not
+    ``--betas``."""
     ap = argparse.ArgumentParser(
         prog="hardy-beta",
         description="Weighted Hardy space operator-model toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def options(p, *names, k_max=12):
-        """Add the named options shared by several subcommands.  ``--tol``
-        defaults to None, which ``main`` resolves on every call from
-        ``HARDY_BETA_TOL`` (``_default_tol``)."""
-        spec = {"tol": ("--tol", float, None),
+        """Add the named options shared by several subcommands."""
+        spec = {"tol": ("--tol", float, 1e-8),
                 "rank_tol": ("--rank-tol", float, 1e-10),
                 "k_max": ("--k-max", int, k_max),
                 "out": ("--out", str, None)}
@@ -298,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
             flag, typ, default = spec[name]
             p.add_argument(flag, dest=name, type=typ, default=default)
 
-    p = sub.add_parser("weights", help="weight tables and summability report")
+    p = add("weights", help="weight tables and summability report")
     _add_weight_args(p)
     p.add_argument("-n", "--trunc", type=int, default=None,
                    help=f"stored table length (default {DEFAULT_TRUNC}); "
@@ -307,17 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head", action="store_true",
                    help="print only the first 65 table entries")
 
-    p = sub.add_parser("analyze", help="classification report for (C, A)")
+    p = add("analyze", help="classification report for (C, A)")
     p.add_argument("operator", help="JSON file with keys A and C")
     _add_weight_args(p)
     options(p, "tol", "k_max", "out", k_max=20)
 
-    p = sub.add_parser("colligate", help="build a colligation family")
+    p = add("colligate", help="build a colligation family")
     p.add_argument("operator")
     _add_weight_args(p)
     options(p, "rank_tol", "k_max", "out")
 
-    p = sub.add_parser("charfn", help="characteristic function family")
+    p = add("charfn", help="characteristic function family")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--t", type=str, default=None,
                    help="scalar operator value")
@@ -326,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_args(p)
     options(p, "rank_tol", "k_max", "out")
 
-    p = sub.add_parser("kernels", help="kernel grid as CSV/JSON")
+    p = add("kernels", help="kernel grid as CSV/JSON")
     p.add_argument("operator")
     _add_weight_args(p)
     options(p, "rank_tol")
@@ -336,14 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-csv", dest="out_csv", required=True)
     p.add_argument("--out-json", dest="out_json", default=None)
 
-    p = sub.add_parser("simulate", help="time-domain trajectory as CSV")
+    p = add("simulate", help="time-domain trajectory as CSV")
     p.add_argument("family", help="family JSON from colligate/charfn")
     p.add_argument("--inputs", required=True,
                    help="JSON ragged list of input vectors")
     p.add_argument("--x0", default=None, help="JSON initial state vector")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("verify", help="run the acceptance suite")
+    p = add("verify", help="run the acceptance suite")
     options(p, "rank_tol", "out")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=20)
@@ -354,10 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        tol = _default_tol()  # on every call, and refused before any work
-        if getattr(args, "tol", tol) is None:
-            args.tol = tol
-        _check_tol(getattr(args, "tol", tol), "--tol")
+        if hasattr(args, "tol"):  # refused before any work
+            _check_tol(args.tol, "--tol")
         # by name at call time, so a replaced cmd_* (a wrapper) is the one run
         return globals()["cmd_" + args.command](args)
     except HardyBetaError as exc:

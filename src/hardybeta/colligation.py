@@ -249,7 +249,7 @@ def _metric_defects(family: ColligationFamily, k0: int, k1: int, G_inv):
     G = family.gramians.stack(k0, k1 + 1)
     U, inputs = _blocks(family, k0, k1)
     Uh = U.conj().swapaxes(-1, -2)
-    betas, inv_betas, _ = w._entries(ks[:, None])
+    betas, inv_betas = w._entries(ks[:, None])
     ones = np.ones(p)
     W_out = _block_diag(G[1:], inv_betas * ones)
     isom = Uh @ W_out @ U - _block_diag(G[:-1], inputs)

@@ -1,9 +1,10 @@
 """Exception taxonomy, and the two parameter checks every entry shares.
 
 Every exception carries an ``exit_code`` used by the command line front end:
-2 input error (a custom weight read past its table included), 3 spectral
-radius out of range, 4 observability / model hypothesis failure, 5 series
-did not converge within the term budget.
+2 input error, 3 spectral radius out of range, 4 observability / model
+hypothesis failure, 5 either the series did not converge within its term
+budget (ConvergenceError) or a defect matrix has a genuinely negative
+eigenvalue, so the gramians are inconsistent (NotCoisometrizableError).
 
 Every public entry with a ``tol`` refuses, before any work, a ``tol`` that
 is negative, NaN or infinite (``_check_tol``); 0 is allowed.  ``classify``,
@@ -32,15 +33,6 @@ class NormalizationError(InvalidParameterError):
 
 class AdmissibilityError(InvalidParameterError):
     """A weight sequence violates positivity or the non-increase condition."""
-
-
-class TruncationError(HardyBetaError):
-    """A custom weight's entry read past its table, which is its definition
-    (``WeightSequence._entries``).  Hardy and ``beta_alpha`` answer at every
-    index, and the series reads a custom weight's rows past its table at
-    its last ratio."""
-
-    exit_code = 2
 
 
 class HereditaryDomainError(HardyBetaError):

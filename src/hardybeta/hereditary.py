@@ -78,13 +78,13 @@ the unit circle) keeps the series.
 Every other sum (the gramians, resolvents and scalars of custom weights;
 non-integer alpha past the gate or the ladder) is cut adaptively by the
 engine in ``series.py``.  It reads the weight, not its table: the rows
-``1/beta_{k+j}`` come from ``weights.inv_rows`` (a custom weight past its
-table by its definition, ``1/beta_{N+j} = s^j / beta_N``) and the ``c``
-and quotient rows from ``hereditary_rows``, at whatever length the cut
-needs, with the weight's step bounds (``inv_step``, ``c_step``).  It raises
-ConvergenceError, naming the function called, ``q`` and the term budget,
-when no span or cut within the budget certifies ``q`` or meets ``tol``;
-no stored table and no shift refuses a sum.  The decay rate
+``1/beta_{k+j}`` come from ``WeightSequence._entries`` (a custom weight
+past its table by its definition, ``1/beta_{N+j} = s^j / beta_N``) and
+the ``c`` and quotient rows from ``hereditary_rows``, at whatever length
+the cut needs, with the weight's step bounds (``inv_step``, ``c_step``).
+It raises ConvergenceError, naming the function called, ``q`` and the
+term budget, when no span or cut within the budget certifies ``q`` or
+meets ``tol``; no stored table and no shift refuses a sum.  The decay rate
 ``q`` is chosen from the spectral radius, and the engine certifies it on
 powers of ``A`` before it sums: every term is at most ``K q^j`` for the
 certified transient constant ``K``, so the tail bound holds for a
@@ -146,7 +146,6 @@ from .errors import (
 from .weights import (
     WeightSequence,
     hereditary_rows,
-    inv_rows,
     rational_denominator,
 )
 
@@ -445,11 +444,14 @@ def _contract(rows, terms) -> np.ndarray:
     return hermitize(sums.reshape(-1, n, n))
 
 
-def _shifted_steps(w: WeightSequence, ks):
-    """The step bounds past the cuts ``J`` of the rows ``1/beta_{k+j}``,
-    one row per shift of ``ks``: ``inv_step`` at ``k + J``."""
+def _shifted_rows(w: WeightSequence, ks):
+    """The rows ``1/beta_{k+j}``, one per shift of ``ks``, read at every
+    index (``_entries``), and their step bounds past the cuts ``J``
+    (``inv_step`` at ``k + J``), as the functions of the length and the
+    cuts that the series engine reads."""
     ks = np.asarray(ks)[:, None]
-    return lambda J: w.inv_step(ks + J)
+    return (lambda n: w._entries(ks + np.arange(n + 1))[1],
+            lambda J: w.inv_step(ks + J))
 
 
 def _series_sums(op: _Operator, X, rows, steps, tol, context):
@@ -533,7 +535,8 @@ def _stein_sums(w: WeightSequence, op: _Operator, X, ks, tol, context):
     Closed form (tails 0, index -1: no term is summed) for hardy and integer
     alpha; the spectral route on the operator's diagonalization
     (``_route``; the bounds of ``spectral.stein_bounds``, index -1);
-    otherwise the series, over the rows ``1/beta_{k+j}`` (``inv_rows``)."""
+    otherwise the series, over the rows ``1/beta_{k+j}``
+    (``_shifted_rows``)."""
     a = _integer_alpha(w)
     if a is not None:
         return _closed_gramians(op.A, X, ks, a), [0.0] * len(ks), -1
@@ -544,8 +547,7 @@ def _stein_sums(w: WeightSequence, op: _Operator, X, ks, tol, context):
         return (hermitize(spec.apply(R, X)),
                 list(spectral.stein_bounds(spec, w.alpha, ks, N, R, X,
                                            float(np.linalg.norm(op.A)))), -1)
-    sums, rec = _series_sums(op, X, lambda n: inv_rows(w, ks, n),
-                             _shifted_steps(w, ks), tol, context)
+    sums, rec = _series_sums(op, X, *_shifted_rows(w, ks), tol, context)
     return sums, rec.tails, rec.J
 
 
@@ -611,8 +613,8 @@ def _resolvent_table(w, k, op: _Operator, z, tol, context="resolvents"):
     integer alpha, from one batched inverse of ``I - z_i A``), the exact
     sum at ``r = 0`` or ``A = 0``, or the spectral route
     (``V diag(R_k(z_i d)) V^-1`` from one ``spectral.shifted`` call).  On
-    the series every shift's row ``1/beta_{k+j}`` (``inv_rows``) is read to
-    the one cut.
+    the series every shift's row ``1/beta_{k+j}`` (``_shifted_rows``) is
+    read to the one cut.
     ``rho(A)`` and the diagonalization are the operator's, made once.  A
     ConvergenceError of the series names ``context``, the caller."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -639,7 +641,7 @@ def _resolvent_table(w, k, op: _Operator, z, tol, context="resolvents"):
         return _binomial_sum(ks, a, inv,
                              lambda P: P @ inv).reshape(shape), None
     if r == 0.0 or not A.any():
-        return (inv_rows(w, ks, 0)[:, :, None, None]
+        return (w._entries(ks)[1][:, None, None, None]
                 * np.eye(n, dtype=complex)
                 * np.ones((len(zs), 1, 1))).reshape(shape), None
     values = None if spec is None else spectral.shifted(
@@ -649,10 +651,9 @@ def _resolvent_table(w, k, op: _Operator, z, tol, context="resolvents"):
         return ((spec.V * F) @ spec.W).reshape(shape), None
     # |z_i / r|^j <= 1, so the tail bound of the powers (rA)^j bounds the
     # tail at every point of the grid
-    rec = series.adaptive_sum(np.eye(n, dtype=complex), r * A,
-                              lambda m: inv_rows(w, ks, m),
-                              series.decay_rate(rho, r),
-                              _shifted_steps(w, ks), tol, context)
+    rows, steps = _shifted_rows(w, ks)
+    rec = series.adaptive_sum(np.eye(n, dtype=complex), r * A, rows,
+                              series.decay_rate(rho, r), steps, tol, context)
     coef = (zs[:, None] / r) ** np.arange(rec.J + 1) * rec.rows[:, None]
     S = np.tensordot(coef, rec.terms, axes=(2, 0))
     return S.reshape(shape), rec
@@ -736,9 +737,9 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
             return values[0][0].reshape(xs.shape)[()]
     q = float(np.max(np.abs(xs), initial=0.0))
     # |x^j| <= q^j exactly, so the transient constant is 1
-    inv_b = inv_rows(w, [k], 0) if q == 0.0 else series.cut(
-        lambda n: inv_rows(w, [k], n), _shifted_steps(w, [k]), q, 1.0, tol,
-        "resolvent_scalar")[1]
+    rows, steps = _shifted_rows(w, [k])
+    inv_b = rows(0) if q == 0.0 else series.cut(
+        rows, steps, q, 1.0, tol, "resolvent_scalar")[1]
     # Horner evaluation of the truncation
     return np.polyval(inv_b[0, ::-1], xs)
 
@@ -968,6 +969,15 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
     from row 0 of the hereditary stack), the contractive / isometric pair
     conditions, exact observability of the gramian, and weighted strong
     stability.
+
+    Weighted strong stability is decided at the depth ``k_max`` alone:
+    ``strongly_stable_beta`` holds when ``||A^{*k} Gamma^(k)[I] A^k||`` at
+    ``k = k_max`` is within ``tol``.  So a strongly stable ``A`` near the
+    circle reads False at a shallow depth: hardy with ``A = [[0.9]]`` and
+    ``C = [[1]]`` has residual 1.48e-2 at the default ``k_max = 20`` and
+    reads True at ``k_max = 200``.  ``characteristic_family`` searches
+    deeper (one deep term, doubled) and decides that operator strongly
+    stable, with residual 3.1e-9.
 
     The spectral radius is restricted to 0.999, and a weight whose
     reciprocal series is "diverging" is refused (as ``gamma_map`` does).

@@ -500,7 +500,7 @@ def functional_model_colligation(fam: ColligationFamily, k: int, J: int,
     st = fam.step(k)
     A, C = pair.A, pair.C
     Gk, Gk1 = fam.gramians[k], fam.gramians[k + 1]
-    betas, inv_betas, _ = w._entries(np.arange(k + J + 2))
+    betas, inv_betas = w._entries(np.arange(k + J + 2))
     c1 = stein_residual(w, k, pair, Gk, Gk1)
     c2 = opnorm(A.conj().T @ Gk1 @ st.B + inv_betas[k] * (C.conj().T @ st.D))
     c3 = opnorm(st.B.conj().T @ Gk1 @ st.B

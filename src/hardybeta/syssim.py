@@ -60,7 +60,7 @@ def simulate(family: ColligationFamily, x0, inputs) -> Trajectory:
     x = np.asarray(x0, dtype=complex).reshape(-1)
     if len(x) != family.pair.n:
         raise InvalidParameterError("x0 has wrong dimension")
-    betas, inv_betas, _ = w._entries(np.arange(T + 1))
+    betas, inv_betas = w._entries(np.arange(T + 1))
     states, outputs = [x], []
     for j in range(T):
         st = family.step(j)

@@ -3,10 +3,9 @@
 A weight sequence ``beta_0, beta_1, ...`` is admissible when ``beta_0 = 1``
 and ``1 <= beta_j / beta_{j+1} <= M`` for some ``M >= 1``, so the weights are
 positive and non-increasing with a bounded step-down ratio.  A weight
-stores its tables up to a length (default 256).  For hardy and
-``beta_alpha`` that length is read by the reports alone (the ``weights``
-report lists the tables, and every report names the length); a custom
-weight's table is its definition:
+stores its tables up to a length (default 256), which the reports alone
+read (the ``weights`` report lists the tables, and every report names the
+length):
 
 * ``inv_betas``     reciprocals ``1 / beta_j``, the Taylor coefficients of
   the generating function ``R(z) = sum 1/beta_j z^j``,
@@ -17,33 +16,29 @@ weight's table is its definition:
   ``d^(k)_j = -sum_{l=1..k} c_{j+l} / beta_{k-l}`` used by the hereditary
   calculus.
 
-Hardy and ``beta_alpha`` are fixed by ``R`` itself, so they answer at every
-index: past the stored table they build their tables again at a longer
-length, whose prefix is the stored table bit for bit, and keep them.  A
-custom weight's entries are its table, and an index past it is refused by
-name (TruncationError, raised here alone); past the table it enters only
-through its last ratio, below.  Every read of an entry takes
-``WeightSequence._entries``, except the series' rows of a custom weight,
-which go on past its table (``inv_rows``).
-
-A custom weight continues past its table ``beta_0 .. beta_N`` at its last
-ratio ``s = beta_{N-1} / beta_N`` (``make_weight_custom``), so
-``1/R = (1 - s z) / P(z)`` exactly, with ``P = (1 - s z) R`` a polynomial
-of degree below ``N``, and every shifted ``R_k`` is ``P_k / (1 - s z)``
-with ``P_k = (1 - s z) R_k`` of degree below ``N - k`` (``rational_rows``):
-its hereditary maps need no tail.  Its rows ``1/beta_{k+j}`` go on past the
-table by that definition, ``1/beta_{N+j} = s^j / beta_N`` (``inv_rows``),
-which the series reads.  Each weight knows the tails of the series that
-remain: step bounds on ``|row[j+1] / row[j]|`` past a cut, whatever the
-stored length (``inv_step``; ``c_step`` for hardy and ``beta_alpha``),
-and the Wiener report of ``c``, with the rule of its verdict.  None of
-them is estimated.
+Every weight answers at every index.  Every read of ``beta_i`` and
+``1/beta_i`` takes ``WeightSequence._entries``, and every read of ``c``
+takes ``reciprocal_coeffs``.  Hardy and ``beta_alpha`` are fixed by ``R``
+itself: past the stored table they extend their tables in place by their
+own recurrences, whose prefix is the stored table bit for bit, and keep
+them.  A custom weight's table ``beta_0 .. beta_N`` defines it up to
+``N``, and past it the weight continues at its last ratio
+``s = beta_{N-1} / beta_N`` (``make_weight_custom``), so
+``1/beta_{N+j} = s^j / beta_N`` and its ``c`` continues its own recursion.
+Then ``1/R = (1 - s z) / P(z)`` exactly, with ``P = (1 - s z) R`` a
+polynomial of degree below ``N``, and every shifted ``R_k`` is
+``P_k / (1 - s z)`` with ``P_k = (1 - s z) R_k`` of degree below ``N - k``
+(``rational_rows``): its hereditary maps need no tail.  Each weight knows
+the tails of the series that remain: step bounds on
+``|row[j+1] / row[j]|`` past a cut, whatever the stored length
+(``inv_step``; ``c_step`` for hardy and ``beta_alpha``), and the Wiener
+report of ``c``, with the rule of its verdict.  None of them is estimated.
 
 Instances are immutable after construction and safe for concurrent reads;
-the longer tables of hardy and ``beta_alpha``, the stacked rows of the
-hereditary maps (``hereditary_rows``) and the quadrature rules of the
-spectral route (``spectral.py``) are built on first use and kept,
-read-only, on the weight.
+the longer tables of hardy and ``beta_alpha``, a custom weight's longer
+``c``, the stacked rows of the hereditary maps (``hereditary_rows``) and
+the quadrature rules of the spectral route (``spectral.py``) are built on
+first use and kept, read-only, on the weight.
 """
 
 from __future__ import annotations
@@ -58,7 +53,6 @@ from .errors import (
     AdmissibilityError,
     InvalidParameterError,
     NormalizationError,
-    TruncationError,
 )
 
 DEFAULT_TRUNC = 256
@@ -109,11 +103,13 @@ class WeightSequence:
     _nodes: dict = field(init=False, default_factory=dict, repr=False,
                          compare=False)
     _long: tuple = field(init=False, repr=False, compare=False)
+    _c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.betas = np.asarray(self.betas, dtype=float)
         self.inv_betas = 1.0 / self.betas
-        self._long = (self.betas, self.inv_betas, self.c_coeffs)
+        self._long = (self.betas, self.inv_betas)
+        self._c = self.c_coeffs
         r = self.betas[:-1] / self.betas[1:] if self.trunc_len else np.ones(1)
         #: the largest ratio from each index on: a custom weight's steps
         self.inv_steps = np.maximum.accumulate(r[::-1])[::-1]
@@ -127,25 +123,28 @@ class WeightSequence:
         return len(self.betas) - 1
 
     def _entries(self, i):
-        """``(beta_i, 1/beta_i, c_i)`` at an index or an index array
-        ``i >= 0``: the stored table's entries within it.  Past it hardy and
-        ``beta_alpha`` run their builder again at a longer length, whose
-        tables repeat this one's bit for bit (both recurrences are
-        sequential), and keep its tables; a custom weight, whose table is
-        its definition, is refused."""
+        """``(beta_i, 1/beta_i)`` at an index or an index array ``i >= 0``,
+        at every index: the stored table's entries within it.  Past it hardy
+        and ``beta_alpha`` extend their tables in place by their
+        recurrences, whose prefix is the stored table bit for bit, and keep
+        them; a custom weight continues at its last ratio ``s``,
+        ``1/beta_{N+j} = s^j / beta_N`` (``inf``, and ``beta`` 0, where
+        that overflows)."""
         top = np.asarray(i).max(initial=0)
-        tables = self._long  # one read: a concurrent call may replace it
-        if top >= len(tables[0]):
-            if self.kind == "custom":
-                raise TruncationError(
-                    f"index {top} is past the table of a custom weight, "
-                    f"beta_0..beta_{self.trunc_len}, which defines it")
-            n = max(top, 2 * len(tables[0]))
-            tables = self._long = (
-                make_weight_hardy(n) if self.alpha is None
-                else make_weight_beta_alpha(self.alpha, n))._long
-        betas, inv_betas, c = tables
-        return betas[i], inv_betas[i], c[i]
+        betas, inv_betas = self._long  # one read: a call may replace it
+        if top >= len(betas):
+            if self.kind == "custom":  # the entry at min(i, N), stepped
+                with np.errstate(over="ignore"):
+                    step = self.last_ratio ** np.maximum(
+                        np.asarray(i) - self.trunc_len, 0)
+                    return (betas.take(i, mode="clip") / step,
+                            inv_betas.take(i, mode="clip") * step)
+            n = max(top, 2 * len(betas))
+            betas = np.ones(n + 1) if self.alpha is None \
+                else _beta_alpha_table(self.alpha, n, betas)
+            inv_betas = 1.0 / betas
+            self._long = (betas, inv_betas)
+        return betas[i], inv_betas[i]
 
     def inv_step(self, m):
         """A bound on ``beta_i / beta_{i+1}`` for every ``i >= m``, at an
@@ -155,7 +154,7 @@ class WeightSequence:
         which decreases, so its value at ``m`` bounds the rest; a custom
         weight takes its largest ratio from ``m`` on, and its last ratio
         past the table, where it continues at that ratio by definition
-        (``inv_rows``)."""
+        (``_entries``)."""
         m = np.asarray(m)
         if self.kind == "custom":
             return self.inv_steps[np.minimum(m, len(self.inv_steps) - 1)]
@@ -192,16 +191,17 @@ def _binomial_series(alpha: float, n: int) -> np.ndarray:
     return c
 
 
-def _reciprocal_series(inv_betas: np.ndarray) -> np.ndarray:
+def _reciprocal_series(inv_betas: np.ndarray, head=(1.0,)) -> np.ndarray:
     """Recursion for the coefficients of 1 / sum(inv_betas[j] z^j), used for
-    custom weights.  Entries below the rounding scale of their own defining
-    sum are snapped to exact zero, so polynomial reciprocal series get
-    exactly polynomial tables instead of roundoff dust."""
+    custom weights, continued from the coefficients ``head`` (``c_0 = 1``
+    alone by default).  Entries below the rounding scale of their own
+    defining sum are snapped to exact zero, so polynomial reciprocal series
+    get exactly polynomial tables instead of roundoff dust."""
     n = len(inv_betas)
     c = np.zeros(n)
-    c[0] = 1.0
+    c[:len(head)] = head
     eps = np.finfo(float).eps
-    for m in range(1, n):
+    for m in range(len(head), n):
         # c_m = -sum_{j=0}^{m-1} c_j / beta_{m-j}
         terms = c[:m] * inv_betas[m:0:-1]
         val = -terms.sum()
@@ -209,6 +209,17 @@ def _reciprocal_series(inv_betas: np.ndarray) -> np.ndarray:
             val = 0.0
         c[m] = val
     return c
+
+
+def _beta_alpha_table(alpha: float, n: int, head=(1.0,)) -> np.ndarray:
+    """``beta_0 .. beta_n`` of ``beta_alpha``: the table ``head`` continued
+    by ``beta_{k+1} = beta_k (k+1)/(alpha+k)`` on Python floats."""
+    betas = np.asarray(head, dtype=float).tolist()
+    b = betas[-1]
+    for k in range(len(betas) - 1, n):
+        b = b * (k + 1) / (alpha + k)
+        betas.append(b)
+    return np.array(betas)
 
 
 def make_weight_hardy(n: int = DEFAULT_TRUNC) -> WeightSequence:
@@ -232,11 +243,8 @@ def make_weight_beta_alpha(alpha: float, n: int = DEFAULT_TRUNC) -> WeightSequen
         raise InvalidParameterError(f"alpha must exceed 1, got {alpha}")
     if n < 1:
         raise InvalidParameterError("need at least two stored weights")
-    betas = np.empty(n + 1)
-    betas[0] = 1.0
-    for k in range(n):
-        betas[k + 1] = betas[k] * (k + 1) / (alpha + k)
-    return WeightSequence(betas, float(alpha), "beta_alpha",
+    return WeightSequence(_beta_alpha_table(float(alpha), n), float(alpha),
+                          "beta_alpha",
                           _binomial_series(alpha, n), alpha=float(alpha))
 
 
@@ -248,7 +256,7 @@ def make_weight_custom(betas) -> WeightSequence:
     otherwise), and records the observed ratio bound.  An all-ones sequence
     is tagged as the constant Hardy weight.  Past its table a custom weight
     is defined by its last ratio: ``beta_{m+1} = beta_m beta_N / beta_{N-1}``
-    for ``m >= N``.
+    for ``m >= N``, and every call reads it there (``_entries``).
     """
     arr = np.asarray(betas, dtype=float)
     if arr.ndim != 1 or len(arr) < 1:
@@ -271,8 +279,18 @@ def make_weight_custom(betas) -> WeightSequence:
 
 
 def reciprocal_coeffs(w: WeightSequence, n: int) -> np.ndarray:
-    """Coefficients ``c_0 .. c_n`` of the reciprocal series ``1/R``."""
-    return w._entries(np.arange(n + 1))[2]
+    """Coefficients ``c_0 .. c_n`` of the reciprocal series ``1/R`` at any
+    ``n``, the one reader of the ``c`` table.  Past the stored table hardy
+    and ``beta_alpha`` take their binomial series, and a custom weight its
+    recursion continued over its continued reciprocals (``_entries``), an
+    ``O(n^2)`` loop; either is built on first use and kept, and its prefix
+    is the stored table bit for bit."""
+    c = w._c  # one read: a concurrent call may replace it
+    if n >= len(c):
+        c = w._c = _binomial_series(w.alpha or 1.0, n) \
+            if w.kind != "custom" \
+            else _reciprocal_series(w._entries(np.arange(n + 1))[1], c)
+    return c[:n + 1].copy()
 
 
 def _schur_cohn(p) -> bool:
@@ -310,7 +328,7 @@ def wiener_report(w: WeightSequence, n: int) -> WienerReport:
         raise InvalidParameterError(f"wiener_report needs n >= 0, got {n}")
     alpha = w.alpha or 1.0
     m = n if w.kind == "custom" else max(n, math.floor(alpha))
-    mags = np.abs(w._entries(np.arange(m + 1))[2])
+    mags = np.abs(reciprocal_coeffs(w, m))
     partial = float(mags[:n + 1].sum())
     if w.kind == "custom":
         p = rational_denominator(w)
@@ -322,21 +340,6 @@ def wiener_report(w: WeightSequence, n: int) -> WienerReport:
                             f"Schur-Cohn on P of degree {len(p) - 1}")
     tail = mags[n + 1:m + 1].sum() + mags[m] * abs(alpha - m) / alpha
     return WienerReport(partial, float(tail), "summable", "closed form")
-
-
-def inv_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
-    """``1/beta_{k+j}`` for ``j = 0..n``, one row per shift of ``ks``, at
-    every index: ``_entries`` for hardy and ``beta_alpha``, and for a custom
-    weight its table ``beta_0 .. beta_N``, continued past it by its
-    definition ``1/beta_{N+j} = s^j / beta_N`` (``s = last_ratio``; ``inf``
-    where that overflows).  The series reads its rows here."""
-    i = np.asarray(ks)[:, None] + np.arange(n + 1)
-    if w.kind != "custom":
-        return w._entries(i)[1]
-    N = w.trunc_len
-    with np.errstate(over="ignore"):
-        past = w.inv_betas[N] * w.last_ratio ** np.maximum(i - N, 0)
-    return np.where(i < N, w.inv_betas[np.minimum(i, N)], past)
 
 
 def shifted_resolvent_coeffs(w: WeightSequence, k: int, n: int) -> np.ndarray:
@@ -358,7 +361,8 @@ def quotient_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
     if n < 0 or ks.size == 0 or ks.min() < 1:
         raise InvalidParameterError("need n >= 0 and shifts k >= 1")
     k_max = int(ks.max())
-    _, inv_betas, c = w._entries(np.arange(n + k_max + 1))
+    inv_betas = w._entries(np.arange(k_max))[1]
+    c = reciprocal_coeffs(w, n + k_max)
     gap = ks - np.arange(1, k_max + 1)[:, None]  # k - l
     B = np.where(gap >= 0, inv_betas[np.maximum(gap, 0)], 0.0)
     # row j of the window is c_{j+1}, ..., c_{j+k_max}
@@ -368,17 +372,20 @@ def quotient_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
 def rational_rows(w: WeightSequence, ks, n: int) -> np.ndarray:
     """Coefficients ``0 .. n`` of ``P_k = (1 - s z) R_k``, one row per shift
     of ``ks``, for a weight continued past its table at ``s = last_ratio``:
-    ``1/beta_{k+m} - s/beta_{k+m-1}`` (``1/beta_k`` at ``m = 0``), exactly 0
-    once ``k + m >= N`` and ``m >= 1``, so ``P_k`` has degree below
-    ``N - k`` (``P_N = 1/beta_N``).  ``P_0`` is ``P``,
+    ``1/beta_k`` at ``m = 0`` (``_entries``, at any shift), then
+    ``1/beta_{k+m} - s/beta_{k+m-1}``, exactly 0 once ``k + m >= N``, since
+    past the table ``1/beta`` steps by ``s``; so ``P_k`` has degree below
+    ``N - k`` (``P_k = 1/beta_k`` from ``k = N - 1`` on).  ``P_0`` is ``P``,
     ``R_k / R = P_k / P``, and past ``m = 0`` the row is ``P`` shifted by
     ``k``: no ``P_k`` is of higher degree than ``P``."""
-    ks, m = np.asarray(ks)[:, None], np.arange(n + 1)
-    # clamped at the table, but never below the shift: a shift past the
-    # table is refused (``_entries``)
-    R = w._entries(np.minimum(ks + m, np.maximum(ks, w.trunc_len)))[1]
-    P = R - w.last_ratio * np.pad(R[:, :-1], ((0, 0), (1, 0)))
-    return np.where((ks + m < w.trunc_len) | (m == 0), P, 0.0)
+    ks = np.asarray(ks)
+    N, inv = w.trunc_len, w.inv_betas
+    # P's coefficients 1 .. N - 1 from the table, 0 past it
+    p = np.zeros(max(N, ks.max(initial=0) + n + 1))
+    p[1:N] = inv[1:N] - w.last_ratio * inv[:N - 1]
+    rows = p[ks[:, None] + np.arange(n + 1)]
+    rows[:, 0] = w._entries(ks)[1]
+    return rows
 
 
 def rational_denominator(w: WeightSequence) -> np.ndarray:
@@ -401,7 +408,7 @@ def hereditary_rows(w: WeightSequence, ks, n: int,
     if rows is None:
         custom = w.kind == "custom"
         parts = [np.eye(1, n + 1) - w.last_ratio * np.eye(1, n + 1, 1)
-                 if custom else w._entries(np.arange(n + 1))[2][None]] \
+                 if custom else reciprocal_coeffs(w, n)[None]] \
             if gamma else []
         if key[1]:
             parts.append((rational_rows if custom else quotient_rows)(

@@ -50,6 +50,20 @@ def long_copy(w, n=2048):
         else hb.make_weight_beta_alpha(w.alpha, n)
 
 
+def custom_copy_8():
+    """A custom copy of beta_2's table ``beta_0 .. beta_8``: past it the
+    weight continues at its last ratio ``s = 9/8``, not as beta_2."""
+    return hb.make_weight_custom(1 / np.arange(1, 10))
+
+
+def continued_inv(w, m):
+    """``1/beta_0 .. 1/beta_m`` of a custom weight by its definition: its
+    table, then ``1/beta_{N+j} = s^j / beta_N``."""
+    N, s = w.trunc_len, w.last_ratio
+    return np.concatenate((w.inv_betas[:m + 1],
+                           w.inv_betas[N] * s ** np.arange(1, m - N + 1)))
+
+
 def off_route(A):
     """``A`` as the operator of the private hereditary helpers with the
     spectral route declined, so that its conjugation sums take the series

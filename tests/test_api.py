@@ -336,9 +336,9 @@ def test_table_read_check_sees_every_spelling():
 def test_stored_tables_read_by_the_reports_alone():
     # a weight is its R, not its table: outside weights.py only the report
     # writers read the table or its length; every other read, the series'
-    # rows included, takes WeightSequence._entries (through
-    # weights.inv_rows and hereditary_rows), which answers at every index
-    # for hardy and beta_alpha
+    # rows included, takes WeightSequence._entries or reciprocal_coeffs
+    # (through hereditary_rows), which answer at every index for every
+    # kind of weight
     found = sorted(f"{path.stem}.{owner}" for path in sorted(SRC.glob("*.py"))
                    if path.stem != "weights"
                    for owner in table_reads(path.read_text()))

@@ -60,8 +60,8 @@ class TestWeightsCommand:
         assert code == 2
         assert "non-increasing" in err
 
-    def test_beta_float_is_alpha(self, capsys):
-        code, out, _ = run(capsys, "weights", "--beta", "2.5", "-n", "16")
+    def test_alpha_with_trunc(self, capsys):
+        code, out, _ = run(capsys, "weights", "--alpha", "2.5", "-n", "16")
         assert code == 0
         payload = json.loads(out)
         assert (payload["kind"], payload["alpha"]) == ("beta_alpha", 2.5)
@@ -104,7 +104,7 @@ class TestAnalyzeCommand:
 
     def test_scalar_contraction(self, tmp_path, capsys):
         op = self.write_operator(tmp_path, [[0.5]], [[np.sqrt(0.75)]])
-        code, out, _ = run(capsys, "analyze", op, "--beta", "1",
+        code, out, _ = run(capsys, "analyze", op, "--hardy",
                            "--k-max", "40")
         assert code == 0
         payload = json.loads(out)
@@ -115,7 +115,7 @@ class TestAnalyzeCommand:
         # the report's depth is the --k-max asked for, on a closed form and
         # the spectral route
         op = self.write_operator(tmp_path, [[0.5]], [[np.sqrt(0.75)]])
-        for weight in (["--beta", "1"], ["--alpha", "2.5"]):
+        for weight in (["--hardy"], ["--alpha", "2.5"]):
             code, out, _ = run(capsys, "analyze", op, *weight,
                                "--k-max", k_max)
             assert code == 0
@@ -158,18 +158,15 @@ class TestAnalyzeCommand:
         assert err == f"error: --tol must be a finite number >= 0, " \
             f"got {float(bad)}\n"
 
-    @pytest.mark.parametrize("bad", ["nan", "-1e-3", "-inf"])
-    def test_bad_tol_variable_exits_2(self, tmp_path, capsys, monkeypatch,
-                                      bad):
-        # every subcommand refuses a bad HARDY_BETA_TOL before any work,
-        # one with an explicit --tol or with no tolerance at all too
+    def test_tol_variable_not_read(self, tmp_path, capsys, monkeypatch):
+        # --tol has one spelling: HARDY_BETA_TOL was a second one, read and
+        # refused on every subcommand, those without a tolerance too
         op = self.write_operator(tmp_path, [[0.5]], [[0.866]])
-        monkeypatch.setenv("HARDY_BETA_TOL", bad)
-        text = f"error: HARDY_BETA_TOL must be a finite number >= 0, " \
-            f"got {float(bad)}\n"
-        for argv in (["analyze", op], ["analyze", op, "--tol", "1e-8"],
-                     ["weights", "--hardy", "--head"]):
-            assert run(capsys, *argv) == (2, "", text)
+        monkeypatch.setenv("HARDY_BETA_TOL", "nan")
+        for flags, tol in (([], 1e-8), (["--tol", "1e-7"], 1e-7)):
+            code, out, _ = run(capsys, "analyze", op, *flags)
+            assert code == 0
+            assert json.loads(out)["config"]["tol"] == tol
 
     def test_k_max_zero_exits_2(self, tmp_path, capsys):
         op = self.write_operator(tmp_path, [[0.5]], [[0.866]])
@@ -191,7 +188,7 @@ class TestAnalyzeCommand:
 class TestCharfnCommand:
     def test_scalar_blaschke_bundle(self, tmp_path, capsys):
         out_file = tmp_path / "char.json"
-        code, _, _ = run(capsys, "charfn", "--t", "0.5", "--beta", "1",
+        code, _, _ = run(capsys, "charfn", "--t", "0.5", "--hardy",
                          "--k-max", "3", "--out", str(out_file))
         assert code == 0
         payload = json.loads(out_file.read_text())
@@ -211,7 +208,7 @@ class TestCharfnCommand:
         outs = []
         for source in (["--t", "0.5"], ["--operator", str(keyed)],
                        ["--operator", str(bare)]):
-            code, out, _ = run(capsys, "charfn", *source, "--beta", "1",
+            code, out, _ = run(capsys, "charfn", *source, "--hardy",
                                "--k-max", "3")
             assert code == 0
             outs.append(out)
@@ -228,12 +225,12 @@ class TestCharfnCommand:
             in capsys.readouterr().err
 
     def test_no_operator_exits_2(self, capsys):
-        code, _, err = run(capsys, "charfn", "--beta", "1")
+        code, _, err = run(capsys, "charfn", "--hardy")
         assert code == 2
         assert "--t or --operator" in err
 
     def test_expansion_exits_4(self, capsys):
-        code, _, _ = run(capsys, "charfn", "--t", "1.5", "--beta", "1")
+        code, _, _ = run(capsys, "charfn", "--t", "1.5", "--hardy")
         assert code in (2, 4)
 
 
@@ -433,6 +430,9 @@ class TestParser:
         ("kernels op.json --out-csv g.csv", "--out", "g.json"),
         ("verify", "--tol", "1e-6"), ("verify", "--k-max", "4"),
         ("verify", "--trunc", "768"),
+        # a second spelling of --hardy and --alpha, not an abbreviation
+        # of --betas
+        ("weights", "--beta", "1"),
     ] + [
         # the table length is read by the weights report alone
         (command, flag, "64") for command in (
@@ -483,11 +483,10 @@ class TestReportConfig:
     def test_config_is_the_subcommand_settings(self, tmp_path, capsys,
                                                monkeypatch, argv, own):
         # every report echoed tol, k_max, rank_tol, seed and trials, with a
-        # default for each flag it lacks: under HARDY_BETA_TOL=1e-3 a
-        # colligate report said tol 0.001, though build_family takes none
+        # default for each flag it lacks: a colligate report said tol 1e-8,
+        # though build_family takes none
         import hardybeta.acceptance as acc
         monkeypatch.setattr(acc, "CRITERIA", [acc.criterion_6_scalar_golden])
-        monkeypatch.setenv("HARDY_BETA_TOL", "1e-3")
         op, report = tmp_path / "op.json", tmp_path / "report.json"
         op.write_text(json.dumps({"A": [[[0.5, 0.0]]],
                                   "C": [[[0.866, 0.0]]]}))
@@ -498,47 +497,12 @@ class TestReportConfig:
         assert self.SETTINGS & set(parsed) == own
         assert run(capsys, *argv)[0] == 0
         expected = {key: parsed[key] for key in own}
-        if "tol" in own:  # --tol defaults to HARDY_BETA_TOL
-            expected["tol"] = 1e-3
         if argv[0] != "verify":  # the suite's table is no setting
             expected["trunc"] = 256
         assert json.loads(report.read_text())["config"] == expected
 
 
 class TestEnvAndDeterminism:
-    def test_tol_env_override(self, monkeypatch):
-        from hardybeta.cli import _default_tol
-        monkeypatch.setenv("HARDY_BETA_TOL", "1e-5")
-        assert _default_tol() == 1e-5
-        monkeypatch.delenv("HARDY_BETA_TOL")
-        assert _default_tol() == 1e-8
-
-    def test_tol_env_read_on_every_call(self, tmp_path, capsys,
-                                        monkeypatch):
-        # the parser is built by the first call; the environment of a later
-        # one still sets its default tolerance
-        monkeypatch.delenv("HARDY_BETA_TOL", raising=False)
-        op = TestAnalyzeCommand().write_operator(tmp_path, [[0.5]],
-                                                 [[np.sqrt(0.75)]])
-        out = tmp_path / "report.json"
-
-        def tol(*flags):
-            code, _, _ = run(capsys, "analyze", op, "--beta", "1",
-                             "--out", str(out), *flags)
-            assert code == 0
-            return json.loads(out.read_text())["config"]["tol"]
-
-        assert tol() == 1e-8
-        monkeypatch.setenv("HARDY_BETA_TOL", "1e-5")
-        assert tol() == 1e-5
-        assert tol("--tol", "1e-7") == 1e-7
-        monkeypatch.delenv("HARDY_BETA_TOL")
-        assert tol() == 1e-8
-        monkeypatch.setenv("HARDY_BETA_TOL", "tight")
-        code, out, err = run(capsys, "verify", "--out", str(out))
-        assert (code, out) == (2, "")
-        assert "input error" in err and "'tight'" in err
-
     def test_subcommand_looked_up_on_every_call(self, capsys, monkeypatch):
         from hardybeta import cli
         run(capsys, "weights", "--alpha", "2", "-n", "4")

@@ -2,9 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import hardybeta as hb
-from conftest import cmat, stable_pair
+from conftest import cmat, continued_inv, custom_copy_8, stable_pair
 from hardybeta.acceptance import suite_weights
 from hardybeta.colligation import (
     _metric_residuals,
@@ -190,6 +191,28 @@ class TestBuildFamily:
         fam = hb.build_family(w_beta2, pair, k_max=6, tol=1e-13)
         assert max(fam.isometry_residuals) < 1e-10
         assert max(fam.coisometry_residuals) < 1e-10
+
+    def test_custom_past_the_table(self):
+        # k_max = 10 reads beta_9 .. beta_11 past the 8-entry table, by the
+        # weight's definition; both metric identities hold with it, and
+        # G^(11) is its own series sum_j A^{*j} C* C A^j / beta_{11+j}
+        w = custom_copy_8()
+        A, C = np.array([[0.5, 0.1], [0.0, 0.3]]), np.array([[1.0, 1.0]])
+        fam = hb.build_family(w, hb.OutputPair(A=A, C=C), k_max=10)
+        inv = continued_inv(w, 200)
+        G = fam.gramians
+        CA = [C @ np.linalg.matrix_power(A, j) for j in range(190)]
+        top = sum(inv[11 + j] * M.conj().T @ M for j, M in enumerate(CA))
+        np.testing.assert_allclose(G[11], top, rtol=1e-12)
+        for k in range(11):
+            U, st = colligation_block(fam, k), fam.step(k)
+            isom = U.conj().T @ block_diag(G[k + 1], inv[k] * np.eye(1)) @ U \
+                - block_diag(G[k], np.eye(st.u))
+            coisom = U @ block_diag(np.linalg.inv(G[k]), np.eye(st.u)) \
+                @ U.conj().T - block_diag(np.linalg.inv(G[k + 1]),
+                                          np.eye(1) / inv[k])
+            assert np.linalg.norm(isom, 2) <= 1e-9
+            assert np.linalg.norm(coisom, 2) <= 1e-9
 
     def test_generic_input_dimension_is_p(self, w_beta3):
         rng = np.random.default_rng(22)

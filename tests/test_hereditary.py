@@ -9,8 +9,8 @@ import hardybeta as hb
 from hardybeta import colligation
 from hardybeta import hereditary as her
 from hardybeta import series
-from conftest import (cmat, continued_R, hypercontraction_T, long_copy,
-                      mp_maps, series_copy, stable_pair)
+from conftest import (cmat, continued_R, custom_copy_8, hypercontraction_T,
+                      long_copy, mp_maps, series_copy, stable_pair)
 
 
 class TestResolvent:
@@ -1052,14 +1052,19 @@ class TestOneRoute:
         np.testing.assert_equal(call(hb.make_weight_beta_alpha(3.0, n)),
                                 call(hb.make_weight_beta_alpha(3.0, 2048)))
 
-    def test_custom_shift_past_the_table_refused(self):
-        # a custom weight is its table: its maps at a shift past it are
-        # refused (rational_rows would clamp the index, a wrong P_k)
-        with pytest.raises(hb.TruncationError, match="^" + re.escape(
-                "index 21 is past the table of a custom weight, "
-                "beta_0..beta_1, which defines it") + "$"):
-            hb.delta_limit(hb.make_weight_custom([1.0, 0.5]),
-                           np.diag([1.0, 0.5]), np.eye(2))
+    def test_custom_shift_past_the_table(self):
+        # past its table [1, 1/2] the weight continues at s = 2, so
+        # 1/beta_k = 2^k and R_k / R = 2^k: every shifted map is 2^k X.
+        # Then D_k = A^{*k} Gamma^(k)[I] A^k = diag(2^k, 2^-k) grows, and
+        # delta_limit refuses by the decrement D_20 - D_21 = -2^20
+        w, A = hb.make_weight_custom([1.0, 0.5]), np.diag([1.0, 0.5])
+        for k in (1, 2, 21):
+            assert np.array_equal(hb.gamma_k_map(w, k, A, np.eye(2)),
+                                  2.0 ** k * np.eye(2))
+        with pytest.raises(hb.HereditaryDomainError, match="^" + re.escape(
+                "monotone decrease violated: worst decrement eigenvalue "
+                "-1.049e+06") + "$"):
+            hb.delta_limit(w, A, np.eye(2))
 
 
 class TestEveryIndex:
@@ -1108,6 +1113,40 @@ class TestEveryIndex:
         assert got.classification.k_checked == 20
         assert got.classification.residuals["beta_strong_stability"] \
             == ref.classification.residuals["beta_strong_stability"]
+
+
+class TestCustomPastTheTable:
+    """A custom weight past its table reads its definition: the copy of
+    beta_2's table ``beta_0 .. beta_8`` continues at ``s = 9/8``, so
+    ``1/beta_{8+j} = s^j / beta_8``, and ``P_k = (1 - s z) R_k`` is the
+    constant ``1/beta_k`` from ``k = 7`` on."""
+
+    A = np.array([[0.5, 0.1], [0.0, 0.3]])
+    C = np.array([[1.0, 1.0]])
+
+    def test_observability_coeffs(self):
+        w = custom_copy_8()
+        got = hb.observability_coeffs(w, 0, hb.OutputPair(A=self.A, C=self.C),
+                                      20)
+        for j in range(21):
+            inv = w.inv_betas[j] if j <= 8 \
+                else w.last_ratio ** (j - 8) / w.betas[8]
+            np.testing.assert_allclose(
+                got[j], inv * self.C @ np.linalg.matrix_power(self.A, j),
+                rtol=1e-14, atol=0)
+
+    def test_gamma_k_map(self):
+        # Gamma^(12)[X] = (1/beta_12) P(L)^-1 X, with P = (1 - s z) R of
+        # degree 7 from the table and L: X -> A* X A in row-major vec form
+        w = custom_copy_8()
+        inv, s = w.inv_betas, w.last_ratio
+        P = np.concatenate(([1.0], inv[1:8] - s * inv[:7]))
+        L = np.kron(self.A.conj().T, self.A.T)
+        PL = sum(p * np.linalg.matrix_power(L, m) for m, p in enumerate(P))
+        want = s ** 4 / w.betas[8] \
+            * np.linalg.solve(PL, np.eye(2).ravel()).reshape(2, 2)
+        got = hb.gamma_k_map(w, 12, self.A, np.eye(2))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestRefusals:
@@ -1297,10 +1336,16 @@ class TestRefusals:
         np.testing.assert_array_equal(
             hb.observability_coeffs(w_beta2, 200, pair, 57),
             hb.observability_coeffs(long_copy(w_beta2), 200, pair, 57))
-        with pytest.raises(hb.TruncationError, match="^" + re.escape(
-                "index 257 is past the table of a custom weight, "
-                "beta_0..beta_256, which defines it") + "$"):
-            hb.observability_coeffs(series_copy(w_beta2), 200, pair, 57)
+        # a custom copy continues at its last ratio s past its table
+        custom = series_copy(w_beta2)
+        N, s = w_beta2.trunc_len, custom.last_ratio
+        got = hb.observability_coeffs(custom, 200, pair, 57)
+        for j in (0, 56, 57):
+            inv = 1 / w_beta2.betas[200 + j] if 200 + j <= N \
+                else s ** (200 + j - N) / w_beta2.betas[N]
+            np.testing.assert_allclose(
+                got[j], inv * np.linalg.matrix_power(self.A2, j),
+                rtol=1e-13, atol=0)
 
     def test_domain_needs_psd_argument(self, w_beta2):
         with pytest.raises(hb.HereditaryDomainError,

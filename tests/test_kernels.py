@@ -280,9 +280,10 @@ class TestInnerFamilyCheck:
             assert d["residual"] <= 1e-10
             assert d["allowance"] <= 1e-10
 
-    def test_longest_J_the_table_allows(self, w_beta2):
+    def test_J_past_the_table(self, w_beta2):
         # the columns reach degree k_max + J: past the table beta_2 reads
-        # the entries of a longer one, and a custom weight is refused
+        # the entries of a longer one, and a custom weight its own
+        # continuation, for which its family is inner too
         rng = np.random.default_rng(50)
         pair = stable_pair(rng, 3, 2, rho=0.6)
         fam = hb.build_family(w_beta2, pair, k_max=6, tol=1e-13)
@@ -296,10 +297,9 @@ class TestInnerFamilyCheck:
             == hb.check_inner_family(longer, k_max=6, J=J + 1, tol=1e-8)
         custom = hb.build_family(series_copy(w_beta2), pair, k_max=6,
                                  tol=1e-13)
-        hb.check_inner_family(custom, k_max=6, J=J, tol=1e-8)
-        with pytest.raises(hb.TruncationError, match=(
-                "^index 257 is past the table of a custom weight")):
-            hb.check_inner_family(custom, k_max=6, J=J + 1, tol=1e-8)
+        for J_past in (J + 1, 400):
+            rep = hb.check_inner_family(custom, k_max=6, J=J_past, tol=1e-8)
+            assert rep.verdict == "pass" and rep.details["J"] == J_past
 
     def test_extra_zero_degree_changes_nothing(self, w_beta2, monkeypatch):
         # columns one degree longer (all zero there) give the same
@@ -617,8 +617,8 @@ def test_grid_hermitian_off_the_diagonal(all_weights, kind, k):
 
 class TestRefusals:
     def test_element_past_the_weight_table(self):
-        # beta_2 reads the weights of a longer table; a custom weight is
-        # its table
+        # beta_2 reads the weights of a longer table; a custom weight
+        # continues at its last ratio s = beta_3 / beta_4 = 5/4
         w = hb.make_weight_beta_alpha(2.0, 4)
         f = hb.HardyElement(w, np.ones((6, 1)))
         assert f.norm_sq \
@@ -626,10 +626,12 @@ class TestRefusals:
         assert hb.shift_adjoint_apply(f).coeffs.tolist() \
             == hb.shift_adjoint_apply(hb.HardyElement(
                 long_copy(w), np.ones((6, 1)))).coeffs.tolist()
-        with pytest.raises(hb.TruncationError, match=(
-                r"^index 5 is past the table of a custom weight, "
-                r"beta_0\.\.beta_4, which defines it$")):
-            hb.HardyElement(series_copy(w), np.ones((6, 1)))
+        g = hb.HardyElement(series_copy(w), np.ones((6, 1)))
+        assert g.norm_sq == pytest.approx(
+            sum(w.betas) + w.betas[4] * 4 / 5, rel=1e-15)
+        np.testing.assert_allclose(
+            hb.shift_adjoint_apply(g).coeffs[:, 0],
+            np.append(w.betas[1:] / w.betas[:-1], 4 / 5), rtol=1e-15)
 
     def test_one_space_whatever_the_table(self):
         # a weight is its R: hardy at 16 and 256 entries is one space, as

@@ -1,5 +1,6 @@
 """The runtime is numpy-only: building and checking a family loads no scipy,
-and importing the package loads no process pool."""
+importing the package loads no process pool, and importing the CLI loads
+no acceptance suite."""
 
 import os
 import subprocess
@@ -47,6 +48,17 @@ def test_import_loads_no_process_pool(module):
     out = subprocess.run(
         [sys.executable, "-c",
          f"import sys, {module}; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_suite():
+    # only `verify` runs the acceptance suite, and cmd_verify imports it
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, hardybeta.cli; "
+         "print('hardybeta.acceptance' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"

@@ -11,7 +11,6 @@ from scipy.special import gammaln
 import hardybeta as hb
 from hardybeta import hereditary as her
 from hardybeta import series, spectral
-from hardybeta.weights import inv_rows
 from conftest import continued_R, mp_maps, off_route, series_copy
 
 #: diagonal (normal) operator: ||A^j|| = rho^j, so the observed transient
@@ -28,14 +27,6 @@ def _weight(kind):
     if kind == "hardy":
         return series_copy(hb.make_weight_hardy(256)), 1
     return series_copy(hb.make_weight_beta_alpha(2.0, 256)), 2
-
-
-def _shifted(w, ks):
-    """The rows ``1/beta_{k+j}`` of the shifts ``ks`` and their steps, as
-    the functions of the length and the cuts that the engine reads."""
-    ks = np.asarray(ks)
-    return (lambda n: inv_rows(w, ks, n),
-            lambda J: w.inv_step(ks[:, None] + J))
 
 
 def _span(right, q, left=None):
@@ -109,8 +100,8 @@ _JORDAN = 0.9 * np.eye(8) + np.diag(np.ones(7), 1)
 def _hardy_rows(w):
     """The ``c`` and ``1/beta`` rows of hardy with their steps."""
     def rows(n):
-        _, inv, c = w._entries(np.arange(n + 1))
-        return np.vstack([c, inv])
+        return np.vstack([hb.reciprocal_coeffs(w, n),
+                          w._entries(np.arange(n + 1))[1]])
     return rows, lambda J: np.vstack([w.c_step(J), w.inv_step(J)])
 
 
@@ -137,7 +128,7 @@ class TestBlocksMatchTermByTerm:
                 first, q, ks, left = (C.conj().T @ C,
                                       series.conjugation_rate(rho),
                                       range(3), A.conj().T)
-            rows, steps = _shifted(w, ks)
+            rows, steps = her._shifted_rows(w, ks)
             for tol in (1e-4, 1e-10):
                 ref, K, zero = _reference(first, A, rows, steps, q, tol,
                                           left=left)
@@ -171,7 +162,7 @@ class TestBlocksMatchTermByTerm:
 
     def test_record_holds_exactly_the_cut(self, w_hardy):
         A = np.diag([0.7, 0.5j]).astype(complex)
-        rows, steps = _shifted(w_hardy, [0])
+        rows, steps = her._shifted_rows(w_hardy, [0])
         args = (np.eye(2, dtype=complex), A, rows, steps,
                 series.decay_rate(0.7))
         rec = series.adaptive_sum(args[0], A, rows, args[4], steps, 1e-6,
@@ -188,7 +179,7 @@ class TestBlocksMatchTermByTerm:
         # the windows the cut is looked for in only decide how far the rows
         # are read: the first J whose bound holds is the same from any start
         w = hb.make_weight_beta_alpha(2.5, 256)
-        rows, steps = _shifted(w, range(4))
+        rows, steps = her._shifted_rows(w, range(4))
         for q, K, tol in ((0.5, 1.0, 1e-12), (0.99, 3.0, 1e-10),
                           (0.995, 1e3, 1e-8)):
             J, coefs, tails = series.cut(rows, steps, q, K, tol, "test",
@@ -585,7 +576,7 @@ def test_terms_obey_certified_constant(make, form):
     returned ``K``, ``m`` the certified span."""
     rng = np.random.default_rng(13)
     w = hb.make_weight_beta_alpha(2.5, 2048)
-    rows, steps = _shifted(w, [0])
+    rows, steps = her._shifted_rows(w, [0])
     for _ in range(4):
         n = 8 if make == "jordan" else int(rng.integers(2, 7))
         A = {"normal": lambda: _normal(rng, n, 0.95),
@@ -622,7 +613,7 @@ def test_row_tails_cover_remainder(alpha):
     ks = range(1, K + 1)
     cases = [(lambda n, v: hb.reciprocal_coeffs(v, n)[None], w.c_step),
              (lambda n, v: hb.quotient_rows(v, ks, n), w.c_step)]
-    cases += [(lambda n, v, k=k: inv_rows(v, [k], n),
+    cases += [(lambda n, v, k=k: her._shifted_rows(v, [k])[0](n),
                lambda J, k=k: w.inv_step(k + J)) for k in (0, 1, K)]
     for q in (0.81, 0.99, 0.999):
         for row, step in cases:

@@ -247,7 +247,10 @@ class TestRefusals:
 
     def test_horizon_past_the_weight_table(self, fam_beta2):
         # the same steps over a 4-term table: five steps read beta_5, which
-        # beta_2 gives as a longer table does, and a custom weight refuses
+        # beta_2 gives as a longer table does, and a custom copy by its last
+        # ratio s = 5/4, beta_5 = 4/25 instead of 1/6: x(5), which is
+        # (1/beta_5) times a sum that does not read the weight, grows by
+        # 25/24, and nothing before it moves
         w = hb.make_weight_beta_alpha(2.0, 4)
         fam = dataclasses.replace(fam_beta2, weight=w)
         rng = np.random.default_rng(78)
@@ -258,10 +261,11 @@ class TestRefusals:
         np.testing.assert_array_equal(traj.states, ref.states)
         np.testing.assert_array_equal(traj.outputs, ref.outputs)
         fam = dataclasses.replace(fam_beta2, weight=series_copy(w))
-        with pytest.raises(hb.TruncationError, match=(
-                r"^index 5 is past the table of a custom weight, "
-                r"beta_0\.\.beta_4, which defines it$")):
-            hb.simulate(fam, x0, us)
+        custom = hb.simulate(fam, x0, us)
+        np.testing.assert_array_equal(custom.states[:5], ref.states[:5])
+        np.testing.assert_array_equal(custom.outputs, ref.outputs)
+        np.testing.assert_allclose(custom.states[5], ref.states[5] * 25 / 24,
+                                   rtol=1e-13)
 
     def test_initial_state_dimension(self, fam_beta2):
         with pytest.raises(hb.InvalidParameterError,

@@ -11,15 +11,10 @@ from scipy.special import gammaln
 
 import hardybeta as hb
 from hardybeta import weights
-from conftest import continued_R, long_copy, series_copy
+from conftest import (continued_R, continued_inv, custom_copy_8, long_copy,
+                      series_copy)
 
-
-def custom_past(n, index):
-    """The refusal of a custom weight ``beta_0 .. beta_n`` read at
-    ``index``, as a pattern."""
-    return "^" + re.escape(
-        f"index {index} is past the table of a custom weight, "
-        f"beta_0..beta_{n}, which defines it") + "$"
+W8 = custom_copy_8()
 
 
 def binomial_reciprocal(n_int, length):
@@ -112,14 +107,18 @@ class TestReciprocalCoeffs:
         assert np.array_equal(w.c_coeffs, old)
         assert np.array_equal(np.signbit(w.c_coeffs), np.signbit(old))
 
-    def test_truncation_guard(self, w_beta2):
-        # past the table: the bits of a longer one, or a custom refusal
+    def test_past_the_table(self, w_beta2):
+        # past the table: the bits of a longer one, or a custom weight's
+        # recursion continued over its continued reciprocals, whose prefix
+        # is the stored table
         n = w_beta2.trunc_len + 1
         np.testing.assert_array_equal(
             hb.reciprocal_coeffs(w_beta2, n),
             hb.reciprocal_coeffs(long_copy(w_beta2), n))
-        with pytest.raises(hb.TruncationError, match=custom_past(n - 1, n)):
-            hb.reciprocal_coeffs(series_copy(w_beta2), n)
+        custom = series_copy(w_beta2)
+        c = hb.reciprocal_coeffs(custom, n)
+        assert np.array_equal(c[:n], custom.c_coeffs)
+        assert abs(np.dot(c, continued_inv(custom, n)[::-1])) < 1e-12
 
     def test_convolution_identity(self, all_weights):
         # sum_j c_j / beta_{n-j} = delta_{n,0}
@@ -147,8 +146,8 @@ def test_convolution_identity_random_weights(ratios):
 
 def test_concurrent_reads_past_the_table():
     # threads released together on one fresh short weight, each reading to
-    # its own index past the table: every read has the bits of a long
-    # table, whichever growth lands last
+    # its own index past the table: every read, of the entries and of c,
+    # has the bits of a long table, whichever growth lands last
     ref = hb.make_weight_beta_alpha(2.5, 2048)
     tops = [40 * (t + 1) for t in range(8)]
     rounds = 60
@@ -158,11 +157,12 @@ def test_concurrent_reads_past_the_table():
 
     def read(top):
         idx = np.arange(top + 1)
-        want = ref._entries(idx)
+        want = ref._entries(idx) + (hb.reciprocal_coeffs(ref, top),)
         try:
             for w in weights_:
                 barrier.wait()
-                if not all(map(np.array_equal, w._entries(idx), want)):
+                got = w._entries(idx) + (hb.reciprocal_coeffs(w, top),)
+                if not all(map(np.array_equal, got, want)):
                     errors.append(top)
         except Exception as exc:  # a raise in a thread must fail the test
             errors.append(exc)
@@ -180,6 +180,57 @@ def test_concurrent_reads_past_the_table():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+class TestEveryIndex:
+    """Every weight answers at every index: hardy and ``beta_alpha`` by
+    their recurrences, a custom weight past its table by its definition."""
+
+    def test_custom_entries_by_definition(self):
+        beta, inv = W8._entries(np.arange(40))
+        s = W8.last_ratio
+        assert s == 9 / 8
+        np.testing.assert_array_equal(inv, continued_inv(W8, 39))
+        np.testing.assert_array_equal(beta, np.concatenate(
+            (W8.betas, W8.betas[8] / s ** np.arange(1, 32))))
+        assert W8._entries(12) == (beta[12], inv[12])
+        # 1/beta_10000 = 9 (9/8)^9992 does not fit a float: inf, and beta
+        # 0, with no RuntimeWarning
+        assert W8._entries(10 ** 4) == (0.0, np.inf)
+
+    def test_custom_reciprocal_coeffs(self):
+        # the table's recursion continued: its prefix is the stored table
+        # bit for bit, and sum_j c_j / beta_{n-j} = delta_{n,0} through 20
+        # for the continued weight
+        c = hb.reciprocal_coeffs(W8, 20)
+        assert np.array_equal(c[:9], W8.c_coeffs)
+        inv = continued_inv(W8, 20)
+        conv = [np.dot(c[:n + 1], inv[:n + 1][::-1]) for n in range(21)]
+        np.testing.assert_allclose(conv, np.eye(1, 21)[0], rtol=0,
+                                   atol=1e-12)
+        # read in two steps, the same bits
+        w = hb.make_weight_custom(W8.betas)
+        hb.reciprocal_coeffs(w, 12)
+        assert np.array_equal(hb.reciprocal_coeffs(w, 20), c)
+
+    @pytest.mark.parametrize("make", [
+        hb.make_weight_hardy, lambda n: hb.make_weight_beta_alpha(2.5, n)],
+        ids=["hardy", "beta2.5"])
+    def test_tables_extended_in_place(self, make, monkeypatch):
+        # past the table no weight is built, and no Wiener report made: the
+        # tables grow by their own recurrences, to a longer table's bits
+        w, ref = make(16), make(2048)
+        for name in ("make_weight_hardy", "make_weight_beta_alpha",
+                     "wiener_report"):
+            monkeypatch.setattr(weights, name, _raise)
+        idx = np.arange(2049)
+        assert all(map(np.array_equal, w._entries(idx), ref._entries(idx)))
+        np.testing.assert_array_equal(hb.reciprocal_coeffs(w, 2048),
+                                      ref.c_coeffs)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("called")
 
 
 class TestWiener:
@@ -205,6 +256,13 @@ class TestWiener:
         for n in (2, 9, 40):
             assert hb.wiener_report(w, n) == hb.wiener_report(ref, n)
         assert w.wiener == hb.wiener_report(ref, 2)
+
+    def test_custom_past_the_table(self):
+        # 1/beta_j = 2^j, so 1/R = 1 - 2z: the report reads c_9, one past
+        # the table, and the tail past it is exactly 0
+        w = hb.make_weight_custom(0.5 ** np.arange(9))
+        assert hb.wiener_report(w, 9) \
+            == hb.WienerReport(3.0, 0.0, "summable", "polynomial 1/R")
 
     def test_adversarial_diverges(self):
         # reciprocal generating function has zeros inside the disk, so the
@@ -295,13 +353,16 @@ class TestShiftedTables:
             hb.shifted_resolvent_coeffs(w_beta3, 0, 10),
             1.0 / w_beta3.betas[:11], rtol=0)
 
-    def test_overflow_guard(self, w_beta2):
+    def test_past_the_table(self, w_beta2):
+        # the bits of a longer table, or a custom weight's definition
         N = w_beta2.trunc_len
         np.testing.assert_array_equal(
             hb.shifted_resolvent_coeffs(w_beta2, N, 1),
             hb.shifted_resolvent_coeffs(long_copy(w_beta2), N, 1))
-        with pytest.raises(hb.TruncationError, match=custom_past(N, N + 1)):
-            hb.shifted_resolvent_coeffs(series_copy(w_beta2), N, 1)
+        custom = series_copy(w_beta2)
+        np.testing.assert_array_equal(
+            hb.shifted_resolvent_coeffs(custom, N, 1),
+            continued_inv(custom, N + 1)[N:])
 
     def test_coefficient_cross_identity(self, all_weights):
         # R_j = z R_{j+1} + 1/beta_j at the coefficient level
@@ -347,15 +408,19 @@ class TestGammaKCoeffs:
                     ref = dj1[m - 1] + w.inv_betas[j] * w.c_coeffs[m]
                     assert dj[m] == pytest.approx(ref, abs=1e-12)
 
-    def test_table_guard(self, w_beta2):
+    def test_past_the_table(self, w_beta2):
+        # the bits of a longer table; a custom weight's rows past its table
+        # are the Taylor data of R_k / R for the continued weight
         N = w_beta2.trunc_len
         for ks, n in (([3], N), ([1, 4], N - 3)):
             np.testing.assert_array_equal(
                 hb.quotient_rows(w_beta2, ks, n),
                 hb.quotient_rows(long_copy(w_beta2), ks, n))
-        with pytest.raises(hb.TruncationError,
-                           match=custom_past(N, N + 3)):
-            hb.quotient_rows(series_copy(w_beta2), [3], N)
+        for k, d in zip((3, 12), hb.quotient_rows(W8, [3, 12], 20)):
+            inv = continued_inv(W8, k + 20)
+            for j in range(21):
+                assert np.dot(inv[:j + 1][::-1], d[:j + 1]) \
+                    == pytest.approx(inv[k + j], rel=1e-12)
 
     def test_quotient_rows_are_the_single_rows(self, all_weights):
         # one product for all shifts gives each shift's own row
@@ -404,10 +469,6 @@ class TestRefusals:
          "betas must be a nonempty 1-d sequence"),
         (lambda: hb.make_weight_custom([[1.0, 0.5]]),
          hb.InvalidParameterError, "betas must be a nonempty 1-d sequence"),
-        (lambda: hb.wiener_report(hb.make_weight_custom(0.5 ** np.arange(9)),
-                                  9),
-         hb.TruncationError, "index 9 is past the table of a custom weight, "
-         "beta_0..beta_8, which defines it"),
         (lambda: hb.wiener_report(hb.make_weight_hardy(8), -1),
          hb.InvalidParameterError, "wiener_report needs n >= 0, got -1"),
         (lambda: hb.shifted_resolvent_coeffs(hb.make_weight_hardy(8), -1, 2),
@@ -418,7 +479,7 @@ class TestRefusals:
          "weight: its hereditary maps take the rational form "
          "(rational_rows)"),
     ], ids=["hardy-short", "beta-short", "custom-empty", "custom-2d",
-            "wiener-past-table", "wiener-negative", "shifted-negative",
+            "wiener-negative", "shifted-negative",
             "c-step-custom"])
     def test_refusal_text(self, call, error, match):
         with pytest.raises(error, match="^" + re.escape(match) + "$"):
