@@ -374,9 +374,9 @@ class GramianTable:
 class ClassificationReport:
     """Tolerance-qualified classification flags with their justifying
     residuals.  ``k_checked`` is the positivity depth, the last shift of
-    the stack ``Gamma^(1..k)[I]``: for ``classify`` strong stability is
-    decided at that depth too, and for a characteristic family on one
-    deeper term (``characteristic_family``)."""
+    the stack ``Gamma^(1..k)[I]``, and the depth of the recorded
+    stability term; strong stability itself is decided by its rate,
+    at every depth (``_classification``)."""
 
     contractive_pair: bool
     isometric_pair: bool
@@ -563,6 +563,20 @@ def _spectral_quotients(w: WeightSequence, ks, gamma: bool, x):
         else one * values[0]
 
 
+def _integer_shifts(k, context) -> np.ndarray:
+    """The shift or shifts ``k`` as an integer array of their shape; a
+    shift that is not an integer (a fraction, NaN or inf) is refused by
+    name, never truncated."""
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu":
+        bad = ks[~(np.isfinite(ks) & (ks == np.round(ks)))]
+        if bad.size:
+            raise InvalidParameterError(
+                f"{context} needs integer shifts, got k={bad.flat[0]}")
+        ks = ks.astype(int)
+    return ks
+
+
 def _hereditary_sums(w: WeightSequence, op: _Operator, X, ks, tol, context,
                      gamma=False) -> np.ndarray:
     """``Gamma[X]`` (when ``gamma``) followed by ``Gamma^(k)[X]`` for every
@@ -579,7 +593,7 @@ def _hereditary_sums(w: WeightSequence, op: _Operator, X, ks, tol, context,
     ``(1 - x)^alpha`` and ``(1 - x)^alpha R_k(x)`` at the eigenvalue
     products.  Non-integer alpha past the gate takes the series, over the
     rows read to its cut.  None of them but the series uses ``tol``."""
-    ks = np.asarray(ks)
+    ks = _integer_shifts(ks, context)
     if ks.size and ks.min() < 1:
         raise InvalidParameterError(
             f"{context} needs shifts k >= 1, got k={ks.min()}")
@@ -618,7 +632,7 @@ def _resolvent_table(w, k, op: _Operator, z, tol, context="resolvents"):
     ``rho(A)`` and the diagonalization are the operator's, made once.  A
     ConvergenceError of the series names ``context``, the caller."""
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    ks = np.atleast_1d(np.asarray(k, dtype=int))
+    ks = np.atleast_1d(_integer_shifts(k, context))
     if not ks.size:
         raise InvalidParameterError("resolvents need at least one shift k")
     if ks.min() < 0:
@@ -680,7 +694,8 @@ def resolvents(w: WeightSequence, k, A, zs,
     tail <= tol at every shift and every point.
 
     Requires finite points in the open unit disk, ``r * rho(A) < 1`` (a
-    DivergenceError names it first) and shifts ``k >= 0``.  The series
+    DivergenceError names it first) and integer shifts ``k >= 0`` (a
+    fraction is refused, never truncated).  The series
     raises ConvergenceError when no cut within its term budget brings the
     tail bound below ``tol``.  ``tol`` must be finite and ``>= 0``; at 0
     only an exact sum (a closed form, the spectral route, a vanishing tail)
@@ -712,7 +727,7 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     """Scalar ``R_k(x) = sum_j x^j / beta_{k+j}`` vectorized over ``x``.
 
     Used for the space kernel ``K(z, zeta) = R(z * conj(zeta))``.  Requires
-    ``k >= 0`` and finite points with ``|x| < 1``.  Hardy and integer alpha
+    an integer ``k >= 0`` and finite points with ``|x| < 1``.  Hardy and integer alpha
     are closed form, ``sum_{r<alpha} C(k + r - 1, r) (1 - x)^(r - alpha)``;
     non-integer alpha is ``spectral.shifted`` at the points, with no gate.
     Custom weights, and points past the quadrature's ladder, sum the series
@@ -721,6 +736,7 @@ def resolvent_scalar(w: WeightSequence, k: int, x, tol: float = 1e-12):
     series returns only a vanishing tail.
     """
     _check_tol(tol)
+    k = int(_integer_shifts(k, "resolvent_scalar"))
     if k < 0:
         raise InvalidParameterError(f"shift k={k} must be >= 0")
     xs = np.asarray(x, dtype=complex)
@@ -882,11 +898,11 @@ def gamma_map(w: WeightSequence, A, X, tol: float = 1e-10) -> np.ndarray:
 def gamma_k_map(w: WeightSequence, k, A, X,
                 tol: float = 1e-10) -> np.ndarray:
     """Shifted hereditary map ``(R_k / R)(L)[X]``, built from the
-    quotient-series coefficients, for one shift ``k`` or a sequence of
-    shifts ``k >= 1``: then a ``(len(k), n, n)`` stack from one evaluation
-    on the weight's route (``_hereditary_sums``), as ``classify`` does; on
-    the series every shift's row is cut at one index.  ``A`` and ``tol``
-    as for ``gamma_map``."""
+    quotient-series coefficients, for one integer shift ``k`` or a
+    sequence of integer shifts ``k >= 1``: then a ``(len(k), n, n)`` stack
+    from one evaluation on the weight's route (``_hereditary_sums``), as
+    ``classify`` does; on the series every shift's row is cut at one
+    index.  ``A`` and ``tol`` as for ``gamma_map``."""
     _check_tol(tol)
     if not np.size(k):
         raise InvalidParameterError("gamma_k_map needs at least one shift k")
@@ -970,14 +986,12 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
     conditions, exact observability of the gramian, and weighted strong
     stability.
 
-    Weighted strong stability is decided at the depth ``k_max`` alone:
-    ``strongly_stable_beta`` holds when ``||A^{*k} Gamma^(k)[I] A^k||`` at
-    ``k = k_max`` is within ``tol``.  So a strongly stable ``A`` near the
-    circle reads False at a shallow depth: hardy with ``A = [[0.9]]`` and
-    ``C = [[1]]`` has residual 1.48e-2 at the default ``k_max = 20`` and
-    reads True at ``k_max = 200``.  ``characteristic_family`` searches
-    deeper (one deep term, doubled) and decides that operator strongly
-    stable, with residual 3.1e-9.
+    Weighted strong stability is decided, not measured: it holds exactly
+    when the rate ``s rho(A)^2`` is below 1 (``_classification``).  So
+    every pair that ``classify`` answers on hardy or ``beta_alpha`` is
+    strongly stable, at any ``k_max``; a custom weight reads False from
+    ``rho(A) >= 1/sqrt(s)`` on.  ``beta_strong_stability`` is the term
+    ``||A^{*k} Gamma^(k)[I] A^k||`` at ``k = k_max``, recorded, not tested.
 
     The spectral radius is restricted to 0.999, and a weight whose
     reciprocal series is "diverging" is refused (as ``gamma_map`` does).
@@ -994,28 +1008,30 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
     sums = _hereditary_sums(w, pair, np.eye(pair.n), range(1, k_max + 1),
                             tol * 0.1, "classify", gamma=True)
     return _classification(w, pair, sums,
-                           _stability_term(pair.A, k_max, sums[-1]),
                            gramian_table(w, pair, 0, tol=tol * 0.1), tol)
 
 
-def _stability_term(A, k: int, term) -> np.ndarray:
-    """``A^{*k} term A^k`` for ``term = Gamma^(k)[I]``: its norm is the
-    residual of weighted strong stability of ``A`` at depth ``k``."""
-    Ak = np.linalg.matrix_power(A, k)
-    return Ak.conj().T @ term @ Ak
-
-
-def _classification(w: WeightSequence, pair: OutputPair, sums, term,
+def _classification(w: WeightSequence, pair: OutputPair, sums,
                     table: GramianTable, tol: float) -> ClassificationReport:
     """``classify``'s report from the stack ``Gamma[I], Gamma^(1..k)[I]``
-    of ``pair.A``, the stability term (``_stability_term``) at the depth
-    that the caller decides strong stability at (``k`` for ``classify``,
-    a deeper one for a characteristic family) and a gramian table of
-    ``pair`` holding ``G^(0)``.  ``k_checked`` is the stack's depth ``k``.
-    All its eigenvalues come from one ``eigh`` and all its norms from one
-    ``opnorm`` of a stack."""
+    of ``pair.A`` and a gramian table of ``pair`` holding ``G^(0)``.
+    ``k_checked`` is the stack's depth ``k``.  All its eigenvalues come
+    from one ``eigh`` and all its norms from one ``opnorm`` of a stack.
+
+    Weighted strong stability, ``A^{*k} Gamma^(k)[I] A^k -> 0``, is
+    decided by the rate ``s rho(A)^2 < 1``, with ``s = lim beta_k /
+    beta_{k+1}`` and ``rho(A)`` the pair's spectral radius, made once.
+    For hardy and ``beta_alpha`` ``s = 1``: ``||Gamma^(k)[I]||`` grows at
+    most polynomially in ``k``, so the term falls like ``rho(A)^(2k)``
+    up to a polynomial.  A custom weight has ``s = last_ratio``: past
+    its table ``Gamma^(k)[I] = (1/beta_k) P(L)^-1[I]`` and ``1/beta_k``
+    grows like ``s^k``.  The rate is the residual
+    ``strong_stability_rate``; ``beta_strong_stability`` is the term's
+    norm at depth ``k``, from the stack's last entry, for the record."""
     A = pair.A
     k_max = len(sums) - 1
+    Ak = np.linalg.matrix_power(A, k_max)
+    term = Ak.conj().T @ sums[-1] @ Ak
     gamma_I = sums[0]
     pair_defect = gamma_I - pair.CstarC
     integer = w.kind == "beta_alpha" and _integer_alpha(w) is not None
@@ -1043,7 +1059,8 @@ def _classification(w: WeightSequence, pair: OutputPair, sums, term,
     gram_eigs = lam[k_max + 2]
     exactly_observable = bool(gram_eigs[0] > tol * max(gram_eigs[-1], 1.0))
 
-    strongly_stable_beta = stab_res <= tol
+    rate = (w.last_ratio if w.kind == "custom" else 1.0) \
+        * pair.spectral_radius ** 2
 
     residuals = {
         "operator_norm_excess": opA - 1.0,
@@ -1054,6 +1071,7 @@ def _classification(w: WeightSequence, pair: OutputPair, sums, term,
         "gramian_min_eig": float(gram_eigs[0]),
         "gramian_tail_bound": table.tail_bounds[0],
         "beta_strong_stability": stab_res,
+        "strong_stability_rate": rate,
     }
     if betan_min is not None:
         residuals["integer_alpha_certificate_min_eig"] = betan_min
@@ -1062,7 +1080,7 @@ def _classification(w: WeightSequence, pair: OutputPair, sums, term,
         contractive_pair=contractive_pair,
         isometric_pair=isometric_pair,
         hypercontraction=hypercontraction,
-        strongly_stable_beta=strongly_stable_beta,
+        strongly_stable_beta=rate < 1.0,
         exactly_observable=exactly_observable,
         residuals=residuals,
         k_checked=k_max,

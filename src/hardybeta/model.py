@@ -52,7 +52,6 @@ from .hereditary import (
     _hereditary_sums,
     _Operator,
     _right_powers,
-    _stability_term,
     eigh,
     gamma_map,
     gramian_table,
@@ -66,7 +65,7 @@ from .weights import WeightSequence
 #: the deepest positivity stack ``Gamma^(1..k)[I]`` that
 #: ``characteristic_family`` holds: the whole stack is in memory, and the
 #: depth that the spectral radius asks for grows without bound near the
-#: circle; strong stability is decided on one deep term instead
+#: circle
 _STACK_MAX = 248
 
 @dataclass
@@ -130,26 +129,23 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
                           tol: float = 1e-10) -> CharFamily:
     """Characteristic transfer family of ``T`` via the Cholesky construction.
 
-    Sets ``A = T*``.  One hereditary stack ``Gamma[I], Gamma^(1..k)[I]``,
-    at most 248 deep, gives ``C = Gamma[I]^(1/2)`` (refused as by
-    ``defect_operator``) and the positivity checks, and with one gramian
-    table ``G^(0..k_max+1)`` of ``(C, A)`` (refused past
-    ``rho(A) = 0.999``) the classification, which must report a strongly
-    stable hypercontraction; the table is then factored into the family.
-    Strong stability is decided on one term ``A^{*d} Gamma^(d)[I] A^d``
-    (from the stack's last entry when ``d`` is its depth, from one deep
-    sum otherwise): ``d`` starts where a decay like ``rho(A)^(2d)``
-    reaches the tolerance and doubles while the term's norm is above
-    ``max(tol, 1e-8)``.  For a hypercontraction the norms do not
-    increase, but while ``d`` is below the dimension a nilpotent part of
-    ``A`` can hold them flat, so the doubling goes on; past it, a doubling
-    that does not shrink them is the verdict, and the refusal quotes the
-    depth and the residual.  A route that cannot give the deep sum refuses
-    by its own error.  The report's ``k_checked`` is the stack's depth.
-    The base gramian of ``(C, A)`` is the identity; its deviation is
-    recorded on the bundle.  ``A`` is
-    eigen-solved once for all of it.  ``k_max >= 0``; ``tol`` is finite
-    and ``>= 0`` (0 as for ``defect_operator``).
+    Sets ``A = T*``.  One hereditary stack ``Gamma[I], Gamma^(1..k)[I]``
+    gives ``C = Gamma[I]^(1/2)`` (refused as by ``defect_operator``) and
+    the positivity checks, and with one gramian table ``G^(0..k_max+1)``
+    of ``(C, A)`` (refused past ``rho(A) = 0.999``) the classification,
+    which must report a hypercontraction; the table is then factored into
+    the family.  The stack's depth ``k`` is where a decay like
+    ``rho(A)^(2k)`` reaches ``max(tol, 1e-8)``, at least 20 and
+    ``k_max``, and at most 248; it is the report's ``k_checked``.  Weighted
+    strong stability is decided by its rate ``s rho(A)^2``, as
+    ``classify`` does, and every family answered is strongly stable: the
+    table refuses ``rho(A) > 0.999``, and for a custom weight also a rate
+    of 1 or more, unless its sum ends, which leaves ``G^(0)`` singular and
+    the factorization refuses it.  The base gramian of ``(C, A)`` is the
+    identity; its deviation is recorded on the bundle.  ``A`` is
+    eigen-solved once for all of it.
+    ``k_max >= 0``; ``tol`` is finite and ``>= 0`` (0 as for
+    ``defect_operator``).
     """
     _check_tol(tol)
     _check_k_max(k_max, 0, "characteristic_family")
@@ -158,40 +154,21 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
     _check_domain(w, op, I, tol)
     ctol = max(tol, 1e-8)
     # the depth at which a geometric decay at the spectral radius reaches
-    # the tolerance; Gamma^(d)[I] may grow polynomially in d, so the
-    # measured residual may need a deeper one
+    # the tolerance
     r = max(op.spectral_radius, 1e-3)
     d = max(20, k_max)
     if r < 1.0:
         d = max(d, int(np.ceil(np.log(ctol) / (2 * np.log(r)))) + 5)
-
-    def sums_at(ks, gamma=False):
-        return _hereditary_sums(w, op, I, ks, min(tol, 0.1 * ctol),
-                                "characteristic_family", gamma=gamma)
-    sums = sums_at(range(1, min(d, _STACK_MAX) + 1), gamma=True)
+    sums = _hereditary_sums(w, op, I, range(1, min(d, _STACK_MAX) + 1),
+                            min(tol, 0.1 * ctol), "characteristic_family",
+                            gamma=True)
     D = _defect_root(sums[0], tol)
     pair = OutputPair(A=op, C=D)
     table = gramian_table(w, pair, k_max + 1, tol=min(tol, 1e-12))
-
-    def term_at(d):
-        return _stability_term(op.A, d, sums[-1] if d == len(sums) - 1
-                               else sums_at([d])[0])
-    # the table refused rho(A) > 0.999, so the term decays and the
-    # doubling ends; below the dimension a nilpotent part of A may hold the
-    # term flat, so only past it is a flat doubling a verdict
-    term = term_at(d)
-    while (res := opnorm(term)) > ctol and (
-            opnorm(deeper := term_at(2 * d)) < res or d < op.n):
-        d, term = 2 * d, deeper
-    report = _classification(w, pair, sums, term, table, ctol)
+    report = _classification(w, pair, sums, table, ctol)
     if not report.hypercontraction:
         raise ModelHypothesisError(
             f"adjoint is not a hypercontraction: residuals {report.residuals}")
-    if not report.strongly_stable_beta:
-        raise ModelHypothesisError(
-            "adjoint is not strongly stable in the weighted sense: "
-            f"residual {res:.3e} at depth {d}, and doubling the depth does "
-            "not shrink it")
     return CharFamily(T=T, defect=D,
                       family=_family_from_table(w, pair, table, rank_tol),
                       classification=report,

@@ -194,7 +194,8 @@ def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
     # T_{j+1} = L T_j R, so past a term whose entries are all 0 every term is
     live = terms.reshape(m, -1).any(axis=1)
     span = m if live.all() else int(np.argmin(live))
-    flat = terms[:span].reshape(span, -1).view(float)
+    # first.size, not -1: a first term of zeros leaves span 0
+    flat = terms[:span].reshape(span, first.size).view(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         K = float(np.max(np.sqrt(np.einsum("ij,ij->i", flat, flat))
                          / np.power(q, np.arange(span)), initial=0.0))

@@ -235,12 +235,12 @@ def make_weight_beta_alpha(alpha: float, n: int = DEFAULT_TRUNC) -> WeightSequen
 
     Computed by the stable recurrence ``beta_{k+1} = beta_k (k+1)/(alpha+k)``.
     The reciprocal series ``1/R`` is ``(1 - z)^alpha``, a polynomial for
-    integer alpha.  Requires ``alpha > 1``; the step-down ratio
+    integer alpha.  Requires a finite ``alpha > 1``; the step-down ratio
     ``beta_k / beta_{k+1} = (alpha+k)/(k+1)`` is maximal at ``k = 0`` so the
     ratio bound is ``alpha`` itself.
     """
-    if not alpha > 1:
-        raise InvalidParameterError(f"alpha must exceed 1, got {alpha}")
+    if not 1 < alpha < math.inf:  # NaN fails
+        raise InvalidParameterError(f"alpha must be finite, > 1, got {alpha}")
     if n < 1:
         raise InvalidParameterError("need at least two stored weights")
     return WeightSequence(_beta_alpha_table(float(alpha), n), float(alpha),
@@ -251,7 +251,8 @@ def make_weight_beta_alpha(alpha: float, n: int = DEFAULT_TRUNC) -> WeightSequen
 def make_weight_custom(betas) -> WeightSequence:
     """Validate an explicitly supplied weight sequence ``beta_0 .. beta_N``.
 
-    Checks ``beta_0 = 1`` (NormalizationError otherwise), positivity and the
+    Refuses a non-finite entry, and checks ``beta_0 = 1``
+    (NormalizationError otherwise), positivity and the
     non-increase condition ``beta_j >= beta_{j+1}`` (AdmissibilityError
     otherwise), and records the observed ratio bound.  An all-ones sequence
     is tagged as the constant Hardy weight.  Past its table a custom weight
@@ -261,6 +262,8 @@ def make_weight_custom(betas) -> WeightSequence:
     arr = np.asarray(betas, dtype=float)
     if arr.ndim != 1 or len(arr) < 1:
         raise InvalidParameterError("betas must be a nonempty 1-d sequence")
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError("betas must be finite")
     if np.any(arr <= 0):
         raise AdmissibilityError("weights must be strictly positive")
     if abs(arr[0] - 1.0) > _ONE_TOL:

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -127,6 +129,21 @@ def mp_maps(betas, A, X, ks, dps=34):
                     F[ij] *= f(x) / R0[ij]
                 out.append(Vi.H * F * Vi)
         return np.array([np.array(S.tolist(), dtype=complex) for S in out])
+
+
+def deep_term(w, A, r):
+    """``||A^{*D} Gamma^(D)[I] A^D||`` for a hardy or ``beta_alpha`` weight
+    and ``rho(A) <= r``, from one ``gamma_k_map`` at a depth ``D <= 3e4``,
+    at least 256, where ``r^(2D) 3e4^(alpha - 1)`` is 1e-9:
+    ``||Gamma^(k)[I]||`` grows like ``k^(alpha - 1)``, so a strongly stable
+    ``A`` of modest transient has its term within 1e-8 there."""
+    a = w.alpha or 1.0
+    D = max(math.ceil((math.log(1e-9) - (a - 1) * math.log(3e4))
+                      / (2 * math.log(r))), 256)
+    assert D <= 3e4
+    AD = np.linalg.matrix_power(np.asarray(A, dtype=complex), D)
+    term = AD.conj().T @ hb.gamma_k_map(w, D, A, np.eye(len(AD))) @ AD
+    return float(np.linalg.norm(term, 2))
 
 
 def cmat(rng, rows, cols):

@@ -86,6 +86,19 @@ class TestWeightsCommand:
         assert code == 2
         assert err.startswith("input error:")
 
+    @pytest.mark.parametrize("argv,msg", [
+        (["--betas", "1,nan"], "betas must be finite"),
+        (["--betas", "1,0.5,inf"], "betas must be finite"),
+        (["--alpha", "inf"], "alpha must be finite, > 1, got inf"),
+        (["--alpha", "nan"], "alpha must be finite, > 1, got nan"),
+    ], ids=["betas-nan", "betas-inf", "alpha-inf", "alpha-nan"])
+    def test_non_finite_parameter_exits_2(self, capsys, argv, msg):
+        # 1,nan was reported "summable" with exit 0, and --alpha inf raised
+        # an OverflowError traceback (exit 1)
+        code, out, err = run(capsys, "weights", *argv)
+        assert (code, out) == (2, "")
+        assert msg in err
+
     def test_determinism(self, tmp_path, capsys):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "weights", "--alpha", "2.5", "-n", "32", "--out", str(f1))
@@ -131,6 +144,18 @@ class TestAnalyzeCommand:
         code, out, _ = run(capsys, "analyze", op, "--alpha", "2")
         assert code == 0
         assert not json.loads(out)["flags"]["exactly_observable"]
+
+    def test_custom_zero_output_answered(self, tmp_path, capsys):
+        # the custom gramian of C = 0 is the zero sum: it exited 2 with
+        # "cannot reshape array of size 0 into shape (0,newaxis)"
+        op = self.write_operator(tmp_path, [[0.6]], [[0.0]])
+        code, out, _ = run(capsys, "analyze", op, "--betas", "1,0.5")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["flags"]["strongly_stable_beta"]
+        assert not payload["flags"]["exactly_observable"]
+        assert payload["residuals"]["strong_stability_rate"] == \
+            pytest.approx(0.72)
 
     def test_diverging_weight_exits_2(self, tmp_path, capsys):
         # the reciprocal series of this weight diverges, so classify refuses

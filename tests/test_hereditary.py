@@ -9,8 +9,9 @@ import hardybeta as hb
 from hardybeta import colligation
 from hardybeta import hereditary as her
 from hardybeta import series
-from conftest import (cmat, continued_R, custom_copy_8, hypercontraction_T,
-                      long_copy, mp_maps, series_copy, stable_pair)
+from conftest import (cmat, continued_R, custom_copy_8, deep_term,
+                      hypercontraction_T, long_copy, mp_maps, series_copy,
+                      stable_pair)
 
 
 class TestResolvent:
@@ -780,6 +781,56 @@ class TestClassify:
         assert rep.strongly_stable_beta
         assert rep.exactly_observable
 
+    @staticmethod
+    def contraction(rng, n, r):
+        """``Q (diag(d) + N) Q*`` with ``Q`` unitary, ``|d_i| <= r`` and
+        ``max |d_i| = r``, and ``N`` strictly upper triangular of norm
+        ``(1 - r)/2``: a non-normal contraction of spectral radius ``r``."""
+        d = r * rng.uniform(0.2, 1.0, n) * np.exp(2j * np.pi * rng.random(n))
+        d[0] = r * d[0] / abs(d[0])
+        N = np.triu(cmat(rng, n, n), 1)
+        N *= 0.5 * (1 - r) / np.linalg.norm(N, 2)
+        Q = np.linalg.qr(cmat(rng, n, n))[0]
+        return Q @ (np.diag(d) + N) @ Q.conj().T
+
+    def test_strong_stability_against_a_deep_term(self, all_weights):
+        # every contraction of spectral radius below 1 is strongly stable:
+        # each verdict is True at the default depth, its rate is rho^2, and
+        # a deep term the test sums itself is within 1e-8
+        rng = np.random.default_rng(55)
+        for w in all_weights:
+            for n, r in zip(range(2, 9), np.linspace(0.3, 0.95, 7)):
+                A = self.contraction(rng, n, r)
+                assert np.linalg.norm(A, 2) <= 1.0
+                rep = hb.classify(w, hb.OutputPair(A=A, C=cmat(rng, 1, n)))
+                assert rep.strongly_stable_beta
+                assert rep.residuals["strong_stability_rate"] \
+                    == pytest.approx(r * r, rel=1e-9)
+                assert deep_term(w, A, r) <= 1e-8
+
+    def test_strong_stability_is_not_read_at_the_depth(self, w_hardy):
+        # the term at the default depth 20 is 0.81^20 = 1.478e-2, recorded
+        # but not tested: the operator is strongly stable at rate 0.81
+        rep = hb.classify(w_hardy, hb.OutputPair(A=[[0.9]], C=[[1.0]]))
+        assert rep.strongly_stable_beta and rep.k_checked == 20
+        assert rep.residuals["beta_strong_stability"] == pytest.approx(
+            0.81 ** 20, rel=1e-12)
+        assert rep.residuals["strong_stability_rate"] == pytest.approx(0.81)
+
+    @pytest.mark.parametrize("a,stable", [(0.6, True), (0.8, False)])
+    def test_custom_rate_decides(self, a, stable):
+        # past its table [1, 1/2] the weight continues at s = 2, so
+        # 1/beta_k = 2^k and A^{*k} Gamma^(k)[I] A^k = (2 a^2)^k: strongly
+        # stable exactly when the rate 2 a^2 is below 1.  With C = 0 the
+        # gramian is the zero sum
+        rep = hb.classify(hb.make_weight_custom([1.0, 0.5]),
+                          hb.OutputPair(A=[[a]], C=[[0.0]]))
+        assert rep.strongly_stable_beta is stable
+        assert rep.residuals["strong_stability_rate"] == pytest.approx(
+            2 * a * a, rel=1e-15)
+        assert rep.residuals["beta_strong_stability"] == pytest.approx(
+            (2 * a * a) ** 20, rel=1e-12)
+
     def test_defect_pair_isometric(self, w_beta2):
         rng = np.random.default_rng(15)
         T = cmat(rng, 3, 3)
@@ -1182,6 +1233,34 @@ class TestRefusals:
         pair = hb.OutputPair(A=self.A2, C=np.eye(2))
         with pytest.raises(hb.InvalidParameterError, match=re.escape(match)):
             call(w, self.A2, pair)
+
+    @pytest.mark.parametrize("weight", ["w_beta2", "w_beta25"])
+    @pytest.mark.parametrize("call,match", [
+        (lambda w, A: hb.resolvents(w, 2.7, A, 0.5),
+         "resolvents needs integer shifts, got k=2.7"),
+        (lambda w, A: hb.resolvent_apply(w, [1, 2.5], A, 0.5),
+         "resolvent_apply needs integer shifts, got k=2.5"),
+        (lambda w, A: hb.gamma_k_map(w, 1.5, A, np.eye(2)),
+         "gamma_k_map needs integer shifts, got k=1.5"),
+        (lambda w, A: hb.resolvent_scalar(w, 1.5, 0.5),
+         "resolvent_scalar needs integer shifts, got k=1.5"),
+        (lambda w, A: hb.resolvent_scalar(w, np.nan, 0.5),
+         "resolvent_scalar needs integer shifts, got k=nan"),
+    ], ids=["resolvents", "resolvent_apply", "gamma_k_map", "scalar",
+            "scalar-nan"])
+    def test_fractional_shift_refused(self, request, weight, call, match):
+        # resolvents read 2.7 as shift 2 and beta_2's map 1.5 as shift 1,
+        # bit for bit; beta_2.5's map raised IndexError and the scalar
+        # TypeError
+        with pytest.raises(hb.InvalidParameterError,
+                           match="^" + re.escape(match) + "$"):
+            call(request.getfixturevalue(weight), self.A2)
+
+    def test_integral_float_shift_is_the_shift(self, w_beta2):
+        for call in (lambda k: hb.resolvents(w_beta2, k, self.A2, 0.5),
+                     lambda k: hb.gamma_k_map(w_beta2, k, self.A2, np.eye(2)),
+                     lambda k: hb.resolvent_scalar(w_beta2, k, 0.5)):
+            np.testing.assert_array_equal(call(2.0), call(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_refused_at_the_door(self, w_beta2, bad):

@@ -1,13 +1,11 @@
 import copy
-import re
 
 import numpy as np
 import pytest
 
 import hardybeta as hb
-from conftest import cmat, hypercontraction_T, stable_pair
+from conftest import cmat, deep_term, hypercontraction_T, stable_pair
 from hardybeta import model as mod
-from hardybeta import series
 from hardybeta.model import defect_form_family
 
 
@@ -87,7 +85,7 @@ class TestCharacteristicFamily:
 
     # a distinct operator of acceptance criterion 9 (seed 2, beta_3 at 768
     # terms): Gamma^(k)[I] grows polynomially in k, so at the depth that a
-    # decay like rho^(2k) gives (27) the residual is 1.6e-8 > 1e-8
+    # decay like rho^(2k) gives (27) the term is 1.6e-8 > 1e-8
     T_SLOW = np.array([
         [0.41575247828230655 + 0.15993895553585377j,
          -0.02441475804397368 - 0.07594575850396067j],
@@ -95,72 +93,42 @@ class TestCharacteristicFamily:
          0.5565849393679749 + 0.17292611588658735j]])
 
     @staticmethod
-    def spy_sums(monkeypatch, deep=None):
+    def spy_sums(monkeypatch):
         """The shifts of every ``_hereditary_sums`` call that
-        ``characteristic_family`` makes; ``deep(A, k, out)`` replaces each
-        one-shift (deep) sum ``out`` at shift ``k``, or raises."""
+        ``characteristic_family`` makes."""
         real = mod._hereditary_sums
         calls = []
 
         def spy(w, op, X, ks, *args, **kwargs):
             calls.append(list(ks))
-            out = real(w, op, X, ks, *args, **kwargs)
-            return deep(op.A, ks[0], out) if deep and len(ks) == 1 else out
+            return real(w, op, X, ks, *args, **kwargs)
         monkeypatch.setattr(mod, "_hereditary_sums", spy)
         return calls
 
     def test_stability_depth_follows_the_measured_decay(self, monkeypatch):
-        # the stack stays at 27, and one deep term at 54 decides
+        # the stack stays at 27 and is the only sum: its last term, above
+        # 1e-8, is recorded, and the rate rho(A)^2 decides
         calls = self.spy_sums(monkeypatch)
         char = hb.characteristic_family(hb.make_weight_beta_alpha(3.0, 768),
                                         self.T_SLOW, k_max=6)
         report = char.classification
-        assert calls == [list(range(1, 28)), [54]]
+        assert calls == [list(range(1, 28))]
         assert report.strongly_stable_beta and report.k_checked == 27
-        assert report.residuals["beta_strong_stability"] <= 1e-8
-
-    def test_stack_the_series_cannot_deepen_is_refused(self, monkeypatch):
-        # past the stack every deep sum raises, as a series whose table runs
-        # out would: the route's refusal propagates, not a verdict
-        def short_table(A, k, out):
-            raise hb.ConvergenceError("table too short")
-        calls = self.spy_sums(monkeypatch, short_table)
-        with pytest.raises(hb.ConvergenceError, match="^table too short$"):
-            hb.characteristic_family(hb.make_weight_beta_alpha(3.0, 768),
-                                     self.T_SLOW, k_max=6)
-        assert calls == [list(range(1, 28)), [54]]
-
-    def test_deep_term_past_the_ladder_is_answered_by_the_series(
-            self, monkeypatch):
-        # beta_2.5 at 256 entries: the deep term at rho = 0.99 falls past
-        # the quadrature's ladder to the series, which reads the weight
-        # past its table: the verdict and its residual are those of a
-        # 2,048-entry table, bit for bit
-        entered = []
-        real = series.adaptive_sum
-
-        def spy(*args, **kwargs):
-            entered.append(kwargs.get("left") is not None)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(series, "adaptive_sum", spy)
-        got, ref = (hb.characteristic_family(
-            hb.make_weight_beta_alpha(2.5, n), [[0.99]]).classification
-            for n in (256, 2048))
-        assert entered and all(entered)
-        assert got.strongly_stable_beta
-        assert got.residuals == ref.residuals
+        assert report.residuals["beta_strong_stability"] \
+            == pytest.approx(1.6e-8, rel=0.05)
+        assert report.residuals["strong_stability_rate"] == pytest.approx(
+            hb.spectral_radius(self.T_SLOW) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2"])
     def test_no_stack_deeper_than_248(self, weight, request, monkeypatch):
-        # rho = 0.999 asks for depth 9,215: the stack stops at 248, and each
-        # deeper term is one sum of one shift
+        # rho = 0.999 asks for depth 9,215: the stack stops at 248, and no
+        # deeper sum is made
         calls = self.spy_sums(monkeypatch)
         char = hb.characteristic_family(request.getfixturevalue(weight),
                                         [[0.999]], k_max=2)
         assert char.classification.strongly_stable_beta
         assert char.classification.k_checked == 248
-        assert calls[0] == list(range(1, 249))
-        assert [len(ks) for ks in calls[1:]] == [1] * (len(calls) - 1)
+        assert calls == [list(range(1, 249))]
 
     def test_gramian_is_identity(self, all_weights):
         rng = np.random.default_rng(55)
@@ -202,22 +170,6 @@ class TestCharacteristicFamily:
                            match="^adjoint is not a hypercontraction: "):
             hb.characteristic_family(w_beta2, T, tol=1e-3)
 
-    @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2"])
-    def test_not_strongly_stable_refused(self, weight, request, monkeypatch):
-        # every rho(A) <= 0.999 is strongly stable, so the refusal is
-        # reached through deep terms scaled by k 0.99^(-2k): the residual at
-        # depth k is then k ||Gamma^(k)[I]||, k for hardy and
-        # k (k + 1 - 0.9801 k) for beta_2, which a doubling does not shrink
-        self.spy_sums(monkeypatch,
-                      lambda A, k, out: out * k * abs(A[0, 0]) ** (-2 * k))
-        res = 922 * {"w_hardy": 1.0, "w_beta2": 923 - 0.9801 * 922}[weight]
-        with pytest.raises(hb.ModelHypothesisError, match=re.escape(
-                "adjoint is not strongly stable in the weighted sense: "
-                f"residual {res:.3e} at depth 922, and doubling the depth "
-                "does not shrink it")):
-            hb.characteristic_family(request.getfixturevalue(weight),
-                                     [[0.99]])
-
     @staticmethod
     def near_unitary(n, r):
         """``r U`` for a unitary ``U``: the QR factor of a complex Gaussian
@@ -237,29 +189,49 @@ class TestCharacteristicFamily:
         for n, r in ((4, 0.97), (4, 0.99), (8, 0.97), (8, 0.99),
                      (1, 0.99), (1, 0.995))])
     def test_strongly_stable_near_the_circle_answered(self, weight, n, r,
-                                                      request):
+                                                      request, monkeypatch):
         # rho(T) < 1: T* is strongly stable for every weight, and its
         # characteristic family exists; T = r U, or the scalar T = r, is
-        # answered up to the domain's edge on hardy and integer alpha, and
-        # on beta_2.5 up to 0.995, where its deep term falls past the
-        # quadrature's ladder to the series
-        T = self.near_unitary(n, r) if n > 1 else [[r]]
-        char = hb.characteristic_family(request.getfixturevalue(weight), T,
-                                        k_max=2)
-        assert char.classification.strongly_stable_beta
-        assert char.classification.residuals["beta_strong_stability"] <= 1e-8
+        # answered up to the domain's edge from one hereditary sum, at the
+        # rate r^2, and a deep term the test sums itself confirms the
+        # verdict
+        w = request.getfixturevalue(weight)
+        T = self.near_unitary(n, r) if n > 1 else np.array([[r]])
+        calls = self.spy_sums(monkeypatch)
+        report = hb.characteristic_family(w, T, k_max=2).classification
+        assert len(calls) == 1
+        assert report.strongly_stable_beta
+        assert report.residuals["strong_stability_rate"] == pytest.approx(
+            r * r, rel=1e-12)
+        assert deep_term(w, T.conj().T, r) <= 1e-8
 
     def test_flat_below_the_dimension_is_not_a_verdict(self, w_hardy,
                                                         monkeypatch):
         # A = T* is the nilpotent 50 x 50 shift: A^{*d} A^d is a projection
-        # of norm 1 at depths 20 and 40, and 0 from 50 on, so the doubling
-        # goes on below the dimension and the family is answered at 80
+        # of norm 1 at the stack's depth 20 and 0 from 50 on; the rate
+        # rho(A)^2 = 0 decides, with no deeper sum
         calls = self.spy_sums(monkeypatch)
         char = hb.characteristic_family(w_hardy, np.diag(np.ones(49), -1),
                                         k_max=2)
-        assert calls == [list(range(1, 21)), [40], [80]]
-        assert char.classification.strongly_stable_beta
-        assert char.classification.residuals["beta_strong_stability"] == 0.0
+        assert calls == [list(range(1, 21))]
+        report = char.classification
+        assert report.strongly_stable_beta
+        assert report.residuals["strong_stability_rate"] == 0.0
+        assert report.residuals["beta_strong_stability"] == pytest.approx(
+            1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("T,error", [
+        ([[2 ** -0.5]], hb.ObservabilityError),
+        (np.diag([2 ** -0.5, 0.0]), hb.ConvergenceError),
+    ], ids=["zero-defect", "series"])
+    def test_custom_rate_one_is_not_answered(self, T, error):
+        # past its table [1, 1/2] the weight continues at s = 2, so A = T*
+        # of spectral radius 2^-1/2 has the rate 1: not strongly stable.
+        # The table's series refuses the rate, or, with the defect 0, its
+        # sum is 0 and G^(0) is singular
+        with pytest.raises(error):
+            hb.characteristic_family(hb.make_weight_custom([1.0, 0.5]), T,
+                                     k_max=2)
 
     def test_non_stable_rejected(self, w_beta2):
         # operator norm above 1 fails the hypercontraction hypothesis

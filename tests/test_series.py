@@ -356,6 +356,23 @@ class TestTableIndependence:
         self._same(lambda w: [hb.resolvents(w, [3000, 3001], A, zs),
                               hb.resolvent_scalar(w, 3000, zs)], beta)
 
+    def test_deep_term_past_the_ladder_is_answered_by_the_series(
+            self, monkeypatch):
+        # beta_2.5 at a shift of 1,844 on [[0.99]] needs more nodes than the
+        # quadrature's ladder holds, so the map falls to the series, which
+        # reads the weight past both tables
+        entered = []
+        real = series.adaptive_sum
+
+        def spy(*args, **kwargs):
+            entered.append(kwargs.get("left") is not None)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(series, "adaptive_sum", spy)
+        assert spectral.node_count(2.5, 0.99 ** 2, 1844) is None
+        self._same(lambda w: [hb.gamma_k_map(w, 1844, [[0.99]], [[1.0]])],
+                   lambda n: hb.make_weight_beta_alpha(2.5, n))
+        assert entered == [True, True]
+
     def test_custom_copy(self):
         # a custom weight past its table continues at its last ratio: here
         # 1, so its 256- and 2,048-entry tables define one weight
@@ -473,6 +490,33 @@ def test_nilpotent_gramian_has_zero_tail(w_beta2):
                     * (np.linalg.matrix_power(A, j).T @ C.T @ C
                        @ np.linalg.matrix_power(A, j)) for j in range(3))
         np.testing.assert_allclose(tab[k], exact, atol=1e-15)
+
+
+class TestZeroFirstTerm:
+    """A series whose first term is 0 is the zero sum, with tail 0: every
+    later term is 0 too."""
+
+    def test_adaptive_sum(self, w_hardy):
+        rows, steps = her._shifted_rows(w_hardy, [0, 1])
+        A = np.array([[0.6]], dtype=complex)
+        rec = series.adaptive_sum(np.zeros((1, 1), dtype=complex), A, rows,
+                                  series.conjugation_rate(0.6), steps, 1e-10,
+                                  "test", left=A.conj().T)
+        assert rec.J == 0 and rec.K == 0.0 and rec.tails == [0.0, 0.0]
+        assert not rec.terms.any() and rec.rows.shape == (2, 1)
+
+    def test_custom_gramian_of_a_zero_output(self):
+        tab = hb.gramian_table(hb.make_weight_custom([1.0, 0.5]),
+                               hb.OutputPair(A=[[0.6]], C=[[0.0]]), 2)
+        assert not tab.entries.any() and tab.trunc_order == 0
+        assert tab.tail_bounds == {0: 0.0, 1: 0.0, 2: 0.0}
+
+    def test_map_of_zero_past_the_gate(self):
+        # a Jordan block fails the spectral route's gate, so beta_2.5's map
+        # takes the series
+        got = hb.gamma_map(hb.make_weight_beta_alpha(2.5),
+                           [[0.5, 1.0], [0.0, 0.5]], np.zeros((2, 2)))
+        assert got.shape == (2, 2) and not got.any()
 
 
 def test_short_table_nilpotent_gramian_is_exact():

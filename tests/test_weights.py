@@ -469,6 +469,12 @@ class TestRefusals:
          "betas must be a nonempty 1-d sequence"),
         (lambda: hb.make_weight_custom([[1.0, 0.5]]),
          hb.InvalidParameterError, "betas must be a nonempty 1-d sequence"),
+        (lambda: hb.make_weight_custom([1.0, np.nan]),
+         hb.InvalidParameterError, "betas must be finite"),
+        (lambda: hb.make_weight_beta_alpha(np.inf), hb.InvalidParameterError,
+         "alpha must be finite, > 1, got inf"),
+        (lambda: hb.make_weight_beta_alpha(0.5), hb.InvalidParameterError,
+         "alpha must be finite, > 1, got 0.5"),
         (lambda: hb.wiener_report(hb.make_weight_hardy(8), -1),
          hb.InvalidParameterError, "wiener_report needs n >= 0, got -1"),
         (lambda: hb.shifted_resolvent_coeffs(hb.make_weight_hardy(8), -1, 2),
@@ -479,8 +485,8 @@ class TestRefusals:
          "weight: its hereditary maps take the rational form "
          "(rational_rows)"),
     ], ids=["hardy-short", "beta-short", "custom-empty", "custom-2d",
-            "wiener-negative", "shifted-negative",
-            "c-step-custom"])
+            "custom-nan", "alpha-inf", "alpha-low", "wiener-negative",
+            "shifted-negative", "c-step-custom"])
     def test_refusal_text(self, call, error, match):
         with pytest.raises(error, match="^" + re.escape(match) + "$"):
             call()
