@@ -373,10 +373,12 @@ class GramianTable:
 @dataclass
 class ClassificationReport:
     """Tolerance-qualified classification flags with their justifying
-    residuals.  ``k_checked`` is the positivity depth, the last shift of
-    the stack ``Gamma^(1..k)[I]``, and the depth of the recorded
-    stability term; strong stability itself is decided by its rate,
-    at every depth (``_classification``)."""
+    residuals.  ``k_checked`` is the depth of the stack
+    ``Gamma^(1..k)[I]`` and of the recorded stability term.
+    ``certified_all_k`` is True when the weight's rule decides the
+    hypercontraction hypothesis at every shift and it holds (``classify``);
+    strong stability itself is decided by its rate, at every depth
+    (``_classification``)."""
 
     contractive_pair: bool
     isometric_pair: bool
@@ -400,7 +402,11 @@ class ClassificationReport:
 
 @dataclass
 class DeltaReport:
-    """Limit data for the decreasing sequence ``A^{*k} Gamma^(k)[H] A^k``."""
+    """Limit data for the decreasing sequence ``A^{*k} Gamma^(k)[H] A^k``:
+    its recorded term at ``k_max`` (``delta``, not the limit: a limit
+    decided by the rate is 0), whether the limit is reached (decided by
+    the rate, or measured at a rate of 1 or more), the monotone
+    certificate and the sum identity's residual."""
 
     delta: np.ndarray
     converged: bool
@@ -837,14 +843,17 @@ def _like_A(op: _Operator, X) -> np.ndarray:
     return X
 
 
-def _check_domain(w: WeightSequence, A, X, tol) -> _Operator:
+def _check_domain(w: WeightSequence, A, X, tol,
+                  refusal=None) -> _Operator:
     """The operator of ``A`` (a matrix or a pair, through ``_operator``)
     once ``X`` is in the domain of the hereditary calculus:
     ``X >= A* X A >= 0``, from one eigen-solve of ``X`` and ``X - A* X A``,
     and a summable reciprocal series (``_check_summable``).  An ``X`` not
     of ``A``'s shape is refused, a non-finite ``A`` or ``X`` before the
     product, and ``X - A* X A`` when it overflows; every test fails on
-    NaN."""
+    NaN.  ``refusal``, when given, makes the error for an ``X - A* X A``
+    that is not PSD from its least scaled eigenvalue, in place of
+    HereditaryDomainError (the model's contraction test, ``X = I``)."""
     op = _operator(A)
     X = _like_A(op, X)
     A = op.A
@@ -864,7 +873,8 @@ def _check_domain(w: WeightSequence, A, X, tol) -> _Operator:
     if not lam[0, 0] >= -tol * scale:
         raise HereditaryDomainError("X must be positive semidefinite")
     if not lam[1, 0] >= -tol * scale:
-        raise HereditaryDomainError("X - A* X A must be positive semidefinite")
+        raise HereditaryDomainError("X - A* X A must be positive semidefinite") \
+            if refusal is None else refusal(lam[1, 0] / scale)
     _check_summable(w)
     return op
 
@@ -979,15 +989,41 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
     """Tolerance-qualified classification of an output pair.
 
     Checks, with every verdict accompanied by its numeric residual: operator
-    contractivity, positivity of the hereditary maps of the identity up to
-    ``k_max`` (for a beta_alpha family with integer alpha, certified for
-    all k by the binomial defect maps ``I - A* A`` and ``Gamma[I]``, read
-    from row 0 of the hereditary stack), the contractive / isometric pair
-    conditions, exact observability of the gramian, and weighted strong
-    stability.
+    contractivity, positivity of the hereditary maps of the identity, the
+    contractive / isometric pair conditions, exact observability of the
+    gramian, and weighted strong stability.
+
+    The hypercontraction hypothesis, ``Gamma^(k)[I] >= 0`` for every
+    ``k >= 0`` with ``A`` a contraction, is decided by one rule per weight
+    kind where one is proven (``_rule_depth``), and ``certified_all_k``
+    says that the rule holds:
+
+    * hardy, integer ``alpha`` and ``1 < alpha < 2``: a contraction with
+      ``Gamma[I] >= 0``.  For hardy ``R_k = R``, so every ``Gamma^(k)[I]``
+      is ``I``; for integer ``alpha`` it is Agler's theorem on
+      m-hypercontractions; for ``1 < alpha < 2`` Euler's transformation
+      gives ``Gamma^(k)[I] = ((alpha)_k / k!) k int_0^1 t^(k-1) F(t) dt``
+      with ``F(t) = (1 - tL)^(alpha-1)[I] = I - sum_j a_j t^j A^{*j} A^j``,
+      every ``a_j >= 0`` and ``sum a_j = 1``, so a contraction has
+      ``F(t) >= 0`` on ``[0, 1]``;
+    * a custom weight: a contraction with ``Gamma^(0..d)[I] >= 0``,
+      ``d = deg P``, once ``k_max >= d``; past ``d`` the quotient
+      ``P_k = (1 - s z) R_k`` is the constant ``1/beta_k``, so
+      ``Gamma^(k)[I] = P(L)^-1[I] / beta_k`` is ``Gamma^(d)[I]`` scaled;
+    * non-integer ``alpha > 2`` has no rule: ``F(t)`` has coefficients of
+      both signs, and that contraction with ``Gamma[I] >= 0`` gives
+      ``F(t) >= 0`` is supported by random and boundary draws but not
+      proven.  The verdict is read on the stack ``Gamma^(1..k_max)[I]``,
+      and ``certified_all_k`` is False.
+
+    The rule's residual is ``hypercontraction_certificate_min_eig``, the
+    least scaled eigenvalue of ``Gamma^(0..d)[I]``; the contraction is
+    the ``operator_norm_excess`` test.
+    ``gamma_shifted_min_eig`` is read on the stack to ``k_max`` for every
+    weight.
 
     Weighted strong stability is decided, not measured: it holds exactly
-    when the rate ``s rho(A)^2`` is below 1 (``_classification``).  So
+    when the rate ``s rho(A)^2`` is below 1 (``_stability_rate``).  So
     every pair that ``classify`` answers on hardy or ``beta_alpha`` is
     strongly stable, at any ``k_max``; a custom weight reads False from
     ``rho(A) >= 1/sqrt(s)`` on.  ``beta_strong_stability`` is the term
@@ -1011,6 +1047,30 @@ def classify(w: WeightSequence, pair: OutputPair, k_max: int = 20,
                            gramian_table(w, pair, 0, tol=tol * 0.1), tol)
 
 
+def _stability_rate(w: WeightSequence, op: _Operator) -> float:
+    """The rate ``s rho(A)^2``: weighted strong stability,
+    ``A^{*k} Gamma^(k)[I] A^k -> 0``, holds exactly when it is below 1.
+    ``s = lim beta_k / beta_{k+1}`` and ``rho(A)`` is the operator's
+    spectral radius, made once.  For hardy and ``beta_alpha`` ``s = 1``:
+    ``||Gamma^(k)[I]||`` grows at most polynomially in ``k``, so the term
+    falls like ``rho(A)^(2k)`` up to a polynomial.  A custom weight has
+    ``s = last_ratio``: past its table ``Gamma^(k)[I] = (1/beta_k)
+    P(L)^-1[I]`` and ``1/beta_k`` grows like ``s^k``."""
+    return (w.last_ratio if w.kind == "custom" else 1.0) \
+        * op.spectral_radius ** 2
+
+
+def _rule_depth(w: WeightSequence) -> int | None:
+    """The depth ``d`` at which the contraction test and the stack
+    ``Gamma[I], Gamma^(1..d)[I]`` decide ``Gamma^(k)[I] >= 0`` for every
+    ``k`` (``classify`` gives the rules): 0 for hardy, integer ``alpha``
+    and ``1 < alpha < 2``, ``deg P`` for a custom weight, and None for
+    non-integer ``alpha > 2``, which has no proven rule."""
+    if w.kind == "custom":
+        return len(rational_denominator(w)) - 1
+    return 0 if _integer_alpha(w) or w.alpha < 2 else None
+
+
 def _classification(w: WeightSequence, pair: OutputPair, sums,
                     table: GramianTable, tol: float) -> ClassificationReport:
     """``classify``'s report from the stack ``Gamma[I], Gamma^(1..k)[I]``
@@ -1018,14 +1078,10 @@ def _classification(w: WeightSequence, pair: OutputPair, sums,
     ``k_checked`` is the stack's depth ``k``.  All its eigenvalues come
     from one ``eigh`` and all its norms from one ``opnorm`` of a stack.
 
-    Weighted strong stability, ``A^{*k} Gamma^(k)[I] A^k -> 0``, is
-    decided by the rate ``s rho(A)^2 < 1``, with ``s = lim beta_k /
-    beta_{k+1}`` and ``rho(A)`` the pair's spectral radius, made once.
-    For hardy and ``beta_alpha`` ``s = 1``: ``||Gamma^(k)[I]||`` grows at
-    most polynomially in ``k``, so the term falls like ``rho(A)^(2k)``
-    up to a polynomial.  A custom weight has ``s = last_ratio``: past
-    its table ``Gamma^(k)[I] = (1/beta_k) P(L)^-1[I]`` and ``1/beta_k``
-    grows like ``s^k``.  The rate is the residual
+    The hypercontraction verdict is the weight's rule
+    (``_rule_depth``) when the stack reaches its depth, and the stack
+    read to ``k`` otherwise.  Weighted strong stability is decided by
+    its rate (``_stability_rate``), the residual
     ``strong_stability_rate``; ``beta_strong_stability`` is the term's
     norm at depth ``k``, from the stack's last entry, for the record."""
     A = pair.A
@@ -1034,11 +1090,9 @@ def _classification(w: WeightSequence, pair: OutputPair, sums,
     term = Ak.conj().T @ sums[-1] @ Ak
     gamma_I = sums[0]
     pair_defect = gamma_I - pair.CstarC
-    integer = w.kind == "beta_alpha" and _integer_alpha(w) is not None
-    hermitian = [*sums, pair_defect, table[0]]
-    if integer:
-        hermitian.append(np.eye(pair.n) - A.conj().T @ A)
-    lam = eigh(np.stack(hermitian), vectors=False)
+    depth = _rule_depth(w)
+    ruled = depth is not None and depth <= k_max
+    lam = eigh(np.stack([*sums, pair_defect, table[0]]), vectors=False)
     defects = _scaled_min(lam)
     opA, isom_res, gamma_norm, stab_res = map(float, opnorm(np.stack(
         [A, pair_defect, gamma_I, term])))
@@ -1046,11 +1100,10 @@ def _classification(w: WeightSequence, pair: OutputPair, sums,
 
     gamma_min = float(defects[0])
     gamma_k_min = float(defects[1:k_max + 1].min())
-    hyper_truncated = contraction and gamma_min >= -tol and gamma_k_min >= -tol
-
-    betan_min = min(float(defects[-1]), gamma_min) if integer else None
-    certified = betan_min is not None and contraction and betan_min >= -tol
-    hypercontraction = hyper_truncated or certified
+    # the rule's matrices Gamma^(0..d)[I], with the contraction test, or
+    # the whole stack; np.min keeps a NaN, and `>=` fails on it
+    hyper_min = float(defects[:(depth if ruled else k_max) + 1].min())
+    hypercontraction = contraction and hyper_min >= -tol
 
     pair_min = float(defects[k_max + 1])
     contractive_pair = hypercontraction and pair_min >= -tol
@@ -1059,8 +1112,7 @@ def _classification(w: WeightSequence, pair: OutputPair, sums,
     gram_eigs = lam[k_max + 2]
     exactly_observable = bool(gram_eigs[0] > tol * max(gram_eigs[-1], 1.0))
 
-    rate = (w.last_ratio if w.kind == "custom" else 1.0) \
-        * pair.spectral_radius ** 2
+    rate = _stability_rate(w, pair)
 
     residuals = {
         "operator_norm_excess": opA - 1.0,
@@ -1073,8 +1125,8 @@ def _classification(w: WeightSequence, pair: OutputPair, sums,
         "beta_strong_stability": stab_res,
         "strong_stability_rate": rate,
     }
-    if betan_min is not None:
-        residuals["integer_alpha_certificate_min_eig"] = betan_min
+    if ruled:
+        residuals["hypercontraction_certificate_min_eig"] = hyper_min
 
     return ClassificationReport(
         contractive_pair=contractive_pair,
@@ -1084,23 +1136,36 @@ def _classification(w: WeightSequence, pair: OutputPair, sums,
         exactly_observable=exactly_observable,
         residuals=residuals,
         k_checked=k_max,
-        certified_all_k=certified,
+        certified_all_k=ruled and hypercontraction,
     )
 
 
 def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
                 tol: float = 1e-8) -> DeltaReport:
-    """Limit of the decreasing sequence ``D_k = A^{*k} Gamma^(k)[H] A^k``.
+    """Limit ``Delta`` of the decreasing sequence
+    ``D_k = A^{*k} Gamma^(k)[H] A^k``.
 
     Requires ``H`` to satisfy the domain and shifted-positivity conditions up
     to ``tol``, and a weight whose reciprocal series is not "diverging" (as
-    ``gamma_map`` does).  Returns ``D_{k_max}`` together with a monotone-decrease
-    certificate (worst eigenvalue of the decrements, which must be PSD) and,
-    when the sequence has numerically converged and ``rho(A) < 1`` (past it
-    no rate certifies the series), the residual of the summation identity
-    ``sum_j (1/beta_j) A^{*j} Gamma[H] A^j = H - Delta``; None otherwise.
-    ``A`` is a matrix or an OutputPair, ``k_max >= 1``, and ``tol`` finite
-    and ``>= 0`` (0 as for ``gamma_map``).
+    ``gamma_map`` does).  Returns ``D_{k_max}``, the recorded term, together
+    with a monotone-decrease certificate (worst eigenvalue of the
+    decrements, which must be PSD) and the residual of the summation
+    identity ``sum_j (1/beta_j) A^{*j} Gamma[H] A^j = H - Delta``.
+
+    The limit is decided by the rate of ``classify`` (``_stability_rate``):
+    for ``s rho(A)^2 < 1`` ``Gamma^(k)[H]`` grows at most like ``s^k``
+    times a polynomial, so ``Delta = 0``, ``converged`` is True and the
+    identity is checked against ``H``; ``delta`` stays the term
+    ``D_{k_max}``, not the limit.  The identity's sum is the weight's
+    route (``_stein_sums``) for hardy and ``beta_alpha``, and for a custom
+    weight ``R(L) = P(L) (1 - s L)^-1`` exactly, from one solve.  At a
+    rate of 1 or more the limit is measured: ``converged`` when
+    ``||D_{k_max} - D_{k_max - 1}||`` is within ``tol`` of the scale of
+    ``H``, and the identity is checked against ``H - D_{k_max}``, on the
+    weight's route, when it has converged and ``rho(A) < 1`` (past it no
+    rate certifies the series); None otherwise.  ``A`` is a matrix or an
+    OutputPair, ``k_max >= 1``, and ``tol`` finite and ``>= 0`` (0 as for
+    ``gamma_map``).
     """
     _check_tol(tol)
     _check_k_max(k_max, 1, "delta_limit")
@@ -1127,14 +1192,25 @@ def delta_limit(w: WeightSequence, A, H, k_max: int = 20,
             f"monotone decrease violated: worst decrement eigenvalue {mono:.3e}")
 
     delta = D[k_max]
-    converged = opnorm(D[k_max] - D[k_max - 1]) <= tol * scale
+    # the rate decides the limit 0; at a rate of 1 or more it is measured
+    decided = _stability_rate(w, op) < 1.0
+    converged = decided or opnorm(D[k_max] - D[k_max - 1]) <= tol * scale
 
     residual = None
     if converged and op.spectral_radius < 1.0 \
             and _psd_defects(gamma_H) >= -tol:
-        total = _stein_sums(w, op, gamma_H, [0], tol * 0.1,
-                            "delta_limit sum identity")[0][0]
-        residual = opnorm(total - (H - delta))
+        if decided and w.kind == "custom":
+            # R = P / (1 - s z), so R(L) = P(L) (1 - s L)^-1 exactly: the
+            # series' tail at the rate may not meet tol before 1/beta_j
+            # overflows
+            den = rational_denominator(w)
+            Y = _kron_solver(op.A, [1.0, -w.last_ratio])(np.ravel(gamma_H))
+            total = _contract(den[None], _right_powers(
+                Y.reshape(gamma_H.shape), op.A, len(den), op.A.conj().T))[0]
+        else:
+            total = _stein_sums(w, op, gamma_H, [0], tol * 0.1,
+                                "delta_limit sum identity")[0][0]
+        residual = opnorm(total - (H if decided else H - delta))
 
     return DeltaReport(delta=delta, converged=converged,
                        monotone_min_eig=mono,

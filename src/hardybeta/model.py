@@ -1,11 +1,17 @@
 """Characteristic function families and the functional-model colligation.
 
 For a matrix ``T`` whose adjoint ``A = T*`` is a hypercontraction for the
-weight (all hereditary maps of the identity PSD) and strongly stable in the
-weighted sense, the pair ``(D, A)`` with defect ``D = Gamma[I]^(1/2)`` is
+weight (a contraction with all hereditary maps of the identity PSD) and
+strongly stable in the weighted sense, the pair ``(D, A)`` with defect
+``D = Gamma[I]^(1/2)`` is
 isometric with identity gramian, and the Cholesky colligation construction
 applied to it yields the characteristic transfer family of ``T``, unique up
-to a constant unitary on each input space.  This module provides
+to a constant unitary on each input space.  A ``T`` whose adjoint is not
+a contraction fails the hypothesis by name (ModelHypothesisError) at every
+entry that takes ``T``, and the hypothesis is decided by
+``classify``'s rules: strong stability by the rate ``s rho(A)^2 < 1``, and
+positivity at every shift by one rule per weight kind, on the stack
+``Gamma^(1..k)[I]`` that the report records.  This module provides
 
 * the defect operator and the characteristic family (Cholesky route),
 * an independent defect-form construction that works in gramian-weighted
@@ -52,8 +58,8 @@ from .hereditary import (
     _hereditary_sums,
     _Operator,
     _right_powers,
+    _stability_rate,
     eigh,
-    gamma_map,
     gramian_table,
     hermitize,
     opnorm,
@@ -61,12 +67,6 @@ from .hereditary import (
 )
 from .kernels import _cross, _range_kernel, default_grid
 from .weights import WeightSequence
-
-#: the deepest positivity stack ``Gamma^(1..k)[I]`` that
-#: ``characteristic_family`` holds: the whole stack is in memory, and the
-#: depth that the spectral radius asks for grows without bound near the
-#: circle
-_STACK_MAX = 248
 
 @dataclass
 class CharFamily:
@@ -99,29 +99,39 @@ def _defect_root(G: np.ndarray, tol: float) -> np.ndarray:
     return hermitize((V * np.sqrt(lam)) @ V.conj().T)
 
 
-def _adjoint(T):
+def _adjoint(w: WeightSequence, T, tol: float):
     """``T`` as a complex matrix, and the operator ``A = T*`` of the model,
     built once: every hereditary sum, pair and gramian table of ``T`` reads
-    its spectral data."""
+    its spectral data.  The door of every entry that takes ``T``: ``I`` in
+    the hereditary domain (``_check_domain``), except that an ``A`` that is
+    not a contraction, ``I - A* A`` with an eigenvalue below ``-tol``,
+    fails the model's hypothesis by name (ModelHypothesisError)."""
     T = np.atleast_2d(np.asarray(T, dtype=complex))
-    return T, _Operator(T.conj().T)
+    return T, _check_domain(
+        w, T.conj().T, np.eye(len(T)), tol,
+        lambda lam: ModelHypothesisError(
+            f"adjoint is not a contraction: I - A* A has eigenvalue {lam:.3e}"))
 
 
 def _defect(w: WeightSequence, op: _Operator, tol: float) -> np.ndarray:
-    """``defect_operator`` of the operator ``op = T*``."""
-    return _defect_root(gamma_map(w, op, np.eye(op.n), tol), tol)
+    """``defect_operator`` of the operator ``op = T*`` from ``_adjoint``:
+    ``Gamma[I]``, one hereditary sum, and its root."""
+    return _defect_root(_hereditary_sums(w, op, np.eye(op.n), [], tol,
+                                         "defect_operator", gamma=True)[0],
+                        tol)
 
 
 def defect_operator(w: WeightSequence, T, tol: float = 1e-10) -> np.ndarray:
     """PSD square root of ``Gamma[I]`` evaluated at ``A = T*``.
 
-    Raises ModelHypothesisError when ``Gamma[I]`` has an eigenvalue below
+    Raises ModelHypothesisError when ``A`` is not a contraction (as
+    ``_adjoint`` tests it) or ``Gamma[I]`` has an eigenvalue below
     ``-10 tol``, i.e. when ``T`` is not a star-hypercontraction at the
     zeroth level.  ``tol`` is finite and ``>= 0`` (0 allows no negative
     roundoff).
     """
     _check_tol(tol)
-    return _defect(w, _adjoint(T)[1], tol)
+    return _defect(w, _adjoint(w, T, tol)[1], tol)
 
 
 def characteristic_family(w: WeightSequence, T, k_max: int = 12,
@@ -129,37 +139,37 @@ def characteristic_family(w: WeightSequence, T, k_max: int = 12,
                           tol: float = 1e-10) -> CharFamily:
     """Characteristic transfer family of ``T`` via the Cholesky construction.
 
-    Sets ``A = T*``.  One hereditary stack ``Gamma[I], Gamma^(1..k)[I]``
-    gives ``C = Gamma[I]^(1/2)`` (refused as by ``defect_operator``) and
-    the positivity checks, and with one gramian table ``G^(0..k_max+1)``
-    of ``(C, A)`` (refused past ``rho(A) = 0.999``) the classification,
-    which must report a hypercontraction; the table is then factored into
-    the family.  The stack's depth ``k`` is where a decay like
-    ``rho(A)^(2k)`` reaches ``max(tol, 1e-8)``, at least 20 and
-    ``k_max``, and at most 248; it is the report's ``k_checked``.  Weighted
-    strong stability is decided by its rate ``s rho(A)^2``, as
-    ``classify`` does, and every family answered is strongly stable: the
-    table refuses ``rho(A) > 0.999``, and for a custom weight also a rate
-    of 1 or more, unless its sum ends, which leaves ``G^(0)`` singular and
-    the factorization refuses it.  The base gramian of ``(C, A)`` is the
-    identity; its deviation is recorded on the bundle.  ``A`` is
-    eigen-solved once for all of it.
-    ``k_max >= 0``; ``tol`` is finite and ``>= 0`` (0 as for
-    ``defect_operator``).
+    Sets ``A = T*``, refused unless it is a contraction (as by
+    ``defect_operator``) and strongly stable in the weighted sense: a
+    rate ``s rho(A)^2`` of 1 or more (``classify``'s rule) is refused by
+    name before any sum.  One hereditary stack
+    ``Gamma[I], Gamma^(1..k)[I]``, ``k = max(20, k_max)`` as at
+    ``classify``'s default depth, gives ``C = Gamma[I]^(1/2)`` (refused
+    as by ``defect_operator``) and the positivity checks, and with one
+    gramian table ``G^(0..k_max+1)`` of ``(C, A)`` (refused past
+    ``rho(A) = 0.999``) the classification, which must report a
+    hypercontraction; the table is then factored into the family.  The
+    verdict is ``classify``'s rule for the weight, decided at every
+    shift, where one is proven (hardy, integer ``alpha``,
+    ``1 < alpha < 2``, and a custom weight with ``deg P <= k``), and
+    the stack read to ``k`` for non-integer ``alpha > 2``, where no rule
+    is proven and the hypothesis is only sampled at those ``k`` shifts;
+    ``k`` is the report's ``k_checked``.  The base gramian of ``(C, A)``
+    is the identity; its deviation is recorded on the bundle.  ``A`` is
+    eigen-solved once for all of it.  ``k_max >= 0``; ``tol`` is finite
+    and ``>= 0`` (0 as for ``defect_operator``).
     """
     _check_tol(tol)
     _check_k_max(k_max, 0, "characteristic_family")
-    T, op = _adjoint(T)
+    T, op = _adjoint(w, T, tol)
+    rate = _stability_rate(w, op)
+    if not rate < 1.0:
+        raise ModelHypothesisError(
+            "adjoint is not strongly stable in the weighted sense: "
+            f"s rho(A)^2 = {rate:.6g} >= 1")
     I = np.eye(op.n)
-    _check_domain(w, op, I, tol)
     ctol = max(tol, 1e-8)
-    # the depth at which a geometric decay at the spectral radius reaches
-    # the tolerance
-    r = max(op.spectral_radius, 1e-3)
-    d = max(20, k_max)
-    if r < 1.0:
-        d = max(d, int(np.ceil(np.log(ctol) / (2 * np.log(r)))) + 5)
-    sums = _hereditary_sums(w, op, I, range(1, min(d, _STACK_MAX) + 1),
+    sums = _hereditary_sums(w, op, I, range(1, max(20, k_max) + 1),
                             min(tol, 0.1 * ctol), "characteristic_family",
                             gamma=True)
     D = _defect_root(sums[0], tol)
@@ -192,11 +202,13 @@ def defect_form_family(w: WeightSequence, T, k_max: int = 12,
 
     Assumes the defect operator has full rank, so the output space does not
     degenerate.  ``A`` is eigen-solved once for the defect and the
-    gramians.  ``k_max >= 0``; ``tol`` as for ``characteristic_family``.
+    gramians.  A ``T`` whose adjoint is not a contraction is refused as
+    by ``defect_operator``.  ``k_max >= 0``; ``tol`` as for
+    ``characteristic_family``.
     """
     _check_tol(tol)
     _check_k_max(k_max, 0, "defect_form_family")
-    op = _adjoint(T)[1]
+    op = _adjoint(w, T, tol)[1]
     pair = OutputPair(A=op, C=_defect(w, op, tol))
     A, C = pair.A, pair.C
     gramians = gramian_table(w, pair, k_max + 1, tol=min(tol, 1e-12))

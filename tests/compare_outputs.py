@@ -7,13 +7,17 @@ directories.  In each, for every seed, it runs
     hardy-beta verify --seed S --out verify-S.json
     python3 bench/run.py --workload cli-grid --seed S --seconds 10 --trace 0
 
-and then prints, per seed, whether the two ``verify`` reports differ and
-which files of ``bench/out/cli-grid`` differ.  For a JSON file it also
-prints the keys whose values differ, with list indices folded to ``[]``
-and a count of the places, and a scalar outside a list with its two
-values; a key present on one side only is marked ``(only REV)`` or
-``(only tree)``.  Nothing under the repository is written.  Run from the
-repository root::
+and one repeat of its own ``bench/workloads.SeriesStream`` for the seed on
+its own ``src/``, in a subprocess.  It then prints, per seed, whether the
+two ``verify`` reports differ and which files of ``bench/out/cli-grid``
+differ.  For a JSON file it also prints the keys whose values differ, with
+list indices folded to ``[]`` and a count of the places, and a scalar
+outside a list with its two values; a key present on one side only is
+marked ``(only REV)`` or ``(only tree)``.  For series-stream it prints how
+many op outputs differ per (query, weight, slice), an output compared by
+its bits (an array), its flag and residual values (``classify``, whose
+differing keys it names as for JSON) or its error's type and message.
+Nothing under the repository is written.  Run from the repository root::
 
     python tests/compare_outputs.py REV [--seeds 1 2 3]
 
@@ -23,6 +27,7 @@ The name keeps pytest from collecting it.
 import argparse
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -30,6 +35,8 @@ import tarfile
 import tempfile
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,6 +83,62 @@ def run_outputs(tree: Path, seed: int) -> dict:
     files.update((f"cli-grid/{p.name}", p.read_bytes())
                  for p in sorted(grid.iterdir()))
     return files
+
+
+#: one series-stream repeat in a tree (the working directory), pickled as
+#: ``((query, weight, slice), output)`` per op, where an output is an
+#: array, ``{"flags": ..., "residuals": ...}`` for ``classify``, or its
+#: error's type and message
+SERIES = """
+import json, pickle, sys
+sys.path[:0] = ["bench", "src"]
+import hardybeta as hb
+from workloads import SeriesStream
+wl = SeriesStream(hb, int(sys.argv[1]), None)
+specs = wl.prepare(0)
+ops = []
+for spec, (out, _) in zip(specs, wl.run(specs)[1]):
+    a = wl.alphas[spec["wi"]]
+    if isinstance(out, Exception):
+        out = f"{type(out).__name__}: {out}"
+    elif isinstance(out, tuple):  # plain Python values, bit for bit
+        out = json.loads(json.dumps({"flags": out[0], "residuals": out[1]},
+                                    default=lambda x: x.item()))
+    ops.append(((spec["query"], "hardy" if a == 1 else f"beta_{a:g}",
+                 spec["slice"]), out))
+pickle.dump(ops, sys.stdout.buffer)
+"""
+
+
+def series_outputs(tree: Path, seed: int) -> list:
+    """The ops of one series-stream repeat of ``tree`` for ``seed``."""
+    out = subprocess.run([sys.executable, "-c", SERIES, str(seed)],
+                         cwd=tree, check=True, capture_output=True).stdout
+    return pickle.loads(out)
+
+
+def same_output(a, b) -> bool:
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and not differing_keys(a, b)
+
+
+def report_series(old: list, new: list):
+    differ, total, keys = Counter(), Counter(), Counter()
+    for (group, a), (_, b) in zip(old, new):
+        total[group] += 1
+        if not same_output(a, b):
+            differ[group] += 1
+            if isinstance(a, dict) and isinstance(b, dict):
+                keys += differing_keys(a, b)
+    print(f"  series-stream: {sum(total.values()) - sum(differ.values())} "
+          f"of {sum(total.values())} op outputs identical")
+    for group in sorted(differ):
+        print(f"    {' '.join(group)}: {differ[group]} of {total[group]} "
+              "differ")
+    if keys:
+        print("    classify keys: " + ", ".join(
+            f"{k} x{c}" if c > 1 else k for k, c in sorted(keys.items())))
 
 
 def differing_keys(a, b, path="") -> Counter:
@@ -135,6 +198,8 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             report(seed, run_outputs(old_tree, seed),
                    run_outputs(new_tree, seed))
+            report_series(series_outputs(old_tree, seed),
+                          series_outputs(new_tree, seed))
     return 0
 
 

@@ -404,3 +404,24 @@ def test_coincidence_skips_a_refused_distinct_operator(monkeypatch):
     res = acc.criterion_9_coincidence(RunConfig(trials=4), acc.suite_weights())
     assert res.passed, res.line()
     assert len(refused) == 4  # one per weight
+
+
+def test_coincidence_on_draws_to_norm_099(monkeypatch):
+    # drawn to ||T|| = 0.99, the distinct operator T + 0.3 I of some draws
+    # is not a contraction: its adjoint fails the model hypothesis by name
+    # (ModelHypothesisError), and the comparison is skipped
+    refusals = []
+    real_family = mod.characteristic_family
+
+    def family(w, T, **kwargs):
+        try:
+            return real_family(w, T, **kwargs)
+        except acc.ModelHypothesisError as exc:
+            refusals.append(str(exc))
+            raise
+    monkeypatch.setattr(acc, "T_NORM_MAX", 0.99)
+    monkeypatch.setattr(mod, "characteristic_family", family)
+    res = acc.criterion_9_coincidence(RunConfig(seed=3), acc.suite_weights())
+    assert res.passed, res.line()
+    assert any(r.startswith("adjoint is not a contraction: ")
+               for r in refusals)

@@ -255,8 +255,9 @@ class TestCharfnCommand:
         assert "--t or --operator" in err
 
     def test_expansion_exits_4(self, capsys):
-        code, _, _ = run(capsys, "charfn", "--t", "1.5", "--hardy")
-        assert code in (2, 4)
+        code, _, err = run(capsys, "charfn", "--t", "1.5", "--hardy")
+        assert code == 4
+        assert "adjoint is not a contraction" in err
 
 
 class TestColligateSimulate:

@@ -703,18 +703,19 @@ class TestRationalForm:
                                    rtol=1e-14, atol=0)
 
     def test_delta_limit_solves_for_rho_once(self, monkeypatch):
-        # rho(A) for the sum identity, once; the maps need none, and a
-        # sequence that has not converged checks no identity
+        # rho(A) once per call, for the rate that decides the limit and for
+        # the sum identity; the maps need none.  The rate s rho^2 = 0.25 s
+        # decides the limit at k_max = 10, where D_10 is still 8.1e-6
         real, calls = np.linalg.eigvals, []
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda M: calls.append(1) or real(M))
         w = series_copy(hb.make_weight_beta_alpha(2.0, 512))
-        rep = hb.delta_limit(w, np.diag([0.5, 0.3]), np.eye(2), k_max=10)
-        assert rep.monotone_min_eig >= 0.0
-        assert not rep.converged and len(calls) == 0
-        rep = hb.delta_limit(w, np.diag([0.5, 0.3]), np.eye(2), k_max=40)
-        assert rep.sum_identity_residual is not None
-        assert len(calls) == 1
+        for k_max, total in ((10, 1), (40, 2)):
+            rep = hb.delta_limit(w, np.diag([0.5, 0.3]), np.eye(2),
+                                 k_max=k_max)
+            assert rep.monotone_min_eig >= 0.0
+            assert rep.converged and rep.sum_identity_residual <= 1e-14
+            assert len(calls) == total
 
 
 class TestStein:
@@ -861,7 +862,8 @@ class TestClassify:
     def test_integer_alpha_certificate_is_the_binomial_maps(self, weight,
                                                           request):
         # the certificate reads Gamma[I] from the hereditary stack; it is
-        # the binomial defect map of order alpha
+        # the binomial defect map of order alpha, and the contraction is
+        # the operator norm's own test
         w = request.getfixturevalue(weight)
         m = int(w.alpha)
         rng = np.random.default_rng(19)
@@ -869,10 +871,11 @@ class TestClassify:
             A = cmat(rng, 3, 3)
             A *= norm / np.linalg.norm(A, 2)
             rep = hb.classify(w, hb.OutputPair(A=A, C=np.eye(3)), k_max=10)
-            ref = min(her._psd_defects(hb.gamma_binomial(1, A, np.eye(3))),
-                      her._psd_defects(hb.gamma_binomial(m, A, np.eye(3))))
-            assert rep.residuals["integer_alpha_certificate_min_eig"] \
+            ref = her._psd_defects(hb.gamma_binomial(m, A, np.eye(3)))
+            assert rep.residuals["hypercontraction_certificate_min_eig"] \
                 == pytest.approx(ref, abs=1e-13)
+            assert rep.residuals["operator_norm_excess"] \
+                == pytest.approx(norm - 1.0, abs=1e-13)
 
     def test_minimality_of_gramian(self, w_beta2):
         # any PSD solution of the inequalities dominates the gramian
@@ -883,6 +886,81 @@ class TestClassify:
         G = hb.gramian(w_beta2, 0, pair, 1e-12)
         H = hb.gramian(w_beta2, 0, bigger, 1e-12)
         assert np.linalg.eigvalsh(H - G)[0] >= -1e-10
+
+
+class TestHypercontractionRules:
+    """Each weight kind's rule for the hypercontraction hypothesis
+    (``hereditary._rule_depth``) against an explicit stack
+    ``Gamma[I], Gamma^(1..K)[I]``, on boundary draws: a contraction scaled
+    until ``Gamma[I]`` is singular (or to norm 1, where that comes first),
+    which the rule certifies, and the same draw scaled 1% past it, a
+    negative ``Gamma[I]`` or a non-contraction, which it must not."""
+
+    TOL = 1e-8
+    PAIR = dict(A=[[0.5, 0.3], [0.0, 0.4]], C=np.ones((1, 2)))
+
+    @staticmethod
+    def custom_beta2():
+        """A 17-entry custom copy of beta_2's table: ``deg P = 15``."""
+        return hb.make_weight_custom(hb.make_weight_beta_alpha(2.0, 16).betas)
+
+    @staticmethod
+    def boundary(w, rng, n):
+        """A draw normalized to norm 1 and scaled by the largest ``c <= 1``
+        with ``Gamma[I] >= 0``, to 50 bisection steps."""
+        G = cmat(rng, n, n)
+        A = G / np.linalg.norm(G, 2)
+
+        def psd(c):
+            return her._psd_defects(hb.gamma_map(w, c * A, np.eye(n))) >= 0
+        lo, hi = (1.0, 1.0) if psd(1.0) else (0.0, 1.0)
+        for _ in range(50 if lo < hi else 0):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if psd(mid) else (lo, mid)
+        return lo * A
+
+    @pytest.mark.parametrize("weight, K", [
+        (hb.make_weight_hardy(), 4000),
+        (hb.make_weight_beta_alpha(2.0), 4000),
+        (hb.make_weight_beta_alpha(3.0), 4000),
+        (hb.make_weight_beta_alpha(1.5), 200),
+        (custom_beta2(), 20),
+    ], ids=["hardy", "beta2", "beta3", "beta1.5", "custom-beta2"])
+    def test_rule_against_the_stack(self, weight, K):
+        assert K >= (her._rule_depth(weight) or 0) + 5
+        rng = np.random.default_rng(32)
+        for n in range(2, 6):
+            A = self.boundary(weight, rng, n)
+            for c, certified in ((1.0, True), (1.01, False)):
+                pair = hb.OutputPair(A=c * A, C=np.eye(n))
+                assert pair.spectral_radius <= her.RHO_MAX
+                rep = hb.classify(weight, pair, tol=self.TOL)
+                stack = her._hereditary_sums(
+                    weight, her._Operator(c * A), np.eye(n),
+                    range(1, K + 1), 0.1 * self.TOL, "stack", gamma=True)
+                holds = np.linalg.norm(c * A, 2) <= 1.0 + self.TOL \
+                    and her._psd_defects(stack).min() >= -self.TOL
+                assert rep.certified_all_k == holds == certified
+                assert rep.hypercontraction == certified
+
+    @pytest.mark.parametrize("weight, k_max, certified", [
+        (hb.make_weight_hardy(), 20, True),
+        (hb.make_weight_beta_alpha(1.5), 20, True),
+        (hb.make_weight_beta_alpha(2.0), 20, True),
+        (custom_beta2(), 20, True),
+        (custom_beta2(), 14, False),
+        (hb.make_weight_beta_alpha(2.5), 20, False),
+    ], ids=["hardy", "beta1.5", "beta2", "custom-beta2", "custom-short",
+            "beta2.5"])
+    def test_certified_where_a_rule_decides(self, weight, k_max, certified):
+        # a hypercontraction on every weight: the rules decide it at every
+        # shift, a custom weight's once the stack reaches deg P = 15, and
+        # non-integer alpha > 2 has no rule
+        rep = hb.classify(weight, hb.OutputPair(**self.PAIR), k_max=k_max)
+        assert rep.hypercontraction
+        assert rep.certified_all_k is certified
+        assert ("hypercontraction_certificate_min_eig"
+                in rep.residuals) is certified
 
 
 class TestDeltaLimit:
@@ -898,6 +976,47 @@ class TestDeltaLimit:
     def test_zero_operator(self, w_beta2):
         rep = hb.delta_limit(w_beta2, np.zeros((2, 2)), np.eye(2), k_max=5)
         assert np.linalg.norm(rep.delta) == 0.0
+
+    def test_limit_is_decided_by_the_rate(self, w_hardy):
+        # rho^2 = 0.9801 < 1: the limit is 0, although the recorded term
+        # D_20 = 0.99^40 is 0.669, and the identity sums Gamma[H] to H
+        rep = hb.delta_limit(hb.make_weight_hardy(), [[0.99]], [[1.0]])
+        assert rep.delta[0, 0] == pytest.approx(0.99 ** 40, rel=1e-12)
+        assert rep.converged and rep.sum_identity_residual <= 1e-12
+
+    @pytest.mark.parametrize("r", [0.45, 0.6, 0.7])
+    def test_custom_identity_past_the_series(self, r):
+        # custom [1, 0.5], s = 2: the rate 2 r^2 < 1 decides the limit, but
+        # the identity's series, at q = ((1 + r) / 2)^2 with s q > 1, finds
+        # no cut; R(L) = P(L) (1 - s L)^-1 sums it exactly
+        w = hb.make_weight_custom([1.0, 0.5])
+        gamma_H = hb.gamma_map(w, [[r]], [[1.0]])
+        with pytest.raises(hb.ConvergenceError):
+            her._stein_sums(w, her._Operator([[r]]), gamma_H, [0], 1e-9,
+                            "series")
+        rep = hb.delta_limit(w, [[r]], [[1.0]])
+        assert rep.converged and rep.sum_identity_residual <= 1e-12
+
+    def test_custom_identity_agrees_with_the_series(self):
+        # where the series answers, its sum and the exact R(L) agree
+        w = hb.make_weight_custom([1.0, 0.6, 0.45, 0.4])
+        rng = np.random.default_rng(5)
+        for rho in (0.3, 0.5, 0.7):
+            A = cmat(rng, 3, 3)
+            A *= rho / her.spectral_radius(A)
+            A *= min(1.0, 0.9 / np.linalg.norm(A, 2))
+            total = her._stein_sums(w, her._Operator(A),
+                                    hb.gamma_map(w, A, np.eye(3)), [0],
+                                    1e-12, "series")[0][0]
+            assert np.linalg.norm(total - np.eye(3), 2) <= 1e-12
+            rep = hb.delta_limit(w, A, np.eye(3))
+            assert rep.converged and rep.sum_identity_residual <= 1e-12
+
+    def test_limit_at_rate_one_is_measured(self, w_hardy):
+        # rate 1: D_20 - D_19 = 0.99^38 - 0.99^40 = 1.3e-2 is above tol, so
+        # the sequence has not converged and no identity is checked
+        rep = hb.delta_limit(w_hardy, np.diag([1.0, 0.99]), np.eye(2))
+        assert not rep.converged and rep.sum_identity_residual is None
 
     def test_gramian_input(self, w_beta2):
         rng = np.random.default_rng(19)

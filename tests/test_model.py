@@ -29,7 +29,10 @@ class TestDefectOperator:
             assert D[0, 0] == pytest.approx(1 - abs(t) ** 2, abs=1e-12)
 
     def test_expansion_rejected(self, w_hardy):
-        with pytest.raises((hb.ModelHypothesisError, hb.HereditaryDomainError)):
+        # an adjoint that is not a contraction fails the hypothesis by name
+        with pytest.raises(hb.ModelHypothesisError, match=(
+                r"^adjoint is not a contraction: I - A\* A has eigenvalue "
+                r"-6\.900e-01$")):
             hb.defect_operator(w_hardy, 1.3 * np.eye(2))
 
     def test_negative_defect_refused(self, w_beta2):
@@ -84,8 +87,8 @@ class TestCharacteristicFamily:
                 atol=1e-12)
 
     # a distinct operator of acceptance criterion 9 (seed 2, beta_3 at 768
-    # terms): Gamma^(k)[I] grows polynomially in k, so at the depth that a
-    # decay like rho^(2k) gives (27) the term is 1.6e-8 > 1e-8
+    # terms), of spectral radius 0.65: past 0.54, where a decay like
+    # rho^(2k) no longer reaches 1e-8 by depth 20
     T_SLOW = np.array([
         [0.41575247828230655 + 0.15993895553585377j,
          -0.02441475804397368 - 0.07594575850396067j],
@@ -105,30 +108,26 @@ class TestCharacteristicFamily:
         monkeypatch.setattr(mod, "_hereditary_sums", spy)
         return calls
 
-    def test_stability_depth_follows_the_measured_decay(self, monkeypatch):
-        # the stack stays at 27 and is the only sum: its last term, above
-        # 1e-8, is recorded, and the rate rho(A)^2 decides
+    @pytest.mark.parametrize("weight, T, k_max", [
+        (hb.make_weight_beta_alpha(3.0, 768), T_SLOW, 6),
+        (hb.make_weight_hardy(), [[0.999]], 2),
+        (hb.make_weight_beta_alpha(2.0), [[0.999]], 2),
+        (hb.make_weight_beta_alpha(2.0), [[0.999]], 24),
+        (hb.make_weight_hardy(), np.diag(np.ones(49), -1), 24),
+    ], ids=["slow-beta3", "edge-hardy", "edge-beta2", "edge-beta2-k24",
+            "shift50-hardy"])
+    def test_one_stack_at_the_classify_depth(self, weight, T, k_max,
+                                             monkeypatch):
+        # the stack's depth does not follow rho(T): one hereditary sum of
+        # max(20, k_max) shifts, classify's default depth, and the rules
+        # decide every shift beyond it
         calls = self.spy_sums(monkeypatch)
-        char = hb.characteristic_family(hb.make_weight_beta_alpha(3.0, 768),
-                                        self.T_SLOW, k_max=6)
-        report = char.classification
-        assert calls == [list(range(1, 28))]
-        assert report.strongly_stable_beta and report.k_checked == 27
-        assert report.residuals["beta_strong_stability"] \
-            == pytest.approx(1.6e-8, rel=0.05)
-        assert report.residuals["strong_stability_rate"] == pytest.approx(
-            hb.spectral_radius(self.T_SLOW) ** 2, rel=1e-12)
-
-    @pytest.mark.parametrize("weight", ["w_hardy", "w_beta2"])
-    def test_no_stack_deeper_than_248(self, weight, request, monkeypatch):
-        # rho = 0.999 asks for depth 9,215: the stack stops at 248, and no
-        # deeper sum is made
-        calls = self.spy_sums(monkeypatch)
-        char = hb.characteristic_family(request.getfixturevalue(weight),
-                                        [[0.999]], k_max=2)
-        assert char.classification.strongly_stable_beta
-        assert char.classification.k_checked == 248
-        assert calls == [list(range(1, 249))]
+        report = hb.characteristic_family(weight, T,
+                                          k_max=k_max).classification
+        depth = max(20, k_max)
+        assert calls == [list(range(1, depth + 1))]
+        assert report.k_checked == depth
+        assert report.certified_all_k and report.strongly_stable_beta
 
     def test_gramian_is_identity(self, all_weights):
         rng = np.random.default_rng(55)
@@ -220,23 +219,29 @@ class TestCharacteristicFamily:
         assert report.residuals["beta_strong_stability"] == pytest.approx(
             1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("T,error", [
-        ([[2 ** -0.5]], hb.ObservabilityError),
-        (np.diag([2 ** -0.5, 0.0]), hb.ConvergenceError),
-    ], ids=["zero-defect", "series"])
-    def test_custom_rate_one_is_not_answered(self, T, error):
+    @pytest.mark.parametrize("T", [[[2 ** -0.5]], np.diag([2 ** -0.5, 0.0])],
+                             ids=["zero-defect", "series"])
+    def test_custom_rate_one_is_not_answered(self, T, monkeypatch):
         # past its table [1, 1/2] the weight continues at s = 2, so A = T*
-        # of spectral radius 2^-1/2 has the rate 1: not strongly stable.
-        # The table's series refuses the rate, or, with the defect 0, its
-        # sum is 0 and G^(0) is singular
-        with pytest.raises(error):
+        # of spectral radius 2^-1/2 has the rate 1: not strongly stable,
+        # refused by the rate before any sum
+        calls = self.spy_sums(monkeypatch)
+        with pytest.raises(hb.ModelHypothesisError, match=(
+                r"^adjoint is not strongly stable in the weighted sense: "
+                r"s rho\(A\)\^2 = 1 >= 1$")):
             hb.characteristic_family(hb.make_weight_custom([1.0, 0.5]), T,
                                      k_max=2)
+        assert calls == []
 
     def test_non_stable_rejected(self, w_beta2):
-        # operator norm above 1 fails the hypercontraction hypothesis
-        with pytest.raises((hb.ModelHypothesisError, hb.HereditaryDomainError)):
-            hb.characteristic_family(w_beta2, 1.2 * np.eye(2), k_max=2)
+        # operator norm above 1 fails the hypercontraction hypothesis by
+        # name, at every entry that takes T
+        for call in (hb.characteristic_family, hb.defect_operator,
+                     defect_form_family):
+            with pytest.raises(hb.ModelHypothesisError, match=(
+                    r"^adjoint is not a contraction: I - A\* A has "
+                    r"eigenvalue -4\.400e-01$")):
+                call(w_beta2, 1.2 * np.eye(2))
 
 
 class TestCoincidence:
