@@ -11,8 +11,6 @@ from .colligation import (
     ColligationFamily,
     ColligationStep,
     build_family,
-    build_step,
-    defect_kernel,
     metric_residuals,
     transfer_eval,
     transfer_taylor,
@@ -77,7 +75,6 @@ from .model import (
     defect_operator,
     functional_model_colligation,
     model_roundtrip_residual,
-    wandering_theta,
 )
 from .syssim import (
     IOMatrix,

@@ -24,14 +24,15 @@ eigen-solve inverts ``G^(0..k_max+1)``, the defects of every step are
 factored with one more, and each metric identity's residual is one stacked
 operator norm.  A step whose input dimension ``u_k`` is below the widest is
 zero-padded in the stacks, since zero columns of ``U_k`` change neither
-identity; ``build_step`` and ``metric_residuals`` are the one-step calls of
-the same code.  The Taylor coefficients of one step are one array, and
-``transfer_eval`` evaluates a sequence of steps from one ``resolvents``
-table.  Every step is read through ``ColligationFamily.step``, which
-refuses a step outside ``0..k_max`` by name.  Nothing here changes a built
-family, but a family is not frozen: every evaluator reads ``steps`` as they
-stand when it is called, so a step replaced after the build is what the
-evaluators see.
+identity; ``metric_residuals`` is the one-step call of the same code.
+The Taylor coefficients of one step are one array, and ``transfer_eval``
+evaluates a sequence of steps from one ``resolvents`` table.  Every step
+is read through ``ColligationFamily.step``, which refuses a step outside
+``0..k_max`` by name.  Nothing here changes a built family, but a family
+is not frozen: every evaluator reads ``steps`` as they stand when it is
+called, so a step replaced after the build is what the evaluators see.
+The wandering-subspace transfer function of a pair is step 0 of the
+one-step family ``build_family(w, pair, 0)``.
 """
 
 from __future__ import annotations
@@ -157,19 +158,6 @@ def _factor_steps(w: WeightSequence, pair: OutputPair,
     F = _psd_factor(R, rank_tol)
     u = np.count_nonzero(F.any(axis=-2), axis=-1)
     return F[:, :pair.n], F[:, pair.n:], u, G_inv
-
-
-def build_step(w: WeightSequence, k: int, pair: OutputPair,
-               gramians: GramianTable, rank_tol: float = 1e-10):
-    """Solve the step-k Cholesky factorization problem.
-
-    Returns ``(B_k, D_k)``.  Both ``G^(k)`` and ``G^(k+1)`` must be strictly
-    positive definite; a singular gramian raises ObservabilityError, and a
-    defect matrix with a genuinely negative eigenvalue raises
-    NotCoisometrizableError.
-    """
-    B, D, _, _ = _factor_steps(w, pair, gramians, k, k, rank_tol)
-    return B[0], D[0]
 
 
 def build_family(w: WeightSequence, pair: OutputPair, k_max: int,
@@ -330,24 +318,3 @@ def transfer_taylor(family: ColligationFamily, k: int, J: int) -> np.ndarray:
     function as one ``(J + 1, p, u_k)`` array."""
     return _taylor_stack(family, [k], J)[0][0]
 
-
-def defect_kernel(family: ColligationFamily, k: int, z: complex, zeta: complex,
-                  tol: float = 1e-12) -> np.ndarray:
-    """Quadratic-form defect kernel of step ``k`` at the point pair.
-
-    Vanishes identically when the step satisfies the weighted coisometry
-    identity; its size is proportional to the identity's violation.
-    ``tol`` is the resolvents' (finite, ``>= 0``; 0 as for ``resolvents``).
-    """
-    _check_tol(tol)
-    w, pair = family.weight, family.pair
-    p = pair.p
-    G_inv = family.gramians.inverses(k, k + 1)
-    defect = -_metric_defects(family, k, k, G_inv)[1][0]
-
-    Rz, Rzeta = resolvents(w, k, pair, [z, zeta], tol)
-    inv_beta = w._entries(k)[1]
-    left = np.hstack([z * (pair.C @ Rz), inv_beta * np.eye(p)])
-    right = np.vstack([np.conj(zeta) * (Rzeta.conj().T @ pair.C.conj().T),
-                       inv_beta * np.eye(p)])
-    return left @ defect @ right

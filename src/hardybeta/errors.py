@@ -49,7 +49,9 @@ class SpectralRadiusError(HardyBetaError):
 
 
 class DivergenceError(SpectralRadiusError):
-    """Evaluation point outside the disk of convergence."""
+    """Evaluation point outside the disk of convergence, or a custom
+    weight's series past its last ratio ``s``: ``s rho(A)^2 >= 1`` or
+    ``s |z| rho(A) >= 1``."""
 
 
 class ObservabilityError(HardyBetaError):

@@ -85,16 +85,21 @@ the cut needs, with the weight's step bounds (``inv_step``, ``c_step``).
 It raises ConvergenceError, naming the function called, ``q`` and the
 term budget, when no span or cut within the budget certifies ``q`` or
 meets ``tol``; no stored table and no shift refuses a sum.  The decay rate
-``q`` is chosen from the spectral radius, and the engine certifies it on
-powers of ``A`` before it sums: every term is at most ``K q^j`` for the
-certified transient constant ``K``, so the tail bound holds for a
-non-normal ``A`` too.  A resolvent grid on the series is one table
-of powers ``(rA)^j``, cut once at its largest radius ``r``: since
-``|z_i / r|^j <= 1``, the tail bound of the powers holds at every point of
-the grid.  A sequence of shifts adds one coefficient row ``1/beta_{k+j}``
-per shift to the same sum, each bounded past a cut by its entry there and
-the weight's step; the one cut is the first index where every row's bound
-holds, so the tail is <= tol at every shift and point.
+``q`` is chosen from the spectral radius and the rows' step far out,
+``s = lim beta_k / beta_{k+1}`` (``_growth``: a custom weight's last ratio,
+1 for hardy and ``beta_alpha``): below ``1/s`` as well as 1, so a sum with
+``s rho(A)^2 < 1`` (gramians) or ``s |z| rho(A) < 1`` (resolvents) is
+answered, and one at or past 1 is refused by name with DivergenceError
+(``_divergence``), quoting ``s`` and the product, unless its terms end.
+The engine certifies ``q`` on powers of ``A`` before it sums: every term
+is at most ``K q^j`` for the certified transient constant ``K``, so the
+tail bound holds for a non-normal ``A`` too.  A resolvent grid on the
+series is one table of powers ``(rA)^j``, cut once at its largest radius
+``r``: since ``|z_i / r|^j <= 1``, the tail bound of the powers holds at
+every point of the grid.  A sequence of shifts adds one coefficient row
+``1/beta_{k+j}`` per shift to the same sum, each bounded past a cut by its
+entry there and the weight's step; the one cut is the first index where
+every row's bound holds, so the tail is <= tol at every shift and point.
 A gramian table is one ``(k_max + 1, n, n)`` array, inverted as one stack.
 The powers ``X A^j`` and the conjugation moments ``A^{*j} X A^j`` of the
 finite sums and the Taylor data all come from ``_right_powers``; the
@@ -460,16 +465,40 @@ def _shifted_rows(w: WeightSequence, ks):
             lambda J: w.inv_step(ks + J))
 
 
-def _series_sums(op: _Operator, X, rows, steps, tol, context):
+def _growth(w: WeightSequence) -> float:
+    """``s = lim beta_k / beta_{k+1}``, the step of the rows
+    ``1/beta_{k+j}`` far out: a custom weight's ``last_ratio``, at which it
+    continues past its table by definition, and 1 for hardy and
+    ``beta_alpha``."""
+    return w.last_ratio if w.kind == "custom" else 1.0
+
+
+def _divergence(s: float, rate: float, name: str, context: str) -> str:
+    """The refusal of a sum of the rows ``1/beta_{k+j}``, which grow like
+    ``s^j``, against terms that fall like ``rate^j``, when ``s rate`` is at
+    least 1: unless its terms end, the series diverges.  Empty below 1, and
+    at ``s = 1`` (hardy and ``beta_alpha``), whose rows grow at most
+    polynomially: their domains keep ``rate < 1``, and a rate of 1 (a
+    hereditary map at ``rho(A) >= 1``) is the engine's to refuse."""
+    if s == 1.0 or s * rate < 1.0:
+        return ""
+    return (f"{context}: {name} = {s * rate:.6g} >= 1 at the weight's last "
+            f"ratio s = {s:.6g}: series diverges")
+
+
+def _series_sums(op: _Operator, X, rows, steps, tol, context, s=1.0):
     """``sum_j rows(J)[i, j] A^{*j} X A^j`` for every row, the rows and
     their step bounds read as functions of the length and the cuts
     (``series.cut``), cut once for all rows by the series engine at the
-    rate of ``rho(A)`` and contracted in one product.  Returns (sums,
-    series record)."""
-    A = op.A
+    rate of ``rho(A)`` and of the rows' step ``s`` far out, and contracted
+    in one product; refused by name at ``s rho(A)^2 >= 1`` unless the
+    terms end (``_divergence``).  Returns (sums, series record)."""
+    A, rho = op.A, op.spectral_radius
     rec = series.adaptive_sum(np.asarray(X, dtype=complex), A, rows,
-                              series.conjugation_rate(op.spectral_radius),
-                              steps, tol, context, left=A.conj().T)
+                              series.conjugation_rate(rho, s), steps, tol,
+                              context, left=A.conj().T,
+                              diverges=_divergence(s, rho * rho,
+                                                   "s rho(A)^2", context))
     return _contract(rec.rows, rec.terms), rec
 
 
@@ -542,7 +571,7 @@ def _stein_sums(w: WeightSequence, op: _Operator, X, ks, tol, context):
     alpha; the spectral route on the operator's diagonalization
     (``_route``; the bounds of ``spectral.stein_bounds``, index -1);
     otherwise the series, over the rows ``1/beta_{k+j}``
-    (``_shifted_rows``)."""
+    (``_shifted_rows``), at the rows' step ``s`` far out (``_growth``)."""
     a = _integer_alpha(w)
     if a is not None:
         return _closed_gramians(op.A, X, ks, a), [0.0] * len(ks), -1
@@ -553,7 +582,8 @@ def _stein_sums(w: WeightSequence, op: _Operator, X, ks, tol, context):
         return (hermitize(spec.apply(R, X)),
                 list(spectral.stein_bounds(spec, w.alpha, ks, N, R, X,
                                            float(np.linalg.norm(op.A)))), -1)
-    sums, rec = _series_sums(op, X, *_shifted_rows(w, ks), tol, context)
+    sums, rec = _series_sums(op, X, *_shifted_rows(w, ks), tol, context,
+                             _growth(w))
     return sums, rec.tails, rec.J
 
 
@@ -672,8 +702,11 @@ def _resolvent_table(w, k, op: _Operator, z, tol, context="resolvents"):
     # |z_i / r|^j <= 1, so the tail bound of the powers (rA)^j bounds the
     # tail at every point of the grid
     rows, steps = _shifted_rows(w, ks)
+    s = _growth(w)
     rec = series.adaptive_sum(np.eye(n, dtype=complex), r * A, rows,
-                              series.decay_rate(rho, r), steps, tol, context)
+                              series.decay_rate(rho, r, s), steps, tol,
+                              context, diverges=_divergence(
+                                  s, r * rho, "s |z| rho(A)", context))
     coef = (zs[:, None] / r) ** np.arange(rec.J + 1) * rec.rows[:, None]
     S = np.tensordot(coef, rec.terms, axes=(2, 0))
     return S.reshape(shape), rec
@@ -700,8 +733,9 @@ def resolvents(w: WeightSequence, k, A, zs,
     tail <= tol at every shift and every point.
 
     Requires finite points in the open unit disk, ``r * rho(A) < 1`` (a
-    DivergenceError names it first) and integer shifts ``k >= 0`` (a
-    fraction is refused, never truncated).  The series
+    DivergenceError names it first), ``s r rho(A) < 1`` for a custom
+    weight of last ratio ``s`` (DivergenceError too) and integer shifts
+    ``k >= 0`` (a fraction is refused, never truncated).  The series
     raises ConvergenceError when no cut within its term budget brings the
     tail bound below ``tol``.  ``tol`` must be finite and ``>= 0``; at 0
     only an exact sum (a closed form, the spectral route, a vanishing tail)
@@ -719,7 +753,8 @@ def resolvent_apply(w: WeightSequence, k: int, A, z: complex,
     otherwise a series with tail <= tol.  ``A`` is a matrix or an
     OutputPair, as for ``resolvents``.
 
-    Requires ``|z| < 1`` and ``|z| * rho(A) < 1``.  On the series, raises
+    Requires ``|z| < 1`` and ``|z| * rho(A) < 1``, and ``s |z| rho(A) < 1``
+    for a custom weight of last ratio ``s``.  On the series, raises
     ConvergenceError when no cut within its term budget brings the tail
     bound below ``tol``, which must be finite and ``>= 0`` (0 as for
     ``resolvents``).
@@ -787,7 +822,8 @@ def gramian(w: WeightSequence, k: int, pair: OutputPair,
     integer alpha, the spectral route for non-integer alpha (``A`` within
     its gate), otherwise a series with tail bound <= tol (finite and
     ``>= 0``; at 0 the series raises ConvergenceError unless its tail
-    vanishes)."""
+    vanishes).  A custom weight of last ratio ``s`` needs
+    ``s rho(A)^2 < 1``; DivergenceError names the product otherwise."""
     _check_tol(tol)
     return _gramian_rows(w, [k], pair, tol, "gramian")[0][0]
 
@@ -1056,8 +1092,7 @@ def _stability_rate(w: WeightSequence, op: _Operator) -> float:
     falls like ``rho(A)^(2k)`` up to a polynomial.  A custom weight has
     ``s = last_ratio``: past its table ``Gamma^(k)[I] = (1/beta_k)
     P(L)^-1[I]`` and ``1/beta_k`` grows like ``s^k``."""
-    return (w.last_ratio if w.kind == "custom" else 1.0) \
-        * op.spectral_radius ** 2
+    return _growth(w) * op.spectral_radius ** 2
 
 
 def _rule_depth(w: WeightSequence) -> int | None:

@@ -21,9 +21,11 @@ positivity at every shift by one rule per weight kind, on the stack
   because the kernel of the shift image past the last step closes the
   k-sum,
 * the functional-model colligation checks and the coordinate form of its
-  input operator, and
-* the wandering-subspace transfer function: the one-step family of the
-  construction, evaluated with ``transfer_eval`` at step 0.
+  input operator.
+
+The wandering-subspace transfer function of a pair has no function of its
+own: it is step 0 of ``build_family(w, pair, 0)``, evaluated with
+``transfer_eval`` at step 0.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .colligation import (
     _family_from_table,
     _phase_fixed,
     _taylor_stack,
-    build_family,
     transfer_eval,
 )
 from .errors import (
@@ -513,19 +514,3 @@ def functional_model_colligation(fam: ColligationFamily, k: int, J: int,
                                  alignment_residual=align,
                                  alignment_allowance=allowance)
 
-
-# ---------------------------------------------------------------------------
-# wandering-subspace transfer function
-# ---------------------------------------------------------------------------
-
-def wandering_theta(w: WeightSequence, pair: OutputPair,
-                    rank_tol: float = 1e-10,
-                    tol: float = 1e-12) -> ColligationFamily:
-    """Transfer function of the wandering gap: the one-step family
-    ``build_family(w, pair, 0, rank_tol, tol)``, whose step 0
-    ``Theta(z) = D_0 + z C R_1(zA) B_0`` (the leading weight is 1) is
-    evaluated with ``transfer_eval(fam, 0, z, tol)``.  It factors the gap
-    kernel as ``Theta(z) Theta(zeta)*`` and is a contractive multiplier
-    from the unweighted Hardy space into the weighted one.  ``tol`` is the
-    gramian table's (finite, ``>= 0``; 0 as for ``gramian``)."""
-    return build_family(w, pair, 0, rank_tol, tol)

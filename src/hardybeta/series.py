@@ -13,7 +13,14 @@ against matrix terms ``T_{j+1} = L T_j R``, the powers ``(zA)^j`` of the
 resolvents (``T_0 = I``, ``R = zA``, no ``L``) or the conjugations
 ``A^{*j} X A^j`` of the gramians and hereditary maps (``T_0 = X``,
 ``L = A^*``, ``R = A``).  The caller's decay rate ``q`` (``decay_rate``,
-``conjugation_rate``) is certified before the cut is chosen: ``L`` and
+``conjugation_rate``) lies strictly between the terms' true rate
+(``|z| rho(A)`` or ``rho(A)^2``) and 1 where that is below 1 (a
+conjugation at ``rho(A) >= 1`` has rate 1).  For rows that step by
+``s > 1`` far out (a custom weight past its table) it is at most the
+midpoint of the true rate and ``1/s`` too, so every row's tail is bounded
+wherever ``s`` times the true rate is below 1 (the caller refuses the
+rest).  At ``s = 1`` it is ``|z| (1 + rho) / 2`` or its square, bit for
+bit.  It is certified before the cut is chosen: ``L`` and
 ``R`` are squared until ``||L^m||_F ||R^m||_F <= q^m`` for some
 ``m = 2^i`` (no ``L`` counts 1), and since ``T_{tm+s} = L^{tm} T_s R^{tm}``
 every term then obeys ``||T_j||_F <= K q^j`` with the transient constant
@@ -36,7 +43,9 @@ it, so the terms made, ``(J + 1) n^2`` complex entries, stay within
 ``_BUDGET n^2``.  ConvergenceError, naming the caller, ``q`` and the
 budget, is raised when no span within it certifies ``q`` (at ``q >= 1`` no
 row's tail is bounded either, as every step is at least 1) or no cut
-within it meets ``tol``.
+within it meets ``tol``.  A caller whose series diverges unless its terms
+end (``s`` times the true rate at least 1) passes its refusal, which is
+raised as DivergenceError once the certified span holds no zero term.
 
 Terms are made one product at a time, ``T_{j+1} = (L T_j) R``; the
 squares serve the certificate only.  Past the first ``m`` terms only those
@@ -51,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DivergenceError
 
 #: no cut comes before this term index
 _MIN_J = 4
@@ -60,16 +69,30 @@ _MIN_J = 4
 _BUDGET = 1 << 15
 
 
-def decay_rate(rho: float, scale: float = 1.0) -> float:
-    """Decay rate ``q`` of the powers ``(scale A)^j`` when ``rho(A) = rho``."""
-    return scale * 0.5 * (1.0 + rho)
+def _below_growth(q: float, true_rate: float, s: float) -> float:
+    """``q``, lowered for rows that step by ``s > 1`` far out to at most
+    the midpoint of the terms' true rate and ``1/s`` wherever ``s`` times
+    the true rate is below 1, so that ``s q < 1`` there too."""
+    if s == 1.0 or not s * true_rate < 1.0:
+        return q
+    return min(q, 0.5 * (true_rate + 1.0 / s))
 
 
-def conjugation_rate(rho: float) -> float:
-    """Decay rate of the conjugations ``A^{*j} X A^j``: the square of
-    ``decay_rate``.  At ``rho >= 1`` the hereditary domain condition
-    ``X >= A* X A`` still keeps them bounded, so the rate is 1."""
-    return decay_rate(rho) ** 2 if rho < 1.0 else 1.0
+def decay_rate(rho: float, scale: float = 1.0, s: float = 1.0) -> float:
+    """Decay rate ``q`` of the powers ``(scale A)^j`` when ``rho(A) = rho``,
+    against rows that step by ``s`` far out: ``scale (1 + rho) / 2``, or
+    less at ``s > 1`` (``_below_growth`` of ``scale rho``)."""
+    return _below_growth(scale * 0.5 * (1.0 + rho), scale * rho, s)
+
+
+def conjugation_rate(rho: float, s: float = 1.0) -> float:
+    """Decay rate of the conjugations ``A^{*j} X A^j`` against rows that
+    step by ``s`` far out: the square of ``decay_rate``, or less at
+    ``s > 1`` (``_below_growth`` of ``rho^2``).  At ``rho >= 1`` the
+    hereditary domain condition ``X >= A* X A`` still keeps them bounded,
+    so the rate is 1."""
+    q = decay_rate(rho) ** 2 if rho < 1.0 else 1.0
+    return _below_growth(q, rho * rho, s)
 
 
 def _tails(entries, steps, q: float, J) -> np.ndarray:
@@ -166,7 +189,8 @@ def _extend(terms: np.ndarray, s: int, e: int, L, R):
 
 def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
                  steps, tol: float, context: str,
-                 left: np.ndarray | None = None) -> SeriesRecord:
+                 left: np.ndarray | None = None,
+                 diverges: str = "") -> SeriesRecord:
     """Generate ``T_0 = first``, ``T_{j+1} = left @ T_j @ right`` (no left
     factor when ``left`` is None) up to the first cut where every row's
     tail bound is at most ``tol``; ``rows`` and ``steps`` are functions of
@@ -176,7 +200,10 @@ def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
     the squares of ``left`` and ``right`` before the cut is chosen (see the
     module docstring).  Raises ConvergenceError, naming ``context``, ``q``
     and the budget, when no span within ``_BUDGET`` certifies ``q`` or no
-    cut within it meets ``tol``.
+    cut within it meets ``tol``.  A non-empty ``diverges`` is the caller's
+    refusal of a series that diverges unless its terms end: it is raised
+    as DivergenceError in place of a cut when no term in the certified
+    span is 0.
     """
     L, R, m = left, right, 1  # L^m and R^m
     # squares that overflow certify nothing: NaN and inf fail the test
@@ -203,6 +230,8 @@ def adaptive_sum(first: np.ndarray, right: np.ndarray, rows, q: float,
         coefs = rows(span)
         return SeriesRecord(terms[:span + 1], coefs, span, K,
                             [0.0] * len(coefs))
+    if diverges:
+        raise DivergenceError(diverges)
     J, coefs, tails = cut(rows, steps, q, K, tol, context, start=m)
     if J >= m:  # the terms past the span
         terms = np.concatenate([terms, np.empty((J + 1 - m,) + first.shape,

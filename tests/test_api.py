@@ -3,6 +3,7 @@ for a weight next to a colligation or characteristic family, where the two
 could disagree."""
 
 import ast
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -464,10 +465,10 @@ def test_the_walk_sees_every_tol():
     exported = {name for name, fn in vars(hb).items()
                 if inspect.isfunction(fn)
                 and "tol" in inspect.signature(fn).parameters}
-    assert len(exported) == 28
+    assert len(exported) == 26
     assert exported <= {name.rsplit(".", 1)[1] for name in TOL_ENTRIES}
     assert "serialize.family_from_json" in TOL_ENTRIES
-    assert len(TOL_ENTRIES) == 29
+    assert len(TOL_ENTRIES) == 27
 
 
 @pytest.mark.parametrize("name", sorted(TOL_ENTRIES))
@@ -549,7 +550,7 @@ def test_series_check_sees_every_spelling():
 #: weights (their maps take the rational form), and non-integer alpha past
 #: the spectral route's gate or its node ladder; the conjugation sums of
 #: the gramians and the maps reach the engine through ``_series_sums``,
-#: which takes its rate from the operator
+#: which takes its rate from the operator and the rows' step far out
 SERIES_SITES = {"hereditary._series_sums", "hereditary._resolvent_table",
                 "hereditary.resolvent_scalar"}
 
@@ -560,3 +561,83 @@ def test_series_only_in_the_fallback_sites():
              if path.stem != "series"
              for where in series_uses(path.read_text())]
     assert {f.rsplit(":", 1)[0] for f in found} == SERIES_SITES, found
+
+
+README = SRC.parents[1] / "README.md"
+TABLE_HEADING = "## Public names and the paper"
+#: second spellings that were deleted for the one kept: the one-step
+#: family, its step 0 and the coisometry defect that the metric residuals
+#: report
+DELETED = {"wandering_theta", "build_step", "defect_kernel"}
+
+
+def name_table(text: str) -> list:
+    """``(name, paper object, check)`` of every row of the README's table
+    of public names; a pipe escaped inside a cell stays in it."""
+    section = text.split(TABLE_HEADING, 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) == 3 and re.fullmatch(r"`\w+`", cells[0]):
+            rows.append((cells[0].strip("`"), cells[1], cells[2]))
+    return rows
+
+
+def package_exports() -> set:
+    """Every name that ``hardybeta/__init__.py`` imports."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_name_table_check_sees_every_row():
+    text = (f"{TABLE_HEADING}\n\n| Name | Paper object | Check |\n"
+            "|---|---|---|\n"
+            "| `gramian` | `\\|\\|G\\|\\|` of one shift | criterion 1 |\n"
+            "| `wandering_theta` | the one-step family | criterion 3 |\n"
+            "\n## Install\n| `build_step` | after the table | criterion 3 |\n")
+    assert name_table(text) == [
+        ("gramian", "`\\|\\|G\\|\\|` of one shift", "criterion 1"),
+        ("wandering_theta", "the one-step family", "criterion 3")]
+
+
+@functools.lru_cache(maxsize=None)
+def _module_body(path: str):
+    """The top-level statements of ``path`` under the repository root, or
+    None where there is no such file."""
+    file = SRC.parents[1] / path
+    return ast.parse(file.read_text()).body if file.is_file() else None
+
+
+def _test_exists(node_id: str) -> bool:
+    """Whether ``tests/<file>::<class>::...::<test>`` names a test that
+    is defined (parametrized ones by their function)."""
+    path, *names = node_id.split("::")
+    scope = _module_body(path)
+    if scope is None or not names:
+        return False
+    for name in names:
+        found = [n for n in scope if isinstance(n, (ast.ClassDef,
+                                                    ast.FunctionDef))
+                 and n.name == name]
+        if not found:
+            return False
+        scope = found[0].body
+    return names[-1].startswith("test_")
+
+
+def test_every_export_maps_to_the_paper_and_a_check():
+    from hardybeta.acceptance import CRITERIA
+    text = README.read_text()
+    rows = name_table(text)
+    names = [name for name, _, _ in rows]
+    assert len(names) == len(set(names)), "a name has two rows"
+    assert set(names) == package_exports()
+    assert not [d for d in DELETED if re.search(rf"\b{d}\b", text)]
+    for name, paper, check in rows:
+        assert paper, name
+        criterion = re.fullmatch(r"criterion (\d+)", check)
+        if criterion:
+            assert 1 <= int(criterion[1]) <= len(CRITERIA), (name, check)
+        else:
+            assert _test_exists(check.strip("`")), (name, check)

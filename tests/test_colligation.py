@@ -131,8 +131,6 @@ class TestStackedBuild:
                 assert fam.coisometry_residuals[k] == coisom
                 assert hb.metric_residuals(fam, k) == {
                     "isometry": isom, "coisometry": coisom}
-                step = hb.build_step(w, k, pair, fam.gramians)
-                np.testing.assert_array_equal(step[0], B)
             assert max(fam.isometry_residuals) < 1e-9
 
     def test_ragged_inputs_give_the_step_residuals(self, w_beta2):
@@ -157,25 +155,17 @@ class TestStackedBuild:
             hb.build_family(w_beta2, pair, k_max=2)
 
 
-class TestBuildStep:
+class TestBuildFamily:
     def test_scalar_hardy_oracle(self, w_hardy):
         # rank-1 defect with factor (sqrt(1-a^2), -a), fixed sign
         a = 0.5
         pair = hb.OutputPair(A=[[a]], C=[[np.sqrt(1 - a * a)]])
-        tab = hb.gramian_table(w_hardy, pair, 1, tol=1e-13)
-        np.testing.assert_allclose(tab[0], [[1.0]], atol=1e-12)
-        B, D = hb.build_step(w_hardy, 0, pair, tab)
-        assert B[0, 0] == pytest.approx(np.sqrt(0.75), abs=1e-10)
-        assert D[0, 0] == pytest.approx(-0.5, abs=1e-10)
+        fam = hb.build_family(w_hardy, pair, 0, tol=1e-13)
+        np.testing.assert_allclose(fam.gramians[0], [[1.0]], atol=1e-12)
+        st = fam.step(0)
+        assert st.B[0, 0] == pytest.approx(np.sqrt(0.75), abs=1e-10)
+        assert st.D[0, 0] == pytest.approx(-0.5, abs=1e-10)
 
-    def test_singular_gramian_rejected(self, w_beta2):
-        pair = hb.OutputPair(A=0.5 * np.eye(2), C=np.zeros((1, 2)))
-        tab = hb.gramian_table(w_beta2, pair, 1, tol=1e-12)
-        with pytest.raises(hb.ObservabilityError):
-            hb.build_step(w_beta2, 0, pair, tab)
-
-
-class TestBuildFamily:
     def test_scalar_input_dims(self, w_hardy):
         fam = scalar_hardy_family(w_hardy)
         assert [st.u for st in fam.steps] == [1] * 5
@@ -435,82 +425,6 @@ class TestBasisCovariance:
                     @ hb.transfer_eval(fam2, 0, zeta).conj().T
                 np.testing.assert_allclose(P1, P2, atol=1e-12)
         assert hb.metric_residuals(fam2, 0)["isometry"] < 1e-10
-
-
-class TestDefectKernel:
-    def test_vanishes_for_built_family(self, w_beta3):
-        rng = np.random.default_rng(30)
-        pair = stable_pair(rng, 3, 2, rho=0.6)
-        fam = hb.build_family(w_beta3, pair, k_max=2, tol=1e-13)
-        for z in (0.2 + 0.3j, -0.6, 0.55j):
-            assert np.linalg.norm(
-                hb.defect_kernel(fam, 1, z, 0.3 - 0.2j), 2) < 1e-10
-
-    def test_origin_block_formula(self, w_beta2):
-        rng = np.random.default_rng(31)
-        pair = stable_pair(rng, 3, 2, rho=0.6)
-        fam = hb.build_family(w_beta2, pair, k_max=1, tol=1e-13)
-        k = 0
-        st = fam.step(k)
-        # perturb D to make the defect visible
-        D2 = st.D + 0.05 * cmat(rng, 2, st.u)
-        fam.steps[k] = hb.ColligationStep(B=st.B, D=D2, u=st.u)
-        got = hb.defect_kernel(fam, k, 0.0, 0.0)
-        Gk_inv = np.linalg.inv(fam.gramians[k])
-        b = w_beta2.betas[k]
-        ref = (1 / b) * (b * np.eye(2)
-                         - fam.pair.C @ Gk_inv @ fam.pair.C.conj().T
-                         - D2 @ D2.conj().T) * (1 / b)
-        np.testing.assert_allclose(got, ref, atol=1e-11)
-
-    def test_block_formula_off_the_origin(self, w_beta2):
-        # a perturbed step, a complex C and non-zero z and zeta: the kernel
-        # against the coisometry defect, with the resolvents of beta_2 in
-        # closed form, R_k(x) = k / (1 - x) + 1 / (1 - x)^2 (the origin
-        # test multiplies the C* factor by conj(zeta) = 0)
-        rng = np.random.default_rng(33)
-        pair = stable_pair(rng, 3, 2, rho=0.6)
-        A, C = pair.A, pair.C
-        assert np.abs(C.imag).min() > 0
-        fam = hb.build_family(w_beta2, pair, k_max=2, tol=1e-13)
-        k, z, zeta = 1, 0.3 + 0.4j, -0.5 + 0.2j
-        st = fam.step(k)
-        D2 = st.D + 0.05 * cmat(rng, 2, st.u)
-        fam.steps[k] = hb.ColligationStep(B=st.B, D=D2, u=st.u)
-
-        def R(x):
-            P = np.linalg.inv(np.eye(3) - x * A)
-            return k * P + P @ P
-
-        b = 1.0 / (k + 1)  # beta_k of beta_2
-        G0, G1 = (np.linalg.inv(fam.gramians[j]) for j in (k, k + 1))
-        U = np.block([[A, st.B], [C, D2]])
-        outer = np.zeros((5, 5), dtype=complex)
-        outer[:3, :3], outer[3:, 3:] = G1, b * np.eye(2)
-        inner = np.zeros((3 + st.u,) * 2, dtype=complex)
-        inner[:3, :3], inner[3:, 3:] = G0, np.eye(st.u)
-        defect = outer - U @ inner @ U.conj().T
-        left = np.hstack([z * C @ R(z), np.eye(2) / b])
-        right = np.vstack([np.conj(zeta) * R(zeta).conj().T @ C.conj().T,
-                           np.eye(2) / b])
-        ref = left @ defect @ right
-        assert np.linalg.norm(ref, 2) > 1e-3
-        np.testing.assert_allclose(hb.defect_kernel(fam, k, z, zeta), ref,
-                                   rtol=0, atol=1e-11)
-
-    def test_perturbation_scales(self, w_beta2):
-        rng = np.random.default_rng(32)
-        pair = stable_pair(rng, 3, 2, rho=0.6)
-        norms = []
-        for eps in (0.01, 0.02):
-            fam = hb.build_family(w_beta2, pair, k_max=1, tol=1e-13)
-            st = fam.step(0)
-            E = cmat(rng, 2, st.u)
-            E /= np.linalg.norm(E, 2)
-            fam.steps[0] = hb.ColligationStep(B=st.B, D=st.D + eps * E, u=st.u)
-            norms.append(np.linalg.norm(
-                hb.defect_kernel(fam, 0, 0.3, 0.3), 2))
-        assert norms[1] > norms[0] > 1e-6
 
 
 class TestSerialization:

@@ -986,14 +986,19 @@ class TestDeltaLimit:
 
     @pytest.mark.parametrize("r", [0.45, 0.6, 0.7])
     def test_custom_identity_past_the_series(self, r):
-        # custom [1, 0.5], s = 2: the rate 2 r^2 < 1 decides the limit, but
-        # the identity's series, at q = ((1 + r) / 2)^2 with s q > 1, finds
-        # no cut; R(L) = P(L) (1 - s L)^-1 sums it exactly
+        # custom [1, 0.5], s = 2: the rate 2 r^2 < 1 decides the limit.  The
+        # identity's series, at q halfway between r^2 and 1/s, sums Gamma[1]
+        # to 1 up to r = 0.6; at r = 0.7, s q = 0.99 puts the cut past
+        # J = 1,024, where 1/beta_J = 2^J overflows, and it finds none.
+        # R(L) = P(L) (1 - s L)^-1 sums it exactly at every r
         w = hb.make_weight_custom([1.0, 0.5])
         gamma_H = hb.gamma_map(w, [[r]], [[1.0]])
-        with pytest.raises(hb.ConvergenceError):
-            her._stein_sums(w, her._Operator([[r]]), gamma_H, [0], 1e-9,
-                            "series")
+        args = (w, her._Operator([[r]]), gamma_H, [0], 1e-9, "series")
+        if r < 0.7:
+            assert abs(her._stein_sums(*args)[0][0, 0, 0] - 1.0) <= 1e-9
+        else:
+            with pytest.raises(hb.ConvergenceError):
+                her._stein_sums(*args)
         rep = hb.delta_limit(w, [[r]], [[1.0]])
         assert rep.converged and rep.sum_identity_residual <= 1e-12
 
@@ -1586,6 +1591,16 @@ class TestKnownDefects:
             ref = float(1 / R)
         got = hb.gamma_map(hb.make_weight_custom(betas), [[0.95]], [[1.0]])
         assert abs(got[0, 0] - ref) <= 1e-12 * ref
+
+    @pytest.mark.xfail(strict=True, raises=hb.ConvergenceError, reason=(
+        "ROADMAP item 21: the scalar series of a custom weight cuts past "
+        "J = 1,024, where 1/beta_J = 2^J overflows, so R(0.49) = 50 is "
+        "refused at the term budget"))
+    def test_custom_scalar_near_its_radius(self):
+        # [1, 1/2] continues at s = 2: R(x) = 1 / (1 - 2x), and s x = 0.98
+        w = hb.make_weight_custom([1.0, 0.5])
+        assert hb.resolvent_scalar(w, 0, 0.49) == pytest.approx(50.0,
+                                                                 rel=1e-12)
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 13: the Kronecker closed form of a Jordan block near "

@@ -4,6 +4,7 @@ import pytest
 import hardybeta as hb
 from conftest import cmat, long_copy, series_copy, stable_pair
 from hardybeta import kernels as ker
+from hardybeta.acceptance import random_conditioned_pair, suite_weights
 from hardybeta.kernels import check_hardy_to_weighted_multiplier
 
 GRID_Z = [0.2 + 0.3j, -0.5j, 0.62, -0.35 + 0.2j]
@@ -420,13 +421,29 @@ class TestContractiveMultiplier:
         assert np.isnan(rep.sup_norm) and np.isnan(rep.block_kernel_min_eig)
 
 
-    def test_wandering_theta_mixed_criterion(self, w_beta3):
+    def test_wandering_transfer_mixed_criterion(self, w_beta3):
         rng = np.random.default_rng(53)
         pair = stable_pair(rng, 3, 2, rho=0.6)
-        fam = hb.wandering_theta(w_beta3, pair)
+        fam = hb.build_family(w_beta3, pair, 0)
         rep = check_hardy_to_weighted_multiplier(
             w_beta3, lambda z: hb.transfer_eval(fam, 0, z), hb.default_grid())
         assert rep.contractive
+
+    @pytest.mark.parametrize("index", range(len(suite_weights())))
+    def test_wandering_transfer_is_sharp(self, index):
+        # the Beurling-Lax multiplier passes the check, and the same
+        # multiplier scaled by 1.01 fails it: the check can fail on a
+        # finite Theta, not only on an infinite one
+        _, w = suite_weights()[index]
+        rng = np.random.default_rng(34)
+        grid = hb.default_grid()
+        for _ in range(3):
+            pair = random_conditioned_pair(w, rng, 3, 2)
+            fam = hb.build_family(w, pair, 0)
+            for scale, passes in ((1.0, True), (1.01, False)):
+                rep = check_hardy_to_weighted_multiplier(
+                    w, lambda z: scale * hb.transfer_eval(fam, 0, z), grid)
+                assert rep.contractive is passes
 
 
 class TestArrayEvaluators:
@@ -546,7 +563,6 @@ class TestArrayEvaluators:
         hb.kernel_shifted(w_beta25, 1, pair, fam.gramians, pts, pts)
         hb.kernel_gap(w_beta25, 1, pair, fam.gramians, pts, pts)
         hb.transfer_eval(fam, [0, 1, 2], pts, 1e-13)
-        hb.defect_kernel(fam, 1, 0.3, 0.2j)
         assert calls == []
 
     def test_scalar_kernel_within_tol(self, w_beta2):

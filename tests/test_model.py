@@ -466,23 +466,24 @@ class TestDefectFormRoute:
             defect_form_family(w_hardy, [[0.5]], k_max=2)
 
 
-class TestWanderingTheta:
-    """The wandering transfer function is the one-step family, evaluated
-    with ``transfer_eval`` at step 0."""
+class TestWanderingTransfer:
+    """The wandering transfer function is the one-step family
+    ``build_family(w, pair, 0)``, evaluated with ``transfer_eval`` at step
+    0."""
 
     def test_matches_step_zero(self, w_beta3):
+        # step 0 of a deeper family of the pair is the same step
         rng = np.random.default_rng(66)
         pair = stable_pair(rng, 3, 2, rho=0.6)
-        wt = hb.wandering_theta(w_beta3, pair).step(0)
-        tab = hb.gramian_table(w_beta3, pair, 1, tol=1e-12)
-        B, D = hb.build_step(w_beta3, 0, pair, tab)
-        np.testing.assert_allclose(wt.B, B, atol=1e-11)
-        np.testing.assert_allclose(wt.D, D, atol=1e-11)
+        wt = hb.build_family(w_beta3, pair, 0).step(0)
+        st = hb.build_family(w_beta3, pair, 3).step(0)
+        np.testing.assert_allclose(wt.B, st.B, atol=1e-11)
+        np.testing.assert_allclose(wt.D, st.D, atol=1e-11)
 
     def test_gap_kernel_factorization(self, w_beta2):
         rng = np.random.default_rng(67)
         pair = stable_pair(rng, 3, 2, rho=0.65)
-        fam = hb.wandering_theta(w_beta2, pair)
+        fam = hb.build_family(w_beta2, pair, 0)
         tab = hb.gramian_table(w_beta2, pair, 1, tol=1e-13)
         for z in (0.3 + 0.2j, -0.5, 0.45j):
             for zt in (0.2, -0.3j):
@@ -495,7 +496,7 @@ class TestWanderingTheta:
     def test_eval_on_point_array(self, w_beta2):
         rng = np.random.default_rng(68)
         pair = stable_pair(rng, 3, 2, rho=0.65)
-        fam = hb.wandering_theta(w_beta2, pair)
+        fam = hb.build_family(w_beta2, pair, 0)
         D = fam.step(0).D
         pts = [0.0, 0.3 + 0.2j, -0.5, 0.45j]
         vals = hb.transfer_eval(fam, 0, pts, 1e-13)

@@ -203,10 +203,10 @@ class TestBudget:
     W16 = hb.make_weight_beta_alpha(1.5, 16)
 
     def test_resolvent_apply_names_caller(self):
-        # the row steps by the last ratio 16.5/16 past the table, and at
-        # q = 0.985 that bounds no tail
+        # the row steps by the last ratio s = 16.5/16 past the table, and
+        # s |z| rho(A) = 1.0107 >= 1: the series diverges
         w = series_copy(self.W16)
-        with pytest.raises(hb.ConvergenceError, match="^resolvent_apply: "):
+        with pytest.raises(hb.DivergenceError, match="^resolvent_apply: "):
             hb.resolvent_apply(w, 0, 0.99 * np.eye(2), 0.99)
 
     def test_resolvent_scalar_past_the_table_answered(self):
@@ -231,44 +231,44 @@ class TestBudget:
             assert np.abs(tab[k] - exact).max() <= tab.tail_bounds[k] <= 1e-10
 
     def test_message_text(self):
-        # the whole message of each refusal: a step that bounds no tail
-        # (the resolvent of a custom table past its last ratio), a bound
-        # still above tol at the budget (beta_2.5 at a point the
-        # quadrature's ladder does not reach) and a rate the budget does
-        # not certify (a Jordan block at 0.999)
+        # the whole message of each refusal: a series that diverges (the
+        # resolvent of a custom table past its last ratio), a bound still
+        # above tol at the budget (beta_2.5 at a point the quadrature's
+        # ladder does not reach) and a rate the budget does not certify (a
+        # Jordan block at 0.999)
         w = hb.make_weight_beta_alpha(2.5, 256)
         J6 = 0.999 * np.eye(6) + np.diag(np.ones(5), 1)
         cases = [
             (lambda: hb.resolvent_apply(series_copy(self.W16), 0,
                                         0.99 * np.eye(2), 0.99),
-             "resolvent_apply: tail bound inf > tol 1.000e-12: a row's step "
-             f"bound 1.03125 at the term budget J = {BUDGET} times the decay "
-             "rate q = 0.98505 is 1.01583 >= 1"),
-            (lambda: hb.resolvent_scalar(w, 1, 0.9999),
+             hb.DivergenceError,
+             "resolvent_apply: s |z| rho(A) = 1.01073 >= 1 at the weight's "
+             "last ratio s = 1.03125: series diverges"),
+            (lambda: hb.resolvent_scalar(w, 1, 0.9999), hb.ConvergenceError,
              "resolvent_scalar: tail bound 3.106e+09 > tol 1.000e-12 at the "
              f"term budget J = {BUDGET}, at the decay rate q = 0.9999"),
             (lambda: hb.gramian_table(w, hb.OutputPair(A=J6, C=np.eye(1, 6)),
-                                      0),
+                                      0), hb.ConvergenceError,
              "gramian_table: decay rate q = 0.999 is not certified by "
              f"||A^{BUDGET}|| within the term budget J = {BUDGET}"),
         ]
-        for call, text in cases:
-            with pytest.raises(hb.ConvergenceError) as info:
+        for call, error, text in cases:
+            with pytest.raises(error) as info:
                 call()
             assert str(info.value) == text
 
-    def test_unbounded_step_names_the_step_and_rate(self):
-        # at q < 1 an infinite bound comes from a row whose step times q is
-        # at least 1; a custom weight keeps its last ratio (65/64 for a
-        # beta_2 copy) past its table, by definition (ROADMAP prototype P8)
+    def test_divergent_gramian_names_s_and_the_product(self):
+        # a custom weight keeps its last ratio (s = 65/64 for a beta_2
+        # copy) past its table, by definition (ROADMAP prototype P8), and
+        # s rho(A)^2 = 1.0055 >= 1: the series diverges
         w = hb.make_weight_custom(hb.make_weight_beta_alpha(2.0, 64).betas)
         pair = hb.OutputPair(A=np.diag([0.995, 0.3]), C=np.ones((1, 2)))
-        with pytest.raises(hb.ConvergenceError) as info:
+        with pytest.raises(hb.DivergenceError) as info:
             hb.gramian_table(w, pair, 0)
         assert str(info.value) == (
-            "gramian_table: tail bound inf > tol 1.000e-10: a row's step "
-            f"bound 1.01562 at the term budget J = {BUDGET} times the decay "
-            "rate q = 0.995006 is 1.01055 >= 1")
+            "gramian_table: s rho(A)^2 = 1.00549 >= 1 at the weight's last "
+            "ratio s = 1.01562: series diverges")
+        assert info.value.exit_code == 3
 
     def test_unbounded_tail_names_the_rate(self):
         # a resolvent's rate |z| (1 + rho)/2 is below 1 on the disk, so
@@ -296,6 +296,69 @@ class TestBudget:
         assert str(info.value) == (
             f"test: decay rate q = 1 is not certified by ||A^{BUDGET}|| "
             f"within the term budget J = {BUDGET}")
+
+
+class TestCustomRate:
+    """A custom weight steps by ``s = last_ratio`` past its table, so its
+    series take a rate below ``1/s``: every sum with ``s rho(A)^2 < 1`` or
+    ``s |z| rho(A) < 1`` is answered, and one at or past 1 is refused by
+    name with DivergenceError.  The weight ``[1, 1/2]`` has ``s = 2``, so
+    ``1/beta_j = 2^j`` and ``R_k(x) = 2^k / (1 - 2x)``."""
+
+    W = hb.make_weight_custom([1.0, 0.5])
+    a = np.array([0.4, 0.2])
+
+    def test_gramian_table_inside_the_radius(self):
+        # s rho^2 = 0.32; G^(k)_ij = 2^k / (1 - 2 a_i a_j) for C = ones.
+        # At the rate ((1 + rho) / 2)^2 = 0.49, which left the weight's
+        # step out of account, s q = 0.98 put the cut past J = 1,024, where
+        # 2^J overflows
+        pair = hb.OutputPair(A=np.diag(self.a), C=np.ones((1, 2)))
+        tab = hb.gramian_table(self.W, pair, 2)
+        for k in range(3):
+            exact = 2.0 ** k / (1.0 - 2.0 * np.outer(self.a, self.a))
+            assert np.abs(tab[k] - exact).max() <= 1e-14 * np.abs(exact).max()
+            assert tab.tail_bounds[k] <= 1e-10
+
+    def test_resolvent_inside_the_radius(self):
+        # s |z| rho = 0.72; R_0(zA) = diag(1 / (1 - 2 z a_i)).  At the
+        # rate |z| (1 + rho) / 2 = 0.63, s q = 1.26 bounded no tail
+        got = hb.resolvents(self.W, 0, np.diag(self.a), [0.9])[0]
+        exact = np.diag(1.0 / (1.0 - 1.8 * self.a))
+        assert np.abs(got - exact).max() <= 1e-14 * np.abs(exact).max()
+
+    def test_refused_at_the_radius(self):
+        # s rho^2 = 2 * 0.75^2 = 1.125; s |z| rho = 2 * 0.5 * 1 = 1 exactly
+        pair = hb.OutputPair(A=np.diag([0.75, 0.2]), C=np.ones((1, 2)))
+        with pytest.raises(hb.DivergenceError) as info:
+            hb.gramian_table(self.W, pair, 2)
+        assert str(info.value) == (
+            "gramian_table: s rho(A)^2 = 1.125 >= 1 at the weight's last "
+            "ratio s = 2: series diverges")
+        with pytest.raises(hb.DivergenceError) as info:
+            hb.resolvents(self.W, 0, np.diag([1.0, 0.2]), [0.5])
+        assert str(info.value) == (
+            "resolvents: s |z| rho(A) = 1 >= 1 at the weight's last ratio "
+            "s = 2: series diverges")
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.7, 0.95])
+    def test_rate_between_the_true_rate_and_one_over_s(self, rho):
+        # at s = 1 the rates are the expressions of the hardy and
+        # beta_alpha series, bit for bit; past it each lies strictly
+        # between the true rate and 1/s, and never above them
+        for r in (0.2, 0.9):
+            assert series.decay_rate(rho, r) == r * 0.5 * (1.0 + rho)
+            for s in (1.03125, 2.0):
+                q = series.decay_rate(rho, r, s)
+                if s * r * rho < 1.0:
+                    assert r * rho < q < 1.0 / s
+                assert q <= series.decay_rate(rho, r)
+        assert series.conjugation_rate(rho) == (0.5 * (1.0 + rho)) ** 2
+        for s in (1.03125, 2.0):
+            q = series.conjugation_rate(rho, s)
+            if s * rho * rho < 1.0:
+                assert rho * rho < q < 1.0 / s
+            assert q <= series.conjugation_rate(rho)
 
 
 def _p30(lam):
@@ -531,10 +594,18 @@ def test_short_table_nilpotent_gramian_is_exact():
                                   @ np.linalg.matrix_power(A, j))
                 for j in range(3))
     np.testing.assert_allclose(tab[0], exact, atol=1e-15)
-    # a singular A whose terms never vanish is refused: 13/12 times the
-    # rate of rho = 0.95 bounds no tail
-    with pytest.raises(hb.ConvergenceError, match="^gramian_table: tail "):
-        hb.gramian_table(w, hb.OutputPair(A=np.diag([0.95, 0.0, 0.0]), C=C),
+    # a singular A whose terms never vanish: s rho(A)^2 = (13/12) 0.95^2
+    # is 0.978 < 1, and the series sums to C* C R(0.95^2) on e_1, with
+    # R continued at s; at rho = 0.97 the product is 1.019 and it diverges
+    tab = hb.gramian_table(w, hb.OutputPair(A=np.diag([0.95, 0.0, 0.0]),
+                                            C=C), 0)
+    exact = C.T @ C
+    with mpmath.workdps(30):
+        exact[0, 0] = float(continued_R(w.betas)(0, mpmath.mpf(0.95) ** 2))
+    assert np.abs(tab[0] - exact).max() <= tab.tail_bounds[0] <= 1e-10
+    with pytest.raises(hb.DivergenceError, match=(
+            r"^gramian_table: s rho\(A\)\^2 = 1.01931 >= 1 ")):
+        hb.gramian_table(w, hb.OutputPair(A=np.diag([0.97, 0.0, 0.0]), C=C),
                          0)
 
 
@@ -715,11 +786,12 @@ class TestUnderflow:
         got = her._hereditary_sums(w, off_route(self.A), X, np.arange(0),
                                    1e-10, "gamma_map", gamma=True)[0]
         assert np.abs(got - exact).max() <= 1e-10
-        # the custom copy steps by its last ratio 2050.5/2048 past the
-        # table, so its gramian's bound at the budget is still above tol
+        # the custom copy steps by its last ratio 2049.5/2048 past the
+        # table, so its gramian's bound at the budget is still above tol,
+        # at the rate halfway between rho(A)^2 and 1/s
         with pytest.raises(hb.ConvergenceError, match=(
                 f"^gramian_table: tail bound .* at the term budget J = "
-                f"{BUDGET}, at the decay rate q = 0.999")):
+                f"{BUDGET}, at the decay rate q = 0.998635$")):
             hb.gramian_table(series_copy(w),
                              hb.OutputPair(A=self.A, C=np.sqrt(X)), 3)
 
